@@ -2,8 +2,9 @@
 
 A card that loads without error is safe to hand to the engine: every
 expression has parsed against the allowlist, every symbol is a declared
-variable, every unit resolves in the registry, and structural rules
-(roles, defaults, variant coverage, duplicate targets) have been checked.
+variable, every unit resolves in the registry, structural rules (roles,
+defaults, variant coverage, duplicate targets) have been checked, and each
+variant carries its evaluation plan (see ``_plan``).
 Dimensional consistency is a separate pass — ``validate_dimensions`` —
 that reports findings rather than raising, so a validator CLI can list
 every problem in one run.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import expression as ex
-from .errors import DuplicateKey, SchemaError, UndeclaredSymbol
+from .errors import DuplicateKey, SchemaError, UndeclaredSymbol, UnresolvedVariable
 from .units import Dimension, DIMENSIONLESS, UnitRegistry, default_registry
 
 ROLES = ("input", "output", "intermediate", "param")
@@ -44,13 +45,23 @@ class EquationSpec:
     description: Optional[str] = None
     expr: ex.ExprNode = field(compare=False, default=None, repr=False)
     condition_expr: Optional[ex.ExprNode] = field(compare=False, default=None, repr=False)
+    symbols: tuple = field(compare=False, default=(), repr=False)  # sorted, of expr
 
 
 @dataclass(frozen=True)
 class VariantSpec:
+    """One variant and its plan: (target, equations) pairs run in order.
+
+    ``direct`` targets are evaluated once each; ``iterative`` targets form
+    a dependency cycle, or depend on one, and are solved together by
+    fixed-point iteration after every direct target.
+    """
+
     id: str
     title: str
     equations: tuple
+    direct: tuple = field(compare=False, default=(), repr=False)
+    iterative: tuple = field(compare=False, default=(), repr=False)
 
 
 @dataclass(frozen=True)
@@ -202,6 +213,7 @@ def load_card(json_text: str, registry: UnitRegistry | None = None) -> MethodCar
             default=default,
         ))
     declared = {v.key for v in variables}
+    given = {v.key for v in variables if v.role in ("input", "param")}
     assignable = {v.key for v in variables if v.role in ("output", "intermediate")}
     outputs = {v.key for v in variables if v.role == "output"}
 
@@ -222,6 +234,7 @@ def load_card(json_text: str, registry: UnitRegistry | None = None) -> MethodCar
         vtitle = _require(entry, "title", str, path)
         raw_eqs = _require(entry, "equations", list, path)
         equations: list[EquationSpec] = []
+        needs: dict[str, set] = {}  # target -> symbols of its equations and conditions
         unconditioned: set[str] = set()
         for j, eq_entry in enumerate(raw_eqs):
             eq_path = f"{path}.equations[{j}]"
@@ -236,9 +249,12 @@ def load_card(json_text: str, registry: UnitRegistry | None = None) -> MethodCar
                                   "equation targets must be output or intermediate")
             text = _require(eq_entry, "sympy", str, eq_path)
             expr = ex.parse(text)  # ParseError/Disallowed* propagate
-            for symbol in ex.free_symbols(expr):
+            symbols = ex.free_symbols(expr)
+            for symbol in symbols:
                 if symbol not in declared:
                     raise UndeclaredSymbol(target, symbol)
+            needed = needs.setdefault(target, set())
+            needed |= symbols
             condition_text = _optional_str(eq_entry, "condition", eq_path)
             condition_expr = None
             if condition_text is not None:
@@ -246,6 +262,7 @@ def load_card(json_text: str, registry: UnitRegistry | None = None) -> MethodCar
                 for symbol in ex.free_symbols(condition_expr):
                     if symbol not in declared:
                         raise UndeclaredSymbol(target, symbol)
+                    needed.add(symbol)
             else:
                 if target in unconditioned:
                     raise SchemaError(
@@ -259,14 +276,19 @@ def load_card(json_text: str, registry: UnitRegistry | None = None) -> MethodCar
                 description=_optional_str(eq_entry, "description", eq_path),
                 expr=expr,
                 condition_expr=condition_expr,
+                symbols=tuple(sorted(symbols)),
             ))
-        covered = {eq.target for eq in equations}
-        missing = outputs - covered
+        missing = outputs - needs.keys()
         if missing:
             raise SchemaError(f"{path}.equations",
                               f"output(s) {sorted(missing)} have no equation in "
                               f"variant {vid!r}")
-        variants.append(VariantSpec(id=vid, title=vtitle, equations=tuple(equations)))
+        direct, iterative = _plan(needs, given)
+        by_target = {t: tuple(eq for eq in equations if eq.target == t) for t in needs}
+        variants.append(VariantSpec(
+            id=vid, title=vtitle, equations=tuple(equations),
+            direct=tuple((t, by_target[t]) for t in direct),
+            iterative=tuple((t, by_target[t]) for t in iterative)))
 
     # Lists and sources
     assumptions = tuple(_str_list(raw, "assumptions"))
@@ -288,6 +310,35 @@ def load_card(json_text: str, registry: UnitRegistry | None = None) -> MethodCar
         assumptions=assumptions, applicability=applicability,
         sources=tuple(sources),
     )
+
+
+def _plan(needs: dict[str, set], given: set) -> tuple[list, list]:
+    """Split a variant's targets into direct steps and an iterated block.
+
+    Repeated passes over the targets in listed order: a target is ready
+    once every symbol of all its equations and conditions is bound, and a
+    ready target binds at once, so later targets of the same pass may use
+    it. Targets never ready form a cycle or depend on one; each of their
+    symbols must still be given or produced by some target, otherwise the
+    variant can never be evaluated (UnresolvedVariable).
+    """
+    bound = set(given)
+    direct: list[str] = []
+    progress = True
+    while progress:
+        progress = False
+        for target, needed in needs.items():
+            if target not in bound and needed <= bound:
+                direct.append(target)
+                bound.add(target)
+                progress = True
+    iterative = [t for t in needs if t not in bound]
+    producible = bound | needs.keys()
+    for target in iterative:
+        unmet = needs[target] - producible
+        if unmet:
+            raise UnresolvedVariable(sorted(unmet)[0])
+    return direct, iterative
 
 
 def _role_of(variables, key):

@@ -26,7 +26,6 @@ CATALOG_ENV_VAR = "GEOCARD_CATALOG_DIR"
 @dataclass
 class Catalog:
     cards: dict = field(default_factory=dict)       # id -> MethodCard
-    paths: dict = field(default_factory=dict)       # id -> source path string
     diagnostics: list = field(default_factory=list)  # load failures
     warnings: list = field(default_factory=list)     # e.g. shadowed ids
 
@@ -54,18 +53,19 @@ class Catalog:
         except KeyError:
             raise UnknownMethod(card_id) from None
 
-    def _ingest(self, name: str, text: str, origin: str,
-                registry: UnitRegistry, shadow_allowed: bool) -> None:
+    def _ingest(self, text: str, origin: str, registry: UnitRegistry,
+                shadow_allowed: bool) -> Optional[MethodCard]:
+        """Load and audit one card file; the indexed card, or None on failure."""
         try:
             card = load_card(text, registry)
         except GeocardError as exc:
             self.diagnostics.append(f"{origin}: {exc}")
-            return
+            return None
         findings = validate_dimensions(card, registry)
         if findings:
             for finding in findings:
                 self.diagnostics.append(f"{origin}: {card.id}: {finding}")
-            return
+            return None
         if card.id in self.cards:
             if shadow_allowed:
                 self.warnings.append(
@@ -73,9 +73,9 @@ class Catalog:
             else:
                 self.diagnostics.append(
                     f"{origin}: duplicate card id {card.id}")
-                return
+                return None
         self.cards[card.id] = card
-        self.paths[card.id] = origin
+        return card
 
 
 def load_catalog(extra_dir: "str | os.PathLike | None" = None,
@@ -92,9 +92,8 @@ def load_catalog(extra_dir: "str | os.PathLike | None" = None,
         root = resources.files("geocard").joinpath("data/catalog")
         for entry in sorted(root.iterdir(), key=lambda e: e.name):
             if entry.name.endswith(".json"):
-                catalog._ingest(entry.name, entry.read_text("utf-8"),
-                                f"bundled:{entry.name}", registry,
-                                shadow_allowed=False)
+                catalog._ingest(entry.read_text("utf-8"), f"bundled:{entry.name}",
+                                registry, shadow_allowed=False)
     if extra_dir is None:
         extra_dir = os.environ.get(CATALOG_ENV_VAR)
     if extra_dir:
@@ -103,6 +102,6 @@ def load_catalog(extra_dir: "str | os.PathLike | None" = None,
             catalog.diagnostics.append(f"{user_root}: not a directory")
         else:
             for path in sorted(user_root.glob("*.json")):
-                catalog._ingest(path.name, path.read_text("utf-8"),
-                                str(path), registry, shadow_allowed=True)
+                catalog._ingest(path.read_text("utf-8"), str(path),
+                                registry, shadow_allowed=True)
     return catalog

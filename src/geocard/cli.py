@@ -15,11 +15,11 @@ import argparse
 import json
 import math
 import sys
+from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .cards import load_card, validate_dimensions
-from .catalog import load_catalog
+from .catalog import Catalog, load_catalog
 from .ec7 import (
     DESIGN_APPROACHES,
     check_footing_uls_ec7,
@@ -30,6 +30,7 @@ from .engine import EvaluationRequest, evaluate_card
 from .errors import GeocardError
 from .report import format_sig, render_report
 from .server import serve
+from .units import default_registry
 
 
 def main(argv=None) -> int:
@@ -102,35 +103,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_validate(args) -> int:
     paths = []
-    if args.paths:
-        for raw in args.paths:
-            path = Path(raw)
-            if path.is_dir():
-                paths.extend(sorted(path.glob("*.json")))
-            elif path.is_file():
-                paths.append(path)
-            else:
-                print(f"usage error: no such file or directory: {raw}",
-                      file=sys.stderr)
-                return 2
-    else:
-        from importlib import resources
-        root = resources.files("geocard").joinpath("data/catalog")
-        paths = sorted((Path(str(p)) for p in root.iterdir()
-                        if p.name.endswith(".json")), key=lambda p: p.name)
+    bundled = str(resources.files("geocard").joinpath("data/catalog"))
+    for raw in args.paths or [bundled]:
+        path = Path(raw)
+        if path.is_dir():
+            paths.extend(sorted(path.glob("*.json")))
+        elif path.is_file():
+            paths.append(path)
+        else:
+            print(f"usage error: no such file or directory: {raw}",
+                  file=sys.stderr)
+            return 2
 
+    catalog = Catalog()
     failures = 0
     for path in paths:
-        try:
-            card = load_card(path.read_text("utf-8"))
-        except GeocardError as exc:
-            print(f"FAIL {path.name}: {exc}")
-            failures += 1
-            continue
-        findings = validate_dimensions(card)
-        if findings:
-            for finding in findings:
-                print(f"FAIL {path.name}: {card.id}: {finding}")
+        reported = len(catalog.diagnostics)
+        card = catalog._ingest(path.read_text("utf-8"), path.name,
+                               default_registry(), shadow_allowed=False)
+        if card is None:
+            for diagnostic in catalog.diagnostics[reported:]:
+                print(f"FAIL {diagnostic}")
             failures += 1
         else:
             print(f"ok   {path.name}: {card.id}")

@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
 from .cards import MethodCard
 from .catalog import Catalog
 from .engine import EvaluationRequest, EvaluationTrace, evaluate_card
-from .errors import InvalidGeometry, NoBracket, SchemaError, UnknownDesignApproach
-from .units import parse_quantity
+from .errors import (InvalidGeometry, NoBracket, NonConvergence, SchemaError,
+                     UnknownDesignApproach)
+from .units import default_registry, to_magnitude
 
 GAMMA_WATER = 9.81  # kN/m^3
 
@@ -166,33 +167,19 @@ _REQUIRED_FIELDS = ("L", "D_f", "phi_prime_k", "c_prime_k", "gamma_k",
 
 def load_scenario(json_text: str) -> FootingScenario:
     """Parse a scenario file: unit-tagged strings for every physical field."""
-    from .units import convert, default_registry
-
     try:
         raw = json.loads(json_text)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError("$", "scenario must be a JSON object")
-    registry = default_registry()
     values: dict = {}
     for key in _REQUIRED_FIELDS:
         if key not in raw:
             raise SchemaError(f"$.{key}", "missing required field")
     for key, unit_name in _QUANTITY_FIELDS.items():
-        if key not in raw or raw[key] is None:
-            continue
-        value = raw[key]
-        if isinstance(value, str):
-            q = parse_quantity(value, registry)
-            if q.unit.name == "dimensionless":
-                values[key] = q.magnitude
-            else:
-                values[key] = convert(q, registry.resolve(unit_name)).magnitude
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            values[key] = float(value)
-        else:
-            raise SchemaError(f"$.{key}", "expected a unit-tagged string or number")
+        if raw.get(key) is not None:
+            values[key] = to_magnitude(raw[key], unit_name, key, default_registry())
     if "surcharge_model" in raw:
         values["surcharge_model"] = raw["surcharge_model"]
     if "name" in raw:
@@ -366,52 +353,50 @@ def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
                              drainage: str = "drained") -> WidthDesignResult:
     """Bisection on utilization(B) - 1 for the required footing width.
 
-    Stops when |utilization - 1| < tolerance or the bracket is under 1 mm.
-    The bracket [B_lo, B_hi] expands automatically (up to fixed limits)
-    when utilization does not cross 1 inside it.
+    Returns the passing end of the bracket, once its utilization lies in
+    (1 - tolerance, 1], together with the check made there. The bracket
+    [B_lo, B_hi] expands automatically (up to fixed limits) when
+    utilization does not cross 1 inside it.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise SchemaError("$.tolerance", "must be a positive finite number")
     if card is None:
         card = _ec7_card(catalog)
 
     min_b = max(2.0 * scenario.e + 1e-6, 1e-4)
 
-    def utilization(width: float) -> float:
+    def check(width: float) -> UlsCheckResult:
         return check_footing_uls_ec7(scenario, design_approach, width,
-                                     card=card, drainage=drainage).utilization
+                                     card=card, drainage=drainage)
 
     lo = max(B_lo, min_b)
     hi = max(B_hi, lo)
-    f_lo = utilization(lo) - 1.0
-    f_hi = utilization(hi) - 1.0
+    at_lo, at_hi = check(lo), check(hi)
     expansions = 0
-    while f_lo <= 0.0 and lo > min_b and expansions < 12:
+    while at_lo.utilization <= 1.0 and lo > min_b and expansions < 12:
         lo = max(lo / 2.0, min_b)
-        f_lo = utilization(lo) - 1.0
+        at_lo = check(lo)
         expansions += 1
-    while f_hi >= 0.0 and expansions < 24:
+    while at_hi.utilization >= 1.0 and expansions < 24:
         hi *= 2.0
-        f_hi = utilization(hi) - 1.0
+        at_hi = check(hi)
         expansions += 1
-    if f_lo <= 0.0 or f_hi >= 0.0:
+    if at_lo.utilization <= 1.0 or at_hi.utilization >= 1.0:
         raise NoBracket(lo, hi)
 
     iterations = 0
-    mid = 0.5 * (lo + hi)
-    f_mid = utilization(mid) - 1.0
-    while abs(f_mid) >= tolerance and (hi - lo) >= 1e-3:
-        if f_mid > 0.0:
+    while at_hi.utilization <= 1.0 - tolerance:
+        if iterations == 200:
+            raise NonConvergence(["B"], iterations, 1.0 - at_hi.utilization)
+        mid = 0.5 * (lo + hi)
+        at_mid = check(mid)
+        if at_mid.utilization > 1.0:
             lo = mid
         else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-        f_mid = utilization(mid) - 1.0
+            hi, at_hi = mid, at_mid
         iterations += 1
-        if iterations > 200:
-            break
-    check = check_footing_uls_ec7(scenario, design_approach, mid,
-                                  card=card, drainage=drainage)
-    return WidthDesignResult(design_approach=design_approach, B_req=mid,
-                             check=check, iterations=iterations)
+    return WidthDesignResult(design_approach=design_approach, B_req=hi,
+                             check=at_hi, iterations=iterations)
 
 
 def _ec7_card(catalog: Catalog | None) -> MethodCard:
@@ -420,6 +405,3 @@ def _ec7_card(catalog: Catalog | None) -> MethodCard:
     from .catalog import load_catalog
     return load_catalog().get_method(EC7_CARD_ID)
 
-
-def scenario_at_width(scenario: FootingScenario, B: float) -> FootingScenario:
-    return replace(scenario, B=B)

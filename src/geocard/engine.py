@@ -1,14 +1,13 @@
-"""Card execution: dependency-ordered evaluation with a full audit trace.
+"""Card execution: plan-ordered evaluation with a full audit trace.
 
-Solving is staged. Stage 1 makes repeated passes over the variant's
-equations, assigning any target whose free symbols are all bound and whose
-condition (if any) holds; each productive pass binds at least one target,
-so it terminates in at most |equations| passes. Stage 2 handles targets
-left over because they form a dependency cycle: plain fixed-point
-iteration from 1.0 in card units, re-evaluating the cycle equations in
+The evaluation order is a property of the card, fixed once by
+``cards.load_card``: each variant carries its direct targets in order, then
+the targets left over because they form a dependency cycle or depend on
+one. The engine walks the direct targets, choosing each target's equation
+by its conditions, then solves the leftover block by plain fixed-point
+iteration from 1.0 in card units, re-evaluating the block's equations in
 listed order until the largest relative change drops below 1e-9 (hard cap
-200 iterations). Anything still unassigned is an error, never a silent
-omission — the trace must cover every intermediate and output variable.
+200 iterations). Every intermediate and output variable lands in the trace.
 """
 
 from __future__ import annotations
@@ -33,10 +32,9 @@ from .errors import (
 from .units import (
     Quantity,
     UnitRegistry,
-    convert,
     default_registry,
     format_quantity,
-    split_quantity_text,
+    to_magnitude,
 )
 
 FIXED_POINT_TOL = 1e-9
@@ -138,23 +136,8 @@ def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue],
     extra = supplied - required
     if extra:
         raise UnexpectedInput(extra)
-    return {key: _normalize_one(card, key, raw[key], registry) for key in raw}
-
-
-def _normalize_one(card: MethodCard, key: str, value: InputValue,
-                   registry: UnitRegistry) -> float:
-    if isinstance(value, bool):
-        raise UnexpectedInput([key])
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        magnitude, unit_name = split_quantity_text(value)
-        if not unit_name:
-            # Bare number in string form: card-normalized, like a bare real.
-            return magnitude
-        value = Quantity(magnitude, registry.resolve(unit_name))
-    target_unit = registry.resolve(card.variable(key).unit)
-    return convert(value, target_unit).magnitude
+    return {key: to_magnitude(value, card.variable(key).unit, key, registry)
+            for key, value in raw.items()}
 
 
 class _Runner:
@@ -172,9 +155,6 @@ class _Runner:
     def _unit_of(self, key: str):
         return self.registry.resolve(self.card.variable(key).unit)
 
-    def _partial_trace(self) -> EvaluationTrace:
-        return self._trace(outputs={})
-
     def _trace(self, outputs: dict) -> EvaluationTrace:
         return EvaluationTrace(
             card_id=self.card.id,
@@ -187,48 +167,41 @@ class _Runner:
             diagnostics={"iterative_cycles": self.cycles},
         )
 
-    def _attach(self, exc: GeocardError, eq: Optional[EquationSpec]) -> GeocardError:
+    def _attach(self, exc: GeocardError, eq: EquationSpec) -> GeocardError:
         """Attach the partial trace and failing step to a fault, in place."""
-        exc.partial_trace = self._partial_trace()
-        if eq is not None:
-            exc.failed_step = {
-                "target": eq.target,
-                "expression": eq.sympy,
-                "inputs": {k: self.env[k] for k in sorted(
-                    ex.free_symbols(eq.expr) & self.env.keys())},
-            }
+        exc.partial_trace = self._trace(outputs={})
+        exc.failed_step = {
+            "target": eq.target,
+            "expression": eq.sympy,
+            "inputs": {k: self.env[k] for k in eq.symbols},
+        }
         return exc
 
-    def _eval(self, node, eq: Optional[EquationSpec]) -> float:
+    def _eval(self, node, eq: EquationSpec) -> float:
         try:
             return ex.evaluate(node, self.env)
         except GeocardError as exc:
             raise self._attach(exc, eq)
 
-    def _choose_equation(self, target: str,
-                         equations: list[EquationSpec]) -> Optional[EquationSpec]:
-        """Pick the applicable equation for a target, or None to postpone.
+    def _choose_equation(self, target: str, equations: tuple) -> EquationSpec:
+        """Pick the applicable equation for a target.
 
-        Raises ConditionConflict when more than one condition holds.
+        Raises ConditionConflict when more than one condition holds and
+        UnresolvedVariable when none holds and there is no fallback.
         """
-        conditioned = [eq for eq in equations if eq.condition_expr is not None]
-        fallback = next((eq for eq in equations if eq.condition_expr is None), None)
-        for eq in conditioned:
-            if not ex.free_symbols(eq.condition_expr) <= self.env.keys():
-                return None  # cannot decide yet
-        satisfied = [eq for eq in conditioned
-                     if self._eval(eq.condition_expr, eq)]
+        satisfied = [eq for eq in equations if eq.condition_expr is not None
+                     and self._eval(eq.condition_expr, eq)]
         if len(satisfied) > 1:
             raise self._attach(ConditionConflict(target), satisfied[1])
         if satisfied:
             return satisfied[0]
+        fallback = next((eq for eq in equations if eq.condition_expr is None), None)
         if fallback is not None:
             return fallback
         raise self._attach(UnresolvedVariable(target), equations[0])
 
     def _record(self, eq: EquationSpec, value: float, method: str) -> None:
-        used = {k: self.env[k] for k in sorted(ex.free_symbols(eq.expr))
-                if k in self.env}
+        used = {k: self.env[k] for k in eq.symbols}
         self.env[eq.target] = value
         self.steps.append(TraceStep(
             index=len(self.steps),
@@ -257,63 +230,21 @@ class _Runner:
             if bad:
                 raise UnexpectedInput(bad)
             for key, value in request.overrides.items():
-                self.env[key] = _normalize_one(card, key, value, self.registry)
+                self.env[key] = to_magnitude(value, card.variable(key).unit, key,
+                                             self.registry)
 
-        order: list[str] = []
-        pending: dict[str, list[EquationSpec]] = {}
-        for eq in variant.equations:
-            if eq.target not in pending:
-                pending[eq.target] = []
-                order.append(eq.target)
-            pending[eq.target].append(eq)
-
-        # Stage 1: dependency resolution by repeated passes.
-        progress = True
-        while progress and pending:
-            progress = False
-            for target in order:
-                if target not in pending:
-                    continue
-                equations = pending[target]
-                if not self._conditions_decidable(equations):
-                    continue
-                chosen = self._choose_equation(target, equations)
-                if chosen is None:
-                    continue
-                if ex.free_symbols(chosen.expr) <= self.env.keys():
-                    value = self._eval(chosen.expr, chosen)
-                    self._record(chosen, value, "direct")
-                    del pending[target]
-                    progress = True
-
-        # Stage 2: fixed-point iteration over a residual cycle.
-        if pending:
-            self._solve_cycle(order, pending)
+        for target, equations in variant.direct:
+            eq = self._choose_equation(target, equations)
+            self._record(eq, self._eval(eq.expr, eq), "direct")
+        if variant.iterative:
+            self._solve_cycle(variant.iterative)
 
         outputs = {v.key: Quantity(self.env[v.key], self._unit_of(v.key))
                    for v in card.variables_by_role("output")}
         return self._trace(outputs)
 
-    def _conditions_decidable(self, equations: list[EquationSpec]) -> bool:
-        return all(
-            eq.condition_expr is None
-            or ex.free_symbols(eq.condition_expr) <= self.env.keys()
-            for eq in equations
-        )
-
-    def _solve_cycle(self, order: list[str],
-                     pending: dict[str, list[EquationSpec]]) -> None:
-        cycle = [t for t in order if t in pending]
-        producible = self.env.keys() | pending.keys()
-        for target in cycle:
-            for eq in pending[target]:
-                needed = ex.free_symbols(eq.expr)
-                if eq.condition_expr is not None:
-                    needed |= ex.free_symbols(eq.condition_expr)
-                unmet = needed - producible
-                if unmet:
-                    raise self._attach(UnresolvedVariable(sorted(unmet)[0]), eq)
-
+    def _solve_cycle(self, block: tuple) -> None:
+        cycle = [target for target, _ in block]
         for target in cycle:
             self.env[target] = 1.0
 
@@ -322,8 +253,8 @@ class _Runner:
         chosen: dict[str, EquationSpec] = {}
         for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
             residual = 0.0
-            for target in cycle:
-                eq = self._choose_equation(target, pending[target])
+            for target, equations in block:
+                eq = self._choose_equation(target, equations)
                 chosen[target] = eq
                 old = self.env[target]
                 new = self._eval(eq.expr, eq)
@@ -338,18 +269,15 @@ class _Runner:
                 break
         else:
             raise self._attach(
-                NonConvergence(cycle, FIXED_POINT_MAX_ITER, residual),
-                pending[cycle[0]][0])
+                NonConvergence(cycle, FIXED_POINT_MAX_ITER, residual), block[0][1][0])
 
         for target in cycle:
-            eq = chosen[target]
-            self._record(eq, self.env[target], "iterative")
+            self._record(chosen[target], self.env[target], "iterative")
         self.cycles.append({
             "variables": cycle,
             "iterations": iterations,
             "residual": residual,
         })
-        pending.clear()
 
 
 def evaluate_card(card: MethodCard, request: EvaluationRequest,

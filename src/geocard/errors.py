@@ -62,6 +62,22 @@ class DimensionMismatch(UnitError):
         super().__init__(f"incompatible dimensions: {source} vs {target}{where}")
 
 
+class MissingUnit(UnitError):
+    code = "missing_unit"
+
+    def __init__(self, keys):
+        self.keys = sorted(keys)
+        super().__init__(f"value(s) need a unit tag: {', '.join(self.keys)}")
+
+
+class NonFiniteValue(UnitError):
+    code = "non_finite_value"
+
+    def __init__(self, key: str):
+        self.key = key
+        super().__init__(f"{key!r} is not a finite number")
+
+
 # ----------------------------------------------------------- expressions ----
 
 class ExpressionError(GeocardError):
@@ -246,6 +262,10 @@ class NoBracket(GeocardError):
 
 
 # ------------------------------------------------------------------ skills ----
+
+class InvalidQuery(GeocardError, ValueError):
+    code = "invalid_query"
+
 
 class UnknownSkill(GeocardError):
     code = "unknown_skill"

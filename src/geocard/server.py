@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import sys
-import time
 from typing import Optional, TextIO
 
 from . import __version__
+from .cards import MethodCard
 from .catalog import Catalog, load_catalog
 from .ec7 import (
     check_footing_uls_ec7,
@@ -25,8 +25,9 @@ from .ec7 import (
     load_scenario,
 )
 from .engine import EvaluationRequest, evaluate_card
-from .errors import GeocardError
+from .errors import GeocardError, MissingUnit, NonFiniteValue
 from .skills import SkillLibrary, load_skills
+from .units import default_registry, split_quantity_text, to_magnitude
 
 PROTOCOL_VERSION = "2024-11-05"
 SERVER_NAME = "geocard"
@@ -214,7 +215,6 @@ class SessionContext:
     def __init__(self, session_id: str = "default"):
         self.session_id = session_id
         self.defaults: dict = {}
-        self.created_at = time.time()  # internal only; never serialized
 
 
 class McpServer:
@@ -229,7 +229,8 @@ class McpServer:
             "geo_list_methods": self._tool_list_methods,
             "geo_get_method": self._tool_get_method,
             "geo_evaluate": self._tool_evaluate,
-            "geo_evaluate_with_units": self._tool_evaluate_with_units,
+            "geo_evaluate_with_units": lambda args: self._tool_evaluate(
+                args, require_units=True),
             "geo_list_skills": self._tool_list_skills,
             "geo_recommend_skills": self._tool_recommend_skills,
             "geo_get_skill": self._tool_get_skill,
@@ -316,19 +317,19 @@ class McpServer:
         if complaint is not None:
             return self._error(msg_id, INVALID_PARAMS, complaint)
         try:
-            body = self._handlers[name](arguments)
+            body, is_error = self._handlers[name](arguments), False
         except GeocardError as exc:
-            return self._result(msg_id, {
-                "content": [{"type": "text",
-                             "text": json.dumps(exc.payload(), indent=2)}],
-                "isError": True,
-            })
+            body, is_error = exc.payload(), True
         except Exception as exc:  # defensive: never crash the transport
             return self._error(msg_id, INTERNAL_ERROR,
                                f"{type(exc).__name__}: {exc}")
+        try:
+            text = json.dumps(body, indent=2, allow_nan=False)
+        except ValueError:  # a NaN or infinity computed from finite inputs
+            text, is_error = json.dumps(NonFiniteValue("result").payload(), indent=2), True
         return self._result(msg_id, {
-            "content": [{"type": "text", "text": json.dumps(body, indent=2)}],
-            "isError": False,
+            "content": [{"type": "text", "text": text}],
+            "isError": is_error,
         })
 
     @staticmethod
@@ -348,26 +349,31 @@ class McpServer:
     def _tool_get_method(self, args) -> dict:
         return self.catalog.get_method(args["id"]).to_dict()
 
-    def _merged_inputs(self, card_id: str, given: dict) -> dict:
+    def _merged_inputs(self, card: MethodCard, given: dict) -> dict:
         """Session defaults fill missing input keys; arguments always win."""
-        card = self.catalog.get_method(card_id)
         merged = dict(given)
         for var in card.variables_by_role("input"):
             if var.key not in merged and var.key in self.session.defaults:
                 merged[var.key] = self.session.defaults[var.key]
         return merged
 
-    def _tool_evaluate(self, args) -> dict:
+    def _tool_evaluate(self, args, require_units: bool = False) -> dict:
         card = self.catalog.get_method(args["card"])
         request = EvaluationRequest(
             card_id=args["card"],
             variant_id=args["variant"],
-            inputs=self._merged_inputs(args["card"], args["inputs"]),
+            inputs=self._merged_inputs(card, args["inputs"]),
             overrides=args.get("overrides") or {},
         )
+        if require_units:
+            units = {v.key: v.unit for v in card.variables}
+            untagged = [
+                key for key, value in {**request.inputs, **request.overrides}.items()
+                if units.get(key, "dimensionless") != "dimensionless"
+                and not (isinstance(value, str) and split_quantity_text(value)[1])]
+            if untagged:
+                raise MissingUnit(untagged)
         return evaluate_card(card, request).to_dict()
-
-    _tool_evaluate_with_units = _tool_evaluate
 
     def _tool_list_skills(self, args) -> dict:
         return {"skills": self.skills.list_skills()}
@@ -390,21 +396,11 @@ class McpServer:
                            f"{pf.design_approach}",
         }
 
-    @staticmethod
-    def _parse_width(value) -> float:
-        if isinstance(value, str):
-            from .units import convert, default_registry, parse_quantity
-            registry = default_registry()
-            q = parse_quantity(value, registry)
-            if q.unit.name == "dimensionless":
-                return q.magnitude
-            return convert(q, registry.resolve("m")).magnitude
-        return float(value)
-
     def _tool_check_uls(self, args) -> dict:
         scenario = load_scenario(json.dumps(args["scenario"]))
+        width = to_magnitude(args["B"], "m", "B", default_registry())
         result = check_footing_uls_ec7(
-            scenario, args["design_approach"], self._parse_width(args["B"]),
+            scenario, args["design_approach"], width,
             catalog=self.catalog, drainage=args.get("drainage", "drained"))
         return result.to_dict()
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import UnknownSkill
+from .errors import InvalidQuery, UnknownSkill
 
 SKILLS_ENV_VAR = "GEOCARD_SKILLS_DIR"
 
@@ -148,7 +148,9 @@ class SkillLibrary:
     def recommend_skills(self, query: str, limit: int = 5) -> list[SkillMatch]:
         """Rank skills by weighted exact-token overlap with the query."""
         if not query or not query.strip():
-            raise ValueError("query must be non-empty")
+            raise InvalidQuery("query must be non-empty")
+        if limit < 1:
+            raise InvalidQuery(f"limit must be at least 1, got {limit}")
         query_tokens = set(_TOKEN_RE.findall(query.lower()))
         if not query_tokens:
             return []

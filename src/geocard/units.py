@@ -14,13 +14,14 @@ after construction, so all operations here are pure and thread-safe.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Mapping, Union
 
-from .errors import DimensionMismatch, MalformedQuantity, UnknownUnit
+from .errors import DimensionMismatch, MalformedQuantity, NonFiniteValue, UnknownUnit
 
 BASES = ("length", "mass", "time", "angle")
 
@@ -235,6 +236,30 @@ def parse_quantity(text: str, registry: "UnitRegistry | None" = None) -> Quantit
     if not unit_name:
         return Quantity(magnitude, registry.dimensionless)
     return Quantity(magnitude, registry.resolve(unit_name))
+
+
+def to_magnitude(value, unit_name: str, key: str, registry: UnitRegistry) -> float:
+    """Finite magnitude of a wire value in the unit ``unit_name``.
+
+    Accepts a Quantity, a unit-tagged string, or a bare number (also in
+    string form), which is trusted as already in that unit. Anything else
+    is MalformedQuantity; a NaN, an infinity or an overflow is
+    NonFiniteValue, named by ``key``.
+    """
+    if isinstance(value, str):
+        magnitude, tag = split_quantity_text(value)
+        value = Quantity(magnitude, registry.resolve(tag)) if tag else magnitude
+    if isinstance(value, Quantity):
+        value = convert(value, registry.resolve(unit_name)).magnitude
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedQuantity(repr(value))
+    try:
+        magnitude = float(value)
+    except OverflowError:
+        magnitude = math.inf
+    if not math.isfinite(magnitude):
+        raise NonFiniteValue(key)
+    return magnitude
 
 
 def format_quantity(q: Quantity) -> str:

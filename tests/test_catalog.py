@@ -87,6 +87,18 @@ class TestIndex:
         assert len(merged.cards) == len(BUNDLED_IDS)
         assert any("broken.json" in d for d in merged.diagnostics)
 
+    def test_unproduced_intermediate_is_diagnosed_at_load(self, tmp_path):
+        card = CATALOG.get_method("BEARING_CAPACITY_TERZAGHI").to_dict()
+        card["id"] = "TEST_UNPRODUCED"
+        card["variables"].append({"key": "m", "name": "missing",
+                                  "role": "intermediate", "unit": "kPa"})
+        card["variants"][0]["equations"][-1]["sympy"] += " + m"
+        (tmp_path / "unproduced.json").write_text(json.dumps(card))
+        merged = load_catalog(extra_dir=tmp_path)
+        assert "TEST_UNPRODUCED" not in merged.cards
+        assert any("unproduced.json" in d and "'m'" in d
+                   for d in merged.diagnostics)
+
 
 class TestNGammaDiscrimination:
     """The conflation failure mode: Terzaghi/Vesic 2(N_q+1)tan(phi) versus

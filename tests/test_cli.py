@@ -59,6 +59,29 @@ class TestValidate:
     def test_nonexistent_path_is_usage_error(self, capsys):
         assert main(["validate", "/no/such/path.json"]) == 2
 
+    def test_unproduced_intermediate_fails_validation(self, tmp_path, capsys):
+        card = json.loads(
+            (Path(__file__).parents[1] /
+             "src/geocard/data/catalog/bearing_capacity_terzaghi.json")
+            .read_text())
+        card["variables"].append({"key": "m", "name": "missing",
+                                  "role": "intermediate", "unit": "kPa"})
+        card["variants"][0]["equations"][-1]["sympy"] += " + m"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(card))
+        assert main(["validate", str(bad)]) == 1
+        assert "FAIL bad.json: variable 'm'" in capsys.readouterr().out
+
+    def test_duplicate_card_ids_fail_like_the_catalog(self, tmp_path, capsys):
+        good = (Path(__file__).parents[1] /
+                "src/geocard/data/catalog/bearing_capacity_vesic.json")
+        (tmp_path / "a.json").write_text(good.read_text())
+        (tmp_path / "b.json").write_text(good.read_text())
+        assert main(["validate", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "ok   a.json: BEARING_CAPACITY_VESIC" in out
+        assert "FAIL b.json: duplicate card id BEARING_CAPACITY_VESIC" in out
+
 
 class TestEval:
     def test_report_contains_sources(self, capsys):

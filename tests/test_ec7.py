@@ -3,6 +3,7 @@ check, and the width search on the bundled validation scenario."""
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -17,12 +18,16 @@ from geocard.ec7 import (
     effective_overburden,
     effective_unit_weight_below_base,
     get_ec7_preset_partials,
+    bundled_scenario_path,
     load_bundled_scenario,
     load_scenario,
 )
 from geocard.errors import (
+    GeocardError,
     InvalidGeometry,
     NoBracket,
+    NonConvergence,
+    NonFiniteValue,
     SchemaError,
     UnknownDesignApproach,
 )
@@ -263,6 +268,37 @@ class TestWidthDesign:
                                        gamma_sw=0.0)
         with pytest.raises(NoBracket):
             design_footing_width_ec7(unloaded, "DA1-C1")
+
+
+class TestWidthDesignPassesOwnCheck:
+    @pytest.mark.parametrize("da", ["DA1-C1", "DA1-C2", "DA2", "DA3"])
+    def test_required_width_passes_within_tolerance(self, da):
+        result = design_footing_width_ec7(SCENARIO, da, tolerance=1e-3)
+        assert result.check.passed
+        assert 1.0 - 1e-3 < result.check.utilization <= 1.0
+        assert result.check.B == result.B_req
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-3, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(GeocardError):
+            design_footing_width_ec7(SCENARIO, "DA2", tolerance=tolerance)
+
+    def test_unreachable_tolerance_raises_non_convergence(self):
+        # 1 - 1e-300 rounds to 1.0, which no passing width exceeds.
+        with pytest.raises(NonConvergence) as err:
+            design_footing_width_ec7(SCENARIO, "DA2", tolerance=1e-300)
+        assert err.value.iterations == 200
+
+
+class TestScenarioNonFinite:
+    @pytest.mark.parametrize("value", ['NaN', 'Infinity', '"1e400 kN"', '1e400'])
+    def test_rejected(self, value):
+        text = (Path(bundled_scenario_path()).read_text()
+                .replace('"Q_k": "967.10 kN"', f'"Q_k": {value}'))
+        assert '"Q_k": "967.10 kN"' not in text
+        with pytest.raises(NonFiniteValue) as err:
+            load_scenario(text)
+        assert err.value.key == "Q_k"
 
 
 class TestScenarioFile:

@@ -1,4 +1,4 @@
-"""Engine tests: normalization, staged solving, traces, determinism."""
+"""Engine tests: normalization, plan-ordered solving, traces, determinism."""
 
 import json
 import math
@@ -16,6 +16,7 @@ from geocard.errors import (
     MathDomain,
     MissingInput,
     NonConvergence,
+    NonFiniteValue,
     UnexpectedInput,
     UnresolvedVariable,
 )
@@ -358,3 +359,112 @@ class TestOracleEquivalenceProperty:
         assert by_target["N_q"] == pytest.approx(nq, rel=1e-10)
         assert by_target["N_c"] == pytest.approx(nc, rel=1e-10)
         assert by_target["N_gamma"] == pytest.approx(ng, rel=1e-10)
+
+
+def dimensionless_card(card_id, outputs, intermediates, inputs, equations):
+    variables = [{"key": k, "name": k, "role": role, "unit": "dimensionless"}
+                 for role, keys in (("output", outputs),
+                                    ("intermediate", intermediates),
+                                    ("input", inputs))
+                 for k in keys]
+    return json.dumps({
+        "id": card_id, "title": card_id, "category": "Testing",
+        "description": "Plan fixture.", "variables": variables,
+        "variants": [{"id": "base", "title": "Base", "equations": equations}],
+        "sources": [{"title": "Internal test fixture."}],
+    })
+
+
+class TestPlan:
+    """The evaluation order is fixed once, at load time."""
+
+    def test_out_of_order_variant_runs_in_repeated_pass_order(self):
+        card = load_card(dimensionless_card(
+            "TEST_ORDER", ["c"], ["b", "d"], ["a"], [
+                {"target": "c", "sympy": "b + d"},
+                {"target": "b", "sympy": "2*a"},
+                {"target": "d", "sympy": "a + 1"},
+            ]))
+        variant = card.variant("base")
+        assert [t for t, _ in variant.direct] == ["b", "d", "c"]
+        assert variant.iterative == ()
+        trace = run(card, "base", {"a": 3.0})
+        assert [s.target for s in trace.steps] == ["b", "d", "c"]
+        assert all(s.method == "direct" for s in trace.steps)
+        assert trace.outputs["c"].magnitude == 10.0
+
+    def test_target_downstream_of_cycle_is_iterated_with_it(self):
+        card = load_card(dimensionless_card(
+            "TEST_DOWNSTREAM", ["x", "z"], ["y", "w"], ["a"], [
+                {"target": "z", "sympy": "x + 1"},
+                {"target": "y", "sympy": "0.5*x + w"},
+                {"target": "x", "sympy": "0.5*y + a"},
+                {"target": "w", "sympy": "2*a"},
+            ]))
+        variant = card.variant("base")
+        assert [t for t, _ in variant.direct] == ["w"]
+        assert [t for t, _ in variant.iterative] == ["z", "y", "x"]
+        trace = run(card, "base", {"a": 1.0})
+        assert [(s.target, s.method) for s in trace.steps] == [
+            ("w", "direct"), ("z", "iterative"), ("y", "iterative"),
+            ("x", "iterative")]
+        assert trace.diagnostics["iterative_cycles"][0]["variables"] == \
+            ["z", "y", "x"]
+        # x = 0.5*(0.5*x + 2) + 1  =>  x = 8/3
+        assert trace.outputs["x"].magnitude == pytest.approx(8 / 3, rel=1e-8)
+        assert trace.outputs["z"].magnitude == pytest.approx(11 / 3, rel=1e-8)
+
+    def test_conditioned_target_waits_for_every_alternative(self):
+        # y's first alternative needs m, so y runs after m even when x > 0
+        # selects the alternative that does not.
+        card = load_card(dimensionless_card(
+            "TEST_UNION", ["y"], ["m"], ["x"], [
+                {"target": "y", "sympy": "x", "condition": "x > 0"},
+                {"target": "y", "sympy": "m", "condition": "x <= 0"},
+                {"target": "m", "sympy": "0 - x"},
+            ]))
+        trace = run(card, "base", {"x": 2.0})
+        assert [s.target for s in trace.steps] == ["m", "y"]
+        assert trace.steps[1].inputs == {"x": 2.0}
+
+    def test_unproduced_intermediate_fails_at_load(self):
+        text = dimensionless_card("TEST_UNPRODUCED", ["y"], ["m"], ["a"], [
+            {"target": "y", "sympy": "a + m"}])
+        with pytest.raises(UnresolvedVariable) as err:
+            load_card(text)
+        assert err.value.key == "m"
+
+    def test_unproduced_symbol_in_untaken_alternative_fails_at_load(self):
+        text = dimensionless_card("TEST_UNPRODUCED", ["y"], ["m"], ["a"], [
+            {"target": "y", "sympy": "a", "condition": "a > 0"},
+            {"target": "y", "sympy": "m", "condition": "a <= 0"}])
+        with pytest.raises(UnresolvedVariable):
+            load_card(text)
+
+    def test_unproduced_symbol_behind_cycle_fails_at_load(self):
+        text = dimensionless_card("TEST_UNPRODUCED", ["x"], ["y", "m"], [], [
+            {"target": "x", "sympy": "0.5*y"},
+            {"target": "y", "sympy": "0.5*x + m"}])
+        with pytest.raises(UnresolvedVariable):
+            load_card(text)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, "1e400 kPa", "1e400",
+        pytest.param(10 ** 400, id="huge-int"),
+        "1e306 MPa",  # finite text, overflows on conversion to kPa
+    ])
+    def test_rejected(self, value):
+        inputs = dict(TERZAGHI_STRIP_INPUTS, q=value)
+        with pytest.raises(NonFiniteValue) as err:
+            run(TERZAGHI, "general_shear_failure_strip", inputs)
+        assert err.value.key == "q"
+
+    def test_rejected_in_overrides(self):
+        vesic = CATALOG.get_method("BEARING_CAPACITY_VESIC")
+        inputs = {"phi_prime": "30 deg", "c_prime": "10 kPa",
+                  "gamma": "18 kN/m^3", "B": "2 m", "L": "4 m",
+                  "D_f": "1 m", "q": "18 kPa"}
+        with pytest.raises(NonFiniteValue):
+            run(vesic, "general", inputs, overrides={"beta": math.nan})

@@ -28,6 +28,11 @@ TERZAGHI_ARGS = {
 }
 
 
+JRC_SCENARIO = json.loads(
+    (Path(__file__).parents[1] / "src/geocard/data/scenarios/jrc_a3.json")
+    .read_text())
+
+
 def rpc(method, params=None, msg_id=1):
     msg = {"jsonrpc": "2.0", "id": msg_id, "method": method}
     if params is not None:
@@ -285,3 +290,97 @@ class TestGoldenTranscript:
 
     def test_replay_is_stable_across_runs(self):
         assert self._replay() == self._replay()
+
+
+def strict_json(response):
+    """The reply re-encodes without NaN or Infinity anywhere."""
+    json.dumps(response, allow_nan=False)
+    return response
+
+
+class TestUnitTaggedEvaluate:
+    def test_bare_number_for_dimensioned_input_is_tool_error(self, server):
+        args = json.loads(json.dumps(TERZAGHI_ARGS))
+        args["inputs"]["phi_prime"] = 30
+        payload = tool_error(call(server, "geo_evaluate_with_units", args))
+        assert payload["error"] == "missing_unit"
+        assert "phi_prime" in payload["message"]
+
+    def test_bare_number_string_is_tool_error(self, server):
+        args = json.loads(json.dumps(TERZAGHI_ARGS))
+        args["inputs"]["B"] = "2"
+        payload = tool_error(call(server, "geo_evaluate_with_units", args))
+        assert payload["error"] == "missing_unit"
+
+    def test_bare_override_is_tool_error(self, server):
+        args = {"card": "BEARING_CAPACITY_VESIC", "variant": "general",
+                "inputs": {"phi_prime": "30 deg", "c_prime": "10 kPa",
+                           "gamma": "18 kN/m^3", "B": "2 m", "L": "4 m",
+                           "D_f": "1 m", "q": "18 kPa"},
+                "overrides": {"beta": 0.1}}
+        payload = tool_error(call(server, "geo_evaluate_with_units", args))
+        assert payload["error"] == "missing_unit"
+
+    def test_bare_number_for_dimensionless_input_is_accepted(self, tmp_path):
+        (tmp_path / "ratio.json").write_text(json.dumps({
+            "id": "TEST_RATIO", "title": "Ratio", "category": "Testing",
+            "description": "Dimensionless input.",
+            "variables": [
+                {"key": "r", "name": "r", "role": "input", "unit": "dimensionless"},
+                {"key": "y", "name": "y", "role": "output", "unit": "dimensionless"}],
+            "variants": [{"id": "base", "title": "Base",
+                          "equations": [{"target": "y", "sympy": "2*r"}]}],
+            "sources": [{"title": "Internal test fixture."}]}))
+        from geocard.catalog import load_catalog
+        custom = McpServer(catalog=load_catalog(extra_dir=tmp_path))
+        body = tool_body(call(custom, "geo_evaluate_with_units", {
+            "card": "TEST_RATIO", "variant": "base", "inputs": {"r": 1.5}}))
+        assert body["outputs"]["y"]["value"] == 3.0
+
+
+class TestNonFiniteAtTheBoundary:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "1e400 kPa"])
+    def test_evaluate_input(self, server, value):
+        args = json.loads(json.dumps(TERZAGHI_ARGS))
+        args["inputs"]["q"] = value
+        response = strict_json(call(server, "geo_evaluate", args))
+        assert tool_error(response)["error"] == "non_finite_value"
+
+    @pytest.mark.parametrize("width", [
+        math.nan, "1e400 m", pytest.param(10 ** 400, id="huge-int")])
+    def test_check_width(self, server, width):
+        response = strict_json(call(server, "geo_check_footing_uls_ec7", {
+            "scenario": JRC_SCENARIO, "design_approach": "DA2", "B": width}))
+        assert tool_error(response)["error"] == "non_finite_value"
+
+    def test_scenario_field(self, server):
+        scenario = dict(JRC_SCENARIO, G_k_col=math.nan)
+        response = strict_json(call(server, "geo_design_footing_width_ec7", {
+            "scenario": scenario, "design_approach": "DA2"}))
+        assert tool_error(response)["error"] == "non_finite_value"
+
+    def test_design_tolerance(self, server):
+        response = strict_json(call(server, "geo_design_footing_width_ec7", {
+            "scenario": JRC_SCENARIO, "design_approach": "DA2",
+            "tolerance": math.nan}))
+        assert tool_error(response)["error"] == "schema_error"
+
+    def test_overflowing_result_is_tool_error(self, server):
+        # Finite inputs whose product overflows to infinity in the trace.
+        args = json.loads(json.dumps(TERZAGHI_ARGS))
+        args["inputs"].update(gamma="1e300 kN/m^3", B="1e300 m")
+        response = strict_json(call(server, "geo_evaluate_with_units", args))
+        assert tool_error(response)["error"] == "non_finite_value"
+
+
+class TestRecommendSkillsArguments:
+    @pytest.mark.parametrize("query", ["", "   "])
+    def test_empty_query_is_tool_error(self, server, query):
+        response = call(server, "geo_recommend_skills", {"query": query})
+        assert tool_error(response)["error"] == "invalid_query"
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_is_tool_error(self, server, limit):
+        response = call(server, "geo_recommend_skills",
+                        {"query": "bearing capacity", "limit": limit})
+        assert tool_error(response)["error"] == "invalid_query"
