@@ -30,7 +30,7 @@ from .cards import (  # noqa: F401
     load_card,
     validate_dimensions,
 )
-from .catalog import Catalog, load_catalog  # noqa: F401
+from .catalog import Catalog, default_catalog, load_catalog  # noqa: F401
 from .ec7 import (  # noqa: F401
     FootingScenario,
     PartialFactorSet,

@@ -19,7 +19,7 @@ from typing import Optional
 
 from . import expression as ex
 from .errors import DuplicateKey, SchemaError, UndeclaredSymbol, UnresolvedVariable
-from .units import Dimension, DIMENSIONLESS, UnitRegistry, default_registry
+from .units import Dimension, DIMENSIONLESS, default_registry
 
 ROLES = ("input", "output", "intermediate", "param")
 
@@ -159,9 +159,8 @@ def _optional_str(obj: dict, key: str, path: str) -> Optional[str]:
     return obj[key]
 
 
-def load_card(json_text: str, registry: UnitRegistry | None = None) -> MethodCard:
+def load_card(json_text: str) -> MethodCard:
     """Deserialize and fully validate one method card."""
-    registry = registry or default_registry()
     try:
         raw = json.loads(json_text)
     except json.JSONDecodeError as exc:
@@ -196,7 +195,7 @@ def load_card(json_text: str, registry: UnitRegistry | None = None) -> MethodCar
         if role not in ROLES:
             raise SchemaError(f"{path}.role", f"{role!r} not one of {ROLES}")
         unit_name = _require(entry, "unit", str, path)
-        registry.resolve(unit_name)  # raises UnknownUnit
+        default_registry().resolve(unit_name)  # raises UnknownUnit
         default = None
         if "default" in entry and entry["default"] is not None:
             default = _require(entry, "default", float, path)
@@ -283,7 +282,7 @@ def load_card(json_text: str, registry: UnitRegistry | None = None) -> MethodCar
             raise SchemaError(f"{path}.equations",
                               f"output(s) {sorted(missing)} have no equation in "
                               f"variant {vid!r}")
-        direct, iterative = _plan(needs, given)
+        direct, iterative = _plan(vid, needs, given)
         by_target = {t: tuple(eq for eq in equations if eq.target == t) for t in needs}
         variants.append(VariantSpec(
             id=vid, title=vtitle, equations=tuple(equations),
@@ -312,7 +311,7 @@ def load_card(json_text: str, registry: UnitRegistry | None = None) -> MethodCar
     )
 
 
-def _plan(needs: dict[str, set], given: set) -> tuple[list, list]:
+def _plan(variant_id: str, needs: dict[str, set], given: set) -> tuple[list, list]:
     """Split a variant's targets into direct steps and an iterated block.
 
     Repeated passes over the targets in listed order: a target is ready
@@ -337,7 +336,7 @@ def _plan(needs: dict[str, set], given: set) -> tuple[list, list]:
     for target in iterative:
         unmet = needs[target] - producible
         if unmet:
-            raise UnresolvedVariable(sorted(unmet)[0])
+            raise UnresolvedVariable(sorted(unmet)[0], variant_id, target)
     return direct, iterative
 
 
@@ -390,9 +389,9 @@ def _join(d1: Dimension, d2: Dimension) -> Dimension:
 
 
 class _DimensionChecker:
-    def __init__(self, card: MethodCard, registry: UnitRegistry):
+    def __init__(self, card: MethodCard):
         self.card = card
-        self.registry = registry
+        registry = default_registry()
         self.var_dims = {
             v.key: registry.resolve(v.unit).dimension for v in card.variables
         }
@@ -511,13 +510,11 @@ class _DimensionChecker:
         raise TypeError(f"not an ExprNode: {node!r}")
 
 
-def validate_dimensions(card: MethodCard,
-                        registry: UnitRegistry | None = None) -> list[DimensionFinding]:
+def validate_dimensions(card: MethodCard) -> list[DimensionFinding]:
     """Unit-dimension audit of every equation in every variant.
 
     Numeric literals count as dimensionless (published formulas embed
     dimensionless empirical constants); a literal standing in for a
     dimensional constant is a card-authoring error this pass cannot see.
     """
-    registry = registry or default_registry()
-    return _DimensionChecker(card, registry).check()
+    return _DimensionChecker(card).check()

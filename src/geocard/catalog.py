@@ -2,10 +2,14 @@
 
 Bundled cards live in ``geocard/data/catalog``. Setting GEOCARD_CATALOG_DIR
 prepends a user directory whose cards shadow bundled ids (shadowing is
-reported in the load diagnostics). A card only enters the index if it
+reported in the load warnings). A card only enters the index if it
 passes both load_card and the dimensional audit; broken files become
 diagnostics instead of crashes so one bad card cannot take down the
 catalog.
+
+``load_catalog`` builds a fresh catalog on every call. ``default_catalog``
+is the process-wide one: built on first use, then shared by the CLI, the
+MCP server and the EC7 workflow whenever they are given no catalog.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from typing import Optional
 
 from .cards import MethodCard, load_card, validate_dimensions
 from .errors import GeocardError, UnknownMethod
-from .units import UnitRegistry, default_registry
 
 CATALOG_ENV_VAR = "GEOCARD_CATALOG_DIR"
 
@@ -53,15 +56,15 @@ class Catalog:
         except KeyError:
             raise UnknownMethod(card_id) from None
 
-    def _ingest(self, text: str, origin: str, registry: UnitRegistry,
+    def _ingest(self, text: str, origin: str,
                 shadow_allowed: bool) -> Optional[MethodCard]:
         """Load and audit one card file; the indexed card, or None on failure."""
         try:
-            card = load_card(text, registry)
+            card = load_card(text)
         except GeocardError as exc:
             self.diagnostics.append(f"{origin}: {exc}")
             return None
-        findings = validate_dimensions(card, registry)
+        findings = validate_dimensions(card)
         if findings:
             for finding in findings:
                 self.diagnostics.append(f"{origin}: {card.id}: {finding}")
@@ -78,22 +81,18 @@ class Catalog:
         return card
 
 
-def load_catalog(extra_dir: "str | os.PathLike | None" = None,
-                 registry: UnitRegistry | None = None,
-                 include_bundled: bool = True) -> Catalog:
+def load_catalog(extra_dir: "str | os.PathLike | None" = None) -> Catalog:
     """Build the catalog from the bundled tree plus an optional user dir.
 
     ``extra_dir`` defaults to $GEOCARD_CATALOG_DIR when set; user cards
     shadow bundled ids.
     """
-    registry = registry or default_registry()
     catalog = Catalog()
-    if include_bundled:
-        root = resources.files("geocard").joinpath("data/catalog")
-        for entry in sorted(root.iterdir(), key=lambda e: e.name):
-            if entry.name.endswith(".json"):
-                catalog._ingest(entry.read_text("utf-8"), f"bundled:{entry.name}",
-                                registry, shadow_allowed=False)
+    root = resources.files("geocard").joinpath("data/catalog")
+    for entry in sorted(root.iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".json"):
+            catalog._ingest(entry.read_text("utf-8"), f"bundled:{entry.name}",
+                            shadow_allowed=False)
     if extra_dir is None:
         extra_dir = os.environ.get(CATALOG_ENV_VAR)
     if extra_dir:
@@ -103,5 +102,20 @@ def load_catalog(extra_dir: "str | os.PathLike | None" = None,
         else:
             for path in sorted(user_root.glob("*.json")):
                 catalog._ingest(path.read_text("utf-8"), str(path),
-                                registry, shadow_allowed=True)
+                                shadow_allowed=True)
     return catalog
+
+
+_DEFAULT: "Catalog | None" = None
+
+
+def default_catalog() -> Catalog:
+    """The catalog of load_catalog(), built once per process on first use.
+
+    $GEOCARD_CATALOG_DIR is read at that first call; later changes to it
+    do not reach this catalog.
+    """
+    global _DEFAULT
+    if _DEFAULT is None:
+        _DEFAULT = load_catalog()
+    return _DEFAULT

@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .catalog import Catalog, load_catalog
+from .catalog import Catalog, default_catalog
 from .ec7 import (
     DESIGN_APPROACHES,
     check_footing_uls_ec7,
@@ -30,7 +30,6 @@ from .engine import EvaluationRequest, evaluate_card
 from .errors import GeocardError
 from .report import format_sig, render_report
 from .server import serve
-from .units import default_registry
 
 
 def main(argv=None) -> int:
@@ -120,7 +119,7 @@ def cmd_validate(args) -> int:
     for path in paths:
         reported = len(catalog.diagnostics)
         card = catalog._ingest(path.read_text("utf-8"), path.name,
-                               default_registry(), shadow_allowed=False)
+                               shadow_allowed=False)
         if card is None:
             for diagnostic in catalog.diagnostics[reported:]:
                 print(f"FAIL {diagnostic}")
@@ -147,8 +146,7 @@ def _parse_kv(pairs: list[str], label: str) -> dict:
 
 
 def cmd_eval(args) -> int:
-    catalog = load_catalog()
-    card = catalog.get_method(args.card)
+    card = default_catalog().get_method(args.card)
     request = EvaluationRequest(
         card_id=args.card,
         variant_id=args.variant,

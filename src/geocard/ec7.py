@@ -4,6 +4,9 @@ Covers the four EN 1997-1 Design Approach presets (Annex A partial
 factors), characteristic-to-design parameter reduction, design action
 assembly including foundation self-weight, the ULS bearing check against
 the Annex D card, and the bisection search for the required width.
+The check and the search read the Annex D card from the catalog they are
+given, or from the process-wide ``catalog.default_catalog()`` when given
+none, so the catalog is loaded and audited at most once per process.
 
 Groundwater handling follows standard practice: effective overburden uses
 total stress above the water table and buoyant weight below; the unit
@@ -22,12 +25,11 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .cards import MethodCard
-from .catalog import Catalog
+from .catalog import Catalog, default_catalog
 from .engine import EvaluationRequest, EvaluationTrace, evaluate_card
 from .errors import (InvalidGeometry, NoBracket, NonConvergence, SchemaError,
                      UnknownDesignApproach)
-from .units import default_registry, to_magnitude
+from .units import to_magnitude
 
 GAMMA_WATER = 9.81  # kN/m^3
 
@@ -179,7 +181,7 @@ def load_scenario(json_text: str) -> FootingScenario:
             raise SchemaError(f"$.{key}", "missing required field")
     for key, unit_name in _QUANTITY_FIELDS.items():
         if raw.get(key) is not None:
-            values[key] = to_magnitude(raw[key], unit_name, key, default_registry())
+            values[key] = to_magnitude(raw[key], unit_name, key)
     if "surcharge_model" in raw:
         values["surcharge_model"] = raw["surcharge_model"]
     if "name" in raw:
@@ -257,9 +259,6 @@ class UlsCheckResult:
             "trace": self.trace.to_dict(),
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
-
 
 def compute_design_action(scenario: FootingScenario, pf: PartialFactorSet,
                           B: float) -> float:
@@ -269,10 +268,12 @@ def compute_design_action(scenario: FootingScenario, pf: PartialFactorSet,
 
 
 def check_footing_uls_ec7(scenario: FootingScenario, design_approach: str,
-                          B: float, card: MethodCard | None = None,
-                          catalog: Catalog | None = None,
+                          B: float, catalog: Catalog | None = None,
                           drainage: str = "drained") -> UlsCheckResult:
-    """ULS bearing check at a trial width against the Annex D card."""
+    """ULS bearing check at a trial width against the Annex D card.
+
+    The card comes from ``catalog``, or from default_catalog() when None.
+    """
     pf = get_ec7_preset_partials(design_approach)
     if B <= 0:
         raise InvalidGeometry(f"width must be positive, got {B:g}")
@@ -280,8 +281,7 @@ def check_footing_uls_ec7(scenario: FootingScenario, design_approach: str,
     if B_eff <= 0:
         raise InvalidGeometry(
             f"effective width B - 2e = {B_eff:g} m is not positive")
-    if card is None:
-        card = _ec7_card(catalog)
+    card = (catalog or default_catalog()).get_method(EC7_CARD_ID)
 
     design = derive_design_parameters(scenario.characteristic_soil, pf)
     q_d = effective_overburden(scenario, design.gamma)
@@ -347,30 +347,25 @@ class WidthDesignResult:
 
 def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
                              tolerance: float = 1e-3,
-                             B_lo: float = 0.1, B_hi: float = 20.0,
-                             card: MethodCard | None = None,
                              catalog: Catalog | None = None,
                              drainage: str = "drained") -> WidthDesignResult:
     """Bisection on utilization(B) - 1 for the required footing width.
 
     Returns the passing end of the bracket, once its utilization lies in
     (1 - tolerance, 1], together with the check made there. The bracket
-    [B_lo, B_hi] expands automatically (up to fixed limits) when
-    utilization does not cross 1 inside it.
+    starts at [0.1 m, 20 m] and expands automatically (up to fixed limits)
+    when utilization does not cross 1 inside it.
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise SchemaError("$.tolerance", "must be a positive finite number")
-    if card is None:
-        card = _ec7_card(catalog)
-
     min_b = max(2.0 * scenario.e + 1e-6, 1e-4)
 
     def check(width: float) -> UlsCheckResult:
         return check_footing_uls_ec7(scenario, design_approach, width,
-                                     card=card, drainage=drainage)
+                                     catalog=catalog, drainage=drainage)
 
-    lo = max(B_lo, min_b)
-    hi = max(B_hi, lo)
+    lo = max(0.1, min_b)
+    hi = max(20.0, lo)
     at_lo, at_hi = check(lo), check(hi)
     expansions = 0
     while at_lo.utilization <= 1.0 and lo > min_b and expansions < 12:
@@ -397,11 +392,3 @@ def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
         iterations += 1
     return WidthDesignResult(design_approach=design_approach, B_req=hi,
                              check=at_hi, iterations=iterations)
-
-
-def _ec7_card(catalog: Catalog | None) -> MethodCard:
-    if catalog is not None:
-        return catalog.get_method(EC7_CARD_ID)
-    from .catalog import load_catalog
-    return load_catalog().get_method(EC7_CARD_ID)
-

@@ -24,18 +24,13 @@ from .errors import (
     GeocardError,
     MissingInput,
     NonConvergence,
+    NonFiniteValue,
     UnexpectedInput,
     UnknownMethod,
     UnknownVariant,
     UnresolvedVariable,
 )
-from .units import (
-    Quantity,
-    UnitRegistry,
-    default_registry,
-    format_quantity,
-    to_magnitude,
-)
+from .units import Quantity, default_registry, format_quantity, to_magnitude
 
 FIXED_POINT_TOL = 1e-9
 FIXED_POINT_MAX_ITER = 200
@@ -106,8 +101,8 @@ class EvaluationTrace:
             "diagnostics": self.diagnostics,
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 def _echo_value(value: InputValue):
@@ -120,14 +115,12 @@ def _echo_value(value: InputValue):
     return str(value)
 
 
-def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue],
-                     registry: UnitRegistry | None = None) -> dict[str, float]:
+def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue]) -> dict[str, float]:
     """Convert every supplied value to the card's declared unit magnitude.
 
     Accepts Quantity objects, unit-tagged strings ("38 deg"), and bare
     numbers; bare numbers are trusted as already card-normalized.
     """
-    registry = registry or default_registry()
     required = {v.key for v in card.variables if v.role == "input"}
     supplied = set(raw)
     missing = required - supplied
@@ -136,16 +129,14 @@ def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue],
     extra = supplied - required
     if extra:
         raise UnexpectedInput(extra)
-    return {key: to_magnitude(value, card.variable(key).unit, key, registry)
+    return {key: to_magnitude(value, card.variable(key).unit, key)
             for key, value in raw.items()}
 
 
 class _Runner:
-    def __init__(self, card: MethodCard, request: EvaluationRequest,
-                 registry: UnitRegistry):
+    def __init__(self, card: MethodCard, request: EvaluationRequest):
         self.card = card
         self.request = request
-        self.registry = registry
         self.steps: list[TraceStep] = []
         self.env: dict[str, float] = {}
         self.cycles: list[dict] = []
@@ -153,7 +144,7 @@ class _Runner:
     # -- helpers -------------------------------------------------------------
 
     def _unit_of(self, key: str):
-        return self.registry.resolve(self.card.variable(key).unit)
+        return default_registry().resolve(self.card.variable(key).unit)
 
     def _trace(self, outputs: dict) -> EvaluationTrace:
         return EvaluationTrace(
@@ -221,7 +212,7 @@ class _Runner:
         if variant is None:
             raise UnknownVariant(card.id, request.variant_id)
 
-        self.env.update(normalize_inputs(card, request.inputs, self.registry))
+        self.env.update(normalize_inputs(card, request.inputs))
         for var in card.variables_by_role("param"):
             self.env[var.key] = float(var.default)
         if request.overrides:
@@ -230,12 +221,14 @@ class _Runner:
             if bad:
                 raise UnexpectedInput(bad)
             for key, value in request.overrides.items():
-                self.env[key] = to_magnitude(value, card.variable(key).unit, key,
-                                             self.registry)
+                self.env[key] = to_magnitude(value, card.variable(key).unit, key)
 
         for target, equations in variant.direct:
             eq = self._choose_equation(target, equations)
-            self._record(eq, self._eval(eq.expr, eq), "direct")
+            value = self._eval(eq.expr, eq)
+            if not math.isfinite(value):  # float arithmetic overflows silently
+                raise self._attach(NonFiniteValue(target), eq)
+            self._record(eq, value, "direct")
         if variant.iterative:
             self._solve_cycle(variant.iterative)
 
@@ -280,9 +273,8 @@ class _Runner:
         })
 
 
-def evaluate_card(card: MethodCard, request: EvaluationRequest,
-                  registry: UnitRegistry | None = None) -> EvaluationTrace:
+def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTrace:
     """Evaluate one variant of a card and return the complete audit trace."""
     if card.id != request.card_id:
         raise UnknownMethod(request.card_id)
-    return _Runner(card, request, registry or default_registry()).run()
+    return _Runner(card, request).run()

@@ -188,9 +188,15 @@ class UnexpectedInput(EngineError):
 class UnresolvedVariable(EngineError):
     code = "unresolved_variable"
 
-    def __init__(self, key: str):
+    def __init__(self, key: str, variant_id: str | None = None,
+                 target: str | None = None):
         self.key = key
-        super().__init__(f"variable {key!r} cannot be computed from the given inputs")
+        if variant_id is None:
+            super().__init__(f"variable {key!r} cannot be computed from the given inputs")
+        else:  # found at load time, before any inputs exist
+            super().__init__(
+                f"variable {key!r}, needed for {target!r} in variant "
+                f"{variant_id!r}, is neither given nor produced by an equation")
 
 
 class NonConvergence(EngineError):

@@ -421,9 +421,12 @@ _FUNCTIONS = {
 def evaluate(node: ExprNode, env: Mapping[str, float]) -> float:
     """Deterministic IEEE-754 evaluation of ``node`` under ``env``.
 
-    Piecewise takes the first branch whose condition holds. All domain
-    faults (division by zero, log of non-positive, inverse trig out of
-    range, overflow) raise MathDomain rather than leaking host exceptions.
+    Piecewise takes the first branch whose condition holds. Domain faults
+    (division by zero, log of non-positive, inverse trig out of range,
+    overflow in ``**`` or a function call) raise MathDomain rather than
+    leaking host exceptions. ``+``, ``-``, ``*`` and ``/`` follow IEEE-754
+    and overflow to an infinity without raising, so the result may be
+    non-finite; the engine rejects such a step with NonFiniteValue.
     """
     if isinstance(node, Number):
         return node.value

@@ -17,7 +17,7 @@ from typing import Optional, TextIO
 
 from . import __version__
 from .cards import MethodCard
-from .catalog import Catalog, load_catalog
+from .catalog import Catalog, default_catalog
 from .ec7 import (
     check_footing_uls_ec7,
     design_footing_width_ec7,
@@ -25,9 +25,9 @@ from .ec7 import (
     load_scenario,
 )
 from .engine import EvaluationRequest, evaluate_card
-from .errors import GeocardError, MissingUnit, NonFiniteValue
+from .errors import GeocardError, MalformedQuantity, MissingUnit, NonFiniteValue
 from .skills import SkillLibrary, load_skills
-from .units import default_registry, split_quantity_text, to_magnitude
+from .units import split_quantity_text, to_magnitude
 
 PROTOCOL_VERSION = "2024-11-05"
 SERVER_NAME = "geocard"
@@ -211,20 +211,14 @@ def validate_arguments(schema: dict, arguments: dict) -> Optional[str]:
     return None
 
 
-class SessionContext:
-    def __init__(self, session_id: str = "default"):
-        self.session_id = session_id
-        self.defaults: dict = {}
-
-
 class McpServer:
     """Dispatches MCP requests over newline-delimited JSON-RPC."""
 
     def __init__(self, catalog: Catalog | None = None,
                  skills: SkillLibrary | None = None):
-        self.catalog = catalog if catalog is not None else load_catalog()
+        self.catalog = catalog if catalog is not None else default_catalog()
         self.skills = skills if skills is not None else load_skills()
-        self.session = SessionContext()
+        self.defaults: dict = {}  # session defaults: input key -> value
         self._handlers = {
             "geo_list_methods": self._tool_list_methods,
             "geo_get_method": self._tool_get_method,
@@ -353,8 +347,8 @@ class McpServer:
         """Session defaults fill missing input keys; arguments always win."""
         merged = dict(given)
         for var in card.variables_by_role("input"):
-            if var.key not in merged and var.key in self.session.defaults:
-                merged[var.key] = self.session.defaults[var.key]
+            if var.key not in merged and var.key in self.defaults:
+                merged[var.key] = self.defaults[var.key]
         return merged
 
     def _tool_evaluate(self, args, require_units: bool = False) -> dict:
@@ -398,7 +392,7 @@ class McpServer:
 
     def _tool_check_uls(self, args) -> dict:
         scenario = load_scenario(json.dumps(args["scenario"]))
-        width = to_magnitude(args["B"], "m", "B", default_registry())
+        width = to_magnitude(args["B"], "m", "B")
         result = check_footing_uls_ec7(
             scenario, args["design_approach"], width,
             catalog=self.catalog, drainage=args.get("drainage", "drained"))
@@ -413,15 +407,22 @@ class McpServer:
         return result.to_dict()
 
     def _tool_set_defaults(self, args) -> dict:
-        for key, value in args["defaults"].items():
-            if not isinstance(value, (str, int, float)) or isinstance(value, bool):
+        """Check every value before storing any, so a rejected call stores nothing."""
+        given = args["defaults"]
+        for key, value in given.items():
+            if isinstance(value, str):
+                try:
+                    value = split_quantity_text(value)[0]
+                except MalformedQuantity:
+                    continue  # no magnitude to check; the engine judges it on use
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise GeocardError(
                     f"default for {key!r} must be a number or unit-tagged string")
-            self.session.defaults[key] = value
+            to_magnitude(value, "dimensionless", key)  # NonFiniteValue
+        self.defaults.update(given)
         return {
-            "session_id": self.session.session_id,
-            "defaults": {k: self.session.defaults[k]
-                         for k in sorted(self.session.defaults)},
+            "session_id": "default",
+            "defaults": {k: self.defaults[k] for k in sorted(self.defaults)},
         }
 
     def _tool_health(self, args) -> dict:

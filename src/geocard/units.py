@@ -72,10 +72,6 @@ class Dimension:
 
 
 DIMENSIONLESS = Dimension()
-ANGLE = Dimension(angle=Fraction(1))
-LENGTH = Dimension(length=Fraction(1))
-PRESSURE = Dimension(length=Fraction(-1), mass=Fraction(1), time=Fraction(-2))
-FORCE = Dimension(length=Fraction(1), mass=Fraction(1), time=Fraction(-2))
 
 
 @dataclass(frozen=True)
@@ -178,12 +174,6 @@ class UnitRegistry:
         except KeyError:
             raise UnknownUnit(name) from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._units or name in self._aliases
-
-    def names(self) -> list[str]:
-        return sorted(self._units)
-
     @property
     def dimensionless(self) -> Unit:
         return self._units["dimensionless"]
@@ -224,21 +214,21 @@ def split_quantity_text(text: str) -> tuple[float, str]:
     return float(match.group(1)), match.group(2).strip()
 
 
-def parse_quantity(text: str, registry: "UnitRegistry | None" = None) -> Quantity:
+def parse_quantity(text: str) -> Quantity:
     """Parse ``"<number> <unit-name>"``; a bare number is dimensionless.
 
     Unit names are case-sensitive registry names or documented aliases
     (``deg``/``degree``, ``kN/m^3`` = ``kN/m³``). Compound unit expressions
     such as ``"kN*m"`` are not part of the format and raise UnknownUnit.
     """
-    registry = registry or default_registry()
+    registry = default_registry()
     magnitude, unit_name = split_quantity_text(text)
     if not unit_name:
         return Quantity(magnitude, registry.dimensionless)
     return Quantity(magnitude, registry.resolve(unit_name))
 
 
-def to_magnitude(value, unit_name: str, key: str, registry: UnitRegistry) -> float:
+def to_magnitude(value, unit_name: str, key: str) -> float:
     """Finite magnitude of a wire value in the unit ``unit_name``.
 
     Accepts a Quantity, a unit-tagged string, or a bare number (also in
@@ -246,6 +236,7 @@ def to_magnitude(value, unit_name: str, key: str, registry: UnitRegistry) -> flo
     is MalformedQuantity; a NaN, an infinity or an overflow is
     NonFiniteValue, named by ``key``.
     """
+    registry = default_registry()
     if isinstance(value, str):
         magnitude, tag = split_quantity_text(value)
         value = Quantity(magnitude, registry.resolve(tag)) if tag else magnitude

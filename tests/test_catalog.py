@@ -3,6 +3,8 @@ method-specific expressions against the independent oracle."""
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -98,6 +100,14 @@ class TestIndex:
         assert "TEST_UNPRODUCED" not in merged.cards
         assert any("unproduced.json" in d and "'m'" in d
                    for d in merged.diagnostics)
+
+
+class TestDefaultCatalog:
+    def test_import_does_not_build_it(self):
+        code = ("import geocard, geocard.catalog as c, geocard.cli, geocard.server; "
+                "assert c._DEFAULT is None; "
+                "assert c.default_catalog() is c.default_catalog()")
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 class TestNGammaDiscrimination:

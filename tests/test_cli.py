@@ -72,6 +72,27 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "FAIL bad.json: variable 'm'" in capsys.readouterr().out
 
+    def test_unproduced_variable_names_the_broken_variant(self, tmp_path, capsys):
+        card = json.loads(
+            (Path(__file__).parents[1] /
+             "src/geocard/data/catalog/bearing_capacity_terzaghi.json")
+            .read_text())
+        assert [v["id"] for v in card["variants"]] == [
+            "general_shear_failure_strip", "general_shear_failure_square"]
+        card["variables"].append({"key": "m", "name": "missing",
+                                  "role": "intermediate", "unit": "kPa"})
+        card["variants"][1]["equations"][-1]["sympy"] += " + m"
+        target = card["variants"][1]["equations"][-1]["target"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(card))
+        assert main(["validate", str(bad)]) == 1
+        fail = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("FAIL")]
+        assert len(fail) == 1
+        assert "'general_shear_failure_square'" in fail[0]
+        assert f"{target!r}" in fail[0]
+        assert "strip" not in fail[0]
+
     def test_duplicate_card_ids_fail_like_the_catalog(self, tmp_path, capsys):
         good = (Path(__file__).parents[1] /
                 "src/geocard/data/catalog/bearing_capacity_vesic.json")
@@ -115,6 +136,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert "missing required input" in err
         assert "gamma" in err
+
+    @pytest.mark.parametrize("fmt", ["report", "json"])
+    def test_overflowing_result_is_domain_error(self, fmt, capsys):
+        argv = [arg.replace("gamma=18 kN/m^3", "gamma=1e300 kN/m^3")
+                .replace("B=2 m", "B=1e300 m") for arg in TERZAGHI_EVAL]
+        assert argv != TERZAGHI_EVAL
+        assert main(argv + ["--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "q_ult" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_unknown_card_is_domain_error(self, capsys):
         assert main(["eval", "NOPE", "v"]) == 1

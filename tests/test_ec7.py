@@ -333,3 +333,22 @@ class TestScenarioFile:
             "Q_k": "967.10 kN", "gamma_sw": "18.75 kN/m^3"})
         with pytest.raises(DimensionMismatch):
             load_scenario(text)
+
+
+class TestDefaultCatalog:
+    def test_catalog_loaded_once_for_calls_without_one(self, monkeypatch):
+        import geocard.catalog
+
+        calls = []
+        load = geocard.catalog.load_catalog
+
+        def counting_load(*args, **kwargs):
+            calls.append(args)
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
+        monkeypatch.setattr(geocard.catalog, "load_catalog", counting_load)
+        design_footing_width_ec7(SCENARIO, "DA1-C1")
+        design_footing_width_ec7(SCENARIO, "DA2")
+        check_footing_uls_ec7(SCENARIO, "DA3", 1.5)
+        assert len(calls) == 1

@@ -468,3 +468,15 @@ class TestNonFiniteInputs:
                   "D_f": "1 m", "q": "18 kPa"}
         with pytest.raises(NonFiniteValue):
             run(vesic, "general", inputs, overrides={"beta": math.nan})
+
+    def test_overflowing_direct_step_is_rejected_with_partial_trace(self):
+        # Float * and + overflow to inf without raising an OverflowError.
+        inputs = dict(TERZAGHI_STRIP_INPUTS, gamma="1e300 kN/m^3", B="1e300 m")
+        with pytest.raises(NonFiniteValue) as err:
+            run(TERZAGHI, "general_shear_failure_strip", inputs)
+        assert err.value.key == "q_ult"
+        assert err.value.failed_step["target"] == "q_ult"
+        assert err.value.failed_step["inputs"]["gamma"] == 1e300
+        steps = err.value.partial_trace.steps
+        assert steps and "q_ult" not in [s.target for s in steps]
+        json.dumps(err.value.payload(), allow_nan=False)

@@ -275,6 +275,44 @@ class TestSessionDefaults:
         assert response["error"]["code"] == -32602  # card is still required
 
 
+class TestSessionDefaultsRejectAll:
+    """A rejected geo_session_set_defaults call stores none of its values."""
+
+    @pytest.mark.parametrize("defaults, code", [
+        ({"q": math.nan}, "non_finite_value"),
+        ({"q": "18 kPa", "B": math.inf}, "non_finite_value"),
+        ({"q": "1e400 kPa"}, "non_finite_value"),
+        ({"q": 10 ** 400}, "non_finite_value"),
+        ({"q": "18 kPa", "gamma": True}, "error"),
+    ])
+    def test_nothing_stored(self, defaults, code):
+        server = McpServer()
+        tool_body(call(server, "geo_session_set_defaults", {
+            "defaults": {"c_prime": "0 kPa"}}))
+        before = dict(server.defaults)
+        response = strict_json(call(server, "geo_session_set_defaults",
+                                    {"defaults": defaults}))
+        assert tool_error(response)["error"] == code
+        assert server.defaults == before
+
+    def test_reply_keeps_default_session_id(self):
+        body = tool_body(call(McpServer(), "geo_session_set_defaults", {
+            "defaults": {"q": "18 kPa"}}))
+        assert body == {"session_id": "default", "defaults": {"q": "18 kPa"}}
+
+
+class TestCustomCatalogDrivesEc7:
+    def test_shadowed_ec7_card_is_used(self, tmp_path):
+        from geocard.catalog import load_catalog
+        card = load_catalog().get_method("BEARING_CAPACITY_EUROCODE7").to_dict()
+        card["sources"][0]["title"] = "Shadowed Annex D source"
+        (tmp_path / "ec7.json").write_text(json.dumps(card))
+        custom = McpServer(catalog=load_catalog(extra_dir=tmp_path))
+        body = tool_body(call(custom, "geo_check_footing_uls_ec7", {
+            "scenario": JRC_SCENARIO, "design_approach": "DA2", "B": 1.3}))
+        assert body["trace"]["sources"][0]["title"] == "Shadowed Annex D source"
+
+
 class TestGoldenTranscript:
     """The checked-in session must replay byte-for-byte."""
 
