@@ -163,7 +163,7 @@ def load_card(json_text: str) -> MethodCard:
     """Deserialize and fully validate one method card."""
     try:
         raw = json.loads(json_text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deeply
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError("$", "card must be a JSON object")

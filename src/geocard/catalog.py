@@ -56,12 +56,13 @@ class Catalog:
         except KeyError:
             raise UnknownMethod(card_id) from None
 
-    def _ingest(self, text: str, origin: str,
+    def _ingest(self, path, origin: str,
                 shadow_allowed: bool) -> Optional[MethodCard]:
-        """Load and audit one card file; the indexed card, or None on failure."""
+        """Read, load and audit one card file (a Path or a package resource);
+        the indexed card, or None on failure."""
         try:
-            card = load_card(text)
-        except GeocardError as exc:
+            card = load_card(path.read_text("utf-8"))
+        except (GeocardError, OSError, UnicodeDecodeError) as exc:
             self.diagnostics.append(f"{origin}: {exc}")
             return None
         findings = validate_dimensions(card)
@@ -91,8 +92,7 @@ def load_catalog(extra_dir: "str | os.PathLike | None" = None) -> Catalog:
     root = resources.files("geocard").joinpath("data/catalog")
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
-            catalog._ingest(entry.read_text("utf-8"), f"bundled:{entry.name}",
-                            shadow_allowed=False)
+            catalog._ingest(entry, f"bundled:{entry.name}", shadow_allowed=False)
     if extra_dir is None:
         extra_dir = os.environ.get(CATALOG_ENV_VAR)
     if extra_dir:
@@ -101,8 +101,7 @@ def load_catalog(extra_dir: "str | os.PathLike | None" = None) -> Catalog:
             catalog.diagnostics.append(f"{user_root}: not a directory")
         else:
             for path in sorted(user_root.glob("*.json")):
-                catalog._ingest(path.read_text("utf-8"), str(path),
-                                shadow_allowed=True)
+                catalog._ingest(path, str(path), shadow_allowed=True)
     return catalog
 
 

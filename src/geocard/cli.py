@@ -27,7 +27,7 @@ from .ec7 import (
     load_scenario,
 )
 from .engine import EvaluationRequest, evaluate_card
-from .errors import GeocardError
+from .errors import GeocardError, NonFiniteValue
 from .report import format_sig, render_report
 from .server import serve
 
@@ -118,8 +118,7 @@ def cmd_validate(args) -> int:
     failures = 0
     for path in paths:
         reported = len(catalog.diagnostics)
-        card = catalog._ingest(path.read_text("utf-8"), path.name,
-                               shadow_allowed=False)
+        card = catalog._ingest(path, path.name, shadow_allowed=False)
         if card is None:
             for diagnostic in catalog.diagnostics[reported:]:
                 print(f"FAIL {diagnostic}")
@@ -177,6 +176,16 @@ def _da_list(label: str) -> list[str]:
     return [label]
 
 
+def _print_json(results) -> int:
+    """Print the results as strict JSON; a NaN or infinity is a domain error."""
+    try:
+        text = json.dumps([r.to_dict() for r in results], indent=2, allow_nan=False)
+    except ValueError:
+        raise NonFiniteValue("result") from None
+    print(text)
+    return 0
+
+
 def cmd_ec7_check(args) -> int:
     scenario = _load_scenario_file(args.scenario)
     if scenario is None:
@@ -186,8 +195,7 @@ def cmd_ec7_check(args) -> int:
         for da in _da_list(args.da)
     ]
     if args.format == "json":
-        print(json.dumps([r.to_dict() for r in results], indent=2))
-        return 0
+        return _print_json(results)
     print(f"ULS bearing check at B = {format_sig(args.B)} m "
           f"({args.drainage})")
     print(f"{'DA':8s} {'V_d (kN)':>12s} {'R_d (kN)':>12s} "
@@ -211,8 +219,7 @@ def cmd_ec7_design(args) -> int:
         for da in _da_list(args.da)
     ]
     if args.format == "json":
-        print(json.dumps([r.to_dict() for r in results], indent=2))
-        return 0
+        return _print_json(results)
     print(f"Required footing width ({args.drainage})")
     print(f"{'DA':8s} {'B_req (m)':>10s} {'V_d (kN)':>12s} {'R_d (kN)':>12s} "
           f"{'utilization':>12s}")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
@@ -171,13 +172,13 @@ def load_scenario(json_text: str) -> FootingScenario:
     """Parse a scenario file: unit-tagged strings for every physical field."""
     try:
         raw = json.loads(json_text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deeply
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError("$", "scenario must be a JSON object")
     values: dict = {}
     for key in _REQUIRED_FIELDS:
-        if key not in raw:
+        if raw.get(key) is None:  # absent or null
             raise SchemaError(f"$.{key}", "missing required field")
     for key, unit_name in _QUANTITY_FIELDS.items():
         if raw.get(key) is not None:
@@ -356,7 +357,7 @@ def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
     starts at [0.1 m, 20 m] and expands automatically (up to fixed limits)
     when utilization does not cross 1 inside it.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
+    if not 0.0 < tolerance <= sys.float_info.max:  # also a NaN or a huge int
         raise SchemaError("$.tolerance", "must be a positive finite number")
     min_b = max(2.0 * scenario.e + 1e-6, 1e-4)
 

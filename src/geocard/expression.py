@@ -53,6 +53,11 @@ _RESERVED = frozenset({
     "eval", "exec",
 })
 
+# Deepest nesting a parse accepts, counted both as parser recursion
+# (parentheses, calls, unary minus, powers) and as depth of the tree, so
+# that neither the parser nor a walk over the tree can exhaust the stack.
+MAX_NESTING = 64
+
 
 # --------------------------------------------------------------- AST types ----
 
@@ -113,9 +118,6 @@ ExprNode = Union[Number, Constant, Symbol, Unary, Binary, Call, Piecewise,
 
 # --------------------------------------------------------------- tokenizer ----
 
-_OPS = {"+", "-", "*", "/", "(", ")", ",", ">", "<", "=", "**", ">=", "<=", "=="}
-
-
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     """Return (kind, value, position) triples; kind in {num, name, op}."""
     tokens = []
@@ -125,28 +127,29 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if "0" <= c <= "9" or (c == "." and i + 1 < n
+                                 and "0" <= text[i + 1] <= "9"):
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and "0" <= text[i] <= "9":
                 i += 1
             if i < n and text[i] == ".":
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and "0" <= text[i] <= "9":
                     i += 1
             if i < n and text[i] in "eE":
                 j = i + 1
                 if j < n and text[j] in "+-":
                     j += 1
-                if j < n and text[j].isdigit():
+                if j < n and "0" <= text[j] <= "9":
                     i = j
-                    while i < n and text[i].isdigit():
+                    while i < n and "0" <= text[i] <= "9":
                         i += 1
             tokens.append(("num", float(text[start:i]), start))
             continue
         if ("a" <= c <= "z") or ("A" <= c <= "Z") or c == "_":
             start = i
             while i < n and (("a" <= text[i] <= "z") or ("A" <= text[i] <= "Z")
-                             or text[i].isdigit() or text[i] == "_"):
+                             or "0" <= text[i] <= "9" or text[i] == "_"):
                 i += 1
             name = text[start:i]
             if "__" in name:
@@ -183,6 +186,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0  # parse_factor calls now open
 
     # -- token helpers ------------------------------------------------------
     def _peek(self):
@@ -220,13 +224,21 @@ class _Parser:
         return node
 
     def parse_factor(self) -> ExprNode:
+        """Every recursion of the parser passes through here."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(self.tokens[self.pos - 1][2],
+                             f"expression nested deeper than {MAX_NESTING} levels")
         if self._at_op("-"):
             self._next()
-            return Unary("-", self.parse_factor())
-        if self._at_op("+"):
+            node = Unary("-", self.parse_factor())
+        elif self._at_op("+"):
             tok = self._next()
             raise ParseError(tok[2], "unary '+' is not supported")
-        return self.parse_power()
+        else:
+            node = self.parse_power()
+        self.nesting -= 1
+        return node
 
     def parse_power(self) -> ExprNode:
         base = self.parse_atom()
@@ -301,6 +313,13 @@ class _Parser:
         tok = self._peek()
         if tok is not None:
             raise ParseError(tok[2], f"unexpected trailing token {tok[1]!r}")
+        level, depth = [node], 0  # breadth-first: a long sum is a deep tree
+        while level:
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(
+                    0, f"expression nested deeper than {MAX_NESTING} levels")
+            level = [child for n in level for child in _children(n)]
         return node
 
 
@@ -318,6 +337,19 @@ def parse_condition(text: str) -> ExprNode:
         raise ParseError(0, "empty condition")
     p = _Parser(text)
     return p._finish(p.parse_condition_inner())
+
+
+def _children(node: ExprNode) -> tuple:
+    """The operands of ``node``, Piecewise conditions included."""
+    if isinstance(node, Unary):
+        return (node.operand,)
+    if isinstance(node, (Binary, Comparison)):
+        return (node.left, node.right)
+    if isinstance(node, Call):
+        return node.args
+    if isinstance(node, Piecewise):
+        return sum(node.branches, ())
+    return ()
 
 
 # ----------------------------------------------------------------- printer ----
@@ -375,18 +407,8 @@ def free_symbols(node: ExprNode) -> set[str]:
 def _collect(node: ExprNode, out: set) -> None:
     if isinstance(node, Symbol):
         out.add(node.name)
-    elif isinstance(node, Unary):
-        _collect(node.operand, out)
-    elif isinstance(node, (Binary, Comparison)):
-        _collect(node.left, out)
-        _collect(node.right, out)
-    elif isinstance(node, Call):
-        for arg in node.args:
-            _collect(arg, out)
-    elif isinstance(node, Piecewise):
-        for value, condition in node.branches:
-            _collect(value, out)
-            _collect(condition, out)
+    for child in _children(node):
+        _collect(child, out)
 
 
 # --------------------------------------------------------------- evaluator ----

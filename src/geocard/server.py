@@ -247,7 +247,7 @@ class McpServer:
                 continue
             try:
                 message = json.loads(line)
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):  # nested too deeply
                 self._write(stdout, {
                     "jsonrpc": "2.0", "id": None,
                     "error": {"code": PARSE_ERROR, "message": "parse error"},
@@ -306,7 +306,9 @@ class McpServer:
         descriptor = next((t for t in TOOLS if t["name"] == name), None)
         if descriptor is None or name not in self._handlers:
             return self._error(msg_id, INVALID_PARAMS, f"unknown tool: {name}")
-        arguments = params.get("arguments") or {}
+        arguments = params.get("arguments")
+        if arguments is None:  # absent or null; any other non-object is rejected
+            arguments = {}
         complaint = validate_arguments(descriptor["inputSchema"], arguments)
         if complaint is not None:
             return self._error(msg_id, INVALID_PARAMS, complaint)
@@ -379,7 +381,7 @@ class McpServer:
 
     def _tool_get_skill(self, args) -> dict:
         include = args.get("include_references", False)
-        return self.skills.get_skill(args["name"], include).to_dict(include)
+        return self.skills.get_skill(args["name"], include).to_dict()
 
     def _tool_preset_partials(self, args) -> dict:
         pf = get_ec7_preset_partials(args["design_approach"])

@@ -1,9 +1,13 @@
 """Agent Skill packages: discovery, indexing, search, and retrieval.
 
-A skill is a directory holding ``SKILL.md`` (YAML frontmatter with name,
-description, version, category, then Markdown instructions) and an
+A skill is a directory holding ``SKILL.md`` (a frontmatter block with
+name, description, version, category, then Markdown instructions) and an
 optional ``references/`` directory of companion Markdown files. Skills are
 served verbatim as text; nothing here interprets or executes them.
+
+The frontmatter is read without a YAML library, the way YAML reads it:
+``key: value`` lines, indented lines folded in, ``'...'`` or ``"..."``
+quoting. Other keys are skipped; any other YAML form is a load diagnostic.
 
 Relevance ranking is deliberately plain lexical overlap — deterministic
 and auditable — with the skill name weighted 3, description 2, and
@@ -12,13 +16,12 @@ category 1, normalized to [0, 1].
 
 from __future__ import annotations
 
+import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-
-import yaml
 
 from .errors import InvalidQuery, UnknownSkill
 
@@ -27,6 +30,13 @@ SKILLS_ENV_VAR = "GEOCARD_SKILLS_DIR"
 _FRONTMATTER_FIELDS = ("name", "description", "version", "category")
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+_KEY_LINE_RE = re.compile(r"([\w-]+):(?: +(.*))?$")
+_SINGLE_QUOTED_RE = re.compile(r"'((?:[^']|'')*)'")
+# A plain value YAML would not read as its own text: one that starts with an
+# indicator, or holds a tab, a " #" comment or a ": " (or ends in ":").
+_YAML_ONLY_RE = re.compile(
+    r"""['"|>,\[\]{}&*!%@`#]|[-?:](\s|$)|.*(\t|\s#|:(\s|$))""")
 
 
 @dataclass(frozen=True)
@@ -45,37 +55,23 @@ class Skill:
     references: tuple = ()
 
     def render(self) -> str:
-        """SKILL.md text: frontmatter block followed by the body."""
-        frontmatter = yaml.safe_dump(
-            {
-                "name": self.name,
-                "description": self.description,
-                "version": self.version,
-                "category": self.category,
-            },
-            sort_keys=False,
-            default_flow_style=False,
-        )
+        """SKILL.md text: one double-quoted line per field, then the body."""
+        frontmatter = "".join(
+            f"{key}: {json.dumps(getattr(self, key), ensure_ascii=False)}\n"
+            for key in _FRONTMATTER_FIELDS)
         return f"---\n{frontmatter}---\n{self.body}"
 
-    def without_references(self) -> "Skill":
-        return Skill(self.name, self.description, self.version, self.category,
-                     self.body, ())
-
-    def to_dict(self, include_references: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "name": self.name,
             "description": self.description,
             "version": self.version,
             "category": self.category,
             "body": self.body,
-            "references": [],
-        }
-        if include_references:
-            out["references"] = [
+            "references": [
                 {"filename": r.filename, "text": r.text} for r in self.references
-            ]
-        return out
+            ],
+        }
 
 
 @dataclass(frozen=True)
@@ -96,25 +92,47 @@ def parse_skill_text(name: str, text: str, references=()) -> Skill:
     end = text.find("\n---\n", 4)
     if end < 0:
         raise ValueError("unterminated frontmatter block")
-    meta = yaml.safe_load(text[4:end + 1])
-    if not isinstance(meta, dict):
-        raise ValueError("frontmatter must be a YAML mapping")
-    for key in _FRONTMATTER_FIELDS:
-        value = meta.get(key)
-        if not isinstance(value, str) or not value.strip():
-            raise ValueError(f"frontmatter field {key!r} missing or empty")
+    meta = _read_frontmatter(text[4:end + 1])
     if meta["name"] != name:
         raise ValueError(f"frontmatter name {meta['name']!r} does not match "
                          f"directory name {name!r}")
-    body = text[end + 5:]
-    return Skill(
-        name=meta["name"],
-        description=meta["description"],
-        version=str(meta["version"]),
-        category=meta["category"],
-        body=body,
-        references=tuple(references),
-    )
+    return Skill(**meta, body=text[end + 5:], references=tuple(references))
+
+
+def _read_frontmatter(block: str) -> dict:
+    """The four frontmatter fields of ``block``, as YAML reads them."""
+    meta, key = {}, None
+    for line in block.split("\n"):
+        if not line.strip(" ") or line.lstrip(" ").startswith("#"):
+            key = None if key in _FRONTMATTER_FIELDS else key  # ends a value
+        elif line.startswith((" ", "- ")):
+            if key is None or (key in _FRONTMATTER_FIELDS and line[0] == "-"):
+                raise ValueError(f"frontmatter line {line!r} continues no value")
+            if key in _FRONTMATTER_FIELDS:
+                meta[key] = f"{meta[key]} {line.strip(' ')}".lstrip(" ")
+        elif match := _KEY_LINE_RE.match(line):
+            key = match[1]
+            meta[key] = (match[2] or "").strip(" ")
+        else:
+            raise ValueError(f"frontmatter line {line!r} is not 'key: value'")
+    fields = {}
+    for key in _FRONTMATTER_FIELDS:
+        value = meta.get(key, "")
+        quoted = _SINGLE_QUOTED_RE.fullmatch(value)
+        try:
+            if quoted:
+                value = quoted[1].replace("''", "'")
+            elif value[:1] == value[-1:] == '"':
+                value = json.loads(value)
+            elif _YAML_ONLY_RE.match(value):
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"frontmatter field {key!r}: {value!r} is YAML "
+                             "this reader does not accept") from None
+        if not value.strip():
+            raise ValueError(f"frontmatter field {key!r} missing or empty")
+        fields[key] = value
+    return fields
 
 
 @dataclass
@@ -143,7 +161,7 @@ class SkillLibrary:
             skill = self.skills[name]
         except KeyError:
             raise UnknownSkill(name) from None
-        return skill if include_references else skill.without_references()
+        return skill if include_references else replace(skill, references=())
 
     def recommend_skills(self, query: str, limit: int = 5) -> list[SkillMatch]:
         """Rank skills by weighted exact-token overlap with the query."""
@@ -180,19 +198,12 @@ class SkillLibrary:
         if not skill_md.is_file():
             self.diagnostics.append(f"{origin}: no SKILL.md")
             return
-        references = []
-        seen = set()
-        ref_dir = directory / "references"
-        if ref_dir.is_dir():
-            for path in sorted(ref_dir.glob("*.md")):
-                if path.name in seen:
-                    continue
-                seen.add(path.name)
-                references.append(Reference(path.name, path.read_text("utf-8")))
         try:
+            references = [Reference(path.name, path.read_text("utf-8"))
+                          for path in sorted(directory.glob("references/*.md"))]
             skill = parse_skill_text(directory.name,
                                      skill_md.read_text("utf-8"), references)
-        except (ValueError, yaml.YAMLError) as exc:
+        except ValueError as exc:  # includes UnicodeDecodeError
             self.diagnostics.append(f"{origin}: {exc}")
             return
         if skill.name in self.skills and shadow_allowed:
@@ -200,21 +211,18 @@ class SkillLibrary:
         self.skills[skill.name] = skill
 
 
-def load_skills(extra_dir: "str | os.PathLike | None" = None,
-                include_bundled: bool = True) -> SkillLibrary:
+def load_skills(extra_dir: "str | os.PathLike | None" = None) -> SkillLibrary:
     """Scan the bundled skill tree plus an optional user directory.
 
     ``extra_dir`` defaults to $GEOCARD_SKILLS_DIR when set; user skills
     shadow bundled names. Rescanning is explicit: call this again.
     """
     library = SkillLibrary()
-    if include_bundled:
-        root = Path(str(resources.files("geocard").joinpath("data/skills")))
-        if root.is_dir():
-            for entry in sorted(root.iterdir()):
-                if entry.is_dir():
-                    library._ingest_dir(entry, f"bundled:{entry.name}",
-                                        shadow_allowed=False)
+    root = Path(str(resources.files("geocard").joinpath("data/skills")))
+    for entry in sorted(root.iterdir()):
+        if entry.is_dir():
+            library._ingest_dir(entry, f"bundled:{entry.name}",
+                                shadow_allowed=False)
     if extra_dir is None:
         extra_dir = os.environ.get(SKILLS_ENV_VAR)
     if extra_dir:

@@ -1,4 +1,10 @@
-"""Shared pytest wiring: the acceptance suite's per-criterion summary."""
+"""Shared pytest wiring: the acceptance suite's per-criterion summary and
+the card files that exercise the catalog's load diagnostics."""
+
+import json
+from pathlib import Path
+
+import pytest
 
 ACCEPTANCE_RESULTS: list[tuple[int, str, str]] = []
 
@@ -14,3 +20,27 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number, verdict, description in sorted(ACCEPTANCE_RESULTS):
         terminalreporter.write_line(
             f"criterion {number}: {verdict} - {description}")
+
+
+BAD_CARD_FILES = ("superscript.json", "nested_parens.json", "not_utf8.json",
+                  "deep_json.json", "directory.json")
+
+
+@pytest.fixture
+def bad_card_dir(tmp_path):
+    """A directory of card files that each used to crash the catalog load:
+    a superscript digit, 300 nested parentheses, a non-UTF-8 byte, a JSON
+    array nested 100 000 deep, and a directory whose name matches *.json."""
+    good = json.loads((Path(__file__).parents[1] / "src/geocard/data/catalog"
+                       / "bearing_capacity_terzaghi.json").read_text("utf-8"))
+    for name, expression in (("superscript.json", "2² * phi_prime"),
+                             ("nested_parens.json",
+                              "(" * 300 + "phi_prime" + ")" * 300)):
+        card = json.loads(json.dumps(good))
+        card["id"] = name.split(".")[0].upper()
+        card["variants"][0]["equations"][0]["sympy"] = expression
+        (tmp_path / name).write_text(json.dumps(card), "utf-8")
+    (tmp_path / "not_utf8.json").write_bytes(b'{"id": "\xff"}')
+    (tmp_path / "deep_json.json").write_text("[" * 100_000 + "]" * 100_000)
+    (tmp_path / "directory.json").mkdir()
+    return tmp_path

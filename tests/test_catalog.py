@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import oracles
+from conftest import BAD_CARD_FILES
 from geocard.catalog import load_catalog
 from geocard.engine import EvaluationRequest, evaluate_card
 from geocard.errors import UnknownMethod
@@ -100,6 +101,28 @@ class TestIndex:
         assert "TEST_UNPRODUCED" not in merged.cards
         assert any("unproduced.json" in d and "'m'" in d
                    for d in merged.diagnostics)
+
+
+class TestBadCardFiles:
+    """One unreadable or unparseable card file is one diagnostic."""
+
+    def test_each_bad_file_is_one_diagnostic(self, bad_card_dir):
+        merged = load_catalog(extra_dir=bad_card_dir)
+        assert sorted(merged.cards) == BUNDLED_IDS
+        for name in BAD_CARD_FILES:
+            assert len([d for d in merged.diagnostics if name in d]) == 1, name
+        assert len(merged.diagnostics) == len(BAD_CARD_FILES)
+
+    def test_server_starts_on_a_bad_catalog_dir(self, bad_card_dir,
+                                                 monkeypatch):
+        import geocard.catalog
+        from geocard.server import McpServer
+
+        monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(bad_card_dir))
+        monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
+        server = McpServer()
+        assert sorted(server.catalog.cards) == BUNDLED_IDS
+        assert len(server.catalog.diagnostics) == len(BAD_CARD_FILES)
 
 
 class TestDefaultCatalog:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import BAD_CARD_FILES
 from geocard.cli import main
 from geocard.ec7 import bundled_scenario_path
 
@@ -48,6 +49,16 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         assert "q_ult" in capsys.readouterr().out
 
+
+    def test_bad_card_files_fail_one_by_one(self, bad_card_dir, capsys):
+        assert main(["validate", str(bad_card_dir)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == len(BAD_CARD_FILES)
+        for name in BAD_CARD_FILES:
+            assert sum(line.startswith(f"FAIL {name}: ") for line in lines) == 1
+        assert f"{len(BAD_CARD_FILES)} of {len(BAD_CARD_FILES)}" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_validate_directory(self, tmp_path, capsys):
         good = (Path(__file__).parents[1] /
@@ -194,6 +205,20 @@ class TestEc7Commands:
         assert main(["ec7", "design", "--scenario", str(path),
                      "--da", "DA2"]) == 1
         assert "utilization does not cross" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("da", ["DA2", "all"])
+    def test_non_finite_json_is_domain_error(self, da, tmp_path, capsys):
+        scenario = json.loads(Path(SCENARIO).read_text())
+        scenario["G_k_col"] = "1.7e308 kN"  # finite; the design action is not
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["ec7", "check", "--scenario", str(path), "--da", da,
+                     "--B", "1.5", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "finite" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestServeSubprocess:

@@ -3,12 +3,13 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from geocard import expression as ex
 from geocard.errors import (
     DisallowedFunction,
     DisallowedSyntax,
+    ExpressionError,
     MathDomain,
     NoBranchTaken,
     ParseError,
@@ -106,6 +107,46 @@ class TestSandbox:
         assert ex.ALLOWED_FUNCTIONS == {
             "sin", "cos", "tan", "cot", "asin", "acos", "atan", "atan2",
             "exp", "log", "sqrt", "Abs", "Min", "Max", "Piecewise"}
+
+    @pytest.mark.parametrize("text", ["2\u00b2 * x", "\u0663 + 1", "x\u0663",
+                                      "1.\u0663", "1e\u0663"])
+    def test_only_ascii_digits_are_numbers(self, text):
+        with pytest.raises(DisallowedSyntax):
+            ex.parse(text)
+
+    @pytest.mark.parametrize("text", [
+        "(" * 300 + "x" + ")" * 300,
+        "(" * 300,
+        "-" * 2000 + "x",
+        "x**" * 500 + "x",
+        "sin(" * 300 + "x" + ")" * 300,
+        "Piecewise((" * 100 + "x" + ", True))" * 100,
+        "+".join(["x"] * 5000),
+        "*".join(["x"] * (ex.MAX_NESTING + 1)),
+    ])
+    def test_nesting_is_bounded(self, text):
+        with pytest.raises(ParseError, match="nested deeper"):
+            ex.parse(text)
+
+    def test_nesting_at_the_bound_parses(self):
+        depth = ex.MAX_NESTING - 1
+        assert ex.parse("(" * depth + "x" + ")" * depth) == ex.Symbol("x")
+        ex.parse("+".join(["x"] * ex.MAX_NESTING))
+        ex.parse_condition("+".join(["x"] * (ex.MAX_NESTING - 1)) + " > 0")
+
+    _TOKENS = st.sampled_from(["1", "2.5", ".5e3", "x", "pi", "True", "(", ")",
+                               ",", "+", "-", "*", "**", "/", ">", "<=", "=",
+                               "sin", "Piecewise", " ", "\u00b2", "\u0663",
+                               "\u00e9", "_", "e"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.lists(_TOKENS, max_size=40).map("".join)))
+    def test_arbitrary_text_parses_or_raises_expression_error(self, text):
+        for parse in (ex.parse, ex.parse_condition):
+            try:
+                parse(text)
+            except ExpressionError:
+                pass
 
 
 class TestEvaluate:

@@ -7,6 +7,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geocard.server import McpServer, TOOLS, serve
 
@@ -422,3 +423,122 @@ class TestRecommendSkillsArguments:
         response = call(server, "geo_recommend_skills",
                         {"query": "bearing capacity", "limit": limit})
         assert tool_error(response)["error"] == "invalid_query"
+
+
+class TestBoundaryLeaks:
+    def test_deeply_nested_line_is_parse_error_and_serving_goes_on(self):
+        stdin = io.StringIO("[" * 100_000 + "\n"
+                            '{"jsonrpc": "2.0", "id": 3, "method": "ping"}\n')
+        stdout = io.StringIO()
+        serve(stdin, stdout)
+        lines = [json.loads(line) for line in stdout.getvalue().splitlines()]
+        assert lines == [
+            {"jsonrpc": "2.0", "id": None,
+             "error": {"code": -32700, "message": "parse error"}},
+            {"jsonrpc": "2.0", "id": 3, "result": {}}]
+
+    def test_huge_integer_tolerance_is_tool_error(self, server):
+        response = strict_json(call(server, "geo_design_footing_width_ec7", {
+            "scenario": JRC_SCENARIO, "design_approach": "DA2",
+            "tolerance": 10**400}))
+        assert tool_error(response)["error"] == "schema_error"
+
+    def test_null_required_scenario_field_is_tool_error(self, server):
+        response = strict_json(call(server, "geo_check_footing_uls_ec7", {
+            "scenario": {**JRC_SCENARIO, "D_f": None},
+            "design_approach": "DA2", "B": 1.5}))
+        assert tool_error(response) == {
+            "error": "schema_error", "message": "$.D_f: missing required field"}
+
+    @pytest.mark.parametrize("arguments", [[], 0, "", False, [1], "x"])
+    def test_non_object_arguments_are_invalid_params(self, server, arguments):
+        response = call(server, "geo_health", arguments)
+        assert response["error"]["code"] == -32602
+
+    @pytest.mark.parametrize("params", [{"name": "geo_health"},
+                                        {"name": "geo_health", "arguments": None}])
+    def test_absent_or_null_arguments_mean_none(self, server, params):
+        assert tool_body(server.handle_message(rpc("tools/call", params)))[
+            "status"] == "ok"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+_CARD_KEYS = sorted({v.key for card in McpServer().catalog.cards.values()
+                     for v in card.variables})
+_QUANTITY_TEXT = st.sampled_from([
+    "30 deg", "0.5 rad", "18 kN/m^3", "2 m", "0 kPa", "-1 m", "1e400 kPa",
+    "1e308 MPa", "nan m", "inf kPa", "abc m", "3 furlongs", "2", "", " kPa"])
+_HUGE_INT = st.integers(min_value=10**308, max_value=10**400)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | _HUGE_INT | st.floats()
+    | st.text(max_size=8) | _QUANTITY_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+_BY_TYPE = {
+    "string": st.text(max_size=8) | _QUANTITY_TEXT,
+    "number": st.integers() | _HUGE_INT | st.floats(),
+    "integer": st.integers() | _HUGE_INT,
+    "boolean": st.booleans(),
+    "object": st.dictionaries(st.text(max_size=6), _JSON, max_size=3),
+}
+_QUANTITIES = st.dictionaries(st.sampled_from(_CARD_KEYS), _JSON, max_size=6)
+_SCENARIO = st.dictionaries(
+    st.sampled_from(sorted(JRC_SCENARIO) + ["extra"]), _JSON, max_size=3).map(
+        lambda changes: {**JRC_SCENARIO, **changes})
+_CARD_IDS = st.sampled_from([
+    "BEARING_CAPACITY_TERZAGHI", "BEARING_CAPACITY_MEYERHOF",
+    "BEARING_CAPACITY_VESIC", "BEARING_CAPACITY_EUROCODE7", "NOPE"])
+# Domain values per argument name, drawn beside the schema-typed ones.
+_BY_PROPERTY = {
+    "id": _CARD_IDS,
+    "card": _CARD_IDS,
+    "variant": st.sampled_from([
+        "general_shear_failure_strip", "general_shear_failure_square",
+        "drained", "undrained", "nope"]),
+    "inputs": _QUANTITIES,
+    "overrides": _QUANTITIES,
+    "defaults": _QUANTITIES,
+    "name": st.sampled_from(["shallow-foundation-bearing-capacity", "nope"]),
+    "query": st.text(max_size=20),
+    "design_approach": st.sampled_from(["DA1-C1", "DA1-C2", "DA2", "DA3", "x"]),
+    "drainage": st.sampled_from(["drained", "undrained", "wet"]),
+    "scenario": _SCENARIO,
+    "B": st.floats(min_value=0.05, max_value=30) | _QUANTITY_TEXT,
+    "tolerance": st.floats(min_value=1e-6, max_value=0.1),
+}
+
+
+@st.composite
+def _tool_calls(draw):
+    tool = draw(st.sampled_from(TOOLS))
+    schema = tool["inputSchema"]
+
+    def value(key):
+        declared = schema["properties"][key]["type"]
+        types = declared if isinstance(declared, list) else [declared]
+        typed = st.one_of([_BY_TYPE[t] for t in types])
+        return _BY_PROPERTY[key] | typed if key in _BY_PROPERTY else typed
+
+    arguments = draw(st.fixed_dictionaries(
+        {key: value(key) for key in schema["required"]},
+        optional={key: value(key) for key in schema["properties"]
+                  if key not in schema["required"]}))
+    return tool["name"], arguments
+
+
+class TestServerFuzz:
+    @settings(max_examples=250, deadline=None)
+    @given(_tool_calls())
+    def test_every_reply_is_strict_json_and_never_internal_error(self, tool_call):
+        name, arguments = tool_call
+        response = call(McpServer(), name, arguments)
+        json.dumps(response, allow_nan=False)
+        if "error" in response:
+            assert response["error"]["code"] != -32603, response
+        else:
+            json.loads(response["result"]["content"][0]["text"],
+                       parse_constant=_reject_constant)

@@ -3,9 +3,10 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geocard.errors import UnknownSkill
-from geocard.skills import load_skills, parse_skill_text
+from geocard.skills import Skill, load_skills, parse_skill_text
 
 LIBRARY = load_skills()
 BUNDLED = "shallow-foundation-bearing-capacity"
@@ -21,8 +22,9 @@ class TestListSkills:
         assert LIBRARY.diagnostics == []
 
     def test_empty_dir_is_empty_library(self, tmp_path):
-        lib = load_skills(extra_dir=tmp_path, include_bundled=False)
-        assert lib.list_skills() == []
+        lib = load_skills(extra_dir=tmp_path)
+        assert lib.list_skills() == LIBRARY.list_skills()
+        assert lib.diagnostics == []
 
 
     def test_env_var_skill_dir(self, tmp_path, monkeypatch):
@@ -39,8 +41,8 @@ class TestListSkills:
         bad = tmp_path / "broken-skill"
         bad.mkdir()
         (bad / "SKILL.md").write_text("---\nname: broken-skill\n---\nno fields")
-        lib = load_skills(extra_dir=tmp_path, include_bundled=False)
-        assert lib.list_skills() == []
+        lib = load_skills(extra_dir=tmp_path)
+        assert lib.list_skills() == LIBRARY.list_skills()
         assert any("broken-skill" in d for d in lib.diagnostics)
 
     def test_name_must_match_directory(self, tmp_path):
@@ -49,8 +51,8 @@ class TestListSkills:
         (bad / "SKILL.md").write_text(
             "---\nname: other-name\ndescription: d\nversion: '1'\n"
             "category: c\n---\nbody")
-        lib = load_skills(extra_dir=tmp_path, include_bundled=False)
-        assert lib.list_skills() == []
+        lib = load_skills(extra_dir=tmp_path)
+        assert lib.list_skills() == LIBRARY.list_skills()
         assert any("does not match" in d for d in lib.diagnostics)
 
 
@@ -113,7 +115,7 @@ class TestRecommendSkills:
             (d / "SKILL.md").write_text(
                 f"---\nname: {name}\ndescription: erosion analysis\n"
                 f"version: '1'\ncategory: Erosion\n---\nbody")
-        lib = load_skills(extra_dir=tmp_path, include_bundled=False)
+        lib = load_skills(extra_dir=tmp_path)
         matches = lib.recommend_skills("erosion")
         assert [m.name for m in matches] == ["aa-tied-skill", "zz-tied-skill"]
 
@@ -152,3 +154,96 @@ class TestBundledSkillContent:
         lib = load_skills(extra_dir=tmp_path)
         assert lib.get_skill(BUNDLED, False).version == "9"
         assert any("shadows" in w for w in lib.warnings)
+
+
+def frontmatter(*lines, name="s"):
+    return "\n".join(["---", f"name: {name}", *lines, "---", "body"])
+
+
+class TestFrontmatterReader:
+    """SKILL.md frontmatter is read as YAML reads it, or refused."""
+
+    def test_bundled_fields_pinned(self):
+        skill = LIBRARY.get_skill(BUNDLED)
+        assert (skill.name, skill.version, skill.category) == (
+            BUNDLED, "1.0.0", "Shallow Foundations")
+        # The string PyYAML folded from the three indented lines.
+        assert skill.description == (
+            "Structured procedure for assessing the bearing capacity of "
+            "shallow foundations (strip, square, rectangular) with the "
+            "catalog's Terzaghi, Meyerhof, Vesic, and Eurocode 7 method cards, "
+            "including EC7 partial-factor design checks and footing sizing.")
+
+    def test_render_round_trips_yaml_indicators(self):
+        skill = Skill("odd: name", "a # b, 'c' and \"d\"", "> 1", "x: y #z",
+                      "body\n")
+        assert parse_skill_text("odd: name", skill.render()) == skill
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(min_size=1).filter(str.strip), min_size=4,
+                    max_size=4))
+    def test_render_round_trips_any_text(self, fields):
+        skill = Skill(*fields, body="body")
+        assert parse_skill_text(fields[0], skill.render()) == skill
+
+    def test_quoted_values_unquoted_as_yaml_does(self):
+        skill = parse_skill_text("s", frontmatter(
+            'description: "tab\\there \\"quoted\\""',
+            "version: 'it''s'", "category: c"))
+        assert skill.description == 'tab\there "quoted"'
+        assert skill.version == "it's"
+
+    def test_indented_lines_fold_with_one_space(self):
+        skill = parse_skill_text("s", frontmatter(
+            "description:", "  first", "    second", "version: 1",
+            "category: 'a", "  b'"))
+        assert skill.description == "first second"
+        assert skill.category == "a b"
+
+    def test_plain_version_is_text(self):
+        skill = parse_skill_text("s", frontmatter(
+            "description: d", "version: 1", "category: c"))
+        assert skill.version == "1"
+
+    def test_other_keys_ignored(self):
+        skill = parse_skill_text("s", frontmatter(
+            "# a comment", "", "description: d", "metadata:",
+            "  author: someone", "  tags: [a, b]", "allowed-tools:",
+            "- Read", "- Grep", "license: |", "  MIT: see file", "",
+            "  # not a comment", "version: '2'", "category: c"))
+        assert (skill.description, skill.version, skill.category) == (
+            "d", "2", "c")
+
+    @pytest.mark.parametrize("line", [
+        "description: >", "description: |", "description: [a, b]",
+        "description: {a: b}", "description: &anchor d", "description: *alias",
+        "description: !tag d", "description: %d", "description: a: b",
+        "description: d  # note", "description: 'unterminated",
+        'description: "bad \\q escape"', "description:\t d",
+        "description: d\n  # a comment\n  more", "description: d\n- item",
+        "description: d\n\n  more",
+    ])
+    def test_yaml_only_syntax_is_refused(self, line):
+        with pytest.raises(ValueError):
+            parse_skill_text("s", frontmatter(line, "version: '1'", "category: c"))
+
+    def test_trailing_comment_is_a_diagnostic(self, tmp_path):
+        skill_dir = tmp_path / "commented"
+        skill_dir.mkdir()
+        (skill_dir / "SKILL.md").write_text(frontmatter(
+            "description: d", "version: '1'", "category: x  # note",
+            name="commented"))
+        lib = load_skills(extra_dir=tmp_path)
+        assert "commented" not in lib.skills
+        assert f"{skill_dir}: frontmatter field 'category': 'x  # note' is " \
+            "YAML this reader does not accept" in lib.diagnostics
+
+    def test_undecodable_reference_is_a_diagnostic(self, tmp_path):
+        d = tmp_path / "bad-bytes"
+        (d / "references").mkdir(parents=True)
+        (d / "SKILL.md").write_text(frontmatter(
+            "description: d", "version: 1", "category: c", name="bad-bytes"))
+        (d / "references" / "notes.md").write_bytes(b"\xff")
+        lib = load_skills(extra_dir=tmp_path)
+        assert "bad-bytes" not in lib.skills
+        assert any("bad-bytes" in d and "utf-8" in d for d in lib.diagnostics)
