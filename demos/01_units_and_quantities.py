@@ -4,12 +4,7 @@
 # a magnitude plus a unit from the registry. Angle is tracked as its own
 # pseudo-dimension, so degrees can never silently stand in for radians.
 
-from geocard import (
-    check_dimension,
-    convert,
-    default_registry,
-    parse_quantity,
-)
+from geocard import convert, default_registry, parse_quantity
 from geocard.errors import DimensionMismatch, UnknownUnit
 
 reg = default_registry()
@@ -25,10 +20,15 @@ print("30 deg ->", convert(phi, reg.resolve("radians")))
 print("2000 mm ->", convert(width, reg.resolve("m")))
 print("1 MPa  ->", convert(parse_quantity("1 MPa"), reg.resolve("kPa")))
 
-# Quantity arithmetic composes dimensions: kN/m^3 times m is a pressure.
-pressure = gamma * convert(width, reg.resolve("m"))
+# Dimensions compose as exponent vectors: kN/m^3 times m is a pressure.
+# This is the algebra the card audit (validate_dimensions) runs on every
+# equation; quantities themselves carry no arithmetic.
+pressure = gamma.dimension * width.dimension
+print("dim(gamma * B) =", pressure)
 print("gamma * B has the dimension of kPa:",
-      check_dimension(pressure.unit.dimension, reg.resolve("kPa").dimension))
+      pressure == reg.resolve("kPa").dimension)
+print("gamma * B has the dimension of kN:",
+      pressure == reg.resolve("kN").dimension)
 
 # Mismatched dimensions are an error, not a warning.
 try:

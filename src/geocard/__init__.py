@@ -57,7 +57,6 @@ from .units import (  # noqa: F401
     Quantity,
     Unit,
     UnitRegistry,
-    check_dimension,
     convert,
     default_registry,
     format_quantity,

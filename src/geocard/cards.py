@@ -4,7 +4,9 @@ A card that loads without error is safe to hand to the engine: every
 expression has parsed against the allowlist, every symbol is a declared
 variable, every unit resolves in the registry, structural rules (roles,
 defaults, variant coverage, duplicate targets) have been checked, and each
-variant carries its evaluation plan (see ``_plan``).
+variant carries its evaluation plan (see ``_plan``). A loaded card also
+carries the registry ``Unit`` of each variable (``MethodCard.units``), so
+no later pass resolves a unit name again.
 Dimensional consistency is a separate pass — ``validate_dimensions`` —
 that reports findings rather than raising, so a validator CLI can list
 every problem in one run.
@@ -14,12 +16,13 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import expression as ex
 from .errors import DuplicateKey, SchemaError, UndeclaredSymbol, UnresolvedVariable
-from .units import Dimension, DIMENSIONLESS, default_registry
+from .units import Dimension, DIMENSIONLESS, Unit, default_registry
 
 ROLES = ("input", "output", "intermediate", "param")
 
@@ -81,12 +84,7 @@ class MethodCard:
     assumptions: tuple
     applicability: tuple
     sources: tuple
-
-    def variable(self, key: str) -> VariableSpec:
-        for var in self.variables:
-            if var.key == key:
-                return var
-        raise KeyError(key)
+    units: dict = field(compare=False, repr=False)  # key -> registry Unit
 
     def variant(self, variant_id: str):
         for var in self.variants:
@@ -145,6 +143,8 @@ def _require(obj: dict, key: str, kind, path: str):
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise SchemaError(f"{path}.{key}", f"expected a number, got {type(value).__name__}")
+        if not abs(value) <= sys.float_info.max:  # NaN, infinity or a huge int
+            raise SchemaError(f"{path}.{key}", "expected a finite number")
         return float(value)
     if not isinstance(value, kind):
         raise SchemaError(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
@@ -178,7 +178,7 @@ def load_card(json_text: str) -> MethodCard:
     # Variables
     raw_vars = _require(raw, "variables", list, "$")
     variables: list[VariableSpec] = []
-    seen_keys: set[str] = set()
+    units: dict[str, Unit] = {}
     for i, entry in enumerate(raw_vars):
         path = f"$.variables[{i}]"
         if not isinstance(entry, dict):
@@ -188,14 +188,13 @@ def load_card(json_text: str) -> MethodCard:
             raise SchemaError(f"{path}.key", f"{key!r} is not a valid symbol")
         if key in ex.CONSTANTS or key == "True" or key in ex.ALLOWED_FUNCTIONS:
             raise SchemaError(f"{path}.key", f"{key!r} is a reserved name")
-        if key in seen_keys:
+        if key in units:
             raise DuplicateKey(key, f"variables of card {card_id}")
-        seen_keys.add(key)
         role = _require(entry, "role", str, path)
         if role not in ROLES:
             raise SchemaError(f"{path}.role", f"{role!r} not one of {ROLES}")
         unit_name = _require(entry, "unit", str, path)
-        default_registry().resolve(unit_name)  # raises UnknownUnit
+        units[key] = default_registry().resolve(unit_name)  # raises UnknownUnit
         default = None
         if "default" in entry and entry["default"] is not None:
             default = _require(entry, "default", float, path)
@@ -211,10 +210,10 @@ def load_card(json_text: str) -> MethodCard:
             description=_optional_str(entry, "description", path),
             default=default,
         ))
-    declared = {v.key for v in variables}
-    given = {v.key for v in variables if v.role in ("input", "param")}
-    assignable = {v.key for v in variables if v.role in ("output", "intermediate")}
-    outputs = {v.key for v in variables if v.role == "output"}
+    roles = {v.key: v.role for v in variables}
+    given = {k for k, role in roles.items() if role in ("input", "param")}
+    assignable = {k for k, role in roles.items() if role in ("output", "intermediate")}
+    outputs = {k for k, role in roles.items() if role == "output"}
 
     # Variants
     raw_variants = _require(raw, "variants", list, "$")
@@ -240,17 +239,17 @@ def load_card(json_text: str) -> MethodCard:
             if not isinstance(eq_entry, dict):
                 raise SchemaError(eq_path, "expected object")
             target = _require(eq_entry, "target", str, eq_path)
-            if target not in declared:
+            if target not in roles:
                 raise UndeclaredSymbol(target, target)
             if target not in assignable:
                 raise SchemaError(f"{eq_path}.target",
-                                  f"{target!r} has role {_role_of(variables, target)!r}; "
+                                  f"{target!r} has role {roles[target]!r}; "
                                   "equation targets must be output or intermediate")
             text = _require(eq_entry, "sympy", str, eq_path)
             expr = ex.parse(text)  # ParseError/Disallowed* propagate
             symbols = ex.free_symbols(expr)
             for symbol in symbols:
-                if symbol not in declared:
+                if symbol not in roles:
                     raise UndeclaredSymbol(target, symbol)
             needed = needs.setdefault(target, set())
             needed |= symbols
@@ -259,7 +258,7 @@ def load_card(json_text: str) -> MethodCard:
             if condition_text is not None:
                 condition_expr = ex.parse_condition(condition_text)
                 for symbol in ex.free_symbols(condition_expr):
-                    if symbol not in declared:
+                    if symbol not in roles:
                         raise UndeclaredSymbol(target, symbol)
                     needed.add(symbol)
             else:
@@ -307,7 +306,7 @@ def load_card(json_text: str) -> MethodCard:
         id=card_id, title=title, category=category, description=description,
         variables=tuple(variables), variants=tuple(variants),
         assumptions=assumptions, applicability=applicability,
-        sources=tuple(sources),
+        sources=tuple(sources), units=units,
     )
 
 
@@ -338,13 +337,6 @@ def _plan(variant_id: str, needs: dict[str, set], given: set) -> tuple[list, lis
         if unmet:
             raise UnresolvedVariable(sorted(unmet)[0], variant_id, target)
     return direct, iterative
-
-
-def _role_of(variables, key):
-    for v in variables:
-        if v.key == key:
-            return v.role
-    return None
 
 
 def _str_list(raw: dict, key: str) -> list[str]:
@@ -391,10 +383,7 @@ def _join(d1: Dimension, d2: Dimension) -> Dimension:
 class _DimensionChecker:
     def __init__(self, card: MethodCard):
         self.card = card
-        registry = default_registry()
-        self.var_dims = {
-            v.key: registry.resolve(v.unit).dimension for v in card.variables
-        }
+        self.var_dims = {key: unit.dimension for key, unit in card.units.items()}
         self.findings: list[DimensionFinding] = []
 
     def check(self) -> list[DimensionFinding]:

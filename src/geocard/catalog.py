@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 from .cards import MethodCard, load_card, validate_dimensions
 from .errors import GeocardError, UnknownMethod
+from .units import DATA_DIR
 
 CATALOG_ENV_VAR = "GEOCARD_CATALOG_DIR"
 
@@ -56,10 +56,10 @@ class Catalog:
         except KeyError:
             raise UnknownMethod(card_id) from None
 
-    def _ingest(self, path, origin: str,
+    def _ingest(self, path: Path, origin: str,
                 shadow_allowed: bool) -> Optional[MethodCard]:
-        """Read, load and audit one card file (a Path or a package resource);
-        the indexed card, or None on failure."""
+        """Read, load and audit one card file; the indexed card, or None on
+        failure."""
         try:
             card = load_card(path.read_text("utf-8"))
         except (GeocardError, OSError, UnicodeDecodeError) as exc:
@@ -89,10 +89,8 @@ def load_catalog(extra_dir: "str | os.PathLike | None" = None) -> Catalog:
     shadow bundled ids.
     """
     catalog = Catalog()
-    root = resources.files("geocard").joinpath("data/catalog")
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            catalog._ingest(entry, f"bundled:{entry.name}", shadow_allowed=False)
+    for path in sorted((DATA_DIR / "catalog").glob("*.json")):
+        catalog._ingest(path, f"bundled:{path.name}", shadow_allowed=False)
     if extra_dir is None:
         extra_dir = os.environ.get(CATALOG_ENV_VAR)
     if extra_dir:

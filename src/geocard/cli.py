@@ -12,10 +12,8 @@ stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import __version__
@@ -27,9 +25,10 @@ from .ec7 import (
     load_scenario,
 )
 from .engine import EvaluationRequest, evaluate_card
-from .errors import GeocardError, NonFiniteValue
+from .errors import GeocardError
 from .report import format_sig, render_report
-from .server import serve
+from .server import serve, strict_json
+from .units import DATA_DIR
 
 
 def main(argv=None) -> int:
@@ -102,8 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_validate(args) -> int:
     paths = []
-    bundled = str(resources.files("geocard").joinpath("data/catalog"))
-    for raw in args.paths or [bundled]:
+    for raw in args.paths or [DATA_DIR / "catalog"]:
         path = Path(raw)
         if path.is_dir():
             paths.extend(sorted(path.glob("*.json")))
@@ -167,7 +165,11 @@ def _load_scenario_file(path_text: str):
     if not path.is_file():
         print(f"usage error: no such scenario file: {path_text}", file=sys.stderr)
         return None
-    return load_scenario(path.read_text("utf-8"))
+    try:
+        text = path.read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GeocardError(f"cannot read scenario file {path_text}: {exc}") from None
+    return load_scenario(text)
 
 
 def _da_list(label: str) -> list[str]:
@@ -178,11 +180,7 @@ def _da_list(label: str) -> list[str]:
 
 def _print_json(results) -> int:
     """Print the results as strict JSON; a NaN or infinity is a domain error."""
-    try:
-        text = json.dumps([r.to_dict() for r in results], indent=2, allow_nan=False)
-    except ValueError:
-        raise NonFiniteValue("result") from None
-    print(text)
+    print(strict_json([r.to_dict() for r in results]))
     return 0
 
 

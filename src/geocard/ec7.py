@@ -23,14 +23,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from importlib import resources
+from pathlib import Path
 from typing import Optional
 
 from .catalog import Catalog, default_catalog
 from .engine import EvaluationRequest, EvaluationTrace, evaluate_card
 from .errors import (InvalidGeometry, NoBracket, NonConvergence, SchemaError,
                      UnknownDesignApproach)
-from .units import to_magnitude
+from .units import DATA_DIR, to_magnitude
 
 GAMMA_WATER = 9.81  # kN/m^3
 
@@ -193,13 +193,11 @@ def load_scenario(json_text: str) -> FootingScenario:
 
 
 def load_bundled_scenario(name: str = "jrc_a3") -> FootingScenario:
-    text = resources.files("geocard").joinpath(
-        f"data/scenarios/{name}.json").read_text("utf-8")
-    return load_scenario(text)
+    return load_scenario(Path(bundled_scenario_path(name)).read_text("utf-8"))
 
 
 def bundled_scenario_path(name: str = "jrc_a3") -> str:
-    return str(resources.files("geocard").joinpath(f"data/scenarios/{name}.json"))
+    return str(DATA_DIR / "scenarios" / f"{name}.json")
 
 
 # ------------------------------------------------------------ groundwater ----

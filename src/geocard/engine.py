@@ -30,7 +30,7 @@ from .errors import (
     UnknownVariant,
     UnresolvedVariable,
 )
-from .units import Quantity, default_registry, format_quantity, to_magnitude
+from .units import Quantity, format_quantity, to_magnitude
 
 FIXED_POINT_TOL = 1e-9
 FIXED_POINT_MAX_ITER = 200
@@ -129,7 +129,7 @@ def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue]) -> dict[st
     extra = supplied - required
     if extra:
         raise UnexpectedInput(extra)
-    return {key: to_magnitude(value, card.variable(key).unit, key)
+    return {key: to_magnitude(value, card.units[key].name, key)
             for key, value in raw.items()}
 
 
@@ -142,9 +142,6 @@ class _Runner:
         self.cycles: list[dict] = []
 
     # -- helpers -------------------------------------------------------------
-
-    def _unit_of(self, key: str):
-        return default_registry().resolve(self.card.variable(key).unit)
 
     def _trace(self, outputs: dict) -> EvaluationTrace:
         return EvaluationTrace(
@@ -199,7 +196,7 @@ class _Runner:
             target=eq.target,
             expression=eq.sympy,
             inputs=used,
-            result=Quantity(value, self._unit_of(eq.target)),
+            result=Quantity(value, self.card.units[eq.target]),
             description=eq.description,
             method=method,
         ))
@@ -221,7 +218,7 @@ class _Runner:
             if bad:
                 raise UnexpectedInput(bad)
             for key, value in request.overrides.items():
-                self.env[key] = to_magnitude(value, card.variable(key).unit, key)
+                self.env[key] = to_magnitude(value, card.units[key].name, key)
 
         for target, equations in variant.direct:
             eq = self._choose_equation(target, equations)
@@ -232,7 +229,7 @@ class _Runner:
         if variant.iterative:
             self._solve_cycle(variant.iterative)
 
-        outputs = {v.key: Quantity(self.env[v.key], self._unit_of(v.key))
+        outputs = {v.key: Quantity(self.env[v.key], card.units[v.key])
                    for v in card.variables_by_role("output")}
         return self._trace(outputs)
 

@@ -144,7 +144,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                     i = j
                     while i < n and "0" <= text[i] <= "9":
                         i += 1
-            tokens.append(("num", float(text[start:i]), start))
+            value = float(text[start:i])
+            if math.isinf(value):  # float() overflows to inf without raising
+                raise ParseError(start, f"number {text[start:i]!r} is out of range")
+            tokens.append(("num", value, start))
             continue
         if ("a" <= c <= "z") or ("A" <= c <= "Z") or c == "_":
             start = i

@@ -184,6 +184,7 @@ TOOLS: list[dict] = [
         "inputSchema": _schema({}, []),
     },
 ]
+_TOOLS_BY_NAME = {tool["name"]: tool for tool in TOOLS}
 
 _TYPE_CHECKS = {
     "string": lambda v: isinstance(v, str),
@@ -209,6 +210,14 @@ def validate_arguments(schema: dict, arguments: dict) -> Optional[str]:
         if not any(_TYPE_CHECKS[t](value) for t in types):
             return f"argument {key!r} must be of type {' or '.join(types)}"
     return None
+
+
+def strict_json(body) -> str:
+    """Indented strict JSON of a reply; a NaN or infinity is a domain error."""
+    try:
+        return json.dumps(body, indent=2, allow_nan=False)
+    except ValueError:  # a NaN or infinity computed from finite inputs
+        raise NonFiniteValue("result") from None
 
 
 class McpServer:
@@ -303,8 +312,8 @@ class McpServer:
         if not isinstance(params, dict) or not isinstance(params.get("name"), str):
             return self._error(msg_id, INVALID_PARAMS, "params.name must be a string")
         name = params["name"]
-        descriptor = next((t for t in TOOLS if t["name"] == name), None)
-        if descriptor is None or name not in self._handlers:
+        descriptor = _TOOLS_BY_NAME.get(name)
+        if descriptor is None:
             return self._error(msg_id, INVALID_PARAMS, f"unknown tool: {name}")
         arguments = params.get("arguments")
         if arguments is None:  # absent or null; any other non-object is rejected
@@ -320,9 +329,9 @@ class McpServer:
             return self._error(msg_id, INTERNAL_ERROR,
                                f"{type(exc).__name__}: {exc}")
         try:
-            text = json.dumps(body, indent=2, allow_nan=False)
-        except ValueError:  # a NaN or infinity computed from finite inputs
-            text, is_error = json.dumps(NonFiniteValue("result").payload(), indent=2), True
+            text = strict_json(body)
+        except NonFiniteValue as exc:
+            text, is_error = strict_json(exc.payload()), True
         return self._result(msg_id, {
             "content": [{"type": "text", "text": text}],
             "isError": is_error,
@@ -362,10 +371,9 @@ class McpServer:
             overrides=args.get("overrides") or {},
         )
         if require_units:
-            units = {v.key: v.unit for v in card.variables}
             untagged = [
                 key for key, value in {**request.inputs, **request.overrides}.items()
-                if units.get(key, "dimensionless") != "dimensionless"
+                if key in card.units and card.units[key].name != "dimensionless"
                 and not (isinstance(value, str) and split_quantity_text(value)[1])]
             if untagged:
                 raise MissingUnit(untagged)

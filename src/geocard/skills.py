@@ -20,10 +20,10 @@ import json
 import os
 import re
 from dataclasses import dataclass, field, replace
-from importlib import resources
 from pathlib import Path
 
 from .errors import InvalidQuery, UnknownSkill
+from .units import DATA_DIR
 
 SKILLS_ENV_VAR = "GEOCARD_SKILLS_DIR"
 
@@ -218,8 +218,7 @@ def load_skills(extra_dir: "str | os.PathLike | None" = None) -> SkillLibrary:
     shadow bundled names. Rescanning is explicit: call this again.
     """
     library = SkillLibrary()
-    root = Path(str(resources.files("geocard").joinpath("data/skills")))
-    for entry in sorted(root.iterdir()):
+    for entry in sorted((DATA_DIR / "skills").iterdir()):
         if entry.is_dir():
             library._ingest_dir(entry, f"bundled:{entry.name}",
                                 shadow_allowed=False)

@@ -18,12 +18,14 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
-from typing import Iterable, Mapping, Union
+from pathlib import Path
+from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, MalformedQuantity, NonFiniteValue, UnknownUnit
 
 BASES = ("length", "mass", "time", "angle")
+
+DATA_DIR = Path(__file__).parent / "data"  # bundled units, cards, scenarios, skills
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,6 @@ class Unit:
         return self.name
 
 
-def check_dimension(lhs: Dimension, rhs: Dimension) -> bool:
-    """True iff the exponent vectors are equal."""
-    return lhs == rhs
-
-
 @dataclass(frozen=True)
 class Quantity:
     """A magnitude tagged with a unit; the numeric currency between modules."""
@@ -105,43 +102,6 @@ class Quantity:
     @property
     def dimension(self) -> Dimension:
         return self.unit.dimension
-
-    def to(self, target: Unit) -> "Quantity":
-        return convert(self, target)
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        if not isinstance(other, Quantity):
-            return NotImplemented
-        other = convert(other, self.unit)
-        return Quantity(self.magnitude + other.magnitude, self.unit)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        if not isinstance(other, Quantity):
-            return NotImplemented
-        other = convert(other, self.unit)
-        return Quantity(self.magnitude - other.magnitude, self.unit)
-
-    def __mul__(self, other: Union["Quantity", float, int]) -> "Quantity":
-        if isinstance(other, (int, float)):
-            return Quantity(self.magnitude * other, self.unit)
-        unit = Unit(
-            name=f"{self.unit.name}*{other.unit.name}",
-            dimension=self.unit.dimension * other.unit.dimension,
-            scale=self.unit.scale * other.unit.scale,
-        )
-        return Quantity(self.magnitude * other.magnitude, unit)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: Union["Quantity", float, int]) -> "Quantity":
-        if isinstance(other, (int, float)):
-            return Quantity(self.magnitude / other, self.unit)
-        unit = Unit(
-            name=f"{self.unit.name}/{other.unit.name}",
-            dimension=self.unit.dimension / other.unit.dimension,
-            scale=self.unit.scale / other.unit.scale,
-        )
-        return Quantity(self.magnitude / other.magnitude, unit)
 
     def __str__(self) -> str:
         return format_quantity(self)
@@ -192,8 +152,7 @@ class UnitRegistry:
 
     @classmethod
     def bundled(cls) -> "UnitRegistry":
-        text = resources.files("geocard").joinpath("data/units.json").read_text("utf-8")
-        return cls.from_json(text)
+        return cls.from_json((DATA_DIR / "units.json").read_text("utf-8"))
 
 
 _NUMBER_RE = re.compile(r"^\s*([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*)$")

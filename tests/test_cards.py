@@ -100,6 +100,38 @@ class TestLoadCard:
         with pytest.raises(SchemaError):
             load(bad)
 
+    def test_target_role_message(self):
+        bad = minimal_card()
+        bad["variants"][0]["equations"].append({"target": "x", "sympy": "1"})
+        with pytest.raises(SchemaError) as err:
+            load(bad)
+        assert str(err.value) == (
+            "$.variants[0].equations[1].target: 'x' has role 'input'; "
+            "equation targets must be output or intermediate")
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999",
+                                         "1" + "0" * 400],
+                             ids=["NaN", "Infinity", "-Infinity", "1e999", "10**400"])
+    def test_param_default_must_be_finite(self, literal):
+        bad = minimal_card()
+        bad["variables"].append({"key": "k", "name": "const", "role": "param",
+                                 "unit": "dimensionless", "default": "@"})
+        with pytest.raises(SchemaError) as err:
+            load_card(json.dumps(bad).replace('"@"', literal))
+        assert err.value.path == "$.variables[2].default"
+
+    def test_units_resolved_at_load(self):
+        from geocard.units import default_registry
+        spec = minimal_card()
+        spec["variables"][1]["unit"] = "kN/m³"  # an alias
+        spec["variables"][0]["unit"] = "kN/m^3"
+        card = load(spec)
+        registry = default_registry()
+        assert card.units == {"y": registry.resolve("kN/m^3"),
+                              "x": registry.resolve("kN/m^3")}
+        assert card.variables[1].unit == "kN/m³"  # the card keeps what it declares
+        assert load_card(json.dumps(card.to_dict())) == card
+
     def test_output_must_be_covered_in_every_variant(self):
         bad = minimal_card()
         bad["variants"].append(

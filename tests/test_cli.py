@@ -114,6 +114,19 @@ class TestValidate:
         assert "ok   a.json: BEARING_CAPACITY_VESIC" in out
         assert "FAIL b.json: duplicate card id BEARING_CAPACITY_VESIC" in out
 
+    def test_non_finite_default_fails_validation(self, tmp_path, capsys):
+        good = (Path(__file__).parents[1] /
+                "src/geocard/data/catalog/bearing_capacity_vesic.json")
+        card = json.loads(good.read_text())
+        param = next(i for i, v in enumerate(card["variables"])
+                     if v["role"] == "param")
+        card["variables"][param]["default"] = "@"
+        (tmp_path / "nan.json").write_text(json.dumps(card).replace('"@"', "NaN"))
+        assert main(["validate", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"FAIL nan.json: $.variables[{param}].default: ")
+        assert "finite" in out
+
 
 class TestEval:
     def test_report_contains_sources(self, capsys):
@@ -190,6 +203,16 @@ class TestEc7Commands:
     def test_missing_scenario_file_is_usage_error(self, capsys):
         assert main(["ec7", "design", "--scenario", "/no/file.json",
                      "--da", "all"]) == 2
+
+    def test_non_utf8_scenario_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_bytes(b'{"L": "\xff"}')
+        assert main(["ec7", "check", "--scenario", str(path), "--da", "DA2",
+                     "--B", "1.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read scenario file {path}")
+        assert "Traceback" not in captured.err
 
     def test_unknown_da_is_domain_error(self, capsys):
         assert main(["ec7", "design", "--scenario", SCENARIO,

@@ -62,6 +62,18 @@ class TestParse:
         with pytest.raises(ParseError):
             ex.parse("a > b")
 
+    @pytest.mark.parametrize("text, position", [("1e999", 0), ("2*1e400", 2),
+                                                ("x + 1.5e309", 4)])
+    def test_out_of_range_literal_is_parse_error(self, text, position):
+        with pytest.raises(ParseError) as err:
+            ex.parse(text)
+        assert err.value.position == position
+
+    def test_largest_float_literal_round_trips(self):
+        node = ex.parse("1.7976931348623157e308")
+        assert node == ex.Number(1.7976931348623157e308)
+        assert ex.parse(ex.to_text(node)) == node
+
     @pytest.mark.parametrize("bad", ["", "   ", "1 +", "(a", "a b",
                                      "Piecewise()", "sin()", "f g(",
                                      "atan2(x)", "+x"])
