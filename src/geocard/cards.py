@@ -3,10 +3,11 @@
 A card that loads without error is safe to hand to the engine: every
 expression has parsed against the allowlist, every symbol is a declared
 variable, every unit resolves in the registry, structural rules (roles,
-defaults, variant coverage, duplicate targets) have been checked, and each
-variant carries its evaluation plan (see ``_plan``). A loaded card also
-carries the registry ``Unit`` of each variable (``MethodCard.units``), so
-no later pass resolves a unit name again.
+defaults, variant coverage, one equation per target) have been checked, and
+each variant carries its evaluation plan (see ``_plan``). A conditional
+formula is one ``Piecewise`` equation; an equation-level ``condition`` is
+rejected. A loaded card also carries the registry ``Unit`` of each
+variable (``MethodCard.units``), so no later pass resolves a unit name again.
 Dimensional consistency is a separate pass — ``validate_dimensions`` —
 that reports findings rather than raising, so a validator CLI can list
 every problem in one run.
@@ -44,20 +45,18 @@ class VariableSpec:
 class EquationSpec:
     target: str
     sympy: str
-    condition: Optional[str] = None
     description: Optional[str] = None
     expr: ex.ExprNode = field(compare=False, default=None, repr=False)
-    condition_expr: Optional[ex.ExprNode] = field(compare=False, default=None, repr=False)
     symbols: tuple = field(compare=False, default=(), repr=False)  # sorted, of expr
 
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """One variant and its plan: (target, equations) pairs run in order.
+    """One variant and its plan: its equations, in the order they run.
 
-    ``direct`` targets are evaluated once each; ``iterative`` targets form
-    a dependency cycle, or depend on one, and are solved together by
-    fixed-point iteration after every direct target.
+    ``direct`` equations are evaluated once each; ``iterative`` equations'
+    targets form a dependency cycle, or depend on one, and are solved
+    together by fixed-point iteration after every direct equation.
     """
 
     id: str
@@ -119,8 +118,6 @@ class MethodCard:
             eqs = []
             for eq in variant.equations:
                 entry = {"target": eq.target, "sympy": eq.sympy}
-                if eq.condition is not None:
-                    entry["condition"] = eq.condition
                 if eq.description is not None:
                     entry["description"] = eq.description
                 eqs.append(entry)
@@ -231,9 +228,7 @@ def load_card(json_text: str) -> MethodCard:
         seen_variant_ids.add(vid)
         vtitle = _require(entry, "title", str, path)
         raw_eqs = _require(entry, "equations", list, path)
-        equations: list[EquationSpec] = []
-        needs: dict[str, set] = {}  # target -> symbols of its equations and conditions
-        unconditioned: set[str] = set()
+        by_target: dict[str, EquationSpec] = {}
         for j, eq_entry in enumerate(raw_eqs):
             eq_path = f"{path}.equations[{j}]"
             if not isinstance(eq_entry, dict):
@@ -245,48 +240,36 @@ def load_card(json_text: str) -> MethodCard:
                 raise SchemaError(f"{eq_path}.target",
                                   f"{target!r} has role {roles[target]!r}; "
                                   "equation targets must be output or intermediate")
+            if eq_entry.get("condition") is not None:
+                raise SchemaError(f"{eq_path}.condition",
+                                  "equation conditions are not supported; write one "
+                                  "Piecewise((a, c1), (b, c2), (fallback, True)) "
+                                  "equation for the target")
+            if target in by_target:
+                raise SchemaError(f"{eq_path}.target",
+                                  f"{target!r} has more than one equation")
             text = _require(eq_entry, "sympy", str, eq_path)
             expr = ex.parse(text)  # ParseError/Disallowed* propagate
             symbols = ex.free_symbols(expr)
             for symbol in symbols:
                 if symbol not in roles:
                     raise UndeclaredSymbol(target, symbol)
-            needed = needs.setdefault(target, set())
-            needed |= symbols
-            condition_text = _optional_str(eq_entry, "condition", eq_path)
-            condition_expr = None
-            if condition_text is not None:
-                condition_expr = ex.parse_condition(condition_text)
-                for symbol in ex.free_symbols(condition_expr):
-                    if symbol not in roles:
-                        raise UndeclaredSymbol(target, symbol)
-                    needed.add(symbol)
-            else:
-                if target in unconditioned:
-                    raise SchemaError(
-                        f"{eq_path}.target",
-                        f"{target!r} has more than one unconditioned equation")
-                unconditioned.add(target)
-            equations.append(EquationSpec(
+            by_target[target] = EquationSpec(
                 target=target,
                 sympy=text,
-                condition=condition_text,
                 description=_optional_str(eq_entry, "description", eq_path),
                 expr=expr,
-                condition_expr=condition_expr,
                 symbols=tuple(sorted(symbols)),
-            ))
-        missing = outputs - needs.keys()
+            )
+        missing = outputs - by_target.keys()
         if missing:
             raise SchemaError(f"{path}.equations",
                               f"output(s) {sorted(missing)} have no equation in "
                               f"variant {vid!r}")
-        direct, iterative = _plan(vid, needs, given)
-        by_target = {t: tuple(eq for eq in equations if eq.target == t) for t in needs}
-        variants.append(VariantSpec(
-            id=vid, title=vtitle, equations=tuple(equations),
-            direct=tuple((t, by_target[t]) for t in direct),
-            iterative=tuple((t, by_target[t]) for t in iterative)))
+        direct, iterative = _plan(vid, by_target, given)
+        variants.append(VariantSpec(id=vid, title=vtitle,
+                                    equations=tuple(by_target.values()),
+                                    direct=direct, iterative=iterative))
 
     # Lists and sources
     assumptions = tuple(_str_list(raw, "assumptions"))
@@ -310,33 +293,36 @@ def load_card(json_text: str) -> MethodCard:
     )
 
 
-def _plan(variant_id: str, needs: dict[str, set], given: set) -> tuple[list, list]:
-    """Split a variant's targets into direct steps and an iterated block.
+def _plan(variant_id: str, equations: dict[str, EquationSpec],
+          given: set) -> tuple[tuple, tuple]:
+    """Split a variant's equations (target -> equation, in listed order)
+    into direct steps and an iterated block.
 
-    Repeated passes over the targets in listed order: a target is ready
-    once every symbol of all its equations and conditions is bound, and a
-    ready target binds at once, so later targets of the same pass may use
-    it. Targets never ready form a cycle or depend on one; each of their
-    symbols must still be given or produced by some target, otherwise the
-    variant can never be evaluated (UnresolvedVariable).
+    Repeated passes over the equations in listed order: one is ready once
+    every symbol it uses is bound (for a Piecewise, those of every branch
+    and condition, taken or not), and its target binds at once, so later
+    equations of the same pass may use it. Equations never ready form a
+    cycle or depend on one; each of their symbols must still be given or
+    produced by some equation, otherwise the variant can never be
+    evaluated (UnresolvedVariable).
     """
     bound = set(given)
-    direct: list[str] = []
+    direct: list[EquationSpec] = []
     progress = True
     while progress:
         progress = False
-        for target, needed in needs.items():
-            if target not in bound and needed <= bound:
-                direct.append(target)
+        for target, eq in equations.items():
+            if target not in bound and bound.issuperset(eq.symbols):
+                direct.append(eq)
                 bound.add(target)
                 progress = True
-    iterative = [t for t in needs if t not in bound]
-    producible = bound | needs.keys()
-    for target in iterative:
-        unmet = needs[target] - producible
+    iterative = tuple(eq for t, eq in equations.items() if t not in bound)
+    producible = bound | equations.keys()
+    for eq in iterative:
+        unmet = set(eq.symbols) - producible
         if unmet:
-            raise UnresolvedVariable(sorted(unmet)[0], variant_id, target)
-    return direct, iterative
+            raise UnresolvedVariable(sorted(unmet)[0], variant_id, eq.target)
+    return tuple(direct), iterative
 
 
 def _str_list(raw: dict, key: str) -> list[str]:
@@ -399,8 +385,6 @@ class _DimensionChecker:
         target_dim = self.var_dims[eq.target]
         if result is not None and not _compatible(result, target_dim):
             report(f"expression has dimension {result}, target declares {target_dim}")
-        if eq.condition_expr is not None:
-            self._dim(eq.condition_expr, report)
 
     def _dim(self, node, report) -> Optional[Dimension]:
         """Propagate dimensions; None means already-reported poison."""

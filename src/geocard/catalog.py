@@ -2,7 +2,8 @@
 
 Bundled cards live in ``geocard/data/catalog``. Setting GEOCARD_CATALOG_DIR
 prepends a user directory whose cards shadow bundled ids (shadowing is
-reported in the load warnings). A card only enters the index if it
+reported in the load warnings); two user cards with one id are a duplicate,
+as they are to ``geocard validate``. A card only enters the index if it
 passes both load_card and the dimensional audit; broken files become
 diagnostics instead of crashes so one bad card cannot take down the
 catalog.
@@ -57,9 +58,10 @@ class Catalog:
             raise UnknownMethod(card_id) from None
 
     def _ingest(self, path: Path, origin: str,
-                shadow_allowed: bool) -> Optional[MethodCard]:
+                shadowable: set = frozenset()) -> Optional[MethodCard]:
         """Read, load and audit one card file; the indexed card, or None on
-        failure."""
+        failure. A card may replace an indexed one only if its id is in
+        ``shadowable``, and only once: the id leaves the set."""
         try:
             card = load_card(path.read_text("utf-8"))
         except (GeocardError, OSError, UnicodeDecodeError) as exc:
@@ -71,13 +73,12 @@ class Catalog:
                 self.diagnostics.append(f"{origin}: {card.id}: {finding}")
             return None
         if card.id in self.cards:
-            if shadow_allowed:
-                self.warnings.append(
-                    f"{origin}: {card.id} shadows a bundled card")
-            else:
+            if card.id not in shadowable:
                 self.diagnostics.append(
                     f"{origin}: duplicate card id {card.id}")
                 return None
+            shadowable.remove(card.id)
+            self.warnings.append(f"{origin}: {card.id} shadows a bundled card")
         self.cards[card.id] = card
         return card
 
@@ -86,11 +87,12 @@ def load_catalog(extra_dir: "str | os.PathLike | None" = None) -> Catalog:
     """Build the catalog from the bundled tree plus an optional user dir.
 
     ``extra_dir`` defaults to $GEOCARD_CATALOG_DIR when set; user cards
-    shadow bundled ids.
+    shadow bundled ids, and only those.
     """
     catalog = Catalog()
     for path in sorted((DATA_DIR / "catalog").glob("*.json")):
-        catalog._ingest(path, f"bundled:{path.name}", shadow_allowed=False)
+        catalog._ingest(path, f"bundled:{path.name}")
+    bundled_ids = set(catalog.cards)
     if extra_dir is None:
         extra_dir = os.environ.get(CATALOG_ENV_VAR)
     if extra_dir:
@@ -99,7 +101,7 @@ def load_catalog(extra_dir: "str | os.PathLike | None" = None) -> Catalog:
             catalog.diagnostics.append(f"{user_root}: not a directory")
         else:
             for path in sorted(user_root.glob("*.json")):
-                catalog._ingest(path, str(path), shadow_allowed=True)
+                catalog._ingest(path, str(path), bundled_ids)
     return catalog
 
 

@@ -116,7 +116,7 @@ def cmd_validate(args) -> int:
     failures = 0
     for path in paths:
         reported = len(catalog.diagnostics)
-        card = catalog._ingest(path, path.name, shadow_allowed=False)
+        card = catalog._ingest(path, path.name)
         if card is None:
             for diagnostic in catalog.diagnostics[reported:]:
                 print(f"FAIL {diagnostic}")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -185,10 +184,12 @@ def load_scenario(json_text: str) -> FootingScenario:
             values[key] = to_magnitude(raw[key], unit_name, key)
     if "surcharge_model" in raw:
         values["surcharge_model"] = raw["surcharge_model"]
-    if "name" in raw:
-        values["name"] = raw["name"]
-    if "jrc_verified" in raw:
-        values["jrc_verified"] = bool(raw["jrc_verified"])
+    for key, kind in (("name", str), ("jrc_verified", bool)):
+        if key in raw:
+            if not isinstance(raw[key], kind):
+                raise SchemaError(f"$.{key}", f"expected {kind.__name__}, "
+                                  f"got {type(raw[key]).__name__}")
+            values[key] = raw[key]
     return FootingScenario(**values)
 
 
@@ -355,8 +356,8 @@ def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
     starts at [0.1 m, 20 m] and expands automatically (up to fixed limits)
     when utilization does not cross 1 inside it.
     """
-    if not 0.0 < tolerance <= sys.float_info.max:  # also a NaN or a huge int
-        raise SchemaError("$.tolerance", "must be a positive finite number")
+    if not 0.0 < tolerance < 1.0:  # also a NaN or a huge int
+        raise SchemaError("$.tolerance", "must lie strictly between 0 and 1")
     min_b = max(2.0 * scenario.e + 1e-6, 1e-4)
 
     def check(width: float) -> UlsCheckResult:

@@ -3,11 +3,13 @@
 The evaluation order is a property of the card, fixed once by
 ``cards.load_card``: each variant carries its direct targets in order, then
 the targets left over because they form a dependency cycle or depend on
-one. The engine walks the direct targets, choosing each target's equation
-by its conditions, then solves the leftover block by plain fixed-point
-iteration from 1.0 in card units, re-evaluating the block's equations in
-listed order until the largest relative change drops below 1e-9 (hard cap
-200 iterations). Every intermediate and output variable lands in the trace.
+one. Each target has exactly one equation (a conditional formula is a
+``Piecewise``), so the engine makes no choice at run time: it evaluates
+the direct equations in order, then solves the leftover block by plain
+fixed-point iteration from 1.0 in card units, re-evaluating the block's
+equations in listed order until the largest relative change drops below
+1e-9 (hard cap 200 iterations). Every intermediate and output variable
+lands in the trace.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from typing import Mapping, Optional, Union
 from . import expression as ex
 from .cards import EquationSpec, MethodCard
 from .errors import (
-    ConditionConflict,
     GeocardError,
     MissingInput,
     NonConvergence,
@@ -28,7 +29,6 @@ from .errors import (
     UnexpectedInput,
     UnknownMethod,
     UnknownVariant,
-    UnresolvedVariable,
 )
 from .units import Quantity, format_quantity, to_magnitude
 
@@ -165,28 +165,11 @@ class _Runner:
         }
         return exc
 
-    def _eval(self, node, eq: EquationSpec) -> float:
+    def _eval(self, eq: EquationSpec) -> float:
         try:
-            return ex.evaluate(node, self.env)
+            return ex.evaluate(eq.expr, self.env)
         except GeocardError as exc:
             raise self._attach(exc, eq)
-
-    def _choose_equation(self, target: str, equations: tuple) -> EquationSpec:
-        """Pick the applicable equation for a target.
-
-        Raises ConditionConflict when more than one condition holds and
-        UnresolvedVariable when none holds and there is no fallback.
-        """
-        satisfied = [eq for eq in equations if eq.condition_expr is not None
-                     and self._eval(eq.condition_expr, eq)]
-        if len(satisfied) > 1:
-            raise self._attach(ConditionConflict(target), satisfied[1])
-        if satisfied:
-            return satisfied[0]
-        fallback = next((eq for eq in equations if eq.condition_expr is None), None)
-        if fallback is not None:
-            return fallback
-        raise self._attach(UnresolvedVariable(target), equations[0])
 
     def _record(self, eq: EquationSpec, value: float, method: str) -> None:
         used = {k: self.env[k] for k in eq.symbols}
@@ -220,11 +203,10 @@ class _Runner:
             for key, value in request.overrides.items():
                 self.env[key] = to_magnitude(value, card.units[key].name, key)
 
-        for target, equations in variant.direct:
-            eq = self._choose_equation(target, equations)
-            value = self._eval(eq.expr, eq)
+        for eq in variant.direct:
+            value = self._eval(eq)
             if not math.isfinite(value):  # float arithmetic overflows silently
-                raise self._attach(NonFiniteValue(target), eq)
+                raise self._attach(NonFiniteValue(eq.target), eq)
             self._record(eq, value, "direct")
         if variant.iterative:
             self._solve_cycle(variant.iterative)
@@ -234,35 +216,32 @@ class _Runner:
         return self._trace(outputs)
 
     def _solve_cycle(self, block: tuple) -> None:
-        cycle = [target for target, _ in block]
+        cycle = [eq.target for eq in block]
         for target in cycle:
             self.env[target] = 1.0
 
         residual = float("inf")
         iterations = 0
-        chosen: dict[str, EquationSpec] = {}
         for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
             residual = 0.0
-            for target, equations in block:
-                eq = self._choose_equation(target, equations)
-                chosen[target] = eq
-                old = self.env[target]
-                new = self._eval(eq.expr, eq)
+            for eq in block:
+                old = self.env[eq.target]
+                new = self._eval(eq)
                 if not math.isfinite(new):
                     raise self._attach(
                         NonConvergence(cycle, iterations, math.inf), eq)
                 denom = max(abs(old), abs(new))
                 change = 0.0 if denom == 0.0 else abs(new - old) / denom
                 residual = max(residual, change)
-                self.env[target] = new
+                self.env[eq.target] = new
             if residual < FIXED_POINT_TOL:
                 break
         else:
             raise self._attach(
-                NonConvergence(cycle, FIXED_POINT_MAX_ITER, residual), block[0][1][0])
+                NonConvergence(cycle, FIXED_POINT_MAX_ITER, residual), block[0])
 
-        for target in cycle:
-            self._record(chosen[target], self.env[target], "iterative")
+        for eq in block:
+            self._record(eq, self.env[eq.target], "iterative")
         self.cycles.append({
             "variables": cycle,
             "iterations": iterations,

@@ -188,15 +188,11 @@ class UnexpectedInput(EngineError):
 class UnresolvedVariable(EngineError):
     code = "unresolved_variable"
 
-    def __init__(self, key: str, variant_id: str | None = None,
-                 target: str | None = None):
+    def __init__(self, key: str, variant_id: str, target: str):
         self.key = key
-        if variant_id is None:
-            super().__init__(f"variable {key!r} cannot be computed from the given inputs")
-        else:  # found at load time, before any inputs exist
-            super().__init__(
-                f"variable {key!r}, needed for {target!r} in variant "
-                f"{variant_id!r}, is neither given nor produced by an equation")
+        super().__init__(
+            f"variable {key!r}, needed for {target!r} in variant "
+            f"{variant_id!r}, is neither given nor produced by an equation")
 
 
 class NonConvergence(EngineError):
@@ -210,14 +206,6 @@ class NonConvergence(EngineError):
             f"fixed-point iteration over {{{', '.join(self.cycle_keys)}}} did not "
             f"converge after {iterations} iterations (residual {residual:.3e})"
         )
-
-
-class ConditionConflict(EngineError):
-    code = "condition_conflict"
-
-    def __init__(self, target: str):
-        self.target = target
-        super().__init__(f"multiple equation conditions satisfied for target {target!r}")
 
 
 # ---------------------------------------------------------------- catalog ----

@@ -17,8 +17,8 @@ tighter than unary minus):
     power     := atom ["**" factor]
     atom      := NUMBER | "pi" | "e" | NAME | NAME "(" args ")" | "(" expr ")"
 
-Comparisons exist only in condition positions: Piecewise branch conditions
-and card equation ``condition`` fields share the condition grammar.
+Comparisons exist only in condition positions: Piecewise branch conditions,
+and standalone conditions parsed with ``parse_condition``.
 """
 
 from __future__ import annotations

@@ -142,17 +142,28 @@ class TestLoadCard:
     def test_two_unconditioned_equations_for_one_target(self):
         bad = minimal_card()
         bad["variants"][0]["equations"].append({"target": "y", "sympy": "3*x"})
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             load(bad)
+        assert err.value.path == "$.variants[0].equations[1].target"
+        assert "more than one equation" in str(err.value)
 
-    def test_conditioned_duplicates_are_allowed(self):
+    @pytest.mark.parametrize("equations", [
+        [{"target": "y", "sympy": "2*x", "condition": "x > 0"}],
+        [{"target": "y", "sympy": "2*x", "condition": "x > 0"},
+         {"target": "y", "sympy": "0", "condition": "x <= 0"}],
+    ], ids=["lone", "pair"])
+    def test_equation_condition_is_rejected(self, equations):
+        bad = minimal_card()
+        bad["variants"][0]["equations"] = equations
+        with pytest.raises(SchemaError) as err:
+            load(bad)
+        assert err.value.path == "$.variants[0].equations[0].condition"
+        assert "Piecewise" in str(err.value)
+
+    def test_null_equation_condition_is_ignored(self):
         ok = minimal_card()
-        ok["variants"][0]["equations"] = [
-            {"target": "y", "sympy": "2*x", "condition": "x > 0"},
-            {"target": "y", "sympy": "0", "condition": "x <= 0"},
-        ]
-        card = load(ok)
-        assert len(card.variant("base").equations) == 2
+        ok["variants"][0]["equations"][0]["condition"] = None
+        assert load(ok) == load(minimal_card())
 
     def test_disallowed_function_propagates(self):
         bad = minimal_card()

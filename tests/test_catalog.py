@@ -84,6 +84,44 @@ class TestIndex:
         assert merged.get_method("BEARING_CAPACITY_VESIC").title == "From env dir"
         assert any("shadows" in w for w in merged.warnings)
 
+    def test_second_user_card_with_one_new_id_is_a_duplicate(self, tmp_path):
+        card = CATALOG.get_method("BEARING_CAPACITY_TERZAGHI").to_dict()
+        card["id"] = "MY_CARD"
+        (tmp_path / "a.json").write_text(json.dumps(dict(card, title="First")))
+        (tmp_path / "b.json").write_text(json.dumps(dict(card, title="Second")))
+        merged = load_catalog(extra_dir=tmp_path)
+        assert merged.get_method("MY_CARD").title == "First"
+        assert merged.diagnostics == [
+            f"{tmp_path / 'b.json'}: duplicate card id MY_CARD"]
+        assert merged.warnings == []
+        assert not merged.ok
+
+    def test_bundled_id_is_shadowed_once(self, tmp_path):
+        card = CATALOG.get_method("BEARING_CAPACITY_VESIC").to_dict()
+        (tmp_path / "a.json").write_text(json.dumps(dict(card, title="First")))
+        (tmp_path / "b.json").write_text(json.dumps(dict(card, title="Second")))
+        merged = load_catalog(extra_dir=tmp_path)
+        assert merged.get_method("BEARING_CAPACITY_VESIC").title == "First"
+        assert merged.warnings == [
+            f"{tmp_path / 'a.json'}: BEARING_CAPACITY_VESIC shadows a bundled card"]
+        assert merged.diagnostics == [
+            f"{tmp_path / 'b.json'}: duplicate card id BEARING_CAPACITY_VESIC"]
+
+    def test_duplicate_user_ids_degrade_health(self, tmp_path, monkeypatch):
+        import geocard.catalog
+        from geocard.server import McpServer
+
+        card = CATALOG.get_method("BEARING_CAPACITY_TERZAGHI").to_dict()
+        card["id"] = "MY_CARD"
+        (tmp_path / "a.json").write_text(json.dumps(card))
+        (tmp_path / "b.json").write_text(json.dumps(card))
+        monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(tmp_path))
+        monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
+        health = McpServer()._tool_health({})
+        assert health["status"] == "degraded"
+        assert health["diagnostics"] == [
+            f"{tmp_path / 'b.json'}: duplicate card id MY_CARD"]
+
     def test_broken_user_card_is_diagnosed_not_fatal(self, tmp_path):
         (tmp_path / "broken.json").write_text('{"id": "X"}')
         merged = load_catalog(extra_dir=tmp_path)

@@ -114,6 +114,18 @@ class TestValidate:
         assert "ok   a.json: BEARING_CAPACITY_VESIC" in out
         assert "FAIL b.json: duplicate card id BEARING_CAPACITY_VESIC" in out
 
+    def test_equation_condition_fails_validation(self, tmp_path, capsys):
+        good = (Path(__file__).parents[1] /
+                "src/geocard/data/catalog/bearing_capacity_vesic.json")
+        card = json.loads(good.read_text())
+        card["variants"][0]["equations"][0]["condition"] = "phi_prime > 0"
+        (tmp_path / "cond.json").write_text(json.dumps(card))
+        assert main(["validate", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "FAIL cond.json: $.variants[0].equations[0].condition: ")
+        assert "Piecewise" in out
+
     def test_non_finite_default_fails_validation(self, tmp_path, capsys):
         good = (Path(__file__).parents[1] /
                 "src/geocard/data/catalog/bearing_capacity_vesic.json")

@@ -23,7 +23,6 @@ from geocard.ec7 import (
     load_scenario,
 )
 from geocard.errors import (
-    GeocardError,
     InvalidGeometry,
     NoBracket,
     NonConvergence,
@@ -278,10 +277,12 @@ class TestWidthDesignPassesOwnCheck:
         assert 1.0 - 1e-3 < result.check.utilization <= 1.0
         assert result.check.B == result.B_req
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-3, math.nan, math.inf,
+                                           1.0, 5.0])
     def test_bad_tolerance_rejected(self, tolerance):
-        with pytest.raises(GeocardError):
+        with pytest.raises(SchemaError) as err:
             design_footing_width_ec7(SCENARIO, "DA2", tolerance=tolerance)
+        assert err.value.path == "$.tolerance"
 
     def test_unreachable_tolerance_raises_non_convergence(self):
         # 1 - 1e-300 rounds to 1.0, which no passing width exceeds.
@@ -323,6 +324,16 @@ class TestScenarioFile:
     def test_missing_field_rejected(self):
         with pytest.raises(SchemaError):
             load_scenario('{"L": "1 m"}')
+
+    def test_metadata_types_checked(self):
+        raw = json.loads(Path(bundled_scenario_path()).read_text())
+        for key, value in (("jrc_verified", "false"), ("jrc_verified", 1),
+                           ("name", [1, 2]), ("name", None)):
+            with pytest.raises(SchemaError) as err:
+                load_scenario(json.dumps(dict(raw, **{key: value})))
+            assert err.value.path == f"$.{key}"
+        scn = load_scenario(json.dumps(dict(raw, name="A3", jrc_verified=True)))
+        assert (scn.name, scn.jrc_verified) == ("A3", True)
 
     def test_wrong_unit_dimension_rejected(self):
         from geocard.errors import DimensionMismatch

@@ -11,10 +11,10 @@ from geocard.cards import load_card
 from geocard.catalog import load_catalog
 from geocard.engine import EvaluationRequest, evaluate_card, normalize_inputs
 from geocard.errors import (
-    ConditionConflict,
     DimensionMismatch,
     MathDomain,
     MissingInput,
+    NoBranchTaken,
     NonConvergence,
     NonFiniteValue,
     UnexpectedInput,
@@ -259,17 +259,16 @@ class TestIterativeSolving:
 
 CONDITIONAL_CARD_TEMPLATE = {
     "id": "TEST_CONDITIONS",
-    "title": "Conditional equations",
+    "title": "Conditional equation",
     "category": "Testing",
-    "description": "Target with mutually exclusive conditions.",
+    "description": "Target with a Piecewise of mutually exclusive conditions.",
     "variables": [
         {"key": "y", "name": "y", "role": "output", "unit": "dimensionless"},
         {"key": "x", "name": "x", "role": "input", "unit": "dimensionless"},
     ],
     "variants": [
         {"id": "base", "title": "Base", "equations": [
-            {"target": "y", "sympy": "x", "condition": "x > 0"},
-            {"target": "y", "sympy": "0 - x", "condition": "x <= 0"},
+            {"target": "y", "sympy": "Piecewise((x, x > 0), (0 - x, x <= 0))"},
         ]},
     ],
     "sources": [{"title": "Internal test fixture."}],
@@ -282,22 +281,19 @@ class TestConditions:
         assert run(card, "base", {"x": 3.0}).outputs["y"].magnitude == 3.0
         assert run(card, "base", {"x": -3.0}).outputs["y"].magnitude == 3.0
 
-    def test_overlapping_conditions_conflict(self):
-        overlapping = json.loads(json.dumps(CONDITIONAL_CARD_TEMPLATE))
-        overlapping["variants"][0]["equations"][1]["condition"] = "x > -1"
-        card = load_card(json.dumps(overlapping))
-        with pytest.raises(ConditionConflict):
-            run(card, "base", {"x": 3.0})
-        # Where only one condition holds the card still evaluates.
-        assert run(card, "base", {"x": -0.5}).outputs["y"].magnitude == 0.5
-
     def test_no_true_condition_is_unresolved(self):
         never = json.loads(json.dumps(CONDITIONAL_CARD_TEMPLATE))
         never["variants"][0]["equations"] = [
-            {"target": "y", "sympy": "x", "condition": "x > 0"}]
+            {"target": "y", "sympy": "Piecewise((x, x > 0))"}]
         card = load_card(json.dumps(never))
-        with pytest.raises(UnresolvedVariable):
+        with pytest.raises(NoBranchTaken) as err:
             run(card, "base", {"x": -1.0})
+        fault = err.value
+        assert fault.failed_step == {"target": "y",
+                                     "expression": "Piecewise((x, x > 0))",
+                                     "inputs": {"x": -1.0}}
+        assert fault.partial_trace.steps == ()
+        assert fault.payload()["error"] == "no_branch_taken"
 
 
 class TestFaults:
@@ -386,7 +382,7 @@ class TestPlan:
                 {"target": "d", "sympy": "a + 1"},
             ]))
         variant = card.variant("base")
-        assert [t for t, _ in variant.direct] == ["b", "d", "c"]
+        assert [eq.target for eq in variant.direct] == ["b", "d", "c"]
         assert variant.iterative == ()
         trace = run(card, "base", {"a": 3.0})
         assert [s.target for s in trace.steps] == ["b", "d", "c"]
@@ -402,8 +398,8 @@ class TestPlan:
                 {"target": "w", "sympy": "2*a"},
             ]))
         variant = card.variant("base")
-        assert [t for t, _ in variant.direct] == ["w"]
-        assert [t for t, _ in variant.iterative] == ["z", "y", "x"]
+        assert [eq.target for eq in variant.direct] == ["w"]
+        assert [eq.target for eq in variant.iterative] == ["z", "y", "x"]
         trace = run(card, "base", {"a": 1.0})
         assert [(s.target, s.method) for s in trace.steps] == [
             ("w", "direct"), ("z", "iterative"), ("y", "iterative"),
@@ -415,17 +411,17 @@ class TestPlan:
         assert trace.outputs["z"].magnitude == pytest.approx(11 / 3, rel=1e-8)
 
     def test_conditioned_target_waits_for_every_alternative(self):
-        # y's first alternative needs m, so y runs after m even when x > 0
-        # selects the alternative that does not.
+        # y's second branch needs m, so y runs after m even when x > 0
+        # selects the branch that does not.
         card = load_card(dimensionless_card(
             "TEST_UNION", ["y"], ["m"], ["x"], [
-                {"target": "y", "sympy": "x", "condition": "x > 0"},
-                {"target": "y", "sympy": "m", "condition": "x <= 0"},
+                {"target": "y", "sympy": "Piecewise((x, x > 0), (m, x <= 0))"},
                 {"target": "m", "sympy": "0 - x"},
             ]))
         trace = run(card, "base", {"x": 2.0})
         assert [s.target for s in trace.steps] == ["m", "y"]
-        assert trace.steps[1].inputs == {"x": 2.0}
+        assert trace.steps[1].inputs == {"m": -2.0, "x": 2.0}
+        assert trace.outputs["y"].magnitude == 2.0
 
     def test_unproduced_intermediate_fails_at_load(self):
         text = dimensionless_card("TEST_UNPRODUCED", ["y"], ["m"], ["a"], [
@@ -436,10 +432,10 @@ class TestPlan:
 
     def test_unproduced_symbol_in_untaken_alternative_fails_at_load(self):
         text = dimensionless_card("TEST_UNPRODUCED", ["y"], ["m"], ["a"], [
-            {"target": "y", "sympy": "a", "condition": "a > 0"},
-            {"target": "y", "sympy": "m", "condition": "a <= 0"}])
-        with pytest.raises(UnresolvedVariable):
+            {"target": "y", "sympy": "Piecewise((a, a > 0), (m, a <= 0))"}])
+        with pytest.raises(UnresolvedVariable) as err:
             load_card(text)
+        assert err.value.key == "m"
 
     def test_unproduced_symbol_behind_cycle_fails_at_load(self):
         text = dimensionless_card("TEST_UNPRODUCED", ["x"], ["y", "m"], [], [
