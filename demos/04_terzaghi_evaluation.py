@@ -25,8 +25,8 @@ trace = evaluate_card(card, EvaluationRequest(
 
 print("steps:")
 for step in trace.steps:
-    print(f"  [{step.index}] {step.target:8s} = {step.result.magnitude:.4f} "
-          f"{step.result.unit.name}")
+    print(f"  [{step['index']}] {step['target']:8s} = {step['value']:.4f} "
+          f"{step['unit']}")
 print("q_ult =", trace.outputs["q_ult"])
 
 # Same inputs in different units give the same normalized result.

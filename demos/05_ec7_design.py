@@ -37,8 +37,8 @@ print(f"\nULS check at B = 1.497 m (DA1-C2): V_d = {check.V_d:.2f} kN, "
       f"R_d = {check.R_d:.2f} kN, utilization = {check.utilization:.3f}")
 print("bearing factors in the embedded trace:")
 for step in check.trace.steps:
-    if step.target.startswith(("N_", "s_")):
-        print(f"  {step.target:8s} = {step.result.magnitude:.3f}")
+    if step["target"].startswith(("N_", "s_")):
+        print(f"  {step['target']:8s} = {step['value']:.3f}")
 
 # Width search across all four Design Approaches. DA2 comes out most
 # economical and DA3 most conservative; DA1 is governed by combination 2.

@@ -46,7 +46,6 @@ from .ec7 import (  # noqa: F401
 from .engine import (  # noqa: F401
     EvaluationRequest,
     EvaluationTrace,
-    TraceStep,
     evaluate_card,
     normalize_inputs,
 )

@@ -24,10 +24,10 @@ from .ec7 import (
     design_footing_width_ec7,
     load_scenario,
 )
-from .engine import EvaluationRequest, evaluate_card
+from .engine import EvaluationRequest, evaluate_card, strict_json
 from .errors import GeocardError
 from .report import format_sig, render_report
-from .server import serve, strict_json
+from .server import serve
 from .units import DATA_DIR
 
 

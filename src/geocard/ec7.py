@@ -27,8 +27,8 @@ from typing import Optional
 
 from .catalog import Catalog, default_catalog
 from .engine import EvaluationRequest, EvaluationTrace, evaluate_card
-from .errors import (InvalidGeometry, NoBracket, NonConvergence, SchemaError,
-                     UnknownDesignApproach)
+from .errors import (InvalidGeometry, NoBracket, NonConvergence,
+                     NonFiniteValue, SchemaError, UnknownDesignApproach)
 from .units import DATA_DIR, to_magnitude
 
 GAMMA_WATER = 9.81  # kN/m^3
@@ -116,7 +116,8 @@ class FootingScenario:
     """A strip/rectangular footing design situation.
 
     All values are card-normalized: metres, kPa, kN, kN/m^3, radians.
-    ``B`` may be None while the width is the design unknown.
+    The width is not part of the scenario: the check takes it as an
+    argument and the design searches for it.
     """
 
     L: float
@@ -128,7 +129,6 @@ class FootingScenario:
     G_k_col: float
     Q_k: float
     gamma_sw: float
-    B: Optional[float] = None
     e: float = 0.0
     c_u_k: Optional[float] = None
     surcharge_model: str = "effective_overburden"
@@ -139,8 +139,6 @@ class FootingScenario:
         for label, value in (("L", self.L), ("D_f", self.D_f)):
             if value <= 0:
                 raise SchemaError(f"$.{label}", "must be positive")
-        if self.B is not None and self.B <= 0:
-            raise SchemaError("$.B", "must be positive")
         if self.e < 0:
             raise SchemaError("$.e", "must be non-negative")
         if self.surcharge_model not in SURCHARGE_MODELS:
@@ -155,7 +153,7 @@ class FootingScenario:
 
 _QUANTITY_FIELDS = {
     # field -> card unit the magnitude is normalized to
-    "B": "m", "L": "m", "D_f": "m", "e": "m",
+    "L": "m", "D_f": "m", "e": "m",
     "phi_prime_k": "radians",
     "c_prime_k": "kPa", "c_u_k": "kPa",
     "gamma_k": "kN/m^3", "gamma_sw": "kN/m^3",
@@ -273,6 +271,8 @@ def check_footing_uls_ec7(scenario: FootingScenario, design_approach: str,
     """ULS bearing check at a trial width against the Annex D card.
 
     The card comes from ``catalog``, or from default_catalog() when None.
+    A design action or resistance that overflows to infinity raises
+    NonFiniteValue naming ``V_d`` or ``R_d``.
     """
     pf = get_ec7_preset_partials(design_approach)
     if B <= 0:
@@ -306,6 +306,9 @@ def check_footing_uls_ec7(scenario: FootingScenario, design_approach: str,
     q_ult = trace.outputs["q_ult"].magnitude
     R_d = q_ult * B_eff * scenario.L / pf.gamma_R
     V_d = compute_design_action(scenario, pf, B)
+    for label, value in (("V_d", V_d), ("R_d", R_d)):
+        if not math.isfinite(value):  # float arithmetic overflows silently
+            raise NonFiniteValue(label)
     utilization = V_d / R_d if R_d > 0 else math.inf
     return UlsCheckResult(
         design_approach=design_approach,

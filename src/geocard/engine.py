@@ -9,7 +9,9 @@ the direct equations in order, then solves the leftover block by plain
 fixed-point iteration from 1.0 in card units, re-evaluating the block's
 equations in listed order until the largest relative change drops below
 1e-9 (hard cap 200 iterations). Every intermediate and output variable
-lands in the trace.
+lands in the trace, each step as the dict that is its wire form: index,
+target, expression, inputs (sorted), value, unit, description, method.
+``strict_json`` is the one writer of traces and tool replies.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 from . import expression as ex
 from .cards import EquationSpec, MethodCard
@@ -47,35 +49,12 @@ class EvaluationRequest:
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    index: int
-    target: str
-    expression: str
-    inputs: dict
-    result: Quantity
-    description: Optional[str]
-    method: str  # "direct" | "iterative"
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "target": self.target,
-            "expression": self.expression,
-            "inputs": {k: self.inputs[k] for k in sorted(self.inputs)},
-            "value": self.result.magnitude,
-            "unit": self.result.unit.name,
-            "description": self.description,
-            "method": self.method,
-        }
-
-
-@dataclass(frozen=True)
 class EvaluationTrace:
     card_id: str
     variant_id: str
     request_inputs: dict
     request_overrides: dict
-    steps: tuple
+    steps: tuple  # wire dicts, written once by _Runner._record
     outputs: dict  # key -> Quantity
     sources: tuple
     diagnostics: dict
@@ -90,7 +69,7 @@ class EvaluationTrace:
                 "overrides": {k: self.request_overrides[k]
                               for k in sorted(self.request_overrides)},
             },
-            "steps": [s.to_dict() for s in self.steps],
+            "steps": list(self.steps),
             "outputs": {
                 k: {"value": self.outputs[k].magnitude, "unit": self.outputs[k].unit.name}
                 for k in sorted(self.outputs)
@@ -102,17 +81,20 @@ class EvaluationTrace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
+        return strict_json(self.to_dict())
+
+
+def strict_json(body) -> str:
+    """Indented strict JSON of a trace or reply; a NaN or infinity is a
+    domain error."""
+    try:
+        return json.dumps(body, indent=2, allow_nan=False)
+    except ValueError:  # a NaN or infinity computed from finite inputs
+        raise NonFiniteValue("result") from None
 
 
 def _echo_value(value: InputValue):
-    if isinstance(value, Quantity):
-        return format_quantity(value)
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float, str)):
-        return value
-    return str(value)
+    return format_quantity(value) if isinstance(value, Quantity) else value
 
 
 def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue]) -> dict[str, float]:
@@ -137,7 +119,7 @@ class _Runner:
     def __init__(self, card: MethodCard, request: EvaluationRequest):
         self.card = card
         self.request = request
-        self.steps: list[TraceStep] = []
+        self.steps: list[dict] = []
         self.env: dict[str, float] = {}
         self.cycles: list[dict] = []
 
@@ -172,17 +154,18 @@ class _Runner:
             raise self._attach(exc, eq)
 
     def _record(self, eq: EquationSpec, value: float, method: str) -> None:
-        used = {k: self.env[k] for k in eq.symbols}
+        """Append the step in its wire form; eq.symbols is sorted."""
+        self.steps.append({
+            "index": len(self.steps),
+            "target": eq.target,
+            "expression": eq.sympy,
+            "inputs": {k: self.env[k] for k in eq.symbols},
+            "value": value,
+            "unit": self.card.units[eq.target].name,
+            "description": eq.description,
+            "method": method,
+        })
         self.env[eq.target] = value
-        self.steps.append(TraceStep(
-            index=len(self.steps),
-            target=eq.target,
-            expression=eq.sympy,
-            inputs=used,
-            result=Quantity(value, self.card.units[eq.target]),
-            description=eq.description,
-            method=method,
-        ))
 
     # -- main ----------------------------------------------------------------
 

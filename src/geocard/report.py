@@ -1,9 +1,9 @@
 """Markdown calculation reports rendered from evaluation traces.
 
 Reports show 4 significant figures; the JSON trace remains the lossless
-record. Every number printed here comes from the trace, and the source
-list is copied verbatim from the card so the reference list is generated,
-not hand-maintained.
+record. Every number printed here comes from the trace, each step read
+from its wire dict, and the source list is copied verbatim from the card
+so the reference list is generated, not hand-maintained.
 """
 
 from __future__ import annotations
@@ -12,17 +12,17 @@ from .cards import MethodCard
 from .engine import EvaluationTrace
 
 
-def format_sig(value: float, figures: int = 4) -> str:
-    """Format to a fixed number of significant figures, trimming exponents
-    for magnitudes a report reader expects in plain notation."""
+def format_sig(value: float) -> str:
+    """Format to 4 significant figures, trimming exponents for magnitudes a
+    report reader expects in plain notation."""
     if value == 0:
         return "0"
-    text = f"{value:.{figures}g}"
-    if "e" in text or "E" in text:
+    text = f"{value:.4g}"
+    if "e" in text:  # the g format writes a lowercase exponent
         mantissa, _, exponent = text.partition("e")
         exp = int(exponent)
         if -4 < exp < 7:
-            text = f"{value:.{max(figures - exp - 1, 0)}f}".rstrip("0").rstrip(".")
+            text = f"{value:.{max(3 - exp, 0)}f}".rstrip("0").rstrip(".")
     return text
 
 
@@ -48,19 +48,19 @@ def render_report(trace: EvaluationTrace, card: MethodCard) -> str:
 
     lines += ["", "## Calculation Steps", ""]
     for step in trace.steps:
-        unit = step.result.unit.name
+        target, unit = step["target"], step["unit"]
         unit_text = "" if unit == "dimensionless" else f" {unit}"
-        lines.append(f"### Step {step.index + 1}: `{step.target}`")
-        if step.description:
-            lines.append(f"*{step.description}*")
+        lines.append(f"### Step {step['index'] + 1}: `{target}`")
+        if step["description"]:
+            lines.append(f"*{step['description']}*")
         lines.append("")
-        lines.append(f"    {step.target} = {step.expression}")
-        if step.inputs:
+        lines.append(f"    {target} = {step['expression']}")
+        if step["inputs"]:  # already in sorted key order
             substituted = ", ".join(
-                f"{k} = {format_sig(v)}" for k, v in sorted(step.inputs.items()))
+                f"{k} = {format_sig(v)}" for k, v in step["inputs"].items())
             lines.append(f"    with {substituted}")
-        marker = " (fixed-point iteration)" if step.method == "iterative" else ""
-        lines.append(f"    {step.target} = {format_sig(step.result.magnitude)}"
+        marker = " (fixed-point iteration)" if step["method"] == "iterative" else ""
+        lines.append(f"    {target} = {format_sig(step['value'])}"
                      f"{unit_text}{marker}")
         lines.append("")
 

@@ -24,9 +24,9 @@ from .ec7 import (
     get_ec7_preset_partials,
     load_scenario,
 )
-from .engine import EvaluationRequest, evaluate_card
+from .engine import EvaluationRequest, evaluate_card, strict_json
 from .errors import GeocardError, MalformedQuantity, MissingUnit, NonFiniteValue
-from .skills import SkillLibrary, load_skills
+from .skills import load_skills
 from .units import split_quantity_text, to_magnitude
 
 PROTOCOL_VERSION = "2024-11-05"
@@ -212,21 +212,12 @@ def validate_arguments(schema: dict, arguments: dict) -> Optional[str]:
     return None
 
 
-def strict_json(body) -> str:
-    """Indented strict JSON of a reply; a NaN or infinity is a domain error."""
-    try:
-        return json.dumps(body, indent=2, allow_nan=False)
-    except ValueError:  # a NaN or infinity computed from finite inputs
-        raise NonFiniteValue("result") from None
-
-
 class McpServer:
     """Dispatches MCP requests over newline-delimited JSON-RPC."""
 
-    def __init__(self, catalog: Catalog | None = None,
-                 skills: SkillLibrary | None = None):
+    def __init__(self, catalog: Catalog | None = None):
         self.catalog = catalog if catalog is not None else default_catalog()
-        self.skills = skills if skills is not None else load_skills()
+        self.skills = load_skills()
         self.defaults: dict = {}  # session defaults: input key -> value
         self._handlers = {
             "geo_list_methods": self._tool_list_methods,
@@ -274,38 +265,29 @@ class McpServer:
     # ----------------------------------------------------------- dispatch ----
 
     def handle_message(self, message) -> Optional[dict]:
-        """Handle one decoded message; None for notifications."""
+        """Handle one decoded message; None for a notification (no ``id``)."""
+        if isinstance(message, dict) and "id" not in message:
+            return None
         if not isinstance(message, dict) or message.get("jsonrpc") != "2.0":
-            if isinstance(message, dict) and "id" not in message:
-                return None
             return self._error(message.get("id") if isinstance(message, dict) else None,
                                INVALID_REQUEST, "invalid request")
-        is_notification = "id" not in message
-        msg_id = message.get("id")
+        msg_id = message["id"]
         method = message.get("method")
         params = message.get("params") or {}
 
         if method == "initialize":
-            result = {
+            return self._result(msg_id, {
                 "protocolVersion": PROTOCOL_VERSION,
                 "capabilities": {"tools": {}},
                 "serverInfo": {"name": SERVER_NAME, "version": __version__},
                 "instructions": INSTRUCTIONS,
-            }
-            return None if is_notification else self._result(msg_id, result)
-        if method == "notifications/initialized":
-            return None
+            })
         if method == "ping":
-            return None if is_notification else self._result(msg_id, {})
+            return self._result(msg_id, {})
         if method == "tools/list":
-            return None if is_notification else self._result(
-                msg_id, {"tools": TOOLS})
+            return self._result(msg_id, {"tools": TOOLS})
         if method == "tools/call":
-            if is_notification:
-                return None
             return self._call_tool(msg_id, params)
-        if is_notification:
-            return None
         return self._error(msg_id, METHOD_NOT_FOUND, f"method not found: {method}")
 
     def _call_tool(self, msg_id, params) -> dict:
@@ -450,8 +432,6 @@ class McpServer:
         }
 
 
-def serve(stdin: TextIO = None, stdout: TextIO = None,
-          catalog: Catalog | None = None,
-          skills: SkillLibrary | None = None) -> None:
+def serve(stdin: TextIO = None, stdout: TextIO = None) -> None:
     """Construct a server over the given streams and run until EOF."""
-    McpServer(catalog=catalog, skills=skills).serve(stdin, stdout)
+    McpServer().serve(stdin, stdout)

@@ -46,7 +46,7 @@ EC7 = CATALOG.get_method("BEARING_CAPACITY_EUROCODE7")
 
 def run_card(card, variant, inputs):
     trace = evaluate_card(card, EvaluationRequest(card.id, variant, inputs))
-    return {s.target: s.result.magnitude for s in trace.steps}
+    return {s["target"]: s["value"] for s in trace.steps}
 
 
 def checked(number: int, description: str):

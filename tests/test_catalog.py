@@ -34,7 +34,7 @@ def factors(card_id, variant, phi, **extra):
             else "phi_prime")] = phi
     inputs.update(extra)
     trace = evaluate_card(card, EvaluationRequest(card_id, variant, inputs))
-    return {s.target: s.result.magnitude for s in trace.steps}
+    return {s["target"]: s["value"] for s in trace.steps}
 
 
 class TestIndex:

@@ -10,6 +10,7 @@ import pytest
 from conftest import BAD_CARD_FILES
 from geocard.cli import main
 from geocard.ec7 import bundled_scenario_path
+from test_ec7 import OVERFLOWING, overflowing_scenario
 
 SCENARIO = bundled_scenario_path()
 
@@ -155,6 +156,15 @@ class TestEval:
         assert body["outputs"]["q_ult"]["value"] == pytest.approx(
             734.4649528166381, rel=1e-12)
 
+    @pytest.mark.parametrize("fmt, golden", [
+        ("report", "golden_cli_terzaghi_report.md"),
+        ("json", "golden_cli_terzaghi.json"),
+    ])
+    def test_output_matches_golden_file(self, fmt, golden, capsys):
+        assert main(TERZAGHI_EVAL + ["--format", fmt]) == 0
+        expected = (Path(__file__).parent / "data" / golden).read_text("utf-8")
+        assert capsys.readouterr().out == expected
+
     def test_report_values_match_trace(self, capsys):
         """Every printed step value equals the trace value at 4 sig figs."""
         main(TERZAGHI_EVAL + ["--format", "json"])
@@ -254,6 +264,19 @@ class TestEc7Commands:
         assert captured.err.startswith("error: ")
         assert "finite" in captured.err
         assert "Traceback" not in captured.err
+
+
+    @pytest.mark.parametrize("fmt", ["summary", "json"])
+    @pytest.mark.parametrize("changes, da, key", OVERFLOWING)
+    def test_overflowing_check_names_the_field(self, changes, da, key, fmt,
+                                               tmp_path, capsys):
+        path = tmp_path / "overflow.json"
+        path.write_text(overflowing_scenario(changes))
+        assert main(["ec7", "check", "--scenario", str(path), "--da", da,
+                     "--B", "1.5", "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {key!r} is not a finite number\n"
 
 
 class TestServeSubprocess:

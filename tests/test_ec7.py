@@ -291,6 +291,33 @@ class TestWidthDesignPassesOwnCheck:
         assert err.value.iterations == 200
 
 
+# Finite scenario values whose design action or resistance overflows.
+OVERFLOWING = [
+    pytest.param({"gamma_k": "1e306 kN/m^3"}, "DA1-C1", "R_d", id="R_d"),
+    pytest.param({"G_k_col": "1.7e308 kN"}, "DA2", "V_d", id="V_d"),
+]
+
+
+def overflowing_scenario(changes: dict) -> str:
+    raw = json.loads(Path(bundled_scenario_path()).read_text())
+    return json.dumps({**raw, **changes})
+
+
+class TestOverflowingCheck:
+    @pytest.mark.parametrize("changes, da, key", OVERFLOWING)
+    def test_check_raises_non_finite(self, changes, da, key):
+        scenario = load_scenario(overflowing_scenario(changes))
+        with pytest.raises(NonFiniteValue) as err:
+            check_footing_uls_ec7(scenario, da, 1.5)
+        assert err.value.key == key
+
+    def test_design_raises_non_finite_not_no_bracket(self):
+        scenario = load_scenario(overflowing_scenario({"G_k_col": "1.7e308 kN"}))
+        with pytest.raises(NonFiniteValue) as err:
+            design_footing_width_ec7(scenario, "DA2")
+        assert err.value.key == "V_d"
+
+
 class TestScenarioNonFinite:
     @pytest.mark.parametrize("value", ['NaN', 'Infinity', '"1e400 kN"', '1e400'])
     def test_rejected(self, value):

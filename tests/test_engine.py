@@ -81,7 +81,7 @@ class TestTerzaghiEvaluation:
         """phi 30 deg, c' 0, gamma 18, B 2, q 18: the classic factor check."""
         trace = run(TERZAGHI, "general_shear_failure_strip",
                     TERZAGHI_STRIP_INPUTS)
-        by_target = {s.target: s.result.magnitude for s in trace.steps}
+        by_target = {s["target"]: s["value"] for s in trace.steps}
         assert by_target["N_q"] == pytest.approx(18.401, abs=5e-4)
         assert by_target["N_c"] == pytest.approx(30.140, abs=5e-4)
         assert by_target["N_gamma"] == pytest.approx(22.402, abs=5e-4)
@@ -125,7 +125,7 @@ class TestEc7CardEvaluation:
         trace = run(EC7, "drained", {
             "phi_prime_d": phi_d, "c_prime_d": 0, "c_u_d": 0, "gamma": 0,
             "q": 0, "B": 1.497, "L": 21.4})
-        by_target = {s.target: s.result.magnitude for s in trace.steps}
+        by_target = {s["target"]: s["value"] for s in trace.steps}
         assert by_target["N_q"] == pytest.approx(23.19, abs=0.005)
         assert by_target["N_c"] == pytest.approx(35.51, abs=0.005)
         assert by_target["N_gamma"] == pytest.approx(27.74, abs=0.005)
@@ -144,8 +144,8 @@ class TestTraceContract:
     def test_steps_are_contiguous_and_complete(self):
         trace = run(TERZAGHI, "general_shear_failure_strip",
                     TERZAGHI_STRIP_INPUTS)
-        assert [s.index for s in trace.steps] == list(range(len(trace.steps)))
-        targets = [s.target for s in trace.steps]
+        assert [s["index"] for s in trace.steps] == list(range(len(trace.steps)))
+        targets = [s["target"] for s in trace.steps]
         assert len(targets) == len(set(targets))
         variant = TERZAGHI.variant("general_shear_failure_strip")
         assert set(targets) == {eq.target for eq in variant.equations}
@@ -159,9 +159,9 @@ class TestTraceContract:
         trace = run(TERZAGHI, "general_shear_failure_strip",
                     TERZAGHI_STRIP_INPUTS)
         q_ult_step = trace.steps[-1]
-        assert q_ult_step.target == "q_ult"
-        assert q_ult_step.inputs["N_q"] == pytest.approx(18.401, abs=5e-4)
-        assert q_ult_step.inputs["B"] == 2.0
+        assert q_ult_step["target"] == "q_ult"
+        assert q_ult_step["inputs"]["N_q"] == pytest.approx(18.401, abs=5e-4)
+        assert q_ult_step["inputs"]["B"] == 2.0
 
     def test_canonical_json_key_order(self):
         trace = run(TERZAGHI, "general_shear_failure_strip",
@@ -223,7 +223,7 @@ class TestIterativeSolving:
         card = load_card(CYCLIC_CARD)
         trace = run(card, "base", {"a": 1.0})
         assert trace.outputs["x"].magnitude == pytest.approx(2.0, rel=1e-8)
-        assert all(s.method == "iterative" for s in trace.steps)
+        assert all(s["method"] == "iterative" for s in trace.steps)
         cycles = trace.diagnostics["iterative_cycles"]
         assert len(cycles) == 1
         assert set(cycles[0]["variables"]) == {"x", "y"}
@@ -310,7 +310,7 @@ class TestFaults:
         fault = err.value
         assert fault.failed_step["target"] == "x"
         steps = fault.partial_trace.steps
-        assert [s.target for s in steps] == ["y"]
+        assert [s["target"] for s in steps] == ["y"]
 
     def test_unknown_variant(self):
         from geocard.errors import UnknownVariant
@@ -350,7 +350,7 @@ class TestOracleEquivalenceProperty:
     def test_terzaghi_factors_match_oracle(self, phi):
         trace = run(TERZAGHI, "general_shear_failure_strip", {
             "c_prime": 0, "phi_prime": phi, "gamma": 0, "B": 1, "q": 0})
-        by_target = {s.target: s.result.magnitude for s in trace.steps}
+        by_target = {s["target"]: s["value"] for s in trace.steps}
         nq, nc, ng = oracles.terzaghi_factors(phi)
         assert by_target["N_q"] == pytest.approx(nq, rel=1e-10)
         assert by_target["N_c"] == pytest.approx(nc, rel=1e-10)
@@ -385,8 +385,8 @@ class TestPlan:
         assert [eq.target for eq in variant.direct] == ["b", "d", "c"]
         assert variant.iterative == ()
         trace = run(card, "base", {"a": 3.0})
-        assert [s.target for s in trace.steps] == ["b", "d", "c"]
-        assert all(s.method == "direct" for s in trace.steps)
+        assert [s["target"] for s in trace.steps] == ["b", "d", "c"]
+        assert all(s["method"] == "direct" for s in trace.steps)
         assert trace.outputs["c"].magnitude == 10.0
 
     def test_target_downstream_of_cycle_is_iterated_with_it(self):
@@ -401,7 +401,7 @@ class TestPlan:
         assert [eq.target for eq in variant.direct] == ["w"]
         assert [eq.target for eq in variant.iterative] == ["z", "y", "x"]
         trace = run(card, "base", {"a": 1.0})
-        assert [(s.target, s.method) for s in trace.steps] == [
+        assert [(s["target"], s["method"]) for s in trace.steps] == [
             ("w", "direct"), ("z", "iterative"), ("y", "iterative"),
             ("x", "iterative")]
         assert trace.diagnostics["iterative_cycles"][0]["variables"] == \
@@ -419,8 +419,8 @@ class TestPlan:
                 {"target": "m", "sympy": "0 - x"},
             ]))
         trace = run(card, "base", {"x": 2.0})
-        assert [s.target for s in trace.steps] == ["m", "y"]
-        assert trace.steps[1].inputs == {"m": -2.0, "x": 2.0}
+        assert [s["target"] for s in trace.steps] == ["m", "y"]
+        assert trace.steps[1]["inputs"] == {"m": -2.0, "x": 2.0}
         assert trace.outputs["y"].magnitude == 2.0
 
     def test_unproduced_intermediate_fails_at_load(self):
@@ -474,5 +474,5 @@ class TestNonFiniteInputs:
         assert err.value.failed_step["target"] == "q_ult"
         assert err.value.failed_step["inputs"]["gamma"] == 1e300
         steps = err.value.partial_trace.steps
-        assert steps and "q_ult" not in [s.target for s in steps]
+        assert steps and "q_ult" not in [s["target"] for s in steps]
         json.dumps(err.value.payload(), allow_nan=False)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geocard.server import McpServer, TOOLS, serve
+from test_ec7 import OVERFLOWING
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -79,6 +80,20 @@ class TestProtocol:
     def test_initialized_notification_gets_no_response(self, server):
         assert server.handle_message(
             {"jsonrpc": "2.0", "method": "notifications/initialized"}) is None
+
+    @pytest.mark.parametrize("msg_id", [7, "n-7", 0, None])
+    def test_request_named_like_a_notification_gets_a_reply(self, server, msg_id):
+        response = server.handle_message(
+            rpc("notifications/initialized", msg_id=msg_id))
+        assert response == {"jsonrpc": "2.0", "id": msg_id, "error": {
+            "code": -32601,
+            "message": "method not found: notifications/initialized"}}
+
+    @pytest.mark.parametrize("method", [
+        "initialize", "ping", "tools/list", "tools/call",
+        "notifications/cancelled"])
+    def test_message_without_id_gets_no_reply(self, server, method):
+        assert server.handle_message({"jsonrpc": "2.0", "method": method}) is None
 
     def test_tools_list(self, server):
         response = server.handle_message(rpc("tools/list"))
@@ -410,6 +425,25 @@ class TestNonFiniteAtTheBoundary:
         args["inputs"].update(gamma="1e300 kN/m^3", B="1e300 m")
         response = strict_json(call(server, "geo_evaluate_with_units", args))
         assert tool_error(response)["error"] == "non_finite_value"
+
+
+class TestOverflowingScenario:
+    @pytest.mark.parametrize("changes, da, key", OVERFLOWING)
+    def test_check_names_the_field(self, server, changes, da, key):
+        response = call(server, "geo_check_footing_uls_ec7", {
+            "scenario": {**JRC_SCENARIO, **changes}, "design_approach": da,
+            "B": 1.5})
+        assert tool_error(response) == {
+            "error": "non_finite_value",
+            "message": f"{key!r} is not a finite number"}
+
+    def test_design_names_the_field(self, server):
+        response = call(server, "geo_design_footing_width_ec7", {
+            "scenario": {**JRC_SCENARIO, "G_k_col": "1.7e308 kN"},
+            "design_approach": "DA2"})
+        assert tool_error(response) == {
+            "error": "non_finite_value",
+            "message": "'V_d' is not a finite number"}
 
 
 class TestRecommendSkillsArguments:
