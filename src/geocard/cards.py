@@ -6,8 +6,10 @@ variable, every unit resolves in the registry, structural rules (roles,
 defaults, variant coverage, one equation per target) have been checked, and
 each variant carries its evaluation plan (see ``_plan``). A conditional
 formula is one ``Piecewise`` equation; an equation-level ``condition`` is
-rejected. A loaded card also carries the registry ``Unit`` of each
-variable (``MethodCard.units``), so no later pass resolves a unit name again.
+rejected. A loaded card also carries what every evaluation would otherwise
+rediscover: each equation compiled to closures (``EquationSpec.compiled``),
+the registry ``Unit`` of each variable (``MethodCard.units``), and its
+input keys, param defaults and output keys.
 Dimensional consistency is a separate pass — ``validate_dimensions`` —
 that reports findings rather than raising, so a validator CLI can list
 every problem in one run.
@@ -19,7 +21,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import expression as ex
 from .errors import DuplicateKey, SchemaError, UndeclaredSymbol, UnresolvedVariable
@@ -48,6 +50,7 @@ class EquationSpec:
     description: Optional[str] = None
     expr: ex.ExprNode = field(compare=False, default=None, repr=False)
     symbols: tuple = field(compare=False, default=(), repr=False)  # sorted, of expr
+    compiled: Callable = field(compare=False, default=None, repr=False)  # of expr
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,9 @@ class MethodCard:
     applicability: tuple
     sources: tuple
     units: dict = field(compare=False, repr=False)  # key -> registry Unit
+    input_keys: frozenset = field(compare=False, repr=False)
+    param_defaults: dict = field(compare=False, repr=False)  # key -> float
+    output_keys: tuple = field(compare=False, repr=False)  # in declared order
 
     def variant(self, variant_id: str):
         for var in self.variants:
@@ -260,6 +266,7 @@ def load_card(json_text: str) -> MethodCard:
                 description=_optional_str(eq_entry, "description", eq_path),
                 expr=expr,
                 symbols=tuple(sorted(symbols)),
+                compiled=ex.compile_expr(expr),
             )
         missing = outputs - by_target.keys()
         if missing:
@@ -290,6 +297,9 @@ def load_card(json_text: str) -> MethodCard:
         variables=tuple(variables), variants=tuple(variants),
         assumptions=assumptions, applicability=applicability,
         sources=tuple(sources), units=units,
+        input_keys=frozenset(k for k, role in roles.items() if role == "input"),
+        param_defaults={v.key: v.default for v in variables if v.role == "param"},
+        output_keys=tuple(k for k, role in roles.items() if role == "output"),
     )
 
 

@@ -3,7 +3,8 @@
 Covers the four EN 1997-1 Design Approach presets (Annex A partial
 factors), characteristic-to-design parameter reduction, design action
 assembly including foundation self-weight, the ULS bearing check against
-the Annex D card, and the bisection search for the required width.
+the Annex D card, and the bisection search for the required width, whose
+trial widths run untraced.
 The check and the search read the Annex D card from the catalog they are
 given, or from the process-wide ``catalog.default_catalog()`` when given
 none, so the catalog is loaded and audited at most once per process.
@@ -23,11 +24,11 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .catalog import Catalog, default_catalog
-from .engine import EvaluationRequest, EvaluationTrace, evaluate_card
-from .errors import (InvalidGeometry, NoBracket, NonConvergence,
+from .engine import EvaluationRequest, EvaluationTrace, _solve, evaluate_card
+from .errors import (GeocardError, InvalidGeometry, NoBracket, NonConvergence,
                      NonFiniteValue, SchemaError, UnknownDesignApproach)
 from .units import DATA_DIR, to_magnitude
 
@@ -164,15 +165,25 @@ _QUANTITY_FIELDS = {
 _REQUIRED_FIELDS = ("L", "D_f", "phi_prime_k", "c_prime_k", "gamma_k",
                     "groundwater_depth", "G_k_col", "Q_k", "gamma_sw")
 
+# "notes" is free text for the reader; the engine never reads it.
+_OTHER_FIELDS = ("surcharge_model", "name", "jrc_verified", "notes")
+
 
 def load_scenario(json_text: str) -> FootingScenario:
-    """Parse a scenario file: unit-tagged strings for every physical field."""
+    """Parse a scenario file: unit-tagged strings for every physical field.
+
+    A key that names no field is a SchemaError, so a misspelled optional
+    field cannot fall back to its default unseen.
+    """
     try:
         raw = json.loads(json_text)
     except (json.JSONDecodeError, RecursionError) as exc:  # nested too deeply
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError("$", "scenario must be a JSON object")
+    for key in raw:
+        if key not in _QUANTITY_FIELDS and key not in _OTHER_FIELDS:
+            raise SchemaError(f"$.{key}", "unknown field")
     values: dict = {}
     for key in _REQUIRED_FIELDS:
         if raw.get(key) is None:  # absent or null
@@ -265,15 +276,24 @@ def compute_design_action(scenario: FootingScenario, pf: PartialFactorSet,
     return pf.gamma_G * (scenario.G_k_col + W) + pf.gamma_Q * scenario.Q_k
 
 
-def check_footing_uls_ec7(scenario: FootingScenario, design_approach: str,
-                          B: float, catalog: Catalog | None = None,
-                          drainage: str = "drained") -> UlsCheckResult:
-    """ULS bearing check at a trial width against the Annex D card.
+class _UlsValues(NamedTuple):
+    pf: PartialFactorSet
+    design: SoilParameters
+    q_d: float
+    gamma_eff: float
+    B_eff: float
+    V_d: float
+    R_d: float
+    utilization: float
+    trace: Optional[EvaluationTrace]
 
-    The card comes from ``catalog``, or from default_catalog() when None.
-    A design action or resistance that overflows to infinity raises
-    NonFiniteValue naming ``V_d`` or ``R_d``.
-    """
+
+def _uls_values(scenario: FootingScenario, design_approach: str, B: float,
+                catalog: Catalog | None, drainage: str,
+                traced: bool) -> _UlsValues:
+    """The ULS check's numbers at width ``B``: the card inputs, q_ult from
+    the card (with its trace, or untraced and with ``trace`` None), and V_d
+    and R_d. Raises what check_footing_uls_ec7 raises."""
     pf = get_ec7_preset_partials(design_approach)
     if B <= 0:
         raise InvalidGeometry(f"width must be positive, got {B:g}")
@@ -301,33 +321,51 @@ def check_footing_uls_ec7(scenario: FootingScenario, design_approach: str,
         "B": B_eff,
         "L": scenario.L,
     }
-    trace = evaluate_card(card, EvaluationRequest(
-        card_id=EC7_CARD_ID, variant_id=drainage, inputs=inputs))
-    q_ult = trace.outputs["q_ult"].magnitude
+    if traced:
+        trace = evaluate_card(card, EvaluationRequest(
+            card_id=EC7_CARD_ID, variant_id=drainage, inputs=inputs))
+        q_ult = trace.outputs["q_ult"].magnitude
+    else:
+        trace, q_ult = None, _solve(card, drainage, inputs)["q_ult"]
     R_d = q_ult * B_eff * scenario.L / pf.gamma_R
     V_d = compute_design_action(scenario, pf, B)
     for label, value in (("V_d", V_d), ("R_d", R_d)):
         if not math.isfinite(value):  # float arithmetic overflows silently
             raise NonFiniteValue(label)
     utilization = V_d / R_d if R_d > 0 else math.inf
+    return _UlsValues(pf, design, q_d, gamma_eff, B_eff, V_d, R_d,
+                      utilization, trace)
+
+
+def check_footing_uls_ec7(scenario: FootingScenario, design_approach: str,
+                          B: float, catalog: Catalog | None = None,
+                          drainage: str = "drained") -> UlsCheckResult:
+    """ULS bearing check at a trial width against the Annex D card.
+
+    The card comes from ``catalog``, or from default_catalog() when None.
+    A design action or resistance that overflows to infinity raises
+    NonFiniteValue naming ``V_d`` or ``R_d``.
+    """
+    uls = _uls_values(scenario, design_approach, B, catalog, drainage,
+                      traced=True)
     return UlsCheckResult(
         design_approach=design_approach,
         B=B,
-        B_effective=B_eff,
-        V_d=V_d,
-        R_d=R_d,
-        utilization=utilization,
-        passed=utilization <= 1.0 + 1e-12,
+        B_effective=uls.B_eff,
+        V_d=uls.V_d,
+        R_d=uls.R_d,
+        utilization=uls.utilization,
+        passed=uls.utilization <= 1.0 + 1e-12,
         design_parameters={
-            "phi_prime_d": design.phi_prime,
-            "c_prime_d": design.c_prime,
-            "c_u_d": design.c_u,
-            "gamma_d": design.gamma,
-            "q_d": q_d,
-            "gamma_eff": gamma_eff,
+            "phi_prime_d": uls.design.phi_prime,
+            "c_prime_d": uls.design.c_prime,
+            "c_u_d": uls.design.c_u,
+            "gamma_d": uls.design.gamma,
+            "q_d": uls.q_d,
+            "gamma_eff": uls.gamma_eff,
         },
-        partial_factors=pf,
-        trace=trace,
+        partial_factors=uls.pf,
+        trace=uls.trace,
         drainage=drainage,
     )
 
@@ -355,7 +393,10 @@ def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
     """Bisection on utilization(B) - 1 for the required footing width.
 
     Returns the passing end of the bracket, once its utilization lies in
-    (1 - tolerance, 1], together with the check made there. The bracket
+    (1 - tolerance, 1], together with the check made there. The trial
+    widths are evaluated untraced; only that final check carries a trace,
+    and a trial that fails is repeated as a traced check, which raises the
+    same error with its partial trace. The bracket
     starts at [0.1 m, 20 m] and expands automatically (up to fixed limits)
     when utilization does not cross 1 inside it.
     """
@@ -367,31 +408,39 @@ def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
         return check_footing_uls_ec7(scenario, design_approach, width,
                                      catalog=catalog, drainage=drainage)
 
+    def utilization(width: float) -> float:
+        try:
+            return _uls_values(scenario, design_approach, width, catalog,
+                               drainage, traced=False).utilization
+        except GeocardError:
+            check(width)  # deterministic: raises the same error, traced
+            raise
+
     lo = max(0.1, min_b)
     hi = max(20.0, lo)
-    at_lo, at_hi = check(lo), check(hi)
+    at_lo, at_hi = utilization(lo), utilization(hi)
     expansions = 0
-    while at_lo.utilization <= 1.0 and lo > min_b and expansions < 12:
+    while at_lo <= 1.0 and lo > min_b and expansions < 12:
         lo = max(lo / 2.0, min_b)
-        at_lo = check(lo)
+        at_lo = utilization(lo)
         expansions += 1
-    while at_hi.utilization >= 1.0 and expansions < 24:
+    while at_hi >= 1.0 and expansions < 24:
         hi *= 2.0
-        at_hi = check(hi)
+        at_hi = utilization(hi)
         expansions += 1
-    if at_lo.utilization <= 1.0 or at_hi.utilization >= 1.0:
+    if at_lo <= 1.0 or at_hi >= 1.0:
         raise NoBracket(lo, hi)
 
     iterations = 0
-    while at_hi.utilization <= 1.0 - tolerance:
+    while at_hi <= 1.0 - tolerance:
         if iterations == 200:
-            raise NonConvergence(["B"], iterations, 1.0 - at_hi.utilization)
+            raise NonConvergence(["B"], iterations, 1.0 - at_hi)
         mid = 0.5 * (lo + hi)
-        at_mid = check(mid)
-        if at_mid.utilization > 1.0:
+        at_mid = utilization(mid)
+        if at_mid > 1.0:
             lo = mid
         else:
             hi, at_hi = mid, at_mid
         iterations += 1
     return WidthDesignResult(design_approach=design_approach, B_req=hi,
-                             check=at_hi, iterations=iterations)
+                             check=check(hi), iterations=iterations)

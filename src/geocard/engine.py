@@ -11,7 +11,8 @@ equations in listed order until the largest relative change drops below
 1e-9 (hard cap 200 iterations). Every intermediate and output variable
 lands in the trace, each step as the dict that is its wire form: index,
 target, expression, inputs (sorted), value, unit, description, method.
-``strict_json`` is the one writer of traces and tool replies.
+``strict_json`` is the one writer of traces and tool replies. ``_solve``
+walks the same plan without a trace, for searches that only need values.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from . import expression as ex
-from .cards import EquationSpec, MethodCard
+from .cards import EquationSpec, MethodCard, VariantSpec
 from .errors import (
     GeocardError,
     MissingInput,
@@ -97,26 +97,38 @@ def _echo_value(value: InputValue):
     return format_quantity(value) if isinstance(value, Quantity) else value
 
 
+def _check_input_keys(card: MethodCard, raw: Mapping) -> None:
+    supplied = set(raw)
+    missing = card.input_keys - supplied
+    if missing:
+        raise MissingInput(missing)
+    extra = supplied - card.input_keys
+    if extra:
+        raise UnexpectedInput(extra)
+
+
 def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue]) -> dict[str, float]:
     """Convert every supplied value to the card's declared unit magnitude.
 
     Accepts Quantity objects, unit-tagged strings ("38 deg"), and bare
     numbers; bare numbers are trusted as already card-normalized.
     """
-    required = {v.key for v in card.variables if v.role == "input"}
-    supplied = set(raw)
-    missing = required - supplied
-    if missing:
-        raise MissingInput(missing)
-    extra = supplied - required
-    if extra:
-        raise UnexpectedInput(extra)
+    _check_input_keys(card, raw)
     return {key: to_magnitude(value, card.units[key].name, key)
             for key, value in raw.items()}
 
 
+def _variant(card: MethodCard, variant_id: str) -> VariantSpec:
+    variant = card.variant(variant_id)
+    if variant is None:
+        raise UnknownVariant(card.id, variant_id)
+    return variant
+
+
 class _Runner:
-    def __init__(self, card: MethodCard, request: EvaluationRequest):
+    """Walks a variant's plan and records every step in the trace."""
+
+    def __init__(self, card: MethodCard, request: EvaluationRequest | None):
         self.card = card
         self.request = request
         self.steps: list[dict] = []
@@ -149,7 +161,7 @@ class _Runner:
 
     def _eval(self, eq: EquationSpec) -> float:
         try:
-            return ex.evaluate(eq.expr, self.env)
+            return eq.compiled(self.env)
         except GeocardError as exc:
             raise self._attach(exc, eq)
 
@@ -171,21 +183,23 @@ class _Runner:
 
     def run(self) -> EvaluationTrace:
         card, request = self.card, self.request
-        variant = card.variant(request.variant_id)
-        if variant is None:
-            raise UnknownVariant(card.id, request.variant_id)
-
+        variant = _variant(card, request.variant_id)
         self.env.update(normalize_inputs(card, request.inputs))
-        for var in card.variables_by_role("param"):
-            self.env[var.key] = float(var.default)
+        self.env.update(card.param_defaults)
         if request.overrides:
-            params = {v.key for v in card.variables_by_role("param")}
-            bad = set(request.overrides) - params
+            bad = set(request.overrides) - card.param_defaults.keys()
             if bad:
                 raise UnexpectedInput(bad)
             for key, value in request.overrides.items():
                 self.env[key] = to_magnitude(value, card.units[key].name, key)
 
+        self.walk(variant)
+        outputs = {key: Quantity(self.env[key], card.units[key])
+                   for key in card.output_keys}
+        return self._trace(outputs)
+
+    def walk(self, variant: VariantSpec) -> None:
+        """Bind every target of the plan: direct steps, then the cycle."""
         for eq in variant.direct:
             value = self._eval(eq)
             if not math.isfinite(value):  # float arithmetic overflows silently
@@ -193,10 +207,6 @@ class _Runner:
             self._record(eq, value, "direct")
         if variant.iterative:
             self._solve_cycle(variant.iterative)
-
-        outputs = {v.key: Quantity(self.env[v.key], card.units[v.key])
-                   for v in card.variables_by_role("output")}
-        return self._trace(outputs)
 
     def _solve_cycle(self, block: tuple) -> None:
         cycle = [eq.target for eq in block]
@@ -237,3 +247,31 @@ def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTra
     if card.id != request.card_id:
         raise UnknownMethod(request.card_id)
     return _Runner(card, request).run()
+
+
+class _Solver(_Runner):
+    """The same plan walk with no trace: a step only binds its value, and a
+    fault carries no partial trace."""
+
+    def _record(self, eq: EquationSpec, value: float, method: str) -> None:
+        self.env[eq.target] = value
+
+    def _attach(self, exc: GeocardError, eq: EquationSpec) -> GeocardError:
+        return exc
+
+
+def _solve(card: MethodCard, variant_id: str,
+           values: Mapping[str, float]) -> dict[str, float]:
+    """Every bound value of one variant, computed as evaluate_card computes
+    it but with no trace. ``values`` are card-normalized floats; a wrong key
+    set or a non-finite value raises what evaluate_card would raise."""
+    variant = _variant(card, variant_id)
+    _check_input_keys(card, values)
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise NonFiniteValue(key)
+    solver = _Solver(card, None)
+    solver.env.update(values)
+    solver.env.update(card.param_defaults)
+    solver.walk(variant)
+    return solver.env

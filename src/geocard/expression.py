@@ -4,8 +4,10 @@ This is a closed, allowlisted expression grammar — not a Python subset.
 There is no attribute access, no indexing, no strings, no statement forms,
 and only the functions named in ALLOWED_FUNCTIONS can be called, so a
 hostile card can at worst fail to parse. Evaluation never touches
-``eval()`` or any host-language execution path: the parsed AST is walked
-directly with ``math`` primitives.
+``eval()``, ``exec()``, ``compile()`` or any other host-language execution
+path: ``compile_expr`` turns the parsed tree into nested Python closures,
+one per node, that apply ``math`` primitives. ``cards.load_card`` builds
+them once per equation, so an evaluation walks no tree.
 
 Grammar (infix, standard precedence; ``**`` is right-associative and binds
 tighter than unary minus):
@@ -24,8 +26,9 @@ and standalone conditions parsed with ``parse_condition``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .errors import (
     DisallowedFunction,
@@ -452,62 +455,125 @@ def evaluate(node: ExprNode, env: Mapping[str, float]) -> float:
     leaking host exceptions. ``+``, ``-``, ``*`` and ``/`` follow IEEE-754
     and overflow to an infinity without raising, so the result may be
     non-finite; the engine rejects such a step with NonFiniteValue.
+    A caller that evaluates one tree many times compiles it once instead.
     """
-    if isinstance(node, Number):
-        return node.value
+    return compile_expr(node)(env)
+
+
+def compile_expr(node: ExprNode) -> Callable[[Mapping[str, float]], float]:
+    """``node`` as nested closures: ``compile_expr(node)(env)`` is the value.
+
+    Each closure evaluates its operands left to right and raises the
+    errors ``evaluate`` documents; a MathDomain message is built from the
+    captured node only when it is raised.
+    """
+    if isinstance(node, (Number, BoolLiteral)):
+        value = node.value
+        return lambda env: value
     if isinstance(node, Constant):
-        return CONSTANTS[node.name]
+        value = CONSTANTS[node.name]
+        return lambda env: value
     if isinstance(node, Symbol):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise UnboundSymbol(node.name) from None
+        name = node.name
+
+        def symbol(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundSymbol(name) from None
+        return symbol
     if isinstance(node, Unary):
-        return -evaluate(node.operand, env)
+        operand = compile_expr(node.operand)
+        return lambda env: -operand(env)
     if isinstance(node, Binary):
-        left = evaluate(node.left, env)
-        right = evaluate(node.right, env)
-        try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                if right == 0.0:
-                    raise MathDomain(f"division by zero in {to_text(node)}")
-                return left / right
-            result = left ** right
-        except OverflowError:
-            raise MathDomain(f"overflow in {to_text(node)}") from None
-        except ZeroDivisionError:
-            raise MathDomain(f"zero raised to negative power in {to_text(node)}") from None
-        if isinstance(result, complex):
-            raise MathDomain(f"complex result in {to_text(node)}")
-        return result
+        return _compile_binary(node, compile_expr(node.left),
+                               compile_expr(node.right))
     if isinstance(node, Call):
-        args = [evaluate(a, env) for a in node.args]
-        fn = _FUNCTIONS[node.func]
-        try:
-            return fn(*args)
-        except ValueError as exc:
-            raise MathDomain(f"{node.func}: {exc}") from None
-        except OverflowError:
-            raise MathDomain(f"overflow in {node.func}") from None
+        return _compile_call(node.func, [compile_expr(a) for a in node.args])
     if isinstance(node, Piecewise):
-        for value, condition in node.branches:
-            if evaluate(condition, env):
-                return evaluate(value, env)
-        raise NoBranchTaken()
+        branches = tuple((compile_expr(value), compile_expr(condition))
+                         for value, condition in node.branches)
+
+        def piecewise(env):
+            for value, condition in branches:
+                if condition(env):
+                    return value(env)
+            raise NoBranchTaken()
+        return piecewise
     if isinstance(node, Comparison):
-        left = evaluate(node.left, env)
-        right = evaluate(node.right, env)
-        return {
-            ">": left > right, ">=": left >= right,
-            "<": left < right, "<=": left <= right,
-            "=": left == right,
-        }[node.op]
-    if isinstance(node, BoolLiteral):
-        return node.value
+        left, right = compile_expr(node.left), compile_expr(node.right)
+        compare = _COMPARE[node.op]
+        return lambda env: compare(left(env), right(env))
     raise TypeError(f"not an ExprNode: {node!r}")
+
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
+            "<=": operator.le, "=": operator.eq}
+
+
+def _arithmetic_fault(node: Binary, exc: ArithmeticError) -> MathDomain:
+    if isinstance(exc, ZeroDivisionError):
+        return MathDomain(f"zero raised to negative power in {to_text(node)}")
+    return MathDomain(f"overflow in {to_text(node)}")
+
+
+def _compile_binary(node: Binary, left, right):
+    op = node.op
+    if op == "/":
+        def binary(env):
+            a, b = left(env), right(env)
+            try:
+                if b == 0.0:
+                    raise MathDomain(f"division by zero in {to_text(node)}")
+                return a / b
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise _arithmetic_fault(node, exc) from None
+        return binary
+    if op == "**":
+        def binary(env):
+            a, b = left(env), right(env)
+            try:
+                result = a ** b
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise _arithmetic_fault(node, exc) from None
+            if isinstance(result, complex):
+                raise MathDomain(f"complex result in {to_text(node)}")
+            return result
+        return binary
+    apply = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
+
+    def binary(env):
+        a, b = left(env), right(env)
+        try:
+            return apply(a, b)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise _arithmetic_fault(node, exc) from None
+    return binary
+
+
+def _call_fault(func: str, exc: Exception) -> MathDomain:
+    if isinstance(exc, ValueError):
+        return MathDomain(f"{func}: {exc}")
+    return MathDomain(f"overflow in {func}")
+
+
+def _compile_call(func: str, args: list):
+    fn = _FUNCTIONS[func]
+    if len(args) == 1:  # most calls; spares building an argument list
+        arg = args[0]
+
+        def call(env):
+            value = arg(env)
+            try:
+                return fn(value)
+            except (ValueError, OverflowError) as exc:
+                raise _call_fault(func, exc) from None
+        return call
+
+    def call(env):
+        values = [arg(env) for arg in args]
+        try:
+            return fn(*values)
+        except (ValueError, OverflowError) as exc:
+            raise _call_fault(func, exc) from None
+    return call

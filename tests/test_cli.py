@@ -222,6 +222,32 @@ class TestEc7Commands:
         assert body[0]["design_approach"] == "DA2"
         assert "trace" in body[0]
 
+    def test_design_json_matches_golden_file(self):
+        """The console-script step of CI: the design reply, byte for byte."""
+        root = Path(__file__).parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "geocard.cli", "ec7", "design",
+             "--scenario", "src/geocard/data/scenarios/jrc_a3.json",
+             "--da", "all", "--format", "json"],
+            cwd=root, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            root / "tests/data/golden_cli_ec7_design.json").read_bytes()
+
+    @pytest.mark.parametrize("command", [["check", "--B", "1.5"], ["design"]])
+    @pytest.mark.parametrize("key", ["ecc", "B"])
+    def test_unknown_scenario_field_is_domain_error(self, command, key,
+                                                    tmp_path, capsys):
+        scenario = json.loads(Path(SCENARIO).read_text())
+        scenario[key] = "0.3 m"
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["ec7", command[0], "--scenario", str(path),
+                     "--da", "DA2", *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: $.{key}: unknown field\n"
+
     def test_missing_scenario_file_is_usage_error(self, capsys):
         assert main(["ec7", "design", "--scenario", "/no/file.json",
                      "--da", "all"]) == 2

@@ -1,15 +1,23 @@
 """Eurocode 7 workflow tests: partial factors, design values, the ULS
 check, and the width search on the bundled validation scenario."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from geocard.cards import load_card
+from geocard.catalog import Catalog
 from geocard.ec7 import (
+    DESIGN_APPROACHES,
+    EC7_CARD_ID,
+    SURCHARGE_MODELS,
     FootingScenario,
+    WidthDesignResult,
     SoilParameters,
     check_footing_uls_ec7,
     compute_design_action,
@@ -22,12 +30,17 @@ from geocard.ec7 import (
     load_bundled_scenario,
     load_scenario,
 )
+from geocard.engine import strict_json
 from geocard.errors import (
+    GeocardError,
     InvalidGeometry,
+    MathDomain,
+    MissingInput,
     NoBracket,
     NonConvergence,
     NonFiniteValue,
     SchemaError,
+    UnexpectedInput,
     UnknownDesignApproach,
 )
 
@@ -362,6 +375,33 @@ class TestScenarioFile:
         scn = load_scenario(json.dumps(dict(raw, name="A3", jrc_verified=True)))
         assert (scn.name, scn.jrc_verified) == ("A3", True)
 
+    @pytest.mark.parametrize("key, value", [("ecc", "0.3 m"), ("B", "1.5 m"),
+                                            ("phi_prime", "38 deg"),
+                                            ("comment", "x")])
+    def test_unknown_field_rejected(self, key, value):
+        raw = json.loads(Path(bundled_scenario_path()).read_text())
+        with pytest.raises(SchemaError) as err:
+            load_scenario(json.dumps(dict(raw, **{key: value})))
+        assert err.value.path == f"$.{key}"
+        assert str(err.value) == f"$.{key}: unknown field"
+
+    def test_misspelled_eccentricity_does_not_pass_silently(self):
+        """A stray "ecc" once fell back to e = 0 and passed at 0.675; the
+        intended "e" fails at 1.859."""
+        raw = json.loads(Path(bundled_scenario_path()).read_text())
+        with pytest.raises(SchemaError):
+            load_scenario(json.dumps(dict(raw, ecc="0.3 m")))
+        intended = load_scenario(json.dumps(dict(raw, e="0.3 m")))
+        result = check_footing_uls_ec7(intended, "DA2", 1.5)
+        assert result.utilization == pytest.approx(1.859, abs=1e-3)
+        assert not result.passed
+
+    def test_every_known_field_is_accepted(self):
+        raw = json.loads(Path(bundled_scenario_path()).read_text())
+        full = dict(raw, c_u_k="50 kPa", name="A3", jrc_verified=True,
+                    notes=["kept for the reader only"])
+        assert load_scenario(json.dumps(full)).c_u_k == 50.0
+
     def test_wrong_unit_dimension_rejected(self):
         from geocard.errors import DimensionMismatch
         text = json.dumps({
@@ -390,3 +430,163 @@ class TestDefaultCatalog:
         design_footing_width_ec7(SCENARIO, "DA2")
         check_footing_uls_ec7(SCENARIO, "DA3", 1.5)
         assert len(calls) == 1
+
+
+# ------------------------------------------------- width search oracle ----
+
+def _traced_search(scenario, design_approach, tolerance=1e-3, catalog=None,
+                   drainage="drained"):
+    """The width search as first written: every trial is a traced check."""
+    if not 0.0 < tolerance < 1.0:
+        raise SchemaError("$.tolerance", "must lie strictly between 0 and 1")
+    min_b = max(2.0 * scenario.e + 1e-6, 1e-4)
+
+    def check(width):
+        return check_footing_uls_ec7(scenario, design_approach, width,
+                                     catalog=catalog, drainage=drainage)
+
+    lo = max(0.1, min_b)
+    hi = max(20.0, lo)
+    at_lo, at_hi = check(lo), check(hi)
+    expansions = 0
+    while at_lo.utilization <= 1.0 and lo > min_b and expansions < 12:
+        lo = max(lo / 2.0, min_b)
+        at_lo = check(lo)
+        expansions += 1
+    while at_hi.utilization >= 1.0 and expansions < 24:
+        hi *= 2.0
+        at_hi = check(hi)
+        expansions += 1
+    if at_lo.utilization <= 1.0 or at_hi.utilization >= 1.0:
+        raise NoBracket(lo, hi)
+
+    iterations = 0
+    while at_hi.utilization <= 1.0 - tolerance:
+        if iterations == 200:
+            raise NonConvergence(["B"], iterations, 1.0 - at_hi.utilization)
+        mid = 0.5 * (lo + hi)
+        at_mid = check(mid)
+        if at_mid.utilization > 1.0:
+            lo = mid
+        else:
+            hi, at_hi = mid, at_mid
+        iterations += 1
+    return WidthDesignResult(design_approach=design_approach, B_req=hi,
+                             check=at_hi, iterations=iterations)
+
+
+def _error_record(exc):
+    """Everything an error carries to a client."""
+    trace = exc.partial_trace
+    return (type(exc), str(exc), exc.failed_step,
+            None if trace is None else trace.to_json())
+
+
+def _design_reply(search):
+    """The strict JSON of a design, or the error's record."""
+    try:
+        return strict_json(search().to_dict())
+    except GeocardError as exc:
+        return _error_record(exc)
+
+
+_SCENARIOS = st.builds(
+    FootingScenario,
+    L=st.floats(2.0, 30.0),
+    D_f=st.floats(0.3, 3.0),
+    phi_prime_k=st.one_of(st.just(0.0), st.floats(0.0, 0.8)),
+    c_prime_k=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+    gamma_k=st.floats(12.0, 22.0),
+    groundwater_depth=st.floats(0.0, 12.0),
+    G_k_col=st.floats(0.0, 20000.0),
+    Q_k=st.floats(0.0, 6000.0),
+    gamma_sw=st.floats(0.0, 25.0),
+    e=st.one_of(st.just(0.0), st.floats(0.0, 0.6)),
+    c_u_k=st.one_of(st.none(), st.floats(5.0, 200.0), st.floats(20.0, 80.0)),
+    surcharge_model=st.sampled_from(SURCHARGE_MODELS),
+)
+
+
+class TestWidthSearchMatchesTracedSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(_SCENARIOS)
+    def test_same_reply_or_same_error(self, scenario):
+        for da in DESIGN_APPROACHES:
+            for drainage in ("drained", "undrained"):
+                got = _design_reply(lambda: design_footing_width_ec7(
+                    scenario, da, drainage=drainage))
+                expected = _design_reply(lambda: _traced_search(
+                    scenario, da, drainage=drainage))
+                assert got == expected, (da, drainage)
+
+    @pytest.mark.parametrize("da", DESIGN_APPROACHES)
+    def test_bundled_scenario(self, da):
+        assert _design_reply(lambda: design_footing_width_ec7(SCENARIO, da)) == \
+            _design_reply(lambda: _traced_search(SCENARIO, da))
+
+
+def _doctored_catalog(edit) -> Catalog:
+    """A catalog whose only card is the bundled EC7 card after ``edit``."""
+    raw = json.loads((Path(__file__).parents[1] / "src/geocard/data/catalog"
+                      / "bearing_capacity_eurocode7.json").read_text("utf-8"))
+    edit(raw)
+    return Catalog(cards={EC7_CARD_ID: load_card(json.dumps(raw))})
+
+
+# No real value for 1.2 < B' < 1.5 m: the fourth trial width, 1.34375 m,
+# fails midway through the plan, after every bracket check has passed.
+_FAULT_WINDOW = " + 0*sqrt((B - 1.2)*(B - 1.5))"
+_FAULT_WIDTH = 1.34375
+
+
+def _fault_in_window(raw):
+    for variant, target in (("drained", "s_gamma"), ("undrained", "q_ult")):
+        equations = next(v for v in raw["variants"] if v["id"] == variant)
+        eq = next(e for e in equations["equations"] if e["target"] == target)
+        eq["sympy"] += _FAULT_WINDOW
+
+
+def _extra_input(raw):
+    raw["variables"].append({"key": "k_extra", "name": "unused",
+                             "role": "input", "unit": "dimensionless"})
+
+
+def _dropped_input(raw):
+    raw["variants"] = [v for v in raw["variants"] if v["id"] == "drained"]
+    raw["variables"] = [v for v in raw["variables"] if v["key"] != "c_u_d"]
+
+
+def _raised(fn, kind):
+    with pytest.raises(kind) as err:
+        fn()
+    return _error_record(err.value)
+
+
+class TestWidthSearchErrors:
+    @pytest.mark.parametrize("da", DESIGN_APPROACHES)
+    @pytest.mark.parametrize("drainage, target", [("drained", "s_gamma"),
+                                                  ("undrained", "q_ult")])
+    def test_mid_search_fault_matches_traced_check(self, da, drainage, target):
+        catalog = _doctored_catalog(_fault_in_window)
+        scenario = dataclasses.replace(SCENARIO, c_u_k=150.0)
+        expected = _raised(lambda: check_footing_uls_ec7(
+            scenario, da, _FAULT_WIDTH, catalog=catalog, drainage=drainage),
+            MathDomain)
+        got = _raised(lambda: design_footing_width_ec7(
+            scenario, da, catalog=catalog, drainage=drainage), MathDomain)
+        assert got == expected
+        _, message, failed_step, partial_trace = got
+        assert message.startswith("sqrt of negative value")
+        assert failed_step["target"] == target
+        assert failed_step["inputs"]["B"] == _FAULT_WIDTH
+        assert json.loads(partial_trace)["steps"]
+
+    @pytest.mark.parametrize("edit, kind", [(_extra_input, MissingInput),
+                                            (_dropped_input, UnexpectedInput)])
+    def test_changed_input_keys_match_traced_check(self, edit, kind):
+        catalog = _doctored_catalog(edit)
+        expected = _raised(lambda: check_footing_uls_ec7(
+            SCENARIO, "DA1-C1", 0.1, catalog=catalog), kind)
+        got = _raised(lambda: design_footing_width_ec7(
+            SCENARIO, "DA1-C1", catalog=catalog), kind)
+        assert got == expected

@@ -1,6 +1,7 @@
 """Expression language tests: grammar, printing, sandboxing, evaluation."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,3 +307,188 @@ def _build(tree):
         return ex.Unary("-", _build(tree[1]))
     op, left, right = tree
     return ex.Binary(op, _build(left), _build(right))
+
+
+# ------------------------------------------------- evaluator equivalence ----
+#
+# ``_walk`` is the recursive tree walker the evaluator was first written as,
+# kept here unchanged as the oracle: ``ex.evaluate`` must give the same float
+# bits, or raise the same exception type with the same message, on every tree.
+
+def _oracle_cot(x):
+    s = math.sin(x)
+    if s == 0.0:
+        raise MathDomain(f"cot undefined at {x!r}")
+    return math.cos(x) / s
+
+
+def _oracle_log(x):
+    if x <= 0.0:
+        raise MathDomain(f"log of non-positive value {x!r}")
+    return math.log(x)
+
+
+def _oracle_sqrt(x):
+    if x < 0.0:
+        raise MathDomain(f"sqrt of negative value {x!r}")
+    return math.sqrt(x)
+
+
+_ORACLE_FUNCTIONS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "cot": _oracle_cot,
+    "asin": math.asin, "acos": math.acos, "atan": math.atan,
+    "atan2": math.atan2, "exp": math.exp, "log": _oracle_log,
+    "sqrt": _oracle_sqrt, "Abs": abs, "Min": min, "Max": max,
+}
+
+
+def _walk(node, env):
+    if isinstance(node, ex.Number):
+        return node.value
+    if isinstance(node, ex.Constant):
+        return ex.CONSTANTS[node.name]
+    if isinstance(node, ex.Symbol):
+        try:
+            return env[node.name]
+        except KeyError:
+            raise UnboundSymbol(node.name) from None
+    if isinstance(node, ex.Unary):
+        return -_walk(node.operand, env)
+    if isinstance(node, ex.Binary):
+        left = _walk(node.left, env)
+        right = _walk(node.right, env)
+        try:
+            if node.op == "+":
+                return left + right
+            if node.op == "-":
+                return left - right
+            if node.op == "*":
+                return left * right
+            if node.op == "/":
+                if right == 0.0:
+                    raise MathDomain(f"division by zero in {ex.to_text(node)}")
+                return left / right
+            result = left ** right
+        except OverflowError:
+            raise MathDomain(f"overflow in {ex.to_text(node)}") from None
+        except ZeroDivisionError:
+            raise MathDomain(
+                f"zero raised to negative power in {ex.to_text(node)}") from None
+        if isinstance(result, complex):
+            raise MathDomain(f"complex result in {ex.to_text(node)}")
+        return result
+    if isinstance(node, ex.Call):
+        args = [_walk(a, env) for a in node.args]
+        fn = _ORACLE_FUNCTIONS[node.func]
+        try:
+            return fn(*args)
+        except ValueError as exc:
+            raise MathDomain(f"{node.func}: {exc}") from None
+        except OverflowError:
+            raise MathDomain(f"overflow in {node.func}") from None
+    if isinstance(node, ex.Piecewise):
+        for value, condition in node.branches:
+            if _walk(condition, env):
+                return _walk(value, env)
+        raise NoBranchTaken()
+    if isinstance(node, ex.Comparison):
+        left = _walk(node.left, env)
+        right = _walk(node.right, env)
+        return {
+            ">": left > right, ">=": left >= right,
+            "<": left < right, "<=": left <= right,
+            "=": left == right,
+        }[node.op]
+    if isinstance(node, ex.BoolLiteral):
+        return node.value
+    raise TypeError(f"not an ExprNode: {node!r}")
+
+
+def _outcome(fn):
+    """A float result as its bits, or the exception as (type, message)."""
+    try:
+        value = fn()
+    except Exception as exc:  # host exceptions must match too
+        return ("raised", type(exc), str(exc))
+    assert type(value) is float
+    return ("value", struct.pack("<d", value))
+
+
+# Values that reach the domain edges: zero of both signs, one, halves,
+# negatives (complex powers), magnitudes that overflow, and the specials.
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -8.0, 3.0, 400.0,
+                     1e308, -1e308, 1e-320]),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+_ENV_FLOATS = st.one_of(_EDGE_FLOATS, st.floats())  # NaN and infinities too
+
+_UNARY_FUNCTIONS = ("sin", "cos", "tan", "cot", "asin", "acos", "atan",
+                    "exp", "log", "sqrt", "Abs")
+
+
+def _extend(children):
+    condition = st.one_of(
+        st.just(ex.BoolLiteral(True)),
+        st.builds(ex.Comparison, st.sampled_from([">", ">=", "<", "<=", "="]),
+                  children, children),
+    )
+    return st.one_of(
+        st.builds(ex.Unary, st.just("-"), children),
+        st.builds(ex.Binary, st.sampled_from(["+", "-", "*", "/", "**"]),
+                  children, children),
+        st.builds(lambda f, a: ex.Call(f, (a,)),
+                  st.sampled_from(_UNARY_FUNCTIONS), children),
+        st.builds(lambda a, b: ex.Call("atan2", (a, b)), children, children),
+        st.builds(lambda f, args: ex.Call(f, tuple(args)),
+                  st.sampled_from(["Min", "Max"]),
+                  st.lists(children, min_size=1, max_size=3)),
+        st.builds(lambda branches: ex.Piecewise(tuple(branches)),
+                  st.lists(st.tuples(children, condition), min_size=1,
+                           max_size=3)),
+    )
+
+
+_TREES = st.recursive(
+    st.one_of(
+        st.builds(ex.Number, _EDGE_FLOATS),
+        st.sampled_from([ex.Constant("pi"), ex.Constant("e")]),
+        st.sampled_from([ex.Symbol(n) for n in ("x", "y", "z", "unbound")]),
+    ),
+    _extend,
+    max_leaves=12,
+)
+
+
+class TestEvaluatorMatchesWalker:
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES, st.fixed_dictionaries(
+        {"x": _ENV_FLOATS, "y": _ENV_FLOATS, "z": _ENV_FLOATS}))
+    def test_same_bits_or_same_error(self, node, env):
+        assert _outcome(lambda: ex.evaluate(node, env)) == \
+            _outcome(lambda: _walk(node, env))
+
+    @pytest.mark.parametrize("text, env, message", [
+        ("x/y", {"x": 1.0, "y": 0.0}, "division by zero in x/y"),
+        ("x/(y - 1)", {"x": 1.0, "y": 1.0}, "division by zero in x/(y - 1)"),
+        ("x**y", {"x": 10.0, "y": 400.0}, "overflow in x**y"),
+        ("x**y", {"x": -8.0, "y": 0.5}, "complex result in x**y"),
+        ("x**y", {"x": 0.0, "y": -1.0}, "zero raised to negative power in x**y"),
+        ("asin(x)", {"x": 2.0}, "asin: math domain error"),
+        ("exp(x)", {"x": 1000.0}, "overflow in exp"),
+        ("cot(x)", {"x": 0.0}, "cot undefined at 0.0"),
+        ("log(x)", {"x": -1.0}, "log of non-positive value -1.0"),
+        ("sqrt(x)", {"x": -1.0}, "sqrt of negative value -1.0"),
+    ])
+    def test_math_domain_messages(self, text, env, message):
+        with pytest.raises(MathDomain) as err:
+            ex.evaluate(ex.parse(text), env)
+        assert str(err.value) == message
+
+    def test_unbound_and_no_branch_messages(self):
+        with pytest.raises(UnboundSymbol) as err:
+            ex.evaluate(ex.parse("x + w"), {"x": 1.0})
+        assert str(err.value) == "symbol 'w' is not bound in the environment"
+        with pytest.raises(NoBranchTaken) as err:
+            ex.evaluate(ex.parse("Piecewise((1, x > 0))"), {"x": -1.0})
+        assert str(err.value) == "no Piecewise condition evaluated to true"

@@ -484,6 +484,17 @@ class TestBoundaryLeaks:
         assert tool_error(response) == {
             "error": "schema_error", "message": "$.D_f: missing required field"}
 
+    @pytest.mark.parametrize("tool, extra", [
+        ("geo_check_footing_uls_ec7", {"B": 1.5}),
+        ("geo_design_footing_width_ec7", {})])
+    @pytest.mark.parametrize("key", ["ecc", "B"])
+    def test_unknown_scenario_field_is_tool_error(self, server, tool, extra, key):
+        response = strict_json(call(server, tool, {
+            "scenario": {**JRC_SCENARIO, key: "0.3 m"},
+            "design_approach": "DA2", **extra}))
+        assert tool_error(response) == {
+            "error": "schema_error", "message": f"$.{key}: unknown field"}
+
     @pytest.mark.parametrize("arguments", [[], 0, "", False, [1], "x"])
     def test_non_object_arguments_are_invalid_params(self, server, arguments):
         response = call(server, "geo_health", arguments)
