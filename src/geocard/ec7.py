@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Callable, Optional
 
 from .catalog import Catalog, default_catalog
 from .engine import EvaluationRequest, EvaluationTrace, _solve, evaluate_card
@@ -248,7 +248,7 @@ class UlsCheckResult:
     passed: bool
     design_parameters: dict
     partial_factors: PartialFactorSet
-    trace: EvaluationTrace
+    trace: Optional[EvaluationTrace]  # None only on the width search's trials
     drainage: str
 
     def to_dict(self) -> dict:
@@ -276,65 +276,79 @@ def compute_design_action(scenario: FootingScenario, pf: PartialFactorSet,
     return pf.gamma_G * (scenario.G_k_col + W) + pf.gamma_Q * scenario.Q_k
 
 
-class _UlsValues(NamedTuple):
-    pf: PartialFactorSet
-    design: SoilParameters
-    q_d: float
-    gamma_eff: float
-    B_eff: float
-    V_d: float
-    R_d: float
-    utilization: float
-    trace: Optional[EvaluationTrace]
+def _uls_checker(scenario: FootingScenario, design_approach: str,
+                 catalog: Catalog | None, drainage: str
+                 ) -> Callable[[float, bool], UlsCheckResult]:
+    """``check(B, traced)``: the ULS check at width ``B``, with the card's
+    trace, or untraced and with ``trace`` None for the width search's trials.
 
-
-def _uls_values(scenario: FootingScenario, design_approach: str, B: float,
-                catalog: Catalog | None, drainage: str,
-                traced: bool) -> _UlsValues:
-    """The ULS check's numbers at width ``B``: the card inputs, q_ult from
-    the card (with its trace, or untraced and with ``trace`` None), and V_d
-    and R_d. Raises what check_footing_uls_ec7 raises."""
+    The design soil values and overburden do not depend on the width, so
+    they are derived once here; only an unknown Design Approach raises
+    before a width is given, which is the check's first error anyway.
+    """
     pf = get_ec7_preset_partials(design_approach)
-    if B <= 0:
-        raise InvalidGeometry(f"width must be positive, got {B:g}")
-    B_eff = B - 2.0 * scenario.e
-    if B_eff <= 0:
-        raise InvalidGeometry(
-            f"effective width B - 2e = {B_eff:g} m is not positive")
-    card = (catalog or default_catalog()).get_method(EC7_CARD_ID)
-
     design = derive_design_parameters(scenario.characteristic_soil, pf)
     q_d = effective_overburden(scenario, design.gamma)
-    gamma_eff = effective_unit_weight_below_base(scenario, design.gamma, B_eff)
 
-    if drainage not in ("drained", "undrained"):
-        raise SchemaError("$.drainage", "must be 'drained' or 'undrained'")
-    if drainage == "undrained" and design.c_u is None:
-        raise SchemaError("$.c_u_k", "scenario lacks undrained strength c_u_k")
+    def check(B: float, traced: bool) -> UlsCheckResult:
+        if B <= 0:
+            raise InvalidGeometry(f"width must be positive, got {B:g}")
+        B_eff = B - 2.0 * scenario.e
+        if B_eff <= 0:
+            raise InvalidGeometry(
+                f"effective width B - 2e = {B_eff:g} m is not positive")
+        card = (catalog or default_catalog()).get_method(EC7_CARD_ID)
+        gamma_eff = effective_unit_weight_below_base(scenario, design.gamma,
+                                                     B_eff)
 
-    inputs = {
-        "phi_prime_d": design.phi_prime,
-        "c_prime_d": design.c_prime,
-        "c_u_d": design.c_u if design.c_u is not None else 0.0,
-        "gamma": gamma_eff,
-        "q": q_d,
-        "B": B_eff,
-        "L": scenario.L,
-    }
-    if traced:
-        trace = evaluate_card(card, EvaluationRequest(
-            card_id=EC7_CARD_ID, variant_id=drainage, inputs=inputs))
-        q_ult = trace.outputs["q_ult"].magnitude
-    else:
-        trace, q_ult = None, _solve(card, drainage, inputs)["q_ult"]
-    R_d = q_ult * B_eff * scenario.L / pf.gamma_R
-    V_d = compute_design_action(scenario, pf, B)
-    for label, value in (("V_d", V_d), ("R_d", R_d)):
-        if not math.isfinite(value):  # float arithmetic overflows silently
-            raise NonFiniteValue(label)
-    utilization = V_d / R_d if R_d > 0 else math.inf
-    return _UlsValues(pf, design, q_d, gamma_eff, B_eff, V_d, R_d,
-                      utilization, trace)
+        if drainage not in ("drained", "undrained"):
+            raise SchemaError("$.drainage", "must be 'drained' or 'undrained'")
+        if drainage == "undrained" and design.c_u is None:
+            raise SchemaError("$.c_u_k",
+                              "scenario lacks undrained strength c_u_k")
+
+        inputs = {
+            "phi_prime_d": design.phi_prime,
+            "c_prime_d": design.c_prime,
+            "c_u_d": design.c_u if design.c_u is not None else 0.0,
+            "gamma": gamma_eff,
+            "q": q_d,
+            "B": B_eff,
+            "L": scenario.L,
+        }
+        if traced:
+            trace = evaluate_card(card, EvaluationRequest(
+                card_id=EC7_CARD_ID, variant_id=drainage, inputs=inputs))
+            q_ult = trace.outputs["q_ult"].magnitude
+        else:
+            trace, q_ult = None, _solve(card, drainage, inputs)["q_ult"]
+        R_d = q_ult * B_eff * scenario.L / pf.gamma_R
+        V_d = compute_design_action(scenario, pf, B)
+        for label, value in (("V_d", V_d), ("R_d", R_d)):
+            if not math.isfinite(value):  # float arithmetic overflows silently
+                raise NonFiniteValue(label)
+        utilization = V_d / R_d if R_d > 0 else math.inf
+        return UlsCheckResult(
+            design_approach=design_approach,
+            B=B,
+            B_effective=B_eff,
+            V_d=V_d,
+            R_d=R_d,
+            utilization=utilization,
+            passed=utilization <= 1.0 + 1e-12,
+            design_parameters={
+                "phi_prime_d": design.phi_prime,
+                "c_prime_d": design.c_prime,
+                "c_u_d": design.c_u,
+                "gamma_d": design.gamma,
+                "q_d": q_d,
+                "gamma_eff": gamma_eff,
+            },
+            partial_factors=pf,
+            trace=trace,
+            drainage=drainage,
+        )
+    return check
 
 
 def check_footing_uls_ec7(scenario: FootingScenario, design_approach: str,
@@ -346,28 +360,8 @@ def check_footing_uls_ec7(scenario: FootingScenario, design_approach: str,
     A design action or resistance that overflows to infinity raises
     NonFiniteValue naming ``V_d`` or ``R_d``.
     """
-    uls = _uls_values(scenario, design_approach, B, catalog, drainage,
-                      traced=True)
-    return UlsCheckResult(
-        design_approach=design_approach,
-        B=B,
-        B_effective=uls.B_eff,
-        V_d=uls.V_d,
-        R_d=uls.R_d,
-        utilization=uls.utilization,
-        passed=uls.utilization <= 1.0 + 1e-12,
-        design_parameters={
-            "phi_prime_d": uls.design.phi_prime,
-            "c_prime_d": uls.design.c_prime,
-            "c_u_d": uls.design.c_u,
-            "gamma_d": uls.design.gamma,
-            "q_d": uls.q_d,
-            "gamma_eff": uls.gamma_eff,
-        },
-        partial_factors=uls.pf,
-        trace=uls.trace,
-        drainage=drainage,
-    )
+    return _uls_checker(scenario, design_approach, catalog, drainage)(
+        B, traced=True)
 
 
 @dataclass(frozen=True)
@@ -404,14 +398,15 @@ def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
         raise SchemaError("$.tolerance", "must lie strictly between 0 and 1")
     min_b = max(2.0 * scenario.e + 1e-6, 1e-4)
 
+    trial = _uls_checker(scenario, design_approach, catalog, drainage)
+
     def check(width: float) -> UlsCheckResult:
         return check_footing_uls_ec7(scenario, design_approach, width,
                                      catalog=catalog, drainage=drainage)
 
     def utilization(width: float) -> float:
         try:
-            return _uls_values(scenario, design_approach, width, catalog,
-                               drainage, traced=False).utilization
+            return trial(width, traced=False).utilization
         except GeocardError:
             check(width)  # deterministic: raises the same error, traced
             raise

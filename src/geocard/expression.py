@@ -559,16 +559,6 @@ def _call_fault(func: str, exc: Exception) -> MathDomain:
 
 def _compile_call(func: str, args: list):
     fn = _FUNCTIONS[func]
-    if len(args) == 1:  # most calls; spares building an argument list
-        arg = args[0]
-
-        def call(env):
-            value = arg(env)
-            try:
-                return fn(value)
-            except (ValueError, OverflowError) as exc:
-                raise _call_fault(func, exc) from None
-        return call
 
     def call(env):
         values = [arg(env) for arg in args]

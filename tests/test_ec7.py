@@ -235,6 +235,20 @@ class TestUlsCheck:
         with pytest.raises(SchemaError):
             check_footing_uls_ec7(SCENARIO, "DA1-C2", 2.0, drainage="undrained")
 
+    def test_error_order_for_several_bad_arguments(self):
+        """Design Approach, then width, then card, then drainage."""
+        with pytest.raises(UnknownDesignApproach):
+            check_footing_uls_ec7(SCENARIO, "DA9", -1.0, catalog=Catalog(),
+                                  drainage="bogus")
+        with pytest.raises(InvalidGeometry):
+            check_footing_uls_ec7(SCENARIO, "DA2", -1.0, catalog=Catalog(),
+                                  drainage="bogus")
+        with pytest.raises(GeocardError, match=EC7_CARD_ID):
+            check_footing_uls_ec7(SCENARIO, "DA2", 1.5, catalog=Catalog(),
+                                  drainage="bogus")
+        with pytest.raises(SchemaError, match="drainage"):
+            check_footing_uls_ec7(SCENARIO, "DA2", 1.5, drainage="bogus")
+
     def test_r_d_matches_hand_assembly(self):
         """R_d = q_ult(B', design params) * B' * L / gamma_R, by oracle."""
         result = check_footing_uls_ec7(SCENARIO, "DA2", 1.21)
@@ -280,6 +294,22 @@ class TestWidthDesign:
                                        gamma_sw=0.0)
         with pytest.raises(NoBracket):
             design_footing_width_ec7(unloaded, "DA1-C1")
+
+    def test_one_traced_check_per_design(self, monkeypatch):
+        """The trials are untraced; the result's check is a public check."""
+        import geocard.ec7
+
+        widths = []
+        check = geocard.ec7.check_footing_uls_ec7
+
+        def counting_check(scenario, design_approach, B, **kwargs):
+            widths.append(B)
+            return check(scenario, design_approach, B, **kwargs)
+
+        monkeypatch.setattr(geocard.ec7, "check_footing_uls_ec7",
+                            counting_check)
+        result = design_footing_width_ec7(SCENARIO, "DA2")
+        assert widths == [result.B_req]
 
 
 class TestWidthDesignPassesOwnCheck:
