@@ -166,7 +166,7 @@ def load_card(json_text: str) -> MethodCard:
     """Deserialize and fully validate one method card."""
     try:
         raw = json.loads(json_text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deeply
+    except (ValueError, RecursionError) as exc:  # too deep, or an int over 4300 digits
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError("$", "card must be a JSON object")

@@ -177,7 +177,7 @@ def load_scenario(json_text: str) -> FootingScenario:
     """
     try:
         raw = json.loads(json_text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deeply
+    except (ValueError, RecursionError) as exc:  # too deep, or an int over 4300 digits
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError("$", "scenario must be a JSON object")

@@ -1,18 +1,19 @@
-"""Card execution: plan-ordered evaluation with a full audit trace.
+"""Card execution: one plan walk, then the audit trace read from its values.
 
 The evaluation order is a property of the card, fixed once by
 ``cards.load_card``: each variant carries its direct targets in order, then
 the targets left over because they form a dependency cycle or depend on
 one. Each target has exactly one equation (a conditional formula is a
-``Piecewise``), so the engine makes no choice at run time: it evaluates
+``Piecewise``), so the engine makes no choice at run time. ``_walk`` binds
 the direct equations in order, then solves the leftover block by plain
 fixed-point iteration from 1.0 in card units, re-evaluating the block's
 equations in listed order until the largest relative change drops below
-1e-9 (hard cap 200 iterations). Every intermediate and output variable
-lands in the trace, each step as the dict that is its wire form: index,
-target, expression, inputs (sorted), value, unit, description, method.
-``strict_json`` is the one writer of traces and tool replies. ``_solve``
-walks the same plan without a trace, for searches that only need values.
+1e-9 (hard cap 200 iterations). ``evaluate_card`` and ``_solve`` (for
+searches that only need values) both make this walk. ``evaluate_card``
+then builds every step of the trace from the plan and the bound values, as
+the dict that is its wire form: index, target, expression, inputs
+(sorted), value, unit, description, method. ``strict_json`` is the one
+writer of traces and tool replies.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
-from .cards import EquationSpec, MethodCard, VariantSpec
+from .cards import MethodCard, VariantSpec
 from .errors import (
     GeocardError,
     MissingInput,
@@ -54,7 +55,7 @@ class EvaluationTrace:
     variant_id: str
     request_inputs: dict
     request_overrides: dict
-    steps: tuple  # wire dicts, written once by _Runner._record
+    steps: tuple  # wire dicts, built once by _steps
     outputs: dict  # key -> Quantity
     sources: tuple
     diagnostics: dict
@@ -125,153 +126,119 @@ def _variant(card: MethodCard, variant_id: str) -> VariantSpec:
     return variant
 
 
-class _Runner:
-    """Walks a variant's plan and records every step in the trace."""
-
-    def __init__(self, card: MethodCard, request: EvaluationRequest | None):
-        self.card = card
-        self.request = request
-        self.steps: list[dict] = []
-        self.env: dict[str, float] = {}
-        self.cycles: list[dict] = []
-
-    # -- helpers -------------------------------------------------------------
-
-    def _trace(self, outputs: dict) -> EvaluationTrace:
-        return EvaluationTrace(
-            card_id=self.card.id,
-            variant_id=self.request.variant_id,
-            request_inputs={k: _echo_value(v) for k, v in self.request.inputs.items()},
-            request_overrides={k: _echo_value(v) for k, v in self.request.overrides.items()},
-            steps=tuple(self.steps),
-            outputs=outputs,
-            sources=self.card.sources,
-            diagnostics={"iterative_cycles": self.cycles},
-        )
-
-    def _attach(self, exc: GeocardError, eq: EquationSpec) -> GeocardError:
-        """Attach the partial trace and failing step to a fault, in place."""
-        exc.partial_trace = self._trace(outputs={})
-        exc.failed_step = {
-            "target": eq.target,
-            "expression": eq.sympy,
-            "inputs": {k: self.env[k] for k in eq.symbols},
-        }
-        return exc
-
-    def _eval(self, eq: EquationSpec) -> float:
-        try:
-            return eq.compiled(self.env)
-        except GeocardError as exc:
-            raise self._attach(exc, eq)
-
-    def _record(self, eq: EquationSpec, value: float, method: str) -> None:
-        """Append the step in its wire form; eq.symbols is sorted."""
-        self.steps.append({
-            "index": len(self.steps),
-            "target": eq.target,
-            "expression": eq.sympy,
-            "inputs": {k: self.env[k] for k in eq.symbols},
-            "value": value,
-            "unit": self.card.units[eq.target].name,
-            "description": eq.description,
-            "method": method,
-        })
-        self.env[eq.target] = value
-
-    # -- main ----------------------------------------------------------------
-
-    def run(self) -> EvaluationTrace:
-        card, request = self.card, self.request
-        variant = _variant(card, request.variant_id)
-        self.env.update(normalize_inputs(card, request.inputs))
-        self.env.update(card.param_defaults)
-        if request.overrides:
-            bad = set(request.overrides) - card.param_defaults.keys()
-            if bad:
-                raise UnexpectedInput(bad)
-            for key, value in request.overrides.items():
-                self.env[key] = to_magnitude(value, card.units[key].name, key)
-
-        self.walk(variant)
-        outputs = {key: Quantity(self.env[key], card.units[key])
-                   for key in card.output_keys}
-        return self._trace(outputs)
-
-    def walk(self, variant: VariantSpec) -> None:
-        """Bind every target of the plan: direct steps, then the cycle."""
+def _walk(variant: VariantSpec, env: dict) -> list[dict]:
+    """Bind every target of the plan in ``env``: the direct equations in
+    order, then the fixed-point block. Returns the cycle diagnostics. A
+    fault is raised with its ``failed_step``: the target, expression and
+    the inputs bound when the step failed."""
+    try:
         for eq in variant.direct:
-            value = self._eval(eq)
+            value = eq.compiled(env)
             if not math.isfinite(value):  # float arithmetic overflows silently
-                raise self._attach(NonFiniteValue(eq.target), eq)
-            self._record(eq, value, "direct")
-        if variant.iterative:
-            self._solve_cycle(variant.iterative)
-
-    def _solve_cycle(self, block: tuple) -> None:
+                raise NonFiniteValue(eq.target)
+            env[eq.target] = value
+        block = variant.iterative
+        if not block:
+            return []
         cycle = [eq.target for eq in block]
         for target in cycle:
-            self.env[target] = 1.0
-
-        residual = float("inf")
-        iterations = 0
+            env[target] = 1.0
         for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
             residual = 0.0
             for eq in block:
-                old = self.env[eq.target]
-                new = self._eval(eq)
+                old, new = env[eq.target], eq.compiled(env)
                 if not math.isfinite(new):
-                    raise self._attach(
-                        NonConvergence(cycle, iterations, math.inf), eq)
+                    raise NonConvergence(cycle, iterations, math.inf)
                 denom = max(abs(old), abs(new))
                 change = 0.0 if denom == 0.0 else abs(new - old) / denom
                 residual = max(residual, change)
-                self.env[eq.target] = new
+                env[eq.target] = new
             if residual < FIXED_POINT_TOL:
-                break
-        else:
-            raise self._attach(
-                NonConvergence(cycle, FIXED_POINT_MAX_ITER, residual), block[0])
+                return [{"variables": cycle, "iterations": iterations,
+                         "residual": residual}]
+        eq = block[0]  # the iteration cap names the block's first step
+        raise NonConvergence(cycle, FIXED_POINT_MAX_ITER, residual)
+    except GeocardError as exc:
+        exc.failed_step = {
+            "target": eq.target,
+            "expression": eq.sympy,
+            "inputs": {k: env[k] for k in eq.symbols},
+        }
+        raise
 
-        for eq in block:
-            self._record(eq, self.env[eq.target], "iterative")
-        self.cycles.append({
-            "variables": cycle,
-            "iterations": iterations,
-            "residual": residual,
-        })
+
+def _steps(card: MethodCard, variant: VariantSpec, env: dict,
+           cycles: list) -> tuple:
+    """The trace's steps, read from the bound values: each direct target is
+    bound once and no given is a target, and the cycle's steps exist only
+    once it has converged. eq.symbols is sorted."""
+    plan = [(eq, "direct") for eq in variant.direct if eq.target in env]
+    if cycles:
+        plan += [(eq, "iterative") for eq in variant.iterative]
+    return tuple({
+        "index": index,
+        "target": eq.target,
+        "expression": eq.sympy,
+        "inputs": {k: env[k] for k in eq.symbols},
+        "value": env[eq.target],
+        "unit": card.units[eq.target].name,
+        "description": eq.description,
+        "method": method,
+    } for index, (eq, method) in enumerate(plan))
 
 
 def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTrace:
-    """Evaluate one variant of a card and return the complete audit trace."""
+    """Evaluate one variant of a card and return the complete audit trace.
+
+    A fault inside the plan carries a partial trace: the direct steps bound
+    before it.
+    """
     if card.id != request.card_id:
         raise UnknownMethod(request.card_id)
-    return _Runner(card, request).run()
+    variant = _variant(card, request.variant_id)
+    env = normalize_inputs(card, request.inputs)
+    env.update(card.param_defaults)
+    if request.overrides:
+        bad = set(request.overrides) - card.param_defaults.keys()
+        if bad:
+            raise UnexpectedInput(bad)
+        for key, value in request.overrides.items():
+            env[key] = to_magnitude(value, card.units[key].name, key)
 
+    def trace(cycles: list, outputs: dict) -> EvaluationTrace:
+        return EvaluationTrace(
+            card_id=card.id,
+            variant_id=request.variant_id,
+            request_inputs={k: _echo_value(v) for k, v in request.inputs.items()},
+            request_overrides={k: _echo_value(v)
+                               for k, v in request.overrides.items()},
+            steps=_steps(card, variant, env, cycles),
+            outputs=outputs,
+            sources=card.sources,
+            diagnostics={"iterative_cycles": cycles},
+        )
 
-class _Solver(_Runner):
-    """The same plan walk with no trace: a step only binds its value, and a
-    fault carries no partial trace."""
-
-    def _record(self, eq: EquationSpec, value: float, method: str) -> None:
-        self.env[eq.target] = value
-
-    def _attach(self, exc: GeocardError, eq: EquationSpec) -> GeocardError:
-        return exc
+    try:
+        cycles = _walk(variant, env)
+    except GeocardError as exc:
+        exc.partial_trace = trace([], outputs={})
+        raise
+    return trace(cycles, {key: Quantity(env[key], card.units[key])
+                          for key in card.output_keys})
 
 
 def _solve(card: MethodCard, variant_id: str,
            values: Mapping[str, float]) -> dict[str, float]:
-    """Every bound value of one variant, computed as evaluate_card computes
-    it but with no trace. ``values`` are card-normalized floats; a wrong key
-    set or a non-finite value raises what evaluate_card would raise."""
+    """Every bound value of one variant, computed by the walk evaluate_card
+    makes, with no trace built. ``values`` are card-normalized floats; a
+    wrong key set or a non-finite value raises what evaluate_card would
+    raise."""
     variant = _variant(card, variant_id)
     _check_input_keys(card, values)
     for key, value in values.items():
         if not math.isfinite(value):
             raise NonFiniteValue(key)
-    solver = _Solver(card, None)
-    solver.env.update(values)
-    solver.env.update(card.param_defaults)
-    solver.walk(variant)
-    return solver.env
+    env = dict(values)
+    env.update(card.param_defaults)
+    _walk(variant, env)
+    return env

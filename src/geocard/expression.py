@@ -288,7 +288,7 @@ class _Parser:
             self._next()
             args.append(self.parse_expr())
         self._expect_op(")")
-        arity = {"atan2": (2, 2), "Min": (1, None), "Max": (1, None)}.get(func, (1, 1))
+        arity = {"atan2": (2, 2), "Min": (2, None), "Max": (2, None)}.get(func, (1, 1))
         low, high = arity
         if len(args) < low or (high is not None and len(args) > high):
             raise ParseError(pos, f"{func} takes {low if high == low else f'{low}+'}"

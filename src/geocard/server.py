@@ -12,6 +12,7 @@ card/variant/skill.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import Optional, TextIO
 
@@ -51,6 +52,23 @@ INVALID_REQUEST = -32600
 METHOD_NOT_FOUND = -32601
 INVALID_PARAMS = -32602
 INTERNAL_ERROR = -32603
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # 1e999 decodes to infinity
+        raise ValueError(f"non-finite number: {text}")
+    return value
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"not a JSON value: {name}")
+
+
+# Request lines are strict JSON: NaN, Infinity and a number that overflows
+# to infinity are parse errors, so no reply echoes what _write would refuse.
+_REQUEST_DECODER = json.JSONDecoder(parse_float=_finite_float,
+                                    parse_constant=_reject_constant)
 
 
 def _schema(properties: dict, required: list) -> dict:
@@ -246,8 +264,8 @@ class McpServer:
             if not line:
                 continue
             try:
-                message = json.loads(line)
-            except (json.JSONDecodeError, RecursionError):  # nested too deeply
+                message = _REQUEST_DECODER.decode(line)
+            except (ValueError, RecursionError):  # also too deep, or an int over 4300 digits
                 self._write(stdout, {
                     "jsonrpc": "2.0", "id": None,
                     "error": {"code": PARSE_ERROR, "message": "parse error"},
@@ -339,9 +357,9 @@ class McpServer:
     def _merged_inputs(self, card: MethodCard, given: dict) -> dict:
         """Session defaults fill missing input keys; arguments always win."""
         merged = dict(given)
-        for var in card.variables_by_role("input"):
-            if var.key not in merged and var.key in self.defaults:
-                merged[var.key] = self.defaults[var.key]
+        for key, value in self.defaults.items():
+            if key in card.input_keys:
+                merged.setdefault(key, value)
         return merged
 
     def _tool_evaluate(self, args, require_units: bool = False) -> dict:

@@ -23,14 +23,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 BAD_CARD_FILES = ("superscript.json", "nested_parens.json", "not_utf8.json",
-                  "deep_json.json", "directory.json")
+                  "deep_json.json", "directory.json", "huge_int.json")
+
+# An integer literal past Python's 4300-digit int conversion limit.
+HUGE_INT = "1" + "0" * 4999
 
 
 @pytest.fixture
 def bad_card_dir(tmp_path):
     """A directory of card files that each used to crash the catalog load:
     a superscript digit, 300 nested parentheses, a non-UTF-8 byte, a JSON
-    array nested 100 000 deep, and a directory whose name matches *.json."""
+    array nested 100 000 deep, a directory whose name matches *.json, and a
+    5000-digit integer."""
     good = json.loads((Path(__file__).parents[1] / "src/geocard/data/catalog"
                        / "bearing_capacity_terzaghi.json").read_text("utf-8"))
     for name, expression in (("superscript.json", "2² * phi_prime"),
@@ -43,4 +47,5 @@ def bad_card_dir(tmp_path):
     (tmp_path / "not_utf8.json").write_bytes(b'{"id": "\xff"}')
     (tmp_path / "deep_json.json").write_text("[" * 100_000 + "]" * 100_000)
     (tmp_path / "directory.json").mkdir()
+    (tmp_path / "huge_int.json").write_text('{"id": %s}' % HUGE_INT)
     return tmp_path

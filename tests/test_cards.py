@@ -4,11 +4,13 @@ import json
 
 import pytest
 
+from conftest import HUGE_INT
 from geocard.cards import load_card, validate_dimensions
 from geocard.errors import (
     DisallowedFunction,
     DuplicateKey,
     GeocardError,
+    ParseError,
     SchemaError,
     UndeclaredSymbol,
     UnknownUnit,
@@ -185,9 +187,18 @@ class TestLoadCard:
         with pytest.raises(SchemaError):
             load(bad)
 
-    def test_invalid_json_is_schema_error(self):
+    @pytest.mark.parametrize("text", ["{not json", '{"id": %s}' % HUGE_INT],
+                             ids=["malformed", "huge-int"])
+    def test_invalid_json_is_schema_error(self, text):
         with pytest.raises(SchemaError):
-            load_card("{not json")
+            load_card(text)
+
+    @pytest.mark.parametrize("expression", ["Min(2*x)", "Max(x)"])
+    def test_one_argument_min_max_rejected(self, expression):
+        bad = minimal_card()
+        bad["variants"][0]["equations"][0]["sympy"] = expression
+        with pytest.raises(ParseError, match="takes 2\\+ argument"):
+            load(bad)
 
     @pytest.mark.parametrize("junk", [
         "[]", "null", "42", '{"id": 7}', '{"id": "X"}',

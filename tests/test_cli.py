@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BAD_CARD_FILES
+from conftest import BAD_CARD_FILES, HUGE_INT
 from geocard.cli import main
 from geocard.ec7 import bundled_scenario_path
 from test_ec7 import OVERFLOWING, overflowing_scenario
@@ -38,6 +38,19 @@ class TestValidate:
         assert main(["validate", str(bad)]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "D_f" in out
+
+    def test_one_argument_min_fails_validation(self, tmp_path, capsys):
+        card = json.loads(
+            (Path(__file__).parents[1] /
+             "src/geocard/data/catalog/bearing_capacity_terzaghi.json")
+            .read_text())
+        q_ult = card["variants"][0]["equations"][3]
+        q_ult["sympy"] = f"Min({q_ult['sympy']})"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(card))
+        assert main(["validate", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL bad.json: ") and "Min takes 2+" in out
 
     def test_dimension_finding_fails_validation(self, tmp_path, capsys):
         card = json.loads(
@@ -260,6 +273,18 @@ class TestEc7Commands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read scenario file {path}")
+        assert "Traceback" not in captured.err
+
+    def test_over_long_integer_scenario_is_domain_error(self, tmp_path,
+                                                        capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(Path(SCENARIO).read_text().replace(
+            '"Q_k": "967.10 kN"', f'"Q_k": {HUGE_INT}'))
+        assert main(["ec7", "check", "--scenario", str(path), "--da", "DA2",
+                     "--B", "1.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: $: invalid JSON: ")
         assert "Traceback" not in captured.err
 
     def test_unknown_da_is_domain_error(self, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import HUGE_INT
 from geocard.cards import load_card
 from geocard.catalog import Catalog
 from geocard.ec7 import (
@@ -370,6 +371,13 @@ class TestScenarioNonFinite:
         with pytest.raises(NonFiniteValue) as err:
             load_scenario(text)
         assert err.value.key == "Q_k"
+
+    def test_over_long_integer_is_schema_error(self):
+        text = (Path(bundled_scenario_path()).read_text()
+                .replace('"Q_k": "967.10 kN"', f'"Q_k": {HUGE_INT}'))
+        with pytest.raises(SchemaError) as err:
+            load_scenario(text)
+        assert err.value.path == "$"
 
 
 class TestScenarioFile:

@@ -9,9 +9,15 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from geocard.cards import load_card
 from geocard.catalog import load_catalog
-from geocard.engine import EvaluationRequest, evaluate_card, normalize_inputs
+from geocard.engine import (
+    EvaluationRequest,
+    _solve,
+    evaluate_card,
+    normalize_inputs,
+)
 from geocard.errors import (
     DimensionMismatch,
+    GeocardError,
     MathDomain,
     MissingInput,
     NoBranchTaken,
@@ -476,3 +482,82 @@ class TestNonFiniteInputs:
         steps = err.value.partial_trace.steps
         assert steps and "q_ult" not in [s["target"] for s in steps]
         json.dumps(err.value.payload(), allow_nan=False)
+
+
+def _cycle_fault_card(y_expression):
+    """A direct step w, then the cycle {y, x} that cannot converge."""
+    return load_card(dimensionless_card(
+        "TEST_CYCLE_FAULT", ["x"], ["y", "w"], ["a"], [
+            {"target": "w", "sympy": "2*a"},
+            {"target": "y", "sympy": y_expression},
+            {"target": "x", "sympy": "y"},
+        ]))
+
+
+def _cycle_fault_payload(message, y_expression, x):
+    """The fault names the cycle's step at the fault; the partial trace
+    holds the direct step before the cycle and no cycle diagnostics."""
+    return {
+        "error": "non_convergence",
+        "message": message,
+        "step": {"target": "y", "expression": y_expression,
+                 "inputs": {"w": 1.0, "x": x}},
+        "partial_trace": {
+            "request": {"card": "TEST_CYCLE_FAULT", "variant": "base",
+                        "inputs": {"a": 0.5}, "overrides": {}},
+            "steps": [{"index": 0, "target": "w", "expression": "2*a",
+                       "inputs": {"a": 0.5}, "value": 1.0,
+                       "unit": "dimensionless", "description": None,
+                       "method": "direct"}],
+            "outputs": {},
+            "sources": [{"title": "Internal test fixture.", "url": None}],
+            "diagnostics": {"iterative_cycles": []},
+        },
+    }
+
+
+class TestFixedPointFaultPayload:
+    def test_iteration_cap(self):
+        # x grows by w = 1 per iteration, so the residual never drops.
+        card = _cycle_fault_card("x + w")
+        with pytest.raises(NonConvergence) as err:
+            run(card, "base", {"a": 0.5})
+        assert err.value.payload() == _cycle_fault_payload(
+            "fixed-point iteration over {x, y} did not converge after 200 "
+            "iterations (residual 4.975e-03)", "x + w", 201.0)
+
+    def test_overflowing_cycle(self):
+        card = _cycle_fault_card("1e200*x + w")
+        with pytest.raises(NonConvergence) as err:
+            run(card, "base", {"a": 0.5})
+        assert err.value.payload() == _cycle_fault_payload(
+            "fixed-point iteration over {x, y} did not converge after 2 "
+            "iterations (residual inf)", "1e200*x + w", 1e200)
+
+
+_SOLVE_CASES = [(card, variant.id) for card in CATALOG.cards.values()
+                for variant in card.variants] + [(load_card(CYCLIC_CARD), "base")]
+
+
+class TestSolveMatchesTrace:
+    """The untraced solve binds exactly the values the trace's steps show."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_same_values_or_same_error(self, data):
+        card, variant_id = data.draw(st.sampled_from(_SOLVE_CASES))
+        values = {key: data.draw(st.floats(
+            0.0, 0.9 if card.units[key].name == "radians" else 50.0), label=key)
+            for key in sorted(card.input_keys)}
+        try:
+            trace = run(card, variant_id, values)
+        except GeocardError as exc:
+            with pytest.raises(type(exc)) as err:
+                _solve(card, variant_id, values)
+            assert str(err.value) == str(exc)
+            return
+        env = _solve(card, variant_id, values)
+        assert set(env) == set(values) | set(card.param_defaults) | {
+            s["target"] for s in trace.steps}
+        assert {s["target"]: env[s["target"]].hex() for s in trace.steps} == \
+            {s["target"]: s["value"].hex() for s in trace.steps}

@@ -77,7 +77,7 @@ class TestParse:
 
     @pytest.mark.parametrize("bad", ["", "   ", "1 +", "(a", "a b",
                                      "Piecewise()", "sin()", "f g(",
-                                     "atan2(x)", "+x"])
+                                     "atan2(x)", "Min(x)", "Max(2*x)", "+x"])
     def test_malformed(self, bad):
         with pytest.raises((ParseError, DisallowedFunction, DisallowedSyntax)):
             ex.parse(bad)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import HUGE_INT
 from geocard.server import McpServer, TOOLS, serve
 from test_ec7 import OVERFLOWING
 
@@ -460,16 +461,34 @@ class TestRecommendSkillsArguments:
 
 
 class TestBoundaryLeaks:
-    def test_deeply_nested_line_is_parse_error_and_serving_goes_on(self):
-        stdin = io.StringIO("[" * 100_000 + "\n"
-                            '{"jsonrpc": "2.0", "id": 3, "method": "ping"}\n')
+    @pytest.mark.parametrize("line", [
+        "[" * 100_000,
+        '{"jsonrpc": "2.0", "id": NaN, "method": "ping"}',
+        '{"jsonrpc": "2.0", "id": 1e999, "method": "ping"}',
+        '{"jsonrpc": "2.0", "id": -Infinity, "method": "ping"}',
+        '{"jsonrpc": "2.0", "id": %s, "method": "ping"}' % HUGE_INT,
+        '{"jsonrpc": "2.0", "id": 2, "method": "tools/call", "params": '
+        '{"name": "geo_evaluate", "arguments": {"card": "C", "variant": "v", '
+        '"inputs": {"q": NaN}}}}',
+    ], ids=["deep", "nan-id", "overflowing-id", "infinity-id", "huge-int-id",
+            "nan-argument"])
+    def test_unparseable_line_is_parse_error_and_serving_goes_on(self, line):
         stdout = io.StringIO()
-        serve(stdin, stdout)
-        lines = [json.loads(line) for line in stdout.getvalue().splitlines()]
-        assert lines == [
+        serve(io.StringIO(line + "\n"
+                          '{"jsonrpc": "2.0", "id": 3, "method": "ping"}\n'),
+              stdout)
+        replies = [json.loads(reply) for reply in stdout.getvalue().splitlines()]
+        assert replies == [
             {"jsonrpc": "2.0", "id": None,
              "error": {"code": -32700, "message": "parse error"}},
             {"jsonrpc": "2.0", "id": 3, "result": {}}]
+
+    def test_hostile_transcript_replays_byte_identically(self):
+        requests = (DATA_DIR / "hostile_transcript_requests.jsonl").read_text()
+        stdout = io.StringIO()
+        McpServer().serve(io.StringIO(requests), stdout)
+        expected = (DATA_DIR / "hostile_transcript_expected.jsonl").read_bytes()
+        assert stdout.getvalue().encode("utf-8") == expected
 
     def test_huge_integer_tolerance_is_tool_error(self, server):
         response = strict_json(call(server, "geo_design_footing_width_ec7", {
