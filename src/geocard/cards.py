@@ -97,9 +97,6 @@ class MethodCard:
                 return var
         return None
 
-    def variables_by_role(self, role: str) -> list[VariableSpec]:
-        return [v for v in self.variables if v.role == role]
-
     def to_dict(self) -> dict:
         """JSON-ready form; load_card(json.dumps(card.to_dict())) == card."""
         out = {

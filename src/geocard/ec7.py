@@ -3,8 +3,9 @@
 Covers the four EN 1997-1 Design Approach presets (Annex A partial
 factors), characteristic-to-design parameter reduction, design action
 assembly including foundation self-weight, the ULS bearing check against
-the Annex D card, and the bisection search for the required width, whose
-trial widths run untraced.
+the Annex D card, and the bisection search for the required width. Every
+trial width of the search is a full check, and the search returns the
+check made at the width it settles on.
 The check and the search read the Annex D card from the catalog they are
 given, or from the process-wide ``catalog.default_catalog()`` when given
 none, so the catalog is loaded and audited at most once per process.
@@ -27,8 +28,8 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .catalog import Catalog, default_catalog
-from .engine import EvaluationRequest, EvaluationTrace, _solve, evaluate_card
-from .errors import (GeocardError, InvalidGeometry, NoBracket, NonConvergence,
+from .engine import EvaluationRequest, EvaluationTrace, evaluate_card
+from .errors import (InvalidGeometry, NoBracket, NonConvergence,
                      NonFiniteValue, SchemaError, UnknownDesignApproach)
 from .units import DATA_DIR, to_magnitude
 
@@ -137,11 +138,20 @@ class FootingScenario:
     jrc_verified: bool = False
 
     def __post_init__(self):
-        for label, value in (("L", self.L), ("D_f", self.D_f)):
-            if value <= 0:
+        for label, value in (("L", self.L), ("D_f", self.D_f),
+                             ("gamma_k", self.gamma_k)):
+            if not value > 0:
                 raise SchemaError(f"$.{label}", "must be positive")
-        if self.e < 0:
-            raise SchemaError("$.e", "must be non-negative")
+        for label, value in (("e", self.e), ("c_prime_k", self.c_prime_k),
+                             ("c_u_k", self.c_u_k or 0.0),
+                             ("gamma_sw", self.gamma_sw),
+                             ("G_k_col", self.G_k_col), ("Q_k", self.Q_k),
+                             ("groundwater_depth", self.groundwater_depth)):
+            if not value >= 0:
+                raise SchemaError(f"$.{label}", "must be non-negative")
+        if not 0.0 <= self.phi_prime_k < math.pi / 2:
+            raise SchemaError("$.phi_prime_k",
+                              "must lie in [0, 90) degrees")
         if self.surcharge_model not in SURCHARGE_MODELS:
             raise SchemaError("$.surcharge_model",
                               f"must be one of {SURCHARGE_MODELS}")
@@ -248,7 +258,7 @@ class UlsCheckResult:
     passed: bool
     design_parameters: dict
     partial_factors: PartialFactorSet
-    trace: Optional[EvaluationTrace]  # None only on the width search's trials
+    trace: EvaluationTrace
     drainage: str
 
     def to_dict(self) -> dict:
@@ -278,9 +288,8 @@ def compute_design_action(scenario: FootingScenario, pf: PartialFactorSet,
 
 def _uls_checker(scenario: FootingScenario, design_approach: str,
                  catalog: Catalog | None, drainage: str
-                 ) -> Callable[[float, bool], UlsCheckResult]:
-    """``check(B, traced)``: the ULS check at width ``B``, with the card's
-    trace, or untraced and with ``trace`` None for the width search's trials.
+                 ) -> Callable[[float], UlsCheckResult]:
+    """``check(B)``: the ULS check at width ``B``, with the card's trace.
 
     The design soil values and overburden do not depend on the width, so
     they are derived once here; only an unknown Design Approach raises
@@ -290,7 +299,7 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
     design = derive_design_parameters(scenario.characteristic_soil, pf)
     q_d = effective_overburden(scenario, design.gamma)
 
-    def check(B: float, traced: bool) -> UlsCheckResult:
+    def check(B: float) -> UlsCheckResult:
         if B <= 0:
             raise InvalidGeometry(f"width must be positive, got {B:g}")
         B_eff = B - 2.0 * scenario.e
@@ -316,13 +325,9 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
             "B": B_eff,
             "L": scenario.L,
         }
-        if traced:
-            trace = evaluate_card(card, EvaluationRequest(
-                card_id=EC7_CARD_ID, variant_id=drainage, inputs=inputs))
-            q_ult = trace.outputs["q_ult"].magnitude
-        else:
-            trace, q_ult = None, _solve(card, drainage, inputs)["q_ult"]
-        R_d = q_ult * B_eff * scenario.L / pf.gamma_R
+        trace = evaluate_card(card, EvaluationRequest(EC7_CARD_ID, drainage,
+                                                      inputs))
+        R_d = trace.outputs["q_ult"].magnitude * B_eff * scenario.L / pf.gamma_R
         V_d = compute_design_action(scenario, pf, B)
         for label, value in (("V_d", V_d), ("R_d", R_d)):
             if not math.isfinite(value):  # float arithmetic overflows silently
@@ -360,8 +365,7 @@ def check_footing_uls_ec7(scenario: FootingScenario, design_approach: str,
     A design action or resistance that overflows to infinity raises
     NonFiniteValue naming ``V_d`` or ``R_d``.
     """
-    return _uls_checker(scenario, design_approach, catalog, drainage)(
-        B, traced=True)
+    return _uls_checker(scenario, design_approach, catalog, drainage)(B)
 
 
 @dataclass(frozen=True)
@@ -387,55 +391,42 @@ def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
     """Bisection on utilization(B) - 1 for the required footing width.
 
     Returns the passing end of the bracket, once its utilization lies in
-    (1 - tolerance, 1], together with the check made there. The trial
-    widths are evaluated untraced; only that final check carries a trace,
-    and a trial that fails is repeated as a traced check, which raises the
-    same error with its partial trace. The bracket
-    starts at [0.1 m, 20 m] and expands automatically (up to fixed limits)
-    when utilization does not cross 1 inside it.
+    (1 - tolerance, 1], together with the check made there. Each trial
+    width is a full check, so a trial that fails raises its error with the
+    partial trace. The bracket starts at [0.1 m, 20 m] and expands
+    automatically (up to fixed limits) when utilization does not cross 1
+    inside it.
     """
     if not 0.0 < tolerance < 1.0:  # also a NaN or a huge int
         raise SchemaError("$.tolerance", "must lie strictly between 0 and 1")
     min_b = max(2.0 * scenario.e + 1e-6, 1e-4)
-
-    trial = _uls_checker(scenario, design_approach, catalog, drainage)
-
-    def check(width: float) -> UlsCheckResult:
-        return check_footing_uls_ec7(scenario, design_approach, width,
-                                     catalog=catalog, drainage=drainage)
-
-    def utilization(width: float) -> float:
-        try:
-            return trial(width, traced=False).utilization
-        except GeocardError:
-            check(width)  # deterministic: raises the same error, traced
-            raise
+    check = _uls_checker(scenario, design_approach, catalog, drainage)
 
     lo = max(0.1, min_b)
     hi = max(20.0, lo)
-    at_lo, at_hi = utilization(lo), utilization(hi)
+    at_lo, at_hi = check(lo), check(hi)
     expansions = 0
-    while at_lo <= 1.0 and lo > min_b and expansions < 12:
+    while at_lo.utilization <= 1.0 and lo > min_b and expansions < 12:
         lo = max(lo / 2.0, min_b)
-        at_lo = utilization(lo)
+        at_lo = check(lo)
         expansions += 1
-    while at_hi >= 1.0 and expansions < 24:
+    while at_hi.utilization >= 1.0 and expansions < 24:
         hi *= 2.0
-        at_hi = utilization(hi)
+        at_hi = check(hi)
         expansions += 1
-    if at_lo <= 1.0 or at_hi >= 1.0:
+    if at_lo.utilization <= 1.0 or at_hi.utilization >= 1.0:
         raise NoBracket(lo, hi)
 
     iterations = 0
-    while at_hi <= 1.0 - tolerance:
+    while at_hi.utilization <= 1.0 - tolerance:
         if iterations == 200:
-            raise NonConvergence(["B"], iterations, 1.0 - at_hi)
+            raise NonConvergence(["B"], iterations, 1.0 - at_hi.utilization)
         mid = 0.5 * (lo + hi)
-        at_mid = utilization(mid)
-        if at_mid > 1.0:
+        at_mid = check(mid)
+        if at_mid.utilization > 1.0:
             lo = mid
         else:
             hi, at_hi = mid, at_mid
         iterations += 1
     return WidthDesignResult(design_approach=design_approach, B_req=hi,
-                             check=check(hi), iterations=iterations)
+                             check=at_hi, iterations=iterations)

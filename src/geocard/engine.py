@@ -1,4 +1,4 @@
-"""Card execution: one plan walk, then the audit trace read from its values.
+"""Card execution: one plan walk, and the audit trace read from its values.
 
 The evaluation order is a property of the card, fixed once by
 ``cards.load_card``: each variant carries its direct targets in order, then
@@ -8,12 +8,12 @@ one. Each target has exactly one equation (a conditional formula is a
 the direct equations in order, then solves the leftover block by plain
 fixed-point iteration from 1.0 in card units, re-evaluating the block's
 equations in listed order until the largest relative change drops below
-1e-9 (hard cap 200 iterations). ``evaluate_card`` and ``_solve`` (for
-searches that only need values) both make this walk. ``evaluate_card``
-then builds every step of the trace from the plan and the bound values, as
-the dict that is its wire form: index, target, expression, inputs
-(sorted), value, unit, description, method. ``strict_json`` is the one
-writer of traces and tool replies.
+1e-9 (hard cap 200 iterations). ``evaluate_card`` makes this walk and
+returns a trace that keeps the variant and the bound values; the trace
+builds its steps from them when they are read, as the dicts that are their
+wire form: index, target, expression, inputs (sorted), value, unit,
+description, method. ``strict_json`` is the one writer of traces and tool
+replies.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ FIXED_POINT_MAX_ITER = 200
 InputValue = Union[Quantity, float, int, str]
 
 
-@dataclass(frozen=True)
+# The request and the trace are not frozen: a frozen dataclass's __init__
+# costs 1–2 µs more per call, paid on every trial of a width search.
+@dataclass
 class EvaluationRequest:
     card_id: str
     variant_id: str
@@ -49,16 +51,47 @@ class EvaluationRequest:
     overrides: Mapping[str, InputValue] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass
 class EvaluationTrace:
-    card_id: str
-    variant_id: str
-    request_inputs: dict
+    card: MethodCard = field(repr=False)
+    variant: VariantSpec = field(repr=False)
+    env: dict  # every value the walk bound, givens and targets
+    request_inputs: dict  # copies of the request's dicts, made at evaluation
     request_overrides: dict
-    steps: tuple  # wire dicts, built once by _steps
     outputs: dict  # key -> Quantity
-    sources: tuple
     diagnostics: dict
+
+    @property
+    def card_id(self) -> str:
+        return self.card.id
+
+    @property
+    def variant_id(self) -> str:
+        return self.variant.id
+
+    @property
+    def sources(self) -> tuple:
+        return self.card.sources
+
+    @property
+    def steps(self) -> tuple:
+        """The steps as wire dicts, built from the bound values on each read:
+        each direct target is bound once and no given is a target, and the
+        cycle's steps exist only once it has converged. eq.symbols is sorted."""
+        env = self.env
+        plan = [(eq, "direct") for eq in self.variant.direct if eq.target in env]
+        if self.diagnostics["iterative_cycles"]:
+            plan += [(eq, "iterative") for eq in self.variant.iterative]
+        return tuple({
+            "index": index,
+            "target": eq.target,
+            "expression": eq.sympy,
+            "inputs": {k: env[k] for k in eq.symbols},
+            "value": env[eq.target],
+            "unit": self.card.units[eq.target].name,
+            "description": eq.description,
+            "method": method,
+        } for index, (eq, method) in enumerate(plan))
 
     def to_dict(self) -> dict:
         """Canonical serialization: request, steps, outputs, sources, diagnostics."""
@@ -66,8 +99,9 @@ class EvaluationTrace:
             "request": {
                 "card": self.card_id,
                 "variant": self.variant_id,
-                "inputs": {k: self.request_inputs[k] for k in sorted(self.request_inputs)},
-                "overrides": {k: self.request_overrides[k]
+                "inputs": {k: _echo_value(self.request_inputs[k])
+                           for k in sorted(self.request_inputs)},
+                "overrides": {k: _echo_value(self.request_overrides[k])
                               for k in sorted(self.request_overrides)},
             },
             "steps": list(self.steps),
@@ -98,32 +132,19 @@ def _echo_value(value: InputValue):
     return format_quantity(value) if isinstance(value, Quantity) else value
 
 
-def _check_input_keys(card: MethodCard, raw: Mapping) -> None:
-    supplied = set(raw)
-    missing = card.input_keys - supplied
-    if missing:
-        raise MissingInput(missing)
-    extra = supplied - card.input_keys
-    if extra:
-        raise UnexpectedInput(extra)
-
-
 def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue]) -> dict[str, float]:
     """Convert every supplied value to the card's declared unit magnitude.
 
     Accepts Quantity objects, unit-tagged strings ("38 deg"), and bare
     numbers; bare numbers are trusted as already card-normalized.
     """
-    _check_input_keys(card, raw)
+    if raw.keys() != card.input_keys:
+        missing = card.input_keys - raw.keys()
+        if missing:
+            raise MissingInput(missing)
+        raise UnexpectedInput(raw.keys() - card.input_keys)
     return {key: to_magnitude(value, card.units[key].name, key)
             for key, value in raw.items()}
-
-
-def _variant(card: MethodCard, variant_id: str) -> VariantSpec:
-    variant = card.variant(variant_id)
-    if variant is None:
-        raise UnknownVariant(card.id, variant_id)
-    return variant
 
 
 def _walk(variant: VariantSpec, env: dict) -> list[dict]:
@@ -167,26 +188,6 @@ def _walk(variant: VariantSpec, env: dict) -> list[dict]:
         raise
 
 
-def _steps(card: MethodCard, variant: VariantSpec, env: dict,
-           cycles: list) -> tuple:
-    """The trace's steps, read from the bound values: each direct target is
-    bound once and no given is a target, and the cycle's steps exist only
-    once it has converged. eq.symbols is sorted."""
-    plan = [(eq, "direct") for eq in variant.direct if eq.target in env]
-    if cycles:
-        plan += [(eq, "iterative") for eq in variant.iterative]
-    return tuple({
-        "index": index,
-        "target": eq.target,
-        "expression": eq.sympy,
-        "inputs": {k: env[k] for k in eq.symbols},
-        "value": env[eq.target],
-        "unit": card.units[eq.target].name,
-        "description": eq.description,
-        "method": method,
-    } for index, (eq, method) in enumerate(plan))
-
-
 def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTrace:
     """Evaluate one variant of a card and return the complete audit trace.
 
@@ -195,7 +196,9 @@ def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTra
     """
     if card.id != request.card_id:
         raise UnknownMethod(request.card_id)
-    variant = _variant(card, request.variant_id)
+    variant = card.variant(request.variant_id)
+    if variant is None:
+        raise UnknownVariant(card.id, request.variant_id)
     env = normalize_inputs(card, request.inputs)
     env.update(card.param_defaults)
     if request.overrides:
@@ -204,41 +207,14 @@ def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTra
             raise UnexpectedInput(bad)
         for key, value in request.overrides.items():
             env[key] = to_magnitude(value, card.units[key].name, key)
-
-    def trace(cycles: list, outputs: dict) -> EvaluationTrace:
-        return EvaluationTrace(
-            card_id=card.id,
-            variant_id=request.variant_id,
-            request_inputs={k: _echo_value(v) for k, v in request.inputs.items()},
-            request_overrides={k: _echo_value(v)
-                               for k, v in request.overrides.items()},
-            steps=_steps(card, variant, env, cycles),
-            outputs=outputs,
-            sources=card.sources,
-            diagnostics={"iterative_cycles": cycles},
-        )
-
+    echo = dict(request.inputs), dict(request.overrides)
     try:
         cycles = _walk(variant, env)
     except GeocardError as exc:
-        exc.partial_trace = trace([], outputs={})
+        exc.partial_trace = EvaluationTrace(card, variant, env, *echo, {},
+                                            {"iterative_cycles": []})
         raise
-    return trace(cycles, {key: Quantity(env[key], card.units[key])
-                          for key in card.output_keys})
-
-
-def _solve(card: MethodCard, variant_id: str,
-           values: Mapping[str, float]) -> dict[str, float]:
-    """Every bound value of one variant, computed by the walk evaluate_card
-    makes, with no trace built. ``values`` are card-normalized floats; a
-    wrong key set or a non-finite value raises what evaluate_card would
-    raise."""
-    variant = _variant(card, variant_id)
-    _check_input_keys(card, values)
-    for key, value in values.items():
-        if not math.isfinite(value):
-            raise NonFiniteValue(key)
-    env = dict(values)
-    env.update(card.param_defaults)
-    _walk(variant, env)
-    return env
+    return EvaluationTrace(card, variant, env, *echo,
+                           {key: Quantity(env[key], card.units[key])
+                            for key in card.output_keys},
+                           {"iterative_cycles": cycles})

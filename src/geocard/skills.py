@@ -54,13 +54,6 @@ class Skill:
     body: str
     references: tuple = ()
 
-    def render(self) -> str:
-        """SKILL.md text: one double-quoted line per field, then the body."""
-        frontmatter = "".join(
-            f"{key}: {json.dumps(getattr(self, key), ensure_ascii=False)}\n"
-            for key in _FRONTMATTER_FIELDS)
-        return f"---\n{frontmatter}---\n{self.body}"
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,

@@ -195,6 +195,8 @@ def to_magnitude(value, unit_name: str, key: str) -> float:
     is MalformedQuantity; a NaN, an infinity or an overflow is
     NonFiniteValue, named by ``key``.
     """
+    if type(value) is float and math.isfinite(value):
+        return value
     registry = default_registry()
     if isinstance(value, str):
         magnitude, tag = split_quantity_text(value)

@@ -47,7 +47,7 @@ class TestLoadCard:
         card = load(minimal_card())
         assert card.id == "TEST_CARD"
         assert card.variant("base") is not None
-        assert card.variables_by_role("input")[0].key == "x"
+        assert [v.key for v in card.variables if v.role == "input"][0] == "x"
 
     def test_bundled_terzaghi_shape(self):
         from geocard.catalog import load_catalog

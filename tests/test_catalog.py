@@ -26,7 +26,7 @@ BUNDLED_IDS = [
 
 def factors(card_id, variant, phi, **extra):
     card = CATALOG.get_method(card_id)
-    inputs = {v.key: 0.0 for v in card.variables_by_role("input")}
+    inputs = {v.key: 0.0 for v in card.variables if v.role == "input"}
     for key in ("B", "L"):
         if key in inputs:
             inputs[key] = 1.0

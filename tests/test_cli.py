@@ -235,17 +235,20 @@ class TestEc7Commands:
         assert body[0]["design_approach"] == "DA2"
         assert "trace" in body[0]
 
-    def test_design_json_matches_golden_file(self):
-        """The console-script step of CI: the design reply, byte for byte."""
+    @pytest.mark.parametrize("command, golden", [
+        (["design"], "golden_cli_ec7_design.json"),
+        (["check", "--B", "2.0"], "golden_cli_ec7_check.json")],
+        ids=["design", "check"])
+    def test_json_matches_golden_file(self, command, golden):
+        """The console-script steps of CI: each reply, byte for byte."""
         root = Path(__file__).parents[1]
         proc = subprocess.run(
-            [sys.executable, "-m", "geocard.cli", "ec7", "design",
+            [sys.executable, "-m", "geocard.cli", "ec7", command[0],
              "--scenario", "src/geocard/data/scenarios/jrc_a3.json",
-             "--da", "all", "--format", "json"],
+             "--da", "all", *command[1:], "--format", "json"],
             cwd=root, capture_output=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == (
-            root / "tests/data/golden_cli_ec7_design.json").read_bytes()
+        assert proc.stdout == (root / "tests/data" / golden).read_bytes()
 
     @pytest.mark.parametrize("command", [["check", "--B", "1.5"], ["design"]])
     @pytest.mark.parametrize("key", ["ecc", "B"])

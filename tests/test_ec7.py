@@ -296,22 +296,6 @@ class TestWidthDesign:
         with pytest.raises(NoBracket):
             design_footing_width_ec7(unloaded, "DA1-C1")
 
-    def test_one_traced_check_per_design(self, monkeypatch):
-        """The trials are untraced; the result's check is a public check."""
-        import geocard.ec7
-
-        widths = []
-        check = geocard.ec7.check_footing_uls_ec7
-
-        def counting_check(scenario, design_approach, B, **kwargs):
-            widths.append(B)
-            return check(scenario, design_approach, B, **kwargs)
-
-        monkeypatch.setattr(geocard.ec7, "check_footing_uls_ec7",
-                            counting_check)
-        result = design_footing_width_ec7(SCENARIO, "DA2")
-        assert widths == [result.B_req]
-
 
 class TestWidthDesignPassesOwnCheck:
     @pytest.mark.parametrize("da", ["DA1-C1", "DA1-C2", "DA2", "DA3"])
@@ -380,6 +364,17 @@ class TestScenarioNonFinite:
         assert err.value.path == "$"
 
 
+# Physically impossible scenario values. Before they were refused, "100 deg"
+# gave a design, because atan(tan 100 deg) reads the angle as -80 deg.
+IMPOSSIBLE_FIELDS = [
+    ("phi_prime_k", "100 deg"), ("phi_prime_k", "90 deg"),
+    ("phi_prime_k", "-5 deg"), ("c_prime_k", "-5 kPa"), ("c_u_k", "-5 kPa"),
+    ("gamma_k", "-18 kN/m^3"), ("gamma_k", "0 kN/m^3"),
+    ("gamma_sw", "-25 kN/m^3"), ("G_k_col", "-500 kN"), ("Q_k", "-1 kN"),
+    ("groundwater_depth", "-3 m"),
+]
+
+
 class TestScenarioFile:
     def test_bundled_scenario_fields(self):
         assert SCENARIO.L == 21.4
@@ -439,6 +434,21 @@ class TestScenarioFile:
         full = dict(raw, c_u_k="50 kPa", name="A3", jrc_verified=True,
                     notes=["kept for the reader only"])
         assert load_scenario(json.dumps(full)).c_u_k == 50.0
+
+    @pytest.mark.parametrize("key, value", IMPOSSIBLE_FIELDS)
+    def test_physically_impossible_field_rejected(self, key, value):
+        raw = json.loads(Path(bundled_scenario_path()).read_text())
+        with pytest.raises(SchemaError) as err:
+            load_scenario(json.dumps(dict(raw, **{key: value})))
+        assert err.value.path == f"$.{key}"
+
+    @pytest.mark.parametrize("key, value", [
+        ("phi_prime_k", "0 deg"), ("phi_prime_k", "89.9 deg"),
+        ("c_prime_k", "0 kPa"), ("c_u_k", "0 kPa"), ("gamma_sw", "0 kN/m^3"),
+        ("G_k_col", "0 kN"), ("Q_k", "0 kN"), ("groundwater_depth", "0 m")])
+    def test_bounds_of_the_possible_accepted(self, key, value):
+        raw = json.loads(Path(bundled_scenario_path()).read_text())
+        load_scenario(json.dumps(dict(raw, **{key: value})))
 
     def test_wrong_unit_dimension_rejected(self):
         from geocard.errors import DimensionMismatch

@@ -11,7 +11,6 @@ from geocard.cards import load_card
 from geocard.catalog import load_catalog
 from geocard.engine import (
     EvaluationRequest,
-    _solve,
     evaluate_card,
     normalize_inputs,
 )
@@ -535,29 +534,46 @@ class TestFixedPointFaultPayload:
             "iterations (residual inf)", "1e200*x + w", 1e200)
 
 
-_SOLVE_CASES = [(card, variant.id) for card in CATALOG.cards.values()
-                for variant in card.variants] + [(load_card(CYCLIC_CARD), "base")]
+class TestLazyTrace:
+    """A trace builds its steps when they are read, from values that no
+    later evaluation and no edit of the caller's request can reach."""
 
+    @pytest.mark.parametrize("card, variant, inputs, later", [
+        (TERZAGHI, "general_shear_failure_strip", TERZAGHI_STRIP_INPUTS,
+         lambda i: {**TERZAGHI_STRIP_INPUTS, "B": f"{1 + i / 10} m"}),
+        (load_card(CYCLIC_CARD), "base", {"a": 1.0},
+         lambda i: {"a": 1.0 + i}),
+    ], ids=["terzaghi", "cycle"])
+    def test_serialized_late_equals_serialized_at_once(self, card, variant,
+                                                       inputs, later):
+        at_once = run(card, variant, inputs).to_json()
+        trace = run(card, variant, inputs)
+        for i in range(50):
+            run(card, variant, later(i)).to_json()
+        assert trace.to_json().encode() == at_once.encode()
 
-class TestSolveMatchesTrace:
-    """The untraced solve binds exactly the values the trace's steps show."""
+    def test_partial_trace_serialized_late(self):
+        card = _cycle_fault_card("x + w")
+        with pytest.raises(NonConvergence) as first:
+            run(card, "base", {"a": 0.5})
+        at_once = first.value.partial_trace.to_json()
+        with pytest.raises(NonConvergence) as second:
+            run(card, "base", {"a": 0.5})
+        for i in range(50):
+            with pytest.raises(NonConvergence):
+                run(card, "base", {"a": 0.25 + i})
+        assert second.value.partial_trace.to_json() == at_once
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_same_values_or_same_error(self, data):
-        card, variant_id = data.draw(st.sampled_from(_SOLVE_CASES))
-        values = {key: data.draw(st.floats(
-            0.0, 0.9 if card.units[key].name == "radians" else 50.0), label=key)
-            for key in sorted(card.input_keys)}
-        try:
-            trace = run(card, variant_id, values)
-        except GeocardError as exc:
-            with pytest.raises(type(exc)) as err:
-                _solve(card, variant_id, values)
-            assert str(err.value) == str(exc)
-            return
-        env = _solve(card, variant_id, values)
-        assert set(env) == set(values) | set(card.param_defaults) | {
-            s["target"] for s in trace.steps}
-        assert {s["target"]: env[s["target"]].hex() for s in trace.steps} == \
-            {s["target"]: s["value"].hex() for s in trace.steps}
+    def test_editing_the_request_after_evaluation(self):
+        card = CATALOG.get_method("BEARING_CAPACITY_VESIC")
+        variant = card.variants[0].id
+        inputs = {key: 1.0 for key in sorted(card.input_keys)}
+        overrides = {key: 0.1 for key in sorted(card.param_defaults)}
+        assert overrides
+        expected = run(card, variant, dict(inputs), dict(overrides)).to_json()
+        trace = run(card, variant, inputs, overrides)
+        for key in list(inputs):
+            inputs[key] = "7 kPa"
+        inputs["extra"] = 3.0
+        overrides.clear()
+        assert trace.to_json() == expected

@@ -506,6 +506,24 @@ class TestBoundaryLeaks:
     @pytest.mark.parametrize("tool, extra", [
         ("geo_check_footing_uls_ec7", {"B": 1.5}),
         ("geo_design_footing_width_ec7", {})])
+    @pytest.mark.parametrize("key, value", [
+        ("phi_prime_k", "100 deg"), ("phi_prime_k", "-5 deg"),
+        ("c_prime_k", "-5 kPa"), ("c_u_k", "-5 kPa"),
+        ("gamma_k", "-18 kN/m^3"), ("gamma_sw", "-25 kN/m^3"),
+        ("G_k_col", "-500 kN"), ("Q_k", "-1 kN"),
+        ("groundwater_depth", "-3 m")])
+    def test_impossible_scenario_field_is_tool_error(self, server, tool, extra,
+                                                     key, value):
+        response = strict_json(call(server, tool, {
+            "scenario": {**JRC_SCENARIO, key: value},
+            "design_approach": "DA2", **extra}))
+        error = tool_error(response)
+        assert error["error"] == "schema_error"
+        assert error["message"].startswith(f"$.{key}: must ")
+
+    @pytest.mark.parametrize("tool, extra", [
+        ("geo_check_footing_uls_ec7", {"B": 1.5}),
+        ("geo_design_footing_width_ec7", {})])
     @pytest.mark.parametrize("key", ["ecc", "B"])
     def test_unknown_scenario_field_is_tool_error(self, server, tool, extra, key):
         response = strict_json(call(server, tool, {
