@@ -355,139 +355,103 @@ _TRANSCENDENTAL = frozenset({"sin", "cos", "tan", "cot", "asin", "acos",
                              "atan", "exp", "log"})
 
 
-def _compatible(d1: Dimension, d2: Dimension) -> bool:
-    """Equal dimensions, or an angle/dimensionless pairing.
+def _mix(d1: Dimension, d2: Dimension) -> Optional[Dimension]:
+    """The dimension of an additive mix of ``d1`` and ``d2``, or None when
+    they do not mix.
 
-    Angle is a pseudo-dimension: ``pi/4 + phi/2`` and ``phi > 0`` are
-    legitimate card algebra even though pi/4 and 0 are bare numbers, so
-    angle and dimensionless mix in additive and comparison positions.
-    Conversion (units.convert) stays strict.
+    Equal dimensions mix. Angle is a pseudo-dimension: ``pi/4 + phi/2`` and
+    ``phi > 0`` are legitimate card algebra even though pi/4 and 0 are bare
+    numbers, so angle and dimensionless mix in additive and comparison
+    positions, and angle wins. Conversion (units.convert) stays strict.
     """
     if d1 == d2:
-        return True
-    return d1.is_angle_like() and d2.is_angle_like()
+        return d1
+    if d1.is_angle_like() and d2.is_angle_like():
+        return d2 if d1.is_dimensionless() else d1
+    return None
 
 
-def _join(d1: Dimension, d2: Dimension) -> Dimension:
-    """Result dimension of an additive mix; angle wins over dimensionless."""
-    return d1 if not d1.is_dimensionless() else d2
-
-
-class _DimensionChecker:
-    def __init__(self, card: MethodCard):
-        self.card = card
-        self.var_dims = {key: unit.dimension for key, unit in card.units.items()}
-        self.findings: list[DimensionFinding] = []
-
-    def check(self) -> list[DimensionFinding]:
-        for variant in self.card.variants:
-            for eq in variant.equations:
-                self._check_equation(variant.id, eq)
-        return self.findings
-
-    def _check_equation(self, variant_id: str, eq: EquationSpec) -> None:
-        report = lambda msg: self.findings.append(
-            DimensionFinding(variant_id, eq.target, msg))
-        result = self._dim(eq.expr, report)
-        target_dim = self.var_dims[eq.target]
-        if result is not None and not _compatible(result, target_dim):
-            report(f"expression has dimension {result}, target declares {target_dim}")
-
-    def _dim(self, node, report) -> Optional[Dimension]:
-        """Propagate dimensions; None means already-reported poison."""
-        if isinstance(node, ex.Number):
-            return DIMENSIONLESS
-        if isinstance(node, ex.Constant):
-            return DIMENSIONLESS
-        if isinstance(node, ex.BoolLiteral):
-            return DIMENSIONLESS
-        if isinstance(node, ex.Symbol):
-            return self.var_dims[node.name]
-        if isinstance(node, ex.Unary):
-            return self._dim(node.operand, report)
-        if isinstance(node, ex.Binary):
-            left = self._dim(node.left, report)
-            right = self._dim(node.right, report)
-            if left is None or right is None:
+def _dim(node: ex.ExprNode, dims: dict, report) -> Optional[Dimension]:
+    """The dimension of ``node``, variables' taken from ``dims``; None once
+    ``report`` has been called with a finding below it."""
+    if isinstance(node, ex.Symbol):
+        return dims[node.name]
+    if isinstance(node, (ex.Number, ex.Constant, ex.BoolLiteral)):
+        return DIMENSIONLESS
+    if isinstance(node, ex.Unary):
+        return _dim(node.operand, dims, report)
+    if isinstance(node, ex.Comparison):
+        left, right = _dim(node.left, dims, report), _dim(node.right, dims, report)
+        if left is not None and right is not None and _mix(left, right) is None:
+            report(f"comparison mixes {left} and {right} in {ex.to_text(node)}")
+        return DIMENSIONLESS
+    if isinstance(node, ex.Piecewise):
+        result = None
+        for value, condition in node.branches:
+            _dim(condition, dims, report)
+            d = _dim(value, dims, report)
+            if d is None:
+                continue
+            mixed = d if result is None else _mix(result, d)
+            if mixed is None:
+                report(f"Piecewise branches mix {result} and {d}")
                 return None
-            if node.op in ("+", "-"):
-                if not _compatible(left, right):
-                    report(f"cannot {('add', 'subtract')[node.op == '-']} "
-                           f"{left} and {right} in {ex.to_text(node)}")
-                    return None
-                return _join(left, right)
-            if node.op == "*":
-                return left * right
-            if node.op == "/":
-                return left / right
-            # ** : dimensionless base stays dimensionless; a dimensioned
-            # base needs a literal exponent to produce a typed result.
-            if left.is_dimensionless():
-                if not right.is_dimensionless():
-                    report(f"exponent has dimension {right} in {ex.to_text(node)}")
-                    return None
+            result = mixed
+        return result
+    if isinstance(node, ex.Binary):
+        left, right = _dim(node.left, dims, report), _dim(node.right, dims, report)
+        if left is None or right is None:
+            return None
+        if node.op in ("+", "-"):
+            mixed = _mix(left, right)
+            if mixed is None:
+                report(f"cannot {('add', 'subtract')[node.op == '-']} "
+                       f"{left} and {right} in {ex.to_text(node)}")
+            return mixed
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            return left / right
+        # ** : dimensionless base stays dimensionless; a dimensioned base
+        # needs a literal exponent, negated or not, to give a typed result.
+        if left.is_dimensionless():
+            if right.is_dimensionless():
                 return DIMENSIONLESS
-            exponent = node.right
-            if isinstance(exponent, ex.Unary):
-                exponent = exponent.operand
-            if not isinstance(exponent, ex.Number):
-                report(f"dimensioned base requires a numeric literal exponent "
-                       f"in {ex.to_text(node)}")
+            report(f"exponent has dimension {right} in {ex.to_text(node)}")
+            return None
+        exponent, sign = node.right, 1
+        if isinstance(exponent, ex.Unary):
+            exponent, sign = exponent.operand, -1
+        if not isinstance(exponent, ex.Number):
+            report(f"dimensioned base requires a numeric literal exponent "
+                   f"in {ex.to_text(node)}")
+            return None
+        return left ** (sign * exponent.value)
+    if isinstance(node, ex.Call):
+        args = [_dim(a, dims, report) for a in node.args]
+        if any(d is None for d in args):
+            return None
+        if node.func in _TRANSCENDENTAL:  # each takes one argument
+            if not args[0].is_angle_like():
+                report(f"{node.func} argument {ex.to_text(node.args[0])} has "
+                       f"dimension {args[0]}; needs angle or dimensionless")
                 return None
-            power = -exponent.value if isinstance(node.right, ex.Unary) else exponent.value
-            return left ** power
-        if isinstance(node, ex.Call):
-            arg_dims = [self._dim(a, report) for a in node.args]
-            if any(d is None for d in arg_dims):
-                return None
-            if node.func in _TRANSCENDENTAL:
-                for d, a in zip(arg_dims, node.args):
-                    if not d.is_angle_like():
-                        report(f"{node.func} argument {ex.to_text(a)} has "
-                               f"dimension {d}; needs angle or dimensionless")
-                        return None
-                return DIMENSIONLESS
-            if node.func == "atan2":
-                if not _compatible(arg_dims[0], arg_dims[1]):
-                    report(f"atan2 arguments have dimensions {arg_dims[0]} "
-                           f"and {arg_dims[1]}")
-                    return None
-                return DIMENSIONLESS
-            if node.func == "sqrt":
-                return arg_dims[0] ** 0.5
-            if node.func == "Abs":
-                return arg_dims[0]
-            if node.func in ("Min", "Max"):
-                first = arg_dims[0]
-                for d in arg_dims[1:]:
-                    if not _compatible(first, d):
-                        report(f"{node.func} arguments mix {first} and {d}")
-                        return None
-                    first = _join(first, d)
-                return first
-            raise AssertionError(node.func)
-        if isinstance(node, ex.Piecewise):
-            branch_dim: Optional[Dimension] = None
-            for value, condition in node.branches:
-                self._dim(condition, report)
-                d = self._dim(value, report)
-                if d is None:
-                    continue
-                if branch_dim is None:
-                    branch_dim = d
-                elif not _compatible(branch_dim, d):
-                    report(f"Piecewise branches mix {branch_dim} and {d}")
-                    return None
-                else:
-                    branch_dim = _join(branch_dim, d)
-            return branch_dim
-        if isinstance(node, ex.Comparison):
-            left = self._dim(node.left, report)
-            right = self._dim(node.right, report)
-            if left is not None and right is not None and not _compatible(left, right):
-                report(f"comparison mixes {left} and {right} in {ex.to_text(node)}")
             return DIMENSIONLESS
-        raise TypeError(f"not an ExprNode: {node!r}")
+        if node.func == "sqrt":
+            return args[0] ** 0.5
+        if node.func == "Abs":
+            return args[0]
+        result = args[0]  # atan2, Min and Max: the arguments mix
+        for d in args[1:]:
+            mixed = _mix(result, d)
+            if mixed is None:
+                report(f"atan2 arguments have dimensions {result} and {d}"
+                       if node.func == "atan2"
+                       else f"{node.func} arguments mix {result} and {d}")
+                return None
+            result = mixed
+        return DIMENSIONLESS if node.func == "atan2" else result
+    raise TypeError(f"not an ExprNode: {node!r}")
 
 
 def validate_dimensions(card: MethodCard) -> list[DimensionFinding]:
@@ -497,4 +461,14 @@ def validate_dimensions(card: MethodCard) -> list[DimensionFinding]:
     dimensionless empirical constants); a literal standing in for a
     dimensional constant is a card-authoring error this pass cannot see.
     """
-    return _DimensionChecker(card).check()
+    dims = {key: unit.dimension for key, unit in card.units.items()}
+    findings: list[DimensionFinding] = []
+    for variant in card.variants:
+        for eq in variant.equations:
+            report = lambda message: findings.append(
+                DimensionFinding(variant.id, eq.target, message))
+            result = _dim(eq.expr, dims, report)
+            target = dims[eq.target]
+            if result is not None and _mix(result, target) is None:
+                report(f"expression has dimension {result}, target declares {target}")
+    return findings

@@ -132,24 +132,27 @@ def cmd_validate(args) -> int:
 
 # --------------------------------------------------------------------- eval ----
 
-def _parse_kv(pairs: list[str], label: str) -> dict:
+def _parse_kv(pairs: list[str], label: str) -> "dict | None":
+    """The KEY=VALUE pairs as a dict, or None after a usage error."""
     out = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep or not key.strip():
-            raise GeocardError(f"{label} must be KEY=VALUE, got {pair!r}")
+            print(f"usage error: {label} must be KEY=VALUE, got {pair!r}",
+                  file=sys.stderr)
+            return None
         out[key.strip()] = value.strip()
     return out
 
 
 def cmd_eval(args) -> int:
+    inputs = _parse_kv(args.inputs, "--in")
+    overrides = _parse_kv(args.overrides, "--override")
+    if inputs is None or overrides is None:
+        return 2
     card = default_catalog().get_method(args.card)
-    request = EvaluationRequest(
-        card_id=args.card,
-        variant_id=args.variant,
-        inputs=_parse_kv(args.inputs, "--in"),
-        overrides=_parse_kv(args.overrides, "--override"),
-    )
+    request = EvaluationRequest(card_id=args.card, variant_id=args.variant,
+                                inputs=inputs, overrides=overrides)
     trace = evaluate_card(card, request)
     if args.format == "json":
         print(trace.to_json())

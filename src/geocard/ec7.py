@@ -247,7 +247,8 @@ def effective_unit_weight_below_base(scenario: FootingScenario,
 
 # ------------------------------------------------------------- ULS check ----
 
-@dataclass(frozen=True)
+# Not frozen: one is built per width-search trial, and a frozen __init__ is slow.
+@dataclass
 class UlsCheckResult:
     design_approach: str
     B: float

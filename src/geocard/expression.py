@@ -3,11 +3,12 @@
 This is a closed, allowlisted expression grammar — not a Python subset.
 There is no attribute access, no indexing, no strings, no statement forms,
 and only the functions named in ALLOWED_FUNCTIONS can be called, so a
-hostile card can at worst fail to parse. Evaluation never touches
-``eval()``, ``exec()``, ``compile()`` or any other host-language execution
-path: ``compile_expr`` turns the parsed tree into nested Python closures,
-one per node, that apply ``math`` primitives. ``cards.load_card`` builds
-them once per equation, so an evaluation walks no tree.
+hostile card can at worst fail to parse. The tokenizer is one regex, whose
+last alternative rejects any character no token takes. Evaluation never
+touches ``eval()``, ``exec()``, ``compile()`` or any other host-language
+execution path: ``compile_expr`` turns the parsed tree into nested Python
+closures, one per node, that apply ``math`` primitives. ``cards.load_card``
+builds them once per equation, so an evaluation walks no tree.
 
 Grammar (infix, standard precedence; ``**`` is right-associative and binds
 tighter than unary minus):
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
 
@@ -121,69 +123,48 @@ ExprNode = Union[Number, Constant, Symbol, Unary, Binary, Call, Piecewise,
 
 # --------------------------------------------------------------- tokenizer ----
 
+# One alternative per token kind, tried in order at each position; every
+# character is whitespace or matched by ``bad``, so the scan never skips one.
+# Digits and letters are ASCII only: ``[0-9]``, not ``\d``.
+_TOKEN_RE = re.compile(r"""
+    (?P<space>\s+)
+  | (?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>\*\*|[<>=]=|[-+*/(),<>=])
+  | (?P<bad>\S)
+""", re.VERBOSE)
+
+_BAD_CHARACTERS = {
+    ".": "attribute access ('.') is not part of the language",
+    **dict.fromkeys("\"'", "string literals are not part of the language"),
+    **dict.fromkeys("[]", "indexing is not part of the language"),
+}
+
+
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
     """Return (kind, value, position) triples; kind in {num, name, op}."""
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if "0" <= c <= "9" or (c == "." and i + 1 < n
-                                 and "0" <= text[i + 1] <= "9"):
-            start = i
-            while i < n and "0" <= text[i] <= "9":
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and "0" <= text[i] <= "9":
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and "0" <= text[j] <= "9":
-                    i = j
-                    while i < n and "0" <= text[i] <= "9":
-                        i += 1
-            value = float(text[start:i])
-            if math.isinf(value):  # float() overflows to inf without raising
-                raise ParseError(start, f"number {text[start:i]!r} is out of range")
-            tokens.append(("num", value, start))
-            continue
-        if ("a" <= c <= "z") or ("A" <= c <= "Z") or c == "_":
-            start = i
-            while i < n and (("a" <= text[i] <= "z") or ("A" <= text[i] <= "Z")
-                             or "0" <= text[i] <= "9" or text[i] == "_"):
-                i += 1
-            name = text[start:i]
-            if "__" in name:
-                raise DisallowedSyntax(f"double-underscore identifier {name!r}")
-            if name in _RESERVED:
-                raise DisallowedSyntax(f"reserved word {name!r}")
-            tokens.append(("name", name, start))
-            continue
-        if c == "*" and i + 1 < n and text[i + 1] == "*":
-            tokens.append(("op", "**", i))
-            i += 2
-            continue
-        if c in "><=" and i + 1 < n and text[i + 1] == "=":
-            op = c + "="
-            tokens.append(("op", "=" if op == "==" else op, i))
-            i += 2
-            continue
-        if c in "+-*/(),><=":
-            tokens.append(("op", c, i))
-            i += 1
-            continue
-        if c == ".":
-            raise DisallowedSyntax("attribute access ('.') is not part of the language")
-        if c in "\"'":
-            raise DisallowedSyntax("string literals are not part of the language")
-        if c in "[]":
-            raise DisallowedSyntax("indexing is not part of the language")
-        raise DisallowedSyntax(f"character {c!r} is not part of the language")
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN_RE.match(text, pos)
+        kind, value = match.lastgroup, match.group()
+        if kind == "num":
+            number = float(value)
+            if math.isinf(number):  # float() overflows to inf without raising
+                raise ParseError(pos, f"number {value!r} is out of range")
+            tokens.append((kind, number, pos))
+        elif kind == "name":
+            if "__" in value:
+                raise DisallowedSyntax(f"double-underscore identifier {value!r}")
+            if value in _RESERVED:
+                raise DisallowedSyntax(f"reserved word {value!r}")
+            tokens.append((kind, value, pos))
+        elif kind == "op":
+            tokens.append((kind, "=" if value == "==" else value, pos))
+        elif kind == "bad":
+            raise DisallowedSyntax(_BAD_CHARACTERS.get(
+                value, f"character {value!r} is not part of the language"))
+        pos = match.end()
     return tokens
 
 
@@ -511,50 +492,35 @@ _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
             "<=": operator.le, "=": operator.eq}
 
 
-def _arithmetic_fault(node: Binary, exc: ArithmeticError) -> MathDomain:
-    if isinstance(exc, ZeroDivisionError):
-        return MathDomain(f"zero raised to negative power in {to_text(node)}")
-    return MathDomain(f"overflow in {to_text(node)}")
-
-
 def _compile_binary(node: Binary, left, right):
+    """The closure of one binary operation on floats, as every env value,
+    param default and number literal is. Float ``+ - * /`` never raise: they
+    round to an infinity, which the engine rejects as a non-finite step. So
+    ``/`` only checks for a zero divisor, and only ``**`` catches errors."""
     op = node.op
     if op == "/":
         def binary(env):
             a, b = left(env), right(env)
-            try:
-                if b == 0.0:
-                    raise MathDomain(f"division by zero in {to_text(node)}")
-                return a / b
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise _arithmetic_fault(node, exc) from None
+            if b == 0.0:
+                raise MathDomain(f"division by zero in {to_text(node)}")
+            return a / b
         return binary
     if op == "**":
         def binary(env):
             a, b = left(env), right(env)
             try:
                 result = a ** b
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise _arithmetic_fault(node, exc) from None
+            except ZeroDivisionError:
+                raise MathDomain(
+                    f"zero raised to negative power in {to_text(node)}") from None
+            except OverflowError:
+                raise MathDomain(f"overflow in {to_text(node)}") from None
             if isinstance(result, complex):
                 raise MathDomain(f"complex result in {to_text(node)}")
             return result
         return binary
     apply = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
-
-    def binary(env):
-        a, b = left(env), right(env)
-        try:
-            return apply(a, b)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise _arithmetic_fault(node, exc) from None
-    return binary
-
-
-def _call_fault(func: str, exc: Exception) -> MathDomain:
-    if isinstance(exc, ValueError):
-        return MathDomain(f"{func}: {exc}")
-    return MathDomain(f"overflow in {func}")
+    return lambda env: apply(left(env), right(env))
 
 
 def _compile_call(func: str, args: list):
@@ -564,6 +530,8 @@ def _compile_call(func: str, args: list):
         values = [arg(env) for arg in args]
         try:
             return fn(*values)
-        except (ValueError, OverflowError) as exc:
-            raise _call_fault(func, exc) from None
+        except ValueError as exc:
+            raise MathDomain(f"{func}: {exc}") from None
+        except OverflowError:
+            raise MathDomain(f"overflow in {func}") from None
     return call

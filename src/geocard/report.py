@@ -13,16 +13,14 @@ from .engine import EvaluationTrace
 
 
 def format_sig(value: float) -> str:
-    """Format to 4 significant figures, trimming exponents for magnitudes a
-    report reader expects in plain notation."""
+    """Format to 4 significant figures, in plain notation from 1e-4 up to
+    1e7: the g format's 1.2e+04 is printed as 12000."""
     if value == 0:
         return "0"
     text = f"{value:.4g}"
-    if "e" in text:  # the g format writes a lowercase exponent
-        mantissa, _, exponent = text.partition("e")
-        exp = int(exponent)
-        if -4 < exp < 7:
-            text = f"{value:.{max(3 - exp, 0)}f}".rstrip("0").rstrip(".")
+    exponent = text.partition("e")[2]
+    if exponent and 0 < int(exponent) < 7:
+        text = f"{float(text):.0f}"
     return text
 
 

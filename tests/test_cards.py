@@ -3,9 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import HUGE_INT
-from geocard.cards import load_card, validate_dimensions
+from geocard import expression as ex
+from geocard.cards import DimensionFinding, load_card, validate_dimensions
 from geocard.errors import (
     DisallowedFunction,
     DuplicateKey,
@@ -15,6 +17,7 @@ from geocard.errors import (
     UndeclaredSymbol,
     UnknownUnit,
 )
+from geocard.units import DIMENSIONLESS
 
 
 def minimal_card(**overrides) -> dict:
@@ -308,3 +311,305 @@ class TestValidateDimensions:
             "Piecewise((x, w > 0), (w, True))"
         findings = validate_dimensions(load(bad))
         assert findings
+
+
+# ------------------------------------------------------ dimension rules ----
+#
+# One row per rule of the audit: the target's unit, the expression, the
+# units of its variables, and every finding it must give, in order.
+
+_L, _A, _N = "m", "radians", "dimensionless"
+TARGET_MISMATCH = "expression has dimension {}, target declares {}"
+
+DIMENSION_RULES = [
+    # unary minus passes its operand's dimension through
+    (_L, "-x", {"x": _L}, []),
+    (_L, "-a", {"a": _A}, [TARGET_MISMATCH.format("angle", "length")]),
+    (_L, "x + -a", {"x": _L, "a": _A},
+     ["cannot add length and angle in x + -a"]),
+    # a dimensioned base raised to a literal, negated or not
+    (_L, "sqrt(x**2)", {"x": _L}, []),
+    (_L, "1/x**-1", {"x": _L}, []),
+    (_L, "x**(-2)*x**3", {"x": _L}, []),
+    (_L, "x**0.5", {"x": _L}, [TARGET_MISMATCH.format("length^1/2", "length")]),
+    (_L, "x**n", {"x": _L, "n": _N},
+     ["dimensioned base requires a numeric literal exponent in x**n"]),
+    (_L, "x**-n", {"x": _L, "n": _N},
+     ["dimensioned base requires a numeric literal exponent in x**-n"]),
+    (_N, "n**x", {"n": _N, "x": _L}, ["exponent has dimension length in n**x"]),
+    (_N, "n**a", {"n": _N, "a": _A}, ["exponent has dimension angle in n**a"]),
+    # sqrt halves, Abs keeps
+    (_L, "sqrt(x)", {"x": _L}, [TARGET_MISMATCH.format("length^1/2", "length")]),
+    (_L, "Abs(x)", {"x": _L}, []),
+    (_L, "Abs(a)", {"a": _A}, [TARGET_MISMATCH.format("angle", "length")]),
+    # Min and Max: all arguments mix; angle wins over dimensionless
+    (_L, "Max(x, 2*x, x)", {"x": _L}, []),
+    (_L, "Min(0, a)", {"a": _A}, [TARGET_MISMATCH.format("angle", "length")]),
+    (_L, "Min(a, 0, n)", {"a": _A, "n": _N},
+     [TARGET_MISMATCH.format("angle", "length")]),
+    (_L, "Max(x, n, a)", {"x": _L, "n": _N, "a": _A},
+     ["Max arguments mix length and dimensionless"]),
+    (_L, "Min(x, x, a)", {"x": _L, "a": _A},
+     ["Min arguments mix length and angle"]),
+    # atan2: its two arguments mix, and the result is dimensionless
+    (_A, "atan2(x, x)", {"x": _L}, []),
+    (_L, "atan2(a, n)", {"a": _A, "n": _N},
+     [TARGET_MISMATCH.format("dimensionless", "length")]),
+    (_L, "atan2(x, a)", {"x": _L, "a": _A},
+     ["atan2 arguments have dimensions length and angle"]),
+    # transcendental functions take an angle or a dimensionless number
+    (_N, "sin(a) + cos(a) + tan(n) + cot(a) + asin(n) + acos(n) + atan(n)"
+         " + exp(n) + log(n)", {"a": _A, "n": _N}, []),
+    (_N, "log(x)", {"x": _L},
+     ["log argument x has dimension length; needs angle or dimensionless"]),
+    (_L, "sin(x) + cos(x)", {"x": _L},
+     ["sin argument x has dimension length; needs angle or dimensionless",
+      "cos argument x has dimension length; needs angle or dimensionless"]),
+    # Piecewise: conditions are audited; a poisoned branch is skipped
+    (_L, "Piecewise((x, a > x), (2*x, True))", {"x": _L, "a": _A},
+     ["comparison mixes angle and length in a > x"]),
+    (_L, "Piecewise((sin(x), True))", {"x": _L},
+     ["sin argument x has dimension length; needs angle or dimensionless"]),
+    (_L, "Piecewise((sin(x), n > 0), (a, True))", {"x": _L, "a": _A, "n": _N},
+     ["sin argument x has dimension length; needs angle or dimensionless",
+      TARGET_MISMATCH.format("angle", "length")]),
+    (_L, "Piecewise((n, n > 0), (a, a > 0), (x, True))",
+     {"x": _L, "a": _A, "n": _N},
+     ["Piecewise branches mix angle and length"]),
+    # the target accepts an angle for a dimensionless result, and back
+    (_A, "n", {"n": _N}, []),
+    (_N, "a", {"a": _A}, []),
+]
+
+
+def _rule_card(target_unit: str, expression: str, units: dict) -> dict:
+    card = minimal_card()
+    card["variables"] = [{"key": "y", "name": "out", "role": "output",
+                          "unit": target_unit}]
+    card["variables"] += [{"key": key, "name": key, "role": "input",
+                           "unit": unit} for key, unit in units.items()]
+    card["variants"][0]["equations"][0]["sympy"] = expression
+    return card
+
+
+def _called_functions(node) -> set:
+    found = {node.func} if isinstance(node, ex.Call) else set()
+    for child in ex._children(node):
+        found |= _called_functions(child)
+    return found
+
+
+class TestDimensionRules:
+    @pytest.mark.parametrize("target_unit, expression, units, expected",
+                             DIMENSION_RULES)
+    def test_findings(self, target_unit, expression, units, expected):
+        card = load(_rule_card(target_unit, expression, units))
+        findings = validate_dimensions(card)
+        assert [f.message for f in findings] == expected
+        assert all((f.variant_id, f.target) == ("base", "y") for f in findings)
+
+    def test_every_function_has_a_rule(self):
+        called = set()
+        for _, expression, _, _ in DIMENSION_RULES:
+            called |= _called_functions(ex.parse(expression))
+        assert called == ex.ALLOWED_FUNCTIONS - {"Piecewise"}
+
+
+# ------------------------------------------------- audit equivalence ----
+#
+# ``_OracleChecker`` is the audit as first written, a class with two mixing
+# rules, copied here with its logic unchanged as the oracle:
+# ``validate_dimensions`` must give the same findings, in the same order, on
+# every card.
+
+def _oracle_compatible(d1, d2) -> bool:
+    if d1 == d2:
+        return True
+    return d1.is_angle_like() and d2.is_angle_like()
+
+
+def _oracle_join(d1, d2):
+    return d1 if not d1.is_dimensionless() else d2
+
+
+_ORACLE_TRANSCENDENTAL = frozenset({"sin", "cos", "tan", "cot", "asin", "acos",
+                                    "atan", "exp", "log"})
+
+
+class _OracleChecker:
+    def __init__(self, card):
+        self.card = card
+        self.var_dims = {key: unit.dimension for key, unit in card.units.items()}
+        self.findings = []
+
+    def check(self):
+        for variant in self.card.variants:
+            for eq in variant.equations:
+                self._check_equation(variant.id, eq)
+        return self.findings
+
+    def _check_equation(self, variant_id, eq):
+        report = lambda msg: self.findings.append(
+            DimensionFinding(variant_id, eq.target, msg))
+        result = self._dim(eq.expr, report)
+        target_dim = self.var_dims[eq.target]
+        if result is not None and not _oracle_compatible(result, target_dim):
+            report(f"expression has dimension {result}, target declares {target_dim}")
+
+    def _dim(self, node, report):
+        if isinstance(node, (ex.Number, ex.Constant, ex.BoolLiteral)):
+            return DIMENSIONLESS
+        if isinstance(node, ex.Symbol):
+            return self.var_dims[node.name]
+        if isinstance(node, ex.Unary):
+            return self._dim(node.operand, report)
+        if isinstance(node, ex.Binary):
+            left = self._dim(node.left, report)
+            right = self._dim(node.right, report)
+            if left is None or right is None:
+                return None
+            if node.op in ("+", "-"):
+                if not _oracle_compatible(left, right):
+                    report(f"cannot {('add', 'subtract')[node.op == '-']} "
+                           f"{left} and {right} in {ex.to_text(node)}")
+                    return None
+                return _oracle_join(left, right)
+            if node.op == "*":
+                return left * right
+            if node.op == "/":
+                return left / right
+            if left.is_dimensionless():
+                if not right.is_dimensionless():
+                    report(f"exponent has dimension {right} in {ex.to_text(node)}")
+                    return None
+                return DIMENSIONLESS
+            exponent = node.right
+            if isinstance(exponent, ex.Unary):
+                exponent = exponent.operand
+            if not isinstance(exponent, ex.Number):
+                report(f"dimensioned base requires a numeric literal exponent "
+                       f"in {ex.to_text(node)}")
+                return None
+            power = -exponent.value if isinstance(node.right, ex.Unary) else exponent.value
+            return left ** power
+        if isinstance(node, ex.Call):
+            arg_dims = [self._dim(a, report) for a in node.args]
+            if any(d is None for d in arg_dims):
+                return None
+            if node.func in _ORACLE_TRANSCENDENTAL:
+                for d, a in zip(arg_dims, node.args):
+                    if not d.is_angle_like():
+                        report(f"{node.func} argument {ex.to_text(a)} has "
+                               f"dimension {d}; needs angle or dimensionless")
+                        return None
+                return DIMENSIONLESS
+            if node.func == "atan2":
+                if not _oracle_compatible(arg_dims[0], arg_dims[1]):
+                    report(f"atan2 arguments have dimensions {arg_dims[0]} "
+                           f"and {arg_dims[1]}")
+                    return None
+                return DIMENSIONLESS
+            if node.func == "sqrt":
+                return arg_dims[0] ** 0.5
+            if node.func == "Abs":
+                return arg_dims[0]
+            if node.func in ("Min", "Max"):
+                first = arg_dims[0]
+                for d in arg_dims[1:]:
+                    if not _oracle_compatible(first, d):
+                        report(f"{node.func} arguments mix {first} and {d}")
+                        return None
+                    first = _oracle_join(first, d)
+                return first
+            raise AssertionError(node.func)
+        if isinstance(node, ex.Piecewise):
+            branch_dim = None
+            for value, condition in node.branches:
+                self._dim(condition, report)
+                d = self._dim(value, report)
+                if d is None:
+                    continue
+                if branch_dim is None:
+                    branch_dim = d
+                elif not _oracle_compatible(branch_dim, d):
+                    report(f"Piecewise branches mix {branch_dim} and {d}")
+                    return None
+                else:
+                    branch_dim = _oracle_join(branch_dim, d)
+            return branch_dim
+        if isinstance(node, ex.Comparison):
+            left = self._dim(node.left, report)
+            right = self._dim(node.right, report)
+            if left is not None and right is not None and not _oracle_compatible(left, right):
+                report(f"comparison mixes {left} and {right} in {ex.to_text(node)}")
+            return DIMENSIONLESS
+        raise TypeError(f"not an ExprNode: {node!r}")
+
+
+_AUDIT_UNITS = st.sampled_from(["m", "kPa", "kN/m^3", "radians", "deg",
+                                "dimensionless"])
+# Literals a card writes: integers and halves (literal exponents), and zero.
+_AUDIT_NUMBERS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1.5])
+_AUDIT_FUNCTIONS = ("sin", "cos", "tan", "cot", "asin", "acos", "atan",
+                    "exp", "log", "sqrt", "Abs")
+
+
+def _audit_trees(symbols):
+    def extend(children):
+        condition = st.one_of(
+            st.just(ex.BoolLiteral(True)),
+            st.builds(ex.Comparison,
+                      st.sampled_from([">", ">=", "<", "<=", "="]),
+                      children, children))
+        return st.one_of(
+            st.builds(ex.Unary, st.just("-"), children),
+            st.builds(ex.Binary, st.sampled_from(["+", "-", "*", "/", "**"]),
+                      children, children),
+            st.builds(lambda base, n, neg: ex.Binary(
+                "**", base, ex.Unary("-", ex.Number(n)) if neg else ex.Number(n)),
+                      children, _AUDIT_NUMBERS, st.booleans()),
+            st.builds(lambda f, a: ex.Call(f, (a,)),
+                      st.sampled_from(_AUDIT_FUNCTIONS), children),
+            st.builds(lambda a, b: ex.Call("atan2", (a, b)), children, children),
+            st.builds(lambda f, args: ex.Call(f, tuple(args)),
+                      st.sampled_from(["Min", "Max"]),
+                      st.lists(children, min_size=2, max_size=3)),
+            st.builds(lambda branches: ex.Piecewise(tuple(branches)),
+                      st.lists(st.tuples(children, condition), min_size=1,
+                               max_size=3)),
+        )
+    return st.recursive(
+        st.one_of(st.builds(ex.Number, _AUDIT_NUMBERS),
+                  st.just(ex.Constant("pi")),
+                  st.sampled_from([ex.Symbol(s) for s in symbols])),
+        extend, max_leaves=8)
+
+
+_Z_TREES = _audit_trees(("a", "b", "c"))
+_Y_TREES = _audit_trees(("a", "b", "c", "z"))
+
+
+@st.composite
+def _two_variant_cards(draw):
+    """A card whose two variants each compute z from the inputs a, b and c,
+    then y from the inputs and z; every variable has a drawn unit."""
+    units = {key: draw(_AUDIT_UNITS) for key in ("y", "z", "a", "b", "c")}
+    roles = {"y": "output", "z": "intermediate"}
+    card = minimal_card()
+    card["variables"] = [{"key": key, "name": key,
+                          "role": roles.get(key, "input"), "unit": unit}
+                         for key, unit in units.items()]
+    card["variants"] = [
+        {"id": vid, "title": vid, "equations": [
+            {"target": "z", "sympy": ex.to_text(draw(_Z_TREES))},
+            {"target": "y", "sympy": ex.to_text(draw(_Y_TREES))},
+        ]} for vid in ("first", "second")]
+    return card
+
+
+class TestAuditMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_two_variant_cards())
+    def test_same_findings_in_same_order(self, card_dict):
+        card = load(card_dict)
+        assert validate_dimensions(card) == _OracleChecker(card).check()

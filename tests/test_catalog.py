@@ -122,6 +122,20 @@ class TestIndex:
         assert health["diagnostics"] == [
             f"{tmp_path / 'b.json'}: duplicate card id MY_CARD"]
 
+    def test_env_var_naming_a_file_degrades_health(self, tmp_path,
+                                                   monkeypatch):
+        import geocard.catalog
+        from geocard.server import McpServer
+
+        not_a_dir = tmp_path / "card.json"
+        not_a_dir.write_text("{}")
+        monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(not_a_dir))
+        monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
+        health = McpServer()._tool_health({})
+        assert health["status"] == "degraded"
+        assert health["cards"] == len(BUNDLED_IDS)
+        assert health["diagnostics"] == [f"{not_a_dir}: not a directory"]
+
     def test_broken_user_card_is_diagnosed_not_fatal(self, tmp_path):
         (tmp_path / "broken.json").write_text('{"id": "X"}')
         merged = load_catalog(extra_dir=tmp_path)

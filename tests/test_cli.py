@@ -10,6 +10,7 @@ import pytest
 from conftest import BAD_CARD_FILES, HUGE_INT
 from geocard.cli import main
 from geocard.ec7 import bundled_scenario_path
+from geocard.report import format_sig
 from test_ec7 import OVERFLOWING, overflowing_scenario
 
 SCENARIO = bundled_scenario_path()
@@ -73,6 +74,13 @@ class TestValidate:
             assert sum(line.startswith(f"FAIL {name}: ") for line in lines) == 1
         assert f"{len(BAD_CARD_FILES)} of {len(BAD_CARD_FILES)}" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_bad_cards_match_golden_file(self, capsys):
+        """One card per tokenizer error and per dimension-audit finding."""
+        data = Path(__file__).parent / "data"
+        assert main(["validate", str(data / "bad_cards")]) == 1
+        expected = (data / "golden_validate_bad_cards.txt").read_text("utf-8")
+        assert capsys.readouterr().out == expected
 
     def test_validate_directory(self, tmp_path, capsys):
         good = (Path(__file__).parents[1] /
@@ -369,3 +377,38 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+    @pytest.mark.parametrize("flag, pair", [
+        ("--in", "phi_prime"), ("--in", "=30 deg"),
+        ("--override", "k_factor"), ("--override", " =2"),
+    ])
+    def test_malformed_key_value_is_usage_error(self, flag, pair, capsys):
+        assert main(TERZAGHI_EVAL + [flag, pair]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"usage error: {flag} must be KEY=VALUE, got {pair!r}\n"
+
+
+class TestFormatSig:
+    """Reports print 4 significant figures, in plain notation from 1e-4
+    up to 1e7."""
+
+    @pytest.mark.parametrize("value, text", [
+        (0.0, "0"), (-0.0, "0"),
+        (734.46, "734.5"), (-734.46, "-734.5"),
+        (1e-5, "1e-05"), (-1e-5, "-1e-05"), (0.00012345, "0.0001234"),
+        (9999.5, "10000"), (10000.0, "10000"), (12000.0, "12000"),
+        (-12000.0, "-12000"), (12345.6, "12350"), (43523.4, "43520"),
+        (999950.0, "1000000"), (9999400.0, "9999000"),
+        (1e7, "1e+07"), (-1.2345e7, "-1.234e+07"),
+    ])
+    def test_format(self, value, text):
+        assert format_sig(value) == text
+
+    def test_report_prints_large_results_in_full(self, capsys):
+        argv = [arg.replace("B=2 m", "B=30 m").replace("q=18 kPa", "q=2000 kPa")
+                .replace("gamma=18 kN/m^3", "gamma=20 kN/m^3")
+                for arg in TERZAGHI_EVAL]
+        assert main(argv) == 0
+        assert "- **q_ult** = 43520 kPa\n" in capsys.readouterr().out

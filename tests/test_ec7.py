@@ -398,6 +398,13 @@ class TestScenarioFile:
         with pytest.raises(SchemaError):
             load_scenario('{"L": "1 m"}')
 
+    @pytest.mark.parametrize("text", ["[]", '"L"', "3", "null"])
+    def test_non_object_rejected_at_root(self, text):
+        with pytest.raises(SchemaError) as err:
+            load_scenario(text)
+        assert err.value.path == "$"
+        assert str(err.value) == "$: scenario must be a JSON object"
+
     def test_metadata_types_checked(self):
         raw = json.loads(Path(bundled_scenario_path()).read_text())
         for key, value in (("jrc_verified", "false"), ("jrc_verified", 1),

@@ -492,3 +492,101 @@ class TestEvaluatorMatchesWalker:
         with pytest.raises(NoBranchTaken) as err:
             ex.evaluate(ex.parse("Piecewise((1, x > 0))"), {"x": -1.0})
         assert str(err.value) == "no Piecewise condition evaluated to true"
+
+
+# ------------------------------------------------- tokenizer equivalence ----
+#
+# ``_oracle_tokenize`` is the tokenizer as first written, a character loop,
+# copied here with its logic unchanged as the oracle: ``ex._tokenize`` must
+# give the same tokens, or raise the same exception type with the same
+# message.
+
+def _oracle_tokenize(text):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if "0" <= c <= "9" or (c == "." and i + 1 < n
+                                 and "0" <= text[i + 1] <= "9"):
+            start = i
+            while i < n and "0" <= text[i] <= "9":
+                i += 1
+            if i < n and text[i] == ".":
+                i += 1
+                while i < n and "0" <= text[i] <= "9":
+                    i += 1
+            if i < n and text[i] in "eE":
+                j = i + 1
+                if j < n and text[j] in "+-":
+                    j += 1
+                if j < n and "0" <= text[j] <= "9":
+                    i = j
+                    while i < n and "0" <= text[i] <= "9":
+                        i += 1
+            value = float(text[start:i])
+            if math.isinf(value):
+                raise ParseError(start, f"number {text[start:i]!r} is out of range")
+            tokens.append(("num", value, start))
+            continue
+        if ("a" <= c <= "z") or ("A" <= c <= "Z") or c == "_":
+            start = i
+            while i < n and (("a" <= text[i] <= "z") or ("A" <= text[i] <= "Z")
+                             or "0" <= text[i] <= "9" or text[i] == "_"):
+                i += 1
+            name = text[start:i]
+            if "__" in name:
+                raise DisallowedSyntax(f"double-underscore identifier {name!r}")
+            if name in ex._RESERVED:
+                raise DisallowedSyntax(f"reserved word {name!r}")
+            tokens.append(("name", name, start))
+            continue
+        if c == "*" and i + 1 < n and text[i + 1] == "*":
+            tokens.append(("op", "**", i))
+            i += 2
+            continue
+        if c in "><=" and i + 1 < n and text[i + 1] == "=":
+            op = c + "="
+            tokens.append(("op", "=" if op == "==" else op, i))
+            i += 2
+            continue
+        if c in "+-*/(),><=":
+            tokens.append(("op", c, i))
+            i += 1
+            continue
+        if c == ".":
+            raise DisallowedSyntax("attribute access ('.') is not part of the language")
+        if c in "\"'":
+            raise DisallowedSyntax("string literals are not part of the language")
+        if c in "[]":
+            raise DisallowedSyntax("indexing is not part of the language")
+        raise DisallowedSyntax(f"character {c!r} is not part of the language")
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return ("tokens", tokenize(text))
+    except Exception as exc:  # host exceptions must match too
+        return ("raised", type(exc), str(exc))
+
+
+_TEXT_PIECES = st.sampled_from([
+    "0", "1", "9", "12", ".", "e", "E", "+", "-", "e+", "E-", "1e", "1e+",
+    "2.5", ".5", "1e999", "1E-999", "*", "**", "/", "(", ")", ",", ">", ">=",
+    "<", "<=", "=", "==", "!", "'", '"', "[", "]", "{", "@", "_", "__", "x",
+    "x_1", "pi", "True", "if", "None", "lambda", "eval", "Min", " ", "\t",
+    "\n", "\r", "\x0b", "\x1c", "\u00a0", "\u2003", "\u00e9", "\u00df",
+    "\u00b2", "\u0663", "\uff11",
+])
+
+
+class TestTokenizerMatchesOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.text(max_size=30),
+                     st.lists(_TEXT_PIECES, max_size=30).map("".join)))
+    def test_same_tokens_or_same_error(self, text):
+        assert _tokens_or_error(ex._tokenize, text) == \
+            _tokens_or_error(_oracle_tokenize, text)

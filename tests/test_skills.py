@@ -54,6 +54,34 @@ class TestListSkills:
         assert lib.list_skills() == LIBRARY.list_skills()
         assert any("broken-skill" in d for d in lib.diagnostics)
 
+    @pytest.mark.parametrize("text, diagnostic", [
+        (None, "no SKILL.md"),
+        ("name: no-fence\n---\nbody",
+         "SKILL.md must begin with a '---' frontmatter block"),
+        ("---\nname: no-fence\ndescription: d\n", "unterminated frontmatter block"),
+    ], ids=["no-skill-md", "no-opening-fence", "unterminated"])
+    def test_unreadable_skill_dir_is_one_diagnostic(self, tmp_path, text,
+                                                    diagnostic):
+        skill_dir = tmp_path / "no-fence"
+        skill_dir.mkdir()
+        if text is not None:
+            (skill_dir / "SKILL.md").write_text(text)
+        lib = load_skills(extra_dir=tmp_path)
+        assert lib.list_skills() == LIBRARY.list_skills()
+        assert lib.diagnostics == [f"{skill_dir}: {diagnostic}"]
+
+    def test_env_var_naming_a_file_degrades_health(self, tmp_path,
+                                                   monkeypatch):
+        from geocard.server import McpServer
+
+        not_a_dir = tmp_path / "SKILL.md"
+        not_a_dir.write_text("---\n---\n")
+        monkeypatch.setenv("GEOCARD_SKILLS_DIR", str(not_a_dir))
+        health = McpServer()._tool_health({})
+        assert health["status"] == "degraded"
+        assert health["skills"] == len(LIBRARY.skills)
+        assert health["diagnostics"] == [f"{not_a_dir}: not a directory"]
+
     def test_name_must_match_directory(self, tmp_path):
         bad = tmp_path / "dir-name"
         bad.mkdir()
