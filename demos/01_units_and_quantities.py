@@ -23,7 +23,7 @@ print("1 MPa  ->", convert(parse_quantity("1 MPa"), reg.resolve("kPa")))
 # Dimensions compose as exponent vectors: kN/m^3 times m is a pressure.
 # This is the algebra the card audit (validate_dimensions) runs on every
 # equation; quantities themselves carry no arithmetic.
-pressure = gamma.dimension * width.dimension
+pressure = gamma.unit.dimension * width.unit.dimension
 print("dim(gamma * B) =", pressure)
 print("gamma * B has the dimension of kPa:",
       pressure == reg.resolve("kPa").dimension)

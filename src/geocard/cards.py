@@ -21,6 +21,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
 from . import expression as ex
@@ -425,6 +426,11 @@ def _dim(node: ex.ExprNode, dims: dict, report) -> Optional[Dimension]:
         if not isinstance(exponent, ex.Number):
             report(f"dimensioned base requires a numeric literal exponent "
                    f"in {ex.to_text(node)}")
+            return None
+        # Dimension.__pow__ rounds to a fraction; the literal must be one.
+        if float(Fraction(exponent.value).limit_denominator(1000)) != exponent.value:
+            report(f"exponent {ex.to_text(exponent)} is not a fraction with "
+                   f"denominator at most 1000 in {ex.to_text(node)}")
             return None
         return left ** (sign * exponent.value)
     if isinstance(node, ex.Call):

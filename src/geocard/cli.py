@@ -6,7 +6,8 @@
     geocard serve                        run the MCP server on stdio
 
 Exit codes: 0 success, 1 domain error, 2 usage error. Human output goes to
-stdout, diagnostics to stderr.
+stdout, diagnostics to stderr; a character stdout cannot encode is written
+as a backslash escape.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ from .units import DATA_DIR
 
 
 def main(argv=None) -> int:
+    # Echoed card text can hold characters stdout cannot encode (say, a
+    # '³' on an ASCII stream); write them as backslash escapes, as Python
+    # does on stderr, instead of dying mid-output.
+    reconfigure = getattr(sys.stdout, "reconfigure", None)
+    if reconfigure is not None:
+        reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:

@@ -1,8 +1,9 @@
-"""Exception hierarchy shared across the package.
+"""Exception classes shared across the package.
 
-Every failure mode a caller is expected to handle has its own class, so
-tool layers (CLI, MCP server) can map errors to structured payloads
-without string matching.
+Every failure mode a caller is expected to handle has its own class and
+``code``, so tool layers (CLI, MCP server) can map errors to structured
+payloads without string matching. An error carries only its code and its
+message, plus the failing step and partial trace the engine attaches.
 """
 
 from __future__ import annotations
@@ -32,49 +33,39 @@ class GeocardError(Exception):
 
 # ---------------------------------------------------------------- units ----
 
-class UnitError(GeocardError):
-    code = "unit_error"
-
-
-class UnknownUnit(UnitError):
+class UnknownUnit(GeocardError):
     code = "unknown_unit"
 
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"unknown unit: {name!r}")
 
 
-class MalformedQuantity(UnitError):
+class MalformedQuantity(GeocardError):
     code = "malformed_quantity"
 
     def __init__(self, text: str):
-        self.text = text
         super().__init__(f"cannot parse quantity from {text!r}")
 
 
-class DimensionMismatch(UnitError):
+class DimensionMismatch(GeocardError):
     code = "dimension_mismatch"
 
     def __init__(self, source, target, context: str = ""):
-        self.source = source
-        self.target = target
         where = f" ({context})" if context else ""
         super().__init__(f"incompatible dimensions: {source} vs {target}{where}")
 
 
-class MissingUnit(UnitError):
+class MissingUnit(GeocardError):
     code = "missing_unit"
 
     def __init__(self, keys):
-        self.keys = sorted(keys)
-        super().__init__(f"value(s) need a unit tag: {', '.join(self.keys)}")
+        super().__init__(f"value(s) need a unit tag: {', '.join(sorted(keys))}")
 
 
-class NonFiniteValue(UnitError):
+class NonFiniteValue(GeocardError):
     code = "non_finite_value"
 
     def __init__(self, key: str):
-        self.key = key
         super().__init__(f"{key!r} is not a finite number")
 
 
@@ -88,7 +79,6 @@ class ParseError(ExpressionError):
     code = "parse_error"
 
     def __init__(self, position: int, message: str):
-        self.position = position
         super().__init__(f"parse error at position {position}: {message}")
 
 
@@ -96,7 +86,6 @@ class DisallowedFunction(ExpressionError):
     code = "disallowed_function"
 
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"function not in allowlist: {name!r}")
 
 
@@ -104,7 +93,6 @@ class DisallowedSyntax(ExpressionError):
     code = "disallowed_syntax"
 
     def __init__(self, description: str):
-        self.description = description
         super().__init__(f"disallowed syntax: {description}")
 
 
@@ -112,15 +100,11 @@ class UnboundSymbol(ExpressionError):
     code = "unbound_symbol"
 
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"symbol {name!r} is not bound in the environment")
 
 
 class MathDomain(ExpressionError):
     code = "math_domain"
-
-    def __init__(self, message: str):
-        super().__init__(message)
 
 
 class NoBranchTaken(ExpressionError):
@@ -132,78 +116,60 @@ class NoBranchTaken(ExpressionError):
 
 # ------------------------------------------------------------------ cards ----
 
-class CardError(GeocardError):
-    code = "card_error"
-
-
-class SchemaError(CardError):
+class SchemaError(GeocardError):
     code = "schema_error"
 
     def __init__(self, path: str, message: str):
-        self.path = path
         super().__init__(f"{path}: {message}")
 
 
-class UndeclaredSymbol(CardError):
+class UndeclaredSymbol(GeocardError):
     code = "undeclared_symbol"
 
     def __init__(self, target: str, symbol: str):
-        self.target = target
-        self.symbol = symbol
         super().__init__(
             f"equation for {target!r} references undeclared symbol {symbol!r}"
         )
 
 
-class DuplicateKey(CardError):
+class DuplicateKey(GeocardError):
     code = "duplicate_key"
 
     def __init__(self, key: str, where: str):
-        self.key = key
         super().__init__(f"duplicate key {key!r} in {where}")
 
 
 # ----------------------------------------------------------------- engine ----
 
-class EngineError(GeocardError):
-    code = "engine_error"
-
-
-class MissingInput(EngineError):
+class MissingInput(GeocardError):
     code = "missing_input"
 
     def __init__(self, keys):
-        self.keys = sorted(keys)
-        super().__init__(f"missing required input(s): {', '.join(self.keys)}")
+        super().__init__(f"missing required input(s): {', '.join(sorted(keys))}")
 
 
-class UnexpectedInput(EngineError):
+class UnexpectedInput(GeocardError):
     code = "unexpected_input"
 
     def __init__(self, keys):
-        self.keys = sorted(keys)
-        super().__init__(f"unexpected input key(s): {', '.join(self.keys)}")
+        super().__init__(f"unexpected input key(s): {', '.join(sorted(keys))}")
 
 
-class UnresolvedVariable(EngineError):
+class UnresolvedVariable(GeocardError):
     code = "unresolved_variable"
 
     def __init__(self, key: str, variant_id: str, target: str):
-        self.key = key
         super().__init__(
             f"variable {key!r}, needed for {target!r} in variant "
             f"{variant_id!r}, is neither given nor produced by an equation")
 
 
-class NonConvergence(EngineError):
+class NonConvergence(GeocardError):
     code = "non_convergence"
 
     def __init__(self, cycle_keys, iterations: int, residual: float):
-        self.cycle_keys = sorted(cycle_keys)
-        self.iterations = iterations
-        self.residual = residual
         super().__init__(
-            f"fixed-point iteration over {{{', '.join(self.cycle_keys)}}} did not "
+            f"fixed-point iteration over {{{', '.join(sorted(cycle_keys))}}} did not "
             f"converge after {iterations} iterations (residual {residual:.3e})"
         )
 
@@ -214,7 +180,6 @@ class UnknownMethod(GeocardError):
     code = "unknown_method"
 
     def __init__(self, card_id: str):
-        self.card_id = card_id
         super().__init__(f"unknown method card: {card_id!r}")
 
 
@@ -222,8 +187,6 @@ class UnknownVariant(GeocardError):
     code = "unknown_variant"
 
     def __init__(self, card_id: str, variant_id: str):
-        self.card_id = card_id
-        self.variant_id = variant_id
         super().__init__(f"card {card_id!r} has no variant {variant_id!r}")
 
 
@@ -233,23 +196,17 @@ class UnknownDesignApproach(GeocardError):
     code = "unknown_design_approach"
 
     def __init__(self, label: str):
-        self.label = label
         super().__init__(f"unknown design approach: {label!r}")
 
 
 class InvalidGeometry(GeocardError):
     code = "invalid_geometry"
 
-    def __init__(self, message: str):
-        super().__init__(message)
-
 
 class NoBracket(GeocardError):
     code = "no_bracket"
 
     def __init__(self, lo: float, hi: float):
-        self.lo = lo
-        self.hi = hi
         super().__init__(
             f"utilization does not cross 1.0 for widths in [{lo:g} m, {hi:g} m]"
         )
@@ -265,5 +222,4 @@ class UnknownSkill(GeocardError):
     code = "unknown_skill"
 
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"unknown skill: {name!r}")

@@ -237,21 +237,6 @@ class McpServer:
         self.catalog = catalog if catalog is not None else default_catalog()
         self.skills = load_skills()
         self.defaults: dict = {}  # session defaults: input key -> value
-        self._handlers = {
-            "geo_list_methods": self._tool_list_methods,
-            "geo_get_method": self._tool_get_method,
-            "geo_evaluate": self._tool_evaluate,
-            "geo_evaluate_with_units": lambda args: self._tool_evaluate(
-                args, require_units=True),
-            "geo_list_skills": self._tool_list_skills,
-            "geo_recommend_skills": self._tool_recommend_skills,
-            "geo_get_skill": self._tool_get_skill,
-            "geo_get_ec7_preset_partials": self._tool_preset_partials,
-            "geo_check_footing_uls_ec7": self._tool_check_uls,
-            "geo_design_footing_width_ec7": self._tool_design_width,
-            "geo_session_set_defaults": self._tool_set_defaults,
-            "geo_health": self._tool_health,
-        }
 
     # ---------------------------------------------------------- transport ----
 
@@ -322,7 +307,7 @@ class McpServer:
         if complaint is not None:
             return self._error(msg_id, INVALID_PARAMS, complaint)
         try:
-            body, is_error = self._handlers[name](arguments), False
+            body, is_error = getattr(self, name)(arguments), False
         except GeocardError as exc:
             body, is_error = exc.payload(), True
         except Exception as exc:  # defensive: never crash the transport
@@ -347,11 +332,12 @@ class McpServer:
                 "error": {"code": code, "message": message}}
 
     # ------------------------------------------------------------ handlers ----
+    # One method per tool, named after it; _call_tool looks it up by name.
 
-    def _tool_list_methods(self, args) -> dict:
+    def geo_list_methods(self, args) -> dict:
         return {"methods": self.catalog.list_methods(args.get("category"))}
 
-    def _tool_get_method(self, args) -> dict:
+    def geo_get_method(self, args) -> dict:
         return self.catalog.get_method(args["id"]).to_dict()
 
     def _merged_inputs(self, card: MethodCard, given: dict) -> dict:
@@ -362,7 +348,7 @@ class McpServer:
                 merged.setdefault(key, value)
         return merged
 
-    def _tool_evaluate(self, args, require_units: bool = False) -> dict:
+    def geo_evaluate(self, args, require_units: bool = False) -> dict:
         card = self.catalog.get_method(args["card"])
         request = EvaluationRequest(
             card_id=args["card"],
@@ -379,19 +365,22 @@ class McpServer:
                 raise MissingUnit(untagged)
         return evaluate_card(card, request).to_dict()
 
-    def _tool_list_skills(self, args) -> dict:
+    def geo_evaluate_with_units(self, args) -> dict:
+        return self.geo_evaluate(args, require_units=True)
+
+    def geo_list_skills(self, args) -> dict:
         return {"skills": self.skills.list_skills()}
 
-    def _tool_recommend_skills(self, args) -> dict:
+    def geo_recommend_skills(self, args) -> dict:
         limit = args.get("limit", 5)
         matches = self.skills.recommend_skills(args["query"], limit)
         return {"matches": [m.to_dict() for m in matches]}
 
-    def _tool_get_skill(self, args) -> dict:
+    def geo_get_skill(self, args) -> dict:
         include = args.get("include_references", False)
         return self.skills.get_skill(args["name"], include).to_dict()
 
-    def _tool_preset_partials(self, args) -> dict:
+    def geo_get_ec7_preset_partials(self, args) -> dict:
         pf = get_ec7_preset_partials(args["design_approach"])
         return {
             "design_approach": pf.design_approach,
@@ -400,7 +389,7 @@ class McpServer:
                            f"{pf.design_approach}",
         }
 
-    def _tool_check_uls(self, args) -> dict:
+    def geo_check_footing_uls_ec7(self, args) -> dict:
         scenario = load_scenario(json.dumps(args["scenario"]))
         width = to_magnitude(args["B"], "m", "B")
         result = check_footing_uls_ec7(
@@ -408,7 +397,7 @@ class McpServer:
             catalog=self.catalog, drainage=args.get("drainage", "drained"))
         return result.to_dict()
 
-    def _tool_design_width(self, args) -> dict:
+    def geo_design_footing_width_ec7(self, args) -> dict:
         scenario = load_scenario(json.dumps(args["scenario"]))
         result = design_footing_width_ec7(
             scenario, args["design_approach"],
@@ -416,7 +405,7 @@ class McpServer:
             catalog=self.catalog, drainage=args.get("drainage", "drained"))
         return result.to_dict()
 
-    def _tool_set_defaults(self, args) -> dict:
+    def geo_session_set_defaults(self, args) -> dict:
         """Check every value before storing any, so a rejected call stores nothing."""
         given = args["defaults"]
         for key, value in given.items():
@@ -435,7 +424,7 @@ class McpServer:
             "defaults": {k: self.defaults[k] for k in sorted(self.defaults)},
         }
 
-    def _tool_health(self, args) -> dict:
+    def geo_health(self, args) -> dict:
         diagnostics = list(self.catalog.diagnostics) + list(self.skills.diagnostics)
         warnings = list(self.catalog.warnings) + list(self.skills.warnings)
         healthy = (self.catalog.ok and self.skills.ok

@@ -196,7 +196,7 @@ class SkillLibrary:
                           for path in sorted(directory.glob("references/*.md"))]
             skill = parse_skill_text(directory.name,
                                      skill_md.read_text("utf-8"), references)
-        except ValueError as exc:  # includes UnicodeDecodeError
+        except (OSError, ValueError) as exc:  # ValueError includes UnicodeDecodeError
             self.diagnostics.append(f"{origin}: {exc}")
             return
         if skill.name in self.skills and shadow_allowed:

@@ -99,10 +99,6 @@ class Quantity:
     magnitude: float
     unit: Unit
 
-    @property
-    def dimension(self) -> Dimension:
-        return self.unit.dimension
-
     def __str__(self) -> str:
         return format_quantity(self)
 

@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from conftest import HUGE_INT
 from geocard import expression as ex
 from geocard.cards import DimensionFinding, load_card, validate_dimensions
+from geocard.catalog import load_catalog
+from geocard.ec7 import bundled_scenario_path, load_scenario
+from geocard.engine import EvaluationRequest, evaluate_card
 from geocard.errors import (
     DisallowedFunction,
     DuplicateKey,
@@ -15,6 +18,7 @@ from geocard.errors import (
     ParseError,
     SchemaError,
     UndeclaredSymbol,
+    UnknownMethod,
     UnknownUnit,
 )
 from geocard.units import DIMENSIONLESS
@@ -66,7 +70,8 @@ class TestLoadCard:
         bad["variants"][0]["equations"][0]["sympy"] = "2*x + D_f"
         with pytest.raises(UndeclaredSymbol) as err:
             load(bad)
-        assert err.value.symbol == "D_f"
+        assert str(err.value) == \
+            "equation for 'y' references undeclared symbol 'D_f'"
 
     def test_unknown_unit(self):
         bad = minimal_card()
@@ -123,7 +128,7 @@ class TestLoadCard:
                                  "unit": "dimensionless", "default": "@"})
         with pytest.raises(SchemaError) as err:
             load_card(json.dumps(bad).replace('"@"', literal))
-        assert err.value.path == "$.variables[2].default"
+        assert str(err.value) == "$.variables[2].default: expected a finite number"
 
     def test_units_resolved_at_load(self):
         from geocard.units import default_registry
@@ -149,8 +154,8 @@ class TestLoadCard:
         bad["variants"][0]["equations"].append({"target": "y", "sympy": "3*x"})
         with pytest.raises(SchemaError) as err:
             load(bad)
-        assert err.value.path == "$.variants[0].equations[1].target"
-        assert "more than one equation" in str(err.value)
+        assert str(err.value) == \
+            "$.variants[0].equations[1].target: 'y' has more than one equation"
 
     @pytest.mark.parametrize("equations", [
         [{"target": "y", "sympy": "2*x", "condition": "x > 0"}],
@@ -162,8 +167,10 @@ class TestLoadCard:
         bad["variants"][0]["equations"] = equations
         with pytest.raises(SchemaError) as err:
             load(bad)
-        assert err.value.path == "$.variants[0].equations[0].condition"
-        assert "Piecewise" in str(err.value)
+        assert str(err.value) == (
+            "$.variants[0].equations[0].condition: equation conditions are not "
+            "supported; write one Piecewise((a, c1), (b, c2), (fallback, True)) "
+            "equation for the target")
 
     def test_null_equation_condition_is_ignored(self):
         ok = minimal_card()
@@ -220,6 +227,83 @@ class TestLoadCard:
             card = load_catalog().get_method(card_id)
             again = load_card(json.dumps(card.to_dict()))
             assert again == card
+
+
+# ---------------------------------------------------------- boundary checks ----
+#
+# One row per check that refuses a malformed card, scenario or request: the
+# call, and the exact error class and message a client sees.
+
+def _card_with(value, *path):
+    """A call that loads minimal_card() with ``value`` set at ``path``."""
+    card = minimal_card()
+    parent = card
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return lambda: load(card)
+
+
+def _scenario_with(**changes):
+    with open(bundled_scenario_path(), encoding="utf-8") as f:
+        raw = json.load(f)
+    return lambda: load_scenario(json.dumps(dict(raw, **changes)))
+
+
+def _evaluate_as(card_id):
+    card = load_catalog().get_method("BEARING_CAPACITY_TERZAGHI")
+    return lambda: evaluate_card(card, EvaluationRequest(
+        card_id=card_id, variant_id="general_shear_failure_strip", inputs={}))
+
+
+BOUNDARY_CHECKS = [
+    pytest.param(_card_with("2", "variables", 1, "default"), SchemaError,
+                 "$.variables[1].default: expected a number, got str",
+                 id="default-not-a-number"),
+    pytest.param(_card_with(5, "variables", 1, "description"), SchemaError,
+                 "$.variables[1].description: expected string",
+                 id="description-not-a-string"),
+    pytest.param(_card_with("x", "variables", 1), SchemaError,
+                 "$.variables[1]: expected object", id="variable-not-an-object"),
+    pytest.param(_card_with("1x", "variables", 1, "key"), SchemaError,
+                 "$.variables[1].key: '1x' is not a valid symbol",
+                 id="invalid-key"),
+    pytest.param(_card_with("given", "variables", 1, "role"), SchemaError,
+                 "$.variables[1].role: 'given' not one of "
+                 "('input', 'output', 'intermediate', 'param')",
+                 id="unknown-role"),
+    pytest.param(_card_with([], "variants"), SchemaError,
+                 "$.variants: card must declare at least one variant",
+                 id="no-variants"),
+    pytest.param(_card_with("base", "variants", 0), SchemaError,
+                 "$.variants[0]: expected object", id="variant-not-an-object"),
+    pytest.param(_card_with("y = 2*x", "variants", 0, "equations", 0),
+                 SchemaError, "$.variants[0].equations[0]: expected object",
+                 id="equation-not-an-object"),
+    pytest.param(_card_with("z", "variants", 0, "equations", 0, "target"),
+                 UndeclaredSymbol,
+                 "equation for 'z' references undeclared symbol 'z'",
+                 id="undeclared-target"),
+    pytest.param(_card_with("A book.", "sources", 0), SchemaError,
+                 "$.sources[0]: expected object", id="source-not-an-object"),
+    pytest.param(_card_with(["shallow", 3], "assumptions"), SchemaError,
+                 "$.assumptions: expected a list of strings",
+                 id="assumption-not-a-string"),
+    pytest.param(_scenario_with(surcharge_model="rigid"), SchemaError,
+                 "$.surcharge_model: must be one of ('effective_overburden', 'none')",
+                 id="unknown-surcharge-model"),
+    pytest.param(_evaluate_as("BEARING_CAPACITY_VESIC"), UnknownMethod,
+                 "unknown method card: 'BEARING_CAPACITY_VESIC'",
+                 id="card-id-mismatch"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", BOUNDARY_CHECKS)
+def test_boundary_check(call, error, message):
+    with pytest.raises(GeocardError) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 class TestValidateDimensions:
@@ -379,6 +463,15 @@ DIMENSION_RULES = [
     # the target accepts an angle for a dimensionless result, and back
     (_A, "n", {"n": _N}, []),
     (_N, "a", {"a": _A}, []),
+    # a literal exponent must be a fraction with denominator at most 1000
+    (_L, "(x**0.25)**4", {"x": _L}, []),
+    (_L, "x**1.5/x**0.5", {"x": _L}, []),
+    (_L, "x**1.0004", {"x": _L},
+     ["exponent 1.0004 is not a fraction with denominator at most 1000 "
+      "in x**1.0004"]),
+    (_L, "(x**3)**0.3333", {"x": _L},
+     ["exponent 0.3333 is not a fraction with denominator at most 1000 "
+      "in (x**3)**0.3333"]),
 ]
 
 

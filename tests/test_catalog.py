@@ -117,7 +117,7 @@ class TestIndex:
         (tmp_path / "b.json").write_text(json.dumps(card))
         monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(tmp_path))
         monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
-        health = McpServer()._tool_health({})
+        health = McpServer().geo_health({})
         assert health["status"] == "degraded"
         assert health["diagnostics"] == [
             f"{tmp_path / 'b.json'}: duplicate card id MY_CARD"]
@@ -131,7 +131,7 @@ class TestIndex:
         not_a_dir.write_text("{}")
         monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(not_a_dir))
         monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
-        health = McpServer()._tool_health({})
+        health = McpServer().geo_health({})
         assert health["status"] == "degraded"
         assert health["cards"] == len(BUNDLED_IDS)
         assert health["diagnostics"] == [f"{not_a_dir}: not a directory"]

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, output formats, stream discipline."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -367,6 +368,34 @@ class TestServeSubprocess:
 
     def test_empty_stdin_exits_zero(self):
         assert self._run("").returncode == 0
+
+
+class TestAsciiStdout:
+    """A character stdout cannot encode is written as a backslash escape,
+    so the command runs to its own exit status."""
+
+    def _run(self, *args):
+        root = Path(__file__).parents[1]
+        return subprocess.run(
+            [sys.executable, "-m", "geocard.cli", *args], cwd=root,
+            env=dict(os.environ, PYTHONIOENCODING="ascii"),
+            capture_output=True, timeout=60)
+
+    def test_validate_reports_every_card(self):
+        proc = self._run("validate", "tests/data/bad_cards")
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        golden = (Path(__file__).parent / "data" /
+                  "golden_validate_bad_cards.txt").read_text("utf-8")
+        assert proc.stdout == golden.encode("ascii", "backslashreplace")
+
+    def test_eval_report_echoes_an_escaped_unit(self):
+        args = [a.replace("kN/m^3", "kN/m\u00b3") for a in TERZAGHI_EVAL]
+        proc = self._run(*args, "--format", "report")
+        assert proc.returncode == 0, proc.stderr
+        golden = (Path(__file__).parent / "data" /
+                  "golden_cli_terzaghi_report.md").read_bytes()
+        assert proc.stdout == golden.replace(b"kN/m^3", b"kN/m\\xb3")
 
 
 class TestUsage:

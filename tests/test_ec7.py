@@ -4,6 +4,7 @@ check, and the width search on the bundled validation scenario."""
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -310,13 +311,14 @@ class TestWidthDesignPassesOwnCheck:
     def test_bad_tolerance_rejected(self, tolerance):
         with pytest.raises(SchemaError) as err:
             design_footing_width_ec7(SCENARIO, "DA2", tolerance=tolerance)
-        assert err.value.path == "$.tolerance"
+        assert str(err.value) == "$.tolerance: must lie strictly between 0 and 1"
 
     def test_unreachable_tolerance_raises_non_convergence(self):
         # 1 - 1e-300 rounds to 1.0, which no passing width exceeds.
         with pytest.raises(NonConvergence) as err:
             design_footing_width_ec7(SCENARIO, "DA2", tolerance=1e-300)
-        assert err.value.iterations == 200
+        assert re.fullmatch(r"fixed-point iteration over \{B\} did not converge "
+                            r"after 200 iterations \(residual \S+\)", str(err.value))
 
 
 # Finite scenario values whose design action or resistance overflows.
@@ -337,13 +339,13 @@ class TestOverflowingCheck:
         scenario = load_scenario(overflowing_scenario(changes))
         with pytest.raises(NonFiniteValue) as err:
             check_footing_uls_ec7(scenario, da, 1.5)
-        assert err.value.key == key
+        assert str(err.value) == f"{key!r} is not a finite number"
 
     def test_design_raises_non_finite_not_no_bracket(self):
         scenario = load_scenario(overflowing_scenario({"G_k_col": "1.7e308 kN"}))
         with pytest.raises(NonFiniteValue) as err:
             design_footing_width_ec7(scenario, "DA2")
-        assert err.value.key == "V_d"
+        assert str(err.value) == "'V_d' is not a finite number"
 
 
 class TestScenarioNonFinite:
@@ -354,14 +356,16 @@ class TestScenarioNonFinite:
         assert '"Q_k": "967.10 kN"' not in text
         with pytest.raises(NonFiniteValue) as err:
             load_scenario(text)
-        assert err.value.key == "Q_k"
+        assert str(err.value) == "'Q_k' is not a finite number"
 
     def test_over_long_integer_is_schema_error(self):
         text = (Path(bundled_scenario_path()).read_text()
                 .replace('"Q_k": "967.10 kN"', f'"Q_k": {HUGE_INT}'))
         with pytest.raises(SchemaError) as err:
             load_scenario(text)
-        assert err.value.path == "$"
+        with pytest.raises(ValueError) as cause:
+            json.loads(text)
+        assert str(err.value) == f"$: invalid JSON: {cause.value}"
 
 
 # Physically impossible scenario values. Before they were refused, "100 deg"
@@ -402,16 +406,17 @@ class TestScenarioFile:
     def test_non_object_rejected_at_root(self, text):
         with pytest.raises(SchemaError) as err:
             load_scenario(text)
-        assert err.value.path == "$"
         assert str(err.value) == "$: scenario must be a JSON object"
 
     def test_metadata_types_checked(self):
         raw = json.loads(Path(bundled_scenario_path()).read_text())
-        for key, value in (("jrc_verified", "false"), ("jrc_verified", 1),
-                           ("name", [1, 2]), ("name", None)):
+        for key, value, expected in (("jrc_verified", "false", "bool, got str"),
+                                     ("jrc_verified", 1, "bool, got int"),
+                                     ("name", [1, 2], "str, got list"),
+                                     ("name", None, "str, got NoneType")):
             with pytest.raises(SchemaError) as err:
                 load_scenario(json.dumps(dict(raw, **{key: value})))
-            assert err.value.path == f"$.{key}"
+            assert str(err.value) == f"$.{key}: expected {expected}"
         scn = load_scenario(json.dumps(dict(raw, name="A3", jrc_verified=True)))
         assert (scn.name, scn.jrc_verified) == ("A3", True)
 
@@ -422,7 +427,6 @@ class TestScenarioFile:
         raw = json.loads(Path(bundled_scenario_path()).read_text())
         with pytest.raises(SchemaError) as err:
             load_scenario(json.dumps(dict(raw, **{key: value})))
-        assert err.value.path == f"$.{key}"
         assert str(err.value) == f"$.{key}: unknown field"
 
     def test_misspelled_eccentricity_does_not_pass_silently(self):
@@ -447,7 +451,9 @@ class TestScenarioFile:
         raw = json.loads(Path(bundled_scenario_path()).read_text())
         with pytest.raises(SchemaError) as err:
             load_scenario(json.dumps(dict(raw, **{key: value})))
-        assert err.value.path == f"$.{key}"
+        rule = {"phi_prime_k": "must lie in [0, 90) degrees",
+                "gamma_k": "must be positive"}.get(key, "must be non-negative")
+        assert str(err.value) == f"$.{key}: {rule}"
 
     @pytest.mark.parametrize("key, value", [
         ("phi_prime_k", "0 deg"), ("phi_prime_k", "89.9 deg"),

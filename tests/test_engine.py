@@ -72,7 +72,7 @@ class TestNormalizeInputs:
     def test_missing_input(self):
         with pytest.raises(MissingInput) as err:
             normalize_inputs(TERZAGHI, {"c_prime": 0})
-        assert "phi_prime" in err.value.keys
+        assert str(err.value) == "missing required input(s): B, gamma, phi_prime, q"
 
     def test_unexpected_input(self):
         inputs = dict(TERZAGHI_STRIP_INPUTS)
@@ -239,7 +239,8 @@ class TestIterativeSolving:
         card = load_card(DIVERGENT_CARD)
         with pytest.raises(NonConvergence) as err:
             run(card, "base", {})
-        assert err.value.iterations == 200
+        assert str(err.value) == ("fixed-point iteration over {x, y} did not "
+                                  "converge after 200 iterations (residual 7.500e-01)")
 
     def test_overflow_divergence_is_non_convergence(self):
         # Multiplicative blow-up overflows float range silently (inf, no
@@ -433,14 +434,16 @@ class TestPlan:
             {"target": "y", "sympy": "a + m"}])
         with pytest.raises(UnresolvedVariable) as err:
             load_card(text)
-        assert err.value.key == "m"
+        assert str(err.value) == ("variable 'm', needed for 'y' in variant 'base', "
+                                  "is neither given nor produced by an equation")
 
     def test_unproduced_symbol_in_untaken_alternative_fails_at_load(self):
         text = dimensionless_card("TEST_UNPRODUCED", ["y"], ["m"], ["a"], [
             {"target": "y", "sympy": "Piecewise((a, a > 0), (m, a <= 0))"}])
         with pytest.raises(UnresolvedVariable) as err:
             load_card(text)
-        assert err.value.key == "m"
+        assert str(err.value) == ("variable 'm', needed for 'y' in variant 'base', "
+                                  "is neither given nor produced by an equation")
 
     def test_unproduced_symbol_behind_cycle_fails_at_load(self):
         text = dimensionless_card("TEST_UNPRODUCED", ["x"], ["y", "m"], [], [
@@ -460,7 +463,7 @@ class TestNonFiniteInputs:
         inputs = dict(TERZAGHI_STRIP_INPUTS, q=value)
         with pytest.raises(NonFiniteValue) as err:
             run(TERZAGHI, "general_shear_failure_strip", inputs)
-        assert err.value.key == "q"
+        assert str(err.value) == "'q' is not a finite number"
 
     def test_rejected_in_overrides(self):
         vesic = CATALOG.get_method("BEARING_CAPACITY_VESIC")
@@ -475,7 +478,7 @@ class TestNonFiniteInputs:
         inputs = dict(TERZAGHI_STRIP_INPUTS, gamma="1e300 kN/m^3", B="1e300 m")
         with pytest.raises(NonFiniteValue) as err:
             run(TERZAGHI, "general_shear_failure_strip", inputs)
-        assert err.value.key == "q_ult"
+        assert str(err.value) == "'q_ult' is not a finite number"
         assert err.value.failed_step["target"] == "q_ult"
         assert err.value.failed_step["inputs"]["gamma"] == 1e300
         steps = err.value.partial_trace.steps

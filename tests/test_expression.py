@@ -68,7 +68,8 @@ class TestParse:
     def test_out_of_range_literal_is_parse_error(self, text, position):
         with pytest.raises(ParseError) as err:
             ex.parse(text)
-        assert err.value.position == position
+        assert str(err.value) == (f"parse error at position {position}: "
+                                  f"number {text[position:]!r} is out of range")
 
     def test_largest_float_literal_round_trips(self):
         node = ex.parse("1.7976931348623157e308")
@@ -113,7 +114,7 @@ class TestSandbox:
     def test_unknown_function_is_rejected_by_name(self):
         with pytest.raises(DisallowedFunction) as err:
             ex.parse("system(x)")
-        assert err.value.name == "system"
+        assert str(err.value) == "function not in allowlist: 'system'"
 
     def test_allowlist_is_closed(self):
         assert "eval" not in ex.ALLOWED_FUNCTIONS

@@ -104,6 +104,13 @@ class TestProtocol:
             assert tool["description"]
             assert tool["inputSchema"]["type"] == "object"
 
+    def test_every_tool_has_a_handler(self, server):
+        """Each tool is served by the method named after it, and each such
+        method is a listed tool."""
+        handlers = {name for name in dir(server)
+                    if name.startswith("geo_") and callable(getattr(server, name))}
+        assert handlers == {tool["name"] for tool in TOOLS}
+
     def test_unknown_method_is_32601(self, server):
         response = server.handle_message(rpc("resources/list"))
         assert response["error"]["code"] == -32601

@@ -77,10 +77,28 @@ class TestListSkills:
         not_a_dir = tmp_path / "SKILL.md"
         not_a_dir.write_text("---\n---\n")
         monkeypatch.setenv("GEOCARD_SKILLS_DIR", str(not_a_dir))
-        health = McpServer()._tool_health({})
+        health = McpServer().geo_health({})
         assert health["status"] == "degraded"
         assert health["skills"] == len(LIBRARY.skills)
         assert health["diagnostics"] == [f"{not_a_dir}: not a directory"]
+
+    def test_unreadable_reference_is_one_diagnostic(self, tmp_path,
+                                                    monkeypatch):
+        from geocard.server import McpServer
+
+        skill_dir = tmp_path / "broken-reference"
+        notes = skill_dir / "references" / "notes.md"
+        notes.mkdir(parents=True)  # a directory where a file belongs
+        (skill_dir / "SKILL.md").write_text(
+            "---\nname: broken-reference\ndescription: d\nversion: '1'\n"
+            "category: c\n---\nbody")
+        with pytest.raises(OSError) as cause:
+            notes.read_text("utf-8")
+        monkeypatch.setenv("GEOCARD_SKILLS_DIR", str(tmp_path))
+        health = McpServer().geo_health({})
+        assert health["status"] == "degraded"
+        assert health["skills"] == len(LIBRARY.skills)
+        assert health["diagnostics"] == [f"{skill_dir}: {cause.value}"]
 
     def test_name_must_match_directory(self, tmp_path):
         bad = tmp_path / "dir-name"
