@@ -1,5 +1,9 @@
 """Method card data model, JSON loading, and load-time validation.
 
+Each record has one field table (``CARD_FIELDS``, ``VARIABLE_FIELDS``,
+``VARIANT_FIELDS``, ``EQUATION_FIELDS``, ``SOURCE_FIELDS``): ``load_record``
+reads it, refusing an unknown key, and ``MethodCard.to_dict`` writes it.
+
 A card that loads without error is safe to hand to the engine: every
 expression has parsed against the allowlist, every symbol is a declared
 variable, every unit resolves in the registry, structural rules (roles,
@@ -100,201 +104,220 @@ class MethodCard:
 
     def to_dict(self) -> dict:
         """JSON-ready form; load_card(json.dumps(card.to_dict())) == card."""
-        out = {
-            "id": self.id,
-            "title": self.title,
-            "category": self.category,
-            "description": self.description,
-            "variables": [],
-            "variants": [],
-            "assumptions": list(self.assumptions),
-            "applicability": list(self.applicability),
-            "sources": [],
-        }
-        for v in self.variables:
-            entry = {"key": v.key, "name": v.name, "role": v.role, "unit": v.unit}
-            if v.description is not None:
-                entry["description"] = v.description
-            if v.default is not None:
-                entry["default"] = v.default
-            out["variables"].append(entry)
-        for variant in self.variants:
-            eqs = []
-            for eq in variant.equations:
-                entry = {"target": eq.target, "sympy": eq.sympy}
-                if eq.description is not None:
-                    entry["description"] = eq.description
-                eqs.append(entry)
-            out["variants"].append({"id": variant.id, "title": variant.title,
-                                    "equations": eqs})
-        for s in self.sources:
-            entry = {"title": s.title}
-            if s.url is not None:
-                entry["url"] = s.url
-            out["sources"].append(entry)
-        return out
+        return _write(self, CARD_FIELDS)
 
 
-# ------------------------------------------------------------------ loading ----
+# ------------------------------------------------------------- field tables ----
+#
+# A table maps each field of a record to (kind, required), in the order
+# to_dict writes them. A kind reads a present field's JSON value, null
+# included, into what the record holds; ABSENT means the value counts as
+# absent. A dict kind is the table of a list of records.
 
-def _require(obj: dict, key: str, kind, path: str):
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}", "missing required field")
-    value = obj[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(f"{path}.{key}", f"expected a number, got {type(value).__name__}")
-        if not abs(value) <= sys.float_info.max:  # NaN, infinity or a huge int
-            raise SchemaError(f"{path}.{key}", "expected a finite number")
-        return float(value)
-    if not isinstance(value, kind):
-        raise SchemaError(f"{path}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
-    return value
+ABSENT = object()
 
 
-def _optional_str(obj: dict, key: str, path: str) -> Optional[str]:
-    if key not in obj or obj[key] is None:
-        return None
-    if not isinstance(obj[key], str):
-        raise SchemaError(f"{path}.{key}", "expected string")
-    return obj[key]
+def _read_record(obj, fields: dict, path: str) -> dict:
+    """The fields of the JSON object ``obj`` at ``path``, read against the
+    table ``fields``: a key the table lacks is refused first, and a field
+    absent from ``obj``, or read as ABSENT, is absent from the result."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "expected object")
+    for key in obj:
+        if key not in fields:
+            raise SchemaError(f"{path}.{key}", "unknown field")
+    values = {}
+    for name, (kind, required) in fields.items():
+        at = f"{path}.{name}"
+        if name not in obj:
+            value = ABSENT
+        elif isinstance(kind, dict):
+            value = tuple(_read_record(entry, kind, f"{at}[{i}]")
+                          for i, entry in enumerate(_LIST(obj[name], at)))
+        else:
+            value = kind(obj[name], at)
+        if value is not ABSENT:
+            values[name] = value
+        elif required:
+            raise SchemaError(at, "missing required field")
+    return values
 
 
-def load_card(json_text: str) -> MethodCard:
-    """Deserialize and fully validate one method card."""
+def load_record(json_text: str, fields: dict, what: str) -> dict:
+    """The JSON object in ``json_text``, a ``what``, read against ``fields``."""
     try:
         raw = json.loads(json_text)
     except (ValueError, RecursionError) as exc:  # too deep, or an int over 4300 digits
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
-        raise SchemaError("$", "card must be a JSON object")
+        raise SchemaError("$", f"{what} must be a JSON object")
+    return _read_record(raw, fields, "$")
 
-    card_id = _require(raw, "id", str, "$")
+
+def _write(record, fields: dict) -> dict:
+    """``record`` as JSON-ready data, field by field; a field whose value
+    is None, or that the record does not hold, is left out."""
+    out = {}
+    for name, (kind, _) in fields.items():
+        value = getattr(record, name, None)
+        if isinstance(kind, dict):
+            out[name] = [_write(entry, kind) for entry in value]
+        elif value is not None:
+            out[name] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
+def instance_of(cls):
+    """The kind of a field whose value must be a ``cls``."""
+    def read(value, path):
+        if not isinstance(value, cls):
+            raise SchemaError(path, f"expected {cls.__name__}, "
+                              f"got {type(value).__name__}")
+        return value
+    return read
+
+
+def _text(value, path):
+    """An optional string; null is absent."""
+    if value is None:
+        return ABSENT
+    if not isinstance(value, str):
+        raise SchemaError(path, "expected string")
+    return value
+
+
+def _number(value, path):
+    """A finite number; null is absent."""
+    if value is None:
+        return ABSENT
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinity or a huge int
+        raise SchemaError(path, "expected a finite number")
+    return float(value)
+
+
+def _strings(value, path):
+    if not isinstance(value, list) or any(not isinstance(s, str) for s in value):
+        raise SchemaError(path, "expected a list of strings")
+    return tuple(value)
+
+
+def _condition(value, path):
+    """The retired equation-level condition: only null is accepted."""
+    if value is not None:
+        raise SchemaError(path, "equation conditions are not supported; write one "
+                          "Piecewise((a, c1), (b, c2), (fallback, True)) "
+                          "equation for the target")
+    return ABSENT
+
+
+_STR, _LIST = instance_of(str), instance_of(list)
+
+VARIABLE_FIELDS = {"key": (_STR, True), "name": (_STR, True),
+                   "role": (_STR, True), "unit": (_STR, True),
+                   "description": (_text, False), "default": (_number, False)}
+
+EQUATION_FIELDS = {"target": (_STR, True), "sympy": (_STR, True),
+                   "description": (_text, False),
+                   "condition": (_condition, False)}
+
+VARIANT_FIELDS = {"id": (_STR, True), "title": (_STR, True),
+                  "equations": (EQUATION_FIELDS, True)}
+
+SOURCE_FIELDS = {"title": (_STR, True), "url": (_text, False)}
+
+CARD_FIELDS = {"id": (_STR, True), "title": (_STR, True),
+               "category": (_STR, True), "description": (_STR, True),
+               "variables": (VARIABLE_FIELDS, True),
+               "variants": (VARIANT_FIELDS, True),
+               "assumptions": (_strings, False),
+               "applicability": (_strings, False),
+               "sources": (SOURCE_FIELDS, True)}
+
+
+# ------------------------------------------------------------------ loading ----
+
+def load_card(json_text: str) -> MethodCard:
+    """Deserialize and fully validate one method card."""
+    raw = load_record(json_text, CARD_FIELDS, "card")
+    card_id = raw["id"]
     if not _ID_RE.match(card_id):
         raise SchemaError("$.id", f"{card_id!r} is not UPPER_SNAKE")
-    title = _require(raw, "title", str, "$")
-    category = _require(raw, "category", str, "$")
-    description = _require(raw, "description", str, "$")
 
     # Variables
-    raw_vars = _require(raw, "variables", list, "$")
-    variables: list[VariableSpec] = []
     units: dict[str, Unit] = {}
-    for i, entry in enumerate(raw_vars):
+    for i, entry in enumerate(raw["variables"]):
         path = f"$.variables[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(path, "expected object")
-        key = _require(entry, "key", str, path)
+        key, role = entry["key"], entry["role"]
         if not _KEY_RE.match(key):
             raise SchemaError(f"{path}.key", f"{key!r} is not a valid symbol")
         if key in ex.CONSTANTS or key == "True" or key in ex.ALLOWED_FUNCTIONS:
             raise SchemaError(f"{path}.key", f"{key!r} is a reserved name")
         if key in units:
             raise DuplicateKey(key, f"variables of card {card_id}")
-        role = _require(entry, "role", str, path)
         if role not in ROLES:
             raise SchemaError(f"{path}.role", f"{role!r} not one of {ROLES}")
-        unit_name = _require(entry, "unit", str, path)
-        units[key] = default_registry().resolve(unit_name)  # raises UnknownUnit
-        default = None
-        if "default" in entry and entry["default"] is not None:
-            default = _require(entry, "default", float, path)
-        if role == "param" and default is None:
+        units[key] = default_registry().resolve(entry["unit"])  # raises UnknownUnit
+        if role == "param" and "default" not in entry:
             raise SchemaError(f"{path}.default", f"param {key!r} requires a default")
-        if role != "param" and default is not None:
+        if role != "param" and "default" in entry:
             raise SchemaError(f"{path}.default", f"role {role!r} forbids a default")
-        variables.append(VariableSpec(
-            key=key,
-            name=_require(entry, "name", str, path),
-            role=role,
-            unit=unit_name,
-            description=_optional_str(entry, "description", path),
-            default=default,
-        ))
+    variables = tuple(VariableSpec(**entry) for entry in raw["variables"])
     roles = {v.key: v.role for v in variables}
     given = {k for k, role in roles.items() if role in ("input", "param")}
     assignable = {k for k, role in roles.items() if role in ("output", "intermediate")}
     outputs = {k for k, role in roles.items() if role == "output"}
 
     # Variants
-    raw_variants = _require(raw, "variants", list, "$")
-    if not raw_variants:
+    if not raw["variants"]:
         raise SchemaError("$.variants", "card must declare at least one variant")
     variants: list[VariantSpec] = []
-    seen_variant_ids: set[str] = set()
-    for i, entry in enumerate(raw_variants):
+    for i, entry in enumerate(raw["variants"]):
         path = f"$.variants[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(path, "expected object")
-        vid = _require(entry, "id", str, path)
-        if vid in seen_variant_ids:
+        vid = entry["id"]
+        if any(v.id == vid for v in variants):
             raise DuplicateKey(vid, f"variants of card {card_id}")
-        seen_variant_ids.add(vid)
-        vtitle = _require(entry, "title", str, path)
-        raw_eqs = _require(entry, "equations", list, path)
         by_target: dict[str, EquationSpec] = {}
-        for j, eq_entry in enumerate(raw_eqs):
+        for j, eq in enumerate(entry["equations"]):
             eq_path = f"{path}.equations[{j}]"
-            if not isinstance(eq_entry, dict):
-                raise SchemaError(eq_path, "expected object")
-            target = _require(eq_entry, "target", str, eq_path)
+            target = eq["target"]
             if target not in roles:
                 raise UndeclaredSymbol(target, target)
             if target not in assignable:
                 raise SchemaError(f"{eq_path}.target",
                                   f"{target!r} has role {roles[target]!r}; "
                                   "equation targets must be output or intermediate")
-            if eq_entry.get("condition") is not None:
-                raise SchemaError(f"{eq_path}.condition",
-                                  "equation conditions are not supported; write one "
-                                  "Piecewise((a, c1), (b, c2), (fallback, True)) "
-                                  "equation for the target")
             if target in by_target:
                 raise SchemaError(f"{eq_path}.target",
                                   f"{target!r} has more than one equation")
-            text = _require(eq_entry, "sympy", str, eq_path)
-            expr = ex.parse(text)  # ParseError/Disallowed* propagate
+            expr = ex.parse(eq["sympy"])  # ParseError/Disallowed* propagate
             symbols = ex.free_symbols(expr)
             for symbol in symbols:
                 if symbol not in roles:
                     raise UndeclaredSymbol(target, symbol)
             by_target[target] = EquationSpec(
-                target=target,
-                sympy=text,
-                description=_optional_str(eq_entry, "description", eq_path),
-                expr=expr,
-                symbols=tuple(sorted(symbols)),
-                compiled=ex.compile_expr(expr),
-            )
+                **eq, expr=expr, symbols=tuple(sorted(symbols)),
+                compiled=ex.compile_expr(expr))
         missing = outputs - by_target.keys()
         if missing:
             raise SchemaError(f"{path}.equations",
                               f"output(s) {sorted(missing)} have no equation in "
                               f"variant {vid!r}")
         direct, iterative = _plan(vid, by_target, given)
-        variants.append(VariantSpec(id=vid, title=vtitle,
+        variants.append(VariantSpec(id=vid, title=entry["title"],
                                     equations=tuple(by_target.values()),
                                     direct=direct, iterative=iterative))
 
-    # Lists and sources
-    assumptions = tuple(_str_list(raw, "assumptions"))
-    applicability = tuple(_str_list(raw, "applicability"))
-    raw_sources = _require(raw, "sources", list, "$")
-    if not raw_sources:
+    if not raw["sources"]:
         raise SchemaError("$.sources", "sources must be non-empty")
-    sources = []
-    for i, entry in enumerate(raw_sources):
-        path = f"$.sources[{i}]"
-        if not isinstance(entry, dict):
-            raise SchemaError(path, "expected object")
-        sources.append(Source(title=_require(entry, "title", str, path),
-                              url=_optional_str(entry, "url", path)))
 
     return MethodCard(
-        id=card_id, title=title, category=category, description=description,
-        variables=tuple(variables), variants=tuple(variants),
-        assumptions=assumptions, applicability=applicability,
-        sources=tuple(sources), units=units,
+        id=card_id, title=raw["title"], category=raw["category"],
+        description=raw["description"], variables=variables,
+        variants=tuple(variants), assumptions=raw.get("assumptions", ()),
+        applicability=raw.get("applicability", ()),
+        sources=tuple(Source(**entry) for entry in raw["sources"]), units=units,
         input_keys=frozenset(k for k, role in roles.items() if role == "input"),
         param_defaults={v.key: v.default for v in variables if v.role == "param"},
         output_keys=tuple(k for k, role in roles.items() if role == "output"),
@@ -331,13 +354,6 @@ def _plan(variant_id: str, equations: dict[str, EquationSpec],
         if unmet:
             raise UnresolvedVariable(sorted(unmet)[0], variant_id, eq.target)
     return tuple(direct), iterative
-
-
-def _str_list(raw: dict, key: str) -> list[str]:
-    value = raw.get(key, [])
-    if not isinstance(value, list) or any(not isinstance(s, str) for s in value):
-        raise SchemaError(f"$.{key}", "expected a list of strings")
-    return value
 
 
 # ------------------------------------------------------- dimensional audit ----

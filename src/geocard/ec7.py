@@ -21,12 +21,12 @@ examples adopt.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
+from .cards import ABSENT, instance_of, load_record
 from .catalog import Catalog, default_catalog
 from .engine import EvaluationRequest, EvaluationTrace, evaluate_card
 from .errors import (InvalidGeometry, NoBracket, NonConvergence,
@@ -162,21 +162,26 @@ class FootingScenario:
                               self.c_u_k)
 
 
-_QUANTITY_FIELDS = {
-    # field -> card unit the magnitude is normalized to
-    "L": "m", "D_f": "m", "e": "m",
-    "phi_prime_k": "radians",
-    "c_prime_k": "kPa", "c_u_k": "kPa",
-    "gamma_k": "kN/m^3", "gamma_sw": "kN/m^3",
-    "groundwater_depth": "m",
-    "G_k_col": "kN", "Q_k": "kN",
+def _quantity(unit_name: str):
+    """The kind of a scenario quantity in the card unit ``unit_name``, named
+    by its field (``path`` is ``$.<field>``); null is absent."""
+    return lambda value, path: (
+        ABSENT if value is None else to_magnitude(value, unit_name, path[2:]))
+
+
+SCENARIO_FIELDS = {
+    "L": (_quantity("m"), True), "D_f": (_quantity("m"), True),
+    "phi_prime_k": (_quantity("radians"), True),
+    "c_prime_k": (_quantity("kPa"), True),
+    "gamma_k": (_quantity("kN/m^3"), True),
+    "groundwater_depth": (_quantity("m"), True),
+    "G_k_col": (_quantity("kN"), True), "Q_k": (_quantity("kN"), True),
+    "gamma_sw": (_quantity("kN/m^3"), True),
+    "e": (_quantity("m"), False), "c_u_k": (_quantity("kPa"), False),
+    "surcharge_model": (lambda value, path: value, False),  # checked on creation
+    "name": (instance_of(str), False), "jrc_verified": (instance_of(bool), False),
+    "notes": (lambda value, path: ABSENT, False),  # for the reader only
 }
-
-_REQUIRED_FIELDS = ("L", "D_f", "phi_prime_k", "c_prime_k", "gamma_k",
-                    "groundwater_depth", "G_k_col", "Q_k", "gamma_sw")
-
-# "notes" is free text for the reader; the engine never reads it.
-_OTHER_FIELDS = ("surcharge_model", "name", "jrc_verified", "notes")
 
 
 def load_scenario(json_text: str) -> FootingScenario:
@@ -185,31 +190,7 @@ def load_scenario(json_text: str) -> FootingScenario:
     A key that names no field is a SchemaError, so a misspelled optional
     field cannot fall back to its default unseen.
     """
-    try:
-        raw = json.loads(json_text)
-    except (ValueError, RecursionError) as exc:  # too deep, or an int over 4300 digits
-        raise SchemaError("$", f"invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise SchemaError("$", "scenario must be a JSON object")
-    for key in raw:
-        if key not in _QUANTITY_FIELDS and key not in _OTHER_FIELDS:
-            raise SchemaError(f"$.{key}", "unknown field")
-    values: dict = {}
-    for key in _REQUIRED_FIELDS:
-        if raw.get(key) is None:  # absent or null
-            raise SchemaError(f"$.{key}", "missing required field")
-    for key, unit_name in _QUANTITY_FIELDS.items():
-        if raw.get(key) is not None:
-            values[key] = to_magnitude(raw[key], unit_name, key)
-    if "surcharge_model" in raw:
-        values["surcharge_model"] = raw["surcharge_model"]
-    for key, kind in (("name", str), ("jrc_verified", bool)):
-        if key in raw:
-            if not isinstance(raw[key], kind):
-                raise SchemaError(f"$.{key}", f"expected {kind.__name__}, "
-                                  f"got {type(raw[key]).__name__}")
-            values[key] = raw[key]
-    return FootingScenario(**values)
+    return FootingScenario(**load_record(json_text, SCENARIO_FIELDS, "scenario"))
 
 
 def load_bundled_scenario(name: str = "jrc_a3") -> FootingScenario:
@@ -421,7 +402,8 @@ def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
     iterations = 0
     while at_hi.utilization <= 1.0 - tolerance:
         if iterations == 200:
-            raise NonConvergence(["B"], iterations, 1.0 - at_hi.utilization)
+            raise NonConvergence("width bisection", iterations,
+                                 "utilization gap", 1.0 - at_hi.utilization)
         mid = 0.5 * (lo + hi)
         at_mid = check(mid)
         if at_mid.utilization > 1.0:

@@ -162,6 +162,7 @@ def _walk(variant: VariantSpec, env: dict) -> list[dict]:
         if not block:
             return []
         cycle = [eq.target for eq in block]
+        search = f"fixed-point iteration over {{{', '.join(sorted(cycle))}}}"
         for target in cycle:
             env[target] = 1.0
         for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
@@ -169,7 +170,7 @@ def _walk(variant: VariantSpec, env: dict) -> list[dict]:
             for eq in block:
                 old, new = env[eq.target], eq.compiled(env)
                 if not math.isfinite(new):
-                    raise NonConvergence(cycle, iterations, math.inf)
+                    raise NonConvergence(search, iterations, "residual", math.inf)
                 denom = max(abs(old), abs(new))
                 change = 0.0 if denom == 0.0 else abs(new - old) / denom
                 residual = max(residual, change)
@@ -178,7 +179,8 @@ def _walk(variant: VariantSpec, env: dict) -> list[dict]:
                 return [{"variables": cycle, "iterations": iterations,
                          "residual": residual}]
         eq = block[0]  # the iteration cap names the block's first step
-        raise NonConvergence(cycle, FIXED_POINT_MAX_ITER, residual)
+        raise NonConvergence(search, FIXED_POINT_MAX_ITER, "residual",
+                             residual)
     except GeocardError as exc:
         exc.failed_step = {
             "target": eq.target,

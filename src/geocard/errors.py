@@ -167,11 +167,9 @@ class UnresolvedVariable(GeocardError):
 class NonConvergence(GeocardError):
     code = "non_convergence"
 
-    def __init__(self, cycle_keys, iterations: int, residual: float):
-        super().__init__(
-            f"fixed-point iteration over {{{', '.join(sorted(cycle_keys))}}} did not "
-            f"converge after {iterations} iterations (residual {residual:.3e})"
-        )
+    def __init__(self, search: str, iterations: int, measure: str, value: float):
+        super().__init__(f"{search} did not converge after {iterations} "
+                         f"iterations ({measure} {value:.3e})")
 
 
 # ---------------------------------------------------------------- catalog ----

@@ -1,13 +1,15 @@
 """Card loading, schema validation, and the dimensional audit."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import HUGE_INT
 from geocard import expression as ex
-from geocard.cards import DimensionFinding, load_card, validate_dimensions
+from geocard.cards import (CARD_FIELDS, DimensionFinding, load_card,
+                           validate_dimensions)
 from geocard.catalog import load_catalog
 from geocard.ec7 import bundled_scenario_path, load_scenario
 from geocard.engine import EvaluationRequest, evaluate_card
@@ -22,6 +24,12 @@ from geocard.errors import (
     UnknownUnit,
 )
 from geocard.units import DIMENSIONLESS
+
+_ROOT = Path(__file__).parents[1]
+# Every bundled card, and the benchmark's cyclic card, which is read only.
+CARD_TEXTS = {path.name: path.read_text("utf-8") for path in (
+    *sorted((_ROOT / "src/geocard/data/catalog").glob("*.json")),
+    _ROOT / "perfbench/cyclic_card.json")}
 
 
 def minimal_card(**overrides) -> dict:
@@ -220,11 +228,18 @@ class TestLoadCard:
         with pytest.raises(GeocardError):
             load_card(junk)
 
+    def test_to_dict_writes_the_card_file(self):
+        # Each field the file holds and no null for one it lacks; the two
+        # lists are written even when empty.
+        for name, text in CARD_TEXTS.items():
+            written = load_card(text).to_dict()
+            assert written == dict({"assumptions": [], "applicability": []},
+                                   **json.loads(text)), name
+            assert list(written) == list(CARD_FIELDS)
+
     def test_serialization_round_trip(self):
-        from geocard.catalog import load_catalog
-        for card_id in ("BEARING_CAPACITY_TERZAGHI", "BEARING_CAPACITY_VESIC",
-                        "BEARING_CAPACITY_EUROCODE7"):
-            card = load_catalog().get_method(card_id)
+        for text in CARD_TEXTS.values():
+            card = load_card(text)
             again = load_card(json.dumps(card.to_dict()))
             assert again == card
 
@@ -232,7 +247,8 @@ class TestLoadCard:
 # ---------------------------------------------------------- boundary checks ----
 #
 # One row per check that refuses a malformed card, scenario or request: the
-# call, and the exact error class and message a client sees.
+# call, and the exact error class and message a client sees. A row with
+# neither is an input the checks accept.
 
 def _card_with(value, *path):
     """A call that loads minimal_card() with ``value`` set at ``path``."""
@@ -241,6 +257,16 @@ def _card_with(value, *path):
     for step in path[:-1]:
         parent = parent[step]
     parent[path[-1]] = value
+    return lambda: load(card)
+
+
+def _card_without(*path):
+    """A call that loads minimal_card() with the field at ``path`` removed."""
+    card = minimal_card()
+    parent = card
+    for step in path[:-1]:
+        parent = parent[step]
+    del parent[path[-1]]
     return lambda: load(card)
 
 
@@ -289,6 +315,55 @@ BOUNDARY_CHECKS = [
     pytest.param(_card_with(["shallow", 3], "assumptions"), SchemaError,
                  "$.assumptions: expected a list of strings",
                  id="assumption-not-a-string"),
+    pytest.param(_card_without("title"), SchemaError,
+                 "$.title: missing required field", id="card-missing-field"),
+    pytest.param(_card_without("variables", 1, "name"), SchemaError,
+                 "$.variables[1].name: missing required field",
+                 id="variable-missing-field"),
+    pytest.param(_card_without("variants", 0, "title"), SchemaError,
+                 "$.variants[0].title: missing required field",
+                 id="variant-missing-field"),
+    pytest.param(_card_without("variants", 0, "equations", 0, "sympy"),
+                 SchemaError,
+                 "$.variants[0].equations[0].sympy: missing required field",
+                 id="equation-missing-field"),
+    pytest.param(_card_without("sources", 0, "title"), SchemaError,
+                 "$.sources[0].title: missing required field",
+                 id="source-missing-field"),
+    pytest.param(_card_with(7, "category"), SchemaError,
+                 "$.category: expected str, got int", id="string-not-a-string"),
+    pytest.param(_card_with(None, "title"), SchemaError,
+                 "$.title: expected str, got NoneType", id="null-string"),
+    pytest.param(_card_with({}, "variables"), SchemaError,
+                 "$.variables: expected list, got dict", id="list-not-a-list"),
+    pytest.param(_card_with(True, "variables", 1, "default"), SchemaError,
+                 "$.variables[1].default: expected a number, got bool",
+                 id="default-a-bool"),
+    pytest.param(_card_with(None, "variables", 1, "default"), None, None,
+                 id="null-default-accepted"),
+    pytest.param(_card_with(None, "assumptions"), SchemaError,
+                 "$.assumptions: expected a list of strings",
+                 id="null-assumptions"),
+    pytest.param(_card_with(3, "sources", 0, "url"), SchemaError,
+                 "$.sources[0].url: expected string", id="url-not-a-string"),
+    pytest.param(_card_with([], "applicabilty"), SchemaError,
+                 "$.applicabilty: unknown field", id="unknown-card-key"),
+    pytest.param(_card_with("m", "variables", 1, "unitt"), SchemaError,
+                 "$.variables[1].unitt: unknown field", id="unknown-variable-key"),
+    pytest.param(_card_with([], "variants", 0, "equation"), SchemaError,
+                 "$.variants[0].equation: unknown field", id="unknown-variant-key"),
+    pytest.param(_card_with("2*x", "variants", 0, "equations", 0, "sympyy"),
+                 SchemaError, "$.variants[0].equations[0].sympyy: unknown field",
+                 id="unknown-equation-key"),
+    pytest.param(_card_with("x", "sources", 0, "ulr"), SchemaError,
+                 "$.sources[0].ulr: unknown field", id="unknown-source-key"),
+    pytest.param(_scenario_with(c_u_k=None), None, None,
+                 id="null-scenario-quantity-accepted"),
+    pytest.param(_scenario_with(L=None), SchemaError,
+                 "$.L: missing required field", id="null-required-quantity"),
+    pytest.param(_scenario_with(surcharge_model=None), SchemaError,
+                 "$.surcharge_model: must be one of ('effective_overburden', 'none')",
+                 id="null-surcharge-model"),
     pytest.param(_scenario_with(surcharge_model="rigid"), SchemaError,
                  "$.surcharge_model: must be one of ('effective_overburden', 'none')",
                  id="unknown-surcharge-model"),
@@ -300,10 +375,69 @@ BOUNDARY_CHECKS = [
 
 @pytest.mark.parametrize("call, error, message", BOUNDARY_CHECKS)
 def test_boundary_check(call, error, message):
+    if error is None:  # a row the check accepts
+        call()
+        return
     with pytest.raises(GeocardError) as err:
         call()
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+# ------------------------------------------------------- structural fuzz ----
+#
+# Each bundled card with one structural fault: a value swapped for another
+# JSON value, a key dropped, or a key misspelled. Loading, the audit and one
+# evaluation per variant may refuse it only with a GeocardError.
+
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+              st.text(max_size=6)),
+    lambda children: st.one_of(st.lists(children, max_size=2),
+                               st.dictionaries(st.text(max_size=4), children,
+                                               max_size=2)),
+    max_leaves=4)
+
+
+def _locations(node):
+    """(container, key) for every member and element below ``node``."""
+    members = (node.items() if isinstance(node, dict)
+               else enumerate(node) if isinstance(node, list) else ())
+    for key, child in members:
+        yield node, key
+        yield from _locations(child)
+
+
+@st.composite
+def _mutated_cards(draw):
+    raw = json.loads(CARD_TEXTS[draw(st.sampled_from(sorted(CARD_TEXTS)))])
+    parent, key = draw(st.sampled_from(list(_locations(raw))))
+    mutation = draw(st.sampled_from(["swap", "drop", "misspell"]))
+    if mutation == "swap":
+        parent[key] = draw(_JSON_VALUES)
+    elif mutation == "misspell" and isinstance(parent, dict):
+        parent[key + draw(st.sampled_from(["s", "_", "x"]))] = parent.pop(key)
+    else:
+        del parent[key]
+    return json.dumps(raw)
+
+
+class TestStructuralFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(_mutated_cards())
+    def test_only_geocard_errors(self, text):
+        try:
+            card = load_card(text)
+        except GeocardError:
+            return
+        validate_dimensions(card)
+        for variant in card.variants:
+            request = EvaluationRequest(card.id, variant.id,
+                                        dict.fromkeys(card.input_keys, 0.5))
+            try:
+                evaluate_card(card, request)
+            except GeocardError:
+                pass
 
 
 class TestValidateDimensions:

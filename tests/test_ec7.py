@@ -317,8 +317,8 @@ class TestWidthDesignPassesOwnCheck:
         # 1 - 1e-300 rounds to 1.0, which no passing width exceeds.
         with pytest.raises(NonConvergence) as err:
             design_footing_width_ec7(SCENARIO, "DA2", tolerance=1e-300)
-        assert re.fullmatch(r"fixed-point iteration over \{B\} did not converge "
-                            r"after 200 iterations \(residual \S+\)", str(err.value))
+        assert re.fullmatch(r"width bisection did not converge after 200 "
+                            r"iterations \(utilization gap \S+\)", str(err.value))
 
 
 # Finite scenario values whose design action or resistance overflows.
@@ -524,7 +524,8 @@ def _traced_search(scenario, design_approach, tolerance=1e-3, catalog=None,
     iterations = 0
     while at_hi.utilization <= 1.0 - tolerance:
         if iterations == 200:
-            raise NonConvergence(["B"], iterations, 1.0 - at_hi.utilization)
+            raise NonConvergence("width bisection", iterations,
+                                 "utilization gap", 1.0 - at_hi.utilization)
         mid = 0.5 * (lo + hi)
         at_mid = check(mid)
         if at_mid.utilization > 1.0:
