@@ -95,6 +95,9 @@ class MethodCard:
     input_keys: frozenset = field(compare=False, repr=False)
     param_defaults: dict = field(compare=False, repr=False)  # key -> float
     output_keys: tuple = field(compare=False, repr=False)  # in declared order
+    # variant id -> the engine's trace template, built on the first to_json
+    trace_templates: dict = field(default_factory=dict, init=False,
+                                  compare=False, repr=False)
 
     def variant(self, variant_id: str):
         for var in self.variants:

@@ -28,7 +28,8 @@ from typing import Callable, Optional
 
 from .cards import ABSENT, instance_of, load_record
 from .catalog import Catalog, default_catalog
-from .engine import EvaluationRequest, EvaluationTrace, evaluate_card
+from .engine import (SPLICE, EvaluationRequest, EvaluationTrace, evaluate_card,
+                     splice_json)
 from .errors import (InvalidGeometry, NoBracket, NonConvergence,
                      NonFiniteValue, SchemaError, UnknownDesignApproach)
 from .units import DATA_DIR, to_magnitude
@@ -244,6 +245,13 @@ class UlsCheckResult:
     drainage: str
 
     def to_dict(self) -> dict:
+        return self._body(self.trace.to_dict())
+
+    def to_json(self) -> str:
+        """``strict_json(self.to_dict())``, the trace written by its to_json."""
+        return splice_json(self._body(SPLICE), self.trace.to_json())
+
+    def _body(self, trace) -> dict:
         util = self.utilization if math.isfinite(self.utilization) else None
         return {
             "design_approach": self.design_approach,
@@ -257,7 +265,7 @@ class UlsCheckResult:
             "design_parameters": {k: self.design_parameters[k]
                                   for k in sorted(self.design_parameters)},
             "partial_factors": self.partial_factors.wire_dict(),
-            "trace": self.trace.to_dict(),
+            "trace": trace,
         }
 
 
@@ -358,11 +366,18 @@ class WidthDesignResult:
     iterations: int
 
     def to_dict(self) -> dict:
+        return self._body(self.check.to_dict())
+
+    def to_json(self) -> str:
+        """``strict_json(self.to_dict())``, the check written by its to_json."""
+        return splice_json(self._body(SPLICE), self.check.to_json())
+
+    def _body(self, check) -> dict:
         return {
             "design_approach": self.design_approach,
             "B_req": self.B_req,
             "iterations": self.iterations,
-            "check": self.check.to_dict(),
+            "check": check,
         }
 
 

@@ -12,16 +12,23 @@ equations in listed order until the largest relative change drops below
 returns a trace that keeps the variant and the bound values; the trace
 builds its steps from them when they are read, as the dicts that are their
 wire form: index, target, expression, inputs (sorted), value, unit,
-description, method. ``strict_json`` is the one writer of traces and tool
-replies.
+description, method.
+
+``EvaluationTrace.to_dict`` and ``strict_json`` are the reference writer of a
+trace. ``to_json`` writes a complete trace from its variant's template
+(``_TraceTemplate``): the reference writer's text for a trace whose every
+value is a marker, split at the markers, so that a call only writes the
+numbers and the request echo. A partial trace is written by the reference.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from json.encoder import encode_basestring_ascii
+from typing import Mapping, Optional, Union
 
 from .cards import MethodCard, VariantSpec
 from .errors import (
@@ -116,7 +123,10 @@ class EvaluationTrace:
         }
 
     def to_json(self) -> str:
-        return strict_json(self.to_dict())
+        """``strict_json(self.to_dict())``, written from the variant's
+        template when the trace is a complete one."""
+        text = _template(self).write(self)
+        return strict_json(self.to_dict()) if text is None else text
 
 
 def strict_json(body) -> str:
@@ -130,6 +140,133 @@ def strict_json(body) -> str:
 
 def _echo_value(value: InputValue):
     return format_quantity(value) if isinstance(value, Quantity) else value
+
+
+# ------------------------------------------------------------ trace writer ----
+
+def _number(value) -> str:
+    """``value`` as strict_json writes it: a float by its repr, anything
+    else by strict_json itself."""
+    if type(value) is not float:
+        return strict_json(value)
+    if not math.isfinite(value):
+        raise NonFiniteValue("result")
+    return float.__repr__(value)
+
+
+def _echo(value: InputValue) -> str:
+    value = _echo_value(value)
+    return encode_basestring_ascii(value) if type(value) is str else _number(value)
+
+
+def _overrides(overrides: Mapping[str, InputValue]) -> str:
+    """The overrides object at the depth of the request's fields."""
+    if not overrides:
+        return "{}"
+    body = {k: _echo_value(overrides[k]) for k in sorted(overrides)}
+    return strict_json(body).replace("\n", "\n    ")  # no JSON string holds a raw newline
+
+
+# The value that fills a hole: (source, key) with source one of these.
+_ENV, _INPUTS, _OUTPUTS, _CYCLE, _OVERRIDES = range(5)
+
+
+class _PlantingEnv(dict):
+    """An env that answers every read with a new marker."""
+
+    def __init__(self, keys, plant):
+        super().__init__(dict.fromkeys(keys))
+        self.plant = plant
+
+    def __getitem__(self, key):
+        return self.plant(_ENV, key)
+
+
+class _TraceTemplate:
+    """The text of one variant's complete traces: static pieces, and
+    between each two the (source, key) of the value that fills the hole.
+
+    The pieces come from the reference writer: ``to_dict`` and
+    ``strict_json`` write a trace whose every value is a distinct marker,
+    and the text is split at the quoted markers. Card text may hold
+    anything, a marker included, so the split must find each planted marker
+    exactly once; otherwise the markers are drawn again.
+    """
+
+    def __init__(self, card: MethodCard, variant: VariantSpec):
+        self.cycles = 1 if variant.iterative else 0
+        attempt = 0
+        while not self._build(card, variant, f"\x00{attempt}\x00"):
+            attempt += 1
+        self.env_keys = tuple(dict.fromkeys(
+            key for source, key in self.holes if source == _ENV))
+
+    def _build(self, card: MethodCard, variant: VariantSpec, tag: str) -> bool:
+        planted = []  # (source, key) of each marker, by number
+
+        def plant(source, key):
+            planted.append((source, key))
+            return f"{tag}{len(planted) - 1}"
+
+        cycles = [_cycle(variant.iterative, plant(_CYCLE, "iterations"),
+                         plant(_CYCLE, "residual"))] if self.cycles else []
+        trace = EvaluationTrace(
+            card, variant, _PlantingEnv(card.units, plant),
+            {k: plant(_INPUTS, k) for k in card.input_keys}, {},
+            {k: Quantity(plant(_OUTPUTS, k), card.units[k]) for k in card.output_keys},
+            {"iterative_cycles": cycles})
+        body = trace.to_dict()
+        body["request"]["overrides"] = plant(_OVERRIDES, None)
+        opening = re.escape(encode_basestring_ascii(tag)[:-1])  # '"' and the tag
+        pieces = re.split(f'{opening}(\\d+)"', strict_json(body))
+        found = [int(n) for n in pieces[1::2]]
+        if sorted(found) != list(range(len(planted))):
+            return False
+        pieces[1::2] = [None] * len(found)  # the holes, filled per trace
+        self.pieces = pieces
+        self.holes = [planted[n] for n in found]
+        return True
+
+    def write(self, trace: EvaluationTrace) -> Optional[str]:
+        """The text of a trace of this variant, or None for a partial one:
+        its walk stopped in the fixed-point block, or before a direct step."""
+        cycles = trace.diagnostics["iterative_cycles"]
+        if len(cycles) != self.cycles:
+            return None
+        env = trace.env
+        try:
+            values = [env[k] for k in self.env_keys]
+        except KeyError:
+            return None
+        texts = (
+            dict(zip(self.env_keys, map(_number, values))),
+            {k: _echo(v) for k, v in trace.request_inputs.items()},
+            {k: _number(q.magnitude) for k, q in trace.outputs.items()},
+            {k: _number(cycles[0][k]) for k in ("iterations", "residual")}
+            if cycles else None,
+            {None: _overrides(trace.request_overrides)},
+        )
+        pieces = self.pieces[:]
+        pieces[1::2] = [texts[source][key] for source, key in self.holes]
+        return "".join(pieces)
+
+
+def _template(trace: EvaluationTrace) -> _TraceTemplate:
+    """The template of the trace's variant, memoized on its card."""
+    templates = trace.card.trace_templates
+    if trace.variant.id not in templates:
+        templates[trace.variant.id] = _TraceTemplate(trace.card, trace.variant)
+    return templates[trace.variant.id]
+
+
+SPLICE = "\x00splice\x00"
+
+
+def splice_json(body: dict, text: str) -> str:
+    """``strict_json(body)`` with the one top-level field whose value is
+    SPLICE written as ``text``, that value's own strict JSON."""
+    head, tail = strict_json(body).split(encode_basestring_ascii(SPLICE))
+    return head + text.replace("\n", "\n  ") + tail
 
 
 def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue]) -> dict[str, float]:
@@ -176,8 +313,7 @@ def _walk(variant: VariantSpec, env: dict) -> list[dict]:
                 residual = max(residual, change)
                 env[eq.target] = new
             if residual < FIXED_POINT_TOL:
-                return [{"variables": cycle, "iterations": iterations,
-                         "residual": residual}]
+                return [_cycle(block, iterations, residual)]
         eq = block[0]  # the iteration cap names the block's first step
         raise NonConvergence(search, FIXED_POINT_MAX_ITER, "residual",
                              residual)
@@ -188,6 +324,12 @@ def _walk(variant: VariantSpec, env: dict) -> list[dict]:
             "inputs": {k: env[k] for k in eq.symbols},
         }
         raise
+
+
+def _cycle(block: tuple, iterations, residual) -> dict:
+    """The diagnostics of a converged fixed-point block."""
+    return {"variables": [eq.target for eq in block], "iterations": iterations,
+            "residual": residual}
 
 
 def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTrace:

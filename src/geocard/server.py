@@ -237,6 +237,9 @@ class McpServer:
         self.catalog = catalog if catalog is not None else default_catalog()
         self.skills = load_skills()
         self.defaults: dict = {}  # session defaults: input key -> value
+        # geo_get_method's reply text of each card, which never changes.
+        self._method_texts = {card_id: strict_json(card.to_dict())
+                             for card_id, card in self.catalog.cards.items()}
 
     # ---------------------------------------------------------- transport ----
 
@@ -313,8 +316,8 @@ class McpServer:
         except Exception as exc:  # defensive: never crash the transport
             return self._error(msg_id, INTERNAL_ERROR,
                                f"{type(exc).__name__}: {exc}")
-        try:
-            text = strict_json(body)
+        try:  # a handler may return its reply text ready-made
+            text = body if isinstance(body, str) else strict_json(body)
         except NonFiniteValue as exc:
             text, is_error = strict_json(exc.payload()), True
         return self._result(msg_id, {
@@ -337,8 +340,8 @@ class McpServer:
     def geo_list_methods(self, args) -> dict:
         return {"methods": self.catalog.list_methods(args.get("category"))}
 
-    def geo_get_method(self, args) -> dict:
-        return self.catalog.get_method(args["id"]).to_dict()
+    def geo_get_method(self, args) -> str:
+        return self._method_texts[self.catalog.get_method(args["id"]).id]
 
     def _merged_inputs(self, card: MethodCard, given: dict) -> dict:
         """Session defaults fill missing input keys; arguments always win."""
@@ -348,7 +351,7 @@ class McpServer:
                 merged.setdefault(key, value)
         return merged
 
-    def geo_evaluate(self, args, require_units: bool = False) -> dict:
+    def geo_evaluate(self, args, require_units: bool = False) -> str:
         card = self.catalog.get_method(args["card"])
         request = EvaluationRequest(
             card_id=args["card"],
@@ -363,9 +366,9 @@ class McpServer:
                 and not (isinstance(value, str) and split_quantity_text(value)[1])]
             if untagged:
                 raise MissingUnit(untagged)
-        return evaluate_card(card, request).to_dict()
+        return evaluate_card(card, request).to_json()
 
-    def geo_evaluate_with_units(self, args) -> dict:
+    def geo_evaluate_with_units(self, args) -> str:
         return self.geo_evaluate(args, require_units=True)
 
     def geo_list_skills(self, args) -> dict:
@@ -389,21 +392,21 @@ class McpServer:
                            f"{pf.design_approach}",
         }
 
-    def geo_check_footing_uls_ec7(self, args) -> dict:
+    def geo_check_footing_uls_ec7(self, args) -> str:
         scenario = load_scenario(json.dumps(args["scenario"]))
         width = to_magnitude(args["B"], "m", "B")
         result = check_footing_uls_ec7(
             scenario, args["design_approach"], width,
             catalog=self.catalog, drainage=args.get("drainage", "drained"))
-        return result.to_dict()
+        return result.to_json()
 
-    def geo_design_footing_width_ec7(self, args) -> dict:
+    def geo_design_footing_width_ec7(self, args) -> str:
         scenario = load_scenario(json.dumps(args["scenario"]))
         result = design_footing_width_ec7(
             scenario, args["design_approach"],
             tolerance=args.get("tolerance", 1e-3),
             catalog=self.catalog, drainage=args.get("drainage", "drained"))
-        return result.to_dict()
+        return result.to_json()
 
     def geo_session_set_defaults(self, args) -> dict:
         """Check every value before storing any, so a rejected call stores nothing."""

@@ -7,9 +7,14 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import HUGE_INT
+from geocard.ec7 import (DESIGN_APPROACHES, check_footing_uls_ec7,
+                         design_footing_width_ec7, load_scenario)
+from geocard import engine
+from geocard.engine import EvaluationRequest, evaluate_card
+from geocard.errors import GeocardError
 from geocard.server import McpServer, TOOLS, serve
 from test_ec7 import OVERFLOWING
 
@@ -452,6 +457,103 @@ class TestOverflowingScenario:
         assert tool_error(response) == {
             "error": "non_finite_value",
             "message": "'V_d' is not a finite number"}
+
+
+def reference_reply(dict_form) -> tuple:
+    """The (text, isError) a reply had when every handler returned its
+    dict form: ``dict_form()`` written by strict_json, or the error's
+    payload."""
+    try:
+        return engine.strict_json(dict_form()), False
+    except GeocardError as exc:
+        return engine.strict_json(exc.payload()), True
+
+
+def reply(server, name, arguments) -> tuple:
+    result = call(server, name, arguments)["result"]
+    return result["content"][0]["text"], result["isError"]
+
+
+VESIC_UNITS = {"phi_prime": "deg", "c_prime": "kPa", "gamma": "kN/m^3",
+               "B": "m", "L": "m", "D_f": "m", "q": "kPa"}
+
+
+class TestRepliesMatchTheReference:
+    """A calculation reply is written from the trace's template and spliced
+    into the EC7 replies; its text must be what strict_json writes of the
+    handler's dict form, byte for byte, error and NaN replies included."""
+
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        return McpServer()
+
+    @settings(max_examples=30, deadline=None)
+    @given(values=st.fixed_dictionaries({
+               "phi_prime": st.floats(0.0, 45.0), "c_prime": st.floats(0.0, 50.0),
+               "gamma": st.floats(10.0, 25.0), "B": st.floats(0.2, 10.0),
+               "L": st.floats(0.2, 40.0), "D_f": st.floats(0.0, 5.0),
+               "q": st.floats(0.0, 200.0)}),
+           beta=st.one_of(st.none(), st.floats(0.0, 20.0)), tagged=st.booleans())
+    @example(values={"phi_prime": 30.0, "c_prime": 0.0, "gamma": 1e300, "B": 1e300,
+                     "L": 2.0, "D_f": 1.0, "q": 18.0}, beta=None, tagged=True)
+    def test_evaluate(self, fresh, values, beta, tagged):
+        if tagged:
+            inputs = {k: f"{v!r} {VESIC_UNITS[k]}" for k, v in values.items()}
+            overrides = {} if beta is None else {"beta": f"{beta!r} deg"}
+        else:
+            inputs = {**values, "phi_prime": math.radians(values["phi_prime"])}
+            overrides = {} if beta is None else {"beta": math.radians(beta)}
+        card = fresh.catalog.get_method("BEARING_CAPACITY_VESIC")
+        arguments = {"card": card.id, "variant": "general", "inputs": inputs,
+                     "overrides": overrides}
+        name = "geo_evaluate_with_units" if tagged else "geo_evaluate"
+        assert reply(fresh, name, arguments) == reference_reply(
+            lambda: evaluate_card(card, EvaluationRequest(
+                card.id, "general", inputs, overrides)).to_dict())
+
+    def test_nan_reply(self, fresh):
+        args = json.loads(json.dumps(TERZAGHI_ARGS))
+        args["inputs"].update(gamma="1e300 kN/m^3", B="1e300 m")
+        text, is_error = reply(fresh, "geo_evaluate_with_units", args)
+        assert is_error and json.loads(text)["error"] == "non_finite_value"
+        card = fresh.catalog.get_method(args["card"])
+        assert (text, is_error) == reference_reply(
+            lambda: evaluate_card(card, EvaluationRequest(
+                card.id, args["variant"], args["inputs"])).to_dict())
+
+    @settings(max_examples=20, deadline=None)
+    @given(da=st.sampled_from(DESIGN_APPROACHES), width=st.floats(0.05, 8.0),
+           drainage=st.sampled_from(["drained", "undrained"]))
+    def test_ec7_check(self, fresh, da, width, drainage):
+        arguments = {"scenario": JRC_SCENARIO, "design_approach": da, "B": width,
+                     "drainage": drainage}
+        assert reply(fresh, "geo_check_footing_uls_ec7", arguments) == reference_reply(
+            lambda: check_footing_uls_ec7(
+                load_scenario(json.dumps(JRC_SCENARIO)), da, width,
+                catalog=fresh.catalog, drainage=drainage).to_dict())
+
+    @pytest.mark.parametrize("changes, da, key", OVERFLOWING)
+    def test_ec7_check_overflow(self, fresh, changes, da, key):
+        scenario = {**JRC_SCENARIO, **changes}
+        arguments = {"scenario": scenario, "design_approach": da, "B": 1.5}
+        assert reply(fresh, "geo_check_footing_uls_ec7", arguments) == reference_reply(
+            lambda: check_footing_uls_ec7(load_scenario(json.dumps(scenario)), da,
+                                          1.5, catalog=fresh.catalog).to_dict())
+
+    @settings(max_examples=8, deadline=None)
+    @given(da=st.sampled_from(DESIGN_APPROACHES), tolerance=st.floats(1e-4, 1e-2))
+    def test_ec7_design(self, fresh, da, tolerance):
+        arguments = {"scenario": JRC_SCENARIO, "design_approach": da,
+                     "tolerance": tolerance}
+        assert reply(fresh, "geo_design_footing_width_ec7", arguments) == reference_reply(
+            lambda: design_footing_width_ec7(
+                load_scenario(json.dumps(JRC_SCENARIO)), da, tolerance=tolerance,
+                catalog=fresh.catalog).to_dict())
+
+    def test_get_method(self, fresh):
+        for card_id, card in fresh.catalog.cards.items():
+            assert reply(fresh, "geo_get_method", {"id": card_id}) == (
+                engine.strict_json(card.to_dict()), False)
 
 
 class TestRecommendSkillsArguments:
