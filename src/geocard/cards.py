@@ -24,12 +24,12 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable, Optional
 
 from . import expression as ex
 from .errors import DuplicateKey, SchemaError, UndeclaredSymbol, UnresolvedVariable
+from .record import FrozenRecord, set_field
 from .units import Dimension, DIMENSIONLESS, Unit, default_registry
 
 ROLES = ("input", "output", "intermediate", "param")
@@ -38,28 +38,38 @@ _ID_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-@dataclass(frozen=True)
-class VariableSpec:
-    key: str
-    name: str
-    role: str
-    unit: str
-    description: Optional[str] = None
-    default: Optional[float] = None
+class VariableSpec(FrozenRecord):
+    __slots__ = ("key", "name", "role", "unit", "description", "default")
+
+    def __init__(self, key: str, name: str, role: str, unit: str,
+                 description: str | None = None, default: float | None = None):
+        set_field(self, "key", key)
+        set_field(self, "name", name)
+        set_field(self, "role", role)
+        set_field(self, "unit", unit)
+        set_field(self, "description", description)
+        set_field(self, "default", default)
 
 
-@dataclass(frozen=True)
-class EquationSpec:
-    target: str
-    sympy: str
-    description: Optional[str] = None
-    expr: ex.ExprNode = field(compare=False, default=None, repr=False)
-    symbols: tuple = field(compare=False, default=(), repr=False)  # sorted, of expr
-    compiled: Callable = field(compare=False, default=None, repr=False)  # of expr
+class EquationSpec(FrozenRecord):
+    """One equation, with what its evaluation needs: the parsed ``expr``,
+    its ``symbols`` (sorted) and its closures (``compiled``)."""
+
+    __slots__ = ("target", "sympy", "description", "expr", "symbols", "compiled")
+    _hidden = ("expr", "symbols", "compiled")
+
+    def __init__(self, target: str, sympy: str, description: str | None = None,
+                 expr: ex.ExprNode = None, symbols: tuple = (),
+                 compiled: Callable = None):
+        set_field(self, "target", target)
+        set_field(self, "sympy", sympy)
+        set_field(self, "description", description)
+        set_field(self, "expr", expr)
+        set_field(self, "symbols", symbols)
+        set_field(self, "compiled", compiled)
 
 
-@dataclass(frozen=True)
-class VariantSpec:
+class VariantSpec(FrozenRecord):
     """One variant and its plan: its equations, in the order they run.
 
     ``direct`` equations are evaluated once each; ``iterative`` equations'
@@ -67,37 +77,59 @@ class VariantSpec:
     together by fixed-point iteration after every direct equation.
     """
 
-    id: str
-    title: str
-    equations: tuple
-    direct: tuple = field(compare=False, default=(), repr=False)
-    iterative: tuple = field(compare=False, default=(), repr=False)
+    __slots__ = ("id", "title", "equations", "direct", "iterative")
+    _hidden = ("direct", "iterative")
+
+    def __init__(self, id: str, title: str, equations: tuple,
+                 direct: tuple = (), iterative: tuple = ()):
+        set_field(self, "id", id)
+        set_field(self, "title", title)
+        set_field(self, "equations", equations)
+        set_field(self, "direct", direct)
+        set_field(self, "iterative", iterative)
 
 
-@dataclass(frozen=True)
-class Source:
-    title: str
-    url: Optional[str] = None
+class Source(FrozenRecord):
+    __slots__ = ("title", "url")
+
+    def __init__(self, title: str, url: str | None = None):
+        set_field(self, "title", title)
+        set_field(self, "url", url)
 
 
-@dataclass(frozen=True)
-class MethodCard:
-    id: str
-    title: str
-    category: str
-    description: str
-    variables: tuple
-    variants: tuple
-    assumptions: tuple
-    applicability: tuple
-    sources: tuple
-    units: dict = field(compare=False, repr=False)  # key -> registry Unit
-    input_keys: frozenset = field(compare=False, repr=False)
-    param_defaults: dict = field(compare=False, repr=False)  # key -> float
-    output_keys: tuple = field(compare=False, repr=False)  # in declared order
-    # variant id -> the engine's trace template, built on the first to_json
-    trace_templates: dict = field(default_factory=dict, init=False,
-                                  compare=False, repr=False)
+class MethodCard(FrozenRecord):
+    """A loaded card. Besides its fields, it holds what every evaluation
+    would otherwise rediscover: the registry ``Unit`` of each variable
+    (``units``), the input keys, the param defaults (key -> float) and the
+    output keys in declared order; and ``trace_templates``, the engine's
+    trace template of each variant id, built on its first ``to_json``."""
+
+    __slots__ = ("id", "title", "category", "description", "variables",
+                 "variants", "assumptions", "applicability", "sources",
+                 "units", "input_keys", "param_defaults", "output_keys",
+                 "trace_templates")
+    _hidden = ("units", "input_keys", "param_defaults", "output_keys",
+               "trace_templates")
+
+    def __init__(self, id: str, title: str, category: str, description: str,
+                 variables: tuple, variants: tuple, assumptions: tuple,
+                 applicability: tuple, sources: tuple, units: dict,
+                 input_keys: frozenset, param_defaults: dict,
+                 output_keys: tuple):
+        set_field(self, "id", id)
+        set_field(self, "title", title)
+        set_field(self, "category", category)
+        set_field(self, "description", description)
+        set_field(self, "variables", variables)
+        set_field(self, "variants", variants)
+        set_field(self, "assumptions", assumptions)
+        set_field(self, "applicability", applicability)
+        set_field(self, "sources", sources)
+        set_field(self, "units", units)
+        set_field(self, "input_keys", input_keys)
+        set_field(self, "param_defaults", param_defaults)
+        set_field(self, "output_keys", output_keys)
+        set_field(self, "trace_templates", {})
 
     def variant(self, variant_id: str):
         for var in self.variants:
@@ -361,11 +393,13 @@ def _plan(variant_id: str, equations: dict[str, EquationSpec],
 
 # ------------------------------------------------------- dimensional audit ----
 
-@dataclass(frozen=True)
-class DimensionFinding:
-    variant_id: str
-    target: str
-    message: str
+class DimensionFinding(FrozenRecord):
+    __slots__ = ("variant_id", "target", "message")
+
+    def __init__(self, variant_id: str, target: str, message: str):
+        set_field(self, "variant_id", variant_id)
+        set_field(self, "target", target)
+        set_field(self, "message", message)
 
     def __str__(self) -> str:
         return f"[{self.variant_id}] {self.target}: {self.message}"
@@ -375,7 +409,7 @@ _TRANSCENDENTAL = frozenset({"sin", "cos", "tan", "cot", "asin", "acos",
                              "atan", "exp", "log"})
 
 
-def _mix(d1: Dimension, d2: Dimension) -> Optional[Dimension]:
+def _mix(d1: Dimension, d2: Dimension) -> Dimension | None:
     """The dimension of an additive mix of ``d1`` and ``d2``, or None when
     they do not mix.
 
@@ -391,7 +425,7 @@ def _mix(d1: Dimension, d2: Dimension) -> Optional[Dimension]:
     return None
 
 
-def _dim(node: ex.ExprNode, dims: dict, report) -> Optional[Dimension]:
+def _dim(node: ex.ExprNode, dims: dict, report) -> Dimension | None:
     """The dimension of ``node``, variables' taken from ``dims``; None once
     ``report`` has been called with a finding below it."""
     if isinstance(node, ex.Symbol):

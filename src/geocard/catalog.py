@@ -16,28 +16,30 @@ MCP server and the EC7 workflow whenever they are given no catalog.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 from .cards import MethodCard, load_card, validate_dimensions
 from .errors import GeocardError, UnknownMethod
+from .record import Record
 from .units import DATA_DIR
 
 CATALOG_ENV_VAR = "GEOCARD_CATALOG_DIR"
 
 
-@dataclass
-class Catalog:
-    cards: dict = field(default_factory=dict)       # id -> MethodCard
-    diagnostics: list = field(default_factory=list)  # load failures
-    warnings: list = field(default_factory=list)     # e.g. shadowed ids
+class Catalog(Record):
+    __slots__ = ("cards", "diagnostics", "warnings")
+
+    def __init__(self, cards: dict | None = None, diagnostics: list | None = None,
+                 warnings: list | None = None):
+        self.cards = {} if cards is None else cards  # id -> MethodCard
+        self.diagnostics = [] if diagnostics is None else diagnostics  # load failures
+        self.warnings = [] if warnings is None else warnings  # e.g. shadowed ids
 
     @property
     def ok(self) -> bool:
         return not self.diagnostics
 
-    def list_methods(self, category_filter: Optional[str] = None) -> list[dict]:
+    def list_methods(self, category_filter: str | None = None) -> list[dict]:
         out = []
         for card_id in sorted(self.cards):
             card = self.cards[card_id]
@@ -58,7 +60,7 @@ class Catalog:
             raise UnknownMethod(card_id) from None
 
     def _ingest(self, path: Path, origin: str,
-                shadowable: set = frozenset()) -> Optional[MethodCard]:
+                shadowable: set = frozenset()) -> MethodCard | None:
         """Read, load and audit one card file; the indexed card, or None on
         failure. A card may replace an indexed one only if its id is in
         ``shadowable``, and only once: the id leaves the set."""

@@ -19,17 +19,13 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import Catalog, default_catalog
-from .ec7 import (
-    DESIGN_APPROACHES,
-    check_footing_uls_ec7,
-    design_footing_width_ec7,
-    load_scenario,
-)
-from .engine import EvaluationRequest, evaluate_card, strict_json
+from .engine import SPLICE, EvaluationRequest, evaluate_card, splice_json
 from .errors import GeocardError
-from .report import format_sig, render_report
-from .server import serve
 from .units import DATA_DIR
+
+# ec7, report and server are imported by the commands that use them, so
+# that validate and eval load neither the EC7 workflow, the skills nor
+# the MCP server.
 
 
 def main(argv=None) -> int:
@@ -164,6 +160,7 @@ def cmd_eval(args) -> int:
     if args.format == "json":
         print(trace.to_json())
     else:
+        from .report import render_report
         print(render_report(trace, card))
     return 0
 
@@ -171,6 +168,8 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------- ec7 ----
 
 def _load_scenario_file(path_text: str):
+    from .ec7 import load_scenario
+
     path = Path(path_text)
     if not path.is_file():
         print(f"usage error: no such scenario file: {path_text}", file=sys.stderr)
@@ -183,18 +182,24 @@ def _load_scenario_file(path_text: str):
 
 
 def _da_list(label: str) -> list[str]:
+    from .ec7 import DESIGN_APPROACHES
+
     if label == "all":
         return list(DESIGN_APPROACHES)
     return [label]
 
 
 def _print_json(results) -> int:
-    """Print the results as strict JSON; a NaN or infinity is a domain error."""
-    print(strict_json([r.to_dict() for r in results]))
+    """Print the results as strict_json of their to_dict() list, each
+    written by its to_json; a NaN or infinity is a domain error."""
+    print(splice_json([SPLICE] * len(results), *(r.to_json() for r in results)))
     return 0
 
 
 def cmd_ec7_check(args) -> int:
+    from .ec7 import check_footing_uls_ec7
+    from .report import format_sig
+
     scenario = _load_scenario_file(args.scenario)
     if scenario is None:
         return 2
@@ -218,6 +223,8 @@ def cmd_ec7_check(args) -> int:
 
 
 def cmd_ec7_design(args) -> int:
+    from .ec7 import design_footing_width_ec7
+
     scenario = _load_scenario_file(args.scenario)
     if scenario is None:
         return 2
@@ -244,6 +251,8 @@ def cmd_ec7_design(args) -> int:
 # -------------------------------------------------------------------- serve ----
 
 def cmd_serve(args) -> int:
+    from .server import serve
+
     serve()
     return 0
 

@@ -22,9 +22,9 @@ examples adopt.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
 
 from .cards import ABSENT, instance_of, load_record
 from .catalog import Catalog, default_catalog
@@ -96,7 +96,7 @@ class SoilParameters:
     phi_prime: float
     c_prime: float
     gamma: float
-    c_u: Optional[float] = None
+    c_u: float | None = None
 
 
 def derive_design_parameters(char: SoilParameters,
@@ -133,7 +133,7 @@ class FootingScenario:
     Q_k: float
     gamma_sw: float
     e: float = 0.0
-    c_u_k: Optional[float] = None
+    c_u_k: float | None = None
     surcharge_model: str = "effective_overburden"
     name: str = ""
     jrc_verified: bool = False

@@ -26,9 +26,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
-from typing import Mapping, Optional, Union
 
 from .cards import MethodCard, VariantSpec
 from .errors import (
@@ -40,33 +39,46 @@ from .errors import (
     UnknownMethod,
     UnknownVariant,
 )
+from .record import Record
 from .units import Quantity, format_quantity, to_magnitude
 
 FIXED_POINT_TOL = 1e-9
 FIXED_POINT_MAX_ITER = 200
 
-InputValue = Union[Quantity, float, int, str]
+# The types of an input value: a unit-tagged string is, say, "30 deg".
+InputValue = (Quantity, float, int, str)
 
 
-# The request and the trace are not frozen: a frozen dataclass's __init__
-# costs 1–2 µs more per call, paid on every trial of a width search.
-@dataclass
-class EvaluationRequest:
-    card_id: str
-    variant_id: str
-    inputs: Mapping[str, InputValue]
-    overrides: Mapping[str, InputValue] = field(default_factory=dict)
+# The request and the trace are not frozen: a frozen record's __init__
+# costs more per call, paid on every trial of a width search.
+class EvaluationRequest(Record):
+    __slots__ = ("card_id", "variant_id", "inputs", "overrides")
+
+    def __init__(self, card_id: str, variant_id: str,
+                 inputs: Mapping[str, InputValue],
+                 overrides: Mapping[str, InputValue] | None = None):
+        self.card_id = card_id
+        self.variant_id = variant_id
+        self.inputs = inputs
+        self.overrides = {} if overrides is None else overrides
 
 
-@dataclass
-class EvaluationTrace:
-    card: MethodCard = field(repr=False)
-    variant: VariantSpec = field(repr=False)
-    env: dict  # every value the walk bound, givens and targets
-    request_inputs: dict  # copies of the request's dicts, made at evaluation
-    request_overrides: dict
-    outputs: dict  # key -> Quantity
-    diagnostics: dict
+class EvaluationTrace(Record):
+    __slots__ = ("card", "variant", "env", "request_inputs",
+                 "request_overrides", "outputs", "diagnostics")
+    _unprinted = ("card", "variant")
+
+    def __init__(self, card: MethodCard, variant: VariantSpec, env: dict,
+                 request_inputs: dict, request_overrides: dict, outputs: dict,
+                 diagnostics: dict):
+        self.card = card
+        self.variant = variant
+        self.env = env  # every value the walk bound, givens and targets
+        # copies of the request's dicts, made at evaluation
+        self.request_inputs = request_inputs
+        self.request_overrides = request_overrides
+        self.outputs = outputs  # key -> Quantity
+        self.diagnostics = diagnostics
 
     @property
     def card_id(self) -> str:
@@ -227,7 +239,7 @@ class _TraceTemplate:
         self.holes = [planted[n] for n in found]
         return True
 
-    def write(self, trace: EvaluationTrace) -> Optional[str]:
+    def write(self, trace: EvaluationTrace) -> str | None:
         """The text of a trace of this variant, or None for a partial one:
         its walk stopped in the fixed-point block, or before a direct step."""
         cycles = trace.diagnostics["iterative_cycles"]
@@ -262,11 +274,12 @@ def _template(trace: EvaluationTrace) -> _TraceTemplate:
 SPLICE = "\x00splice\x00"
 
 
-def splice_json(body: dict, text: str) -> str:
-    """``strict_json(body)`` with the one top-level field whose value is
-    SPLICE written as ``text``, that value's own strict JSON."""
-    head, tail = strict_json(body).split(encode_basestring_ascii(SPLICE))
-    return head + text.replace("\n", "\n  ") + tail
+def splice_json(body: dict | list, *texts: str) -> str:
+    """``strict_json(body)`` with each top-level value that is SPLICE
+    written as the next of ``texts``, that value's own strict JSON."""
+    head, *tails = strict_json(body).split(encode_basestring_ascii(SPLICE))
+    return head + "".join(text.replace("\n", "\n  ") + tail
+                          for text, tail in zip(texts, tails, strict=True))
 
 
 def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue]) -> dict[str, float]:

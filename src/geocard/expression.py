@@ -29,8 +29,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from collections.abc import Callable, Mapping
 
 from .errors import (
     DisallowedFunction,
@@ -40,6 +39,7 @@ from .errors import (
     ParseError,
     UnboundSymbol,
 )
+from .record import FrozenRecord, set_field
 
 ALLOWED_FUNCTIONS = frozenset({
     "sin", "cos", "tan", "cot", "asin", "acos", "atan", "atan2",
@@ -66,59 +66,78 @@ MAX_NESTING = 64
 
 # --------------------------------------------------------------- AST types ----
 
-@dataclass(frozen=True)
-class Number:
-    value: float
+class Number(FrozenRecord):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Constant:
-    name: str  # "pi" | "e"
+class Constant(FrozenRecord):
+    __slots__ = ("name",)  # "pi" | "e"
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Symbol:
-    name: str
+class Symbol(FrozenRecord):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "-"
-    operand: "ExprNode"
+class Unary(FrozenRecord):
+    __slots__ = ("op", "operand")  # op: "-"
+
+    def __init__(self, op: str, operand: ExprNode):
+        set_field(self, "op", op)
+        set_field(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str  # + - * / **
-    left: "ExprNode"
-    right: "ExprNode"
+class Binary(FrozenRecord):
+    __slots__ = ("op", "left", "right")  # op: + - * / **
+
+    def __init__(self, op: str, left: ExprNode, right: ExprNode):
+        set_field(self, "op", op)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: tuple
+class Call(FrozenRecord):
+    __slots__ = ("func", "args")
+
+    def __init__(self, func: str, args: tuple):
+        set_field(self, "func", func)
+        set_field(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Piecewise:
-    branches: tuple  # ((value, condition), ...)
+class Piecewise(FrozenRecord):
+    __slots__ = ("branches",)  # ((value, condition), ...)
+
+    def __init__(self, branches: tuple):
+        set_field(self, "branches", branches)
 
 
-@dataclass(frozen=True)
-class Comparison:
-    op: str  # > >= < <= =
-    left: "ExprNode"
-    right: "ExprNode"
+class Comparison(FrozenRecord):
+    __slots__ = ("op", "left", "right")  # op: > >= < <= =
+
+    def __init__(self, op: str, left: ExprNode, right: ExprNode):
+        set_field(self, "op", op)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
-class BoolLiteral:
-    value: bool
+class BoolLiteral(FrozenRecord):
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        set_field(self, "value", value)
 
 
-ExprNode = Union[Number, Constant, Symbol, Unary, Binary, Call, Piecewise,
-                 Comparison, BoolLiteral]
+# The node types of a parsed tree; ``ExprNode`` in annotations is any of them.
+ExprNode = (Number, Constant, Symbol, Unary, Binary, Call, Piecewise,
+            Comparison, BoolLiteral)
 
 
 # --------------------------------------------------------------- tokenizer ----

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Optional, TextIO
+from io import TextIOBase
 
 from . import __version__
 from .cards import MethodCard
@@ -213,7 +213,7 @@ _TYPE_CHECKS = {
 }
 
 
-def validate_arguments(schema: dict, arguments: dict) -> Optional[str]:
+def validate_arguments(schema: dict, arguments: dict) -> str | None:
     """Return a complaint string when arguments violate the schema."""
     if not isinstance(arguments, dict):
         return "arguments must be an object"
@@ -237,13 +237,25 @@ class McpServer:
         self.catalog = catalog if catalog is not None else default_catalog()
         self.skills = load_skills()
         self.defaults: dict = {}  # session defaults: input key -> value
-        # geo_get_method's reply text of each card, which never changes.
-        self._method_texts = {card_id: strict_json(card.to_dict())
-                             for card_id, card in self.catalog.cards.items()}
+        # (tool, resolved argument, ...) -> the reply text of a tool whose
+        # reply never changes for its arguments, written on first use.
+        self._texts: dict = {}
+
+    def _text(self, key: tuple, build, *args) -> str:
+        """The memoized reply text under ``key``: ``build(*args)`` written
+        by strict_json on first use. Each key is made of arguments that
+        already resolved to a card, a category, a skill or a Design
+        Approach, so a client cannot grow the memo; an error reply raises
+        before it gets here."""
+        text = self._texts.get(key)
+        if text is None:
+            text = self._texts[key] = strict_json(build(*args))
+        return text
 
     # ---------------------------------------------------------- transport ----
 
-    def serve(self, stdin: TextIO = None, stdout: TextIO = None) -> None:
+    def serve(self, stdin: TextIOBase | None = None,
+              stdout: TextIOBase | None = None) -> None:
         """Run until stdin closes."""
         stdin = stdin if stdin is not None else sys.stdin
         stdout = stdout if stdout is not None else sys.stdout
@@ -264,13 +276,13 @@ class McpServer:
                 self._write(stdout, response)
 
     @staticmethod
-    def _write(stdout: TextIO, obj: dict) -> None:
+    def _write(stdout: TextIOBase, obj: dict) -> None:
         stdout.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
         stdout.flush()
 
     # ----------------------------------------------------------- dispatch ----
 
-    def handle_message(self, message) -> Optional[dict]:
+    def handle_message(self, message) -> dict | None:
         """Handle one decoded message; None for a notification (no ``id``)."""
         if isinstance(message, dict) and "id" not in message:
             return None
@@ -337,11 +349,17 @@ class McpServer:
     # ------------------------------------------------------------ handlers ----
     # One method per tool, named after it; _call_tool looks it up by name.
 
-    def geo_list_methods(self, args) -> dict:
-        return {"methods": self.catalog.list_methods(args.get("category"))}
+    def geo_list_methods(self, args) -> str | dict:
+        category = args.get("category")
+        if category is not None and category not in {
+                card.category for card in self.catalog.cards.values()}:
+            return {"methods": []}
+        return self._text(("geo_list_methods", category),
+                          lambda: {"methods": self.catalog.list_methods(category)})
 
     def geo_get_method(self, args) -> str:
-        return self._method_texts[self.catalog.get_method(args["id"]).id]
+        card = self.catalog.get_method(args["id"])
+        return self._text(("geo_get_method", card.id), card.to_dict)
 
     def _merged_inputs(self, card: MethodCard, given: dict) -> dict:
         """Session defaults fill missing input keys; arguments always win."""
@@ -379,18 +397,15 @@ class McpServer:
         matches = self.skills.recommend_skills(args["query"], limit)
         return {"matches": [m.to_dict() for m in matches]}
 
-    def geo_get_skill(self, args) -> dict:
+    def geo_get_skill(self, args) -> str:
         include = args.get("include_references", False)
-        return self.skills.get_skill(args["name"], include).to_dict()
+        skill = self.skills.get_skill(args["name"], include)
+        return self._text(("geo_get_skill", skill.name, include), skill.to_dict)
 
-    def geo_get_ec7_preset_partials(self, args) -> dict:
+    def geo_get_ec7_preset_partials(self, args) -> str:
         pf = get_ec7_preset_partials(args["design_approach"])
-        return {
-            "design_approach": pf.design_approach,
-            "partials": pf.wire_dict(),
-            "description": f"Standard EN 1997-1 partial factors for "
-                           f"{pf.design_approach}",
-        }
+        return self._text(("geo_get_ec7_preset_partials", pf.design_approach),
+                          _partials_reply, pf)
 
     def geo_check_footing_uls_ec7(self, args) -> str:
         scenario = load_scenario(json.dumps(args["scenario"]))
@@ -442,6 +457,16 @@ class McpServer:
         }
 
 
-def serve(stdin: TextIO = None, stdout: TextIO = None) -> None:
+def _partials_reply(pf) -> dict:
+    return {
+        "design_approach": pf.design_approach,
+        "partials": pf.wire_dict(),
+        "description": f"Standard EN 1997-1 partial factors for "
+                       f"{pf.design_approach}",
+    }
+
+
+def serve(stdin: TextIOBase | None = None,
+          stdout: TextIOBase | None = None) -> None:
     """Construct a server over the given streams and run until EOF."""
     McpServer().serve(stdin, stdout)

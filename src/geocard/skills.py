@@ -19,10 +19,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import InvalidQuery, UnknownSkill
+from .record import FrozenRecord, Record, set_field
 from .units import DATA_DIR
 
 SKILLS_ENV_VAR = "GEOCARD_SKILLS_DIR"
@@ -39,20 +39,26 @@ _YAML_ONLY_RE = re.compile(
     r"""['"|>,\[\]{}&*!%@`#]|[-?:](\s|$)|.*(\t|\s#|:(\s|$))""")
 
 
-@dataclass(frozen=True)
-class Reference:
-    filename: str
-    text: str
+class Reference(FrozenRecord):
+    __slots__ = ("filename", "text")
+
+    def __init__(self, filename: str, text: str):
+        set_field(self, "filename", filename)
+        set_field(self, "text", text)
 
 
-@dataclass(frozen=True)
-class Skill:
-    name: str
-    description: str
-    version: str
-    category: str
-    body: str
-    references: tuple = ()
+class Skill(FrozenRecord):
+    __slots__ = ("name", "description", "version", "category", "body",
+                 "references")
+
+    def __init__(self, name: str, description: str, version: str,
+                 category: str, body: str, references: tuple = ()):
+        set_field(self, "name", name)
+        set_field(self, "description", description)
+        set_field(self, "version", version)
+        set_field(self, "category", category)
+        set_field(self, "body", body)
+        set_field(self, "references", references)
 
     def to_dict(self) -> dict:
         return {
@@ -67,11 +73,13 @@ class Skill:
         }
 
 
-@dataclass(frozen=True)
-class SkillMatch:
-    name: str
-    score: float
-    matched_terms: tuple
+class SkillMatch(FrozenRecord):
+    __slots__ = ("name", "score", "matched_terms")
+
+    def __init__(self, name: str, score: float, matched_terms: tuple):
+        set_field(self, "name", name)
+        set_field(self, "score", score)
+        set_field(self, "matched_terms", matched_terms)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "score": self.score,
@@ -128,11 +136,14 @@ def _read_frontmatter(block: str) -> dict:
     return fields
 
 
-@dataclass
-class SkillLibrary:
-    skills: dict = field(default_factory=dict)  # name -> Skill
-    diagnostics: list = field(default_factory=list)  # load failures
-    warnings: list = field(default_factory=list)     # e.g. shadowed names
+class SkillLibrary(Record):
+    __slots__ = ("skills", "diagnostics", "warnings")
+
+    def __init__(self, skills: dict | None = None, diagnostics: list | None = None,
+                 warnings: list | None = None):
+        self.skills = {} if skills is None else skills  # name -> Skill
+        self.diagnostics = [] if diagnostics is None else diagnostics  # load failures
+        self.warnings = [] if warnings is None else warnings  # e.g. shadowed names
 
     @property
     def ok(self) -> bool:
@@ -154,7 +165,10 @@ class SkillLibrary:
             skill = self.skills[name]
         except KeyError:
             raise UnknownSkill(name) from None
-        return skill if include_references else replace(skill, references=())
+        if include_references:
+            return skill
+        return Skill(skill.name, skill.description, skill.version,
+                     skill.category, skill.body)
 
     def recommend_skills(self, query: str, limit: int = 5) -> list[SkillMatch]:
         """Rank skills by weighted exact-token overlap with the query."""

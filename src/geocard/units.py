@@ -16,26 +16,32 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, MalformedQuantity, NonFiniteValue, UnknownUnit
+from .record import FrozenRecord, set_field
 
 BASES = ("length", "mass", "time", "angle")
 
 DATA_DIR = Path(__file__).parent / "data"  # bundled units, cards, scenarios, skills
 
 
-@dataclass(frozen=True)
-class Dimension:
+_ZERO = Fraction(0)
+
+
+class Dimension(FrozenRecord):
     """Signed rational exponents over the base dimensions."""
 
-    length: Fraction = Fraction(0)
-    mass: Fraction = Fraction(0)
-    time: Fraction = Fraction(0)
-    angle: Fraction = Fraction(0)
+    __slots__ = BASES
+
+    def __init__(self, length: Fraction = _ZERO, mass: Fraction = _ZERO,
+                 time: Fraction = _ZERO, angle: Fraction = _ZERO):
+        set_field(self, "length", length)
+        set_field(self, "mass", mass)
+        set_field(self, "time", time)
+        set_field(self, "angle", angle)
 
     def __mul__(self, other: "Dimension") -> "Dimension":
         return Dimension(
@@ -76,28 +82,30 @@ class Dimension:
 DIMENSIONLESS = Dimension()
 
 
-@dataclass(frozen=True)
-class Unit:
+class Unit(FrozenRecord):
     """A named unit: dimension plus scale factor to coherent SI."""
 
-    name: str
-    dimension: Dimension
-    scale: float
+    __slots__ = ("name", "dimension", "scale")
 
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError(f"unit {self.name!r} must have positive scale")
+    def __init__(self, name: str, dimension: Dimension, scale: float):
+        if scale <= 0:
+            raise ValueError(f"unit {name!r} must have positive scale")
+        set_field(self, "name", name)
+        set_field(self, "dimension", dimension)
+        set_field(self, "scale", scale)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(FrozenRecord):
     """A magnitude tagged with a unit; the numeric currency between modules."""
 
-    magnitude: float
-    unit: Unit
+    __slots__ = ("magnitude", "unit")
+
+    def __init__(self, magnitude: float, unit: Unit):
+        set_field(self, "magnitude", magnitude)
+        set_field(self, "unit", unit)
 
     def __str__(self) -> str:
         return format_quantity(self)
@@ -138,11 +146,15 @@ class UnitRegistry:
     def from_json(cls, text: str) -> "UnitRegistry":
         table = json.loads(text)
         units = []
+        # One Dimension object per dimension, so that convert's check of
+        # two registry units is decided by identity, not by four Fractions.
+        dimensions: dict[Dimension, Dimension] = {}
         for entry in table["units"]:
             exps = entry.get("dimension", {})
             dim = Dimension(**{
                 base: Fraction(exps.get(base, 0)) for base in BASES
             })
+            dim = dimensions.setdefault(dim, dim)
             units.append(Unit(entry["name"], dim, float(entry["scale"])))
         return cls(units, table.get("aliases", {}))
 

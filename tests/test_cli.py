@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, output formats, stream discipline."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,10 @@ import pytest
 
 from conftest import BAD_CARD_FILES, HUGE_INT
 from geocard.cli import main
-from geocard.ec7 import bundled_scenario_path
+from geocard.ec7 import (DESIGN_APPROACHES, bundled_scenario_path,
+                         check_footing_uls_ec7, design_footing_width_ec7,
+                         load_scenario)
+from geocard.engine import strict_json
 from geocard.report import format_sig
 from test_ec7 import OVERFLOWING, overflowing_scenario
 
@@ -340,6 +344,43 @@ class TestEc7Commands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {key!r} is not a finite number\n"
+
+
+class TestEc7JsonMatchesTheReference:
+    """``--format json`` splices each result's to_json into the list; the
+    text must be strict_json of the results' to_dict() list."""
+
+    @staticmethod
+    def reference(results) -> str:
+        return strict_json([r.to_dict() for r in results]) + "\n"
+
+    @pytest.mark.parametrize("B", ["0.3", "2.0", "40"])
+    def test_check(self, B, tmp_path, capsys):
+        """A check without resistance (phi' = c' = 0, no overburden) has an
+        infinite utilization, written as null."""
+        scenario = json.loads(Path(SCENARIO).read_text())
+        scenario.update(phi_prime_k="0 deg", c_prime_k="0 kPa",
+                        surcharge_model="none")
+        path = tmp_path / "no_resistance.json"
+        path.write_text(json.dumps(scenario))
+        for scenario_file in (SCENARIO, str(path)):
+            assert main(["ec7", "check", "--scenario", scenario_file, "--da", "all",
+                         "--B", B, "--format", "json"]) == 0
+            loaded = load_scenario(Path(scenario_file).read_text())
+            results = [check_footing_uls_ec7(loaded, da, float(B))
+                       for da in DESIGN_APPROACHES]
+            assert capsys.readouterr().out == self.reference(results)
+        assert {r.utilization for r in results} == {math.inf}
+        assert [r["utilization"] for r in json.loads(self.reference(results))] == [None] * 4
+
+    @pytest.mark.parametrize("da", ["DA3", "all"])
+    def test_design(self, da, capsys):
+        assert main(["ec7", "design", "--scenario", SCENARIO, "--da", da,
+                     "--tolerance", "0.01", "--format", "json"]) == 0
+        scenario = load_scenario(Path(SCENARIO).read_text())
+        results = [design_footing_width_ec7(scenario, d, tolerance=0.01)
+                   for d in (DESIGN_APPROACHES if da == "all" else [da])]
+        assert capsys.readouterr().out == self.reference(results)
 
 
 class TestServeSubprocess:

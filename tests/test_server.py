@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import HUGE_INT
 from geocard.ec7 import (DESIGN_APPROACHES, check_footing_uls_ec7,
-                         design_footing_width_ec7, load_scenario)
+                         design_footing_width_ec7, get_ec7_preset_partials,
+                         load_scenario)
 from geocard import engine
 from geocard.engine import EvaluationRequest, evaluate_card
 from geocard.errors import GeocardError
@@ -554,6 +555,48 @@ class TestRepliesMatchTheReference:
         for card_id, card in fresh.catalog.cards.items():
             assert reply(fresh, "geo_get_method", {"id": card_id}) == (
                 engine.strict_json(card.to_dict()), False)
+
+    # The replies below are memoized on first use; each is asked for three
+    # times, so the second and third come from the memo.
+
+    @pytest.mark.parametrize("category", [
+        None, "Shallow Foundations - Bearing Capacity", "No such category", ""])
+    def test_list_methods(self, fresh, category):
+        arguments = {} if category is None else {"category": category}
+        expected = reference_reply(
+            lambda: {"methods": fresh.catalog.list_methods(category)})
+        assert [reply(fresh, "geo_list_methods", arguments)
+                for _ in range(3)] == [expected] * 3
+
+    @pytest.mark.parametrize("include", [None, True, False])
+    @pytest.mark.parametrize("name", [
+        "shallow-foundation-bearing-capacity", "no-such-skill"])
+    def test_get_skill(self, fresh, name, include):
+        arguments = {"name": name}
+        if include is not None:
+            arguments["include_references"] = include
+        expected = reference_reply(
+            lambda: fresh.skills.get_skill(name, bool(include)).to_dict())
+        assert [reply(fresh, "geo_get_skill", arguments)
+                for _ in range(3)] == [expected] * 3
+
+    @pytest.mark.parametrize("da", [*DESIGN_APPROACHES, "DA9", ""])
+    def test_get_ec7_preset_partials(self, fresh, da):
+        def dict_form():
+            pf = get_ec7_preset_partials(da)
+            return {"design_approach": da, "partials": pf.wire_dict(),
+                    "description": f"Standard EN 1997-1 partial factors for {da}"}
+        assert [reply(fresh, "geo_get_ec7_preset_partials", {"design_approach": da})
+                for _ in range(3)] == [reference_reply(dict_form)] * 3
+
+    def test_unresolved_arguments_are_not_memoized(self):
+        server = McpServer()
+        for i in range(50):
+            reply(server, "geo_list_methods", {"category": f"category {i}"})
+            reply(server, "geo_get_skill", {"name": f"skill-{i}"})
+            reply(server, "geo_get_ec7_preset_partials", {"design_approach": f"DA-{i}"})
+            reply(server, "geo_get_method", {"id": f"CARD_{i}"})
+        assert server._texts == {}
 
 
 class TestRecommendSkillsArguments:

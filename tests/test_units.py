@@ -46,6 +46,12 @@ class TestRegistry:
             '{"name": "cm", "dimension": {"length": 1}, "scale": 0.01}]}')
         assert custom.resolve("cm").scale == 0.01
 
+    def test_units_of_one_dimension_share_one_dimension_object(self):
+        """convert's dimension check is then an identity check."""
+        assert REG.resolve("m").dimension is REG.resolve("mm").dimension
+        assert REG.resolve("kPa").dimension is REG.resolve("MPa").dimension
+        assert REG.resolve("deg").dimension is not REG.resolve("m").dimension
+
 
 class TestParseQuantity:
     def test_paper_angle_example(self):
