@@ -152,7 +152,7 @@ class MethodCard(FrozenRecord):
 ABSENT = object()
 
 
-def _read_record(obj, fields: dict, path: str) -> dict:
+def read_record(obj, fields: dict, path: str) -> dict:
     """The fields of the JSON object ``obj`` at ``path``, read against the
     table ``fields``: a key the table lacks is refused first, and a field
     absent from ``obj``, or read as ABSENT, is absent from the result."""
@@ -167,7 +167,7 @@ def _read_record(obj, fields: dict, path: str) -> dict:
         if name not in obj:
             value = ABSENT
         elif isinstance(kind, dict):
-            value = tuple(_read_record(entry, kind, f"{at}[{i}]")
+            value = tuple(read_record(entry, kind, f"{at}[{i}]")
                           for i, entry in enumerate(_LIST(obj[name], at)))
         else:
             value = kind(obj[name], at)
@@ -186,7 +186,7 @@ def load_record(json_text: str, fields: dict, what: str) -> dict:
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError("$", f"{what} must be a JSON object")
-    return _read_record(raw, fields, "$")
+    return read_record(raw, fields, "$")
 
 
 def _write(record, fields: dict) -> dict:

@@ -4,8 +4,11 @@ Covers the four EN 1997-1 Design Approach presets (Annex A partial
 factors), characteristic-to-design parameter reduction, design action
 assembly including foundation self-weight, the ULS bearing check against
 the Annex D card, and the bisection search for the required width. Every
-trial width of the search is a full check, and the search returns the
-check made at the width it settles on.
+trial width of the search is a full check with the card's complete trace,
+and the search returns the check made at the width it settles on. The
+card's steps that read neither the width nor the unit weight below the
+base (the bearing capacity factors) are bound once per search, from its
+second trial on, and each trial walks only the rest (``engine.stage_card``).
 The check and the search read the Annex D card from the catalog they are
 given, or from the process-wide ``catalog.default_catalog()`` when given
 none, so the catalog is loaded and audited at most once per process.
@@ -26,10 +29,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cards import ABSENT, instance_of, load_record
+from .cards import ABSENT, instance_of, load_record, read_record
 from .catalog import Catalog, default_catalog
-from .engine import (SPLICE, EvaluationRequest, EvaluationTrace, evaluate_card,
-                     splice_json)
+from .engine import (SPLICE, EvaluationRequest, EvaluationTrace, splice_json,
+                     stage_card)
 from .errors import (InvalidGeometry, NoBracket, NonConvergence,
                      NonFiniteValue, SchemaError, UnknownDesignApproach)
 from .units import DATA_DIR, to_magnitude
@@ -194,6 +197,12 @@ def load_scenario(json_text: str) -> FootingScenario:
     return FootingScenario(**load_record(json_text, SCENARIO_FIELDS, "scenario"))
 
 
+def read_scenario(obj: dict) -> FootingScenario:
+    """A scenario from its decoded JSON object, read as ``load_scenario``
+    reads the object in its text, with the same errors."""
+    return FootingScenario(**read_record(obj, SCENARIO_FIELDS, "$"))
+
+
 def load_bundled_scenario(name: str = "jrc_a3") -> FootingScenario:
     return load_scenario(Path(bundled_scenario_path(name)).read_text("utf-8"))
 
@@ -283,40 +292,51 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
 
     The design soil values and overburden do not depend on the width, so
     they are derived once here; only an unknown Design Approach raises
-    before a width is given, which is the check's first error anyway.
+    before a width is given, which is the check's first error anyway. The
+    first trial that passes the width checks looks up the card, checks the
+    drainage and stages the card's variant with ``gamma`` and ``B`` free
+    (``engine.stage_card``): the steps that read neither, the bearing
+    capacity factors, are bound on the second trial and not walked again.
+    The errors are those of a full ``evaluate_card`` per trial, in the same
+    order: the width, the card lookup, the drainage, then the evaluation.
     """
     pf = get_ec7_preset_partials(design_approach)
     design = derive_design_parameters(scenario.characteristic_soil, pf)
     q_d = effective_overburden(scenario, design.gamma)
+    design_values = {
+        "phi_prime_d": design.phi_prime,
+        "c_prime_d": design.c_prime,
+        "c_u_d": design.c_u,
+        "gamma_d": design.gamma,
+        "q_d": q_d,
+    }
+    staged = None
 
     def check(B: float) -> UlsCheckResult:
+        nonlocal staged
         if B <= 0:
             raise InvalidGeometry(f"width must be positive, got {B:g}")
         B_eff = B - 2.0 * scenario.e
         if B_eff <= 0:
             raise InvalidGeometry(
                 f"effective width B - 2e = {B_eff:g} m is not positive")
-        card = (catalog or default_catalog()).get_method(EC7_CARD_ID)
+        if staged is None:
+            card = (catalog or default_catalog()).get_method(EC7_CARD_ID)
+            if drainage not in ("drained", "undrained"):
+                raise SchemaError("$.drainage", "must be 'drained' or 'undrained'")
+            if drainage == "undrained" and design.c_u is None:
+                raise SchemaError("$.c_u_k",
+                                  "scenario lacks undrained strength c_u_k")
+            staged = stage_card(card, EvaluationRequest(EC7_CARD_ID, drainage, {
+                "phi_prime_d": design.phi_prime,
+                "c_prime_d": design.c_prime,
+                "c_u_d": design.c_u if design.c_u is not None else 0.0,
+                "q": q_d,
+                "L": scenario.L,
+            }), ("gamma", "B"))
         gamma_eff = effective_unit_weight_below_base(scenario, design.gamma,
                                                      B_eff)
-
-        if drainage not in ("drained", "undrained"):
-            raise SchemaError("$.drainage", "must be 'drained' or 'undrained'")
-        if drainage == "undrained" and design.c_u is None:
-            raise SchemaError("$.c_u_k",
-                              "scenario lacks undrained strength c_u_k")
-
-        inputs = {
-            "phi_prime_d": design.phi_prime,
-            "c_prime_d": design.c_prime,
-            "c_u_d": design.c_u if design.c_u is not None else 0.0,
-            "gamma": gamma_eff,
-            "q": q_d,
-            "B": B_eff,
-            "L": scenario.L,
-        }
-        trace = evaluate_card(card, EvaluationRequest(EC7_CARD_ID, drainage,
-                                                      inputs))
+        trace = staged({"gamma": gamma_eff, "B": B_eff})
         R_d = trace.outputs["q_ult"].magnitude * B_eff * scenario.L / pf.gamma_R
         V_d = compute_design_action(scenario, pf, B)
         for label, value in (("V_d", V_d), ("R_d", R_d)):
@@ -331,14 +351,7 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
             R_d=R_d,
             utilization=utilization,
             passed=utilization <= 1.0 + 1e-12,
-            design_parameters={
-                "phi_prime_d": design.phi_prime,
-                "c_prime_d": design.c_prime,
-                "c_u_d": design.c_u,
-                "gamma_d": design.gamma,
-                "q_d": q_d,
-                "gamma_eff": gamma_eff,
-            },
+            design_parameters={**design_values, "gamma_eff": gamma_eff},
             partial_factors=pf,
             trace=trace,
             drainage=drainage,

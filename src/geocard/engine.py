@@ -14,6 +14,13 @@ builds its steps from them when they are read, as the dicts that are their
 wire form: index, target, expression, inputs (sorted), value, unit,
 description, method.
 
+``stage_card`` is ``evaluate_card`` as a function of some named free
+inputs, for a caller that evaluates one request at many values of them (a
+width search). From its second call on, the longest leading run of the
+direct plan that reads no free input is bound once, and each call walks
+only the rest from a copy of that env, with the same ``_walk`` and the
+same trace: what it returns and raises is what ``evaluate_card`` does.
+
 ``EvaluationTrace.to_dict`` and ``strict_json`` are the reference writer of a
 trace. ``to_json`` writes a complete trace from its variant's template
 (``_TraceTemplate``): the reference writer's text for a trace whose every
@@ -26,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections.abc import Mapping
+from collections.abc import Callable, Iterable, Mapping
 from json.encoder import encode_basestring_ascii
 
 from .cards import MethodCard, VariantSpec
@@ -297,18 +304,17 @@ def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue]) -> dict[st
             for key, value in raw.items()}
 
 
-def _walk(variant: VariantSpec, env: dict) -> list[dict]:
-    """Bind every target of the plan in ``env``: the direct equations in
-    order, then the fixed-point block. Returns the cycle diagnostics. A
+def _walk(direct: tuple, block: tuple, env: dict) -> list[dict]:
+    """Bind every target of a plan in ``env``: the ``direct`` equations in
+    order, then the fixed-point ``block``. Returns the cycle diagnostics. A
     fault is raised with its ``failed_step``: the target, expression and
     the inputs bound when the step failed."""
     try:
-        for eq in variant.direct:
+        for eq in direct:
             value = eq.compiled(env)
             if not math.isfinite(value):  # float arithmetic overflows silently
                 raise NonFiniteValue(eq.target)
             env[eq.target] = value
-        block = variant.iterative
         if not block:
             return []
         cycle = [eq.target for eq in block]
@@ -345,6 +351,36 @@ def _cycle(block: tuple, iterations, residual) -> dict:
             "residual": residual}
 
 
+def _with_params(card: MethodCard, env: dict,
+                 overrides: Mapping[str, InputValue]) -> dict:
+    """``env`` with the card's param defaults bound, then the overrides."""
+    env.update(card.param_defaults)
+    if overrides:
+        bad = set(overrides) - card.param_defaults.keys()
+        if bad:
+            raise UnexpectedInput(bad)
+        for key, value in overrides.items():
+            env[key] = to_magnitude(value, card.units[key].name, key)
+    return env
+
+
+def _run(card: MethodCard, variant: VariantSpec, env: dict, echo: tuple,
+         direct: tuple) -> EvaluationTrace:
+    """Walk ``direct``, the rest of the variant's direct plan, and its
+    fixed-point block in ``env``; the trace, or a fault carrying the
+    partial trace of the steps bound before it."""
+    try:
+        cycles = _walk(direct, variant.iterative, env)
+    except GeocardError as exc:
+        exc.partial_trace = EvaluationTrace(card, variant, env, *echo, {},
+                                            {"iterative_cycles": []})
+        raise
+    return EvaluationTrace(card, variant, env, *echo,
+                           {key: Quantity(env[key], card.units[key])
+                            for key in card.output_keys},
+                           {"iterative_cycles": cycles})
+
+
 def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTrace:
     """Evaluate one variant of a card and return the complete audit trace.
 
@@ -356,22 +392,81 @@ def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTra
     variant = card.variant(request.variant_id)
     if variant is None:
         raise UnknownVariant(card.id, request.variant_id)
-    env = normalize_inputs(card, request.inputs)
-    env.update(card.param_defaults)
-    if request.overrides:
-        bad = set(request.overrides) - card.param_defaults.keys()
-        if bad:
-            raise UnexpectedInput(bad)
-        for key, value in request.overrides.items():
-            env[key] = to_magnitude(value, card.units[key].name, key)
-    echo = dict(request.inputs), dict(request.overrides)
+    env = _with_params(card, normalize_inputs(card, request.inputs),
+                       request.overrides)
+    return _run(card, variant, env,
+                (dict(request.inputs), dict(request.overrides)), variant.direct)
+
+
+def stage_card(card: MethodCard, request: EvaluationRequest, free: Iterable[str]
+               ) -> Callable[[Mapping[str, InputValue]], EvaluationTrace]:
+    """``evaluate_card`` as a function of the inputs named ``free``.
+
+    ``request`` holds every other input and is read here, once. The staged
+    function ``staged(values)`` returns and raises what ``evaluate_card``
+    does for ``request`` with ``values`` added to its inputs. Its first
+    call is that ``evaluate_card``, so a function called once pays nothing
+    for staging. The second call binds, once: it normalizes the fixed
+    inputs and the overrides, and walks the longest leading run of the
+    variant's direct plan that reads no free key. From then on, each call
+    copies that env, normalizes the free inputs and walks the rest of the
+    plan from the first unbound step.
+    """
+    free = frozenset(free)
+    fixed, overrides = dict(request.inputs), dict(request.overrides)
+
+    def plain(values):
+        return evaluate_card(card, EvaluationRequest(
+            request.card_id, request.variant_id, {**fixed, **values}, overrides))
+
+    calls, walk = 0, plain
+
+    def staged(values):
+        nonlocal calls, walk
+        calls += 1
+        if calls == 2:
+            walk = _bind(card, request, fixed, overrides, free, plain)
+        return walk(values)
+    return staged
+
+
+def _bind(card: MethodCard, request: EvaluationRequest, fixed: dict,
+          overrides: dict, free: frozenset, plain: Callable) -> Callable:
+    """The walk of a staged card from its bound env, or ``plain`` wherever
+    it could part from ``evaluate_card``.
+
+    Only a leading run of the plan is bound, so a fault's partial trace
+    holds exactly the steps before it. Binding fails, and every call is
+    ``plain``, on an unknown card or variant, free and fixed keys that are
+    not the card's inputs, a fixed input or override that does not
+    normalize, or a fault in the bound run. A call whose values are not
+    exactly the free keys, or do not normalize, is ``plain`` too.
+    """
+    variant = card.variant(request.variant_id)
+    if (card.id != request.card_id or variant is None
+            or fixed.keys() | free != card.input_keys):
+        return plain
+    direct, bound = variant.direct, 0
+    while bound < len(direct) and free.isdisjoint(direct[bound].symbols):
+        bound += 1
     try:
-        cycles = _walk(variant, env)
-    except GeocardError as exc:
-        exc.partial_trace = EvaluationTrace(card, variant, env, *echo, {},
-                                            {"iterative_cycles": []})
-        raise
-    return EvaluationTrace(card, variant, env, *echo,
-                           {key: Quantity(env[key], card.units[key])
-                            for key in card.output_keys},
-                           {"iterative_cycles": cycles})
+        env = _with_params(card, {key: to_magnitude(value, card.units[key].name, key)
+                                  for key, value in fixed.items()}, overrides)
+        _walk(direct[:bound], (), env)
+    except GeocardError:
+        return plain
+    rest = direct[bound:]
+    units = [(key, card.units[key].name) for key in free]
+
+    def walk(values):
+        if values.keys() != free:
+            return plain(values)
+        given = dict(env)
+        try:
+            for key, unit in units:
+                given[key] = to_magnitude(values[key], unit, key)
+        except GeocardError:
+            return plain(values)
+        return _run(card, variant, given, ({**fixed, **values}, dict(overrides)),
+                    rest)
+    return walk

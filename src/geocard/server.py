@@ -19,12 +19,6 @@ from io import TextIOBase
 from . import __version__
 from .cards import MethodCard
 from .catalog import Catalog, default_catalog
-from .ec7 import (
-    check_footing_uls_ec7,
-    design_footing_width_ec7,
-    get_ec7_preset_partials,
-    load_scenario,
-)
 from .engine import EvaluationRequest, evaluate_card, strict_json
 from .errors import GeocardError, MalformedQuantity, MissingUnit, NonFiniteValue
 from .skills import load_skills
@@ -402,13 +396,20 @@ class McpServer:
         skill = self.skills.get_skill(args["name"], include)
         return self._text(("geo_get_skill", skill.name, include), skill.to_dict)
 
+    # The EC7 tools import the workflow when called, so a session that
+    # never calls one does not load it (nor dataclasses) at start.
+
     def geo_get_ec7_preset_partials(self, args) -> str:
+        from .ec7 import get_ec7_preset_partials
+
         pf = get_ec7_preset_partials(args["design_approach"])
         return self._text(("geo_get_ec7_preset_partials", pf.design_approach),
                           _partials_reply, pf)
 
     def geo_check_footing_uls_ec7(self, args) -> str:
-        scenario = load_scenario(json.dumps(args["scenario"]))
+        from .ec7 import check_footing_uls_ec7, read_scenario
+
+        scenario = read_scenario(args["scenario"])
         width = to_magnitude(args["B"], "m", "B")
         result = check_footing_uls_ec7(
             scenario, args["design_approach"], width,
@@ -416,7 +417,9 @@ class McpServer:
         return result.to_json()
 
     def geo_design_footing_width_ec7(self, args) -> str:
-        scenario = load_scenario(json.dumps(args["scenario"]))
+        from .ec7 import design_footing_width_ec7, read_scenario
+
+        scenario = read_scenario(args["scenario"])
         result = design_footing_width_ec7(
             scenario, args["design_approach"],
             tolerance=args.get("tolerance", 1e-3),

@@ -19,6 +19,8 @@ from geocard.report import format_sig
 from test_ec7 import OVERFLOWING, overflowing_scenario
 
 SCENARIO = bundled_scenario_path()
+JRC_A3 = "src/geocard/data/scenarios/jrc_a3.json"
+PAD = "tests/data/scenario_eccentric_pad.json"  # relative to the repository root
 
 TERZAGHI_EVAL = [
     "eval", "BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip",
@@ -249,19 +251,37 @@ class TestEc7Commands:
         assert "trace" in body[0]
 
     @pytest.mark.parametrize("command, golden", [
-        (["design"], "golden_cli_ec7_design.json"),
-        (["check", "--B", "2.0"], "golden_cli_ec7_check.json")],
-        ids=["design", "check"])
+        (["design", "--scenario", JRC_A3], "golden_cli_ec7_design.json"),
+        (["check", "--scenario", JRC_A3, "--B", "2.0"], "golden_cli_ec7_check.json"),
+        (["design", "--scenario", PAD], "golden_cli_ec7_design_drained.json"),
+        (["design", "--scenario", PAD, "--drainage", "undrained"],
+         "golden_cli_ec7_design_undrained.json")],
+        ids=["design", "check", "design-pad-drained", "design-pad-undrained"])
     def test_json_matches_golden_file(self, command, golden):
         """The console-script steps of CI: each reply, byte for byte."""
         root = Path(__file__).parents[1]
         proc = subprocess.run(
-            [sys.executable, "-m", "geocard.cli", "ec7", command[0],
-             "--scenario", "src/geocard/data/scenarios/jrc_a3.json",
-             "--da", "all", *command[1:], "--format", "json"],
+            [sys.executable, "-m", "geocard.cli", "ec7", *command,
+             "--da", "all", "--format", "json"],
             cwd=root, capture_output=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (root / "tests/data" / golden).read_bytes()
+
+    def test_pad_golden_pins_what_jrc_a3_does_not(self):
+        """The pad's designs are undrained as well as drained, under an
+        eccentric load and the effective overburden, and every drained width
+        puts the water table within one effective width below the base."""
+        root = Path(__file__).parents[1]
+        pad = load_scenario((root / PAD).read_text("utf-8"))
+        assert pad.c_u_k is not None and pad.e > 0
+        assert pad.surcharge_model == "effective_overburden"
+        drained = json.loads((root / "tests/data/golden_cli_ec7_design_drained.json")
+                             .read_text("utf-8"))
+        assert len(drained) == len(DESIGN_APPROACHES)
+        for design in drained:
+            below_base = pad.groundwater_depth - pad.D_f
+            assert 0 < below_base < design["check"]["B_effective"]
+            assert design["check"]["drainage"] == "drained"
 
     @pytest.mark.parametrize("command", [["check", "--B", "1.5"], ["design"]])
     @pytest.mark.parametrize("key", ["ecc", "B"])

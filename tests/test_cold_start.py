@@ -1,6 +1,8 @@
 """What a fresh interpreter imports: a catalog load needs neither the EC7
-workflow, the engine, the skills, the MCP server nor ``dataclasses``, and
-the package's lazy exports still resolve to the objects they name.
+workflow, the engine, the skills, the MCP server nor ``dataclasses``, an
+MCP session that calls no EC7 tool loads neither the workflow nor
+``dataclasses``, and the package's lazy exports still resolve to the
+objects they name.
 
 Each check runs in its own ``python -S`` process, so the modules this test
 process has already imported do not count; nothing here is timed."""
@@ -61,6 +63,20 @@ def test_validate_loads_neither_ec7_skills_nor_server():
                "with contextlib.redirect_stdout(io.StringIO()):\n"
                "    assert main(['validate']) == 0\n"
                + loaded(modules)) == []
+
+
+def test_server_session_without_ec7_tools_loads_neither_ec7_nor_dataclasses():
+    evaluate = {"card": "BEARING_CAPACITY_TERZAGHI",
+                "variant": "general_shear_failure_strip",
+                "inputs": {"c_prime": 0, "phi_prime": 0.5, "gamma": 18, "B": 2, "q": 18}}
+    assert run("import json, sys; from geocard.server import McpServer\n"
+               "server = McpServer()\n"
+               "for method, params in [('initialize', {}), ('tools/list', {}), "
+               f"('tools/call', {{'name': 'geo_evaluate', 'arguments': {evaluate!r}}})]:\n"
+               "    reply = server.handle_message({'jsonrpc': '2.0', 'id': 1, "
+               "'method': method, 'params': params})\n"
+               "    assert 'result' in reply and not reply['result'].get('isError'), reply\n"
+               + loaded(["dataclasses", "geocard.ec7"])) == []
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))

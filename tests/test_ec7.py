@@ -21,6 +21,7 @@ from geocard.ec7 import (
     FootingScenario,
     WidthDesignResult,
     SoilParameters,
+    UlsCheckResult,
     check_footing_uls_ec7,
     compute_design_action,
     derive_design_parameters,
@@ -32,7 +33,8 @@ from geocard.ec7 import (
     load_bundled_scenario,
     load_scenario,
 )
-from geocard.engine import strict_json
+from geocard.catalog import default_catalog
+from geocard.engine import EvaluationRequest, evaluate_card, strict_json
 from geocard.errors import (
     GeocardError,
     InvalidGeometry,
@@ -495,16 +497,62 @@ class TestDefaultCatalog:
 
 # ------------------------------------------------- width search oracle ----
 
+def _reference_check(scenario, design_approach, B, catalog=None,
+                     drainage="drained"):
+    """The ULS check as first written: one full evaluate_card of the
+    Annex D card, with every input given, at each width."""
+    pf = get_ec7_preset_partials(design_approach)
+    design = derive_design_parameters(scenario.characteristic_soil, pf)
+    q_d = effective_overburden(scenario, design.gamma)
+    if B <= 0:
+        raise InvalidGeometry(f"width must be positive, got {B:g}")
+    B_eff = B - 2.0 * scenario.e
+    if B_eff <= 0:
+        raise InvalidGeometry(
+            f"effective width B - 2e = {B_eff:g} m is not positive")
+    card = (catalog or default_catalog()).get_method(EC7_CARD_ID)
+    gamma_eff = effective_unit_weight_below_base(scenario, design.gamma, B_eff)
+    if drainage not in ("drained", "undrained"):
+        raise SchemaError("$.drainage", "must be 'drained' or 'undrained'")
+    if drainage == "undrained" and design.c_u is None:
+        raise SchemaError("$.c_u_k", "scenario lacks undrained strength c_u_k")
+    inputs = {
+        "phi_prime_d": design.phi_prime,
+        "c_prime_d": design.c_prime,
+        "c_u_d": design.c_u if design.c_u is not None else 0.0,
+        "gamma": gamma_eff,
+        "q": q_d,
+        "B": B_eff,
+        "L": scenario.L,
+    }
+    trace = evaluate_card(card, EvaluationRequest(EC7_CARD_ID, drainage, inputs))
+    R_d = trace.outputs["q_ult"].magnitude * B_eff * scenario.L / pf.gamma_R
+    V_d = compute_design_action(scenario, pf, B)
+    for label, value in (("V_d", V_d), ("R_d", R_d)):
+        if not math.isfinite(value):
+            raise NonFiniteValue(label)
+    utilization = V_d / R_d if R_d > 0 else math.inf
+    return UlsCheckResult(
+        design_approach=design_approach, B=B, B_effective=B_eff, V_d=V_d,
+        R_d=R_d, utilization=utilization, passed=utilization <= 1.0 + 1e-12,
+        design_parameters={
+            "phi_prime_d": design.phi_prime, "c_prime_d": design.c_prime,
+            "c_u_d": design.c_u, "gamma_d": design.gamma, "q_d": q_d,
+            "gamma_eff": gamma_eff,
+        },
+        partial_factors=pf, trace=trace, drainage=drainage)
+
+
 def _traced_search(scenario, design_approach, tolerance=1e-3, catalog=None,
                    drainage="drained"):
-    """The width search as first written: every trial is a traced check."""
+    """The width search as first written: every trial is a reference check."""
     if not 0.0 < tolerance < 1.0:
         raise SchemaError("$.tolerance", "must lie strictly between 0 and 1")
     min_b = max(2.0 * scenario.e + 1e-6, 1e-4)
 
     def check(width):
-        return check_footing_uls_ec7(scenario, design_approach, width,
-                                     catalog=catalog, drainage=drainage)
+        return _reference_check(scenario, design_approach, width,
+                                catalog=catalog, drainage=drainage)
 
     lo = max(0.1, min_b)
     hi = max(20.0, lo)
@@ -545,7 +593,7 @@ def _error_record(exc):
 
 
 def _design_reply(search):
-    """The strict JSON of a design, or the error's record."""
+    """The strict JSON of a design or check, or the error's record."""
     try:
         return strict_json(search().to_dict())
     except GeocardError as exc:
@@ -581,6 +629,17 @@ class TestWidthSearchMatchesTracedSearch:
                     scenario, da, drainage=drainage))
                 assert got == expected, (da, drainage)
 
+    @settings(max_examples=40, deadline=None)
+    @given(_SCENARIOS, st.floats(-1.0, 40.0))
+    def test_check_matches_reference_check(self, scenario, width):
+        for da in DESIGN_APPROACHES:
+            for drainage in ("drained", "undrained"):
+                got = _design_reply(lambda: check_footing_uls_ec7(
+                    scenario, da, width, drainage=drainage))
+                expected = _design_reply(lambda: _reference_check(
+                    scenario, da, width, drainage=drainage))
+                assert got == expected, (da, drainage)
+
     @pytest.mark.parametrize("da", DESIGN_APPROACHES)
     def test_bundled_scenario(self, da):
         assert _design_reply(lambda: design_footing_width_ec7(SCENARIO, da)) == \
@@ -608,6 +667,19 @@ def _fault_in_window(raw):
         eq["sympy"] += _FAULT_WINDOW
 
 
+def _fault_in_phi_window(raw):
+    """No real N_q for 0.5 < phi'_d < 0.6 rad: the first step of the drained
+    plan, which reads no width, faults for jrc_a3 under DA1-C2 and DA3."""
+    drained = next(v for v in raw["variants"] if v["id"] == "drained")
+    drained["equations"][0]["sympy"] += " + 0*sqrt((phi_prime_d - 0.5)*(phi_prime_d - 0.6))"
+
+
+def _first_step_reads_width(raw):
+    """N_q reads B, so no step of the drained plan is width-independent."""
+    drained = next(v for v in raw["variants"] if v["id"] == "drained")
+    drained["equations"][0]["sympy"] += " + 0*B"
+
+
 def _extra_input(raw):
     raw["variables"].append({"key": "k_extra", "name": "unused",
                              "role": "input", "unit": "dimensionless"})
@@ -631,7 +703,7 @@ class TestWidthSearchErrors:
     def test_mid_search_fault_matches_traced_check(self, da, drainage, target):
         catalog = _doctored_catalog(_fault_in_window)
         scenario = dataclasses.replace(SCENARIO, c_u_k=150.0)
-        expected = _raised(lambda: check_footing_uls_ec7(
+        expected = _raised(lambda: _reference_check(
             scenario, da, _FAULT_WIDTH, catalog=catalog, drainage=drainage),
             MathDomain)
         got = _raised(lambda: design_footing_width_ec7(
@@ -647,8 +719,27 @@ class TestWidthSearchErrors:
                                             (_dropped_input, UnexpectedInput)])
     def test_changed_input_keys_match_traced_check(self, edit, kind):
         catalog = _doctored_catalog(edit)
-        expected = _raised(lambda: check_footing_uls_ec7(
+        expected = _raised(lambda: _reference_check(
             SCENARIO, "DA1-C1", 0.1, catalog=catalog), kind)
         got = _raised(lambda: design_footing_width_ec7(
             SCENARIO, "DA1-C1", catalog=catalog), kind)
         assert got == expected
+
+    @pytest.mark.parametrize("da", DESIGN_APPROACHES)
+    def test_fault_in_width_independent_step_matches_traced_search(self, da):
+        catalog = _doctored_catalog(_fault_in_phi_window)
+        got = _design_reply(lambda: design_footing_width_ec7(SCENARIO, da, catalog=catalog))
+        assert got == _design_reply(lambda: _traced_search(SCENARIO, da, catalog=catalog))
+        if da in ("DA1-C2", "DA3"):
+            kind, message, failed_step, partial_trace = got
+            assert kind is MathDomain and failed_step["target"] == "N_q"
+            assert json.loads(partial_trace)["steps"] == []
+        else:
+            assert isinstance(got, str)
+
+    @pytest.mark.parametrize("da", DESIGN_APPROACHES)
+    def test_first_step_reading_width_matches_traced_search(self, da):
+        catalog = _doctored_catalog(_first_step_reads_width)
+        got = _design_reply(lambda: design_footing_width_ec7(SCENARIO, da, catalog=catalog))
+        assert got == _design_reply(lambda: _traced_search(SCENARIO, da, catalog=catalog))
+        assert json.loads(got)["B_req"] == design_footing_width_ec7(SCENARIO, da).B_req

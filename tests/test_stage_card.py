@@ -1,0 +1,153 @@
+"""``stage_card`` against ``evaluate_card``: a staged call returns and raises
+exactly what ``evaluate_card`` does for the request with the free inputs
+added, for every bundled variant and the benchmark's cyclic card, whatever
+inputs are free, faults included."""
+
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import geocard.engine
+from geocard.cards import load_card
+from geocard.catalog import load_catalog
+from geocard.engine import EvaluationRequest, evaluate_card, stage_card
+from geocard.errors import GeocardError
+from geocard.units import Quantity, default_registry
+from test_golden_traces import _requests
+
+CATALOG = load_catalog()
+BENCH_CYCLIC = load_card(
+    (Path(__file__).parents[1] / "perfbench/cyclic_card.json").read_text("utf-8"))
+
+# (card, variant id, valid unit-tagged inputs), one per variant.
+VARIANTS = [(CATALOG.get_method(card_id), variant, sets[0][0])
+            for card_id, variant, sets in _requests(default_registry().resolve("mm"))]
+VARIANTS.append((BENCH_CYCLIC, "coupled", {"p": "100 kPa", "a": 20.0}))
+EC7 = CATALOG.get_method("BEARING_CAPACITY_EUROCODE7")
+
+
+def valid_inputs(card, variant) -> dict:
+    return next(inputs for c, v, inputs in VARIANTS if c is card and v == variant)
+
+
+def outcome(evaluate):
+    """Everything a caller can read of an evaluation or of its fault."""
+    try:
+        trace = evaluate()
+    except GeocardError as exc:
+        partial = exc.partial_trace
+        return ("fault", type(exc), str(exc), exc.failed_step,
+                None if partial is None else (partial.to_json(), partial.env))
+    return ("trace", trace.to_json(), trace.to_dict(), trace.env,
+            {k: (q.magnitude, q.unit.name) for k, q in trace.outputs.items()})
+
+
+def value(card, key):
+    """A drawn input value: in range, at a domain edge, in another unit, of
+    the wrong dimension, or not a quantity; any float for a key the card
+    does not declare."""
+    if key not in card.units:
+        return st.floats(-5.0, 60.0)
+    unit = card.units[key].name
+    return st.one_of(
+        st.floats(-5.0, 60.0),
+        st.sampled_from([0.0, -1.0, math.pi / 2, 1e300, 5e-324]),
+        st.floats(0.1, 50.0).map(lambda x: f"{x!r} {unit}"),
+        st.floats(0.1, 50.0).map(lambda x: Quantity(x, card.units[key])),
+        st.sampled_from(["1 kN", "twelve", True]),
+    )
+
+
+class TestDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_staged_calls_match_evaluate_card(self, data):
+        card, variant, valid = data.draw(st.sampled_from(VARIANTS))
+        keys = sorted(card.input_keys)
+        free = data.draw(st.sets(st.sampled_from([*keys, "k_extra"])))
+        overlap = data.draw(st.integers(0, 4)) == 0  # a free input also fixed
+        # Most fixed inputs keep their valid value, so most bindings succeed.
+        fixed = {k: data.draw(value(card, k)) if data.draw(st.integers(0, 3)) == 0
+                 else valid[k] for k in keys if overlap or k not in free}
+        if fixed and data.draw(st.integers(0, 9)) == 0:  # an input neither fixed nor free
+            del fixed[data.draw(st.sampled_from(sorted(fixed)))]
+        overrides = ({"beta": data.draw(st.one_of(st.just("5 deg"), value(card, "beta")))}
+                     if card.param_defaults and data.draw(st.booleans()) else {})
+        staged = stage_card(card, EvaluationRequest(card.id, variant, fixed, overrides),
+                            free)
+        for _ in range(data.draw(st.integers(1, 4))):
+            values = {k: data.draw(st.one_of(st.just(valid.get(k, 1.0)), value(card, k)))
+                      for k in free}
+            if data.draw(st.integers(0, 5)) == 0:  # a key too many or too few
+                values = ({k: v for k, v in values.items() if k != min(free)} if free
+                          else {keys[0]: valid[keys[0]]})
+            expected = outcome(lambda: evaluate_card(card, EvaluationRequest(
+                card.id, variant, {**fixed, **values}, overrides)))
+            assert outcome(lambda: staged(values)) == expected
+
+    @pytest.mark.parametrize("card_id, variant", [("NOPE", "drained"),
+                                                  ("BEARING_CAPACITY_EUROCODE7", "nope")])
+    def test_unknown_card_or_variant_raises_as_evaluate_card(self, card_id, variant):
+        fixed = {k: v for k, v in valid_inputs(EC7, "drained").items() if k != "B"}
+        staged = stage_card(EC7, EvaluationRequest(card_id, variant, fixed), ["B"])
+        for width in (1.0, 2.0):
+            expected = outcome(lambda: evaluate_card(EC7, EvaluationRequest(
+                card_id, variant, {**fixed, "B": width})))
+            assert outcome(lambda: staged({"B": width})) == expected
+            assert expected[0] == "fault"
+
+
+class TestWhatIsBound:
+    """The direct steps each call walks, read by spying on ``_walk``."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        walked = []
+        walk = geocard.engine._walk
+
+        def spy(direct, block, env):
+            walked.append([eq.target for eq in direct])
+            return walk(direct, block, env)
+        monkeypatch.setattr(geocard.engine, "_walk", spy)
+        return walked
+
+    @pytest.mark.parametrize("variant, free, bound, rest", [
+        ("drained", ["gamma", "B"], ["N_q", "N_c", "N_gamma"],
+         ["s_q", "s_gamma", "s_c", "q_ult"]),
+        ("drained", [], ["N_q", "N_c", "N_gamma", "s_q", "s_gamma", "s_c", "q_ult"], []),
+        ("drained", ["phi_prime_d"], [],
+         ["N_q", "N_c", "N_gamma", "s_q", "s_gamma", "s_c", "q_ult"]),
+        ("undrained", ["B"], [], ["s_c", "q_ult"]),
+    ], ids=["leading-run", "whole-plan", "empty-prefix", "first-step-reads-B"])
+    def test_leading_run_is_bound_on_the_second_call(self, walks, variant, free,
+                                                     bound, rest):
+        valid = valid_inputs(EC7, variant)
+        staged = stage_card(EC7, EvaluationRequest(
+            EC7.id, variant, {k: v for k, v in valid.items() if k not in free}), free)
+        values = {k: valid[k] for k in free}
+        for _ in range(3):
+            staged(values)
+        whole = [eq.target for eq in EC7.variant(variant).direct]
+        assert walks == [whole, bound, rest, rest]
+
+    @pytest.mark.parametrize("change, free", [
+        ({"phi_prime_d": "1 kPa"}, ["B"]),
+        ({"phi_prime_d": math.pi / 2}, ["B"]),
+        ({}, ["B", "k_extra"]),
+        ({"L": None}, ["B"]),
+    ], ids=["fixed-input-does-not-normalize", "fault-in-the-leading-run",
+            "free-key-no-input", "input-neither-fixed-nor-free"])
+    def test_failed_binding_leaves_every_call_plain(self, walks, change, free):
+        fixed = {k: v for k, v in {**valid_inputs(EC7, "drained"), **change}.items()
+                 if k not in free and v is not None}
+        staged = stage_card(EC7, EvaluationRequest(EC7.id, "drained", fixed), free)
+        for width in (1.0, 2.0, 3.0):
+            values = dict.fromkeys(free, width)
+            expected = outcome(lambda: evaluate_card(EC7, EvaluationRequest(
+                EC7.id, "drained", {**fixed, **values})))
+            assert outcome(lambda: staged(values)) == expected
+            assert expected[0] == "fault"
+        # No walk starts past the first step: none runs from a bound env.
+        assert all(walked[:1] == ["N_q"] for walked in walks)
