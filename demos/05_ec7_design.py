@@ -12,7 +12,6 @@ import math
 from geocard import (
     check_footing_uls_ec7,
     design_footing_width_ec7,
-    derive_design_parameters,
     get_ec7_preset_partials,
     load_bundled_scenario,
 )
@@ -24,15 +23,12 @@ for da in ("DA1-C1", "DA1-C2", "DA2", "DA3"):
     pf = get_ec7_preset_partials(da)
     print(f"  {da:7s} ({pf.sets}): {pf.wire_dict()}")
 
-# Characteristic phi' of 38 deg becomes a design value near 32 deg
-# under DA1-C2 (the friction angle reduces through its tangent).
-design = derive_design_parameters(scenario.characteristic_soil,
-                                  get_ec7_preset_partials("DA1-C2"))
-print(f"\nphi'_k = 38.0 deg -> phi'_d = "
-      f"{math.degrees(design.phi_prime):.2f} deg under DA1-C2")
-
-# ULS check at a trial width.
+# ULS check at a trial width. Characteristic phi' of 38 deg becomes a
+# design value near 32 deg under DA1-C2 (the friction angle reduces
+# through its tangent).
 check = check_footing_uls_ec7(scenario, "DA1-C2", B=1.497)
+print(f"\nphi'_k = 38.0 deg -> phi'_d = "
+      f"{math.degrees(check.design_parameters['phi_prime_d']):.2f} deg under DA1-C2")
 print(f"\nULS check at B = 1.497 m (DA1-C2): V_d = {check.V_d:.2f} kN, "
       f"R_d = {check.R_d:.2f} kN, utilization = {check.utilization:.3f}")
 print("bearing factors in the embedded trace:")

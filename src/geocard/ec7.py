@@ -7,9 +7,9 @@ the Annex D card, and the bisection search for the required width. Every
 trial width of the search is a full check with the card's complete trace,
 and the search returns the check made at the width it settles on. The
 card's steps that read neither the width nor the unit weight below the
-base (the bearing capacity factors) are bound once per search, from its
-second trial on, and each trial walks only the rest (``engine.stage_card``).
-The check and the search read the Annex D card from the catalog they are
+base (the bearing capacity factors) are bound once per check or search,
+when the card is staged, and each trial walks only the rest
+(``engine.stage_card``). The check and the search read the Annex D card from the catalog they are
 given, or from the process-wide ``catalog.default_catalog()`` when given
 none, so the catalog is loaded and audited at most once per process.
 
@@ -31,8 +31,7 @@ from pathlib import Path
 
 from .cards import ABSENT, instance_of, load_record, read_record
 from .catalog import Catalog, default_catalog
-from .engine import (SPLICE, EvaluationRequest, EvaluationTrace, splice_json,
-                     stage_card)
+from .engine import SPLICE, EvaluationTrace, splice_json, stage_card
 from .errors import (InvalidGeometry, NoBracket, NonConvergence,
                      NonFiniteValue, SchemaError, UnknownDesignApproach)
 from .units import DATA_DIR, to_magnitude
@@ -93,31 +92,6 @@ def get_ec7_preset_partials(design_approach: str) -> PartialFactorSet:
 
 
 @dataclass(frozen=True)
-class SoilParameters:
-    """Characteristic or design soil parameters (angles in radians)."""
-
-    phi_prime: float
-    c_prime: float
-    gamma: float
-    c_u: float | None = None
-
-
-def derive_design_parameters(char: SoilParameters,
-                             pf: PartialFactorSet) -> SoilParameters:
-    """Reduce characteristic soil parameters to design values.
-
-    phi'_d = atan(tan(phi'_k)/gamma_phi); cohesions and unit weight divide
-    by their factors.
-    """
-    return SoilParameters(
-        phi_prime=math.atan(math.tan(char.phi_prime) / pf.gamma_phi),
-        c_prime=char.c_prime / pf.gamma_c,
-        gamma=char.gamma / pf.gamma_gamma,
-        c_u=None if char.c_u is None else char.c_u / pf.gamma_cu,
-    )
-
-
-@dataclass(frozen=True)
 class FootingScenario:
     """A strip/rectangular footing design situation.
 
@@ -159,11 +133,6 @@ class FootingScenario:
         if self.surcharge_model not in SURCHARGE_MODELS:
             raise SchemaError("$.surcharge_model",
                               f"must be one of {SURCHARGE_MODELS}")
-
-    @property
-    def characteristic_soil(self) -> SoilParameters:
-        return SoilParameters(self.phi_prime_k, self.c_prime_k, self.gamma_k,
-                              self.c_u_k)
 
 
 def _quantity(unit_name: str):
@@ -290,25 +259,26 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
                  ) -> Callable[[float], UlsCheckResult]:
     """``check(B)``: the ULS check at width ``B``, with the card's trace.
 
-    The design soil values and overburden do not depend on the width, so
-    they are derived once here; only an unknown Design Approach raises
-    before a width is given, which is the check's first error anyway. The
-    first trial that passes the width checks looks up the card, checks the
-    drainage and stages the card's variant with ``gamma`` and ``B`` free
-    (``engine.stage_card``): the steps that read neither, the bearing
-    capacity factors, are bound on the second trial and not walked again.
+    The design values do not depend on the width, so they are computed once
+    here, into the dict the result shows as ``design_parameters``:
+    phi'_d = atan(tan(phi'_k)/gamma_phi), the cohesions and the unit weight
+    divided by their factors, and the overburden q'_d. Only an unknown
+    Design Approach raises before a width is given, which is the check's
+    first error anyway. The first trial that passes the width checks looks
+    up the card, checks the drainage and stages the card's variant from
+    that dict with ``gamma`` and ``B`` free (``engine.stage_card``), which
+    binds the steps that read neither, the bearing capacity factors, once.
     The errors are those of a full ``evaluate_card`` per trial, in the same
     order: the width, the card lookup, the drainage, then the evaluation.
     """
     pf = get_ec7_preset_partials(design_approach)
-    design = derive_design_parameters(scenario.characteristic_soil, pf)
-    q_d = effective_overburden(scenario, design.gamma)
-    design_values = {
-        "phi_prime_d": design.phi_prime,
-        "c_prime_d": design.c_prime,
-        "c_u_d": design.c_u,
-        "gamma_d": design.gamma,
-        "q_d": q_d,
+    gamma_d = scenario.gamma_k / pf.gamma_gamma
+    design = {
+        "phi_prime_d": math.atan(math.tan(scenario.phi_prime_k) / pf.gamma_phi),
+        "c_prime_d": scenario.c_prime_k / pf.gamma_c,
+        "c_u_d": None if scenario.c_u_k is None else scenario.c_u_k / pf.gamma_cu,
+        "gamma_d": gamma_d,
+        "q_d": effective_overburden(scenario, gamma_d),
     }
     staged = None
 
@@ -324,18 +294,18 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
             card = (catalog or default_catalog()).get_method(EC7_CARD_ID)
             if drainage not in ("drained", "undrained"):
                 raise SchemaError("$.drainage", "must be 'drained' or 'undrained'")
-            if drainage == "undrained" and design.c_u is None:
+            c_u_d = design["c_u_d"]
+            if drainage == "undrained" and c_u_d is None:
                 raise SchemaError("$.c_u_k",
                                   "scenario lacks undrained strength c_u_k")
-            staged = stage_card(card, EvaluationRequest(EC7_CARD_ID, drainage, {
-                "phi_prime_d": design.phi_prime,
-                "c_prime_d": design.c_prime,
-                "c_u_d": design.c_u if design.c_u is not None else 0.0,
-                "q": q_d,
+            staged = stage_card(card, drainage, {
+                "phi_prime_d": design["phi_prime_d"],
+                "c_prime_d": design["c_prime_d"],
+                "c_u_d": 0.0 if c_u_d is None else c_u_d,
+                "q": design["q_d"],
                 "L": scenario.L,
-            }), ("gamma", "B"))
-        gamma_eff = effective_unit_weight_below_base(scenario, design.gamma,
-                                                     B_eff)
+            }, ("gamma", "B"))
+        gamma_eff = effective_unit_weight_below_base(scenario, gamma_d, B_eff)
         trace = staged({"gamma": gamma_eff, "B": B_eff})
         R_d = trace.outputs["q_ult"].magnitude * B_eff * scenario.L / pf.gamma_R
         V_d = compute_design_action(scenario, pf, B)
@@ -351,7 +321,7 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
             R_d=R_d,
             utilization=utilization,
             passed=utilization <= 1.0 + 1e-12,
-            design_parameters={**design_values, "gamma_eff": gamma_eff},
+            design_parameters={**design, "gamma_eff": gamma_eff},
             partial_factors=pf,
             trace=trace,
             drainage=drainage,

@@ -15,8 +15,8 @@ wire form: index, target, expression, inputs (sorted), value, unit,
 description, method.
 
 ``stage_card`` is ``evaluate_card`` as a function of some named free
-inputs, for a caller that evaluates one request at many values of them (a
-width search). From its second call on, the longest leading run of the
+inputs, for a caller that evaluates one variant at many values of them (a
+width search). When the card is staged, the longest leading run of the
 direct plan that reads no free input is bound once, and each call walks
 only the rest from a copy of that env, with the same ``_walk`` and the
 same trace: what it returns and raises is what ``evaluate_card`` does.
@@ -351,19 +351,6 @@ def _cycle(block: tuple, iterations, residual) -> dict:
             "residual": residual}
 
 
-def _with_params(card: MethodCard, env: dict,
-                 overrides: Mapping[str, InputValue]) -> dict:
-    """``env`` with the card's param defaults bound, then the overrides."""
-    env.update(card.param_defaults)
-    if overrides:
-        bad = set(overrides) - card.param_defaults.keys()
-        if bad:
-            raise UnexpectedInput(bad)
-        for key, value in overrides.items():
-            env[key] = to_magnitude(value, card.units[key].name, key)
-    return env
-
-
 def _run(card: MethodCard, variant: VariantSpec, env: dict, echo: tuple,
          direct: tuple) -> EvaluationTrace:
     """Walk ``direct``, the rest of the variant's direct plan, and its
@@ -392,73 +379,62 @@ def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTra
     variant = card.variant(request.variant_id)
     if variant is None:
         raise UnknownVariant(card.id, request.variant_id)
-    env = _with_params(card, normalize_inputs(card, request.inputs),
-                       request.overrides)
-    return _run(card, variant, env,
-                (dict(request.inputs), dict(request.overrides)), variant.direct)
+    env = normalize_inputs(card, request.inputs)
+    env.update(card.param_defaults)
+    overrides = request.overrides
+    if overrides:
+        bad = set(overrides) - card.param_defaults.keys()
+        if bad:
+            raise UnexpectedInput(bad)
+        for key, value in overrides.items():
+            env[key] = to_magnitude(value, card.units[key].name, key)
+    return _run(card, variant, env, (dict(request.inputs), dict(overrides)),
+                variant.direct)
 
 
-def stage_card(card: MethodCard, request: EvaluationRequest, free: Iterable[str]
+def stage_card(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue],
+               free: Iterable[str]
                ) -> Callable[[Mapping[str, InputValue]], EvaluationTrace]:
-    """``evaluate_card`` as a function of the inputs named ``free``.
+    """``evaluate_card`` of one variant as a function of the inputs named
+    ``free``; ``fixed`` holds every other input.
 
-    ``request`` holds every other input and is read here, once. The staged
-    function ``staged(values)`` returns and raises what ``evaluate_card``
-    does for ``request`` with ``values`` added to its inputs. Its first
-    call is that ``evaluate_card``, so a function called once pays nothing
-    for staging. The second call binds, once: it normalizes the fixed
-    inputs and the overrides, and walks the longest leading run of the
-    variant's direct plan that reads no free key. From then on, each call
-    copies that env, normalizes the free inputs and walks the rest of the
-    plan from the first unbound step.
+    ``staged(values)`` returns and raises what ``evaluate_card`` does for
+    the variant with ``{**fixed, **values}`` as its inputs. Binding happens
+    here, once: the fixed inputs are normalized, the param defaults bound,
+    and the longest leading run of the direct plan that reads no free key
+    is walked. Each call copies that env, normalizes the free inputs and
+    walks the rest of the plan.
+
+    Only a leading run is bound, so a fault's partial trace holds exactly
+    the steps before it. Every call is a plain ``evaluate_card`` on an
+    unknown variant, free and fixed keys that are not the card's inputs, a
+    fixed input that does not normalize, or a fault in the bound run. A
+    call whose values are not exactly the free keys, or do not normalize,
+    is plain too.
     """
-    free = frozenset(free)
-    fixed, overrides = dict(request.inputs), dict(request.overrides)
+    free, fixed = frozenset(free), dict(fixed)
 
     def plain(values):
-        return evaluate_card(card, EvaluationRequest(
-            request.card_id, request.variant_id, {**fixed, **values}, overrides))
+        return evaluate_card(card, EvaluationRequest(card.id, variant_id,
+                                                     {**fixed, **values}))
 
-    calls, walk = 0, plain
-
-    def staged(values):
-        nonlocal calls, walk
-        calls += 1
-        if calls == 2:
-            walk = _bind(card, request, fixed, overrides, free, plain)
-        return walk(values)
-    return staged
-
-
-def _bind(card: MethodCard, request: EvaluationRequest, fixed: dict,
-          overrides: dict, free: frozenset, plain: Callable) -> Callable:
-    """The walk of a staged card from its bound env, or ``plain`` wherever
-    it could part from ``evaluate_card``.
-
-    Only a leading run of the plan is bound, so a fault's partial trace
-    holds exactly the steps before it. Binding fails, and every call is
-    ``plain``, on an unknown card or variant, free and fixed keys that are
-    not the card's inputs, a fixed input or override that does not
-    normalize, or a fault in the bound run. A call whose values are not
-    exactly the free keys, or do not normalize, is ``plain`` too.
-    """
-    variant = card.variant(request.variant_id)
-    if (card.id != request.card_id or variant is None
-            or fixed.keys() | free != card.input_keys):
+    variant = card.variant(variant_id)
+    if variant is None or fixed.keys() | free != card.input_keys:
         return plain
     direct, bound = variant.direct, 0
     while bound < len(direct) and free.isdisjoint(direct[bound].symbols):
         bound += 1
     try:
-        env = _with_params(card, {key: to_magnitude(value, card.units[key].name, key)
-                                  for key, value in fixed.items()}, overrides)
+        env = {key: to_magnitude(value, card.units[key].name, key)
+               for key, value in fixed.items()}
+        env.update(card.param_defaults)
         _walk(direct[:bound], (), env)
     except GeocardError:
         return plain
     rest = direct[bound:]
     units = [(key, card.units[key].name) for key in free]
 
-    def walk(values):
+    def staged(values):
         if values.keys() != free:
             return plain(values)
         given = dict(env)
@@ -467,6 +443,5 @@ def _bind(card: MethodCard, request: EvaluationRequest, fixed: dict,
                 given[key] = to_magnitude(values[key], unit, key)
         except GeocardError:
             return plain(values)
-        return _run(card, variant, given, ({**fixed, **values}, dict(overrides)),
-                    rest)
-    return walk
+        return _run(card, variant, given, ({**fixed, **values}, {}), rest)
+    return staged

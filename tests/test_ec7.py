@@ -1,6 +1,7 @@
 """Eurocode 7 workflow tests: partial factors, design values, the ULS
 check, and the width search on the bundled validation scenario."""
 
+import collections
 import dataclasses
 import json
 import math
@@ -20,11 +21,9 @@ from geocard.ec7 import (
     SURCHARGE_MODELS,
     FootingScenario,
     WidthDesignResult,
-    SoilParameters,
     UlsCheckResult,
     check_footing_uls_ec7,
     compute_design_action,
-    derive_design_parameters,
     design_footing_width_ec7,
     effective_overburden,
     effective_unit_weight_below_base,
@@ -79,26 +78,36 @@ class TestPresetPartials:
             get_ec7_preset_partials("DA9")
 
 
-class TestDeriveDesignParameters:
+def design_parameters(design_approach, **soil) -> dict:
+    """The design values a check shows for the bundled scenario with its
+    characteristic soil values replaced by ``soil``."""
+    scenario = dataclasses.replace(SCENARIO, **soil)
+    return check_footing_uls_ec7(scenario, design_approach, 1.5).design_parameters
+
+
+class TestDesignParameters:
     def test_friction_angle_tangent_rule(self):
         """38 deg through gamma_phi = 1.25 lands at 32.0 deg (two decimals)."""
-        char = SoilParameters(math.radians(38.0), 0.0, 18.5)
-        design = derive_design_parameters(char, get_ec7_preset_partials("DA1-C2"))
-        assert math.degrees(design.phi_prime) == pytest.approx(32.01, abs=0.01)
+        design = design_parameters("DA1-C2", phi_prime_k=math.radians(38.0),
+                                   c_prime_k=0.0, gamma_k=18.5)
+        assert math.degrees(design["phi_prime_d"]) == pytest.approx(32.01, abs=0.01)
 
     def test_identity_factoring(self):
-        char = SoilParameters(math.radians(38.0), 5.0, 18.5, c_u=60.0)
-        design = derive_design_parameters(char, get_ec7_preset_partials("DA1-C1"))
-        assert design.phi_prime == char.phi_prime
-        assert design.c_prime == char.c_prime
-        assert design.gamma == char.gamma
-        assert design.c_u == char.c_u
+        design = design_parameters("DA1-C1", phi_prime_k=math.radians(38.0),
+                                   c_prime_k=5.0, gamma_k=18.5, c_u_k=60.0)
+        assert design["phi_prime_d"] == math.radians(38.0)
+        assert design["c_prime_d"] == 5.0
+        assert design["gamma_d"] == 18.5
+        assert design["c_u_d"] == 60.0
 
     def test_cohesion_direct_division(self):
-        char = SoilParameters(math.radians(30.0), 10.0, 20.0, c_u=70.0)
-        design = derive_design_parameters(char, get_ec7_preset_partials("DA1-C2"))
-        assert design.c_prime == pytest.approx(8.0)
-        assert design.c_u == pytest.approx(50.0)  # gamma_cu = 1.4
+        design = design_parameters("DA1-C2", phi_prime_k=math.radians(30.0),
+                                   c_prime_k=10.0, gamma_k=20.0, c_u_k=70.0)
+        assert design["c_prime_d"] == pytest.approx(8.0)
+        assert design["c_u_d"] == pytest.approx(50.0)  # gamma_cu = 1.4
+
+    def test_no_undrained_strength_is_none(self):
+        assert design_parameters("DA1-C2")["c_u_d"] is None
 
 
 class TestDesignAction:
@@ -497,12 +506,19 @@ class TestDefaultCatalog:
 
 # ------------------------------------------------- width search oracle ----
 
+_DesignSoil = collections.namedtuple("_DesignSoil", "phi_prime c_prime gamma c_u")
+
+
 def _reference_check(scenario, design_approach, B, catalog=None,
                      drainage="drained"):
     """The ULS check as first written: one full evaluate_card of the
     Annex D card, with every input given, at each width."""
     pf = get_ec7_preset_partials(design_approach)
-    design = derive_design_parameters(scenario.characteristic_soil, pf)
+    design = _DesignSoil(  # the reduction to design values, as first written
+        phi_prime=math.atan(math.tan(scenario.phi_prime_k) / pf.gamma_phi),
+        c_prime=scenario.c_prime_k / pf.gamma_c,
+        gamma=scenario.gamma_k / pf.gamma_gamma,
+        c_u=None if scenario.c_u_k is None else scenario.c_u_k / pf.gamma_cu)
     q_d = effective_overburden(scenario, design.gamma)
     if B <= 0:
         raise InvalidGeometry(f"width must be positive, got {B:g}")

@@ -1,7 +1,8 @@
 """``stage_card`` against ``evaluate_card``: a staged call returns and raises
-exactly what ``evaluate_card`` does for the request with the free inputs
+exactly what ``evaluate_card`` does for the fixed inputs with the free ones
 added, for every bundled variant and the benchmark's cyclic card, whatever
-inputs are free, faults included."""
+inputs are free, faults included. The steps bound when the card is staged,
+and those each call walks, are read by spying on ``_walk``."""
 
 import math
 from pathlib import Path
@@ -12,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 import geocard.engine
 from geocard.cards import load_card
 from geocard.catalog import load_catalog
+from geocard.ec7 import (check_footing_uls_ec7, design_footing_width_ec7,
+                         load_bundled_scenario)
 from geocard.engine import EvaluationRequest, evaluate_card, stage_card
 from geocard.errors import GeocardError
 from geocard.units import Quantity, default_registry
@@ -26,6 +29,10 @@ VARIANTS = [(CATALOG.get_method(card_id), variant, sets[0][0])
             for card_id, variant, sets in _requests(default_registry().resolve("mm"))]
 VARIANTS.append((BENCH_CYCLIC, "coupled", {"p": "100 kPa", "a": 20.0}))
 EC7 = CATALOG.get_method("BEARING_CAPACITY_EUROCODE7")
+
+
+def plain(card, variant, inputs):
+    return lambda: evaluate_card(card, EvaluationRequest(card.id, variant, inputs))
 
 
 def valid_inputs(card, variant) -> dict:
@@ -73,45 +80,54 @@ class TestDifferential:
                  else valid[k] for k in keys if overlap or k not in free}
         if fixed and data.draw(st.integers(0, 9)) == 0:  # an input neither fixed nor free
             del fixed[data.draw(st.sampled_from(sorted(fixed)))]
-        overrides = ({"beta": data.draw(st.one_of(st.just("5 deg"), value(card, "beta")))}
-                     if card.param_defaults and data.draw(st.booleans()) else {})
-        staged = stage_card(card, EvaluationRequest(card.id, variant, fixed, overrides),
-                            free)
+        staged = stage_card(card, variant, fixed, free)
         for _ in range(data.draw(st.integers(1, 4))):
             values = {k: data.draw(st.one_of(st.just(valid.get(k, 1.0)), value(card, k)))
                       for k in free}
             if data.draw(st.integers(0, 5)) == 0:  # a key too many or too few
                 values = ({k: v for k, v in values.items() if k != min(free)} if free
                           else {keys[0]: valid[keys[0]]})
-            expected = outcome(lambda: evaluate_card(card, EvaluationRequest(
-                card.id, variant, {**fixed, **values}, overrides)))
+            expected = outcome(plain(card, variant, {**fixed, **values}))
             assert outcome(lambda: staged(values)) == expected
 
-    @pytest.mark.parametrize("card_id, variant", [("NOPE", "drained"),
-                                                  ("BEARING_CAPACITY_EUROCODE7", "nope")])
-    def test_unknown_card_or_variant_raises_as_evaluate_card(self, card_id, variant):
+    @pytest.mark.parametrize("order", [("gamma", "B"), ("B", "gamma")])
+    def test_first_bad_free_value_in_call_order_raises(self, order):
+        """Two free values that do not normalize: the error is the first's
+        in the call's order, as in ``evaluate_card``, whatever order the
+        staged card keeps its free keys in."""
+        fixed = {k: v for k, v in valid_inputs(EC7, "drained").items()
+                 if k not in order}
+        staged = stage_card(EC7, "drained", fixed, order)
+        values = dict.fromkeys(order, "1 kPa")
+        expected = outcome(plain(EC7, "drained", {**fixed, **values}))
+        assert outcome(lambda: staged(values)) == expected
+        assert expected[0] == "fault"
+        assert expected[2].endswith(f"-> {EC7.units[order[0]].name})")
+
+    def test_unknown_variant_raises_as_evaluate_card(self):
         fixed = {k: v for k, v in valid_inputs(EC7, "drained").items() if k != "B"}
-        staged = stage_card(EC7, EvaluationRequest(card_id, variant, fixed), ["B"])
+        staged = stage_card(EC7, "nope", fixed, ["B"])
         for width in (1.0, 2.0):
-            expected = outcome(lambda: evaluate_card(EC7, EvaluationRequest(
-                card_id, variant, {**fixed, "B": width})))
+            expected = outcome(plain(EC7, "nope", {**fixed, "B": width}))
             assert outcome(lambda: staged({"B": width})) == expected
             assert expected[0] == "fault"
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """The direct steps of each ``_walk``, in call order."""
+    walked = []
+    walk = geocard.engine._walk
+
+    def spy(direct, block, env):
+        walked.append([eq.target for eq in direct])
+        return walk(direct, block, env)
+    monkeypatch.setattr(geocard.engine, "_walk", spy)
+    return walked
+
+
 class TestWhatIsBound:
-    """The direct steps each call walks, read by spying on ``_walk``."""
-
-    @pytest.fixture
-    def walks(self, monkeypatch):
-        walked = []
-        walk = geocard.engine._walk
-
-        def spy(direct, block, env):
-            walked.append([eq.target for eq in direct])
-            return walk(direct, block, env)
-        monkeypatch.setattr(geocard.engine, "_walk", spy)
-        return walked
+    """The direct steps bound at staging and walked by each call."""
 
     @pytest.mark.parametrize("variant, free, bound, rest", [
         ("drained", ["gamma", "B"], ["N_q", "N_c", "N_gamma"],
@@ -121,16 +137,16 @@ class TestWhatIsBound:
          ["N_q", "N_c", "N_gamma", "s_q", "s_gamma", "s_c", "q_ult"]),
         ("undrained", ["B"], [], ["s_c", "q_ult"]),
     ], ids=["leading-run", "whole-plan", "empty-prefix", "first-step-reads-B"])
-    def test_leading_run_is_bound_on_the_second_call(self, walks, variant, free,
-                                                     bound, rest):
+    def test_leading_run_is_bound_when_staged(self, walks, variant, free, bound,
+                                              rest):
         valid = valid_inputs(EC7, variant)
-        staged = stage_card(EC7, EvaluationRequest(
-            EC7.id, variant, {k: v for k, v in valid.items() if k not in free}), free)
+        staged = stage_card(EC7, variant,
+                            {k: v for k, v in valid.items() if k not in free}, free)
+        assert walks == [bound]
         values = {k: valid[k] for k in free}
         for _ in range(3):
             staged(values)
-        whole = [eq.target for eq in EC7.variant(variant).direct]
-        assert walks == [whole, bound, rest, rest]
+        assert walks == [bound, rest, rest, rest]
 
     @pytest.mark.parametrize("change, free", [
         ({"phi_prime_d": "1 kPa"}, ["B"]),
@@ -142,12 +158,31 @@ class TestWhatIsBound:
     def test_failed_binding_leaves_every_call_plain(self, walks, change, free):
         fixed = {k: v for k, v in {**valid_inputs(EC7, "drained"), **change}.items()
                  if k not in free and v is not None}
-        staged = stage_card(EC7, EvaluationRequest(EC7.id, "drained", fixed), free)
+        staged = stage_card(EC7, "drained", fixed, free)
         for width in (1.0, 2.0, 3.0):
             values = dict.fromkeys(free, width)
-            expected = outcome(lambda: evaluate_card(EC7, EvaluationRequest(
-                EC7.id, "drained", {**fixed, **values})))
+            expected = outcome(plain(EC7, "drained", {**fixed, **values}))
             assert outcome(lambda: staged(values)) == expected
             assert expected[0] == "fault"
         # No walk starts past the first step: none runs from a bound env.
         assert all(walked[:1] == ["N_q"] for walked in walks)
+
+
+class TestWhatTheWidthSearchWalks:
+    """The EC7 check stages the Annex D card once: the bearing capacity
+    factors are walked once per check or design, and each trial walks only
+    the steps that read the width or the unit weight below the base."""
+
+    FACTORS = ["N_q", "N_c", "N_gamma"]
+    TRIAL = ["s_q", "s_gamma", "s_c", "q_ult"]
+
+    def test_design_walks_the_factors_once(self, walks):
+        result = design_footing_width_ec7(load_bundled_scenario(), "DA1-C2",
+                                          catalog=CATALOG)
+        assert walks[0] == self.FACTORS
+        assert walks[1:] == [self.TRIAL] * len(walks[1:])
+        assert len(walks) - 1 >= result.iterations + 2  # the bracket's ends, then each halving
+
+    def test_single_check_walks_the_bound_run_then_the_rest(self, walks):
+        check_footing_uls_ec7(load_bundled_scenario(), "DA1-C2", 1.5, catalog=CATALOG)
+        assert walks == [self.FACTORS, self.TRIAL]
