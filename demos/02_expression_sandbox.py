@@ -17,7 +17,7 @@ print("free symbols:", ex.free_symbols(node))
 print("N_q(30 deg) =", ex.evaluate(node, {"phi_prime": math.radians(30)}))
 
 # Piecewise takes the first branch whose condition holds.
-nc_text = "Piecewise(((N_q - 1)*cot(phi_prime), phi_prime > 0), (5.14, True))"
+nc_text = "Piecewise(((N_q - 1)*cot(phi_prime), phi_prime > 1e-8), (5.14, True))"
 nc = ex.parse(nc_text)
 print("N_c(0)      =", ex.evaluate(nc, {"phi_prime": 0.0, "N_q": 1.0}))
 

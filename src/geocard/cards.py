@@ -425,6 +425,21 @@ def _mix(d1: Dimension, d2: Dimension) -> Dimension | None:
     return None
 
 
+def _is_zero(node: ex.ExprNode) -> bool:
+    """A literal 0, negated or not: in ``+``, ``-``, a comparison, ``Min``,
+    ``Max``, ``atan2`` or a Piecewise branch it takes the dimension of what
+    it is mixed with, so ``Max(B, 0)`` and ``B > 0`` are lengths' algebra."""
+    while isinstance(node, ex.Unary):
+        node = node.operand
+    return isinstance(node, ex.Number) and node.value == 0
+
+
+def _mixed_dims(nodes, dims: list) -> list:
+    """The dimensions ``dims`` of ``nodes`` that a mix must agree on: those
+    of the nodes that are not a literal 0, or all when every node is one."""
+    return [d for node, d in zip(nodes, dims) if not _is_zero(node)] or dims
+
+
 def _dim(node: ex.ExprNode, dims: dict, report) -> Dimension | None:
     """The dimension of ``node``, variables' taken from ``dims``; None once
     ``report`` has been called with a finding below it."""
@@ -436,27 +451,31 @@ def _dim(node: ex.ExprNode, dims: dict, report) -> Dimension | None:
         return _dim(node.operand, dims, report)
     if isinstance(node, ex.Comparison):
         left, right = _dim(node.left, dims, report), _dim(node.right, dims, report)
-        if left is not None and right is not None and _mix(left, right) is None:
+        if (left is not None and right is not None and not _is_zero(node.left)
+                and not _is_zero(node.right) and _mix(left, right) is None):
             report(f"comparison mixes {left} and {right} in {ex.to_text(node)}")
         return DIMENSIONLESS
     if isinstance(node, ex.Piecewise):
-        result = None
+        result, zero = None, False
         for value, condition in node.branches:
             _dim(condition, dims, report)
             d = _dim(value, dims, report)
-            if d is None:
+            if d is None or _is_zero(value):
+                zero = zero or d is not None
                 continue
             mixed = d if result is None else _mix(result, d)
             if mixed is None:
                 report(f"Piecewise branches mix {result} and {d}")
                 return None
             result = mixed
-        return result
+        return DIMENSIONLESS if result is None and zero else result
     if isinstance(node, ex.Binary):
         left, right = _dim(node.left, dims, report), _dim(node.right, dims, report)
         if left is None or right is None:
             return None
         if node.op in ("+", "-"):
+            if _is_zero(node.left) or _is_zero(node.right):
+                return right if _is_zero(node.left) else left
             mixed = _mix(left, right)
             if mixed is None:
                 report(f"cannot {('add', 'subtract')[node.op == '-']} "
@@ -500,7 +519,8 @@ def _dim(node: ex.ExprNode, dims: dict, report) -> Dimension | None:
             return args[0] ** 0.5
         if node.func == "Abs":
             return args[0]
-        result = args[0]  # atan2, Min and Max: the arguments mix
+        args = _mixed_dims(node.args, args)  # atan2, Min and Max: the arguments mix
+        result = args[0]
         for d in args[1:]:
             mixed = _mix(result, d)
             if mixed is None:

@@ -277,14 +277,23 @@ class McpServer:
     # ----------------------------------------------------------- dispatch ----
 
     def handle_message(self, message) -> dict | None:
-        """Handle one decoded message; None for a notification (no ``id``)."""
-        if isinstance(message, dict) and "id" not in message:
+        """Handle one decoded message; None for a notification (no ``id``).
+
+        A request whose id is null or not a string or a number (JSON-RPC
+        2.0; MCP forbids a null id) is invalid, and so is one whose method
+        is not a string: each gets a -32600 reply, with the id echoed only
+        when it is valid. A batch (a JSON array) is one invalid request:
+        MCP 2024-11-05 has no batches."""
+        if not isinstance(message, dict):  # a batch or a bare value
+            return self._error(None, INVALID_REQUEST, "invalid request")
+        if "id" not in message:
             return None
-        if not isinstance(message, dict) or message.get("jsonrpc") != "2.0":
-            return self._error(message.get("id") if isinstance(message, dict) else None,
-                               INVALID_REQUEST, "invalid request")
-        msg_id = message["id"]
-        method = message.get("method")
+        msg_id, method = message["id"], message.get("method")
+        if type(msg_id) not in (str, int, float):  # null, a bool, an object or an array
+            msg_id = None
+        if (msg_id is None or message.get("jsonrpc") != "2.0"
+                or not isinstance(method, str)):
+            return self._error(msg_id, INVALID_REQUEST, "invalid request")
         params = message.get("params") or {}
 
         if method == "initialize":

@@ -11,6 +11,11 @@ import math
 
 # ------------------------------------------------------ bearing factors ----
 
+# Below this friction angle (rad) N_c and EC7's s_c take their phi = 0
+# limits: (N_q - 1) cancels to rounding noise there, and under about
+# 1e-16 rad N_q rounds below 1, which turns N_c negative.
+PHI_SEAM = 1e-8
+
 def nq(phi: float) -> float:
     """N_q = e^(pi tan phi) tan^2(pi/4 + phi/2); phi in radians."""
     return math.exp(math.pi * math.tan(phi)) * math.tan(math.pi / 4 + phi / 2) ** 2
@@ -19,7 +24,7 @@ def nq(phi: float) -> float:
 def terzaghi_factors(phi: float) -> tuple:
     """(N_q, N_c, N_gamma) for the Terzaghi card's equation set."""
     Nq = nq(phi)
-    Nc = (Nq - 1.0) * (math.cos(phi) / math.sin(phi)) if phi > 0 else 5.14
+    Nc = (Nq - 1.0) * (math.cos(phi) / math.sin(phi)) if phi > PHI_SEAM else 5.14
     Ng = 2.0 * (Nq + 1.0) * math.tan(phi)
     return Nq, Nc, Ng
 
@@ -27,7 +32,7 @@ def terzaghi_factors(phi: float) -> tuple:
 def ec7_factors(phi: float) -> tuple:
     """(N_q, N_c, N_gamma) per EN 1997-1 Annex D (rough base)."""
     Nq = nq(phi)
-    Nc = (Nq - 1.0) * (math.cos(phi) / math.sin(phi)) if phi > 0 else math.pi + 2.0
+    Nc = (Nq - 1.0) * (math.cos(phi) / math.sin(phi)) if phi > PHI_SEAM else math.pi + 2.0
     Ng = 2.0 * (Nq - 1.0) * math.tan(phi)
     return Nq, Nc, Ng
 
@@ -35,7 +40,7 @@ def ec7_factors(phi: float) -> tuple:
 def meyerhof_factors(phi: float) -> tuple:
     """(N_q, N_c, N_gamma) with Meyerhof's N_gamma = (N_q - 1) tan(1.4 phi)."""
     Nq = nq(phi)
-    Nc = (Nq - 1.0) * (math.cos(phi) / math.sin(phi)) if phi > 0 else 5.14
+    Nc = (Nq - 1.0) * (math.cos(phi) / math.sin(phi)) if phi > PHI_SEAM else 5.14
     Ng = (Nq - 1.0) * math.tan(1.4 * phi)
     return Nq, Nc, Ng
 
@@ -73,7 +78,7 @@ def ec7_shape_factors(phi: float, B: float, L: float) -> dict:
     Nq = nq(phi)
     sq = 1 + (B / L) * math.sin(phi)
     sg = 1 - 0.3 * (B / L)
-    sc = (sq * Nq - 1) / (Nq - 1) if phi > 0 else 1 + 0.2 * (B / L)
+    sc = (sq * Nq - 1) / (Nq - 1) if phi > PHI_SEAM else 1 + 0.2 * (B / L)
     return {"s_q": sq, "s_gamma": sg, "s_c": sc}
 
 

@@ -594,6 +594,26 @@ DIMENSION_RULES = [
     (_L, "Piecewise((n, n > 0), (a, a > 0), (x, True))",
      {"x": _L, "a": _A, "n": _N},
      ["Piecewise branches mix angle and length"]),
+    # a literal 0, negated or not, takes the dimension it is mixed with
+    (_L, "Piecewise((Max(x, 0) + 0, x > 0), (0, True))", {"x": _L}, []),
+    (_L, "0 + x - 0 - -0 + (-0 - x)", {"x": _L}, []),
+    (_L, "Min(0, x) + Max(-0, x, 0) + Min(x, -0)", {"x": _L}, []),
+    (_N, "Piecewise((1, x > 0), (2, -0 >= x), (3, 0 = x), (4, x < -0))", {"x": _L}, []),
+    (_A, "atan2(0, x) + atan2(x, -0)", {"x": _L}, []),
+    (_L, "Piecewise((0, x > 0), (x, True))", {"x": _L}, []),
+    (_L, "-(-0) + x", {"x": _L}, []),
+    # ... and only a zero: another literal, or a zero among others, does not
+    (_L, "x + 1", {"x": _L}, ["cannot add length and dimensionless in x + 1"]),
+    (_L, "Max(x, 1)", {"x": _L}, ["Max arguments mix length and dimensionless"]),
+    (_L, "Max(x, 0, n)", {"x": _L, "n": _N},
+     ["Max arguments mix length and dimensionless"]),
+    (_L, "Piecewise((1, x > 0.5), (x, True))", {"x": _L},
+     ["comparison mixes length and dimensionless in x > 0.5",
+      "Piecewise branches mix dimensionless and length"]),
+    (_L, "Piecewise((0, x > 0), (-0, True))", {"x": _L},
+     [TARGET_MISMATCH.format("dimensionless", "length")]),
+    (_L, "0*x + 0", {"x": _L}, []),
+    (_L, "0", {"x": _L}, [TARGET_MISMATCH.format("dimensionless", "length")]),
     # the target accepts an angle for a dimensionless result, and back
     (_A, "n", {"n": _N}, []),
     (_N, "a", {"a": _A}, []),
@@ -645,7 +665,8 @@ class TestDimensionRules:
 # ------------------------------------------------- audit equivalence ----
 #
 # ``_OracleChecker`` is the audit as first written, a class with two mixing
-# rules, copied here with its logic unchanged as the oracle:
+# rules, copied here as the oracle with one rule added since, the literal
+# zero (``_oracle_zero``):
 # ``validate_dimensions`` must give the same findings, in the same order, on
 # every card.
 
@@ -657,6 +678,13 @@ def _oracle_compatible(d1, d2) -> bool:
 
 def _oracle_join(d1, d2):
     return d1 if not d1.is_dimensionless() else d2
+
+
+def _oracle_zero(node) -> bool:
+    """A literal 0, negated or not, takes the dimension it is mixed with."""
+    while isinstance(node, ex.Unary):
+        node = node.operand
+    return isinstance(node, ex.Number) and node.value == 0
 
 
 _ORACLE_TRANSCENDENTAL = frozenset({"sin", "cos", "tan", "cot", "asin", "acos",
@@ -696,6 +724,10 @@ class _OracleChecker:
             if left is None or right is None:
                 return None
             if node.op in ("+", "-"):
+                if _oracle_zero(node.left):
+                    return right
+                if _oracle_zero(node.right):
+                    return left
                 if not _oracle_compatible(left, right):
                     report(f"cannot {('add', 'subtract')[node.op == '-']} "
                            f"{left} and {right} in {ex.to_text(node)}")
@@ -731,7 +763,8 @@ class _OracleChecker:
                         return None
                 return DIMENSIONLESS
             if node.func == "atan2":
-                if not _oracle_compatible(arg_dims[0], arg_dims[1]):
+                if (not _oracle_zero(node.args[0]) and not _oracle_zero(node.args[1])
+                        and not _oracle_compatible(arg_dims[0], arg_dims[1])):
                     report(f"atan2 arguments have dimensions {arg_dims[0]} "
                            f"and {arg_dims[1]}")
                     return None
@@ -741,6 +774,9 @@ class _OracleChecker:
             if node.func == "Abs":
                 return arg_dims[0]
             if node.func in ("Min", "Max"):
+                if not all(_oracle_zero(a) for a in node.args):
+                    arg_dims = [d for d, a in zip(arg_dims, node.args)
+                                if not _oracle_zero(a)]
                 first = arg_dims[0]
                 for d in arg_dims[1:]:
                     if not _oracle_compatible(first, d):
@@ -751,23 +787,30 @@ class _OracleChecker:
             raise AssertionError(node.func)
         if isinstance(node, ex.Piecewise):
             branch_dim = None
+            zero_branch = False
             for value, condition in node.branches:
                 self._dim(condition, report)
                 d = self._dim(value, report)
                 if d is None:
                     continue
-                if branch_dim is None:
+                if _oracle_zero(value):
+                    zero_branch = True
+                elif branch_dim is None:
                     branch_dim = d
                 elif not _oracle_compatible(branch_dim, d):
                     report(f"Piecewise branches mix {branch_dim} and {d}")
                     return None
                 else:
                     branch_dim = _oracle_join(branch_dim, d)
+            if branch_dim is None and zero_branch:
+                return DIMENSIONLESS
             return branch_dim
         if isinstance(node, ex.Comparison):
             left = self._dim(node.left, report)
             right = self._dim(node.right, report)
-            if left is not None and right is not None and not _oracle_compatible(left, right):
+            zero = _oracle_zero(node.left) or _oracle_zero(node.right)
+            if (left is not None and right is not None and not zero
+                    and not _oracle_compatible(left, right)):
                 report(f"comparison mixes {left} and {right} in {ex.to_text(node)}")
             return DIMENSIONLESS
         raise TypeError(f"not an ExprNode: {node!r}")

@@ -308,6 +308,17 @@ class TestWidthDesign:
         with pytest.raises(NoBracket):
             design_footing_width_ec7(unloaded, "DA1-C1")
 
+    @pytest.mark.parametrize("phi", [1e-17, 1e-300, 1e-9, 5e-324])
+    def test_tiny_friction_angle_designs_as_zero(self, phi):
+        """Below 1e-16 rad N_q rounds under 1; the N_c and s_c seams at
+        1e-8 rad keep the design at its phi = 0 width."""
+        cohesive = dataclasses.replace(SCENARIO, c_prime_k=50.0, phi_prime_k=0.0)
+        at_zero = design_footing_width_ec7(cohesive, "DA1-C1")
+        tiny = design_footing_width_ec7(
+            dataclasses.replace(cohesive, phi_prime_k=phi), "DA1-C1")
+        assert at_zero.B_req == pytest.approx(1.3000244, abs=1e-7)
+        assert (tiny.B_req, tiny.iterations) == (at_zero.B_req, at_zero.iterations)
+
 
 class TestWidthDesignPassesOwnCheck:
     @pytest.mark.parametrize("da", ["DA1-C1", "DA1-C2", "DA2", "DA3"])

@@ -363,6 +363,93 @@ class TestOracleEquivalenceProperty:
         assert by_target["N_gamma"] == pytest.approx(ng, rel=1e-10)
 
 
+# Every variant that reads a friction angle, by the key of that angle.
+DRAINED = [(CATALOG.get_method(card_id), variant, phi_key) for card_id, variant, phi_key in (
+    ("BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip", "phi_prime"),
+    ("BEARING_CAPACITY_TERZAGHI", "general_shear_failure_square", "phi_prime"),
+    ("BEARING_CAPACITY_MEYERHOF", "general_shear_vertical", "phi_prime"),
+    ("BEARING_CAPACITY_VESIC", "general", "phi_prime"),
+    ("BEARING_CAPACITY_EUROCODE7", "drained", "phi_prime_d"),
+)]
+
+# A friction angle in [0, 0.9] rad: log-uniform down to 1e-300, a
+# subnormal, or zero.
+FRICTION_ANGLES = st.one_of(
+    st.floats(-300.0, math.log10(0.9)).map(lambda x: 10.0 ** x),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(0.0, 0.9),
+)
+
+
+def factor(card, variant, phi_key, target, phi):
+    """One factor of a variant's plan at friction angle ``phi``, from the
+    card's own equations for N_q and ``target``."""
+    equations = {eq.target: eq for eq in card.variant(variant).direct}
+    env = {phi_key: phi}
+    env["N_q"] = equations["N_q"].compiled(env)
+    return equations[target].compiled(env)
+
+
+class TestFrictionAngleSeam:
+    """Below about 1e-16 rad N_q rounds to 1 - 2.2e-16, so the closed form
+    (N_q - 1)*cot(phi) of N_c turns negative; the cards take the phi = 0
+    limit below 1e-8 rad."""
+
+    def test_tiny_angle_probe(self):
+        trace = run(TERZAGHI, "general_shear_failure_strip", {
+            "phi_prime": "1e-15 deg", "c_prime": "10 kPa", "gamma": "18 kN/m^3",
+            "B": "2 m", "q": "18 kPa"})
+        assert round(trace.outputs["q_ult"].magnitude, 1) == 69.4
+        at_zero = run(TERZAGHI, "general_shear_failure_strip", {
+            "phi_prime": 0.0, "c_prime": 10.0, "gamma": 18.0, "B": 2.0, "q": 18.0})
+        assert trace.outputs["q_ult"].magnitude == pytest.approx(
+            at_zero.outputs["q_ult"].magnitude, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), phi=FRICTION_ANGLES)
+    def test_q_ult_is_not_negative(self, data, phi):
+        """Non-negative inputs give a non-negative q_ult. c' + q is at least
+        0.1 kPa: with both zero only the N_gamma term is left, whose sign
+        below 1e-16 rad test_n_gamma_sign_below_1e_16_rad pins."""
+        card, variant, phi_key = data.draw(st.sampled_from(DRAINED))
+        c_key = "c_prime_d" if phi_key == "phi_prime_d" else "c_prime"
+        c, q = data.draw(st.sampled_from([(0.0, 0.1), (0.1, 0.0), (None, None)]))
+        B = data.draw(st.floats(0.1, 10.0))
+        inputs = {
+            phi_key: phi,
+            c_key: data.draw(st.floats(0.1, 200.0)) if c is None else c,
+            "q": data.draw(st.floats(0.1, 200.0)) if q is None else q,
+            "gamma": data.draw(st.floats(0.0, 25.0)), "B": B,
+            "L": data.draw(st.floats(B, 50.0)), "D_f": data.draw(st.floats(0.0, 3.0)),
+            "c_u_d": 0.0,
+        }
+        trace = run(card, variant, {k: v for k, v in inputs.items()
+                                    if k in card.input_keys})
+        assert trace.outputs["q_ult"].magnitude >= 0.0
+
+    @pytest.mark.xfail(strict=True, reason="(N_q - 1)*tan(...) is -4e-33 below "
+                       "1e-16 rad, the N_c defect's cause in N_gamma")
+    @pytest.mark.parametrize("card, variant, phi_key",
+                             [d for d in DRAINED if d[0].id in
+                              ("BEARING_CAPACITY_MEYERHOF", "BEARING_CAPACITY_EUROCODE7")],
+                             ids=lambda d: getattr(d, "id", d))
+    def test_n_gamma_sign_below_1e_16_rad(self, card, variant, phi_key):
+        assert factor(card, variant, phi_key, "N_gamma", 1e-17) >= 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(card_variant=st.sampled_from(DRAINED), phi=FRICTION_ANGLES)
+    def test_n_c_never_below_its_value_at_zero(self, card_variant, phi):
+        card, variant, phi_key = card_variant
+        assert (factor(card, variant, phi_key, "N_c", phi)
+                >= factor(card, variant, phi_key, "N_c", 0.0))
+
+    @pytest.mark.parametrize("phi", [1e-8, 1e-12, 1e-17, 1e-300, 5e-324])
+    def test_n_c_takes_the_limit_at_and_below_the_seam(self, phi):
+        for card, variant, phi_key in DRAINED:
+            assert (factor(card, variant, phi_key, "N_c", phi)
+                    == factor(card, variant, phi_key, "N_c", 0.0))
+
+
 def dimensionless_card(card_id, outputs, intermediates, inputs, equations):
     variables = [{"key": k, "name": k, "role": role, "unit": "dimensionless"}
                  for role, keys in (("output", outputs),

@@ -18,7 +18,7 @@ from geocard.errors import (
 )
 
 NQ_TEXT = "exp(pi*tan(phi_prime))*tan(pi/4 + phi_prime/2)**2"
-NC_TEXT = "Piecewise(((N_q - 1)*cot(phi_prime), phi_prime > 0), (5.14, True))"
+NC_TEXT = "Piecewise(((N_q - 1)*cot(phi_prime), phi_prime > 1e-8), (5.14, True))"
 QULT_TEXT = "c_prime*N_c + q*N_q + 0.5*gamma*B*N_gamma"
 
 
@@ -269,7 +269,7 @@ CARD_EXPRESSIONS = [
     "Piecewise((1 + 0.1*K_p*(B/L), phi_prime >= pi/18), (1, True))",
     "(1 - beta/right_angle)**2",
     "1 + 2*tan(phi_prime)*(1 - sin(phi_prime))**2*k_depth",
-    "Piecewise(((s_q*N_q - 1)/(N_q - 1), phi_prime_d > 0), (1 + 0.2*(B/L), True))",
+    "Piecewise(((s_q*N_q - 1)/(N_q - 1), phi_prime_d > 1e-8), (1 + 0.2*(B/L), True))",
     "-a**2*-b - (c + -d)/e_1**-f",
     "Min(a, Max(b, c), 2**3**2)",
     "atan2(y, x) + sqrt(Abs(z))",

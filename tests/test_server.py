@@ -88,7 +88,7 @@ class TestProtocol:
         assert server.handle_message(
             {"jsonrpc": "2.0", "method": "notifications/initialized"}) is None
 
-    @pytest.mark.parametrize("msg_id", [7, "n-7", 0, None])
+    @pytest.mark.parametrize("msg_id", [7, "n-7", 0, 2.5])
     def test_request_named_like_a_notification_gets_a_reply(self, server, msg_id):
         response = server.handle_message(
             rpc("notifications/initialized", msg_id=msg_id))
@@ -144,6 +144,38 @@ class TestProtocol:
     def test_invalid_jsonrpc_envelope(self, server):
         response = server.handle_message({"id": 9, "method": "ping"})
         assert response["error"]["code"] == -32600
+
+    @pytest.mark.parametrize("msg_id", [None, True, False, {"a": 1}, [1], []])
+    def test_id_not_a_string_or_number_is_invalid_with_null_id(self, server, msg_id):
+        """JSON-RPC 2.0 ids are strings or numbers (a bool is neither), and
+        MCP forbids a null request id: no such request is served."""
+        response = server.handle_message(rpc("ping", msg_id=msg_id))
+        assert response == {"jsonrpc": "2.0", "id": None, "error": {
+            "code": -32600, "message": "invalid request"}}
+
+    @pytest.mark.parametrize("method", [5, None, ["ping"], {"m": "ping"}, True])
+    @pytest.mark.parametrize("msg_id", [3, "m-3"])
+    def test_method_not_a_string_is_invalid_with_its_id(self, server, method, msg_id):
+        response = server.handle_message(
+            {"jsonrpc": "2.0", "id": msg_id, "method": method})
+        assert response == {"jsonrpc": "2.0", "id": msg_id, "error": {
+            "code": -32600, "message": "invalid request"}}
+
+    def test_request_without_method_is_invalid(self, server):
+        response = server.handle_message({"jsonrpc": "2.0", "id": 4})
+        assert response["id"] == 4 and response["error"]["code"] == -32600
+
+    @pytest.mark.parametrize("batch", [[rpc("ping", msg_id=1)],
+                                       [rpc("ping", msg_id=1), rpc("ping", msg_id=2)], []])
+    def test_batch_is_one_invalid_request(self, batch):
+        """MCP 2024-11-05, the declared version, has no JSON-RPC batches
+        (and 2025-06-18 removed them), so a batch line is a single -32600
+        with a null id, and no member of it is served."""
+        stdout = io.StringIO()
+        serve(io.StringIO(json.dumps(batch) + "\n"), stdout)
+        assert stdout.getvalue() == (
+            '{"jsonrpc":"2.0","id":null,"error":{"code":-32600,'
+            '"message":"invalid request"}}\n')
 
 
 class TestSchemaGate:
