@@ -434,12 +434,6 @@ def _is_zero(node: ex.ExprNode) -> bool:
     return isinstance(node, ex.Number) and node.value == 0
 
 
-def _mixed_dims(nodes, dims: list) -> list:
-    """The dimensions ``dims`` of ``nodes`` that a mix must agree on: those
-    of the nodes that are not a literal 0, or all when every node is one."""
-    return [d for node, d in zip(nodes, dims) if not _is_zero(node)] or dims
-
-
 def _dim(node: ex.ExprNode, dims: dict, report) -> Dimension | None:
     """The dimension of ``node``, variables' taken from ``dims``; None once
     ``report`` has been called with a finding below it."""
@@ -460,8 +454,10 @@ def _dim(node: ex.ExprNode, dims: dict, report) -> Dimension | None:
         for value, condition in node.branches:
             _dim(condition, dims, report)
             d = _dim(value, dims, report)
-            if d is None or _is_zero(value):
-                zero = zero or d is not None
+            if d is None:
+                continue
+            if _is_zero(value):
+                zero = True
                 continue
             mixed = d if result is None else _mix(result, d)
             if mixed is None:
@@ -519,7 +515,8 @@ def _dim(node: ex.ExprNode, dims: dict, report) -> Dimension | None:
             return args[0] ** 0.5
         if node.func == "Abs":
             return args[0]
-        args = _mixed_dims(node.args, args)  # atan2, Min and Max: the arguments mix
+        # atan2, Min and Max: the arguments that are not a literal 0 mix
+        args = [d for a, d in zip(node.args, args) if not _is_zero(a)] or args
         result = args[0]
         for d in args[1:]:
             mixed = _mix(result, d)

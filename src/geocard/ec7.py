@@ -9,9 +9,10 @@ and the search returns the check made at the width it settles on. The
 card's steps that read neither the width nor the unit weight below the
 base (the bearing capacity factors) are bound once per check or search,
 when the card is staged, and each trial walks only the rest
-(``engine.stage_card``). The check and the search read the Annex D card from the catalog they are
-given, or from the process-wide ``catalog.default_catalog()`` when given
-none, so the catalog is loaded and audited at most once per process.
+(``engine.stage_card``). The check and the search read the Annex D card
+from the catalog they are given, or from the process-wide
+``catalog.default_catalog()`` when given none, so the catalog is loaded
+and audited at most once per process.
 
 Groundwater handling follows standard practice: effective overburden uses
 total stress above the water table and buoyant weight below; the unit

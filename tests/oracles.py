@@ -16,6 +16,7 @@ import math
 # 1e-16 rad N_q rounds below 1, which turns N_c negative.
 PHI_SEAM = 1e-8
 
+
 def nq(phi: float) -> float:
     """N_q = e^(pi tan phi) tan^2(pi/4 + phi/2); phi in radians."""
     return math.exp(math.pi * math.tan(phi)) * math.tan(math.pi / 4 + phi / 2) ** 2

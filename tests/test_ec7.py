@@ -106,9 +106,6 @@ class TestDesignParameters:
         assert design["c_prime_d"] == pytest.approx(8.0)
         assert design["c_u_d"] == pytest.approx(50.0)  # gamma_cu = 1.4
 
-    def test_no_undrained_strength_is_none(self):
-        assert design_parameters("DA1-C2")["c_u_d"] is None
-
 
 class TestDesignAction:
     def test_table_values_at_reference_widths(self):

@@ -161,10 +161,6 @@ class TestProtocol:
         assert response == {"jsonrpc": "2.0", "id": msg_id, "error": {
             "code": -32600, "message": "invalid request"}}
 
-    def test_request_without_method_is_invalid(self, server):
-        response = server.handle_message({"jsonrpc": "2.0", "id": 4})
-        assert response["id"] == 4 and response["error"]["code"] == -32600
-
     @pytest.mark.parametrize("batch", [[rpc("ping", msg_id=1)],
                                        [rpc("ping", msg_id=1), rpc("ping", msg_id=2)], []])
     def test_batch_is_one_invalid_request(self, batch):
