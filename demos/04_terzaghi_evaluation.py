@@ -45,4 +45,4 @@ print("unit-invariant:",
       again.outputs["q_ult"].magnitude == trace.outputs["q_ult"].magnitude)
 
 print("\n--- Markdown report -------------------------------------------")
-print(render_report(trace, card))
+print(render_report(trace))

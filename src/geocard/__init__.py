@@ -56,8 +56,7 @@ from .units import (  # noqa: F401
 _LAZY = {
     **dict.fromkeys((
         "FootingScenario", "PartialFactorSet", "UlsCheckResult",
-        "check_footing_uls_ec7", "compute_design_action",
-        "design_footing_width_ec7",
+        "check_footing_uls_ec7", "design_footing_width_ec7",
         "get_ec7_preset_partials", "load_bundled_scenario", "load_scenario",
     ), "ec7"),
     **dict.fromkeys((

@@ -161,7 +161,7 @@ def cmd_eval(args) -> int:
         print(trace.to_json())
     else:
         from .report import render_report
-        print(render_report(trace, card))
+        print(render_report(trace))
     return 0
 
 

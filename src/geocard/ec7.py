@@ -181,31 +181,6 @@ def bundled_scenario_path(name: str = "jrc_a3") -> str:
     return str(DATA_DIR / "scenarios" / f"{name}.json")
 
 
-# ------------------------------------------------------------ groundwater ----
-
-def effective_overburden(scenario: FootingScenario, gamma_d: float) -> float:
-    """Design effective overburden pressure at founding level (kPa)."""
-    if scenario.surcharge_model == "none":
-        return 0.0
-    d_w = scenario.groundwater_depth
-    depth = scenario.D_f
-    if d_w >= depth:
-        return gamma_d * depth
-    return gamma_d * d_w + (gamma_d - GAMMA_WATER) * (depth - d_w)
-
-
-def effective_unit_weight_below_base(scenario: FootingScenario,
-                                     gamma_d: float, B: float) -> float:
-    """Unit weight for the self-weight term, water-table interpolated."""
-    below = scenario.groundwater_depth - scenario.D_f
-    buoyant = gamma_d - GAMMA_WATER
-    if below <= 0:
-        return buoyant
-    if below >= B:
-        return gamma_d
-    return buoyant + (below / B) * (gamma_d - buoyant)
-
-
 # ------------------------------------------------------------- ULS check ----
 
 # Not frozen: one is built per width-search trial, and a frozen __init__ is slow.
@@ -248,13 +223,6 @@ class UlsCheckResult:
         }
 
 
-def compute_design_action(scenario: FootingScenario, pf: PartialFactorSet,
-                          B: float) -> float:
-    """V_d = gamma_G (G_k,col + W) + gamma_Q Q_k with W = gamma_sw B D_f L."""
-    W = scenario.gamma_sw * B * scenario.D_f * scenario.L
-    return pf.gamma_G * (scenario.G_k_col + W) + pf.gamma_Q * scenario.Q_k
-
-
 def _uls_checker(scenario: FootingScenario, design_approach: str,
                  catalog: Catalog | None, drainage: str
                  ) -> Callable[[float], UlsCheckResult]:
@@ -263,23 +231,38 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
     The design values do not depend on the width, so they are computed once
     here, into the dict the result shows as ``design_parameters``:
     phi'_d = atan(tan(phi'_k)/gamma_phi), the cohesions and the unit weight
-    divided by their factors, and the overburden q'_d. Only an unknown
-    Design Approach raises before a width is given, which is the check's
-    first error anyway. The first trial that passes the width checks looks
-    up the card, checks the drainage and stages the card's variant from
-    that dict with ``gamma`` and ``B`` free (``engine.stage_card``), which
-    binds the steps that read neither, the bearing capacity factors, once.
-    The errors are those of a full ``evaluate_card`` per trial, in the same
-    order: the width, the card lookup, the drainage, then the evaluation.
+    divided by their factors, and the effective overburden q'_d at founding
+    level (total weight above the water table, buoyant below; 0 under the
+    "none" surcharge model). Each trial adds gamma_eff, the unit weight
+    below the base (buoyant with the water table at or above the base,
+    total once it lies B' or more below, linear between), and the design
+    action V_d = gamma_G (G_k,col + gamma_sw B D_f L) + gamma_Q Q_k on the
+    full width. Only an unknown Design Approach raises before a width is
+    given, which is the check's first error anyway. The first trial that
+    passes the width checks looks up the card, checks the drainage and
+    stages the card's variant from that dict with ``gamma`` and ``B`` free
+    (``engine.stage_card``), which binds the steps that read neither, the
+    bearing capacity factors, once. The errors are those of a full
+    ``evaluate_card`` per trial, in the same order: the width, the card
+    lookup, the drainage, then the evaluation.
     """
     pf = get_ec7_preset_partials(design_approach)
     gamma_d = scenario.gamma_k / pf.gamma_gamma
+    buoyant = gamma_d - GAMMA_WATER
+    d_w, D_f = scenario.groundwater_depth, scenario.D_f
+    if scenario.surcharge_model == "none":
+        q_d = 0.0
+    elif d_w >= D_f:
+        q_d = gamma_d * D_f
+    else:
+        q_d = gamma_d * d_w + buoyant * (D_f - d_w)
+    below = d_w - D_f  # depth of the water table below the base
     design = {
         "phi_prime_d": math.atan(math.tan(scenario.phi_prime_k) / pf.gamma_phi),
         "c_prime_d": scenario.c_prime_k / pf.gamma_c,
         "c_u_d": None if scenario.c_u_k is None else scenario.c_u_k / pf.gamma_cu,
         "gamma_d": gamma_d,
-        "q_d": effective_overburden(scenario, gamma_d),
+        "q_d": q_d,
     }
     staged = None
 
@@ -306,10 +289,16 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
                 "q": design["q_d"],
                 "L": scenario.L,
             }, ("gamma", "B"))
-        gamma_eff = effective_unit_weight_below_base(scenario, gamma_d, B_eff)
+        if below <= 0:
+            gamma_eff = buoyant
+        elif below >= B_eff:
+            gamma_eff = gamma_d
+        else:
+            gamma_eff = buoyant + (below / B_eff) * (gamma_d - buoyant)
         trace = staged({"gamma": gamma_eff, "B": B_eff})
         R_d = trace.outputs["q_ult"].magnitude * B_eff * scenario.L / pf.gamma_R
-        V_d = compute_design_action(scenario, pf, B)
+        W = scenario.gamma_sw * B * D_f * scenario.L
+        V_d = pf.gamma_G * (scenario.G_k_col + W) + pf.gamma_Q * scenario.Q_k
         for label, value in (("V_d", V_d), ("R_d", R_d)):
             if not math.isfinite(value):  # float arithmetic overflows silently
                 raise NonFiniteValue(label)

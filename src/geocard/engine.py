@@ -88,18 +88,6 @@ class EvaluationTrace(Record):
         self.diagnostics = diagnostics
 
     @property
-    def card_id(self) -> str:
-        return self.card.id
-
-    @property
-    def variant_id(self) -> str:
-        return self.variant.id
-
-    @property
-    def sources(self) -> tuple:
-        return self.card.sources
-
-    @property
     def steps(self) -> tuple:
         """The steps as wire dicts, built from the bound values on each read:
         each direct target is bound once and no given is a target, and the
@@ -123,8 +111,8 @@ class EvaluationTrace(Record):
         """Canonical serialization: request, steps, outputs, sources, diagnostics."""
         return {
             "request": {
-                "card": self.card_id,
-                "variant": self.variant_id,
+                "card": self.card.id,
+                "variant": self.variant.id,
                 "inputs": {k: _echo_value(self.request_inputs[k])
                            for k in sorted(self.request_inputs)},
                 "overrides": {k: _echo_value(self.request_overrides[k])
@@ -136,7 +124,7 @@ class EvaluationTrace(Record):
                 for k in sorted(self.outputs)
             },
             "sources": [
-                {"title": s.title, "url": s.url} for s in self.sources
+                {"title": s.title, "url": s.url} for s in self.card.sources
             ],
             "diagnostics": self.diagnostics,
         }

@@ -8,7 +8,6 @@ so the reference list is generated, not hand-maintained.
 
 from __future__ import annotations
 
-from .cards import MethodCard
 from .engine import EvaluationTrace
 
 
@@ -24,14 +23,13 @@ def format_sig(value: float) -> str:
     return text
 
 
-def render_report(trace: EvaluationTrace, card: MethodCard) -> str:
-    """Render a trace as a Markdown calculation report."""
-    variant = card.variant(trace.variant_id)
+def render_report(trace: EvaluationTrace) -> str:
+    """Render a trace as a Markdown calculation report of its card."""
+    card, variant = trace.card, trace.variant
     lines = [
         f"# {card.title}",
         "",
-        f"Method card: `{card.id}`, variant `{trace.variant_id}`"
-        + (f" ({variant.title})" if variant else ""),
+        f"Method card: `{card.id}`, variant `{variant.id}` ({variant.title})",
         "",
         "## Inputs",
         "",
@@ -84,7 +82,7 @@ def render_report(trace: EvaluationTrace, card: MethodCard) -> str:
         lines += [f"- {a}" for a in card.applicability]
 
     lines += ["", "## Sources", ""]
-    for i, source in enumerate(trace.sources, start=1):
+    for i, source in enumerate(card.sources, start=1):
         entry = f"{i}. {source.title}"
         if source.url:
             entry += f" <{source.url}>"

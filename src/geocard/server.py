@@ -74,6 +74,17 @@ def _schema(properties: dict, required: list) -> dict:
     }
 
 
+# The arguments of geo_evaluate and geo_evaluate_with_units.
+_EVALUATE_SCHEMA = _schema(
+    {
+        "card": {"type": "string"},
+        "variant": {"type": "string"},
+        "inputs": {"type": "object"},
+        "overrides": {"type": "object"},
+    },
+    ["card", "variant", "inputs"])
+
+
 TOOLS: list[dict] = [
     {
         "name": "geo_list_methods",
@@ -96,14 +107,7 @@ TOOLS: list[dict] = [
         "description": "Evaluate a card variant with numeric inputs already "
                        "normalized to the card's declared units. Returns the "
                        "full evaluation trace.",
-        "inputSchema": _schema(
-            {
-                "card": {"type": "string"},
-                "variant": {"type": "string"},
-                "inputs": {"type": "object"},
-                "overrides": {"type": "object"},
-            },
-            ["card", "variant", "inputs"]),
+        "inputSchema": _EVALUATE_SCHEMA,
     },
     {
         "name": "geo_evaluate_with_units",
@@ -111,14 +115,7 @@ TOOLS: list[dict] = [
                        "inputs (e.g. \"30 deg\"); values are converted to "
                        "the card's units before evaluation. Returns the full "
                        "evaluation trace.",
-        "inputSchema": _schema(
-            {
-                "card": {"type": "string"},
-                "variant": {"type": "string"},
-                "inputs": {"type": "object"},
-                "overrides": {"type": "object"},
-            },
-            ["card", "variant", "inputs"]),
+        "inputSchema": _EVALUATE_SCHEMA,
     },
     {
         "name": "geo_list_skills",

@@ -21,7 +21,6 @@ from conftest import record_criterion
 from geocard.catalog import load_catalog
 from geocard.ec7 import (
     check_footing_uls_ec7,
-    compute_design_action,
     design_footing_width_ec7,
     get_ec7_preset_partials,
     load_bundled_scenario,
@@ -106,8 +105,7 @@ def test_criterion_3_design_actions():
                  ("DA2", 1.21, 7160.11),
                  ("DA3", 1.74, 7590.75)]
         for approach, width, expected in cases:
-            pf = get_ec7_preset_partials(approach)
-            got = compute_design_action(SCENARIO, pf, width)
+            got = check_footing_uls_ec7(SCENARIO, approach, width).V_d
             assert got == pytest.approx(expected, abs=0.02), approach
         implied = (5661.00 - 1.0 * SCENARIO.G_k_col - 1.3 * SCENARIO.Q_k) / (
             1.0 * 1.50 * SCENARIO.D_f * SCENARIO.L)

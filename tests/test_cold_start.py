@@ -24,8 +24,7 @@ EXPORTS = {
               "VariantSpec", "load_card", "validate_dimensions"],
     "catalog": ["Catalog", "default_catalog", "load_catalog"],
     "ec7": ["FootingScenario", "PartialFactorSet", "UlsCheckResult",
-            "check_footing_uls_ec7", "compute_design_action",
-            "design_footing_width_ec7",
+            "check_footing_uls_ec7", "design_footing_width_ec7",
             "get_ec7_preset_partials", "load_bundled_scenario", "load_scenario"],
     "engine": ["EvaluationRequest", "EvaluationTrace", "evaluate_card",
                "normalize_inputs"],

@@ -23,10 +23,7 @@ from geocard.ec7 import (
     WidthDesignResult,
     UlsCheckResult,
     check_footing_uls_ec7,
-    compute_design_action,
     design_footing_width_ec7,
-    effective_overburden,
-    effective_unit_weight_below_base,
     get_ec7_preset_partials,
     bundled_scenario_path,
     load_bundled_scenario,
@@ -117,9 +114,9 @@ class TestDesignAction:
         DA3 actions at their reference widths, a three-way consistency
         check across independent rows.
         """
-        da12 = compute_design_action(SCENARIO, get_ec7_preset_partials("DA1-C2"), 1.50)
-        da2 = compute_design_action(SCENARIO, get_ec7_preset_partials("DA2"), 1.21)
-        da3 = compute_design_action(SCENARIO, get_ec7_preset_partials("DA3"), 1.74)
+        da12 = check_footing_uls_ec7(SCENARIO, "DA1-C2", 1.50).V_d
+        da2 = check_footing_uls_ec7(SCENARIO, "DA2", 1.21).V_d
+        da3 = check_footing_uls_ec7(SCENARIO, "DA3", 1.74).V_d
         assert da12 == pytest.approx(5661.00, abs=0.02)
         assert da2 == pytest.approx(7160.11, abs=0.02)
         assert da3 == pytest.approx(7590.75, abs=0.02)
@@ -131,14 +128,14 @@ class TestDesignAction:
                        pf.gamma_G * 1.50 * SCENARIO.D_f * SCENARIO.L)
         assert implied == pytest.approx(18.75, abs=1e-4)
 
-    def test_null_factoring(self):
-        pf = get_ec7_preset_partials("DA1-C2")
-        zeroed = pf.__class__(**{**pf.__dict__, "gamma_G": 0.0, "gamma_Q": 0.0})
-        assert compute_design_action(SCENARIO, zeroed, 1.5) == 0.0
+    def test_zero_loads(self):
+        unloaded = dataclasses.replace(SCENARIO, G_k_col=0.0, Q_k=0.0,
+                                       gamma_sw=0.0)
+        assert check_footing_uls_ec7(unloaded, "DA1-C2", 1.5).V_d == 0.0
 
     def test_matches_oracle_formula(self):
         pf = get_ec7_preset_partials("DA3")
-        got = compute_design_action(SCENARIO, pf, 1.3)
+        got = check_footing_uls_ec7(SCENARIO, "DA3", 1.3).V_d
         want = oracles.design_action(SCENARIO.G_k_col, SCENARIO.Q_k,
                                      SCENARIO.gamma_sw, 1.3, SCENARIO.D_f,
                                      SCENARIO.L, pf.gamma_G, pf.gamma_Q)
@@ -146,41 +143,41 @@ class TestDesignAction:
 
 
 class TestGroundwaterModel:
-    def _scenario(self, **overrides):
+    def _design(self, **overrides):
+        """q'_d and gamma_eff of a DA1-C1 check at B = 2 m, where
+        gamma_d = gamma_k = 20 kN/m^3 and B' = B."""
         base = dict(L=20.0, D_f=1.5, phi_prime_k=math.radians(35),
                     c_prime_k=0.0, gamma_k=20.0, groundwater_depth=2.5,
                     G_k_col=1000.0, Q_k=200.0, gamma_sw=25.0)
         base.update(overrides)
-        return FootingScenario(**base)
+        design = check_footing_uls_ec7(FootingScenario(**base), "DA1-C1",
+                                       2.0).design_parameters
+        return design["q_d"], design["gamma_eff"]
 
     def test_water_below_influence_zone(self):
-        scn = self._scenario(groundwater_depth=100.0)
-        assert effective_overburden(scn, 20.0) == pytest.approx(30.0)
-        assert effective_unit_weight_below_base(scn, 20.0, 2.0) == 20.0
+        q_d, gamma_eff = self._design(groundwater_depth=100.0)
+        assert q_d == pytest.approx(30.0)
+        assert gamma_eff == 20.0
 
     def test_water_at_base(self):
-        scn = self._scenario(groundwater_depth=1.5)
-        assert effective_overburden(scn, 20.0) == pytest.approx(30.0)
-        assert effective_unit_weight_below_base(scn, 20.0, 2.0) == \
-            pytest.approx(20.0 - 9.81)
+        q_d, gamma_eff = self._design(groundwater_depth=1.5)
+        assert q_d == pytest.approx(30.0)
+        assert gamma_eff == pytest.approx(20.0 - 9.81)
 
     def test_water_above_base(self):
-        scn = self._scenario(groundwater_depth=0.5)
+        q_d, gamma_eff = self._design(groundwater_depth=0.5)
         # 0.5 m total + 1.0 m buoyant
-        assert effective_overburden(scn, 20.0) == pytest.approx(
-            20.0 * 0.5 + (20.0 - 9.81) * 1.0)
-        assert effective_unit_weight_below_base(scn, 20.0, 2.0) == \
-            pytest.approx(10.19)
+        assert q_d == pytest.approx(20.0 * 0.5 + (20.0 - 9.81) * 1.0)
+        assert gamma_eff == pytest.approx(10.19)
 
     def test_water_within_one_width_interpolates(self):
-        scn = self._scenario(groundwater_depth=2.5)  # 1.0 m below base
-        got = effective_unit_weight_below_base(scn, 20.0, 2.0)
+        _, gamma_eff = self._design(groundwater_depth=2.5)  # 1.0 m below base
         buoyant = 20.0 - 9.81
-        assert got == pytest.approx(buoyant + 0.5 * (20.0 - buoyant))
+        assert gamma_eff == pytest.approx(buoyant + 0.5 * (20.0 - buoyant))
 
     def test_surcharge_none_model(self):
-        scn = self._scenario(surcharge_model="none")
-        assert effective_overburden(scn, 20.0) == 0.0
+        q_d, _ = self._design(surcharge_model="none")
+        assert q_d == 0.0
 
 
 class TestUlsCheck:
@@ -195,7 +192,7 @@ class TestUlsCheck:
     def test_trace_is_embedded_with_sources(self):
         result = check_footing_uls_ec7(SCENARIO, "DA2", 1.3)
         assert result.trace.steps
-        assert any("EN 1997-1" in s.title for s in result.trace.sources)
+        assert any("EN 1997-1" in s.title for s in result.trace.card.sources)
 
     def test_utilization_definitional_identity(self):
         result = check_footing_uls_ec7(SCENARIO, "DA1-C2", 1.2)
@@ -517,6 +514,30 @@ class TestDefaultCatalog:
 _DesignSoil = collections.namedtuple("_DesignSoil", "phi_prime c_prime gamma c_u")
 
 
+def _effective_overburden(scenario, gamma_d):
+    """Design effective overburden pressure at founding level, as first
+    written."""
+    if scenario.surcharge_model == "none":
+        return 0.0
+    d_w = scenario.groundwater_depth
+    depth = scenario.D_f
+    if d_w >= depth:
+        return gamma_d * depth
+    return gamma_d * d_w + (gamma_d - 9.81) * (depth - d_w)
+
+
+def _unit_weight_below_base(scenario, gamma_d, B):
+    """The water-table interpolated unit weight below the base, as first
+    written."""
+    below = scenario.groundwater_depth - scenario.D_f
+    buoyant = gamma_d - 9.81
+    if below <= 0:
+        return buoyant
+    if below >= B:
+        return gamma_d
+    return buoyant + (below / B) * (gamma_d - buoyant)
+
+
 def _reference_check(scenario, design_approach, B, catalog=None,
                      drainage="drained"):
     """The ULS check as first written: one full evaluate_card of the
@@ -527,7 +548,7 @@ def _reference_check(scenario, design_approach, B, catalog=None,
         c_prime=scenario.c_prime_k / pf.gamma_c,
         gamma=scenario.gamma_k / pf.gamma_gamma,
         c_u=None if scenario.c_u_k is None else scenario.c_u_k / pf.gamma_cu)
-    q_d = effective_overburden(scenario, design.gamma)
+    q_d = _effective_overburden(scenario, design.gamma)
     if B <= 0:
         raise InvalidGeometry(f"width must be positive, got {B:g}")
     B_eff = B - 2.0 * scenario.e
@@ -535,7 +556,7 @@ def _reference_check(scenario, design_approach, B, catalog=None,
         raise InvalidGeometry(
             f"effective width B - 2e = {B_eff:g} m is not positive")
     card = (catalog or default_catalog()).get_method(EC7_CARD_ID)
-    gamma_eff = effective_unit_weight_below_base(scenario, design.gamma, B_eff)
+    gamma_eff = _unit_weight_below_base(scenario, design.gamma, B_eff)
     if drainage not in ("drained", "undrained"):
         raise SchemaError("$.drainage", "must be 'drained' or 'undrained'")
     if drainage == "undrained" and design.c_u is None:
@@ -551,7 +572,9 @@ def _reference_check(scenario, design_approach, B, catalog=None,
     }
     trace = evaluate_card(card, EvaluationRequest(EC7_CARD_ID, drainage, inputs))
     R_d = trace.outputs["q_ult"].magnitude * B_eff * scenario.L / pf.gamma_R
-    V_d = compute_design_action(scenario, pf, B)
+    V_d = oracles.design_action(scenario.G_k_col, scenario.Q_k,
+                                scenario.gamma_sw, B, scenario.D_f,
+                                scenario.L, pf.gamma_G, pf.gamma_Q)
     for label, value in (("V_d", V_d), ("R_d", R_d)):
         if not math.isfinite(value):
             raise NonFiniteValue(label)

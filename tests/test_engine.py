@@ -158,7 +158,7 @@ class TestTraceContract:
     def test_trace_carries_sources(self):
         trace = run(TERZAGHI, "general_shear_failure_strip",
                     TERZAGHI_STRIP_INPUTS)
-        assert any("Terzaghi" in s.title for s in trace.sources)
+        assert any("Terzaghi" in s.title for s in trace.card.sources)
 
     def test_step_inputs_are_resolved_values(self):
         trace = run(TERZAGHI, "general_shear_failure_strip",

@@ -91,12 +91,12 @@ def golden_cases() -> dict:
                 card_id, variant, inputs, overrides))
             name = f"{card_id}/{variant}/{number}"
             cases[f"trace/{name}"] = trace.to_json()
-            cases[f"report/{name}"] = render_report(trace, card)
+            cases[f"report/{name}"] = render_report(trace)
 
     cyclic = load_card(CYCLIC_CARD)
     trace = evaluate_card(cyclic, EvaluationRequest(cyclic.id, "base", {"a": 1.0}))
     cases["trace/TEST_CYCLE/base"] = trace.to_json()
-    cases["report/TEST_CYCLE/base"] = render_report(trace, cyclic)
+    cases["report/TEST_CYCLE/base"] = render_report(trace)
 
     domain = json.loads(CYCLIC_CARD)
     domain["id"] = "TEST_FAULT"
