@@ -136,15 +136,20 @@ def cmd_validate(args) -> int:
 # --------------------------------------------------------------------- eval ----
 
 def _parse_kv(pairs: list[str], label: str) -> "dict | None":
-    """The KEY=VALUE pairs as a dict, or None after a usage error."""
+    """The KEY=VALUE pairs as a dict, or None after a usage error: a pair
+    that is not KEY=VALUE, or a key given twice."""
     out = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
-        if not sep or not key.strip():
+        key = key.strip()
+        if not sep or not key:
             print(f"usage error: {label} must be KEY=VALUE, got {pair!r}",
                   file=sys.stderr)
             return None
-        out[key.strip()] = value.strip()
+        if key in out:
+            print(f"usage error: {label} gives {key!r} twice", file=sys.stderr)
+            return None
+        out[key] = value.strip()
     return out
 
 

@@ -11,9 +11,10 @@ import math
 
 # ------------------------------------------------------ bearing factors ----
 
-# Below this friction angle (rad) N_c and EC7's s_c take their phi = 0
-# limits: (N_q - 1) cancels to rounding noise there, and under about
-# 1e-16 rad N_q rounds below 1, which turns N_c negative.
+# Below this friction angle (rad) N_c, EC7's s_c and the (N_q - 1) forms
+# of N_gamma take their phi = 0 limits: (N_q - 1) cancels to rounding
+# noise there, and under about 1e-16 rad N_q rounds below 1, which turns
+# N_c and those N_gamma negative.
 PHI_SEAM = 1e-8
 
 
@@ -34,7 +35,7 @@ def ec7_factors(phi: float) -> tuple:
     """(N_q, N_c, N_gamma) per EN 1997-1 Annex D (rough base)."""
     Nq = nq(phi)
     Nc = (Nq - 1.0) * (math.cos(phi) / math.sin(phi)) if phi > PHI_SEAM else math.pi + 2.0
-    Ng = 2.0 * (Nq - 1.0) * math.tan(phi)
+    Ng = 2.0 * (Nq - 1.0) * math.tan(phi) if phi > PHI_SEAM else 0.0
     return Nq, Nc, Ng
 
 
@@ -42,7 +43,7 @@ def meyerhof_factors(phi: float) -> tuple:
     """(N_q, N_c, N_gamma) with Meyerhof's N_gamma = (N_q - 1) tan(1.4 phi)."""
     Nq = nq(phi)
     Nc = (Nq - 1.0) * (math.cos(phi) / math.sin(phi)) if phi > PHI_SEAM else 5.14
-    Ng = (Nq - 1.0) * math.tan(1.4 * phi)
+    Ng = (Nq - 1.0) * math.tan(1.4 * phi) if phi > PHI_SEAM else 0.0
     return Nq, Nc, Ng
 
 

@@ -479,6 +479,18 @@ class TestUsage:
         assert captured.err == \
             f"usage error: {flag} must be KEY=VALUE, got {pair!r}\n"
 
+    @pytest.mark.parametrize("args", [
+        ["--in", "B=3 m"], ["--in", " B =3 m"],
+        ["--override", "k=1", "--override", "k =2"],
+    ])
+    def test_repeated_key_is_usage_error(self, args, capsys):
+        """A key given twice is not resolved by the last one winning."""
+        flag, key = args[-2], args[-1].partition("=")[0].strip()
+        assert main(TERZAGHI_EVAL + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: {flag} gives {key!r} twice\n"
+
 
 class TestFormatSig:
     """Reports print 4 significant figures, in plain notation from 1e-4

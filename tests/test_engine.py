@@ -392,8 +392,8 @@ def factor(card, variant, phi_key, target, phi):
 
 class TestFrictionAngleSeam:
     """Below about 1e-16 rad N_q rounds to 1 - 2.2e-16, so the closed form
-    (N_q - 1)*cot(phi) of N_c turns negative; the cards take the phi = 0
-    limit below 1e-8 rad."""
+    (N_q - 1)*cot(phi) of N_c, and the (N_q - 1)*tan(...) forms of N_gamma,
+    turn negative; the cards take the phi = 0 limit below 1e-8 rad."""
 
     def test_tiny_angle_probe(self):
         trace = run(TERZAGHI, "general_shear_failure_strip", {
@@ -408,12 +408,12 @@ class TestFrictionAngleSeam:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), phi=FRICTION_ANGLES)
     def test_q_ult_is_not_negative(self, data, phi):
-        """Non-negative inputs give a non-negative q_ult. c' + q is at least
-        0.1 kPa: with both zero only the N_gamma term is left, whose sign
-        below 1e-16 rad test_n_gamma_sign_below_1e_16_rad pins."""
+        """Non-negative inputs give a non-negative q_ult, also with c' = q = 0,
+        where only the N_gamma term is left."""
         card, variant, phi_key = data.draw(st.sampled_from(DRAINED))
         c_key = "c_prime_d" if phi_key == "phi_prime_d" else "c_prime"
-        c, q = data.draw(st.sampled_from([(0.0, 0.1), (0.1, 0.0), (None, None)]))
+        c, q = data.draw(st.sampled_from(
+            [(0.0, 0.0), (0.0, 0.1), (0.1, 0.0), (None, None)]))
         B = data.draw(st.floats(0.1, 10.0))
         inputs = {
             phi_key: phi,
@@ -427,8 +427,6 @@ class TestFrictionAngleSeam:
                                     if k in card.input_keys})
         assert trace.outputs["q_ult"].magnitude >= 0.0
 
-    @pytest.mark.xfail(strict=True, reason="(N_q - 1)*tan(...) is -4e-33 below "
-                       "1e-16 rad, the N_c defect's cause in N_gamma")
     @pytest.mark.parametrize("card, variant, phi_key",
                              [d for d in DRAINED if d[0].id in
                               ("BEARING_CAPACITY_MEYERHOF", "BEARING_CAPACITY_EUROCODE7")],
