@@ -4,6 +4,10 @@ Every failure mode a caller is expected to handle has its own class and
 ``code``, so tool layers (CLI, MCP server) can map errors to structured
 payloads without string matching. An error carries only its code and its
 message, plus the failing step and partial trace the engine attaches.
+
+Each class states its message as a ``message`` template, which
+``str.format`` fills with the constructor's arguments in the order the
+raise sites pass them; the base template ``"{}"`` takes a finished text.
 """
 
 from __future__ import annotations
@@ -18,8 +22,12 @@ class GeocardError(Exception):
     """
 
     code = "error"
+    message = "{}"
     partial_trace = None
     failed_step = None
+
+    def __init__(self, *args):
+        super().__init__(self.message.format(*args))
 
     def payload(self) -> dict:
         """Structured form used by the CLI and server error paths."""
@@ -31,42 +39,42 @@ class GeocardError(Exception):
         return body
 
 
+class _SortedKeys(GeocardError):
+    """An error about a set of keys, listed sorted and comma-separated."""
+
+    def __init__(self, keys):
+        super().__init__(", ".join(sorted(keys)))
+
+
 # ---------------------------------------------------------------- units ----
 
 class UnknownUnit(GeocardError):
     code = "unknown_unit"
-
-    def __init__(self, name: str):
-        super().__init__(f"unknown unit: {name!r}")
+    message = "unknown unit: {!r}"
 
 
 class MalformedQuantity(GeocardError):
     code = "malformed_quantity"
-
-    def __init__(self, text: str):
-        super().__init__(f"cannot parse quantity from {text!r}")
+    message = "cannot parse quantity from {!r}"
 
 
 class DimensionMismatch(GeocardError):
     code = "dimension_mismatch"
+    # source, target, then " (context)" or ""
+    message = "incompatible dimensions: {} vs {}{}"
 
     def __init__(self, source, target, context: str = ""):
-        where = f" ({context})" if context else ""
-        super().__init__(f"incompatible dimensions: {source} vs {target}{where}")
+        super().__init__(source, target, f" ({context})" if context else "")
 
 
-class MissingUnit(GeocardError):
+class MissingUnit(_SortedKeys):
     code = "missing_unit"
-
-    def __init__(self, keys):
-        super().__init__(f"value(s) need a unit tag: {', '.join(sorted(keys))}")
+    message = "value(s) need a unit tag: {}"
 
 
 class NonFiniteValue(GeocardError):
     code = "non_finite_value"
-
-    def __init__(self, key: str):
-        super().__init__(f"{key!r} is not a finite number")
+    message = "{!r} is not a finite number"
 
 
 # ----------------------------------------------------------- expressions ----
@@ -77,30 +85,22 @@ class ExpressionError(GeocardError):
 
 class ParseError(ExpressionError):
     code = "parse_error"
-
-    def __init__(self, position: int, message: str):
-        super().__init__(f"parse error at position {position}: {message}")
+    message = "parse error at position {}: {}"  # position, what went wrong
 
 
 class DisallowedFunction(ExpressionError):
     code = "disallowed_function"
-
-    def __init__(self, name: str):
-        super().__init__(f"function not in allowlist: {name!r}")
+    message = "function not in allowlist: {!r}"
 
 
 class DisallowedSyntax(ExpressionError):
     code = "disallowed_syntax"
-
-    def __init__(self, description: str):
-        super().__init__(f"disallowed syntax: {description}")
+    message = "disallowed syntax: {}"
 
 
 class UnboundSymbol(ExpressionError):
     code = "unbound_symbol"
-
-    def __init__(self, name: str):
-        super().__init__(f"symbol {name!r} is not bound in the environment")
+    message = "symbol {!r} is not bound in the environment"
 
 
 class MathDomain(ExpressionError):
@@ -109,92 +109,69 @@ class MathDomain(ExpressionError):
 
 class NoBranchTaken(ExpressionError):
     code = "no_branch_taken"
-
-    def __init__(self):
-        super().__init__("no Piecewise condition evaluated to true")
+    message = "no Piecewise condition evaluated to true"
 
 
 # ------------------------------------------------------------------ cards ----
 
 class SchemaError(GeocardError):
     code = "schema_error"
-
-    def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+    message = "{}: {}"  # JSON path, what is wrong there
 
 
 class UndeclaredSymbol(GeocardError):
     code = "undeclared_symbol"
-
-    def __init__(self, target: str, symbol: str):
-        super().__init__(
-            f"equation for {target!r} references undeclared symbol {symbol!r}"
-        )
+    # target, symbol
+    message = "equation for {!r} references undeclared symbol {!r}"
 
 
 class DuplicateKey(GeocardError):
     code = "duplicate_key"
-
-    def __init__(self, key: str, where: str):
-        super().__init__(f"duplicate key {key!r} in {where}")
+    message = "duplicate key {!r} in {}"  # key, where
 
 
 # ----------------------------------------------------------------- engine ----
 
-class MissingInput(GeocardError):
+class MissingInput(_SortedKeys):
     code = "missing_input"
-
-    def __init__(self, keys):
-        super().__init__(f"missing required input(s): {', '.join(sorted(keys))}")
+    message = "missing required input(s): {}"
 
 
-class UnexpectedInput(GeocardError):
+class UnexpectedInput(_SortedKeys):
     code = "unexpected_input"
-
-    def __init__(self, keys):
-        super().__init__(f"unexpected input key(s): {', '.join(sorted(keys))}")
+    message = "unexpected input key(s): {}"
 
 
 class UnresolvedVariable(GeocardError):
     code = "unresolved_variable"
-
-    def __init__(self, key: str, variant_id: str, target: str):
-        super().__init__(
-            f"variable {key!r}, needed for {target!r} in variant "
-            f"{variant_id!r}, is neither given nor produced by an equation")
+    # key, variant id, target
+    message = ("variable {0!r}, needed for {2!r} in variant {1!r}, "
+               "is neither given nor produced by an equation")
 
 
 class NonConvergence(GeocardError):
     code = "non_convergence"
-
-    def __init__(self, search: str, iterations: int, measure: str, value: float):
-        super().__init__(f"{search} did not converge after {iterations} "
-                         f"iterations ({measure} {value:.3e})")
+    # search, iterations, measure, value
+    message = "{} did not converge after {} iterations ({} {:.3e})"
 
 
 # ---------------------------------------------------------------- catalog ----
 
 class UnknownMethod(GeocardError):
     code = "unknown_method"
-
-    def __init__(self, card_id: str):
-        super().__init__(f"unknown method card: {card_id!r}")
+    message = "unknown method card: {!r}"
 
 
 class UnknownVariant(GeocardError):
     code = "unknown_variant"
-
-    def __init__(self, card_id: str, variant_id: str):
-        super().__init__(f"card {card_id!r} has no variant {variant_id!r}")
+    message = "card {!r} has no variant {!r}"  # card id, variant id
 
 
 # -------------------------------------------------------------------- ec7 ----
 
 class UnknownDesignApproach(GeocardError):
     code = "unknown_design_approach"
-
-    def __init__(self, label: str):
-        super().__init__(f"unknown design approach: {label!r}")
+    message = "unknown design approach: {!r}"
 
 
 class InvalidGeometry(GeocardError):
@@ -203,11 +180,8 @@ class InvalidGeometry(GeocardError):
 
 class NoBracket(GeocardError):
     code = "no_bracket"
-
-    def __init__(self, lo: float, hi: float):
-        super().__init__(
-            f"utilization does not cross 1.0 for widths in [{lo:g} m, {hi:g} m]"
-        )
+    # lowest and highest width tried, in m
+    message = "utilization does not cross 1.0 for widths in [{:g} m, {:g} m]"
 
 
 # ------------------------------------------------------------------ skills ----
@@ -218,6 +192,4 @@ class InvalidQuery(GeocardError, ValueError):
 
 class UnknownSkill(GeocardError):
     code = "unknown_skill"
-
-    def __init__(self, name: str):
-        super().__init__(f"unknown skill: {name!r}")
+    message = "unknown skill: {!r}"
