@@ -287,7 +287,8 @@ def load_card(json_text: str) -> MethodCard:
         key, role = entry["key"], entry["role"]
         if not _KEY_RE.match(key):
             raise SchemaError(f"{path}.key", f"{key!r} is not a valid symbol")
-        if key in ex.CONSTANTS or key == "True" or key in ex.ALLOWED_FUNCTIONS:
+        if (key in ex.CONSTANTS or key == "True" or key in ex.ALLOWED_FUNCTIONS
+                or key in ex._RESERVED or "__" in key):
             raise SchemaError(f"{path}.key", f"{key!r} is a reserved name")
         if key in units:
             raise DuplicateKey(key, f"variables of card {card_id}")

@@ -80,7 +80,7 @@ def ec7_shape_factors(phi: float, B: float, L: float) -> dict:
     Nq = nq(phi)
     sq = 1 + (B / L) * math.sin(phi)
     sg = 1 - 0.3 * (B / L)
-    sc = (sq * Nq - 1) / (Nq - 1) if phi > PHI_SEAM else 1 + 0.2 * (B / L)
+    sc = (sq * Nq - 1) / (Nq - 1) if phi > PHI_SEAM else 1 + (B / L) / (math.pi + 2)
     return {"s_q": sq, "s_gamma": sg, "s_c": sc}
 
 

@@ -199,11 +199,17 @@ class TestLoadCard:
         with pytest.raises(SchemaError):
             load(minimal_card(id="test_card"))
 
-    def test_reserved_variable_key_rejected(self):
+    @pytest.mark.parametrize("key", ["pi", "sqrt", "True", "eval", "lambda",
+                                     "None", "__x", "x__y"])
+    def test_reserved_variable_key_rejected(self, key):
+        # A key the expression language refuses would put host-language
+        # words into equations and traces, as in ``eval = 2*x``.
         bad = minimal_card()
-        bad["variables"][1]["key"] = "pi"
-        with pytest.raises(SchemaError):
+        bad["variables"][0]["key"] = key
+        bad["variants"][0]["equations"][0]["target"] = key
+        with pytest.raises(SchemaError) as err:
             load(bad)
+        assert str(err.value) == f"$.variables[0].key: {key!r} is a reserved name"
 
     @pytest.mark.parametrize("text", ["{not json", '{"id": %s}' % HUGE_INT],
                              ids=["malformed", "huge-int"])

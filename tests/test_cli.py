@@ -193,6 +193,17 @@ class TestEval:
         expected = (Path(__file__).parent / "data" / golden).read_text("utf-8")
         assert capsys.readouterr().out == expected
 
+    def test_ec7_drained_at_phi_zero_matches_golden_file(self, capsys):
+        """q_ult = c'(pi + 2)(1 + (B/L)/(pi + 2)) = 50 (pi + 3) kPa."""
+        assert main(["eval", "BEARING_CAPACITY_EUROCODE7", "drained",
+                     "--in", "phi_prime_d=0 rad", "--in", "c_prime_d=50 kPa",
+                     "--in", "c_u_d=0 kPa", "--in", "gamma=18 kN/m^3",
+                     "--in", "B=2 m", "--in", "L=2 m", "--in", "q=0 kPa",
+                     "--format", "json"]) == 0
+        expected = (Path(__file__).parent / "data" /
+                    "golden_cli_ec7_phi0.json").read_text("utf-8")
+        assert capsys.readouterr().out == expected
+
     def test_report_values_match_trace(self, capsys):
         """Every printed step value equals the trace value at 4 sig figs."""
         main(TERZAGHI_EVAL + ["--format", "json"])

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from geocard.cards import load_card
@@ -440,6 +440,29 @@ class TestFrictionAngleSeam:
         card, variant, phi_key = card_variant
         assert (factor(card, variant, phi_key, "N_c", phi)
                 >= factor(card, variant, phi_key, "N_c", 0.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(card_variant=st.sampled_from(DRAINED),
+           phis=st.lists(FRICTION_ANGLES, min_size=2, max_size=2),
+           c=st.one_of(st.just(0.0), st.floats(0.1, 200.0)),
+           q=st.one_of(st.just(0.0), st.floats(0.1, 300.0)),
+           gamma=st.floats(0.0, 25.0), B=st.floats(0.1, 10.0),
+           aspect=st.floats(1.0, 20.0), D_f=st.floats(0.0, 3.0))
+    @example(card_variant=DRAINED[-1], phis=[1e-8, 1.0000001e-8], c=50.0,
+             q=0.0, gamma=18.0, B=2.0, aspect=1.0, D_f=0.0)
+    def test_q_ult_does_not_fall_as_phi_rises(self, card_variant, phis, c, q,
+                                              gamma, B, aspect, D_f):
+        """With every other input fixed, q_ult does not fall as the friction
+        angle rises, across the seam too (1e-7 relative for rounding)."""
+        card, variant, phi_key = card_variant
+        c_key = "c_prime_d" if phi_key == "phi_prime_d" else "c_prime"
+        fixed = {c_key: c, "q": q, "gamma": gamma, "B": B, "L": aspect * B,
+                 "D_f": D_f, "c_u_d": 0.0}
+        lower, higher = (
+            run(card, variant, {k: v for k, v in {**fixed, phi_key: phi}.items()
+                                if k in card.input_keys}).outputs["q_ult"].magnitude
+            for phi in sorted(phis))
+        assert higher >= lower * (1.0 - 1e-7)
 
     @pytest.mark.parametrize("phi", [1e-8, 1e-12, 1e-17, 1e-300, 5e-324])
     def test_n_c_takes_the_limit_at_and_below_the_seam(self, phi):

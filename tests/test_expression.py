@@ -269,7 +269,7 @@ CARD_EXPRESSIONS = [
     "Piecewise((1 + 0.1*K_p*(B/L), phi_prime >= pi/18), (1, True))",
     "(1 - beta/right_angle)**2",
     "1 + 2*tan(phi_prime)*(1 - sin(phi_prime))**2*k_depth",
-    "Piecewise(((s_q*N_q - 1)/(N_q - 1), phi_prime_d > 1e-8), (1 + 0.2*(B/L), True))",
+    "Piecewise(((s_q*N_q - 1)/(N_q - 1), phi_prime_d > 1e-8), (1 + (B/L)/(pi + 2), True))",
     "-a**2*-b - (c + -d)/e_1**-f",
     "Min(a, Max(b, c), 2**3**2)",
     "atan2(y, x) + sqrt(Abs(z))",

@@ -118,10 +118,28 @@ def test_every_step_matches_60_digits(card, variant, data):
 @given(data=st.data())
 def test_vesic_with_a_beta_override(data):
     """beta is a share of phi' kept 10 % away from it, so that (1 - beta/phi')
-    in i_gamma does not cancel; at or above phi' i_gamma is 0."""
+    in i_gamma does not cancel; at or above phi' i_gamma is 0. The share
+    stops at 1.8, so beta <= 81 deg stays 10 % away from the right angle,
+    where (1 - beta/right_angle) in i_c cancels in the same way."""
     card = CATALOG.get_method("BEARING_CAPACITY_VESIC")
     inputs = draw_inputs(data, card)
-    share = data.draw(st.one_of(st.floats(0.0, 0.9), st.floats(1.0, 2.0)))
+    share = data.draw(st.one_of(st.floats(0.0, 0.9), st.floats(1.0, 1.8)))
     overrides = {"beta": share * inputs["phi_prime"]}
     check_every_step(evaluate_card(
         card, EvaluationRequest(card.id, "general", inputs, overrides)))
+
+
+def test_vesic_i_c_at_the_largest_drawn_beta():
+    """At beta = 1.8 * 45 deg, i_c = 0.01 is still right in absolute terms."""
+    card = CATALOG.get_method("BEARING_CAPACITY_VESIC")
+    phi = math.radians(45.0)
+    inputs = {"phi_prime": phi, "c_prime": 10.0, "gamma": 18.0, "B": 2.0,
+              "L": 3.0, "D_f": 1.0, "q": 18.0}
+    trace = evaluate_card(card, EvaluationRequest(
+        card.id, "general", inputs, {"beta": 1.8 * phi}))
+    step = next(s for s in trace.steps if s["target"] == "i_c")
+    with mpmath.workdps(60):
+        beta, right_angle = (mp.mpf(step["inputs"][k])
+                             for k in ("beta", "right_angle"))
+        want = (1 - beta / right_angle) ** 2
+        assert abs(mp.mpf(step["value"]) - want) <= 1e-17
