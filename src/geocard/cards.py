@@ -11,9 +11,9 @@ defaults, variant coverage, one equation per target) have been checked, and
 each variant carries its evaluation plan (see ``_plan``). A conditional
 formula is one ``Piecewise`` equation; an equation-level ``condition`` is
 rejected. A loaded card also carries what every evaluation would otherwise
-rediscover: each equation compiled to closures (``EquationSpec.compiled``),
-the registry ``Unit`` of each variable (``MethodCard.units``), and its
-input keys, param defaults and output keys.
+rediscover: each equation compiled to closures, its literal subtrees
+folded (``EquationSpec.compiled``), the registry ``Unit`` of each variable
+(``MethodCard.units``), and its input keys, param defaults and output keys.
 Dimensional consistency is a separate pass — ``validate_dimensions`` —
 that reports findings rather than raising, so a validator CLI can list
 every problem in one run.

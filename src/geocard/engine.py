@@ -152,8 +152,10 @@ def _echo_value(value: InputValue):
 # ------------------------------------------------------------ trace writer ----
 
 def _number(value) -> str:
-    """``value`` as strict_json writes it: a float by its repr, anything
-    else by strict_json itself."""
+    """``value`` as strict_json writes it: a float or an int by its repr,
+    anything else (a bool, say) by strict_json itself."""
+    if type(value) is int:
+        return int.__repr__(value)
     if type(value) is not float:
         return strict_json(value)
     if not math.isfinite(value):

@@ -7,8 +7,13 @@ hostile card can at worst fail to parse. The tokenizer is one regex, whose
 last alternative rejects any character no token takes. Evaluation never
 touches ``eval()``, ``exec()``, ``compile()`` or any other host-language
 execution path: ``compile_expr`` turns the parsed tree into nested Python
-closures, one per node, that apply ``math`` primitives. ``cards.load_card``
-builds them once per equation, so an evaluation walks no tree.
+closures that apply ``math`` primitives. Each inner node costs one
+closure call; a symbol is read with an ``itemgetter``, and an operator or
+call holds a number or constant operand as a value. A subtree that reads no
+symbol and evaluates without raising (``pi/4``) is folded to its value;
+one that raises (``1/0``) is kept, to raise when it is evaluated.
+``cards.load_card`` builds the closures once per equation, so an
+evaluation walks no tree.
 
 Grammar (infix, standard precedence; ``**`` is right-associative and binds
 tighter than unary minus):
@@ -465,88 +470,152 @@ def compile_expr(node: ExprNode) -> Callable[[Mapping[str, float]], float]:
 
     Each closure evaluates its operands left to right and raises the
     errors ``evaluate`` documents; a MathDomain message is built from the
-    captured node only when it is raised.
+    captured node only when it is raised. A missing symbol surfaces inside
+    as the KeyError of its read, and here as UnboundSymbol.
     """
-    if isinstance(node, (Number, BoolLiteral)):
-        value = node.value
-        return lambda env: value
-    if isinstance(node, Constant):
-        value = CONSTANTS[node.name]
-        return lambda env: value
-    if isinstance(node, Symbol):
-        name = node.name
+    fn, value = _compile(node)
+    if value is not None:
+        return fn
 
-        def symbol(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise UnboundSymbol(name) from None
-        return symbol
-    if isinstance(node, Unary):
-        operand = compile_expr(node.operand)
-        return lambda env: -operand(env)
+    def compiled(env):
+        try:
+            return fn(env)
+        except KeyError as exc:
+            raise UnboundSymbol(exc.args[0]) from None
+    return compiled
+
+
+def _compile(node: ExprNode) -> tuple:
+    """``(closure, value)`` of ``node``, built bottom-up in one pass. The
+    value is None unless the subtree reads no symbol and evaluated here
+    without raising; it is then what the closure returns, and an operator
+    or call holds it in place of calling the closure. A subtree that raises
+    is left to raise when it is evaluated. A symbol's closure is an
+    ``itemgetter``, which runs no Python frame."""
+    if isinstance(node, Symbol):
+        return operator.itemgetter(node.name), None
     if isinstance(node, Binary):
-        return _compile_binary(node, compile_expr(node.left),
-                               compile_expr(node.right))
+        left, right = _compile(node.left), _compile(node.right)
+        return _fold(_compile_binary(node, left, right), left, right)
+    if isinstance(node, (Number, BoolLiteral)):
+        return _literal(node.value)
+    if isinstance(node, Constant):
+        return _literal(CONSTANTS[node.name])
     if isinstance(node, Call):
-        return _compile_call(node.func, [compile_expr(a) for a in node.args])
+        args = [_compile(arg) for arg in node.args]
+        return _fold(_compile_call(node.func, args), *args)
+    if isinstance(node, Unary):
+        operand = _compile(node.operand)
+        fn = operand[0]
+        return _fold(lambda env: -fn(env), operand)
     if isinstance(node, Piecewise):
-        branches = tuple((compile_expr(value), compile_expr(condition))
-                         for value, condition in node.branches)
+        parts = [_compile(part) for part in sum(node.branches, ())]
+        closures = [fn for fn, _ in parts]
+        branches = tuple(zip(closures[::2], closures[1::2]))
 
         def piecewise(env):
             for value, condition in branches:
                 if condition(env):
                     return value(env)
             raise NoBranchTaken()
-        return piecewise
+        return _fold(piecewise, *parts)
     if isinstance(node, Comparison):
-        left, right = compile_expr(node.left), compile_expr(node.right)
-        compare = _COMPARE[node.op]
-        return lambda env: compare(left(env), right(env))
+        left, right = _compile(node.left), _compile(node.right)
+        compare, (f, a), (g, b) = _COMPARE[node.op], left, right
+        return _fold(lambda env: compare(f(env) if a is None else a,
+                                         g(env) if b is None else b), left, right)
     raise TypeError(f"not an ExprNode: {node!r}")
+
+
+def _fold(fn, *operands) -> tuple:
+    """``(fn, None)``, or the literal of fn's value when every operand is
+    a literal and fn evaluates without raising."""
+    for _, value in operands:
+        if value is None:
+            return fn, None
+    try:
+        return _literal(fn({}))
+    except Exception:  # a host error too is raised at evaluation, not here
+        return fn, None
+
+
+def _literal(value) -> tuple:
+    return (lambda env: value), value
 
 
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
             "<=": operator.le, "=": operator.eq}
 
+# The closures of ``+ - *`` on two closures, a closure and a literal, and
+# a literal and a closure. Two literals are folded.
+_ARITHMETIC = {
+    "+": (lambda f, g: lambda env: f(env) + g(env),
+          lambda f, c: lambda env: f(env) + c,
+          lambda c, g: lambda env: c + g(env)),
+    "-": (lambda f, g: lambda env: f(env) - g(env),
+          lambda f, c: lambda env: f(env) - c,
+          lambda c, g: lambda env: c - g(env)),
+    "*": (lambda f, g: lambda env: f(env) * g(env),
+          lambda f, c: lambda env: f(env) * c,
+          lambda c, g: lambda env: c * g(env)),
+}
 
-def _compile_binary(node: Binary, left, right):
+
+def _compile_binary(node: Binary, left: tuple, right: tuple):
     """The closure of one binary operation on floats, as every env value,
     param default and number literal is. Float ``+ - * /`` never raise: they
     round to an infinity, which the engine rejects as a non-finite step. So
     ``/`` only checks for a zero divisor, and only ``**`` catches errors."""
+    (f, a), (g, b) = left, right
     op = node.op
+    if op in _ARITHMETIC:
+        closures, closure_literal, literal_closure = _ARITHMETIC[op]
+        if a is None and b is not None:
+            return closure_literal(f, b)
+        if a is not None and b is None:
+            return literal_closure(a, g)
+        return closures(f, g)
     if op == "/":
         def binary(env):
-            a, b = left(env), right(env)
-            if b == 0.0:
+            x, y = f(env) if a is None else a, g(env) if b is None else b
+            if y == 0.0:
                 raise MathDomain(f"division by zero in {to_text(node)}")
-            return a / b
+            return x / y
         return binary
-    if op == "**":
-        def binary(env):
-            a, b = left(env), right(env)
-            try:
-                result = a ** b
-            except ZeroDivisionError:
-                raise MathDomain(
-                    f"zero raised to negative power in {to_text(node)}") from None
-            except OverflowError:
-                raise MathDomain(f"overflow in {to_text(node)}") from None
-            if isinstance(result, complex):
-                raise MathDomain(f"complex result in {to_text(node)}")
-            return result
-        return binary
-    apply = {"+": operator.add, "-": operator.sub, "*": operator.mul}[op]
-    return lambda env: apply(left(env), right(env))
+
+    def binary(env):
+        x, y = f(env) if a is None else a, g(env) if b is None else b
+        try:
+            result = x ** y
+        except ZeroDivisionError:
+            raise MathDomain(
+                f"zero raised to negative power in {to_text(node)}") from None
+        except OverflowError:
+            raise MathDomain(f"overflow in {to_text(node)}") from None
+        if isinstance(result, complex):
+            raise MathDomain(f"complex result in {to_text(node)}")
+        return result
+    return binary
 
 
 def _compile_call(func: str, args: list):
+    """The closure of a call on ``args``, each ``(closure, value)``."""
     fn = _FUNCTIONS[func]
+    if len(args) == 1:
+        arg = args[0][0]
+
+        def call(env):
+            value = arg(env)
+            try:
+                return fn(value)
+            except ValueError as exc:
+                raise MathDomain(f"{func}: {exc}") from None
+            except OverflowError:
+                raise MathDomain(f"overflow in {func}") from None
+        return call
 
     def call(env):
-        values = [arg(env) for arg in args]
+        values = [arg(env) if value is None else value for arg, value in args]
         try:
             return fn(*values)
         except ValueError as exc:

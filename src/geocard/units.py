@@ -174,7 +174,7 @@ def split_quantity_text(text: str) -> tuple[float, str]:
     need this distinction, which Quantity no longer carries.
     """
     if not isinstance(text, str):
-        raise MalformedQuantity(repr(text))
+        raise MalformedQuantity(text)
     match = _NUMBER_RE.match(text)
     if not match or not match.group(1):
         raise MalformedQuantity(text)
@@ -212,7 +212,7 @@ def to_magnitude(value, unit_name: str, key: str) -> float:
     if isinstance(value, Quantity):
         value = convert(value, registry.resolve(unit_name)).magnitude
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedQuantity(repr(value))
+        raise MalformedQuantity(value)
     try:
         magnitude = float(value)
     except OverflowError:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from geocard.cards import load_card
+from geocard.cards import load_card, validate_dimensions
 from geocard.catalog import load_catalog
 from geocard.engine import (
     EvaluationRequest,
@@ -317,6 +317,29 @@ class TestFaults:
         assert fault.failed_step["target"] == "x"
         steps = fault.partial_trace.steps
         assert [s["target"] for s in steps] == ["y"]
+
+    def test_symbol_free_fault_raises_at_evaluation(self):
+        # 1/0 reads no symbol but is not folded at load: the card loads and
+        # audits clean, and the step faults when the walk reaches it.
+        card_dict = json.loads(CYCLIC_CARD)
+        card_dict["id"] = "TEST_FAULT"
+        card_dict["variants"][0]["equations"] = [
+            {"target": "x", "sympy": "2*a"},
+            {"target": "y", "sympy": "1/0 + x"},
+        ]
+        card = load_card(json.dumps(card_dict))
+        assert validate_dimensions(card) == []
+        with pytest.raises(MathDomain) as err:
+            run(card, "base", {"a": 2.0})
+        payload = err.value.payload()
+        assert payload["message"] == "division by zero in 1/0"
+        assert payload["step"] == {"target": "y", "expression": "1/0 + x",
+                                   "inputs": {"x": 4.0}}
+        assert payload["partial_trace"]["steps"] == [{
+            "index": 0, "target": "x", "expression": "2*a", "inputs": {"a": 2.0},
+            "value": 4.0, "unit": "dimensionless", "description": None,
+            "method": "direct"}]
+        assert payload["partial_trace"]["outputs"] == {}
 
     def test_unknown_variant(self):
         from geocard.errors import UnknownVariant

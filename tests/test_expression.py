@@ -1,10 +1,12 @@
 """Expression language tests: grammar, printing, sandboxing, evaluation."""
 
+import ast
 import math
 import struct
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geocard import expression as ex
 from geocard.errors import (
@@ -161,6 +163,15 @@ class TestSandbox:
                 parse(text)
             except ExpressionError:
                 pass
+
+    @pytest.mark.parametrize("path", sorted(Path(ex.__file__).parent.glob("*.py")),
+                             ids=lambda p: p.name)
+    def test_source_names_no_host_execution(self, path):
+        # The module docstring's promise: evaluation never reaches eval(),
+        # exec(), compile() or __import__(), called or passed on by name.
+        names = {node.id for node in ast.walk(ast.parse(path.read_text("utf-8")))
+                 if isinstance(node, ast.Name)}
+        assert names.isdisjoint({"eval", "exec", "compile", "__import__"})
 
 
 class TestEvaluate:
@@ -459,6 +470,11 @@ _TREES = st.recursive(
     _extend,
     max_leaves=12,
 )
+_LITERAL_LEAVES = st.one_of(
+    st.builds(ex.Number, _EDGE_FLOATS),
+    st.sampled_from([ex.Constant("pi"), ex.Constant("e")]),
+)
+_SYMBOL_LEAVES = st.sampled_from([ex.Symbol(n) for n in ("x", "y", "unbound")])
 
 
 class TestEvaluatorMatchesWalker:
@@ -466,6 +482,26 @@ class TestEvaluatorMatchesWalker:
     @given(_TREES, st.fixed_dictionaries(
         {"x": _ENV_FLOATS, "y": _ENV_FLOATS, "z": _ENV_FLOATS}))
     def test_same_bits_or_same_error(self, node, env):
+        assert _outcome(lambda: ex.evaluate(node, env)) == \
+            _outcome(lambda: _walk(node, env))
+
+    # Mostly literals, so that most subtrees are folded at load: one leaf in
+    # five is a symbol. A subtree that raises must still raise when it is
+    # evaluated, after what is left of it and before what is right of it.
+    @settings(max_examples=500, deadline=None)
+    @given(st.recursive(
+        st.integers(0, 4).flatmap(lambda n: _SYMBOL_LEAVES if n == 4 else _LITERAL_LEAVES),
+        _extend, max_leaves=12),
+        st.fixed_dictionaries({"x": _ENV_FLOATS, "y": _ENV_FLOATS}))
+    @example(ex.parse("1/0 + x"), {"x": 1.0, "y": 1.0})
+    @example(ex.parse("1/0 + unbound"), {"x": 1.0, "y": 1.0})
+    @example(ex.parse("x + 0**-1"), {"x": 1.0, "y": 1.0})
+    @example(ex.parse("unbound + 0**-1"), {"x": 1.0, "y": 1.0})
+    @example(ex.parse("exp(1000)*x"), {"x": 1.0, "y": 1.0})
+    @example(ex.parse("-(0.0)*x"), {"x": 1.0, "y": 1.0})
+    @example(ex.parse("-(0.0)*x"), {"x": -0.0, "y": 1.0})
+    @example(ex.parse("pi/4"), {"x": 1.0, "y": 1.0})
+    def test_folded_trees_same_bits_or_same_error(self, node, env):
         assert _outcome(lambda: ex.evaluate(node, env)) == \
             _outcome(lambda: _walk(node, env))
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from geocard.cards import MethodCard, load_card
 from geocard.catalog import load_catalog
-from geocard.engine import (EvaluationRequest, EvaluationTrace, _template,
+from geocard.engine import (EvaluationRequest, EvaluationTrace, _number, _template,
                             evaluate_card, strict_json)
 from geocard.errors import GeocardError, NonFiniteValue
 from geocard.units import Quantity, default_registry
@@ -207,6 +207,12 @@ def _no_output(card_text: str, equations=None):
 NO_OUTPUT_DIVERGENT = _no_output(DIVERGENT_CARD)
 NO_OUTPUT_OVERFLOW = _no_output(CYCLIC_CARD, [{"target": "y", "sympy": "a*a"},
                                               {"target": "x", "sympy": "y"}])
+
+
+class TestNumber:
+    @pytest.mark.parametrize("value", [0, -1, 2**63, 10**100, True, False])
+    def test_int_and_bool_as_json_writes_them(self, value):
+        assert _number(value) == json.dumps(value)
 
 
 class TestFaults:

@@ -14,6 +14,7 @@ from geocard.units import (
     default_registry,
     format_quantity,
     parse_quantity,
+    to_magnitude,
 )
 
 REG = default_registry()
@@ -79,6 +80,21 @@ class TestParseQuantity:
 
     def test_scientific_notation(self):
         assert parse_quantity("1.5e3 kPa").magnitude == 1500.0
+
+    def test_malformed_message_tells_a_value_from_its_text(self):
+        # The message quotes the value once: a JSON true and the string
+        # "True" (or a list and its text) give different messages.
+        messages = []
+        for value in (True, "True", [1, 2], "[1, 2]"):
+            with pytest.raises(MalformedQuantity) as err:
+                to_magnitude(value, "m", "B")
+            messages.append(str(err.value))
+        assert messages == [
+            "cannot parse quantity from True",
+            "cannot parse quantity from 'True'",
+            "cannot parse quantity from [1, 2]",
+            "cannot parse quantity from '[1, 2]'",
+        ]
 
 
 class TestConvert:
