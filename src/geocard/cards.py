@@ -24,31 +24,22 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections.abc import Callable
 from fractions import Fraction
 
 from . import expression as ex
 from .errors import DuplicateKey, SchemaError, UndeclaredSymbol, UnresolvedVariable
-from .record import FrozenRecord, set_field
+from .record import FrozenRecord
 from .units import Dimension, DIMENSIONLESS, Unit, default_registry
 
 ROLES = ("input", "output", "intermediate", "param")
 
-_ID_RE = re.compile(r"^[A-Z][A-Z0-9_]*$")
-_KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_ID_RE = re.compile(r"[A-Z][A-Z0-9_]*")
+_KEY_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class VariableSpec(FrozenRecord):
     __slots__ = ("key", "name", "role", "unit", "description", "default")
-
-    def __init__(self, key: str, name: str, role: str, unit: str,
-                 description: str | None = None, default: float | None = None):
-        set_field(self, "key", key)
-        set_field(self, "name", name)
-        set_field(self, "role", role)
-        set_field(self, "unit", unit)
-        set_field(self, "description", description)
-        set_field(self, "default", default)
+    _defaults = {"description": None, "default": None}
 
 
 class EquationSpec(FrozenRecord):
@@ -57,16 +48,7 @@ class EquationSpec(FrozenRecord):
 
     __slots__ = ("target", "sympy", "description", "expr", "symbols", "compiled")
     _hidden = ("expr", "symbols", "compiled")
-
-    def __init__(self, target: str, sympy: str, description: str | None = None,
-                 expr: ex.ExprNode = None, symbols: tuple = (),
-                 compiled: Callable = None):
-        set_field(self, "target", target)
-        set_field(self, "sympy", sympy)
-        set_field(self, "description", description)
-        set_field(self, "expr", expr)
-        set_field(self, "symbols", symbols)
-        set_field(self, "compiled", compiled)
+    _defaults = {"description": None, "expr": None, "symbols": (), "compiled": None}
 
 
 class VariantSpec(FrozenRecord):
@@ -79,22 +61,12 @@ class VariantSpec(FrozenRecord):
 
     __slots__ = ("id", "title", "equations", "direct", "iterative")
     _hidden = ("direct", "iterative")
-
-    def __init__(self, id: str, title: str, equations: tuple,
-                 direct: tuple = (), iterative: tuple = ()):
-        set_field(self, "id", id)
-        set_field(self, "title", title)
-        set_field(self, "equations", equations)
-        set_field(self, "direct", direct)
-        set_field(self, "iterative", iterative)
+    _defaults = {"direct": (), "iterative": ()}
 
 
 class Source(FrozenRecord):
     __slots__ = ("title", "url")
-
-    def __init__(self, title: str, url: str | None = None):
-        set_field(self, "title", title)
-        set_field(self, "url", url)
+    _defaults = {"url": None}
 
 
 class MethodCard(FrozenRecord):
@@ -111,25 +83,9 @@ class MethodCard(FrozenRecord):
     _hidden = ("units", "input_keys", "param_defaults", "output_keys",
                "trace_templates")
 
-    def __init__(self, id: str, title: str, category: str, description: str,
-                 variables: tuple, variants: tuple, assumptions: tuple,
-                 applicability: tuple, sources: tuple, units: dict,
-                 input_keys: frozenset, param_defaults: dict,
-                 output_keys: tuple):
-        set_field(self, "id", id)
-        set_field(self, "title", title)
-        set_field(self, "category", category)
-        set_field(self, "description", description)
-        set_field(self, "variables", variables)
-        set_field(self, "variants", variants)
-        set_field(self, "assumptions", assumptions)
-        set_field(self, "applicability", applicability)
-        set_field(self, "sources", sources)
-        set_field(self, "units", units)
-        set_field(self, "input_keys", input_keys)
-        set_field(self, "param_defaults", param_defaults)
-        set_field(self, "output_keys", output_keys)
-        set_field(self, "trace_templates", {})
+    # Its own __init__: each card gets a fresh template memo.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs, trace_templates={})
 
     def variant(self, variant_id: str):
         for var in self.variants:
@@ -277,7 +233,7 @@ def load_card(json_text: str) -> MethodCard:
     """Deserialize and fully validate one method card."""
     raw = load_record(json_text, CARD_FIELDS, "card")
     card_id = raw["id"]
-    if not _ID_RE.match(card_id):
+    if not _ID_RE.fullmatch(card_id):
         raise SchemaError("$.id", f"{card_id!r} is not UPPER_SNAKE")
 
     # Variables
@@ -285,7 +241,7 @@ def load_card(json_text: str) -> MethodCard:
     for i, entry in enumerate(raw["variables"]):
         path = f"$.variables[{i}]"
         key, role = entry["key"], entry["role"]
-        if not _KEY_RE.match(key):
+        if not _KEY_RE.fullmatch(key):
             raise SchemaError(f"{path}.key", f"{key!r} is not a valid symbol")
         if (key in ex.CONSTANTS or key == "True" or key in ex.ALLOWED_FUNCTIONS
                 or key in ex._RESERVED or "__" in key):
@@ -396,11 +352,6 @@ def _plan(variant_id: str, equations: dict[str, EquationSpec],
 
 class DimensionFinding(FrozenRecord):
     __slots__ = ("variant_id", "target", "message")
-
-    def __init__(self, variant_id: str, target: str, message: str):
-        set_field(self, "variant_id", variant_id)
-        set_field(self, "target", target)
-        set_field(self, "message", message)
 
     def __str__(self) -> str:
         return f"[{self.variant_id}] {self.target}: {self.message}"

@@ -29,6 +29,7 @@ CATALOG_ENV_VAR = "GEOCARD_CATALOG_DIR"
 class Catalog(Record):
     __slots__ = ("cards", "diagnostics", "warnings")
 
+    # Its own __init__: each catalog needs fresh containers.
     def __init__(self, cards: dict | None = None, diagnostics: list | None = None,
                  warnings: list | None = None):
         self.cards = {} if cards is None else cards  # id -> MethodCard

@@ -61,6 +61,7 @@ InputValue = (Quantity, float, int, str)
 class EvaluationRequest(Record):
     __slots__ = ("card_id", "variant_id", "inputs", "overrides")
 
+    # Its own __init__: one is built per evaluation.
     def __init__(self, card_id: str, variant_id: str,
                  inputs: Mapping[str, InputValue],
                  overrides: Mapping[str, InputValue] | None = None):
@@ -75,6 +76,7 @@ class EvaluationTrace(Record):
                  "request_overrides", "outputs", "diagnostics")
     _unprinted = ("card", "variant")
 
+    # Its own __init__: one is built per evaluation.
     def __init__(self, card: MethodCard, variant: VariantSpec, env: dict,
                  request_inputs: dict, request_overrides: dict, outputs: dict,
                  diagnostics: dict):

@@ -55,7 +55,11 @@ class UnknownUnit(GeocardError):
 
 class MalformedQuantity(GeocardError):
     code = "malformed_quantity"
-    message = "cannot parse quantity from {!r}"
+    # value, then " for input 'key'" or ""
+    message = "cannot parse quantity from {!r}{}"
+
+    def __init__(self, value, key: str | None = None):
+        super().__init__(value, "" if key is None else f" for input {key!r}")
 
 
 class DimensionMismatch(GeocardError):

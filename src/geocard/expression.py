@@ -44,7 +44,7 @@ from .errors import (
     ParseError,
     UnboundSymbol,
 )
-from .record import FrozenRecord, set_field
+from .record import FrozenRecord
 
 ALLOWED_FUNCTIONS = frozenset({
     "sin", "cos", "tan", "cot", "asin", "acos", "atan", "atan2",
@@ -74,70 +74,37 @@ MAX_NESTING = 64
 class Number(FrozenRecord):
     __slots__ = ("value",)
 
-    def __init__(self, value: float):
-        set_field(self, "value", value)
-
 
 class Constant(FrozenRecord):
     __slots__ = ("name",)  # "pi" | "e"
-
-    def __init__(self, name: str):
-        set_field(self, "name", name)
 
 
 class Symbol(FrozenRecord):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        set_field(self, "name", name)
-
 
 class Unary(FrozenRecord):
     __slots__ = ("op", "operand")  # op: "-"
-
-    def __init__(self, op: str, operand: ExprNode):
-        set_field(self, "op", op)
-        set_field(self, "operand", operand)
 
 
 class Binary(FrozenRecord):
     __slots__ = ("op", "left", "right")  # op: + - * / **
 
-    def __init__(self, op: str, left: ExprNode, right: ExprNode):
-        set_field(self, "op", op)
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-
 
 class Call(FrozenRecord):
-    __slots__ = ("func", "args")
-
-    def __init__(self, func: str, args: tuple):
-        set_field(self, "func", func)
-        set_field(self, "args", args)
+    __slots__ = ("func", "args")  # args: a tuple of nodes
 
 
 class Piecewise(FrozenRecord):
     __slots__ = ("branches",)  # ((value, condition), ...)
 
-    def __init__(self, branches: tuple):
-        set_field(self, "branches", branches)
-
 
 class Comparison(FrozenRecord):
     __slots__ = ("op", "left", "right")  # op: > >= < <= =
 
-    def __init__(self, op: str, left: ExprNode, right: ExprNode):
-        set_field(self, "op", op)
-        set_field(self, "left", left)
-        set_field(self, "right", right)
-
 
 class BoolLiteral(FrozenRecord):
     __slots__ = ("value",)
-
-    def __init__(self, value: bool):
-        set_field(self, "value", value)
 
 
 # The node types of a parsed tree; ``ExprNode`` in annotations is any of them.

@@ -381,7 +381,7 @@ class McpServer:
             untagged = [
                 key for key, value in {**request.inputs, **request.overrides}.items()
                 if key in card.units and card.units[key].name != "dimensionless"
-                and not (isinstance(value, str) and split_quantity_text(value)[1])]
+                and not (isinstance(value, str) and split_quantity_text(value, key)[1])]
             if untagged:
                 raise MissingUnit(untagged)
         return evaluate_card(card, request).to_json()

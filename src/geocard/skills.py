@@ -22,7 +22,7 @@ import re
 from pathlib import Path
 
 from .errors import InvalidQuery, UnknownSkill
-from .record import FrozenRecord, Record, set_field
+from .record import FrozenRecord, Record
 from .units import DATA_DIR
 
 SKILLS_ENV_VAR = "GEOCARD_SKILLS_DIR"
@@ -42,23 +42,11 @@ _YAML_ONLY_RE = re.compile(
 class Reference(FrozenRecord):
     __slots__ = ("filename", "text")
 
-    def __init__(self, filename: str, text: str):
-        set_field(self, "filename", filename)
-        set_field(self, "text", text)
-
 
 class Skill(FrozenRecord):
     __slots__ = ("name", "description", "version", "category", "body",
                  "references")
-
-    def __init__(self, name: str, description: str, version: str,
-                 category: str, body: str, references: tuple = ()):
-        set_field(self, "name", name)
-        set_field(self, "description", description)
-        set_field(self, "version", version)
-        set_field(self, "category", category)
-        set_field(self, "body", body)
-        set_field(self, "references", references)
+    _defaults = {"references": ()}
 
     def to_dict(self) -> dict:
         return {
@@ -75,11 +63,6 @@ class Skill(FrozenRecord):
 
 class SkillMatch(FrozenRecord):
     __slots__ = ("name", "score", "matched_terms")
-
-    def __init__(self, name: str, score: float, matched_terms: tuple):
-        set_field(self, "name", name)
-        set_field(self, "score", score)
-        set_field(self, "matched_terms", matched_terms)
 
     def to_dict(self) -> dict:
         return {"name": self.name, "score": self.score,
@@ -139,6 +122,7 @@ def _read_frontmatter(block: str) -> dict:
 class SkillLibrary(Record):
     __slots__ = ("skills", "diagnostics", "warnings")
 
+    # Its own __init__: each library needs fresh containers.
     def __init__(self, skills: dict | None = None, diagnostics: list | None = None,
                  warnings: list | None = None):
         self.skills = {} if skills is None else skills  # name -> Skill

@@ -28,20 +28,11 @@ BASES = ("length", "mass", "time", "angle")
 DATA_DIR = Path(__file__).parent / "data"  # bundled units, cards, scenarios, skills
 
 
-_ZERO = Fraction(0)
-
-
 class Dimension(FrozenRecord):
     """Signed rational exponents over the base dimensions."""
 
     __slots__ = BASES
-
-    def __init__(self, length: Fraction = _ZERO, mass: Fraction = _ZERO,
-                 time: Fraction = _ZERO, angle: Fraction = _ZERO):
-        set_field(self, "length", length)
-        set_field(self, "mass", mass)
-        set_field(self, "time", time)
-        set_field(self, "angle", angle)
+    _defaults = dict.fromkeys(BASES, Fraction(0))
 
     def __mul__(self, other: "Dimension") -> "Dimension":
         return Dimension(
@@ -87,12 +78,11 @@ class Unit(FrozenRecord):
 
     __slots__ = ("name", "dimension", "scale")
 
+    # Its own __init__: it checks the scale.
     def __init__(self, name: str, dimension: Dimension, scale: float):
         if scale <= 0:
             raise ValueError(f"unit {name!r} must have positive scale")
-        set_field(self, "name", name)
-        set_field(self, "dimension", dimension)
-        set_field(self, "scale", scale)
+        super().__init__(name, dimension, scale)
 
     def __str__(self) -> str:
         return self.name
@@ -103,6 +93,7 @@ class Quantity(FrozenRecord):
 
     __slots__ = ("magnitude", "unit")
 
+    # Its own __init__: one is built per output and per unit-tagged input.
     def __init__(self, magnitude: float, unit: Unit):
         set_field(self, "magnitude", magnitude)
         set_field(self, "unit", unit)
@@ -166,18 +157,19 @@ class UnitRegistry:
 _NUMBER_RE = re.compile(r"^\s*([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*)$")
 
 
-def split_quantity_text(text: str) -> tuple[float, str]:
+def split_quantity_text(text: str, key: str | None = None) -> tuple[float, str]:
     """Split ``"<number> <unit-name>"`` into (magnitude, unit name).
 
     The unit name is the empty string for a bare number; callers that
     distinguish bare numbers from explicitly dimensionless quantities
-    need this distinction, which Quantity no longer carries.
+    need this distinction, which Quantity no longer carries. A
+    MalformedQuantity names the input ``key``, when one is given.
     """
     if not isinstance(text, str):
-        raise MalformedQuantity(text)
+        raise MalformedQuantity(text, key)
     match = _NUMBER_RE.match(text)
     if not match or not match.group(1):
-        raise MalformedQuantity(text)
+        raise MalformedQuantity(text, key)
     return float(match.group(1)), match.group(2).strip()
 
 
@@ -200,19 +192,19 @@ def to_magnitude(value, unit_name: str, key: str) -> float:
 
     Accepts a Quantity, a unit-tagged string, or a bare number (also in
     string form), which is trusted as already in that unit. Anything else
-    is MalformedQuantity; a NaN, an infinity or an overflow is
-    NonFiniteValue, named by ``key``.
+    is MalformedQuantity and a NaN, an infinity or an overflow is
+    NonFiniteValue, each named by ``key``.
     """
     if type(value) is float and math.isfinite(value):
         return value
     registry = default_registry()
     if isinstance(value, str):
-        magnitude, tag = split_quantity_text(value)
+        magnitude, tag = split_quantity_text(value, key)
         value = Quantity(magnitude, registry.resolve(tag)) if tag else magnitude
     if isinstance(value, Quantity):
         value = convert(value, registry.resolve(unit_name)).magnitude
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedQuantity(value)
+        raise MalformedQuantity(value, key)
     try:
         magnitude = float(value)
     except OverflowError:

@@ -300,6 +300,12 @@ BOUNDARY_CHECKS = [
     pytest.param(_card_with("1x", "variables", 1, "key"), SchemaError,
                  "$.variables[1].key: '1x' is not a valid symbol",
                  id="invalid-key"),
+    pytest.param(_card_with("x\n", "variables", 1, "key"), SchemaError,
+                 r"$.variables[1].key: 'x\n' is not a valid symbol",
+                 id="key-with-trailing-newline"),
+    pytest.param(_card_with("TEST_CARD\n", "id"), SchemaError,
+                 r"$.id: 'TEST_CARD\n' is not UPPER_SNAKE",
+                 id="id-with-trailing-newline"),
     pytest.param(_card_with("given", "variables", 1, "role"), SchemaError,
                  "$.variables[1].role: 'given' not one of "
                  "('input', 'output', 'intermediate', 'param')",

@@ -12,6 +12,7 @@ from geocard.cards import (DimensionFinding, EquationSpec, MethodCard, Source,
                            VariableSpec, VariantSpec)
 from geocard.catalog import Catalog
 from geocard.engine import EvaluationRequest, EvaluationTrace
+from geocard.record import Record
 from geocard.skills import Reference, Skill, SkillLibrary, SkillMatch
 from geocard.units import Dimension, Quantity, Unit
 
@@ -238,3 +239,34 @@ class TestDefaults:
             ex.Symbol("x", "y")
         with pytest.raises(TypeError):
             VariableSpec("x", "x", "input", "m", colour="red")
+        with pytest.raises(TypeError, match="multiple values for argument 'name'"):
+            ex.Symbol("x", name="y")
+        with pytest.raises(TypeError, match="unexpected keyword argument 'rigth'"):
+            ex.Binary("+", ex.Number(1.0), rigth=ex.Number(2.0))
+        with pytest.raises(TypeError, match="takes 2 arguments but 3 were given"):
+            Source("S", None, "extra")
+        with pytest.raises(TypeError, match="missing argument"):
+            SkillMatch("n", 0.5)
+
+
+def _record_classes(base=Record):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _record_classes(cls)
+
+
+# Every record class of the package; FrozenRecord itself declares no field.
+RECORD_CLASSES = [cls for cls in _record_classes()
+                  if cls.__module__.startswith("geocard.") and cls.__dict__["__slots__"]]
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_binding_by_keyword_equals_binding_by_position(cls):
+    assert set(cls._defaults) <= set(cls.__slots__)
+    sample = RECORDS[cls.__name__][0]()
+    if "__init__" in cls.__dict__:  # a record that keeps its own constructor
+        return
+    values = [getattr(sample, field) for field in cls.__slots__]
+    for record in (cls(*values), cls(**dict(zip(cls.__slots__, values)))):
+        assert all(getattr(record, field) is value
+                   for field, value in zip(cls.__slots__, values))

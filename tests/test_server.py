@@ -408,6 +408,14 @@ class TestUnitTaggedEvaluate:
         payload = tool_error(call(server, "geo_evaluate_with_units", args))
         assert payload["error"] == "missing_unit"
 
+    def test_malformed_value_names_its_input(self, server):
+        args = json.loads(json.dumps(TERZAGHI_ARGS))
+        args["inputs"]["B"] = "two m"
+        payload = tool_error(call(server, "geo_evaluate_with_units", args))
+        assert payload["error"] == "malformed_quantity"
+        assert payload["message"] == ("cannot parse quantity from 'two m' "
+                                      "for input 'B'")
+
     def test_bare_override_is_tool_error(self, server):
         args = {"card": "BEARING_CAPACITY_VESIC", "variant": "general",
                 "inputs": {"phi_prime": "30 deg", "c_prime": "10 kPa",

@@ -90,10 +90,10 @@ class TestParseQuantity:
                 to_magnitude(value, "m", "B")
             messages.append(str(err.value))
         assert messages == [
-            "cannot parse quantity from True",
-            "cannot parse quantity from 'True'",
-            "cannot parse quantity from [1, 2]",
-            "cannot parse quantity from '[1, 2]'",
+            "cannot parse quantity from True for input 'B'",
+            "cannot parse quantity from 'True' for input 'B'",
+            "cannot parse quantity from [1, 2] for input 'B'",
+            "cannot parse quantity from '[1, 2]' for input 'B'",
         ]
 
 
