@@ -372,10 +372,13 @@ class TestCustomCatalogDrivesEc7:
 
 
 class TestGoldenTranscript:
-    """The checked-in session must replay byte-for-byte."""
+    """The checked-in sessions must replay byte-for-byte. The session
+    transcript reaches every tool: references, session defaults, drained,
+    undrained, eccentric and null-utilization checks, two designs, a failed
+    walk, an unknown tool, invalid params and ids of every kind."""
 
-    def _replay(self) -> str:
-        requests = (DATA_DIR / "golden_transcript_requests.jsonl").read_text()
+    def _replay(self, name="golden_transcript") -> str:
+        requests = (DATA_DIR / f"{name}_requests.jsonl").read_text("utf-8")
         stdout = io.StringIO()
         serve(io.StringIO(requests), stdout)
         return stdout.getvalue()
@@ -384,8 +387,20 @@ class TestGoldenTranscript:
         expected = (DATA_DIR / "golden_transcript_expected.jsonl").read_bytes()
         assert self._replay().encode("utf-8") == expected
 
+    def test_session_replays_byte_identically(self):
+        expected = (DATA_DIR / "golden_session_expected.jsonl").read_bytes()
+        assert self._replay("golden_session").encode("utf-8") == expected
+
     def test_replay_is_stable_across_runs(self):
         assert self._replay() == self._replay()
+
+    def test_session_reaches_every_tool(self):
+        requests = [json.loads(line) for line in
+                    (DATA_DIR / "golden_session_requests.jsonl")
+                    .read_text("utf-8").splitlines()]
+        called = {m["params"]["name"] for m in requests
+                  if m.get("method") == "tools/call"}
+        assert set(EXPECTED_TOOLS) <= called
 
 
 def strict_json(response):
