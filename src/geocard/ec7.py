@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .cards import ABSENT, instance_of, load_record, read_record
 from .catalog import Catalog, default_catalog
-from .engine import SPLICE, EvaluationTrace, splice_json, stage_card
+from .engine import (STRING, EvaluationTrace, Template, scalar_json, stage_card,
+                     template_json)
 from .errors import (InvalidGeometry, NoBracket, NonConvergence,
                      NonFiniteValue, SchemaError, UnknownDesignApproach)
 from .units import DATA_DIR, to_magnitude
@@ -62,14 +64,11 @@ class PartialFactorSet:
 
     def wire_dict(self) -> dict:
         """The six-factor partials object used on the tool wire."""
-        return {
-            "gamma_G": self.gamma_G,
-            "gamma_Q": self.gamma_Q,
-            "gamma_phi": self.gamma_phi,
-            "gamma_c": self.gamma_c,
-            "gamma_gamma": self.gamma_gamma,
-            "gamma_R": self.gamma_R,
-        }
+        return {name: getattr(self, name) for name in _WIRE_FACTORS}
+
+
+_WIRE_FACTORS = ("gamma_G", "gamma_Q", "gamma_phi", "gamma_c", "gamma_gamma",
+                 "gamma_R")
 
 
 # EN 1997-1 Annex A, combined per Design Approach:
@@ -202,11 +201,11 @@ class UlsCheckResult:
         return self._body(self.trace.to_dict())
 
     def to_json(self) -> str:
-        """``strict_json(self.to_dict())``, the trace written by its to_json."""
-        return splice_json(self._body(SPLICE), self.trace.to_json())
+        """``strict_json(self.to_dict())``, written from the template of
+        the body that nests the trace's."""
+        return template_json(self)
 
     def _body(self, trace) -> dict:
-        util = self.utilization if math.isfinite(self.utilization) else None
         return {
             "design_approach": self.design_approach,
             "drainage": self.drainage,
@@ -214,13 +213,52 @@ class UlsCheckResult:
             "B_effective": self.B_effective,
             "V_d": self.V_d,
             "R_d": self.R_d,
-            "utilization": util,
+            # finite, or infinite where R_d <= 0
+            "utilization": None if self.utilization == math.inf else self.utilization,
             "pass": self.passed,
             "design_parameters": {k: self.design_parameters[k]
                                   for k in sorted(self.design_parameters)},
             "partial_factors": self.partial_factors.wire_dict(),
             "trace": trace,
         }
+
+    def _written(self):
+        """The template of the body, cut with every value a marker and the
+        trace's template nested, and the text of each value; None when
+        the trace has no template."""
+        written = self.trace._written()
+        if written is None:
+            return None
+        inner, texts = written
+        key = tuple(self.design_parameters)
+        template = inner.outer.get(key)
+        if template is None:
+            def make_body(plant, nest):
+                return replace(
+                    self, design_approach=plant("check", "design_approach", STRING),
+                    drainage=plant("check", "drainage", STRING),
+                    **{name: plant("check", name) for name in (
+                        "B", "B_effective", "V_d", "R_d", "utilization", "passed")},
+                    design_parameters={k: plant("parameters", k) for k in key},
+                    partial_factors=replace(self.partial_factors, **{
+                        name: plant("partials", name) for name in _WIRE_FACTORS}),
+                )._body(nest(inner))
+            template = inner.outer[key] = Template.cut(make_body)
+        texts["check"] = {
+            "design_approach": encode_basestring_ascii(self.design_approach),
+            "drainage": encode_basestring_ascii(self.drainage),
+            "B": scalar_json(self.B),
+            "B_effective": scalar_json(self.B_effective),
+            "V_d": scalar_json(self.V_d),
+            "R_d": scalar_json(self.R_d),
+            "utilization": ("null" if self.utilization == math.inf
+                            else scalar_json(self.utilization)),
+            "passed": scalar_json(self.passed),
+        }
+        texts["parameters"] = {k: scalar_json(v) for k, v in self.design_parameters.items()}
+        texts["partials"] = {name: scalar_json(getattr(self.partial_factors, name))
+                             for name in _WIRE_FACTORS}
+        return template, texts
 
 
 def _uls_checker(scenario: FootingScenario, design_approach: str,
@@ -342,8 +380,9 @@ class WidthDesignResult:
         return self._body(self.check.to_dict())
 
     def to_json(self) -> str:
-        """``strict_json(self.to_dict())``, the check written by its to_json."""
-        return splice_json(self._body(SPLICE), self.check.to_json())
+        """``strict_json(self.to_dict())``, written from the template of
+        the body that nests the check's."""
+        return template_json(self)
 
     def _body(self, check) -> dict:
         return {
@@ -352,6 +391,25 @@ class WidthDesignResult:
             "iterations": self.iterations,
             "check": check,
         }
+
+    def _written(self):
+        """As ``UlsCheckResult._written``, one level out."""
+        written = self.check._written()
+        if written is None:
+            return None
+        inner, texts = written
+        template = inner.outer.get(WidthDesignResult)
+        if template is None:
+            template = inner.outer[WidthDesignResult] = Template.cut(
+                lambda plant, nest: WidthDesignResult(
+                    plant("design", "design_approach", STRING), plant("design", "B_req"),
+                    None, plant("design", "iterations"))._body(nest(inner)))
+        texts["design"] = {
+            "design_approach": encode_basestring_ascii(self.design_approach),
+            "B_req": scalar_json(self.B_req),
+            "iterations": scalar_json(self.iterations),
+        }
+        return template, texts
 
 
 def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,

@@ -22,10 +22,18 @@ only the rest from a copy of that env, with the same ``_walk`` and the
 same trace: what it returns and raises is what ``evaluate_card`` does.
 
 ``EvaluationTrace.to_dict`` and ``strict_json`` are the reference writer of a
-trace. ``to_json`` writes a complete trace from its variant's template
-(``_TraceTemplate``): the reference writer's text for a trace whose every
-value is a marker, split at the markers, so that a call only writes the
-numbers and the request echo. A partial trace is written by the reference.
+trace. ``to_json`` writes a complete trace from its variant's ``Template``:
+the reference writer's text for a trace whose every value is a marker,
+split at the markers, so that a call only writes the numbers and the
+request echo. A partial trace is written by the reference. The EC7 check
+and design results have templates too, cut from their bodies the same way
+with the trace's template nested at its depth (``ec7``).
+
+A template keeps each static piece escaped for a JSON string literal as
+well. ``reply_text`` returns the text of a reply as a ``JsonText``, which
+writes that literal, for the line the MCP server sends, from the escaped
+pieces: only its string values (the request echo, say) and the overrides
+are escaped per reply. ``to_json`` builds no literal.
 """
 
 from __future__ import annotations
@@ -134,8 +142,29 @@ class EvaluationTrace(Record):
     def to_json(self) -> str:
         """``strict_json(self.to_dict())``, written from the variant's
         template when the trace is a complete one."""
-        text = _template(self).write(self)
-        return strict_json(self.to_dict()) if text is None else text
+        return template_json(self)
+
+    def _written(self) -> tuple[Template, dict] | None:
+        """The variant's template and the text of each of its values, or
+        None for a partial trace: its walk stopped in the fixed-point
+        block, or before a direct step."""
+        template = _template(self)
+        cycles = self.diagnostics["iterative_cycles"]
+        if len(cycles) != (1 if self.variant.iterative else 0):
+            return None
+        env, keys = self.env, template.keys.get(_ENV, {})
+        try:
+            values = [env[k] for k in keys]
+        except KeyError:
+            return None
+        return template, {
+            _ENV: dict(zip(keys, map(scalar_json, values))),
+            _INPUTS: {k: _echo(v) for k, v in self.request_inputs.items()},
+            _OUTPUTS: {k: scalar_json(q.magnitude) for k, q in self.outputs.items()},
+            _CYCLE: {k: scalar_json(cycles[0][k]) for k in ("iterations", "residual")}
+            if cycles else None,
+            _OVERRIDES: {None: _overrides(self.request_overrides)},
+        }
 
 
 def strict_json(body) -> str:
@@ -151,34 +180,196 @@ def _echo_value(value: InputValue):
     return format_quantity(value) if isinstance(value, Quantity) else value
 
 
-# ------------------------------------------------------------ trace writer ----
+# ---------------------------------------------------------------- templates ----
 
-def _number(value) -> str:
+def scalar_json(value) -> str:
     """``value`` as strict_json writes it: a float or an int by its repr,
-    anything else (a bool, say) by strict_json itself."""
+    None and a bool as JSON's words, anything else by strict_json itself."""
+    if type(value) is float:
+        if not math.isfinite(value):
+            raise NonFiniteValue("result")
+        return float.__repr__(value)
     if type(value) is int:
         return int.__repr__(value)
-    if type(value) is not float:
-        return strict_json(value)
-    if not math.isfinite(value):
-        raise NonFiniteValue("result")
-    return float.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    return strict_json(value)
 
 
 def _echo(value: InputValue) -> str:
     value = _echo_value(value)
-    return encode_basestring_ascii(value) if type(value) is str else _number(value)
+    return encode_basestring_ascii(value) if type(value) is str else scalar_json(value)
 
 
 def _overrides(overrides: Mapping[str, InputValue]) -> str:
-    """The overrides object at the depth of the request's fields."""
     if not overrides:
         return "{}"
-    body = {k: _echo_value(overrides[k]) for k in sorted(overrides)}
-    return strict_json(body).replace("\n", "\n    ")  # no JSON string holds a raw newline
+    return strict_json({k: _echo_value(overrides[k]) for k in sorted(overrides)})
 
 
-# The value that fills a hole: (source, key) with source one of these.
+def _escape(text: str) -> str:
+    """``text`` as it reads inside a JSON string literal."""
+    return encode_basestring_ascii(text)[1:-1]
+
+
+def _indent(piece: str) -> str:
+    """The indentation of the last line of ``piece``."""
+    line = piece[piece.rfind("\n") + 1:]
+    return line[:len(line) - len(line.lstrip(" "))]
+
+
+# The kind of a hole's value. A number reads the same inside a JSON string
+# literal; a string and a block (an object's indented text) are escaped
+# there, and a block is indented to the depth of its hole.
+NUMBER, STRING, BLOCK = range(3)
+
+
+class Template:
+    """The text of a JSON body cut at its holes: static pieces, and between
+    each two a value named (source, key), which a writer fills with its
+    JSON text from ``texts[source][key]`` (``fill``).
+
+    ``cut`` gets the pieces from the reference writer. ``make_body(plant,
+    nest)`` builds the body with each value a marker from ``plant(source,
+    key, kind)`` and the place of each nested template a marker from
+    ``nest(template)``; ``strict_json`` writes it, and the text is split at
+    the quoted markers. A nested template's pieces are indented to its
+    depth once, there. Body text may hold anything, a marker included, so
+    the split must find each planted marker exactly once; otherwise the
+    markers are drawn again.
+
+    Each static piece is kept twice: as it is, and escaped for a JSON
+    string literal. ``literal`` writes the literal of a filled text from
+    the escaped pieces and escapes only its string and block values, so no
+    text is escaped twice.
+    """
+
+    def __init__(self, pieces: list[str], holes: list[tuple]):
+        self.pieces = pieces  # the static text, one more than the holes
+        self.holes = [(source, key) for source, key, _ in holes]
+        self.kinds = [kind for _, _, kind in holes]
+        self.keys = {}  # source -> its keys, each once, in hole order
+        for source, key in self.holes:
+            self.keys.setdefault(source, {})[key] = None
+        self.quoted = [i for i, kind in enumerate(self.kinds) if kind != NUMBER]
+        self.blocks = [(i, "\n" + _indent(pieces[i]))
+                       for i, kind in enumerate(self.kinds) if kind == BLOCK]
+        self.layout = [None] * (2 * len(pieces) - 1)  # a None at each hole
+        self.layout[::2] = pieces
+        self.escaped = [None] * len(self.layout)
+        self.escaped[::2] = map(_escape, pieces)
+        self.escaped[0] = '"' + self.escaped[0]
+        self.escaped[-1] += '"'
+        self.outer = {}  # the templates that nest this one, by their key
+
+    @classmethod
+    def cut(cls, make_body: Callable) -> Template:
+        attempt = 0
+        while (template := cls._cut(make_body, f"\x00{attempt}\x00")) is None:
+            attempt += 1
+        return template
+
+    @classmethod
+    def _cut(cls, make_body: Callable, tag: str) -> Template | None:
+        planted = []  # by number: (source, key, kind), or a nested template
+
+        def plant(source, key, kind=NUMBER):
+            planted.append((source, key, kind))
+            return f"{tag}{len(planted) - 1}"
+
+        def nest(template):
+            planted.append(template)
+            return f"{tag}{len(planted) - 1}"
+
+        opening = re.escape(encode_basestring_ascii(tag)[:-1])  # '"' and the tag
+        parts = re.split(f'{opening}(\\d+)"', strict_json(make_body(plant, nest)))
+        found = [int(n) for n in parts[1::2]]
+        if sorted(found) != list(range(len(planted))):
+            return None
+        pieces, holes = [parts[0]], []
+        for n, after in zip(found, parts[2::2]):
+            hole = planted[n]
+            if isinstance(hole, Template):
+                newline = "\n" + _indent(pieces[-1])
+                inner = [piece.replace("\n", newline) for piece in hole.pieces]
+                pieces[-1] += inner[0]
+                pieces += inner[1:]
+                pieces[-1] += after
+                holes += [(*named, kind) for named, kind in zip(hole.holes, hole.kinds)]
+            else:
+                holes.append(hole)
+                pieces.append(after)
+        return cls(pieces, holes)
+
+    def fill(self, texts: dict) -> list[str]:
+        """The JSON text of each hole's value, read from ``texts``."""
+        fills = [texts[source][key] for source, key in self.holes]
+        for i, newline in self.blocks:
+            fills[i] = fills[i].replace("\n", newline)
+        return fills
+
+    def text(self, fills: list[str]) -> str:
+        parts = self.layout[:]
+        parts[1::2] = fills
+        return "".join(parts)
+
+    def literal(self, fills: list[str]) -> str:
+        """The JSON string literal of ``text(fills)``."""
+        parts = self.escaped[:]
+        parts[1::2] = fills
+        for i in self.quoted:
+            parts[2 * i + 1] = _escape(fills[i])
+        return "".join(parts)
+
+
+class JsonText(str):
+    """A JSON text that also writes its own JSON string literal, for a line
+    that carries the text as a string: escaped on first use, and kept."""
+
+    _literal = None
+
+    def literal(self) -> str:
+        if self._literal is None:
+            self._literal = encode_basestring_ascii(self)
+        return self._literal
+
+
+class _FilledText(JsonText):
+    """A text written from a template: its literal is written from the
+    template's escaped pieces and the fills, not by escaping the text."""
+
+    def __new__(cls, template: Template, fills: list[str]):
+        text = super().__new__(cls, template.text(fills))
+        text._template, text._fills = template, fills
+        return text
+
+    def literal(self) -> str:
+        return self._template.literal(self._fills)
+
+
+def template_json(obj) -> str:
+    """``strict_json(obj.to_dict())``, written from the template that
+    ``obj._written()`` returns with the texts of its values, if any."""
+    written = obj._written()
+    if written is None:
+        return strict_json(obj.to_dict())
+    template, texts = written
+    return template.text(template.fill(texts))
+
+
+def reply_text(obj) -> JsonText:
+    """``template_json(obj)`` as a reply text, whose literal is written
+    from the template's escaped pieces when the line is written."""
+    written = obj._written()
+    if written is None:
+        return JsonText(strict_json(obj.to_dict()))
+    template, texts = written
+    return _FilledText(template, template.fill(texts))
+
+
+# The value that fills a hole of a trace: (source, key) with source one of these.
 _ENV, _INPUTS, _OUTPUTS, _CYCLE, _OVERRIDES = range(5)
 
 
@@ -193,81 +384,26 @@ class _PlantingEnv(dict):
         return self.plant(_ENV, key)
 
 
-class _TraceTemplate:
-    """The text of one variant's complete traces: static pieces, and
-    between each two the (source, key) of the value that fills the hole.
-
-    The pieces come from the reference writer: ``to_dict`` and
-    ``strict_json`` write a trace whose every value is a distinct marker,
-    and the text is split at the quoted markers. Card text may hold
-    anything, a marker included, so the split must find each planted marker
-    exactly once; otherwise the markers are drawn again.
-    """
-
-    def __init__(self, card: MethodCard, variant: VariantSpec):
-        self.cycles = 1 if variant.iterative else 0
-        attempt = 0
-        while not self._build(card, variant, f"\x00{attempt}\x00"):
-            attempt += 1
-        self.env_keys = tuple(dict.fromkeys(
-            key for source, key in self.holes if source == _ENV))
-
-    def _build(self, card: MethodCard, variant: VariantSpec, tag: str) -> bool:
-        planted = []  # (source, key) of each marker, by number
-
-        def plant(source, key):
-            planted.append((source, key))
-            return f"{tag}{len(planted) - 1}"
-
-        cycles = [_cycle(variant.iterative, plant(_CYCLE, "iterations"),
-                         plant(_CYCLE, "residual"))] if self.cycles else []
-        trace = EvaluationTrace(
-            card, variant, _PlantingEnv(card.units, plant),
-            {k: plant(_INPUTS, k) for k in card.input_keys}, {},
-            {k: Quantity(plant(_OUTPUTS, k), card.units[k]) for k in card.output_keys},
-            {"iterative_cycles": cycles})
-        body = trace.to_dict()
-        body["request"]["overrides"] = plant(_OVERRIDES, None)
-        opening = re.escape(encode_basestring_ascii(tag)[:-1])  # '"' and the tag
-        pieces = re.split(f'{opening}(\\d+)"', strict_json(body))
-        found = [int(n) for n in pieces[1::2]]
-        if sorted(found) != list(range(len(planted))):
-            return False
-        pieces[1::2] = [None] * len(found)  # the holes, filled per trace
-        self.pieces = pieces
-        self.holes = [planted[n] for n in found]
-        return True
-
-    def write(self, trace: EvaluationTrace) -> str | None:
-        """The text of a trace of this variant, or None for a partial one:
-        its walk stopped in the fixed-point block, or before a direct step."""
-        cycles = trace.diagnostics["iterative_cycles"]
-        if len(cycles) != self.cycles:
-            return None
-        env = trace.env
-        try:
-            values = [env[k] for k in self.env_keys]
-        except KeyError:
-            return None
-        texts = (
-            dict(zip(self.env_keys, map(_number, values))),
-            {k: _echo(v) for k, v in trace.request_inputs.items()},
-            {k: _number(q.magnitude) for k, q in trace.outputs.items()},
-            {k: _number(cycles[0][k]) for k in ("iterations", "residual")}
-            if cycles else None,
-            {None: _overrides(trace.request_overrides)},
-        )
-        pieces = self.pieces[:]
-        pieces[1::2] = [texts[source][key] for source, key in self.holes]
-        return "".join(pieces)
-
-
-def _template(trace: EvaluationTrace) -> _TraceTemplate:
-    """The template of the trace's variant, memoized on its card."""
-    templates = trace.card.trace_templates
-    if trace.variant.id not in templates:
-        templates[trace.variant.id] = _TraceTemplate(trace.card, trace.variant)
-    return templates[trace.variant.id]
+def _template(trace: EvaluationTrace) -> Template:
+    """The template of the trace's variant, memoized on its card: the
+    reference writer's text of a complete trace whose every value is a
+    marker."""
+    card, variant = trace.card, trace.variant
+    template = card.trace_templates.get(variant.id)
+    if template is None:
+        def make_body(plant, nest):
+            cycles = [_cycle(variant.iterative, plant(_CYCLE, "iterations"),
+                             plant(_CYCLE, "residual"))] if variant.iterative else []
+            planted = EvaluationTrace(
+                card, variant, _PlantingEnv(card.units, plant),
+                {k: plant(_INPUTS, k, STRING) for k in card.input_keys}, {},
+                {k: Quantity(plant(_OUTPUTS, k), card.units[k]) for k in card.output_keys},
+                {"iterative_cycles": cycles})
+            body = planted.to_dict()
+            body["request"]["overrides"] = plant(_OVERRIDES, None, BLOCK)
+            return body
+        template = card.trace_templates[variant.id] = Template.cut(make_body)
+    return template
 
 
 SPLICE = "\x00splice\x00"

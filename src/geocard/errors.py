@@ -64,11 +64,12 @@ class MalformedQuantity(GeocardError):
 
 class DimensionMismatch(GeocardError):
     code = "dimension_mismatch"
-    # source, target, then " (context)" or ""
-    message = "incompatible dimensions: {} vs {}{}"
+    # source, target, " (context)" or "", then " for input 'key'" or ""
+    message = "incompatible dimensions: {} vs {}{}{}"
 
-    def __init__(self, source, target, context: str = ""):
-        super().__init__(source, target, f" ({context})" if context else "")
+    def __init__(self, source, target, context: str = "", key: str | None = None):
+        super().__init__(source, target, f" ({context})" if context else "",
+                         "" if key is None else f" for input {key!r}")
 
 
 class MissingUnit(_SortedKeys):

@@ -7,6 +7,15 @@ and skill library, so identical transcripts replay byte-for-byte. The only
 mutable state is the in-memory session default map, which fills missing
 scalar inputs and never overrides an explicit argument or selects a
 card/variant/skill.
+
+Every line is ``json.dumps(reply, separators=(",", ":"), allow_nan=False)``
+of the dict ``handle_message`` returns. The line of a tool result is
+assembled instead: the envelope's fixed text, the id's JSON, the JSON
+string literal of the reply text, and ``isError``. A text written from a
+template (an evaluation, an EC7 check or design) writes its literal from
+the template's escaped pieces, and a memoized text escapes its own once and
+keeps it, so no reply text is escaped twice. Any other text is escaped as
+``json.dumps`` would.
 """
 
 from __future__ import annotations
@@ -15,14 +24,15 @@ import json
 import math
 import sys
 from io import TextIOBase
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .cards import MethodCard
 from .catalog import Catalog, default_catalog
-from .engine import EvaluationRequest, evaluate_card, strict_json
+from .engine import EvaluationRequest, JsonText, evaluate_card, reply_text, strict_json
 from .errors import GeocardError, MalformedQuantity, MissingUnit, NonFiniteValue
 from .skills import load_skills
-from .units import split_quantity_text, to_magnitude
+from .units import quantity_text, split_quantity_text, to_magnitude
 
 PROTOCOL_VERSION = "2024-11-05"
 SERVER_NAME = "geocard"
@@ -39,6 +49,8 @@ INSTRUCTIONS = (
     "Prefer unit-tagged inputs (e.g. \"30 deg\", \"18 kN/m^3\") via "
     "geo_evaluate_with_units so the engine performs unit conversion."
 )
+
+_ID_JSON = json.JSONEncoder(allow_nan=False).encode  # a request id, as json.dumps writes it
 
 # JSON-RPC error codes
 PARSE_ERROR = -32700
@@ -229,10 +241,11 @@ class McpServer:
         self.skills = load_skills()
         self.defaults: dict = {}  # session defaults: input key -> value
         # (tool, resolved argument, ...) -> the reply text of a tool whose
-        # reply never changes for its arguments, written on first use.
+        # reply never changes for its arguments, written on first use; the
+        # text keeps its JSON string literal once a line has carried it.
         self._texts: dict = {}
 
-    def _text(self, key: tuple, build, *args) -> str:
+    def _text(self, key: tuple, build, *args) -> JsonText:
         """The memoized reply text under ``key``: ``build(*args)`` written
         by strict_json on first use. Each key is made of arguments that
         already resolved to a card, a category, a skill or a Design
@@ -240,7 +253,7 @@ class McpServer:
         before it gets here."""
         text = self._texts.get(key)
         if text is None:
-            text = self._texts[key] = strict_json(build(*args))
+            text = self._texts[key] = JsonText(strict_json(build(*args)))
         return text
 
     # ---------------------------------------------------------- transport ----
@@ -268,7 +281,22 @@ class McpServer:
 
     @staticmethod
     def _write(stdout: TextIOBase, obj: dict) -> None:
-        stdout.write(json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
+        """One line: ``json.dumps(obj, separators=(",", ":"),
+        allow_nan=False)``. The line of a tool result is assembled around
+        the JSON string literal of its text instead, so that a text
+        written from a template or memoized is not escaped again."""
+        result = obj.get("result")
+        if result is not None and "content" in result:  # only _call_tool's
+            text = result["content"][0]["text"]
+            line = "".join((
+                '{"jsonrpc":"2.0","id":', _ID_JSON(obj["id"]),
+                ',"result":{"content":[{"type":"text","text":',
+                text.literal() if isinstance(text, JsonText) else encode_basestring_ascii(text),
+                '}],"isError":true}}' if result["isError"] else '}],"isError":false}}',
+                "\n"))
+        else:
+            line = json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
+        stdout.write(line)
         stdout.flush()
 
     # ----------------------------------------------------------- dispatch ----
@@ -381,10 +409,10 @@ class McpServer:
             untagged = [
                 key for key, value in {**request.inputs, **request.overrides}.items()
                 if key in card.units and card.units[key].name != "dimensionless"
-                and not (isinstance(value, str) and split_quantity_text(value, key)[1])]
+                and not _unit_tag(value, card.units[key].name, key)]
             if untagged:
                 raise MissingUnit(untagged)
-        return evaluate_card(card, request).to_json()
+        return reply_text(evaluate_card(card, request))
 
     def geo_evaluate_with_units(self, args) -> str:
         return self.geo_evaluate(args, require_units=True)
@@ -420,7 +448,7 @@ class McpServer:
         result = check_footing_uls_ec7(
             scenario, args["design_approach"], width,
             catalog=self.catalog, drainage=args.get("drainage", "drained"))
-        return result.to_json()
+        return reply_text(result)
 
     def geo_design_footing_width_ec7(self, args) -> str:
         from .ec7 import design_footing_width_ec7, read_scenario
@@ -430,7 +458,7 @@ class McpServer:
             scenario, args["design_approach"],
             tolerance=args.get("tolerance", 1e-3),
             catalog=self.catalog, drainage=args.get("drainage", "drained"))
-        return result.to_json()
+        return reply_text(result)
 
     def geo_session_set_defaults(self, args) -> dict:
         """Check every value before storing any, so a rejected call stores nothing."""
@@ -464,6 +492,20 @@ class McpServer:
             "diagnostics": diagnostics,
             "warnings": warnings,
         }
+
+
+def _unit_tag(value, unit_name: str, key: str) -> str:
+    """The unit tag of a quantity string, empty for a bare number or a
+    value that is not a string. The text is read as the evaluation reads
+    it, so it is read once when it converts; the tag of one that does not
+    convert is all the check needs, and it is read again by the evaluation
+    that names its error."""
+    if not isinstance(value, str):
+        return ""
+    try:
+        return quantity_text(value, unit_name)[1]
+    except GeocardError:
+        return split_quantity_text(value, key)[1]
 
 
 def _partials_reply(pf) -> dict:

@@ -119,8 +119,16 @@ def _read_frontmatter(block: str) -> dict:
     return fields
 
 
+def _weighted_tokens(skill: Skill) -> tuple:
+    """The (weight, tokens) of the skill's name, description and category."""
+    return tuple((weight, frozenset(_TOKEN_RE.findall(text.lower())))
+                 for weight, text in ((3, skill.name), (2, skill.description),
+                                      (1, skill.category)))
+
+
 class SkillLibrary(Record):
-    __slots__ = ("skills", "diagnostics", "warnings")
+    __slots__ = ("skills", "diagnostics", "warnings", "tokens")
+    _hidden = ("tokens",)
 
     # Its own __init__: each library needs fresh containers.
     def __init__(self, skills: dict | None = None, diagnostics: list | None = None,
@@ -128,6 +136,8 @@ class SkillLibrary(Record):
         self.skills = {} if skills is None else skills  # name -> Skill
         self.diagnostics = [] if diagnostics is None else diagnostics  # load failures
         self.warnings = [] if warnings is None else warnings  # e.g. shadowed names
+        # name -> _weighted_tokens of the skill, tokenized as it is added
+        self.tokens = {name: _weighted_tokens(skill) for name, skill in self.skills.items()}
 
     @property
     def ok(self) -> bool:
@@ -165,15 +175,9 @@ class SkillLibrary(Record):
             return []
         matches = []
         for name in sorted(self.skills):
-            skill = self.skills[name]
-            fields = (
-                (3, set(_TOKEN_RE.findall(skill.name.lower()))),
-                (2, set(_TOKEN_RE.findall(skill.description.lower()))),
-                (1, set(_TOKEN_RE.findall(skill.category.lower()))),
-            )
             hits = 0
             matched: set[str] = set()
-            for weight, tokens in fields:
+            for weight, tokens in self.tokens[name]:
                 overlap = query_tokens & tokens
                 hits += weight * len(overlap)
                 matched |= overlap
@@ -200,6 +204,7 @@ class SkillLibrary(Record):
         if skill.name in self.skills and shadow_allowed:
             self.warnings.append(f"{origin}: {skill.name} shadows a bundled skill")
         self.skills[skill.name] = skill
+        self.tokens[skill.name] = _weighted_tokens(skill)
 
 
 def load_skills(extra_dir: "str | os.PathLike | None" = None) -> SkillLibrary:

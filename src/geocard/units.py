@@ -18,9 +18,11 @@ import math
 import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
-from .errors import DimensionMismatch, MalformedQuantity, NonFiniteValue, UnknownUnit
+from .errors import (DimensionMismatch, GeocardError, MalformedQuantity, NonFiniteValue,
+                     UnknownUnit)
 from .record import FrozenRecord, set_field
 
 BASES = ("length", "mass", "time", "angle")
@@ -102,11 +104,12 @@ class Quantity(FrozenRecord):
         return format_quantity(self)
 
 
-def convert(q: Quantity, target: Unit) -> Quantity:
-    """Re-express ``q`` in ``target`` units, preserving the physical value."""
+def convert(q: Quantity, target: Unit, key: str | None = None) -> Quantity:
+    """Re-express ``q`` in ``target`` units, preserving the physical value.
+    A DimensionMismatch names the input ``key``, when one is given."""
     if q.unit.dimension != target.dimension:
         raise DimensionMismatch(q.unit.dimension, target.dimension,
-                                f"{q.unit.name} -> {target.name}")
+                                f"{q.unit.name} -> {target.name}", key)
     if q.unit == target:
         return q
     return Quantity(q.magnitude * q.unit.scale / target.scale, target)
@@ -193,16 +196,21 @@ def to_magnitude(value, unit_name: str, key: str) -> float:
     Accepts a Quantity, a unit-tagged string, or a bare number (also in
     string form), which is trusted as already in that unit. Anything else
     is MalformedQuantity and a NaN, an infinity or an overflow is
-    NonFiniteValue, each named by ``key``.
+    NonFiniteValue, each named by ``key``; so is a DimensionMismatch.
     """
     if type(value) is float and math.isfinite(value):
         return value
+    if type(value) is str:
+        try:
+            return quantity_text(value, unit_name)[0]
+        except GeocardError:
+            pass  # raised again below, naming its input
     registry = default_registry()
     if isinstance(value, str):
         magnitude, tag = split_quantity_text(value, key)
         value = Quantity(magnitude, registry.resolve(tag)) if tag else magnitude
     if isinstance(value, Quantity):
-        value = convert(value, registry.resolve(unit_name)).magnitude
+        value = convert(value, registry.resolve(unit_name), key).magnitude
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedQuantity(value, key)
     try:
@@ -212,6 +220,27 @@ def to_magnitude(value, unit_name: str, key: str) -> float:
     if not math.isfinite(magnitude):
         raise NonFiniteValue(key)
     return magnitude
+
+
+@lru_cache(maxsize=256)
+def quantity_text(text: str, unit_name: str) -> tuple[float, str]:
+    """(finite magnitude in ``unit_name``, unit tag) of a quantity string,
+    the tag empty for a bare number.
+
+    The result depends on its arguments alone, so the last 256 successful
+    reads are kept: a client sends the same strings again and again (one
+    footing to several variants, one scenario to a check and a design).
+    An error is raised, never kept, and names no input; ``to_magnitude``
+    reads a failing text again to name it.
+    """
+    magnitude, tag = split_quantity_text(text)
+    if tag:
+        registry = default_registry()
+        magnitude = convert(Quantity(magnitude, registry.resolve(tag)),
+                            registry.resolve(unit_name)).magnitude
+    if not math.isfinite(magnitude):
+        raise NonFiniteValue(None)
+    return magnitude, tag
 
 
 def format_quantity(q: Quantity) -> str:

@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import HUGE_INT
@@ -30,7 +30,9 @@ from geocard.ec7 import (
     load_scenario,
 )
 from geocard.catalog import default_catalog
-from geocard.engine import EvaluationRequest, evaluate_card, strict_json
+from json.encoder import encode_basestring_ascii
+
+from geocard.engine import EvaluationRequest, evaluate_card, reply_text, strict_json
 from geocard.errors import (
     GeocardError,
     InvalidGeometry,
@@ -691,6 +693,65 @@ class TestWidthSearchMatchesTracedSearch:
     def test_bundled_scenario(self, da):
         assert _design_reply(lambda: design_footing_width_ec7(SCENARIO, da)) == \
             _design_reply(lambda: _traced_search(SCENARIO, da))
+
+
+def _same_json(result) -> dict:
+    """``to_json()``, written from the nested templates, equals the
+    reference writer's text, and so does the reply text, whose literal is
+    that text's JSON string literal. Returns the decoded body."""
+    text = result.to_json()
+    assert text == strict_json(result.to_dict())
+    reply = reply_text(result)
+    assert reply == text and reply.literal() == encode_basestring_ascii(text)
+    return json.loads(text)
+
+
+_NO_C_U = FootingScenario(L=4.0, D_f=1.0, phi_prime_k=0.5, c_prime_k=5.0, gamma_k=19.0,
+                          groundwater_depth=1.6, G_k_col=900.0, Q_k=350.0,
+                          gamma_sw=24.0, e=0.15)
+# Buoyant weight 5 - 9.81 < 0 with the water table at the surface: q_ult,
+# and so R_d, can be negative, and the utilization is written as null.
+_SUBMERGED_LIGHT = FootingScenario(L=4.0, D_f=1.0, phi_prime_k=0.17, c_prime_k=0.0,
+                                   gamma_k=5.0, groundwater_depth=0.0, G_k_col=100.0,
+                                   Q_k=10.0, gamma_sw=24.0)
+
+
+class TestResultJson:
+    @settings(max_examples=40, deadline=None)
+    @given(_SCENARIOS, st.floats(0.05, 12.0))
+    @example(_NO_C_U, 2.0)
+    @example(_SUBMERGED_LIGHT, 2.0)
+    def test_written_as_the_reference_writes(self, scenario, width):
+        for da in DESIGN_APPROACHES:
+            for drainage in ("drained", "undrained"):
+                for run in (lambda: check_footing_uls_ec7(scenario, da, width,
+                                                          drainage=drainage),
+                            lambda: design_footing_width_ec7(scenario, da,
+                                                             drainage=drainage)):
+                    try:
+                        result = run()
+                    except GeocardError:
+                        continue
+                    _same_json(result)
+
+    def test_null_utilization_and_c_u_d(self):
+        body = _same_json(check_footing_uls_ec7(_SUBMERGED_LIGHT, "DA1-C1", 2.0))
+        assert body["R_d"] < 0 and body["utilization"] is None and body["pass"] is False
+        assert body["design_parameters"]["c_u_d"] is None
+
+    def test_templates_are_kept_per_variant_and_key_set(self):
+        first = check_footing_uls_ec7(SCENARIO, "DA2", 2.0)
+        trace_template = first.trace._written()[0]
+        check_template = first._written()[0]
+        again = check_footing_uls_ec7(SCENARIO, "DA3", 3.0)
+        assert again._written()[0] is check_template
+        design = design_footing_width_ec7(SCENARIO, "DA2")
+        assert design._written()[0] is check_template.outer[WidthDesignResult]
+        assert trace_template.outer[tuple(first.design_parameters)] is check_template
+        reordered = dataclasses.replace(first, design_parameters=dict(
+            reversed(first.design_parameters.items())))
+        assert reordered._written()[0] is not check_template
+        assert _same_json(reordered) == _same_json(first)
 
 
 def _doctored_catalog(edit) -> Catalog:

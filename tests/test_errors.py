@@ -85,6 +85,12 @@ def test_dimension_mismatch_without_context():
     assert str(exc) == "incompatible dimensions: L vs M"
 
 
+def test_dimension_mismatch_names_its_input():
+    exc = er.DimensionMismatch("L", "M", "m -> kg", "B")
+    assert str(exc) == "incompatible dimensions: L vs M (m -> kg) for input 'B'"
+    assert exc.payload() == {"error": "dimension_mismatch", "message": str(exc)}
+
+
 def test_invalid_query_is_a_value_error():
     assert isinstance(er.InvalidQuery("x"), ValueError)
 

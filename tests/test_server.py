@@ -247,6 +247,23 @@ class TestTools:
                           "gamma": "18 kN/m^3", "B": "2 m", "q": "18 kPa"}}
         payload = tool_error(call(server, "geo_evaluate_with_units", bad))
         assert payload["error"] == "dimension_mismatch"
+        assert payload["message"] == (
+            "incompatible dimensions: length^-1·mass·time^-2 vs angle "
+            "(kPa -> radians) for input 'phi_prime'")
+
+    @pytest.mark.parametrize("tool, arguments, key", [
+        ("geo_check_footing_uls_ec7", {"scenario": {**JRC_SCENARIO, "D_f": "1 kPa"},
+                                       "design_approach": "DA2", "B": 2.0}, "D_f"),
+        ("geo_design_footing_width_ec7", {"scenario": {**JRC_SCENARIO, "D_f": "1 kPa"},
+                                          "design_approach": "DA2"}, "D_f"),
+        ("geo_check_footing_uls_ec7", {"scenario": JRC_SCENARIO,
+                                       "design_approach": "DA2", "B": "2 kPa"}, "B"),
+    ], ids=["scenario-check", "scenario-design", "width"])
+    def test_ec7_dimension_mismatch_names_its_input(self, server, tool, arguments, key):
+        payload = tool_error(call(server, tool, arguments))
+        assert payload == {"error": "dimension_mismatch", "message":
+                           "incompatible dimensions: length^-1·mass·time^-2 vs "
+                           f"length (kPa -> m) for input {key!r}"}
 
     def test_engine_fault_carries_partial_trace(self, server):
         bad = {"card": "BEARING_CAPACITY_TERZAGHI",
@@ -827,3 +844,78 @@ class TestServerFuzz:
         else:
             json.loads(response["result"]["content"][0]["text"],
                        parse_constant=_reject_constant)
+
+
+_IDS = st.one_of(st.integers() | _HUGE_INT, st.floats(), st.text(max_size=6),
+                 st.sampled_from(["sitzung-ü", " ", '"\\', "\ud800"]),
+                 st.none(), st.booleans(), st.just([1]), st.just({"a": 1}))
+
+
+@st.composite
+def _messages(draw):
+    """A request of any kind: a tool call (valid or not), another method, a
+    notification, a bad envelope, or a value that is not an object."""
+    kind = draw(st.sampled_from(["call"] * 6 + ["other", "notification",
+                                                "envelope", "bare"]))
+    if kind == "bare":
+        return draw(st.sampled_from([[], [rpc("ping")], 3, "ping", None]))
+    name, arguments = draw(_tool_calls())
+    name = draw(st.sampled_from([name] * 4 + ["geo_nope", 7]))
+    message = rpc("tools/call", {"name": name, "arguments": arguments},
+                  msg_id=draw(_IDS))
+    if kind == "other":
+        message["method"] = draw(st.sampled_from(
+            ["ping", "initialize", "tools/list", "resources/list", 5]))
+    elif kind == "notification":
+        del message["id"]
+    elif kind == "envelope":
+        message[draw(st.sampled_from(["jsonrpc", "params"]))] = draw(
+            st.sampled_from(["1.0", None, [], "x"]))
+    return message
+
+
+class TestWrittenLines:
+    """``serve`` assembles the line of a tool result around the literal of
+    its text; every line must still be ``json.dumps`` of the reply."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(_messages(), min_size=1, max_size=5))
+    @example([rpc("tools/call", {"name": "geo_evaluate_with_units",
+                                 "arguments": TERZAGHI_ARGS}, msg_id="ü\ud800"),
+              rpc("tools/call", {"name": "geo_check_footing_uls_ec7", "arguments": {
+                  "scenario": JRC_SCENARIO, "design_approach": "DA2", "B": 1.5}},
+                  msg_id=-2.5e-300),
+              rpc("tools/call", {"name": "geo_design_footing_width_ec7", "arguments": {
+                  "scenario": JRC_SCENARIO, "design_approach": "DA3"}}, msg_id=10**30),
+              rpc("tools/call", {"name": "geo_get_skill", "arguments": {
+                  "name": "shallow-foundation-bearing-capacity",
+                  "include_references": True}}, msg_id=float("nan"))])
+    def test_line_is_json_dumps_of_the_reply(self, messages):
+        from geocard.server import _REQUEST_DECODER
+
+        lines = [json.dumps(message) for message in messages]  # NaN kept: a parse error
+        expected, reference = [], McpServer()
+        for line in lines:
+            try:
+                reply = reference.handle_message(_REQUEST_DECODER.decode(line))
+            except ValueError:
+                reply = {"jsonrpc": "2.0", "id": None,
+                         "error": {"code": -32700, "message": "parse error"}}
+            if reply is not None:
+                expected.append(json.dumps(reply, separators=(",", ":"),
+                                           allow_nan=False) + "\n")
+        stdout = io.StringIO()
+        McpServer().serve(io.StringIO("\n".join(lines) + "\n"), stdout)
+        assert stdout.getvalue() == "".join(expected)
+
+    def test_memoized_literal_is_kept_and_reused(self):
+        server, stdout = McpServer(), io.StringIO()
+        message = rpc("tools/call", {"name": "geo_get_method",
+                                     "arguments": {"id": "BEARING_CAPACITY_VESIC"}})
+        line = json.dumps(message)
+        server.serve(io.StringIO(f"{line}\n{line}\n"), stdout)
+        [text] = server._texts.values()
+        assert text.literal() is text.literal()
+        reference = json.dumps(McpServer().handle_message(message),
+                               separators=(",", ":")) + "\n"
+        assert stdout.getvalue() == reference * 2

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from geocard.errors import UnknownSkill
-from geocard.skills import Skill, load_skills, parse_skill_text
+from geocard.skills import Skill, SkillLibrary, load_skills, parse_skill_text
 
 LIBRARY = load_skills()
 BUNDLED = "shallow-foundation-bearing-capacity"
@@ -173,6 +173,47 @@ class TestRecommendSkills:
         lib = load_skills(extra_dir=tmp_path)
         matches = lib.recommend_skills("erosion")
         assert [m.name for m in matches] == ["aa-tied-skill", "zz-tied-skill"]
+
+
+def _scored_as_before(library, query, limit):
+    """The ranking as it was computed before skills were tokenized at
+    load: every field tokenized again on every call."""
+    tokens = re.compile(r"[a-z0-9]+")
+    query_tokens = set(tokens.findall(query.lower()))
+    ranked = []
+    for name in sorted(library.skills):
+        skill = library.skills[name]
+        hits, matched = 0, set()
+        for weight, text in ((3, skill.name), (2, skill.description), (1, skill.category)):
+            overlap = query_tokens & set(tokens.findall(text.lower()))
+            hits += weight * len(overlap)
+            matched |= overlap
+        if hits:
+            ranked.append((name, hits / (6 * len(query_tokens)), tuple(sorted(matched))))
+    ranked.sort(key=lambda m: (-m[1], m[0]))
+    return ranked[:limit]
+
+
+_WORDS = st.sampled_from(["bearing", "capacity", "footing", "strip", "Eurocode",
+                          "EC7", "shallow", "foundation", "slope", "pile", "7",
+                          "Soil", "design", "erosion", "x"])
+_PHRASES = st.lists(_WORDS | st.text(max_size=6), min_size=1, max_size=6).map(" ".join)
+
+
+class TestRankingTokenizedAtLoad:
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.from_regex(r"[a-z]{1,6}(-[a-z0-9]{1,4})?", fullmatch=True),
+                           st.tuples(_PHRASES, _PHRASES), max_size=4),
+           _PHRASES, st.integers(1, 6))
+    def test_ranking_equals_the_former_scoring(self, drawn, query, limit):
+        library = SkillLibrary({**LIBRARY.skills, **{
+            name: Skill(name, description, "1", category, "body")
+            for name, (description, category) in drawn.items()}})
+        if not query.strip():
+            return
+        got = [(m.name, m.score, m.matched_terms)
+               for m in library.recommend_skills(query, limit)]
+        assert got == _scored_as_before(library, query, limit)
 
 
 class TestBundledSkillContent:

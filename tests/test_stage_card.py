@@ -102,7 +102,8 @@ class TestDifferential:
         expected = outcome(plain(EC7, "drained", {**fixed, **values}))
         assert outcome(lambda: staged(values)) == expected
         assert expected[0] == "fault"
-        assert expected[2].endswith(f"-> {EC7.units[order[0]].name})")
+        assert expected[2].endswith(
+            f"-> {EC7.units[order[0]].name}) for input {order[0]!r}")
 
     def test_unknown_variant_raises_as_evaluate_card(self):
         fixed = {k: v for k, v in valid_inputs(EC7, "drained").items() if k != "B"}

@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from geocard.cards import MethodCard, load_card
 from geocard.catalog import load_catalog
-from geocard.engine import (EvaluationRequest, EvaluationTrace, _number, _template,
-                            evaluate_card, strict_json)
+from json.encoder import encode_basestring_ascii
+
+from geocard.engine import (EvaluationRequest, EvaluationTrace, evaluate_card,
+                            reply_text, scalar_json, strict_json)
 from geocard.errors import GeocardError, NonFiniteValue
 from geocard.units import Quantity, default_registry
 from test_engine import CYCLIC_CARD, DIVERGENT_CARD
@@ -36,9 +38,14 @@ def reference(trace) -> str:
 
 
 def templated(trace) -> str:
-    """to_json(), checked to come from the variant's template."""
-    assert _template(trace).write(trace) is not None
-    return trace.to_json()
+    """to_json(), checked to come from the variant's template, and to
+    equal the reply text, whose literal, written from the template's
+    escaped pieces, must be the text's own JSON string literal."""
+    assert trace._written() is not None
+    text, reply = trace.to_json(), reply_text(trace)
+    assert reply == text and type(reply.literal()) is str
+    assert reply.literal() == encode_basestring_ascii(text)
+    return text
 
 
 def _base_traces() -> dict:
@@ -210,9 +217,9 @@ NO_OUTPUT_OVERFLOW = _no_output(CYCLIC_CARD, [{"target": "y", "sympy": "a*a"},
 
 
 class TestNumber:
-    @pytest.mark.parametrize("value", [0, -1, 2**63, 10**100, True, False])
+    @pytest.mark.parametrize("value", [0, -1, 2**63, 10**100, True, False, None])
     def test_int_and_bool_as_json_writes_them(self, value):
-        assert _number(value) == json.dumps(value)
+        assert scalar_json(value) == json.dumps(value)
 
 
 class TestFaults:
@@ -246,5 +253,6 @@ class TestFaults:
         with pytest.raises(GeocardError) as fault:
             evaluate_card(card, EvaluationRequest(card.id, variant, inputs))
         partial = fault.value.partial_trace
-        assert _template(partial).write(partial) is None
+        assert partial._written() is None
         assert partial.to_json() == reference(partial)
+        assert reply_text(partial).literal() == encode_basestring_ascii(reference(partial))

@@ -3,9 +3,9 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from geocard.errors import DimensionMismatch, MalformedQuantity, UnknownUnit
+from geocard.errors import DimensionMismatch, MalformedQuantity, NonFiniteValue, UnknownUnit
 from geocard.units import (
     Dimension,
     Quantity,
@@ -14,6 +14,7 @@ from geocard.units import (
     default_registry,
     format_quantity,
     parse_quantity,
+    quantity_text,
     to_magnitude,
 )
 
@@ -179,3 +180,59 @@ class TestDimensionType:
     def test_str_forms(self):
         assert str(Dimension()) == "dimensionless"
         assert "length" in str(REG.resolve("m").dimension)
+
+
+class TestQuantityTextMemo:
+    """``quantity_text`` keeps the last 256 successful reads; an error is
+    never kept and always names its input."""
+
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.sampled_from([("mm", "m"), ("deg", "radians"), ("MPa", "kPa"),
+                            ("kN/m^3", "kN/m^3"), ("", "kPa")]))
+    @example(-0.0, ("mm", "m"))
+    @example(5e-324, ("deg", "radians"))
+    def test_hit_has_the_bits_of_the_uncached_path(self, magnitude, units):
+        tag, target = units
+        text = f"{magnitude!r} {tag}".strip()
+        if tag:
+            uncached = convert(parse_quantity(text), REG.resolve(target)).magnitude
+        else:
+            uncached = float(text)
+        if not math.isfinite(uncached):  # 1e308 MPa overflows
+            with pytest.raises(NonFiniteValue, match="'x'"):
+                to_magnitude(text, target, "x")
+            return
+        first = to_magnitude(text, target, "x")
+        hit = to_magnitude(text, target, "x")
+        assert quantity_text(text, target) == (hit, tag)
+        assert first.hex() == hit.hex() == uncached.hex()
+
+    def test_memo_stays_within_its_bound(self):
+        for i in range(10_000):
+            assert to_magnitude(f"{i} m", "m", "B") == i
+        info = quantity_text.cache_info()
+        assert info.maxsize == 256 and info.currsize <= 256
+
+    def test_error_after_a_hit_names_its_input(self):
+        assert to_magnitude("2 m", "m", "B") == 2.0
+        assert to_magnitude("2 m", "m", "B") == 2.0  # a hit
+        with pytest.raises(DimensionMismatch) as err:
+            to_magnitude("2 m", "kPa", "c_prime")
+        assert str(err.value).endswith("(m -> kPa) for input 'c_prime'")
+        with pytest.raises(DimensionMismatch) as err:
+            quantity_text("2 m", "kPa")
+        assert "for input" not in str(err.value)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("two m", MalformedQuantity, "cannot parse quantity from 'two m' for input 'B'"),
+        ("2 furlong", UnknownUnit, "unknown unit: 'furlong'"),
+        ("1e999 m", NonFiniteValue, "'B' is not a finite number")])
+    def test_failures_are_not_kept(self, text, error, message):
+        for _ in range(2):
+            misses = quantity_text.cache_info().misses
+            with pytest.raises(error):
+                quantity_text(text, "m")
+            assert quantity_text.cache_info().misses == misses + 1
+            with pytest.raises(error) as err:
+                to_magnitude(text, "m", "B")
+            assert str(err.value) == message
