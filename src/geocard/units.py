@@ -222,16 +222,17 @@ def to_magnitude(value, unit_name: str, key: str) -> float:
     return magnitude
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=64)
 def quantity_text(text: str, unit_name: str) -> tuple[float, str]:
     """(finite magnitude in ``unit_name``, unit tag) of a quantity string,
     the tag empty for a bare number.
 
-    The result depends on its arguments alone, so the last 256 successful
-    reads are kept: a client sends the same strings again and again (one
-    footing to several variants, one scenario to a check and a design).
-    An error is raised, never kept, and names no input; ``to_magnitude``
-    reads a failing text again to name it.
+    The result depends on its arguments alone, so the last 64 successful
+    reads are kept: a client sends the same strings again within one task
+    (one footing to several variants, one scenario to a check and a
+    design), and 64 hold a task's strings, while a larger memo kept more
+    memory for almost no more hits. An error is raised, never kept, and
+    names no input; ``to_magnitude`` reads a failing text again to name it.
     """
     magnitude, tag = split_quantity_text(text)
     if tag:

@@ -16,7 +16,7 @@ from geocard.ec7 import (DESIGN_APPROACHES, check_footing_uls_ec7,
 from geocard import engine
 from geocard.engine import EvaluationRequest, evaluate_card
 from geocard.errors import GeocardError
-from geocard.server import McpServer, TOOLS, serve
+from geocard.server import _REQUEST_DECODER, McpServer, TOOLS, serve
 from test_ec7 import OVERFLOWING
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -891,8 +891,6 @@ class TestWrittenLines:
                   "name": "shallow-foundation-bearing-capacity",
                   "include_references": True}}, msg_id=float("nan"))])
     def test_line_is_json_dumps_of_the_reply(self, messages):
-        from geocard.server import _REQUEST_DECODER
-
         lines = [json.dumps(message) for message in messages]  # NaN kept: a parse error
         expected, reference = [], McpServer()
         for line in lines:

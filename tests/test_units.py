@@ -183,7 +183,7 @@ class TestDimensionType:
 
 
 class TestQuantityTextMemo:
-    """``quantity_text`` keeps the last 256 successful reads; an error is
+    """``quantity_text`` keeps the last 64 successful reads; an error is
     never kept and always names its input."""
 
     @given(st.floats(allow_nan=False, allow_infinity=False),
@@ -211,7 +211,7 @@ class TestQuantityTextMemo:
         for i in range(10_000):
             assert to_magnitude(f"{i} m", "m", "B") == i
         info = quantity_text.cache_info()
-        assert info.maxsize == 256 and info.currsize <= 256
+        assert info.maxsize == 64 and info.currsize <= 64
 
     def test_error_after_a_hit_names_its_input(self):
         assert to_magnitude("2 m", "m", "B") == 2.0
