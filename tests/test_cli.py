@@ -262,18 +262,22 @@ class TestEc7Commands:
         assert "trace" in body[0]
 
     @pytest.mark.parametrize("command, golden", [
-        (["design", "--scenario", JRC_A3], "golden_cli_ec7_design.json"),
-        (["check", "--scenario", JRC_A3, "--B", "2.0"], "golden_cli_ec7_check.json"),
-        (["design", "--scenario", PAD], "golden_cli_ec7_design_drained.json"),
-        (["design", "--scenario", PAD, "--drainage", "undrained"],
-         "golden_cli_ec7_design_undrained.json")],
-        ids=["design", "check", "design-pad-drained", "design-pad-undrained"])
+        (["design", "--scenario", JRC_A3, "--da", "all"], "golden_cli_ec7_design.json"),
+        (["check", "--scenario", JRC_A3, "--da", "all", "--B", "2.0"],
+         "golden_cli_ec7_check.json"),
+        (["design", "--scenario", PAD, "--da", "all"], "golden_cli_ec7_design_drained.json"),
+        (["design", "--scenario", PAD, "--da", "all", "--drainage", "undrained"],
+         "golden_cli_ec7_design_undrained.json"),
+        (["check", "--scenario", PAD, "--da", "DA2", "--B", "2.5", "--drainage",
+          "undrained"], "golden_cli_ec7_check_undrained_da2.json")],
+        ids=["design", "check", "design-pad-drained", "design-pad-undrained",
+             "check-pad-undrained-da2"])
     def test_json_matches_golden_file(self, command, golden):
-        """The console-script steps of CI: each reply, byte for byte."""
+        """The console-script steps of CI: each reply, byte for byte. The
+        last is a one-element list of an undrained check."""
         root = Path(__file__).parents[1]
         proc = subprocess.run(
-            [sys.executable, "-m", "geocard.cli", "ec7", *command,
-             "--da", "all", "--format", "json"],
+            [sys.executable, "-m", "geocard.cli", "ec7", *command, "--format", "json"],
             cwd=root, capture_output=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == (root / "tests/data" / golden).read_bytes()
