@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import Catalog, default_catalog
-from .engine import SPLICE, EvaluationRequest, evaluate_card, splice_json
+from .engine import EvaluationRequest, evaluate_card
 from .errors import GeocardError
 from .units import DATA_DIR
 
@@ -197,7 +197,7 @@ def _da_list(label: str) -> list[str]:
 def _print_json(results) -> int:
     """Print the results as strict_json of their to_dict() list, each
     written by its to_json; a NaN or infinity is a domain error."""
-    print(splice_json([SPLICE] * len(results), *(r.to_json() for r in results)))
+    print("[\n  " + ",\n  ".join(r.to_json().replace("\n", "\n  ") for r in results) + "\n]")
     return 0
 
 

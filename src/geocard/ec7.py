@@ -27,14 +27,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
-from json.encoder import encode_basestring_ascii
+from dataclasses import dataclass
 from pathlib import Path
 
 from .cards import ABSENT, instance_of, load_record, read_record
 from .catalog import Catalog, default_catalog
-from .engine import (STRING, EvaluationTrace, Template, scalar_json, stage_card,
-                     template_json)
+from .engine import EvaluationTrace, nested_written, stage_card, template_json
 from .errors import (InvalidGeometry, NoBracket, NonConvergence,
                      NonFiniteValue, SchemaError, UnknownDesignApproach)
 from .units import DATA_DIR, to_magnitude
@@ -223,42 +221,7 @@ class UlsCheckResult:
         }
 
     def _written(self):
-        """The template of the body, cut with every value a marker and the
-        trace's template nested, and the text of each value; None when
-        the trace has no template."""
-        written = self.trace._written()
-        if written is None:
-            return None
-        inner, texts = written
-        key = tuple(self.design_parameters)
-        template = inner.outer.get(key)
-        if template is None:
-            def make_body(plant, nest):
-                return replace(
-                    self, design_approach=plant("check", "design_approach", STRING),
-                    drainage=plant("check", "drainage", STRING),
-                    **{name: plant("check", name) for name in (
-                        "B", "B_effective", "V_d", "R_d", "utilization", "passed")},
-                    design_parameters={k: plant("parameters", k) for k in key},
-                    partial_factors=replace(self.partial_factors, **{
-                        name: plant("partials", name) for name in _WIRE_FACTORS}),
-                )._body(nest(inner))
-            template = inner.outer[key] = Template.cut(make_body)
-        texts["check"] = {
-            "design_approach": encode_basestring_ascii(self.design_approach),
-            "drainage": encode_basestring_ascii(self.drainage),
-            "B": scalar_json(self.B),
-            "B_effective": scalar_json(self.B_effective),
-            "V_d": scalar_json(self.V_d),
-            "R_d": scalar_json(self.R_d),
-            "utilization": ("null" if self.utilization == math.inf
-                            else scalar_json(self.utilization)),
-            "passed": scalar_json(self.passed),
-        }
-        texts["parameters"] = {k: scalar_json(v) for k, v in self.design_parameters.items()}
-        texts["partials"] = {name: scalar_json(getattr(self.partial_factors, name))
-                             for name in _WIRE_FACTORS}
-        return template, texts
+        return nested_written(self, self.trace, tuple(self.design_parameters))
 
 
 def _uls_checker(scenario: FootingScenario, design_approach: str,
@@ -393,23 +356,7 @@ class WidthDesignResult:
         }
 
     def _written(self):
-        """As ``UlsCheckResult._written``, one level out."""
-        written = self.check._written()
-        if written is None:
-            return None
-        inner, texts = written
-        template = inner.outer.get(WidthDesignResult)
-        if template is None:
-            template = inner.outer[WidthDesignResult] = Template.cut(
-                lambda plant, nest: WidthDesignResult(
-                    plant("design", "design_approach", STRING), plant("design", "B_req"),
-                    None, plant("design", "iterations"))._body(nest(inner)))
-        texts["design"] = {
-            "design_approach": encode_basestring_ascii(self.design_approach),
-            "B_req": scalar_json(self.B_req),
-            "iterations": scalar_json(self.iterations),
-        }
-        return template, texts
+        return nested_written(self, self.check, WidthDesignResult)
 
 
 def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,

@@ -25,15 +25,18 @@ same trace: what it returns and raises is what ``evaluate_card`` does.
 trace. ``to_json`` writes a complete trace from its variant's ``Template``:
 the reference writer's text for a trace whose every value is a marker,
 split at the markers, so that a call only writes the numbers and the
-request echo. A partial trace is written by the reference. The EC7 check
-and design results have templates too, cut from their bodies the same way
-with the trace's template nested at its depth (``ec7``).
+request echo. A partial trace is written by the reference. A body that
+nests another, an EC7 check (the trace) or design (the check), has its
+template cut by ``nested_written`` from its own ``_body``: the nested
+template at its depth, every other scalar a marker. Its values are read
+from the same ``_body`` in document order, so each field is named once.
 
 A template keeps each static piece escaped for a JSON string literal as
-well. ``reply_text`` returns the text of a reply as a ``JsonText``, which
-writes that literal, for the line the MCP server sends, from the escaped
-pieces: only its string values (the request echo, say) and the overrides
-are escaped per reply. ``to_json`` builds no literal.
+well. ``reply_text`` returns the text of a reply as a ``JsonText``, a
+``str`` that carries that literal, for the line the MCP server sends,
+written from the escaped pieces: only the string values (the request
+echo, say) and the overrides are escaped per reply. ``to_json`` builds no
+literal.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import json
 import math
 import re
 from collections.abc import Callable, Iterable, Mapping
+from itertools import count
 from json.encoder import encode_basestring_ascii
 
 from .cards import MethodCard, VariantSpec
@@ -159,7 +163,7 @@ class EvaluationTrace(Record):
             return None
         return template, {
             _ENV: dict(zip(keys, map(scalar_json, values))),
-            _INPUTS: {k: _echo(v) for k, v in self.request_inputs.items()},
+            _INPUTS: {k: scalar_json(_echo_value(v)) for k, v in self.request_inputs.items()},
             _OUTPUTS: {k: scalar_json(q.magnitude) for k, q in self.outputs.items()},
             _CYCLE: {k: scalar_json(cycles[0][k]) for k in ("iterations", "residual")}
             if cycles else None,
@@ -184,23 +188,21 @@ def _echo_value(value: InputValue):
 
 def scalar_json(value) -> str:
     """``value`` as strict_json writes it: a float or an int by its repr,
-    None and a bool as JSON's words, anything else by strict_json itself."""
+    a string by its escape, None and a bool as JSON's words, anything else
+    by strict_json itself."""
     if type(value) is float:
         if not math.isfinite(value):
             raise NonFiniteValue("result")
         return float.__repr__(value)
     if type(value) is int:
         return int.__repr__(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
     if value is None:
         return "null"
     if value is True or value is False:
         return "true" if value else "false"
     return strict_json(value)
-
-
-def _echo(value: InputValue) -> str:
-    value = _echo_value(value)
-    return encode_basestring_ascii(value) if type(value) is str else scalar_json(value)
 
 
 def _overrides(overrides: Mapping[str, InputValue]) -> str:
@@ -325,28 +327,13 @@ class Template:
 
 
 class JsonText(str):
-    """A JSON text that also writes its own JSON string literal, for a line
-    that carries the text as a string: escaped on first use, and kept."""
+    """A reply's JSON text, and its JSON string literal for the line that
+    carries the text as a string."""
 
-    _literal = None
-
-    def literal(self) -> str:
-        if self._literal is None:
-            self._literal = encode_basestring_ascii(self)
-        return self._literal
-
-
-class _FilledText(JsonText):
-    """A text written from a template: its literal is written from the
-    template's escaped pieces and the fills, not by escaping the text."""
-
-    def __new__(cls, template: Template, fills: list[str]):
-        text = super().__new__(cls, template.text(fills))
-        text._template, text._fills = template, fills
-        return text
-
-    def literal(self) -> str:
-        return self._template.literal(self._fills)
+    def __new__(cls, text: str, literal: str):
+        self = super().__new__(cls, text)
+        self.literal = literal
+        return self
 
 
 def template_json(obj) -> str:
@@ -360,13 +347,61 @@ def template_json(obj) -> str:
 
 
 def reply_text(obj) -> JsonText:
-    """``template_json(obj)`` as a reply text, whose literal is written
-    from the template's escaped pieces when the line is written."""
+    """``template_json(obj)`` with its literal, written from the template's
+    escaped pieces and the fills when there is a template."""
     written = obj._written()
     if written is None:
-        return JsonText(strict_json(obj.to_dict()))
+        text = strict_json(obj.to_dict())
+        return JsonText(text, encode_basestring_ascii(text))
     template, texts = written
-    return _FilledText(template, template.fill(texts))
+    fills = template.fill(texts)
+    return JsonText(template.text(fills), template.literal(fills))
+
+
+def nested_written(obj, inner, key) -> tuple[Template, dict] | None:
+    """``obj._written()`` of a body, ``obj._body(nested)``, that nests the
+    body of ``inner``; None when ``inner`` has no template.
+
+    The template is cut once per ``key``, which must fix the body's shape
+    (the keys of each object, in order), and kept on the ``outer`` of
+    ``inner``'s template: ``obj._body`` with that template in the nested
+    slot and every other scalar a marker (STRING for a str, NUMBER
+    otherwise). The texts are ``inner``'s, with the JSON text of each of
+    those scalars under ``key``, in document order."""
+    written = inner._written()
+    if written is None:
+        return None
+    nested, texts = written
+    template = nested.outer.get(key)
+    if template is None:
+        def make_body(plant, nest):
+            slot, number = nest(nested), count()
+            return _planted(obj._body(slot), slot, lambda value: plant(
+                key, next(number), STRING if type(value) is str else NUMBER))
+        template = nested.outer[key] = Template.cut(make_body)
+    texts[key] = [scalar_json(value) for value in _leaves(obj._body(_SLOT), _SLOT)]
+    return template, texts
+
+
+_SLOT = object()  # the nested body's place, when a body's values are read
+
+
+def _planted(body, slot, plant):
+    """``body`` with each scalar but ``slot`` replaced by ``plant(it)``."""
+    if isinstance(body, dict):
+        return {k: _planted(v, slot, plant) for k, v in body.items()}
+    if isinstance(body, list):
+        return [_planted(v, slot, plant) for v in body]
+    return body if body is slot else plant(body)
+
+
+def _leaves(body, slot):
+    """The scalars of ``body`` but ``slot``, in document order."""
+    for value in body.values() if isinstance(body, dict) else body:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, slot)
+        elif value is not slot:
+            yield value
 
 
 # The value that fills a hole of a trace: (source, key) with source one of these.
@@ -404,17 +439,6 @@ def _template(trace: EvaluationTrace) -> Template:
             return body
         template = card.trace_templates[variant.id] = Template.cut(make_body)
     return template
-
-
-SPLICE = "\x00splice\x00"
-
-
-def splice_json(body: dict | list, *texts: str) -> str:
-    """``strict_json(body)`` with each top-level value that is SPLICE
-    written as the next of ``texts``, that value's own strict JSON."""
-    head, *tails = strict_json(body).split(encode_basestring_ascii(SPLICE))
-    return head + "".join(text.replace("\n", "\n  ") + tail
-                          for text, tail in zip(texts, tails, strict=True))
 
 
 def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue]) -> dict[str, float]:

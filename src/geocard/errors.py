@@ -12,6 +12,8 @@ raise sites pass them; the base template ``"{}"`` takes a finished text.
 
 from __future__ import annotations
 
+import json
+
 
 class GeocardError(Exception):
     """Base class for all errors raised by this package.
@@ -48,18 +50,46 @@ class _SortedKeys(GeocardError):
 
 # ---------------------------------------------------------------- units ----
 
+def _for_input(key: str | None) -> str:
+    return "" if key is None else f" for input {key!r}"
+
+
 class UnknownUnit(GeocardError):
     code = "unknown_unit"
-    message = "unknown unit: {!r}"
+    # unit name, then " for input 'key'" or ""
+    message = "unknown unit: {!r}{}"
+
+    def __init__(self, name: str, key: str | None = None):
+        super().__init__(name, _for_input(key))
+
+
+# The JSON type of a value a client sent, written before its JSON text;
+# null is its own word.
+_JSON_TYPES = {type(None): "", bool: "boolean ", int: "number ", float: "number ",
+               list: "array ", dict: "object "}
+
+
+def _as_sent(value) -> str:
+    """A JSON value as its type and text (``boolean true``, ``null``); a
+    string, or a value JSON cannot write, by its repr."""
+    kind = _JSON_TYPES.get(type(value))
+    if kind is None:
+        return repr(value)
+    try:
+        return kind + json.dumps(value, ensure_ascii=False)
+    except (TypeError, ValueError):  # holds a value that is not JSON's
+        return repr(value)
+    except RecursionError:  # a request may nest deeper than repr can go
+        return kind + "nested too deeply to write"
 
 
 class MalformedQuantity(GeocardError):
     code = "malformed_quantity"
-    # value, then " for input 'key'" or ""
-    message = "cannot parse quantity from {!r}{}"
+    # the value as sent, then " for input 'key'" or ""
+    message = "cannot parse quantity from {}{}"
 
     def __init__(self, value, key: str | None = None):
-        super().__init__(value, "" if key is None else f" for input {key!r}")
+        super().__init__(_as_sent(value), _for_input(key))
 
 
 class DimensionMismatch(GeocardError):
@@ -69,7 +99,7 @@ class DimensionMismatch(GeocardError):
 
     def __init__(self, source, target, context: str = "", key: str | None = None):
         super().__init__(source, target, f" ({context})" if context else "",
-                         "" if key is None else f" for input {key!r}")
+                         _for_input(key))
 
 
 class MissingUnit(_SortedKeys):

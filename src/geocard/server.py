@@ -11,11 +11,11 @@ card/variant/skill.
 Every line is ``json.dumps(reply, separators=(",", ":"), allow_nan=False)``
 of the dict ``handle_message`` returns. The line of a tool result is
 assembled instead: the envelope's fixed text, the id's JSON, the JSON
-string literal of the reply text, and ``isError``. A text written from a
-template (an evaluation, an EC7 check or design) writes its literal from
-the template's escaped pieces, and a memoized text escapes its own once and
-keeps it, so no reply text is escaped twice. Any other text is escaped as
-``json.dumps`` would.
+string literal of the reply text, and ``isError``. A ``JsonText`` carries
+its literal from when it was built: an evaluation, an EC7 check or design
+(``engine.reply_text``, from the template's escaped pieces) and a memoized
+text (escaped once, on first use), so no reply text is escaped twice. Any
+other text is escaped as ``json.dumps`` would.
 """
 
 from __future__ import annotations
@@ -241,19 +241,20 @@ class McpServer:
         self.skills = load_skills()
         self.defaults: dict = {}  # session defaults: input key -> value
         # (tool, resolved argument, ...) -> the reply text of a tool whose
-        # reply never changes for its arguments, written on first use; the
-        # text keeps its JSON string literal once a line has carried it.
+        # reply never changes for its arguments, written with its JSON
+        # string literal on first use.
         self._texts: dict = {}
 
     def _text(self, key: tuple, build, *args) -> JsonText:
         """The memoized reply text under ``key``: ``build(*args)`` written
-        by strict_json on first use. Each key is made of arguments that
+        by strict_json, and escaped, on first use. Each key is made of arguments that
         already resolved to a card, a category, a skill or a Design
         Approach, so a client cannot grow the memo; an error reply raises
         before it gets here."""
         text = self._texts.get(key)
         if text is None:
-            text = self._texts[key] = JsonText(strict_json(build(*args)))
+            text = strict_json(build(*args))
+            text = self._texts[key] = JsonText(text, encode_basestring_ascii(text))
         return text
 
     # ---------------------------------------------------------- transport ----
@@ -291,7 +292,7 @@ class McpServer:
             line = "".join((
                 '{"jsonrpc":"2.0","id":', _ID_JSON(obj["id"]),
                 ',"result":{"content":[{"type":"text","text":',
-                text.literal() if isinstance(text, JsonText) else encode_basestring_ascii(text),
+                text.literal if isinstance(text, JsonText) else encode_basestring_ascii(text),
                 '}],"isError":true}}' if result["isError"] else '}],"isError":false}}',
                 "\n"))
         else:
@@ -497,13 +498,14 @@ class McpServer:
 def _unit_tag(value, unit_name: str, key: str) -> str:
     """The unit tag of a quantity string, empty for a bare number or a
     value that is not a string. The text is read as the evaluation reads
-    it, so it is read once when it converts; the tag of one that does not
-    convert is all the check needs, and it is read again by the evaluation
-    that names its error."""
+    it, so it is read once when it converts. One that does not convert
+    still has its tag read here, so that it counts as tagged and a
+    MissingUnit of another input comes first; the evaluation raises its
+    error."""
     if not isinstance(value, str):
         return ""
     try:
-        return quantity_text(value, unit_name)[1]
+        return quantity_text(value, unit_name, key)[1]
     except GeocardError:
         return split_quantity_text(value, key)[1]
 

@@ -9,6 +9,9 @@ The registry is a flat table of named units, each with a dimension and a
 scale factor to the coherent SI value of that dimension. It is loaded from
 a JSON table (a bundled default ships with the package) and is immutable
 after construction, so all operations here are pure and thread-safe.
+
+``quantity_text`` is the one reader of a request's quantity strings: it
+keeps its last 64 successful reads, and each error names its input.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import (DimensionMismatch, GeocardError, MalformedQuantity, NonFiniteValue,
-                     UnknownUnit)
+from .errors import DimensionMismatch, MalformedQuantity, NonFiniteValue, UnknownUnit
 from .record import FrozenRecord, set_field
 
 BASES = ("length", "mass", "time", "angle")
@@ -125,12 +127,12 @@ class UnitRegistry:
             if canonical not in self._units:
                 raise UnknownUnit(canonical)
 
-    def resolve(self, name: str) -> Unit:
-        key = self._aliases.get(name, name)
+    def resolve(self, name: str, key: str | None = None) -> Unit:
+        """The unit ``name``; an UnknownUnit names the input ``key``, if given."""
         try:
-            return self._units[key]
+            return self._units[self._aliases.get(name, name)]
         except KeyError:
-            raise UnknownUnit(name) from None
+            raise UnknownUnit(name, key) from None
 
     @property
     def dimensionless(self) -> Unit:
@@ -193,24 +195,18 @@ def parse_quantity(text: str) -> Quantity:
 def to_magnitude(value, unit_name: str, key: str) -> float:
     """Finite magnitude of a wire value in the unit ``unit_name``.
 
-    Accepts a Quantity, a unit-tagged string, or a bare number (also in
-    string form), which is trusted as already in that unit. Anything else
-    is MalformedQuantity and a NaN, an infinity or an overflow is
-    NonFiniteValue, each named by ``key``; so is a DimensionMismatch.
+    Accepts a Quantity, a unit-tagged string (read by ``quantity_text``),
+    or a bare number (also in string form), which is trusted as already in
+    that unit. Anything else is MalformedQuantity and a NaN, an infinity
+    or an overflow is NonFiniteValue, each named by ``key``; so is a
+    DimensionMismatch or an UnknownUnit.
     """
     if type(value) is float and math.isfinite(value):
         return value
-    if type(value) is str:
-        try:
-            return quantity_text(value, unit_name)[0]
-        except GeocardError:
-            pass  # raised again below, naming its input
-    registry = default_registry()
     if isinstance(value, str):
-        magnitude, tag = split_quantity_text(value, key)
-        value = Quantity(magnitude, registry.resolve(tag)) if tag else magnitude
+        return quantity_text(value, unit_name, key)[0]
     if isinstance(value, Quantity):
-        value = convert(value, registry.resolve(unit_name), key).magnitude
+        value = convert(value, default_registry().resolve(unit_name), key).magnitude
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedQuantity(value, key)
     try:
@@ -223,24 +219,24 @@ def to_magnitude(value, unit_name: str, key: str) -> float:
 
 
 @lru_cache(maxsize=64)
-def quantity_text(text: str, unit_name: str) -> tuple[float, str]:
-    """(finite magnitude in ``unit_name``, unit tag) of a quantity string,
-    the tag empty for a bare number.
+def quantity_text(text: str, unit_name: str, key: str) -> tuple[float, str]:
+    """(finite magnitude in ``unit_name``, unit tag) of the quantity string
+    of the input ``key``, the tag empty for a bare number.
 
     The result depends on its arguments alone, so the last 64 successful
     reads are kept: a client sends the same strings again within one task
     (one footing to several variants, one scenario to a check and a
     design), and 64 hold a task's strings, while a larger memo kept more
-    memory for almost no more hits. An error is raised, never kept, and
-    names no input; ``to_magnitude`` reads a failing text again to name it.
+    memory for almost no more hits. An error names ``key``; it is raised,
+    never kept.
     """
-    magnitude, tag = split_quantity_text(text)
+    magnitude, tag = split_quantity_text(text, key)
     if tag:
         registry = default_registry()
-        magnitude = convert(Quantity(magnitude, registry.resolve(tag)),
-                            registry.resolve(unit_name)).magnitude
+        magnitude = convert(Quantity(magnitude, registry.resolve(tag, key)),
+                            registry.resolve(unit_name), key).magnitude
     if not math.isfinite(magnitude):
-        raise NonFiniteValue(None)
+        raise NonFiniteValue(key)
     return magnitude, tag
 
 

@@ -382,7 +382,7 @@ class TestEc7Commands:
 
 
 class TestEc7JsonMatchesTheReference:
-    """``--format json`` splices each result's to_json into the list; the
+    """``--format json`` indents each result's to_json into the list; the
     text must be strict_json of the results' to_dict() list."""
 
     @staticmethod

@@ -702,7 +702,7 @@ def _same_json(result) -> dict:
     text = result.to_json()
     assert text == strict_json(result.to_dict())
     reply = reply_text(result)
-    assert reply == text and reply.literal() == encode_basestring_ascii(text)
+    assert reply == text and reply.literal == encode_basestring_ascii(text)
     return json.loads(text)
 
 
@@ -714,6 +714,13 @@ _NO_C_U = FootingScenario(L=4.0, D_f=1.0, phi_prime_k=0.5, c_prime_k=5.0, gamma_
 _SUBMERGED_LIGHT = FootingScenario(L=4.0, D_f=1.0, phi_prime_k=0.17, c_prime_k=0.0,
                                    gamma_k=5.0, groundwater_depth=0.0, G_k_col=100.0,
                                    Q_k=10.0, gamma_sw=24.0)
+
+
+# Text that holds a quote, a backslash, a newline and non-ASCII characters.
+_AWKWARD_TEXT = st.builds(lambda a, b: a + '"\\\n\u00e9\u6f22' + b,
+                          st.text(max_size=6), st.text(max_size=6))
+_REAL_CHECK = check_footing_uls_ec7(SCENARIO, "DA2", 2.0)
+_REAL_DESIGN = design_footing_width_ec7(SCENARIO, "DA3")
 
 
 class TestResultJson:
@@ -738,6 +745,37 @@ class TestResultJson:
         body = _same_json(check_footing_uls_ec7(_SUBMERGED_LIGHT, "DA1-C1", 2.0))
         assert body["R_d"] < 0 and body["utilization"] is None and body["pass"] is False
         assert body["design_parameters"]["c_u_d"] is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(utilization=st.one_of(st.just(math.inf), st.floats(allow_nan=False,
+                                                              allow_infinity=False)),
+           c_u_d=st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+           design_approach=_AWKWARD_TEXT, drainage=_AWKWARD_TEXT, passed=st.booleans(),
+           B_req=st.floats(0.01, 50.0))
+    @example(utilization=math.inf, c_u_d=None, design_approach='"\\\n\ud800',
+             drainage="\u00fc\u20ac\U0001f600", passed=False, B_req=5e-324)
+    def test_drawn_field_values(self, utilization, c_u_d, design_approach, drainage,
+                                passed, B_req):
+        """Results built by dataclasses.replace on a real check and design:
+        an infinite utilization, a null c_u_d, and strings that need
+        escaping, each written as the reference writes it."""
+        check = dataclasses.replace(
+            _REAL_CHECK, design_approach=design_approach, drainage=drainage,
+            utilization=utilization, passed=passed,
+            design_parameters={**_REAL_CHECK.design_parameters, "c_u_d": c_u_d})
+        design = dataclasses.replace(_REAL_DESIGN, design_approach=design_approach,
+                                     B_req=B_req, check=check)
+        for result in (check, design):
+            assert result._written() is not None
+            text = result.to_json()
+            assert text == strict_json(result.to_dict())
+            assert reply_text(result).literal == encode_basestring_ascii(text)
+        body = json.loads(design.to_json())
+        assert body["check"]["utilization"] == (None if utilization == math.inf
+                                                else utilization)
+        assert body["check"]["design_parameters"]["c_u_d"] == c_u_d
+        assert (body["design_approach"], body["check"]["drainage"]) == (design_approach,
+                                                                        drainage)
 
     def test_templates_are_kept_per_variant_and_key_set(self):
         first = check_footing_uls_ec7(SCENARIO, "DA2", 2.0)

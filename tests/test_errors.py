@@ -91,6 +91,29 @@ def test_dimension_mismatch_names_its_input():
     assert exc.payload() == {"error": "dimension_mismatch", "message": str(exc)}
 
 
+def test_unknown_unit_names_its_input():
+    exc = er.UnknownUnit("furlong", "B")
+    assert str(exc) == "unknown unit: 'furlong' for input 'B'"
+    assert exc.payload() == {"error": "unknown_unit", "message": str(exc)}
+
+
+@pytest.mark.parametrize("value, written", [
+    (True, "boolean true"), (None, "null"), (2.5, "number 2.5"),
+    ([1, "m"], 'array [1, "m"]'), ({"B": 2}, 'object {"B": 2}'), ("2 m m", "'2 m m'")])
+def test_malformed_quantity_writes_a_value_as_json(value, written):
+    exc = er.MalformedQuantity(value, "B")
+    assert str(exc) == f"cannot parse quantity from {written} for input 'B'"
+
+
+def test_malformed_quantity_nested_too_deeply_to_write():
+    value = []
+    for _ in range(100_000):  # deeper than any recursion limit
+        value = [value]
+    exc = er.MalformedQuantity(value, "q")
+    assert str(exc) == ("cannot parse quantity from array nested too deeply "
+                        "to write for input 'q'")
+
+
 def test_invalid_query_is_a_value_error():
     assert isinstance(er.InvalidQuery("x"), ValueError)
 

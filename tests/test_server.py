@@ -4,6 +4,7 @@ and the byte-exact golden transcript replay."""
 import io
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -448,6 +449,21 @@ class TestUnitTaggedEvaluate:
         assert payload["message"] == ("cannot parse quantity from 'two m' "
                                       "for input 'B'")
 
+    def test_unknown_unit_names_its_input(self, server):
+        args = json.loads(json.dumps(TERZAGHI_ARGS))
+        args["inputs"]["B"] = "2 furlong"
+        payload = tool_error(call(server, "geo_evaluate_with_units", args))
+        assert payload == {"error": "unknown_unit",
+                           "message": "unknown unit: 'furlong' for input 'B'"}
+
+    def test_unknown_unit_in_a_scenario_names_its_field(self, server):
+        response = call(server, "geo_check_footing_uls_ec7", {
+            "scenario": {**JRC_SCENARIO, "L": "4 parsec"},
+            "design_approach": "DA2", "B": 1.5})
+        assert tool_error(response) == {
+            "error": "unknown_unit",
+            "message": "unknown unit: 'parsec' for input 'L'"}
+
     def test_bare_override_is_tool_error(self, server):
         args = {"card": "BEARING_CAPACITY_VESIC", "variant": "general",
                 "inputs": {"phi_prime": "30 deg", "c_prime": "10 kPa",
@@ -548,8 +564,8 @@ VESIC_UNITS = {"phi_prime": "deg", "c_prime": "kPa", "gamma": "kN/m^3",
 
 
 class TestRepliesMatchTheReference:
-    """A calculation reply is written from the trace's template and spliced
-    into the EC7 replies; its text must be what strict_json writes of the
+    """A calculation reply is written from the trace's template, nested in
+    the EC7 replies' templates; its text must be what strict_json writes of the
     handler's dict form, byte for byte, error and NaN replies included."""
 
     @pytest.fixture(scope="class")
@@ -702,6 +718,25 @@ class TestBoundaryLeaks:
             {"jsonrpc": "2.0", "id": None,
              "error": {"code": -32700, "message": "parse error"}},
             {"jsonrpc": "2.0", "id": 3, "result": {}}]
+
+    def test_deeply_nested_input_is_a_tool_error(self):
+        """An input nested as deep as a request line may be is a malformed
+        quantity, not an internal error, however deep the line decodes."""
+        codes = set()
+        for depth in range(900, 1001, 5):
+            line = json.dumps(rpc("tools/call", {"name": "geo_evaluate", "arguments": {
+                **TERZAGHI_ARGS, "inputs": {**TERZAGHI_ARGS["inputs"], "q": None}}}))
+            stdout = io.StringIO()
+            serve(io.StringIO(line.replace("null", "[" * depth + "]" * depth) + "\n"),
+                  stdout)
+            reply = json.loads(stdout.getvalue())
+            if "error" in reply:
+                assert reply["error"]["code"] == -32700, depth
+                codes.add(-32700)
+            else:
+                assert tool_error(reply)["error"] == "malformed_quantity", depth
+                codes.add("malformed_quantity")
+        assert "malformed_quantity" in codes
 
     def test_hostile_transcript_replays_byte_identically(self):
         requests = (DATA_DIR / "hostile_transcript_requests.jsonl").read_text()
@@ -912,8 +947,8 @@ class TestWrittenLines:
                                      "arguments": {"id": "BEARING_CAPACITY_VESIC"}})
         line = json.dumps(message)
         server.serve(io.StringIO(f"{line}\n{line}\n"), stdout)
-        [text] = server._texts.values()
-        assert text.literal() is text.literal()
+        [text] = server._texts.values()  # one text, written once and reused
+        assert text.literal == encode_basestring_ascii(text)
         reference = json.dumps(McpServer().handle_message(message),
                                separators=(",", ":")) + "\n"
         assert stdout.getvalue() == reference * 2

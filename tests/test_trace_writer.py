@@ -43,8 +43,8 @@ def templated(trace) -> str:
     escaped pieces, must be the text's own JSON string literal."""
     assert trace._written() is not None
     text, reply = trace.to_json(), reply_text(trace)
-    assert reply == text and type(reply.literal()) is str
-    assert reply.literal() == encode_basestring_ascii(text)
+    assert reply == text and type(reply.literal) is str
+    assert reply.literal == encode_basestring_ascii(text)
     return text
 
 
@@ -255,4 +255,4 @@ class TestFaults:
         partial = fault.value.partial_trace
         assert partial._written() is None
         assert partial.to_json() == reference(partial)
-        assert reply_text(partial).literal() == encode_basestring_ascii(reference(partial))
+        assert reply_text(partial).literal == encode_basestring_ascii(reference(partial))

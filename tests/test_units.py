@@ -83,19 +83,32 @@ class TestParseQuantity:
         assert parse_quantity("1.5e3 kPa").magnitude == 1500.0
 
     def test_malformed_message_tells_a_value_from_its_text(self):
-        # The message quotes the value once: a JSON true and the string
-        # "True" (or a list and its text) give different messages.
+        # A string is quoted; any other value is written as the JSON a
+        # client sent, after its JSON type: a JSON true and the string
+        # "True" (a null and "null", a list and its text) differ.
         messages = []
-        for value in (True, "True", [1, 2], "[1, 2]"):
+        for value in (True, "True", None, "null", [1, 2], "[1, 2]"):
             with pytest.raises(MalformedQuantity) as err:
                 to_magnitude(value, "m", "B")
             messages.append(str(err.value))
         assert messages == [
-            "cannot parse quantity from True for input 'B'",
+            "cannot parse quantity from boolean true for input 'B'",
             "cannot parse quantity from 'True' for input 'B'",
-            "cannot parse quantity from [1, 2] for input 'B'",
+            "cannot parse quantity from null for input 'B'",
+            "cannot parse quantity from 'null' for input 'B'",
+            "cannot parse quantity from array [1, 2] for input 'B'",
             "cannot parse quantity from '[1, 2]' for input 'B'",
         ]
+        assert len(set(messages)) == 6
+
+    @pytest.mark.parametrize("value, written", [
+        ({"v": "2 m"}, 'object {"v": "2 m"}'), (["ü"], 'array ["ü"]'),
+        ({1j}, "{1j}"), ([object], repr([object])), ((1, 2), "(1, 2)")])
+    def test_malformed_object_and_non_json_values(self, value, written):
+        """An object is JSON too; a value JSON cannot write is its repr."""
+        with pytest.raises(MalformedQuantity) as err:
+            to_magnitude(value, "m", "B")
+        assert str(err.value) == f"cannot parse quantity from {written} for input 'B'"
 
 
 class TestConvert:
@@ -183,29 +196,32 @@ class TestDimensionType:
 
 
 class TestQuantityTextMemo:
-    """``quantity_text`` keeps the last 64 successful reads; an error is
-    never kept and always names its input."""
+    """``quantity_text`` is the one reader of a quantity string: it keeps
+    the last 64 successful reads, and an error names its input and is
+    never kept."""
 
     @given(st.floats(allow_nan=False, allow_infinity=False),
            st.sampled_from([("mm", "m"), ("deg", "radians"), ("MPa", "kPa"),
                             ("kN/m^3", "kN/m^3"), ("", "kPa")]))
     @example(-0.0, ("mm", "m"))
     @example(5e-324, ("deg", "radians"))
-    def test_hit_has_the_bits_of_the_uncached_path(self, magnitude, units):
+    def test_hit_has_the_bits_of_a_miss(self, magnitude, units):
         tag, target = units
         text = f"{magnitude!r} {tag}".strip()
-        if tag:
-            uncached = convert(parse_quantity(text), REG.resolve(target)).magnitude
-        else:
-            uncached = float(text)
-        if not math.isfinite(uncached):  # 1e308 MPa overflows
+        reference = (convert(parse_quantity(text), REG.resolve(target)).magnitude
+                     if tag else float(text))
+        quantity_text.cache_clear()
+        if not math.isfinite(reference):  # 1e308 MPa overflows
             with pytest.raises(NonFiniteValue, match="'x'"):
                 to_magnitude(text, target, "x")
+            assert quantity_text.cache_info().currsize == 0
             return
-        first = to_magnitude(text, target, "x")
+        miss = quantity_text(text, target, "x")
+        assert quantity_text.cache_info()[:2] == (0, 1)  # hits, misses
         hit = to_magnitude(text, target, "x")
-        assert quantity_text(text, target) == (hit, tag)
-        assert first.hex() == hit.hex() == uncached.hex()
+        assert quantity_text.cache_info()[:2] == (1, 1)
+        assert miss == (hit, tag)
+        assert miss[0].hex() == hit.hex() == reference.hex()
 
     def test_memo_stays_within_its_bound(self):
         for i in range(10_000):
@@ -213,26 +229,27 @@ class TestQuantityTextMemo:
         info = quantity_text.cache_info()
         assert info.maxsize == 64 and info.currsize <= 64
 
-    def test_error_after_a_hit_names_its_input(self):
+    @pytest.mark.parametrize("text, unit, error, message", [
+        ("two m", "m", MalformedQuantity, "cannot parse quantity from 'two m' for input 'B'"),
+        ("2 furlong", "m", UnknownUnit, "unknown unit: 'furlong' for input 'B'"),
+        ("2 m", "kPa", DimensionMismatch,
+         "incompatible dimensions: length vs length^-1·mass·time^-2 (m -> kPa) "
+         "for input 'B'"),
+        ("1e999 m", "m", NonFiniteValue, "'B' is not a finite number"),
+        ("-1e999", "m", NonFiniteValue, "'B' is not a finite number")])
+    def test_each_error_names_its_input_and_is_not_kept(self, text, unit, error,
+                                                         message):
         assert to_magnitude("2 m", "m", "B") == 2.0
-        assert to_magnitude("2 m", "m", "B") == 2.0  # a hit
-        with pytest.raises(DimensionMismatch) as err:
-            to_magnitude("2 m", "kPa", "c_prime")
-        assert str(err.value).endswith("(m -> kPa) for input 'c_prime'")
-        with pytest.raises(DimensionMismatch) as err:
-            quantity_text("2 m", "kPa")
-        assert "for input" not in str(err.value)
-
-    @pytest.mark.parametrize("text, error, message", [
-        ("two m", MalformedQuantity, "cannot parse quantity from 'two m' for input 'B'"),
-        ("2 furlong", UnknownUnit, "unknown unit: 'furlong'"),
-        ("1e999 m", NonFiniteValue, "'B' is not a finite number")])
-    def test_failures_are_not_kept(self, text, error, message):
-        for _ in range(2):
-            misses = quantity_text.cache_info().misses
-            with pytest.raises(error):
-                quantity_text(text, "m")
-            assert quantity_text.cache_info().misses == misses + 1
+        assert to_magnitude("2 m", "m", "B") == 2.0  # a hit, under another unit
+        for read in (quantity_text, to_magnitude) * 2:
+            before = quantity_text.cache_info()
             with pytest.raises(error) as err:
-                to_magnitude(text, "m", "B")
+                read(text, unit, "B")
             assert str(err.value) == message
+            after = quantity_text.cache_info()
+            assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
+
+    def test_without_a_key_the_unknown_unit_names_no_input(self):
+        with pytest.raises(UnknownUnit) as err:
+            parse_quantity("2 furlong")
+        assert str(err.value) == "unknown unit: 'furlong'"
