@@ -240,7 +240,7 @@ class TestQuantityTextMemo:
     def test_each_error_names_its_input_and_is_not_kept(self, text, unit, error,
                                                          message):
         assert to_magnitude("2 m", "m", "B") == 2.0
-        assert to_magnitude("2 m", "m", "B") == 2.0  # a hit, under another unit
+        assert to_magnitude("2 m", "m", "B") == 2.0  # a hit before each error
         for read in (quantity_text, to_magnitude) * 2:
             before = quantity_text.cache_info()
             with pytest.raises(error) as err:
