@@ -269,12 +269,15 @@ class TestEc7Commands:
         (["design", "--scenario", PAD, "--da", "all", "--drainage", "undrained"],
          "golden_cli_ec7_design_undrained.json"),
         (["check", "--scenario", PAD, "--da", "DA2", "--B", "2.5", "--drainage",
-          "undrained"], "golden_cli_ec7_check_undrained_da2.json")],
+          "undrained"], "golden_cli_ec7_check_undrained_da2.json"),
+        (["design", "--scenario", JRC_A3, "--da", "all", "--tolerance", "1e-9"],
+         "golden_cli_ec7_design_tight.json")],
         ids=["design", "check", "design-pad-drained", "design-pad-undrained",
-             "check-pad-undrained-da2"])
+             "check-pad-undrained-da2", "design-tight"])
     def test_json_matches_golden_file(self, command, golden):
-        """The console-script steps of CI: each reply, byte for byte. The
-        last is a one-element list of an undrained check."""
+        """The console-script steps of CI: each reply, byte for byte. One is
+        a one-element list of an undrained check; the last is a deep
+        bisection, 33 or 34 halvings per Design Approach."""
         root = Path(__file__).parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "geocard.cli", "ec7", *command, "--format", "json"],

@@ -595,13 +595,16 @@ def _reference_check(scenario, design_approach, B, catalog=None,
 def _traced_search(scenario, design_approach, tolerance=1e-3, catalog=None,
                    drainage="drained"):
     """The width search as first written: every trial is a reference check."""
+    return _bisection(scenario, design_approach, tolerance, lambda width: _reference_check(
+        scenario, design_approach, width, catalog=catalog, drainage=drainage))
+
+
+def _bisection(scenario, design_approach, tolerance, check):
+    """The bracket-and-bisect loop of the width search, with every trial
+    width a full ``check(width)``."""
     if not 0.0 < tolerance < 1.0:
         raise SchemaError("$.tolerance", "must lie strictly between 0 and 1")
     min_b = max(2.0 * scenario.e + 1e-6, 1e-4)
-
-    def check(width):
-        return _reference_check(scenario, design_approach, width,
-                                catalog=catalog, drainage=drainage)
 
     lo = max(0.1, min_b)
     hi = max(20.0, lo)
@@ -721,6 +724,55 @@ _AWKWARD_TEXT = st.builds(lambda a, b: a + '"\\\n\u00e9\u6f22' + b,
                           st.text(max_size=6), st.text(max_size=6))
 _REAL_CHECK = check_footing_uls_ec7(SCENARIO, "DA2", 2.0)
 _REAL_DESIGN = design_footing_width_ec7(SCENARIO, "DA3")
+
+
+def _jrc_a3(**changes) -> FootingScenario:
+    """The bundled scenario with some of its fields' texts replaced."""
+    raw = json.loads(Path(bundled_scenario_path()).read_text("utf-8"))
+    return load_scenario(json.dumps({**raw, **changes}))
+
+
+def _search_outcome(search):
+    """The design's bytes and halvings, or the error as a client reads it."""
+    try:
+        result = search()
+    except GeocardError as exc:
+        return type(exc), str(exc), exc.payload()
+    return result.to_json(), result.iterations
+
+
+class TestWidthSearchMatchesCheckedSearch:
+    """The width search against the bracket and bisection made of public
+    checks, one ``check_footing_uls_ec7`` per trial width."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_SCENARIOS, st.sampled_from(DESIGN_APPROACHES),
+           st.sampled_from(("drained", "undrained")), st.sampled_from((1e-2, 1e-3, 1e-6)))
+    @example(_jrc_a3(L="1.5 m"), "DA2", "drained", 1e-3)  # NoBracket
+    @example(_jrc_a3(G_k_col="1.5e308 kN"), "DA2", "drained", 1e-3)  # V_d overflows
+    @example(_jrc_a3(phi_prime_k="89.99 deg"), "DA3", "drained", 1e-6)  # N_q overflows
+    @example(SCENARIO, "DA1-C1", "undrained", 1e-2)  # no c_u_k
+    @example(SCENARIO, "DA1-C2", "drained", 1e-6)
+    @example(_NO_C_U, "DA3", "drained", 1e-2)
+    def test_same_design_or_same_error(self, scenario, da, drainage, tolerance):
+        expected = _search_outcome(lambda: _bisection(
+            scenario, da, tolerance, lambda width: check_footing_uls_ec7(
+                scenario, da, width, drainage=drainage)))
+        assert _search_outcome(lambda: design_footing_width_ec7(
+            scenario, da, tolerance, drainage=drainage)) == expected
+
+    @pytest.mark.parametrize("changes, da, drainage, kind, message", [
+        ({"L": "1.5 m"}, "DA2", "drained", NoBracket, "utilization does not cross 1.0"),
+        ({"G_k_col": "1.5e308 kN"}, "DA2", "drained", NonFiniteValue, "'V_d'"),
+        ({"phi_prime_k": "89.99 deg"}, "DA3", "drained", MathDomain, "overflow in exp"),
+        ({}, "DA1-C1", "undrained", SchemaError, "$.c_u_k"),
+    ], ids=["no-bracket", "V_d-overflows", "N_q-overflows", "no-c_u_k"])
+    def test_error_examples_raise_what_they_name(self, changes, da, drainage, kind,
+                                                 message):
+        got = _search_outcome(lambda: design_footing_width_ec7(
+            _jrc_a3(**changes), da, drainage=drainage))
+        assert got[0] is kind and got[1].startswith(message)
+        assert ("partial_trace" in got[2]) == (kind is MathDomain)
 
 
 class TestResultJson:
