@@ -3,16 +3,16 @@
 Covers the four EN 1997-1 Design Approach presets (Annex A partial
 factors), characteristic-to-design parameter reduction, design action
 assembly including foundation self-weight, the ULS bearing check against
-the Annex D card, and the bisection search for the required width. Every
-trial width of the search is a full check with the card's complete trace,
-and the search returns the check made at the width it settles on. The
-card's steps that read neither the width nor the unit weight below the
-base (the bearing capacity factors) are bound once per check or search,
-when the card is staged, and each trial walks only the rest
-(``engine.stage_card``). The check and the search read the Annex D card
-from the catalog they are given, or from the process-wide
-``catalog.default_catalog()`` when given none, so the catalog is loaded
-and audited at most once per process.
+the Annex D card, and the bisection search for the required width. A
+trial width of the search computes the utilization only, and the check,
+with the card's complete trace, is built once, at the width the search
+returns, from that trial's walk. The card's steps that read neither the
+width nor the unit weight below the base (the bearing capacity factors)
+are bound once per check or search, when the card is staged, and each
+trial walks only the rest (``engine.stage_walk``). The check and the
+search read the Annex D card from the catalog they are given, or from the
+process-wide ``catalog.default_catalog()`` when given none, so the catalog
+is loaded and audited at most once per process.
 
 Groundwater handling follows standard practice: effective overburden uses
 total stress above the water table and buoyant weight below; the unit
@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .cards import ABSENT, instance_of, load_record, read_record
 from .catalog import Catalog, default_catalog
-from .engine import EvaluationTrace, nested_written, stage_card, template_json
+from .engine import EvaluationTrace, nested_written, stage_walk, template_json
 from .errors import (InvalidGeometry, NoBracket, NonConvergence,
                      NonFiniteValue, SchemaError, UnknownDesignApproach)
 from .units import DATA_DIR, to_magnitude
@@ -180,8 +180,7 @@ def bundled_scenario_path(name: str = "jrc_a3") -> str:
 
 # ------------------------------------------------------------- ULS check ----
 
-# Not frozen: one is built per width-search trial, and a frozen __init__ is slow.
-@dataclass
+@dataclass(frozen=True)
 class UlsCheckResult:
     design_approach: str
     B: float
@@ -226,8 +225,10 @@ class UlsCheckResult:
 
 def _uls_checker(scenario: FootingScenario, design_approach: str,
                  catalog: Catalog | None, drainage: str
-                 ) -> Callable[[float], UlsCheckResult]:
-    """``check(B)``: the ULS check at width ``B``, with the card's trace.
+                 ) -> tuple[Callable[[float], tuple], Callable[[tuple], UlsCheckResult]]:
+    """``(trial, result)``: ``trial(B)`` is the utilization of the ULS check
+    at width ``B`` and its state, and ``result(state)`` the check with the
+    card's trace.
 
     The design values do not depend on the width, so they are computed once
     here, into the dict the result shows as ``design_parameters``:
@@ -242,10 +243,10 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
     given, which is the check's first error anyway. The first trial that
     passes the width checks looks up the card, checks the drainage and
     stages the card's variant from that dict with ``gamma`` and ``B`` free
-    (``engine.stage_card``), which binds the steps that read neither, the
-    bearing capacity factors, once. The errors are those of a full
-    ``evaluate_card`` per trial, in the same order: the width, the card
-    lookup, the drainage, then the evaluation.
+    (``engine.stage_walk``), which binds the steps that read neither, the
+    bearing capacity factors, once. A trial builds no trace. Its errors are
+    those of a full ``evaluate_card`` at its width, in the same order: the
+    width, the card lookup, the drainage, then the evaluation.
     """
     pf = get_ec7_preset_partials(design_approach)
     gamma_d = scenario.gamma_k / pf.gamma_gamma
@@ -265,17 +266,17 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
         "gamma_d": gamma_d,
         "q_d": q_d,
     }
-    staged = None
+    walk = trace = None
 
-    def check(B: float) -> UlsCheckResult:
-        nonlocal staged
+    def trial(B: float) -> tuple[float, tuple]:
+        nonlocal walk, trace
         if B <= 0:
             raise InvalidGeometry(f"width must be positive, got {B:g}")
         B_eff = B - 2.0 * scenario.e
         if B_eff <= 0:
             raise InvalidGeometry(
                 f"effective width B - 2e = {B_eff:g} m is not positive")
-        if staged is None:
+        if walk is None:
             card = (catalog or default_catalog()).get_method(EC7_CARD_ID)
             if drainage not in ("drained", "undrained"):
                 raise SchemaError("$.drainage", "must be 'drained' or 'undrained'")
@@ -283,7 +284,7 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
             if drainage == "undrained" and c_u_d is None:
                 raise SchemaError("$.c_u_k",
                                   "scenario lacks undrained strength c_u_k")
-            staged = stage_card(card, drainage, {
+            walk, trace = stage_walk(card, drainage, {
                 "phi_prime_d": design["phi_prime_d"],
                 "c_prime_d": design["c_prime_d"],
                 "c_u_d": 0.0 if c_u_d is None else c_u_d,
@@ -296,14 +297,19 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
             gamma_eff = gamma_d
         else:
             gamma_eff = buoyant + (below / B_eff) * (gamma_d - buoyant)
-        trace = staged({"gamma": gamma_eff, "B": B_eff})
-        R_d = trace.outputs["q_ult"].magnitude * B_eff * scenario.L / pf.gamma_R
+        values = {"gamma": gamma_eff, "B": B_eff}
+        walked = walk(values)
+        R_d = walked[0]["q_ult"] * B_eff * scenario.L / pf.gamma_R
         W = scenario.gamma_sw * B * D_f * scenario.L
         V_d = pf.gamma_G * (scenario.G_k_col + W) + pf.gamma_Q * scenario.Q_k
         for label, value in (("V_d", V_d), ("R_d", R_d)):
             if not math.isfinite(value):  # float arithmetic overflows silently
                 raise NonFiniteValue(label)
         utilization = V_d / R_d if R_d > 0 else math.inf
+        return utilization, (B, B_eff, V_d, R_d, utilization, values, walked)
+
+    def result(state: tuple) -> UlsCheckResult:
+        B, B_eff, V_d, R_d, utilization, values, walked = state
         return UlsCheckResult(
             design_approach=design_approach,
             B=B,
@@ -312,12 +318,12 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
             R_d=R_d,
             utilization=utilization,
             passed=utilization <= 1.0 + 1e-12,
-            design_parameters={**design, "gamma_eff": gamma_eff},
+            design_parameters={**design, "gamma_eff": values["gamma"]},
             partial_factors=pf,
-            trace=trace,
+            trace=trace(values, walked),
             drainage=drainage,
         )
-    return check
+    return trial, result
 
 
 def check_footing_uls_ec7(scenario: FootingScenario, design_approach: str,
@@ -329,7 +335,8 @@ def check_footing_uls_ec7(scenario: FootingScenario, design_approach: str,
     A design action or resistance that overflows to infinity raises
     NonFiniteValue naming ``V_d`` or ``R_d``.
     """
-    return _uls_checker(scenario, design_approach, catalog, drainage)(B)
+    trial, result = _uls_checker(scenario, design_approach, catalog, drainage)
+    return result(trial(B)[1])
 
 
 @dataclass(frozen=True)
@@ -366,43 +373,44 @@ def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
     """Bisection on utilization(B) - 1 for the required footing width.
 
     Returns the passing end of the bracket, once its utilization lies in
-    (1 - tolerance, 1], together with the check made there. Each trial
-    width is a full check, so a trial that fails raises its error with the
-    partial trace. The bracket starts at [0.1 m, 20 m] and expands
-    automatically (up to fixed limits) when utilization does not cross 1
-    inside it.
+    (1 - tolerance, 1], together with the check there. A trial width
+    computes the utilization only; the check, with its trace, is built
+    once, at the width returned, from that trial. A trial that fails
+    raises what the check at its width raises, partial trace included. The
+    bracket starts at [0.1 m, 20 m] and expands automatically (up to fixed
+    limits) when utilization does not cross 1 inside it.
     """
     if not 0.0 < tolerance < 1.0:  # also a NaN or a huge int
         raise SchemaError("$.tolerance", "must lie strictly between 0 and 1")
     min_b = max(2.0 * scenario.e + 1e-6, 1e-4)
-    check = _uls_checker(scenario, design_approach, catalog, drainage)
+    trial, result = _uls_checker(scenario, design_approach, catalog, drainage)
 
     lo = max(0.1, min_b)
     hi = max(20.0, lo)
-    at_lo, at_hi = check(lo), check(hi)
+    (u_lo, _), (u_hi, at_hi) = trial(lo), trial(hi)
     expansions = 0
-    while at_lo.utilization <= 1.0 and lo > min_b and expansions < 12:
+    while u_lo <= 1.0 and lo > min_b and expansions < 12:
         lo = max(lo / 2.0, min_b)
-        at_lo = check(lo)
+        u_lo, _ = trial(lo)
         expansions += 1
-    while at_hi.utilization >= 1.0 and expansions < 24:
+    while u_hi >= 1.0 and expansions < 24:
         hi *= 2.0
-        at_hi = check(hi)
+        u_hi, at_hi = trial(hi)
         expansions += 1
-    if at_lo.utilization <= 1.0 or at_hi.utilization >= 1.0:
+    if u_lo <= 1.0 or u_hi >= 1.0:
         raise NoBracket(lo, hi)
 
     iterations = 0
-    while at_hi.utilization <= 1.0 - tolerance:
+    while u_hi <= 1.0 - tolerance:
         if iterations == 200:
             raise NonConvergence("width bisection", iterations,
-                                 "utilization gap", 1.0 - at_hi.utilization)
+                                 "utilization gap", 1.0 - u_hi)
         mid = 0.5 * (lo + hi)
-        at_mid = check(mid)
-        if at_mid.utilization > 1.0:
+        u_mid, at_mid = trial(mid)
+        if u_mid > 1.0:
             lo = mid
         else:
-            hi, at_hi = mid, at_mid
+            hi, u_hi, at_hi = mid, u_mid, at_mid
         iterations += 1
     return WidthDesignResult(design_approach=design_approach, B_req=hi,
-                             check=at_hi, iterations=iterations)
+                             check=result(at_hi), iterations=iterations)

@@ -20,6 +20,8 @@ width search). When the card is staged, the longest leading run of the
 direct plan that reads no free input is bound once, and each call walks
 only the rest from a copy of that env, with the same ``_walk`` and the
 same trace: what it returns and raises is what ``evaluate_card`` does.
+``stage_walk`` splits a call into the walk, which builds a trace only for
+a fault, and the trace of a walk, so a caller builds only those it keeps.
 
 ``EvaluationTrace.to_dict`` and ``strict_json`` are the reference writer of a
 trace. ``to_json`` writes a complete trace from its variant's ``Template``:
@@ -69,7 +71,7 @@ InputValue = (Quantity, float, int, str)
 
 
 # The request and the trace are not frozen: a frozen record's __init__
-# costs more per call, paid on every trial of a width search.
+# costs more per call, paid on every evaluation.
 class EvaluationRequest(Record):
     __slots__ = ("card_id", "variant_id", "inputs", "overrides")
 
@@ -503,17 +505,23 @@ def _cycle(block: tuple, iterations, residual) -> dict:
             "residual": residual}
 
 
-def _run(card: MethodCard, variant: VariantSpec, env: dict, echo: tuple,
-         direct: tuple) -> EvaluationTrace:
+def _run(card: MethodCard, variant: VariantSpec, env: dict, direct: tuple,
+         echo: Callable[[], tuple]) -> list[dict]:
     """Walk ``direct``, the rest of the variant's direct plan, and its
-    fixed-point block in ``env``; the trace, or a fault carrying the
-    partial trace of the steps bound before it."""
+    fixed-point block in ``env``; the cycle diagnostics, or a fault carrying
+    the partial trace of the steps bound before it, whose request echo is
+    ``echo()``."""
     try:
-        cycles = _walk(direct, variant.iterative, env)
+        return _walk(direct, variant.iterative, env)
     except GeocardError as exc:
-        exc.partial_trace = EvaluationTrace(card, variant, env, *echo, {},
+        exc.partial_trace = EvaluationTrace(card, variant, env, *echo(), {},
                                             {"iterative_cycles": []})
         raise
+
+
+def _trace(card: MethodCard, variant: VariantSpec, env: dict, echo: tuple,
+           cycles: list[dict]) -> EvaluationTrace:
+    """The complete trace of a walked ``env``."""
     return EvaluationTrace(card, variant, env, *echo,
                            {key: Quantity(env[key], card.units[key])
                             for key in card.output_keys},
@@ -540,39 +548,52 @@ def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTra
             raise UnexpectedInput(bad)
         for key, value in overrides.items():
             env[key] = to_magnitude(value, card.units[key].name, key)
-    return _run(card, variant, env, (dict(request.inputs), dict(overrides)),
-                variant.direct)
+    echo = (dict(request.inputs), dict(overrides))
+    return _trace(card, variant, env, echo,
+                  _run(card, variant, env, variant.direct, lambda: echo))
 
 
 def stage_card(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue],
                free: Iterable[str]
                ) -> Callable[[Mapping[str, InputValue]], EvaluationTrace]:
     """``evaluate_card`` of one variant as a function of the inputs named
-    ``free``; ``fixed`` holds every other input.
+    ``free``, ``fixed`` holding every other input: ``staged(values)`` is
+    ``trace(values, walk(values))`` of ``stage_walk``."""
+    walk, trace = stage_walk(card, variant_id, fixed, free)
+    return lambda values: trace(values, walk(values))
 
-    ``staged(values)`` returns and raises what ``evaluate_card`` does for
-    the variant with ``{**fixed, **values}`` as its inputs. Binding happens
-    here, once: the fixed inputs are normalized, the param defaults bound,
-    and the longest leading run of the direct plan that reads no free key
-    is walked. Each call copies that env, normalizes the free inputs and
-    walks the rest of the plan.
 
-    Only a leading run is bound, so a fault's partial trace holds exactly
-    the steps before it. Every call is a plain ``evaluate_card`` on an
-    unknown variant, free and fixed keys that are not the card's inputs, a
-    fixed input that does not normalize, or a fault in the bound run. A
-    call whose values are not exactly the free keys, or do not normalize,
-    is plain too.
+def stage_walk(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue],
+               free: Iterable[str]) -> tuple[Callable, Callable]:
+    """``(walk, trace)``: ``walk(values)`` raises what ``evaluate_card``
+    raises for the variant with ``{**fixed, **values}`` as its inputs, and
+    otherwise returns the walked env and its cycle diagnostics; only a fault
+    builds a trace, the partial one. ``trace(values, walked)`` is the trace
+    that ``evaluate_card`` returns.
+
+    Binding happens here, once: the fixed inputs are normalized, the param
+    defaults bound, and the longest leading run of the direct plan that
+    reads no free key is walked. Each walk copies that env, normalizes the
+    free inputs and walks the rest of the plan. Only a leading run is
+    bound, so a fault's partial trace holds exactly the steps before it.
+    Every walk is a plain ``evaluate_card`` on an unknown variant, free and
+    fixed keys that are not the card's inputs, a fixed input that does not
+    normalize, or a fault in the bound run. A walk whose values are not
+    exactly the free keys, or do not normalize, is plain too.
     """
     free, fixed = frozenset(free), dict(fixed)
 
     def plain(values):
-        return evaluate_card(card, EvaluationRequest(card.id, variant_id,
+        done = evaluate_card(card, EvaluationRequest(card.id, variant_id,
                                                      {**fixed, **values}))
+        return done.env, done.diagnostics["iterative_cycles"]
+
+    def trace(values, walked):
+        return _trace(card, variant, walked[0], ({**fixed, **values}, {}), walked[1])
 
     variant = card.variant(variant_id)
     if variant is None or fixed.keys() | free != card.input_keys:
-        return plain
+        return plain, trace
     direct, bound = variant.direct, 0
     while bound < len(direct) and free.isdisjoint(direct[bound].symbols):
         bound += 1
@@ -582,11 +603,11 @@ def stage_card(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue
         env.update(card.param_defaults)
         _walk(direct[:bound], (), env)
     except GeocardError:
-        return plain
+        return plain, trace
     rest = direct[bound:]
     units = [(key, card.units[key].name) for key in free]
 
-    def staged(values):
+    def walk(values):
         if values.keys() != free:
             return plain(values)
         given = dict(env)
@@ -595,5 +616,5 @@ def stage_card(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue
                 given[key] = to_magnitude(values[key], unit, key)
         except GeocardError:
             return plain(values)
-        return _run(card, variant, given, ({**fixed, **values}, {}), rest)
-    return staged
+        return given, _run(card, variant, given, rest, lambda: ({**fixed, **values}, {}))
+    return walk, trace

@@ -4,12 +4,14 @@ added, for every bundled variant and the benchmark's cyclic card, whatever
 inputs are free, faults included. The steps bound when the card is staged,
 and those each call walks, are read by spying on ``_walk``."""
 
+import dataclasses
 import math
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import geocard.ec7
 import geocard.engine
 from geocard.cards import load_card
 from geocard.catalog import load_catalog
@@ -187,3 +189,31 @@ class TestWhatTheWidthSearchWalks:
     def test_single_check_walks_the_bound_run_then_the_rest(self, walks):
         check_footing_uls_ec7(load_bundled_scenario(), "DA1-C2", 1.5, catalog=CATALOG)
         assert walks == [self.FACTORS, self.TRIAL]
+
+
+class TestWhatTheWidthSearchBuilds:
+    """A trial computes the utilization only: a check, and a design, build
+    one trace and one check result, at the width they return."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = {"trace": 0, "check": 0}
+        for module, name, kind in ((geocard.engine, "EvaluationTrace", "trace"),
+                                   (geocard.ec7, "UlsCheckResult", "check")):
+            def counting(*args, _make=getattr(module, name), _kind=kind, **kwargs):
+                counts[_kind] += 1
+                return _make(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("drainage", ["drained", "undrained"])
+    def test_design_builds_one_of_each(self, built, drainage):
+        scenario = dataclasses.replace(load_bundled_scenario(), c_u_k=150.0)
+        result = design_footing_width_ec7(scenario, "DA1-C2", tolerance=1e-6,
+                                          catalog=CATALOG, drainage=drainage)
+        assert result.iterations > 10
+        assert built == {"trace": 1, "check": 1}
+
+    def test_check_builds_one_of_each(self, built):
+        check_footing_uls_ec7(load_bundled_scenario(), "DA2", 1.5, catalog=CATALOG)
+        assert built == {"trace": 1, "check": 1}
