@@ -582,6 +582,7 @@ def stage_walk(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue
     exactly the free keys, or do not normalize, is plain too.
     """
     free, fixed = frozenset(free), dict(fixed)
+    variant = card.variant(variant_id)
 
     def plain(values):
         done = evaluate_card(card, EvaluationRequest(card.id, variant_id,
@@ -591,7 +592,6 @@ def stage_walk(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue
     def trace(values, walked):
         return _trace(card, variant, walked[0], ({**fixed, **values}, {}), walked[1])
 
-    variant = card.variant(variant_id)
     if variant is None or fixed.keys() | free != card.input_keys:
         return plain, trace
     direct, bound = variant.direct, 0

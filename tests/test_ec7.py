@@ -728,8 +728,7 @@ _REAL_DESIGN = design_footing_width_ec7(SCENARIO, "DA3")
 
 def _jrc_a3(**changes) -> FootingScenario:
     """The bundled scenario with some of its fields' texts replaced."""
-    raw = json.loads(Path(bundled_scenario_path()).read_text("utf-8"))
-    return load_scenario(json.dumps({**raw, **changes}))
+    return load_scenario(overflowing_scenario(changes))
 
 
 def _search_outcome(search):

@@ -4,6 +4,7 @@ added, for every bundled variant and the benchmark's cyclic card, whatever
 inputs are free, faults included. The steps bound when the card is staged,
 and those each call walks, are read by spying on ``_walk``."""
 
+import collections
 import dataclasses
 import math
 from pathlib import Path
@@ -197,13 +198,17 @@ class TestWhatTheWidthSearchBuilds:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        counts = {"trace": 0, "check": 0}
-        for module, name, kind in ((geocard.engine, "EvaluationTrace", "trace"),
-                                   (geocard.ec7, "UlsCheckResult", "check")):
-            def counting(*args, _make=getattr(module, name), _kind=kind, **kwargs):
-                counts[_kind] += 1
-                return _make(*args, **kwargs)
-            monkeypatch.setattr(module, name, counting)
+        counts = collections.Counter()
+
+        def counting(kind, make):
+            def build(*args, **kwargs):
+                counts[kind] += 1
+                return make(*args, **kwargs)
+            return build
+        monkeypatch.setattr(geocard.engine, "EvaluationTrace",
+                            counting("trace", geocard.engine.EvaluationTrace))
+        monkeypatch.setattr(geocard.ec7, "UlsCheckResult",
+                            counting("check", geocard.ec7.UlsCheckResult))
         return counts
 
     @pytest.mark.parametrize("drainage", ["drained", "undrained"])
