@@ -74,7 +74,8 @@ class MethodCard(FrozenRecord):
     would otherwise rediscover: the registry ``Unit`` of each variable
     (``units``), the input keys, the param defaults (key -> float) and the
     output keys in declared order; and ``trace_templates``, the engine's
-    trace template of each variant id, built on its first ``to_json``."""
+    trace writer of each variant id (its template and what fills it),
+    built on its first ``to_json``."""
 
     __slots__ = ("id", "title", "category", "description", "variables",
                  "variants", "assumptions", "applicability", "sources",

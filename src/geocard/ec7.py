@@ -246,7 +246,8 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
     (``engine.stage_walk``), which binds the steps that read neither, the
     bearing capacity factors, once. A trial builds no trace. Its errors are
     those of a full ``evaluate_card`` at its width, in the same order: the
-    width, the card lookup, the drainage, then the evaluation.
+    width (a non-finite one first, as NonFiniteValue naming ``B``), the
+    card lookup, the drainage, then the evaluation.
     """
     pf = get_ec7_preset_partials(design_approach)
     gamma_d = scenario.gamma_k / pf.gamma_gamma
@@ -270,6 +271,8 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
 
     def trial(B: float) -> tuple[float, tuple]:
         nonlocal walk, trace
+        if not math.isfinite(B):  # a NaN passes the comparisons below
+            raise NonFiniteValue("B")
         if B <= 0:
             raise InvalidGeometry(f"width must be positive, got {B:g}")
         B_eff = B - 2.0 * scenario.e
@@ -332,8 +335,9 @@ def check_footing_uls_ec7(scenario: FootingScenario, design_approach: str,
     """ULS bearing check at a trial width against the Annex D card.
 
     The card comes from ``catalog``, or from default_catalog() when None.
-    A design action or resistance that overflows to infinity raises
-    NonFiniteValue naming ``V_d`` or ``R_d``.
+    A non-finite width raises NonFiniteValue naming ``B``, and a design
+    action or resistance that overflows to infinity one naming ``V_d`` or
+    ``R_d``.
     """
     trial, result = _uls_checker(scenario, design_approach, catalog, drainage)
     return result(trial(B)[1])

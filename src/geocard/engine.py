@@ -27,11 +27,19 @@ a fault, and the trace of a walk, so a caller builds only those it keeps.
 trace. ``to_json`` writes a complete trace from its variant's ``Template``:
 the reference writer's text for a trace whose every value is a marker,
 split at the markers, so that a call only writes the numbers and the
-request echo. A partial trace is written by the reference. A body that
-nests another, an EC7 check (the trace) or design (the check), has its
-template cut by ``nested_written`` from its own ``_body``: the nested
-template at its depth, every other scalar a marker. Its values are read
-from the same ``_body`` in document order, so each field is named once.
+request echo. Each hole is an index, fixed when the template is cut, into
+one flat list of value texts, and a call builds that list and gathers it:
+the env values the template reads, each key once (by ``float.__repr__``
+when every one is a finite float), then the input echoes, the outputs, the
+cycle's iterations and residual, and the overrides block. An echo or output
+that is the env's own value object takes the env's text; an equal value
+does not, as 2 and 2.0, or -0.0 and 0.0, are written apart. A partial
+trace is written by the reference. A body that nests another, an EC7 check
+(the trace) or design (the check), has its template cut by
+``nested_written`` from its own ``_body``: the nested template at its
+depth, every other scalar a marker. Its list is the nested one, then the
+texts of those scalars, read from the same ``_body`` in document order, so
+each field is named once.
 
 A template keeps each static piece escaped for a JSON string literal as
 well. ``reply_text`` returns the text of a reply as a ``JsonText``, a
@@ -48,6 +56,7 @@ import math
 import re
 from collections.abc import Callable, Iterable, Mapping
 from itertools import count
+from operator import itemgetter
 from json.encoder import encode_basestring_ascii
 
 from .cards import MethodCard, VariantSpec
@@ -150,27 +159,34 @@ class EvaluationTrace(Record):
         template when the trace is a complete one."""
         return template_json(self)
 
-    def _written(self) -> tuple[Template, dict] | None:
-        """The variant's template and the text of each of its values, or
+    def _written(self) -> tuple[Template, list] | None:
+        """The variant's template and the flat list of its value texts, or
         None for a partial trace: its walk stopped in the fixed-point
         block, or before a direct step."""
-        template = _template(self)
+        template, read, echoes, outputs = _template(self)
         cycles = self.diagnostics["iterative_cycles"]
         if len(cycles) != (1 if self.variant.iterative else 0):
             return None
-        env, keys = self.env, template.keys.get(_ENV, {})
         try:
-            values = [env[k] for k in keys]
+            values = read(self.env)
         except KeyError:
             return None
-        return template, {
-            _ENV: dict(zip(keys, map(scalar_json, values))),
-            _INPUTS: {k: scalar_json(_echo_value(v)) for k, v in self.request_inputs.items()},
-            _OUTPUTS: {k: scalar_json(q.magnitude) for k, q in self.outputs.items()},
-            _CYCLE: {k: scalar_json(cycles[0][k]) for k in ("iterations", "residual")}
-            if cycles else None,
-            _OVERRIDES: {None: _overrides(self.request_overrides)},
-        }
+        texts = _value_texts(values)
+        # An echo or output that is the env's own object has its text.
+        inputs = self.request_inputs
+        for key, at in echoes:
+            value = inputs[key]
+            texts.append(texts[at] if at is not None and value is values[at]
+                         else scalar_json(_echo_value(value)))
+        for key, at in outputs:
+            value = self.outputs[key].magnitude
+            texts.append(texts[at] if at is not None and value is values[at]
+                         else scalar_json(value))
+        if cycles:
+            texts += (scalar_json(cycles[0]["iterations"]),
+                      scalar_json(cycles[0]["residual"]))
+        texts.append(_overrides(self.request_overrides))
+        return template, texts
 
 
 def strict_json(body) -> str:
@@ -224,6 +240,25 @@ def _indent(piece: str) -> str:
     return line[:len(line) - len(line.lstrip(" "))]
 
 
+def _gather(items: list) -> Callable:
+    """``itemgetter(*items)``, a tuple however many ``items`` there are."""
+    if len(items) > 1:
+        return itemgetter(*items)
+    return lambda container: tuple(container[item] for item in items)
+
+
+def _value_texts(values: tuple) -> list[str]:
+    """``scalar_json`` of each value: ``float.__repr__`` when every value
+    is a finite float."""
+    try:
+        texts = list(map(float.__repr__, values))
+    except TypeError:  # a value that is not a float
+        return list(map(scalar_json, values))
+    # An infinity or a NaN makes the sum one; so may an overflow, and then
+    # scalar_json finds each value finite.
+    return texts if math.isfinite(sum(values)) else list(map(scalar_json, values))
+
+
 # The kind of a hole's value. A number reads the same inside a JSON string
 # literal; a string and a block (an object's indented text) are escaped
 # there, and a block is indented to the depth of its hole.
@@ -232,15 +267,19 @@ NUMBER, STRING, BLOCK = range(3)
 
 class Template:
     """The text of a JSON body cut at its holes: static pieces, and between
-    each two a value named (source, key), which a writer fills with its
-    JSON text from ``texts[source][key]`` (``fill``).
+    each two the index of a value in one flat list of value texts, which
+    ``fill`` gathers.
 
     ``cut`` gets the pieces from the reference writer. ``make_body(plant,
-    nest)`` builds the body with each value a marker from ``plant(source,
-    key, kind)`` and the place of each nested template a marker from
+    nest)`` builds the body with each value a marker from ``plant(name,
+    kind)`` and the place of each nested template a marker from
     ``nest(template)``; ``strict_json`` writes it, and the text is split at
-    the quoted markers. A nested template's pieces are indented to its
-    depth once, there. Body text may hold anything, a marker included, so
+    the quoted markers. The flat list holds one text per distinct name, in
+    the sorted order of the names (``names``), so the holes that plant one
+    name share its text. A nested template's pieces are indented to its
+    depth once, there, and its holes are planted under their indices: a
+    body that nests one names its own values by the ints that follow,
+    from ``len(names)`` on. Body text may hold anything, a marker included, so
     the split must find each planted marker exactly once; otherwise the
     markers are drawn again.
 
@@ -250,13 +289,12 @@ class Template:
     text is escaped twice.
     """
 
-    def __init__(self, pieces: list[str], holes: list[tuple]):
+    def __init__(self, pieces: list[str], holes: list[tuple], names: list):
         self.pieces = pieces  # the static text, one more than the holes
-        self.holes = [(source, key) for source, key, _ in holes]
-        self.kinds = [kind for _, _, kind in holes]
-        self.keys = {}  # source -> its keys, each once, in hole order
-        for source, key in self.holes:
-            self.keys.setdefault(source, {})[key] = None
+        self.holes = [index for index, _ in holes]
+        self.kinds = [kind for _, kind in holes]
+        self.names = names  # the name of each text in the flat list
+        self.gather = _gather(self.holes)
         self.quoted = [i for i, kind in enumerate(self.kinds) if kind != NUMBER]
         self.blocks = [(i, "\n" + _indent(pieces[i]))
                        for i, kind in enumerate(self.kinds) if kind == BLOCK]
@@ -277,10 +315,10 @@ class Template:
 
     @classmethod
     def _cut(cls, make_body: Callable, tag: str) -> Template | None:
-        planted = []  # by number: (source, key, kind), or a nested template
+        planted = []  # by number: (name, kind), or a nested template
 
-        def plant(source, key, kind=NUMBER):
-            planted.append((source, key, kind))
+        def plant(name, kind=NUMBER):
+            planted.append((name, kind))
             return f"{tag}{len(planted) - 1}"
 
         def nest(template):
@@ -292,7 +330,7 @@ class Template:
         found = [int(n) for n in parts[1::2]]
         if sorted(found) != list(range(len(planted))):
             return None
-        pieces, holes = [parts[0]], []
+        pieces, holes = [parts[0]], []  # holes: (name, kind)
         for n, after in zip(found, parts[2::2]):
             hole = planted[n]
             if isinstance(hole, Template):
@@ -301,15 +339,17 @@ class Template:
                 pieces[-1] += inner[0]
                 pieces += inner[1:]
                 pieces[-1] += after
-                holes += [(*named, kind) for named, kind in zip(hole.holes, hole.kinds)]
+                holes += zip(hole.holes, hole.kinds)
             else:
                 holes.append(hole)
                 pieces.append(after)
-        return cls(pieces, holes)
+        names = sorted({name for name, _ in holes})
+        index = {name: i for i, name in enumerate(names)}
+        return cls(pieces, [(index[name], kind) for name, kind in holes], names)
 
-    def fill(self, texts: dict) -> list[str]:
-        """The JSON text of each hole's value, read from ``texts``."""
-        fills = [texts[source][key] for source, key in self.holes]
+    def fill(self, texts: list[str]) -> list[str]:
+        """The JSON text of each hole's value, gathered from the flat list."""
+        fills = list(self.gather(texts))
         for i, newline in self.blocks:
             fills[i] = fills[i].replace("\n", newline)
         return fills
@@ -360,7 +400,7 @@ def reply_text(obj) -> JsonText:
     return JsonText(template.text(fills), template.literal(fills))
 
 
-def nested_written(obj, inner, key) -> tuple[Template, dict] | None:
+def nested_written(obj, inner, key) -> tuple[Template, list] | None:
     """``obj._written()`` of a body, ``obj._body(nested)``, that nests the
     body of ``inner``; None when ``inner`` has no template.
 
@@ -368,8 +408,9 @@ def nested_written(obj, inner, key) -> tuple[Template, dict] | None:
     (the keys of each object, in order), and kept on the ``outer`` of
     ``inner``'s template: ``obj._body`` with that template in the nested
     slot and every other scalar a marker (STRING for a str, NUMBER
-    otherwise). The texts are ``inner``'s, with the JSON text of each of
-    those scalars under ``key``, in document order."""
+    otherwise), named by its place after ``inner``'s texts. The texts are
+    ``inner``'s, then the JSON text of each of those scalars, in document
+    order."""
     written = inner._written()
     if written is None:
         return None
@@ -377,11 +418,11 @@ def nested_written(obj, inner, key) -> tuple[Template, dict] | None:
     template = nested.outer.get(key)
     if template is None:
         def make_body(plant, nest):
-            slot, number = nest(nested), count()
+            slot, number = nest(nested), count(len(nested.names))
             return _planted(obj._body(slot), slot, lambda value: plant(
-                key, next(number), STRING if type(value) is str else NUMBER))
+                next(number), STRING if type(value) is str else NUMBER))
         template = nested.outer[key] = Template.cut(make_body)
-    texts[key] = [scalar_json(value) for value in _leaves(obj._body(_SLOT), _SLOT)]
+    texts += map(scalar_json, _leaves(obj._body(_SLOT), _SLOT))
     return template, texts
 
 
@@ -406,7 +447,9 @@ def _leaves(body, slot):
             yield value
 
 
-# The value that fills a hole of a trace: (source, key) with source one of these.
+# The name of a value of a trace is (source, key), with source one of these:
+# its flat list holds the env values the template reads, each key once,
+# then the input echoes, the outputs, the cycle's and the overrides block.
 _ENV, _INPUTS, _OUTPUTS, _CYCLE, _OVERRIDES = range(5)
 
 
@@ -418,29 +461,37 @@ class _PlantingEnv(dict):
         self.plant = plant
 
     def __getitem__(self, key):
-        return self.plant(_ENV, key)
+        return self.plant((_ENV, key))
 
 
-def _template(trace: EvaluationTrace) -> Template:
-    """The template of the trace's variant, memoized on its card: the
-    reference writer's text of a complete trace whose every value is a
-    marker."""
+def _template(trace: EvaluationTrace) -> tuple:
+    """The writer of the trace's variant, memoized on its card: the
+    template, the reference writer's text of a complete trace whose every
+    value is a marker; the getter of the env values it reads; and each
+    echo's and output's key with the place of its env value among those
+    (None for a key it does not read)."""
     card, variant = trace.card, trace.variant
-    template = card.trace_templates.get(variant.id)
-    if template is None:
+    writer = card.trace_templates.get(variant.id)
+    if writer is None:
         def make_body(plant, nest):
-            cycles = [_cycle(variant.iterative, plant(_CYCLE, "iterations"),
-                             plant(_CYCLE, "residual"))] if variant.iterative else []
+            cycles = [_cycle(variant.iterative, plant((_CYCLE, "iterations")),
+                             plant((_CYCLE, "residual")))] if variant.iterative else []
             planted = EvaluationTrace(
                 card, variant, _PlantingEnv(card.units, plant),
-                {k: plant(_INPUTS, k, STRING) for k in card.input_keys}, {},
-                {k: Quantity(plant(_OUTPUTS, k), card.units[k]) for k in card.output_keys},
+                {k: plant((_INPUTS, k), STRING) for k in card.input_keys}, {},
+                {k: Quantity(plant((_OUTPUTS, k)), card.units[k]) for k in card.output_keys},
                 {"iterative_cycles": cycles})
             body = planted.to_dict()
-            body["request"]["overrides"] = plant(_OVERRIDES, None, BLOCK)
+            body["request"]["overrides"] = plant((_OVERRIDES, None), BLOCK)
             return body
-        template = card.trace_templates[variant.id] = Template.cut(make_body)
-    return template
+        template = Template.cut(make_body)
+        read = [key for source, key in template.names if source == _ENV]
+        at = {key: i for i, key in enumerate(read)}
+        writer = card.trace_templates[variant.id] = (
+            template, _gather(read),
+            [(key, at.get(key)) for source, key in template.names if source == _INPUTS],
+            [(key, at.get(key)) for source, key in template.names if source == _OUTPUTS])
+    return writer
 
 
 def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue]) -> dict[str, float]:
@@ -481,9 +532,16 @@ def _walk(direct: tuple, block: tuple, env: dict) -> list[dict]:
                 old, new = env[eq.target], eq.compiled(env)
                 if not math.isfinite(new):
                     raise NonConvergence(search, iterations, "residual", math.inf)
-                denom = max(abs(old), abs(new))
-                change = 0.0 if denom == 0.0 else abs(new - old) / denom
-                residual = max(residual, change)
+                # max(abs(old), abs(new)) and max(residual, change) without
+                # the calls: max keeps its first argument unless the second
+                # is larger
+                denom = abs(old)
+                if abs(new) > denom:
+                    denom = abs(new)
+                if denom != 0.0:
+                    change = abs(new - old) / denom
+                    if change > residual:
+                        residual = change
                 env[eq.target] = new
             if residual < FIXED_POINT_TOL:
                 return [_cycle(block, iterations, residual)]

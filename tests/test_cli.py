@@ -315,6 +315,15 @@ class TestEc7Commands:
         assert captured.out == ""
         assert captured.err == f"error: $.{key}: unknown field\n"
 
+    @pytest.mark.parametrize("width", ["nan", "inf", "-inf"])
+    def test_non_finite_width_names_the_width(self, width, capsys):
+        pad = str(Path(__file__).parents[1] / PAD)
+        assert main(["ec7", "check", "--scenario", pad, "--da", "DA2",
+                     f"--B={width}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 'B' is not a finite number\n"
+
     def test_missing_scenario_file_is_usage_error(self, capsys):
         assert main(["ec7", "design", "--scenario", "/no/file.json",
                      "--da", "all"]) == 2

@@ -2,11 +2,13 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from geocard import engine
 from geocard.cards import load_card, validate_dimensions
 from geocard.catalog import load_catalog
 from geocard.engine import (
@@ -711,3 +713,91 @@ class TestLazyTrace:
         inputs["extra"] = 3.0
         overrides.clear()
         assert trace.to_json() == expected
+
+
+def _reference_walk(direct, block, env):
+    """``engine._walk`` as written with ``max()``: the reference of the
+    fixed-point block, whose values, iterations, residual and faults the
+    engine's must repeat bit for bit."""
+    try:
+        for eq in direct:
+            value = eq.compiled(env)
+            if not math.isfinite(value):
+                raise NonFiniteValue(eq.target)
+            env[eq.target] = value
+        if not block:
+            return []
+        cycle = [eq.target for eq in block]
+        search = f"fixed-point iteration over {{{', '.join(sorted(cycle))}}}"
+        for target in cycle:
+            env[target] = 1.0
+        for iterations in range(1, engine.FIXED_POINT_MAX_ITER + 1):
+            residual = 0.0
+            for eq in block:
+                old, new = env[eq.target], eq.compiled(env)
+                if not math.isfinite(new):
+                    raise NonConvergence(search, iterations, "residual", math.inf)
+                denom = max(abs(old), abs(new))
+                change = 0.0 if denom == 0.0 else abs(new - old) / denom
+                residual = max(residual, change)
+                env[eq.target] = new
+            if residual < engine.FIXED_POINT_TOL:
+                return [{"variables": cycle, "iterations": iterations,
+                         "residual": residual}]
+        eq = block[0]
+        raise NonConvergence(search, engine.FIXED_POINT_MAX_ITER, "residual", residual)
+    except GeocardError as exc:
+        exc.failed_step = {"target": eq.target, "expression": eq.sympy,
+                           "inputs": {k: env[k] for k in eq.symbols}}
+        raise
+
+
+def _walked(walk, card, variant, inputs):
+    """What ``walk`` leaves of the variant at ``inputs``: the cycle
+    diagnostics and every bound value by its repr (bits, the sign of a zero
+    included), or the fault's class, payload and failed step."""
+    env = {**normalize_inputs(card, inputs), **card.param_defaults}
+    plan = card.variant(variant)
+    try:
+        cycles = walk(plan.direct, plan.iterative, env)
+    except GeocardError as exc:
+        return type(exc), exc.payload(), repr(exc.failed_step)
+    return repr(cycles), {k: repr(v) for k, v in env.items()}
+
+
+# x = a y and y = a x: exactly 0.0 from the second iteration when a is a
+# zero, so the block's denominators are 0.0; otherwise a constant relative
+# change of 1 - a^2, which converges only when that is below the tolerance.
+ZERO_CARD = load_card(dimensionless_card(
+    "TEST_CYCLE_ZERO", ["x"], ["y"], ["a"], [
+        {"target": "y", "sympy": "a*x"}, {"target": "x", "sympy": "a*y"}]))
+BENCH_CYCLIC = load_card(
+    (Path(__file__).parents[1] / "perfbench/cyclic_card.json").read_text("utf-8"))
+MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1 - 1e-10, 1e-300, 1e300]),
+    st.floats(-1e6, 1e6), st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestFixedPointMatchesMaxLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_same_walk_as_the_max_loop(self, data):
+        for card, variant, keys in (
+                (BENCH_CYCLIC, "coupled", ("p", "a")),
+                (load_card(CYCLIC_CARD), "base", ("a",)),
+                (load_card(DIVERGENT_CARD), "base", ()),
+                (ZERO_CARD, "base", ("a",)),
+                (_cycle_fault_card("x + w"), "base", ("a",)),
+                (_cycle_fault_card("1e200*x + w"), "base", ("a",))):
+            inputs = {key: data.draw(MAGNITUDES) for key in keys}
+            assert _walked(engine._walk, card, variant, inputs) == \
+                _walked(_reference_walk, card, variant, inputs)
+
+    @pytest.mark.parametrize("a", [0.0, -0.0])
+    def test_zero_block(self, a):
+        """The zero-denominator case: every change after the first
+        iteration is skipped, so the residual is exactly 0.0."""
+        walked = _walked(engine._walk, ZERO_CARD, "base", {"a": a})
+        assert walked == _walked(_reference_walk, ZERO_CARD, "base", {"a": a})
+        cycle, = run(ZERO_CARD, "base", {"a": a}).diagnostics["iterative_cycles"]
+        assert (cycle["iterations"], repr(cycle["residual"])) == (2, "0.0")

@@ -108,6 +108,50 @@ class TestDifferential:
         assert templated(trace) == reference(trace)
 
 
+
+def _distinct(value: float) -> float:
+    """A float equal to ``value``, bit for bit, that is another object."""
+    copy = float.fromhex(value.hex())
+    assert copy is not value
+    return copy
+
+
+def _twin(draw, value):
+    """``value`` itself, or a value equal to it that is another object and
+    may be written otherwise: 2 beside 2.0, -0.0 beside 0.0."""
+    if type(value) is not float:
+        return value
+    return draw(st.sampled_from([
+        value, _distinct(value),
+        *([int(value)] if value.is_integer() else []),
+        *([-value] if value == 0.0 else [])]))
+
+
+class TestIdentityReuse:
+    """The writer writes an echo or output that is the env's own value
+    object from the env's text. Equal but distinct values are written from
+    their own: a writer that matched on equality would write 2.0 for 2, or
+    0.0 for -0.0."""
+
+    @pytest.mark.parametrize("name", list(BASE))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_echoes_and_outputs_of_env_objects(self, name, data):
+        base = BASE[name]
+        card = base.card
+        values = st.one_of(st.sampled_from([0.0, -0.0, 2.0, -7.0, 1e16]), FLOATS)
+        env = {k: _distinct(data.draw(values)) for k in base.env}
+        if data.draw(st.booleans()):  # not every value a float
+            env[data.draw(st.sampled_from(sorted(env)))] = data.draw(
+                st.one_of(st.integers(-10, 10), st.none()))
+        trace = replaced(
+            base, env=env,
+            request_inputs={k: _twin(data.draw, env[k]) for k in base.request_inputs},
+            outputs={k: Quantity(_twin(data.draw, env[k]), card.units[k])
+                     for k in card.output_keys})
+        assert templated(trace) == reference(trace)
+
+
 def _generated(draw) -> tuple:
     """A card whose every free text is drawn, and a request for it."""
     unit = draw(st.sampled_from(["kPa", "m", "dimensionless"]))
