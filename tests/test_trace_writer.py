@@ -5,7 +5,6 @@ fail where the reference fails."""
 
 import json
 import math
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,13 +17,11 @@ from geocard.engine import (EvaluationRequest, EvaluationTrace, evaluate_card,
                             reply_text, scalar_json, strict_json)
 from geocard.errors import GeocardError, NonFiniteValue
 from geocard.units import Quantity, default_registry
-from test_engine import CYCLIC_CARD, DIVERGENT_CARD
+from test_engine import BENCH_CYCLIC, CYCLIC_CARD, DIVERGENT_CARD
 from test_golden_traces import _requests
 
 REGISTRY = default_registry()
 CATALOG = load_catalog()
-BENCH_CYCLIC = load_card(
-    (Path(__file__).parents[1] / "perfbench/cyclic_card.json").read_text("utf-8"))
 
 
 def replaced(trace, **changes) -> EvaluationTrace:
@@ -106,7 +103,6 @@ class TestDifferential:
             outputs={k: Quantity(env[k], card.units[k]) for k in card.output_keys},
             diagnostics={"iterative_cycles": cycles})
         assert templated(trace) == reference(trace)
-
 
 
 def _distinct(value: float) -> float:
