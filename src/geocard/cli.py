@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     if reconfigure is not None:
         reconfigure(errors="backslashreplace")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
     if args.command is None:
         parser.print_help()
         return 2
@@ -45,6 +45,20 @@ def main(argv=None) -> int:
     except GeocardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _join_numbers(argv: list[str]) -> list[str]:
+    """``argv`` with ``--B`` and ``--tolerance`` joined to the argument after
+    them (``--B -1e-3`` as ``--B=-1e-3``). Argparse takes a value that
+    starts with "-" for an option unless it reads as a negative number, and
+    which values do ("-1e-3", "-inf") differs between Python versions."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in ("--B", "--tolerance"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 def build_parser() -> argparse.ArgumentParser:

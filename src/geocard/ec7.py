@@ -243,11 +243,12 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
     given, which is the check's first error anyway. The first trial that
     passes the width checks looks up the card, checks the drainage and
     stages the card's variant from that dict with ``gamma`` and ``B`` free
-    (``engine.stage_walk``), which binds the steps that read neither, the
-    bearing capacity factors, once. A trial builds no trace. Its errors are
-    those of a full ``evaluate_card`` at its width, in the same order: the
-    width (a non-finite one first, as NonFiniteValue naming ``B``), the
-    card lookup, the drainage, then the evaluation.
+    (``engine.stage_walk``), which raises the error of a design value that
+    does not normalize and binds the steps that read neither, the bearing
+    capacity factors, once. A trial builds no trace. Its errors are those
+    of a full ``evaluate_card`` at its width, in the same order: the width
+    (a non-finite one first, as NonFiniteValue naming ``B``), the card
+    lookup, the drainage, then the evaluation.
     """
     pf = get_ec7_preset_partials(design_approach)
     gamma_d = scenario.gamma_k / pf.gamma_gamma

@@ -14,14 +14,15 @@ builds its steps from them when they are read, as the dicts that are their
 wire form: index, target, expression, inputs (sorted), value, unit,
 description, method.
 
-``stage_card`` is ``evaluate_card`` as a function of some named free
+``stage_walk`` is ``evaluate_card`` as a function of some named free
 inputs, for a caller that evaluates one variant at many values of them (a
-width search). When the card is staged, the longest leading run of the
-direct plan that reads no free input is bound once, and each call walks
-only the rest from a copy of that env, with the same ``_walk`` and the
-same trace: what it returns and raises is what ``evaluate_card`` does.
-``stage_walk`` splits a call into the walk, which builds a trace only for
-a fault, and the trace of a walk, so a caller builds only those it keeps.
+width search). Staging raises the errors of the variant and of the fixed
+inputs, as ``evaluate_card`` does before it walks, and binds the longest
+leading run of the direct plan that reads no free input once. Each walk
+normalizes the free inputs and walks only the rest from a copy of that
+env, with the same ``_walk``: what it returns and raises is what
+``evaluate_card`` does. It builds a trace only for a fault; the trace of
+a walk is built apart, so a caller builds only those it keeps.
 
 ``EvaluationTrace.to_dict`` and ``strict_json`` are the reference writer of a
 trace. ``to_json`` writes a complete trace from its variant's ``Template``:
@@ -500,13 +501,16 @@ def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue]) -> dict[st
     Accepts Quantity objects, unit-tagged strings ("38 deg"), and bare
     numbers; bare numbers are trusted as already card-normalized.
     """
-    if raw.keys() != card.input_keys:
-        missing = card.input_keys - raw.keys()
-        if missing:
-            raise MissingInput(missing)
-        raise UnexpectedInput(raw.keys() - card.input_keys)
+    _check_keys(card, raw.keys())
     return {key: to_magnitude(value, card.units[key].name, key)
             for key, value in raw.items()}
+
+
+def _check_keys(card: MethodCard, keys) -> None:
+    """MissingInput or UnexpectedInput unless ``keys`` are the card's inputs."""
+    if keys != card.input_keys:
+        missing = card.input_keys - keys
+        raise MissingInput(missing) if missing else UnexpectedInput(keys - card.input_keys)
 
 
 def _walk(direct: tuple, block: tuple, env: dict) -> list[dict]:
@@ -611,68 +615,49 @@ def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTra
                   _run(card, variant, env, variant.direct, lambda: echo))
 
 
-def stage_card(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue],
-               free: Iterable[str]
-               ) -> Callable[[Mapping[str, InputValue]], EvaluationTrace]:
-    """``evaluate_card`` of one variant as a function of the inputs named
-    ``free``, ``fixed`` holding every other input: ``staged(values)`` is
-    ``trace(values, walk(values))`` of ``stage_walk``."""
-    walk, trace = stage_walk(card, variant_id, fixed, free)
-    return lambda values: trace(values, walk(values))
-
-
 def stage_walk(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue],
                free: Iterable[str]) -> tuple[Callable, Callable]:
-    """``(walk, trace)``: ``walk(values)`` raises what ``evaluate_card``
-    raises for the variant with ``{**fixed, **values}`` as its inputs, and
-    otherwise returns the walked env and its cycle diagnostics; only a fault
-    builds a trace, the partial one. ``trace(values, walked)`` is the trace
-    that ``evaluate_card`` returns.
+    """``evaluate_card`` of one variant as a function of the inputs named
+    ``free``, ``fixed`` holding every other input: ``(walk, trace)``.
+    ``walk(values)``, ``values`` holding exactly the free inputs, raises
+    what ``evaluate_card`` raises for ``{**fixed, **values}`` and otherwise
+    returns the walked env and its cycle diagnostics; only a fault builds a
+    trace, the partial one. ``trace(values, walked)`` is the trace that
+    ``evaluate_card`` returns.
 
-    Binding happens here, once: the fixed inputs are normalized, the param
-    defaults bound, and the longest leading run of the direct plan that
-    reads no free key is walked. Each walk copies that env, normalizes the
-    free inputs and walks the rest of the plan. Only a leading run is
-    bound, so a fault's partial trace holds exactly the steps before it.
-    Every walk is a plain ``evaluate_card`` on an unknown variant, free and
-    fixed keys that are not the card's inputs, a fixed input that does not
-    normalize, or a fault in the bound run. A walk whose values are not
-    exactly the free keys, or do not normalize, is plain too.
+    Staging raises an unknown variant, keys that are not the card's inputs
+    and a fixed input that does not normalize, then binds the fixed inputs,
+    the param defaults and the longest leading run of the direct plan that
+    reads no free key. Each walk copies that env, normalizes the free
+    values in their order and walks the rest. So a fault's partial trace
+    holds exactly the steps before it; a fault in the bound run binds none
+    of it, and each walk walks the whole plan and raises it.
     """
     free, fixed = frozenset(free), dict(fixed)
     variant = card.variant(variant_id)
-
-    def plain(values):
-        done = evaluate_card(card, EvaluationRequest(card.id, variant_id,
-                                                     {**fixed, **values}))
-        return done.env, done.diagnostics["iterative_cycles"]
-
-    def trace(values, walked):
-        return _trace(card, variant, walked[0], ({**fixed, **values}, {}), walked[1])
-
-    if variant is None or fixed.keys() | free != card.input_keys:
-        return plain, trace
+    if variant is None:
+        raise UnknownVariant(card.id, variant_id)
+    _check_keys(card, fixed.keys() | free)
+    env = {key: to_magnitude(value, card.units[key].name, key)
+           for key, value in fixed.items()}
+    env.update(card.param_defaults)
     direct, bound = variant.direct, 0
     while bound < len(direct) and free.isdisjoint(direct[bound].symbols):
         bound += 1
+    staged = dict(env)
     try:
-        env = {key: to_magnitude(value, card.units[key].name, key)
-               for key, value in fixed.items()}
-        env.update(card.param_defaults)
-        _walk(direct[:bound], (), env)
+        _walk(direct[:bound], (), staged)
     except GeocardError:
-        return plain, trace
+        staged, bound = env, 0
     rest = direct[bound:]
-    units = [(key, card.units[key].name) for key in free]
+    units = {key: card.units[key].name for key in free}
 
     def walk(values):
-        if values.keys() != free:
-            return plain(values)
-        given = dict(env)
-        try:
-            for key, unit in units:
-                given[key] = to_magnitude(values[key], unit, key)
-        except GeocardError:
-            return plain(values)
+        given = staged.copy()
+        for key, value in values.items():
+            given[key] = to_magnitude(value, units[key], key)
         return given, _run(card, variant, given, rest, lambda: ({**fixed, **values}, {}))
+
+    def trace(values, walked):
+        return _trace(card, variant, walked[0], ({**fixed, **values}, {}), walked[1])
     return walk, trace

@@ -427,9 +427,14 @@ def evaluate(node: ExprNode, env: Mapping[str, float]) -> float:
     leaking host exceptions. ``+``, ``-``, ``*`` and ``/`` follow IEEE-754
     and overflow to an infinity without raising, so the result may be
     non-finite; the engine rejects such a step with NonFiniteValue.
-    A caller that evaluates one tree many times compiles it once instead.
+    A symbol missing from ``env`` raises UnboundSymbol. A caller that
+    evaluates one tree many times compiles it once instead.
     """
-    return compile_expr(node)(env)
+    fn = compile_expr(node)
+    try:
+        return fn(env)
+    except KeyError as exc:
+        raise UnboundSymbol(exc.args[0]) from None
 
 
 def compile_expr(node: ExprNode) -> Callable[[Mapping[str, float]], float]:
@@ -437,19 +442,11 @@ def compile_expr(node: ExprNode) -> Callable[[Mapping[str, float]], float]:
 
     Each closure evaluates its operands left to right and raises the
     errors ``evaluate`` documents; a MathDomain message is built from the
-    captured node only when it is raised. A missing symbol surfaces inside
-    as the KeyError of its read, and here as UnboundSymbol.
+    captured node only when it is raised. The closures trust ``env`` to
+    bind every symbol of the tree, which ``cards.load_card`` proves of each
+    step it plans: a missing symbol surfaces as the KeyError of its read.
     """
-    fn, value = _compile(node)
-    if value is not None:
-        return fn
-
-    def compiled(env):
-        try:
-            return fn(env)
-        except KeyError as exc:
-            raise UnboundSymbol(exc.args[0]) from None
-    return compiled
+    return _compile(node)[0]
 
 
 def _compile(node: ExprNode) -> tuple:

@@ -434,6 +434,22 @@ def _mutated_cards(draw):
     return json.dumps(raw)
 
 
+def assert_steps_read_bound_symbols(card) -> None:
+    """No step of a loaded card's plans reads a symbol that is unbound when
+    it runs: a direct step reads givens and earlier direct targets, a block
+    step those and the block's targets, which the walk presets to 1.0. So
+    the compiled equations need no guard against an unbound symbol."""
+    givens = card.input_keys | card.param_defaults.keys()
+    for variant in card.variants:
+        bound = set(givens)
+        for eq in variant.direct:
+            assert bound.issuperset(eq.symbols), (variant.id, eq.target)
+            bound.add(eq.target)
+        bound.update(eq.target for eq in variant.iterative)
+        for eq in variant.iterative:
+            assert bound.issuperset(eq.symbols), (variant.id, eq.target)
+
+
 class TestStructuralFuzz:
     @settings(max_examples=400, deadline=None)
     @given(_mutated_cards())
@@ -442,6 +458,7 @@ class TestStructuralFuzz:
             card = load_card(text)
         except GeocardError:
             return
+        assert_steps_read_bound_symbols(card)
         validate_dimensions(card)
         for variant in card.variants:
             request = EvaluationRequest(card.id, variant.id,

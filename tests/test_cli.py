@@ -324,6 +324,25 @@ class TestEc7Commands:
         assert captured.out == ""
         assert captured.err == "error: 'B' is not a finite number\n"
 
+    @pytest.mark.parametrize("command, error", [
+        (["check", "--B", "-1e-3"], "width must be positive, got -0.001"),
+        (["check", "--B", "-inf"], "'B' is not a finite number"),
+        (["check", "--B", "-0.5"], "width must be positive, got -0.5"),
+        (["design", "--tolerance", "-1e-3"],
+         "$.tolerance: must lie strictly between 0 and 1"),
+    ], ids=["width-exponent", "width-minus-inf", "width-decimal",
+            "tolerance-exponent"])
+    def test_negative_value_after_its_option_is_a_domain_error(self, command,
+                                                               error, capsys):
+        """A value that starts with "-" reaches the domain check, whether
+        or not argparse reads it as a negative number."""
+        pad = str(Path(__file__).parents[1] / PAD)
+        assert main(["ec7", command[0], "--scenario", pad, "--da", "DA2",
+                     *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {error}\n"
+
     def test_missing_scenario_file_is_usage_error(self, capsys):
         assert main(["ec7", "design", "--scenario", "/no/file.json",
                      "--da", "all"]) == 2

@@ -28,6 +28,7 @@ from geocard.errors import (
     UnresolvedVariable,
 )
 from geocard.units import Quantity, default_registry
+from test_cards import CARD_TEXTS, assert_steps_read_bound_symbols
 
 CATALOG = load_catalog()
 TERZAGHI = CATALOG.get_method("BEARING_CAPACITY_TERZAGHI")
@@ -512,6 +513,10 @@ def dimensionless_card(card_id, outputs, intermediates, inputs, equations):
 
 class TestPlan:
     """The evaluation order is fixed once, at load time."""
+
+    def test_no_step_reads_an_unbound_symbol(self):
+        for text in CARD_TEXTS.values():  # every bundled card, and the cyclic one
+            assert_steps_read_bound_symbols(load_card(text))
 
     def test_out_of_order_variant_runs_in_repeated_pass_order(self):
         card = load_card(dimensionless_card(

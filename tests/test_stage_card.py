@@ -1,8 +1,10 @@
-"""``stage_card`` against ``evaluate_card``: a staged call returns and raises
-exactly what ``evaluate_card`` does for the fixed inputs with the free ones
-added, for every bundled variant and the benchmark's cyclic card, whatever
-inputs are free, faults included. The steps bound when the card is staged,
-and those each call walks, are read by spying on ``_walk``."""
+"""``stage_walk`` against ``evaluate_card``: staging raises what
+``evaluate_card`` raises before it normalizes a free input, and a walk then
+returns and raises exactly what ``evaluate_card`` does for the fixed inputs
+with the free ones added, for every bundled variant and the benchmark's
+cyclic card, whatever inputs are free, faults included. The steps bound
+when the card is staged, and those each walk runs, are read by spying on
+``_walk``."""
 
 import collections
 import dataclasses
@@ -18,7 +20,7 @@ from geocard.cards import load_card
 from geocard.catalog import load_catalog
 from geocard.ec7 import (check_footing_uls_ec7, design_footing_width_ec7,
                          load_bundled_scenario)
-from geocard.engine import EvaluationRequest, evaluate_card, stage_card
+from geocard.engine import EvaluationRequest, evaluate_card, stage_walk
 from geocard.errors import GeocardError
 from geocard.units import Quantity, default_registry
 from test_golden_traces import _requests
@@ -38,8 +40,21 @@ def plain(card, variant, inputs):
     return lambda: evaluate_card(card, EvaluationRequest(card.id, variant, inputs))
 
 
+def staged(card, variant, fixed, free):
+    """The staged variant as one call: ``trace(values, walk(values))``."""
+    walk, trace = stage_walk(card, variant, fixed, free)
+    return lambda values: trace(values, walk(values))
+
+
 def valid_inputs(card, variant) -> dict:
     return next(inputs for c, v, inputs in VARIANTS if c is card and v == variant)
+
+
+def fault(exc: GeocardError) -> tuple:
+    """Everything a caller can read of a fault."""
+    partial = exc.partial_trace
+    return ("fault", type(exc), str(exc), exc.failed_step,
+            None if partial is None else (partial.to_json(), partial.env))
 
 
 def outcome(evaluate):
@@ -47,9 +62,7 @@ def outcome(evaluate):
     try:
         trace = evaluate()
     except GeocardError as exc:
-        partial = exc.partial_trace
-        return ("fault", type(exc), str(exc), exc.failed_step,
-                None if partial is None else (partial.to_json(), partial.env))
+        return fault(exc)
     return ("trace", trace.to_json(), trace.to_dict(), trace.env,
             {k: (q.magnitude, q.unit.name) for k, q in trace.outputs.items()})
 
@@ -77,21 +90,21 @@ class TestDifferential:
         card, variant, valid = data.draw(st.sampled_from(VARIANTS))
         keys = sorted(card.input_keys)
         free = data.draw(st.sets(st.sampled_from([*keys, "k_extra"])))
-        overlap = data.draw(st.integers(0, 4)) == 0  # a free input also fixed
-        # Most fixed inputs keep their valid value, so most bindings succeed.
+        # Most fixed inputs keep their valid value, so most stagings succeed.
         fixed = {k: data.draw(value(card, k)) if data.draw(st.integers(0, 3)) == 0
-                 else valid[k] for k in keys if overlap or k not in free}
+                 else valid[k] for k in keys if k not in free}
         if fixed and data.draw(st.integers(0, 9)) == 0:  # an input neither fixed nor free
             del fixed[data.draw(st.sampled_from(sorted(fixed)))]
-        staged = stage_card(card, variant, fixed, free)
+        try:
+            call, at_staging = staged(card, variant, fixed, free), None
+        except GeocardError as exc:
+            call, at_staging = None, fault(exc)
         for _ in range(data.draw(st.integers(1, 4))):
             values = {k: data.draw(st.one_of(st.just(valid.get(k, 1.0)), value(card, k)))
                       for k in free}
-            if data.draw(st.integers(0, 5)) == 0:  # a key too many or too few
-                values = ({k: v for k, v in values.items() if k != min(free)} if free
-                          else {keys[0]: valid[keys[0]]})
             expected = outcome(plain(card, variant, {**fixed, **values}))
-            assert outcome(lambda: staged(values)) == expected
+            got = at_staging if call is None else outcome(lambda: call(values))
+            assert got == expected
 
     @pytest.mark.parametrize("order", [("gamma", "B"), ("B", "gamma")])
     def test_first_bad_free_value_in_call_order_raises(self, order):
@@ -100,21 +113,13 @@ class TestDifferential:
         staged card keeps its free keys in."""
         fixed = {k: v for k, v in valid_inputs(EC7, "drained").items()
                  if k not in order}
-        staged = stage_card(EC7, "drained", fixed, order)
+        call = staged(EC7, "drained", fixed, order)
         values = dict.fromkeys(order, "1 kPa")
         expected = outcome(plain(EC7, "drained", {**fixed, **values}))
-        assert outcome(lambda: staged(values)) == expected
+        assert outcome(lambda: call(values)) == expected
         assert expected[0] == "fault"
         assert expected[2].endswith(
             f"-> {EC7.units[order[0]].name}) for input {order[0]!r}")
-
-    def test_unknown_variant_raises_as_evaluate_card(self):
-        fixed = {k: v for k, v in valid_inputs(EC7, "drained").items() if k != "B"}
-        staged = stage_card(EC7, "nope", fixed, ["B"])
-        for width in (1.0, 2.0):
-            expected = outcome(plain(EC7, "nope", {**fixed, "B": width}))
-            assert outcome(lambda: staged({"B": width})) == expected
-            assert expected[0] == "fault"
 
 
 @pytest.fixture
@@ -144,32 +149,48 @@ class TestWhatIsBound:
     def test_leading_run_is_bound_when_staged(self, walks, variant, free, bound,
                                               rest):
         valid = valid_inputs(EC7, variant)
-        staged = stage_card(EC7, variant,
-                            {k: v for k, v in valid.items() if k not in free}, free)
+        call = staged(EC7, variant,
+                      {k: v for k, v in valid.items() if k not in free}, free)
         assert walks == [bound]
         values = {k: valid[k] for k in free}
         for _ in range(3):
-            staged(values)
+            call(values)
         assert walks == [bound, rest, rest, rest]
 
-    @pytest.mark.parametrize("change, free", [
-        ({"phi_prime_d": "1 kPa"}, ["B"]),
-        ({"phi_prime_d": math.pi / 2}, ["B"]),
-        ({}, ["B", "k_extra"]),
-        ({"L": None}, ["B"]),
-    ], ids=["fixed-input-does-not-normalize", "fault-in-the-leading-run",
+    @pytest.mark.parametrize("variant, change, free", [
+        ("nope", {}, ["B"]),
+        ("drained", {"phi_prime_d": "1 kPa"}, ["B"]),
+        ("drained", {}, ["B", "k_extra"]),
+        ("drained", {"L": None}, ["B"]),
+    ], ids=["unknown-variant", "fixed-input-does-not-normalize",
             "free-key-no-input", "input-neither-fixed-nor-free"])
-    def test_failed_binding_leaves_every_call_plain(self, walks, change, free):
+    def test_staging_raises_what_evaluate_card_raises(self, walks, variant,
+                                                      change, free):
         fixed = {k: v for k, v in {**valid_inputs(EC7, "drained"), **change}.items()
                  if k not in free and v is not None}
-        staged = stage_card(EC7, "drained", fixed, free)
-        for width in (1.0, 2.0, 3.0):
-            values = dict.fromkeys(free, width)
-            expected = outcome(plain(EC7, "drained", {**fixed, **values}))
-            assert outcome(lambda: staged(values)) == expected
-            assert expected[0] == "fault"
+        with pytest.raises(GeocardError) as staging:
+            stage_walk(EC7, variant, fixed, free)
+        for width in (1.0, 2.0):
+            expected = outcome(plain(EC7, variant, {**fixed, **dict.fromkeys(free, width)}))
+            assert fault(staging.value) == expected
+        assert walks == []
+
+    def test_fault_in_the_leading_run_walks_the_whole_plan(self, walks):
+        """The fault binds nothing: each walk walks the plan from its first
+        step and raises the fault with its own partial trace."""
+        fixed = {k: v for k, v in valid_inputs(EC7, "drained").items() if k != "B"}
+        fixed["phi_prime_d"] = math.pi / 2
+        widths = (1.0, 2.0, 3.0)
+        expected = [outcome(plain(EC7, "drained", {**fixed, "B": width}))
+                    for width in widths]
+        assert all(faulted[0] == "fault" for faulted in expected)
+        walks.clear()
+        call = staged(EC7, "drained", fixed, ["B"])
+        assert [outcome(lambda: call({"B": width})) for width in widths] == expected
         # No walk starts past the first step: none runs from a bound env.
         assert all(walked[:1] == ["N_q"] for walked in walks)
+        assert walks == [["N_q", "N_c", "N_gamma"]] + [
+            [eq.target for eq in EC7.variant("drained").direct]] * 3
 
 
 class TestWhatTheWidthSearchWalks:
