@@ -48,13 +48,14 @@ def main(argv=None) -> int:
 
 
 def _join_numbers(argv: list[str]) -> list[str]:
-    """``argv`` with ``--B`` and ``--tolerance`` joined to the argument after
-    them (``--B -1e-3`` as ``--B=-1e-3``). Argparse takes a value that
-    starts with "-" for an option unless it reads as a negative number, and
-    which values do ("-1e-3", "-inf") differs between Python versions."""
+    """``argv`` with ``--B`` and ``--tolerance`` or an abbreviation of it
+    joined to the argument after them (``--tol -1e-3`` as ``--tol=-1e-3``):
+    which values that start with "-" argparse reads as negative numbers
+    rather than options ("-1e-3", "-inf") differs between Python versions."""
     joined = []
     for arg in argv:
-        if joined and joined[-1] in ("--B", "--tolerance"):
+        if joined and (joined[-1] == "--B" or len(joined[-1]) > 2
+                       and "--tolerance".startswith(joined[-1])):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

@@ -622,21 +622,22 @@ def stage_walk(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue
     ``walk(values)``, ``values`` holding exactly the free inputs, raises
     what ``evaluate_card`` raises for ``{**fixed, **values}`` and otherwise
     returns the walked env and its cycle diagnostics; only a fault builds a
-    trace, the partial one. ``trace(values, walked)`` is the trace that
-    ``evaluate_card`` returns.
+    trace, the partial one. ``trace(values, walked)`` is ``evaluate_card``'s.
 
-    Staging raises an unknown variant, keys that are not the card's inputs
-    and a fixed input that does not normalize, then binds the fixed inputs,
-    the param defaults and the longest leading run of the direct plan that
-    reads no free key. Each walk copies that env, normalizes the free
-    values in their order and walks the rest. So a fault's partial trace
-    holds exactly the steps before it; a fault in the bound run binds none
-    of it, and each walk walks the whole plan and raises it.
+    Staging raises an unknown variant, an input both fixed and free, keys
+    that are not the card's inputs and a fixed input that does not
+    normalize, then binds the fixed inputs, the param defaults and the
+    longest leading run of the direct plan that reads no free key. Each
+    walk copies that env, normalizes the free values in order and walks
+    the rest: a fault's partial trace holds exactly the steps before it.
+    A fault in the bound run binds nothing: every walk walks the whole plan.
     """
     free, fixed = frozenset(free), dict(fixed)
     variant = card.variant(variant_id)
     if variant is None:
         raise UnknownVariant(card.id, variant_id)
+    if not free.isdisjoint(fixed):
+        raise UnexpectedInput(free & fixed.keys())
     _check_keys(card, fixed.keys() | free)
     env = {key: to_magnitude(value, card.units[key].name, key)
            for key, value in fixed.items()}

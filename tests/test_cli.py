@@ -330,8 +330,10 @@ class TestEc7Commands:
         (["check", "--B", "-0.5"], "width must be positive, got -0.5"),
         (["design", "--tolerance", "-1e-3"],
          "$.tolerance: must lie strictly between 0 and 1"),
+        (["design", "--tol", "-1e-3"],
+         "$.tolerance: must lie strictly between 0 and 1"),
     ], ids=["width-exponent", "width-minus-inf", "width-decimal",
-            "tolerance-exponent"])
+            "tolerance-exponent", "tolerance-abbreviated"])
     def test_negative_value_after_its_option_is_a_domain_error(self, command,
                                                                error, capsys):
         """A value that starts with "-" reaches the domain check, whether

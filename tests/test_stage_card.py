@@ -1,10 +1,10 @@
-"""``stage_walk`` against ``evaluate_card``: staging raises what
-``evaluate_card`` raises before it normalizes a free input, and a walk then
-returns and raises exactly what ``evaluate_card`` does for the fixed inputs
-with the free ones added, for every bundled variant and the benchmark's
-cyclic card, whatever inputs are free, faults included. The steps bound
-when the card is staged, and those each walk runs, are read by spying on
-``_walk``."""
+"""``stage_walk`` against ``evaluate_card``: staging refuses an input both
+fixed and free and raises what ``evaluate_card`` raises before it
+normalizes a free input, and a walk then returns and raises exactly what
+``evaluate_card`` does for the fixed inputs with the free ones added, for
+every bundled variant and the benchmark's cyclic card, whatever inputs are
+free, faults included. The steps bound when the card is staged, and those
+each walk runs, are read by spying on ``_walk``."""
 
 import collections
 import dataclasses
@@ -21,7 +21,7 @@ from geocard.catalog import load_catalog
 from geocard.ec7 import (check_footing_uls_ec7, design_footing_width_ec7,
                          load_bundled_scenario)
 from geocard.engine import EvaluationRequest, evaluate_card, stage_walk
-from geocard.errors import GeocardError
+from geocard.errors import GeocardError, UnexpectedInput
 from geocard.units import Quantity, default_registry
 from test_golden_traces import _requests
 
@@ -90,15 +90,19 @@ class TestDifferential:
         card, variant, valid = data.draw(st.sampled_from(VARIANTS))
         keys = sorted(card.input_keys)
         free = data.draw(st.sets(st.sampled_from([*keys, "k_extra"])))
+        overlap = data.draw(st.integers(0, 4)) == 0  # a free input also fixed
         # Most fixed inputs keep their valid value, so most stagings succeed.
         fixed = {k: data.draw(value(card, k)) if data.draw(st.integers(0, 3)) == 0
-                 else valid[k] for k in keys if k not in free}
+                 else valid[k] for k in keys if overlap or k not in free}
         if fixed and data.draw(st.integers(0, 9)) == 0:  # an input neither fixed nor free
             del fixed[data.draw(st.sampled_from(sorted(fixed)))]
         try:
             call, at_staging = staged(card, variant, fixed, free), None
         except GeocardError as exc:
             call, at_staging = None, fault(exc)
+        if free & fixed.keys():  # no walk may read a fixed value it replaces
+            assert at_staging == fault(UnexpectedInput(free & fixed.keys()))
+            return
         for _ in range(data.draw(st.integers(1, 4))):
             values = {k: data.draw(st.one_of(st.just(valid.get(k, 1.0)), value(card, k)))
                       for k in free}
@@ -173,6 +177,16 @@ class TestWhatIsBound:
         for width in (1.0, 2.0):
             expected = outcome(plain(EC7, variant, {**fixed, **dict.fromkeys(free, width)}))
             assert fault(staging.value) == expected
+        assert walks == []
+
+    @pytest.mark.parametrize("fixed_b", ["2 m", "1 kPa"], ids=["valid", "bad"])
+    def test_input_both_fixed_and_free_raises_at_staging(self, walks, fixed_b):
+        """A fixed value that a walk's free value would replace is refused,
+        before the fixed values are normalized."""
+        fixed = {**valid_inputs(EC7, "drained"), "B": fixed_b}
+        with pytest.raises(UnexpectedInput) as staging:
+            stage_walk(EC7, "drained", fixed, ["gamma", "B"])
+        assert str(staging.value) == "unexpected input key(s): B, gamma"
         assert walks == []
 
     def test_fault_in_the_leading_run_walks_the_whole_plan(self, walks):
