@@ -224,11 +224,22 @@ class UlsCheckResult:
 
 
 def _uls_checker(scenario: FootingScenario, design_approach: str,
-                 catalog: Catalog | None, drainage: str
+                 catalog: Catalog | None, drainage: str, first_B: float
                  ) -> tuple[Callable[[float], tuple], Callable[[tuple], UlsCheckResult]]:
     """``(trial, result)``: ``trial(B)`` is the utilization of the ULS check
     at width ``B`` and its state, and ``result(state)`` the check with the
     card's trace.
+
+    ``first_B`` is the first width the caller tries. Before it returns, the
+    checker raises what a full ``evaluate_card`` at that width raises, in
+    its order: the Design Approach, the width (non-finite as NonFiniteValue
+    naming ``B``, then ``B <= 0``, then ``B - 2e <= 0``), the card, the
+    drainage, ``c_u_k``, then the staging of the card's variant with
+    ``gamma`` and ``B`` free (``engine.stage_walk``), which binds the
+    bearing capacity factors once. No later width needs a check: the search
+    halves no lower than its least width and doubles a finite one at most
+    24 times. A trial builds no trace; it raises what its walk raises, or a
+    non-finite ``V_d`` or ``R_d``.
 
     The design values do not depend on the width, so they are computed once
     here, into the dict the result shows as ``design_parameters``:
@@ -239,18 +250,21 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
     below the base (buoyant with the water table at or above the base,
     total once it lies B' or more below, linear between), and the design
     action V_d = gamma_G (G_k,col + gamma_sw B D_f L) + gamma_Q Q_k on the
-    full width. Only an unknown Design Approach raises before a width is
-    given, which is the check's first error anyway. The first trial that
-    passes the width checks looks up the card, checks the drainage and
-    stages the card's variant from that dict with ``gamma`` and ``B`` free
-    (``engine.stage_walk``), which raises the error of a design value that
-    does not normalize and binds the steps that read neither, the bearing
-    capacity factors, once. A trial builds no trace. Its errors are those
-    of a full ``evaluate_card`` at its width, in the same order: the width
-    (a non-finite one first, as NonFiniteValue naming ``B``), the card
-    lookup, the drainage, then the evaluation.
+    full width.
     """
     pf = get_ec7_preset_partials(design_approach)
+    if not math.isfinite(first_B):  # a NaN passes the comparisons below
+        raise NonFiniteValue("B")
+    if first_B <= 0:
+        raise InvalidGeometry(f"width must be positive, got {first_B:g}")
+    B_eff = first_B - 2.0 * scenario.e
+    if B_eff <= 0:
+        raise InvalidGeometry(f"effective width B - 2e = {B_eff:g} m is not positive")
+    card = (catalog or default_catalog()).get_method(EC7_CARD_ID)
+    if drainage not in ("drained", "undrained"):
+        raise SchemaError("$.drainage", "must be 'drained' or 'undrained'")
+    if drainage == "undrained" and scenario.c_u_k is None:
+        raise SchemaError("$.c_u_k", "scenario lacks undrained strength c_u_k")
     gamma_d = scenario.gamma_k / pf.gamma_gamma
     buoyant = gamma_d - GAMMA_WATER
     d_w, D_f = scenario.groundwater_depth, scenario.D_f
@@ -268,33 +282,13 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
         "gamma_d": gamma_d,
         "q_d": q_d,
     }
-    walk = trace = None
+    walk, trace = stage_walk(card, drainage, {
+        "phi_prime_d": design["phi_prime_d"], "c_prime_d": design["c_prime_d"],
+        "c_u_d": 0.0 if scenario.c_u_k is None else design["c_u_d"],
+        "q": q_d, "L": scenario.L}, ("gamma", "B"))
 
     def trial(B: float) -> tuple[float, tuple]:
-        nonlocal walk, trace
-        if not math.isfinite(B):  # a NaN passes the comparisons below
-            raise NonFiniteValue("B")
-        if B <= 0:
-            raise InvalidGeometry(f"width must be positive, got {B:g}")
         B_eff = B - 2.0 * scenario.e
-        if B_eff <= 0:
-            raise InvalidGeometry(
-                f"effective width B - 2e = {B_eff:g} m is not positive")
-        if walk is None:
-            card = (catalog or default_catalog()).get_method(EC7_CARD_ID)
-            if drainage not in ("drained", "undrained"):
-                raise SchemaError("$.drainage", "must be 'drained' or 'undrained'")
-            c_u_d = design["c_u_d"]
-            if drainage == "undrained" and c_u_d is None:
-                raise SchemaError("$.c_u_k",
-                                  "scenario lacks undrained strength c_u_k")
-            walk, trace = stage_walk(card, drainage, {
-                "phi_prime_d": design["phi_prime_d"],
-                "c_prime_d": design["c_prime_d"],
-                "c_u_d": 0.0 if c_u_d is None else c_u_d,
-                "q": design["q_d"],
-                "L": scenario.L,
-            }, ("gamma", "B"))
         if below <= 0:
             gamma_eff = buoyant
         elif below >= B_eff:
@@ -340,7 +334,7 @@ def check_footing_uls_ec7(scenario: FootingScenario, design_approach: str,
     action or resistance that overflows to infinity one naming ``V_d`` or
     ``R_d``.
     """
-    trial, result = _uls_checker(scenario, design_approach, catalog, drainage)
+    trial, result = _uls_checker(scenario, design_approach, catalog, drainage, B)
     return result(trial(B)[1])
 
 
@@ -388,9 +382,9 @@ def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
     if not 0.0 < tolerance < 1.0:  # also a NaN or a huge int
         raise SchemaError("$.tolerance", "must lie strictly between 0 and 1")
     min_b = max(2.0 * scenario.e + 1e-6, 1e-4)
-    trial, result = _uls_checker(scenario, design_approach, catalog, drainage)
-
     lo = max(0.1, min_b)
+    trial, result = _uls_checker(scenario, design_approach, catalog, drainage, lo)
+
     hi = max(20.0, lo)
     (u_lo, _), (u_hi, at_hi) = trial(lo), trial(hi)
     expansions = 0

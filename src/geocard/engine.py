@@ -526,16 +526,14 @@ def _walk(direct: tuple, block: tuple, env: dict) -> list[dict]:
             env[eq.target] = value
         if not block:
             return []
-        cycle = [eq.target for eq in block]
-        search = f"fixed-point iteration over {{{', '.join(sorted(cycle))}}}"
-        for target in cycle:
-            env[target] = 1.0
+        for eq in block:
+            env[eq.target] = 1.0
         for iterations in range(1, FIXED_POINT_MAX_ITER + 1):
             residual = 0.0
             for eq in block:
                 old, new = env[eq.target], eq.compiled(env)
                 if not math.isfinite(new):
-                    raise NonConvergence(search, iterations, "residual", math.inf)
+                    raise NonConvergence(_search(block), iterations, "residual", math.inf)
                 # max(abs(old), abs(new)) and max(residual, change) without
                 # the calls: max keeps its first argument unless the second
                 # is larger
@@ -550,7 +548,7 @@ def _walk(direct: tuple, block: tuple, env: dict) -> list[dict]:
             if residual < FIXED_POINT_TOL:
                 return [_cycle(block, iterations, residual)]
         eq = block[0]  # the iteration cap names the block's first step
-        raise NonConvergence(search, FIXED_POINT_MAX_ITER, "residual",
+        raise NonConvergence(_search(block), FIXED_POINT_MAX_ITER, "residual",
                              residual)
     except GeocardError as exc:
         exc.failed_step = {
@@ -559,6 +557,12 @@ def _walk(direct: tuple, block: tuple, env: dict) -> list[dict]:
             "inputs": {k: env[k] for k in eq.symbols},
         }
         raise
+
+
+def _search(block: tuple) -> str:
+    """The name of a fixed-point block's search, for its NonConvergence."""
+    targets = ", ".join(sorted(eq.target for eq in block))
+    return f"fixed-point iteration over {{{targets}}}"
 
 
 def _cycle(block: tuple, iterations, residual) -> dict:

@@ -8,6 +8,8 @@ message, plus the failing step and partial trace the engine attaches.
 Each class states its message as a ``message`` template, which
 ``str.format`` fills with the constructor's arguments in the order the
 raise sites pass them; the base template ``"{}"`` takes a finished text.
+A quantity reader's error names no input: ``units.for_input`` appends
+it where the input enters.
 """
 
 from __future__ import annotations
@@ -50,17 +52,9 @@ class _SortedKeys(GeocardError):
 
 # ---------------------------------------------------------------- units ----
 
-def _for_input(key: str | None) -> str:
-    return "" if key is None else f" for input {key!r}"
-
-
 class UnknownUnit(GeocardError):
     code = "unknown_unit"
-    # unit name, then " for input 'key'" or ""
-    message = "unknown unit: {!r}{}"
-
-    def __init__(self, name: str, key: str | None = None):
-        super().__init__(name, _for_input(key))
+    message = "unknown unit: {!r}"
 
 
 # The JSON type of a value a client sent, written before its JSON text;
@@ -85,21 +79,18 @@ def _as_sent(value) -> str:
 
 class MalformedQuantity(GeocardError):
     code = "malformed_quantity"
-    # the value as sent, then " for input 'key'" or ""
-    message = "cannot parse quantity from {}{}"
+    message = "cannot parse quantity from {}"  # the value as sent
 
-    def __init__(self, value, key: str | None = None):
-        super().__init__(_as_sent(value), _for_input(key))
+    def __init__(self, value):
+        super().__init__(_as_sent(value))
 
 
 class DimensionMismatch(GeocardError):
     code = "dimension_mismatch"
-    # source, target, " (context)" or "", then " for input 'key'" or ""
-    message = "incompatible dimensions: {} vs {}{}{}"
+    message = "incompatible dimensions: {} vs {}{}"  # source, target, " (context)" or ""
 
-    def __init__(self, source, target, context: str = "", key: str | None = None):
-        super().__init__(source, target, f" ({context})" if context else "",
-                         _for_input(key))
+    def __init__(self, source, target, context: str = ""):
+        super().__init__(source, target, f" ({context})" if context else "")
 
 
 class MissingUnit(_SortedKeys):

@@ -30,9 +30,10 @@ from . import __version__
 from .cards import MethodCard
 from .catalog import Catalog, default_catalog
 from .engine import EvaluationRequest, JsonText, evaluate_card, reply_text, strict_json
-from .errors import GeocardError, MalformedQuantity, MissingUnit, NonFiniteValue
+from .errors import (DimensionMismatch, GeocardError, MalformedQuantity, MissingUnit,
+                     NonFiniteValue, UnknownUnit)
 from .skills import load_skills
-from .units import quantity_text, split_quantity_text, to_magnitude
+from .units import for_input, quantity_text, split_quantity_text, to_magnitude
 
 PROTOCOL_VERSION = "2024-11-05"
 SERVER_NAME = "geocard"
@@ -410,7 +411,7 @@ class McpServer:
             untagged = [
                 key for key, value in {**request.inputs, **request.overrides}.items()
                 if key in card.units and card.units[key].name != "dimensionless"
-                and not _unit_tag(value, card.units[key].name, key)]
+                and not _has_unit_tag(value, card.units[key].name, key)]
             if untagged:
                 raise MissingUnit(untagged)
         return reply_text(evaluate_card(card, request))
@@ -495,19 +496,20 @@ class McpServer:
         }
 
 
-def _unit_tag(value, unit_name: str, key: str) -> str:
-    """The unit tag of a quantity string, empty for a bare number or a
-    value that is not a string. The text is read as the evaluation reads
-    it, so it is read once when it converts. One that does not convert
-    still has its tag read here, so that it counts as tagged and a
-    MissingUnit of another input comes first; the evaluation raises its
-    error."""
+def _has_unit_tag(value, unit_name: str, key: str) -> bool:
+    """Whether a value is a quantity string with a unit tag, read as the
+    evaluation reads it, so once. A tag of an unknown unit or of another
+    dimension counts, so that a MissingUnit of another input comes first;
+    the evaluation raises its error. A string with no number raises
+    MalformedQuantity here, naming ``key``."""
     if not isinstance(value, str):
-        return ""
+        return False
     try:
-        return quantity_text(value, unit_name, key)[1]
-    except GeocardError:
-        return split_quantity_text(value, key)[1]
+        return bool(quantity_text(value, unit_name)[1])
+    except (UnknownUnit, DimensionMismatch):
+        return True
+    except MalformedQuantity as exc:
+        raise for_input(exc, key)
 
 
 def _partials_reply(pf) -> dict:

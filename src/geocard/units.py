@@ -11,7 +11,8 @@ a JSON table (a bundled default ships with the package) and is immutable
 after construction, so all operations here are pure and thread-safe.
 
 ``quantity_text`` is the one reader of a request's quantity strings: it
-keeps its last 64 successful reads, and each error names its input.
+keeps its last 64 successful reads. A reader's error says what is wrong;
+``to_magnitude``, the entry of every input value, names the input.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import DimensionMismatch, MalformedQuantity, NonFiniteValue, UnknownUnit
+from .errors import (DimensionMismatch, GeocardError, MalformedQuantity,
+                     NonFiniteValue, UnknownUnit)
 from .record import FrozenRecord, set_field
 
 BASES = ("length", "mass", "time", "angle")
@@ -106,12 +108,11 @@ class Quantity(FrozenRecord):
         return format_quantity(self)
 
 
-def convert(q: Quantity, target: Unit, key: str | None = None) -> Quantity:
-    """Re-express ``q`` in ``target`` units, preserving the physical value.
-    A DimensionMismatch names the input ``key``, when one is given."""
+def convert(q: Quantity, target: Unit) -> Quantity:
+    """Re-express ``q`` in ``target`` units, preserving the physical value."""
     if q.unit.dimension != target.dimension:
         raise DimensionMismatch(q.unit.dimension, target.dimension,
-                                f"{q.unit.name} -> {target.name}", key)
+                                f"{q.unit.name} -> {target.name}")
     if q.unit == target:
         return q
     return Quantity(q.magnitude * q.unit.scale / target.scale, target)
@@ -127,12 +128,11 @@ class UnitRegistry:
             if canonical not in self._units:
                 raise UnknownUnit(canonical)
 
-    def resolve(self, name: str, key: str | None = None) -> Unit:
-        """The unit ``name``; an UnknownUnit names the input ``key``, if given."""
+    def resolve(self, name: str) -> Unit:
         try:
             return self._units[self._aliases.get(name, name)]
         except KeyError:
-            raise UnknownUnit(name, key) from None
+            raise UnknownUnit(name) from None
 
     @property
     def dimensionless(self) -> Unit:
@@ -162,19 +162,18 @@ class UnitRegistry:
 _NUMBER_RE = re.compile(r"^\s*([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*)$")
 
 
-def split_quantity_text(text: str, key: str | None = None) -> tuple[float, str]:
+def split_quantity_text(text: str) -> tuple[float, str]:
     """Split ``"<number> <unit-name>"`` into (magnitude, unit name).
 
     The unit name is the empty string for a bare number; callers that
     distinguish bare numbers from explicitly dimensionless quantities
-    need this distinction, which Quantity no longer carries. A
-    MalformedQuantity names the input ``key``, when one is given.
+    need this distinction, which Quantity no longer carries.
     """
     if not isinstance(text, str):
-        raise MalformedQuantity(text, key)
+        raise MalformedQuantity(text)
     match = _NUMBER_RE.match(text)
     if not match or not match.group(1):
-        raise MalformedQuantity(text, key)
+        raise MalformedQuantity(text)
     return float(match.group(1)), match.group(2).strip()
 
 
@@ -192,23 +191,33 @@ def parse_quantity(text: str) -> Quantity:
     return Quantity(magnitude, registry.resolve(unit_name))
 
 
+def for_input(exc: GeocardError, key: str) -> GeocardError:
+    """A reader's error ``exc``, its message now naming the input ``key``."""
+    exc.args = (f"{exc} for input {key!r}",)
+    return exc
+
+
 def to_magnitude(value, unit_name: str, key: str) -> float:
     """Finite magnitude of a wire value in the unit ``unit_name``.
 
     Accepts a Quantity, a unit-tagged string (read by ``quantity_text``),
     or a bare number (also in string form), which is trusted as already in
-    that unit. Anything else is MalformedQuantity and a NaN, an infinity
-    or an overflow is NonFiniteValue, each named by ``key``; so is a
-    DimensionMismatch or an UnknownUnit.
+    that unit. Anything else is MalformedQuantity, and a DimensionMismatch
+    or an UnknownUnit is raised as it is read; each is named by ``key``.
+    This is the one finiteness check of an input: a NaN, an infinity or an
+    overflow, in a string or a number, is NonFiniteValue naming ``key``.
     """
     if type(value) is float and math.isfinite(value):
         return value
-    if isinstance(value, str):
-        return quantity_text(value, unit_name, key)[0]
-    if isinstance(value, Quantity):
-        value = convert(value, default_registry().resolve(unit_name), key).magnitude
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedQuantity(value, key)
+    try:
+        if isinstance(value, str):
+            value = quantity_text(value, unit_name)[0]
+        elif isinstance(value, Quantity):
+            value = convert(value, default_registry().resolve(unit_name)).magnitude
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise MalformedQuantity(value)
+    except (MalformedQuantity, UnknownUnit, DimensionMismatch) as exc:
+        raise for_input(exc, key)
     try:
         magnitude = float(value)
     except OverflowError:
@@ -219,24 +228,23 @@ def to_magnitude(value, unit_name: str, key: str) -> float:
 
 
 @lru_cache(maxsize=64)
-def quantity_text(text: str, unit_name: str, key: str) -> tuple[float, str]:
-    """(finite magnitude in ``unit_name``, unit tag) of the quantity string
-    of the input ``key``, the tag empty for a bare number.
+def quantity_text(text: str, unit_name: str) -> tuple[float, str]:
+    """(magnitude in ``unit_name``, unit tag) of a quantity string, the tag
+    empty for a bare number. The magnitude may be a NaN or an infinity;
+    ``to_magnitude`` rejects it.
 
     The result depends on its arguments alone, so the last 64 successful
     reads are kept: a client sends the same strings again within one task
     (one footing to several variants, one scenario to a check and a
-    design), and 64 hold a task's strings, while a larger memo kept more
-    memory for almost no more hits. An error names ``key``; it is raised,
-    never kept.
+    design, one angle to two inputs), and 64 hold a task's strings, while
+    a larger memo kept more memory for almost no more hits. An error is
+    raised, never kept, and names no input.
     """
-    magnitude, tag = split_quantity_text(text, key)
+    magnitude, tag = split_quantity_text(text)
     if tag:
         registry = default_registry()
-        magnitude = convert(Quantity(magnitude, registry.resolve(tag, key)),
-                            registry.resolve(unit_name), key).magnitude
-    if not math.isfinite(magnitude):
-        raise NonFiniteValue(key)
+        magnitude = convert(Quantity(magnitude, registry.resolve(tag)),
+                            registry.resolve(unit_name)).magnitude
     return magnitude, tag
 
 

@@ -44,6 +44,7 @@ from geocard.errors import (
     SchemaError,
     UnexpectedInput,
     UnknownDesignApproach,
+    UnknownMethod,
 )
 
 SCENARIO = load_bundled_scenario()
@@ -257,6 +258,30 @@ class TestUlsCheck:
                                   drainage="bogus")
         with pytest.raises(SchemaError, match="drainage"):
             check_footing_uls_ec7(SCENARIO, "DA2", 1.5, drainage="bogus")
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: design_footing_width_ec7(SCENARIO, "DA9", tolerance=0.0),
+         SchemaError, "$.tolerance: must lie strictly between 0 and 1"),
+        (lambda: design_footing_width_ec7(
+            dataclasses.replace(SCENARIO, e=1e10), "DA2", drainage="undrained"),
+         InvalidGeometry, "effective width B - 2e = 0 m is not positive"),
+        (lambda: design_footing_width_ec7(
+            dataclasses.replace(SCENARIO, e=1e308), "DA2", drainage="bogus"),
+         NonFiniteValue, "'B' is not a finite number"),
+        (lambda: design_footing_width_ec7(SCENARIO, "DA2", catalog=Catalog(),
+                                          drainage="bogus"),
+         UnknownMethod, f"unknown method card: {EC7_CARD_ID!r}"),
+        (lambda: check_footing_uls_ec7(
+            dataclasses.replace(SCENARIO, e=1.0), "DA2", 1.5, drainage="undrained"),
+         InvalidGeometry, "effective width B - 2e = -0.5 m is not positive"),
+    ], ids=["tolerance", "effective-width", "non-finite-width", "card",
+            "check-width-before-c_u_k"])
+    def test_design_error_order_for_several_bad_arguments(self, call, error, message):
+        """The design checks its tolerance, then its first width (with the
+        check's order), before the card, the drainage and ``c_u_k``."""
+        with pytest.raises(error) as raised:
+            call()
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize("width", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("scenario", ["jrc_a3", "eccentric_pad"])

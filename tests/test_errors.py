@@ -10,6 +10,7 @@ import inspect
 import pytest
 
 from geocard import errors as er
+from geocard.units import Quantity, default_registry, for_input, to_magnitude
 
 # (class, arguments, code, message)
 CASES = [
@@ -85,33 +86,46 @@ def test_dimension_mismatch_without_context():
     assert str(exc) == "incompatible dimensions: L vs M"
 
 
+# A reader's error names no input; to_magnitude, the entry of every input
+# value, names it through for_input.
+
 def test_dimension_mismatch_names_its_input():
-    exc = er.DimensionMismatch("L", "M", "m -> kg", "B")
+    exc = for_input(er.DimensionMismatch("L", "M", "m -> kg"), "B")
     assert str(exc) == "incompatible dimensions: L vs M (m -> kg) for input 'B'"
     assert exc.payload() == {"error": "dimension_mismatch", "message": str(exc)}
+    with pytest.raises(er.DimensionMismatch) as err:
+        to_magnitude(Quantity(2.0, default_registry().resolve("m")), "kN", "B")
+    assert str(err.value) == ("incompatible dimensions: length vs "
+                              "length·mass·time^-2 (m -> kN) for input 'B'")
 
 
 def test_unknown_unit_names_its_input():
-    exc = er.UnknownUnit("furlong", "B")
-    assert str(exc) == "unknown unit: 'furlong' for input 'B'"
-    assert exc.payload() == {"error": "unknown_unit", "message": str(exc)}
+    with pytest.raises(er.UnknownUnit) as err:
+        to_magnitude("2 furlong", "m", "B")
+    assert str(err.value) == "unknown unit: 'furlong' for input 'B'"
+    assert err.value.payload() == {"error": "unknown_unit", "message": str(err.value)}
 
 
 @pytest.mark.parametrize("value, written", [
     (True, "boolean true"), (None, "null"), (2.5, "number 2.5"),
     ([1, "m"], 'array [1, "m"]'), ({"B": 2}, 'object {"B": 2}'), ("2 m m", "'2 m m'")])
 def test_malformed_quantity_writes_a_value_as_json(value, written):
-    exc = er.MalformedQuantity(value, "B")
-    assert str(exc) == f"cannot parse quantity from {written} for input 'B'"
+    message = f"cannot parse quantity from {written} for input 'B'"
+    assert str(for_input(er.MalformedQuantity(value), "B")) == message
+    if not isinstance(value, (float, str)):  # to_magnitude reads these two
+        with pytest.raises(er.MalformedQuantity) as err:
+            to_magnitude(value, "m", "B")
+        assert str(err.value) == message
 
 
 def test_malformed_quantity_nested_too_deeply_to_write():
     value = []
     for _ in range(100_000):  # deeper than any recursion limit
         value = [value]
-    exc = er.MalformedQuantity(value, "q")
-    assert str(exc) == ("cannot parse quantity from array nested too deeply "
-                        "to write for input 'q'")
+    with pytest.raises(er.MalformedQuantity) as err:
+        to_magnitude(value, "m", "q")
+    assert str(err.value) == ("cannot parse quantity from array nested too deeply "
+                              "to write for input 'q'")
 
 
 def test_invalid_query_is_a_value_error():

@@ -197,8 +197,8 @@ class TestDimensionType:
 
 class TestQuantityTextMemo:
     """``quantity_text`` is the one reader of a quantity string: it keeps
-    the last 64 successful reads, and an error names its input and is
-    never kept."""
+    the last 64 successful reads, keyed on the text and the unit alone, and
+    never keeps an error. ``to_magnitude`` names the input of an error."""
 
     @given(st.floats(allow_nan=False, allow_infinity=False),
            st.sampled_from([("mm", "m"), ("deg", "radians"), ("MPa", "kPa"),
@@ -211,17 +211,15 @@ class TestQuantityTextMemo:
         reference = (convert(parse_quantity(text), REG.resolve(target)).magnitude
                      if tag else float(text))
         quantity_text.cache_clear()
-        if not math.isfinite(reference):  # 1e308 MPa overflows
+        miss = quantity_text(text, target)
+        assert quantity_text.cache_info()[:2] == (0, 1)  # hits, misses
+        assert miss[1] == tag and miss[0].hex() == reference.hex()
+        if math.isfinite(reference):
+            assert to_magnitude(text, target, "x").hex() == reference.hex()
+        else:  # 1e308 MPa overflows: the read is kept, the entry rejects it
             with pytest.raises(NonFiniteValue, match="'x'"):
                 to_magnitude(text, target, "x")
-            assert quantity_text.cache_info().currsize == 0
-            return
-        miss = quantity_text(text, target, "x")
-        assert quantity_text.cache_info()[:2] == (0, 1)  # hits, misses
-        hit = to_magnitude(text, target, "x")
         assert quantity_text.cache_info()[:2] == (1, 1)
-        assert miss == (hit, tag)
-        assert miss[0].hex() == hit.hex() == reference.hex()
 
     def test_memo_stays_within_its_bound(self):
         for i in range(10_000):
@@ -239,15 +237,34 @@ class TestQuantityTextMemo:
         ("-1e999", "m", NonFiniteValue, "'B' is not a finite number")])
     def test_each_error_names_its_input_and_is_not_kept(self, text, unit, error,
                                                          message):
+        """A read that fails is not kept; a non-finite read is, and the
+        entry raises its error on every use."""
+        quantity_text.cache_clear()  # room to keep a read
         assert to_magnitude("2 m", "m", "B") == 2.0
         assert to_magnitude("2 m", "m", "B") == 2.0  # a hit before each error
-        for read in (quantity_text, to_magnitude) * 2:
+        kept = error is NonFiniteValue
+        for use in range(2):
             before = quantity_text.cache_info()
             with pytest.raises(error) as err:
-                read(text, unit, "B")
+                to_magnitude(text, unit, "B")
             assert str(err.value) == message
             after = quantity_text.cache_info()
-            assert (after.misses, after.currsize) == (before.misses + 1, before.currsize)
+            hit = kept and use == 1
+            assert (after.hits, after.misses, after.currsize) == (
+                before.hits + hit, before.misses + (not hit),
+                before.currsize + (kept and use == 0))
+
+    def test_one_string_for_two_inputs_is_read_once(self):
+        quantity_text.cache_clear()
+        phi = to_magnitude("30 deg", "radians", "phi_prime")
+        assert to_magnitude("30 deg", "radians", "phi_prime_d") == phi
+        info = quantity_text.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        for key in ("a", "b"):
+            with pytest.raises(UnknownUnit) as err:
+                to_magnitude("2 furlong", "m", key)
+            assert str(err.value) == f"unknown unit: 'furlong' for input {key!r}"
+        assert quantity_text.cache_info().currsize == info.currsize
 
     def test_without_a_key_the_unknown_unit_names_no_input(self):
         with pytest.raises(UnknownUnit) as err:
