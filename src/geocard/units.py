@@ -211,16 +211,16 @@ def to_magnitude(value, unit_name: str, key: str) -> float:
         return value
     try:
         if isinstance(value, str):
-            value = quantity_text(value, unit_name)[0]
-        elif isinstance(value, Quantity):
-            value = convert(value, default_registry().resolve(unit_name)).magnitude
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MalformedQuantity(value)
+            magnitude = quantity_text(value, unit_name)[0]
+        else:
+            if isinstance(value, Quantity):
+                value = convert(value, default_registry().resolve(unit_name)).magnitude
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise MalformedQuantity(value)
+            magnitude = float(value)
     except (MalformedQuantity, UnknownUnit, DimensionMismatch) as exc:
         raise for_input(exc, key)
-    try:
-        magnitude = float(value)
-    except OverflowError:
+    except OverflowError:  # an int too large for a float
         magnitude = math.inf
     if not math.isfinite(magnitude):
         raise NonFiniteValue(key)

@@ -595,6 +595,9 @@ class TestNonFiniteInputs:
     @pytest.mark.parametrize("value", [
         math.nan, math.inf, -math.inf, "1e400 kPa", "1e400",
         pytest.param(10 ** 400, id="huge-int"),
+        # an int magnitude too large for a float, met on conversion to kPa
+        pytest.param(Quantity(10 ** 400, default_registry().resolve("Pa")),
+                     id="huge-int-quantity"),
         "1e306 MPa",  # finite text, overflows on conversion to kPa
     ])
     def test_rejected(self, value):
