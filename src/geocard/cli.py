@@ -90,23 +90,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ec7 = sub.add_parser("ec7", help="Eurocode 7 footing workflows")
     ec7_sub = p_ec7.add_subparsers(dest="ec7_command")
-    p_check = ec7_sub.add_parser("check", help="ULS check at a given width")
-    p_check.add_argument("--scenario", required=True, help="scenario JSON file")
-    p_check.add_argument("--da", required=True,
-                         help="design approach label, or 'all'")
+    shared = argparse.ArgumentParser(add_help=False)  # options of check and design
+    shared.add_argument("--scenario", required=True, help="scenario JSON file")
+    shared.add_argument("--da", required=True, help="design approach label, or 'all'")
+    shared.add_argument("--drainage", choices=("drained", "undrained"),
+                        default="drained")
+    shared.add_argument("--format", choices=("json", "summary"), default="summary")
+    p_check = ec7_sub.add_parser("check", parents=[shared],
+                                 help="ULS check at a given width")
     p_check.add_argument("--B", required=True, type=float, help="width in metres")
-    p_check.add_argument("--drainage", choices=("drained", "undrained"),
-                         default="drained")
-    p_check.add_argument("--format", choices=("json", "summary"), default="summary")
     p_check.set_defaults(func=cmd_ec7_check)
-    p_design = ec7_sub.add_parser("design", help="search the required width")
-    p_design.add_argument("--scenario", required=True, help="scenario JSON file")
-    p_design.add_argument("--da", required=True,
-                          help="design approach label, or 'all'")
+    p_design = ec7_sub.add_parser("design", parents=[shared],
+                                  help="search the required width")
     p_design.add_argument("--tolerance", type=float, default=1e-3)
-    p_design.add_argument("--drainage", choices=("drained", "undrained"),
-                          default="drained")
-    p_design.add_argument("--format", choices=("json", "summary"), default="summary")
     p_design.set_defaults(func=cmd_ec7_design)
     p_ec7.set_defaults(func=lambda args: (p_ec7.print_help(), 2)[1])
 
@@ -201,14 +197,6 @@ def _load_scenario_file(path_text: str):
     return load_scenario(text)
 
 
-def _da_list(label: str) -> list[str]:
-    from .ec7 import DESIGN_APPROACHES
-
-    if label == "all":
-        return list(DESIGN_APPROACHES)
-    return [label]
-
-
 def _print_json(results) -> int:
     """Print the results as strict_json of their to_dict() list, each
     written by its to_json; a NaN or infinity is a domain error."""
@@ -217,7 +205,7 @@ def _print_json(results) -> int:
 
 
 def cmd_ec7_check(args) -> int:
-    from .ec7 import check_footing_uls_ec7
+    from .ec7 import DESIGN_APPROACHES, check_footing_uls_ec7
     from .report import format_sig
 
     scenario = _load_scenario_file(args.scenario)
@@ -225,7 +213,7 @@ def cmd_ec7_check(args) -> int:
         return 2
     results = [
         check_footing_uls_ec7(scenario, da, args.B, drainage=args.drainage)
-        for da in _da_list(args.da)
+        for da in (DESIGN_APPROACHES if args.da == "all" else [args.da])
     ]
     if args.format == "json":
         return _print_json(results)
@@ -243,7 +231,7 @@ def cmd_ec7_check(args) -> int:
 
 
 def cmd_ec7_design(args) -> int:
-    from .ec7 import design_footing_width_ec7
+    from .ec7 import DESIGN_APPROACHES, design_footing_width_ec7
 
     scenario = _load_scenario_file(args.scenario)
     if scenario is None:
@@ -251,7 +239,7 @@ def cmd_ec7_design(args) -> int:
     results = [
         design_footing_width_ec7(scenario, da, tolerance=args.tolerance,
                                  drainage=args.drainage)
-        for da in _da_list(args.da)
+        for da in (DESIGN_APPROACHES if args.da == "all" else [args.da])
     ]
     if args.format == "json":
         return _print_json(results)

@@ -10,9 +10,11 @@ fixed-point iteration from 1.0 in card units, re-evaluating the block's
 equations in listed order until the largest relative change drops below
 1e-9 (hard cap 200 iterations). ``evaluate_card`` makes this walk and
 returns a trace that keeps the variant and the bound values; the trace
-builds its steps from them when they are read, as the dicts that are their
-wire form: index, target, expression, inputs (sorted), value, unit,
-description, method.
+builds its steps and outputs from them on each read: the steps as the
+dicts that are their wire form (index, target, expression, inputs
+(sorted), value, unit, description, method), each output as a Quantity in
+the card's unit. A fault carries a ``PartialTrace``: the steps bound
+before it, and no outputs.
 
 ``stage_walk`` is ``evaluate_card`` as a function of some named free
 inputs, for a caller that evaluates one variant at many values of them (a
@@ -31,16 +33,16 @@ split at the markers, so that a call only writes the numbers and the
 request echo. Each hole is an index, fixed when the template is cut, into
 one flat list of value texts, and a call builds that list and gathers it:
 the env values the template reads, each key once (by ``float.__repr__``
-when every one is a finite float), then the input echoes, the outputs, the
-cycle's iterations and residual, and the overrides block. An echo or output
-that is the env's own value object takes the env's text; an equal value
-does not, as 2 and 2.0, or -0.0 and 0.0, are written apart. A partial
-trace is written by the reference. A body that nests another, an EC7 check
-(the trace) or design (the check), has its template cut by
-``nested_written`` from its own ``_body``: the nested template at its
-depth, every other scalar a marker. Its list is the nested one, then the
-texts of those scalars, read from the same ``_body`` in document order, so
-each field is named once.
+when every one is a finite float), then the input echoes, the cycle's
+iterations and residual, and the overrides block. An output is read from
+the env, so it fills the holes of its env value. An echo that is the env's
+own value object takes the env's text; an equal value does not, as 2 and
+2.0, or -0.0 and 0.0, are written apart. A partial trace is written by the
+reference. A body that nests another, an EC7 check (the trace) or design
+(the check), has its template cut by ``nested_written`` from its own
+``_body``: the nested template at its depth, every other scalar a marker.
+Its list is the nested one, then the texts of those scalars, read from the
+same ``_body`` in document order, so each field is named once.
 
 A template keeps each static piece escaped for a JSON string literal as
 well. ``reply_text`` returns the text of a reply as a ``JsonText``, a
@@ -96,22 +98,28 @@ class EvaluationRequest(Record):
 
 
 class EvaluationTrace(Record):
+    """The complete trace of a walk: the variant, the env it bound and the
+    request echo; its steps and outputs are read from the env."""
     __slots__ = ("card", "variant", "env", "request_inputs",
-                 "request_overrides", "outputs", "diagnostics")
+                 "request_overrides", "diagnostics")
     _unprinted = ("card", "variant")
 
     # Its own __init__: one is built per evaluation.
     def __init__(self, card: MethodCard, variant: VariantSpec, env: dict,
-                 request_inputs: dict, request_overrides: dict, outputs: dict,
-                 diagnostics: dict):
+                 request_inputs: dict, request_overrides: dict, diagnostics: dict):
         self.card = card
         self.variant = variant
         self.env = env  # every value the walk bound, givens and targets
         # copies of the request's dicts, made at evaluation
         self.request_inputs = request_inputs
         self.request_overrides = request_overrides
-        self.outputs = outputs  # key -> Quantity
         self.diagnostics = diagnostics
+
+    @property
+    def outputs(self) -> dict:
+        """Each output's env value as a Quantity in the card's unit."""
+        env, units = self.env, self.card.units
+        return {key: Quantity(env[key], units[key]) for key in self.card.output_keys}
 
     @property
     def steps(self) -> tuple:
@@ -146,8 +154,8 @@ class EvaluationTrace(Record):
             },
             "steps": list(self.steps),
             "outputs": {
-                k: {"value": self.outputs[k].magnitude, "unit": self.outputs[k].unit.name}
-                for k in sorted(self.outputs)
+                k: {"value": q.magnitude, "unit": q.unit.name}
+                for k, q in sorted(self.outputs.items())
             },
             "sources": [
                 {"title": s.title, "url": s.url} for s in self.card.sources
@@ -161,33 +169,35 @@ class EvaluationTrace(Record):
         return template_json(self)
 
     def _written(self) -> tuple[Template, list] | None:
-        """The variant's template and the flat list of its value texts, or
-        None for a partial trace: its walk stopped in the fixed-point
-        block, or before a direct step."""
-        template, read, echoes, outputs = _template(self)
-        cycles = self.diagnostics["iterative_cycles"]
-        if len(cycles) != (1 if self.variant.iterative else 0):
-            return None
-        try:
-            values = read(self.env)
-        except KeyError:
-            return None
+        """The variant's template and the flat list of its value texts."""
+        template, read, echoes = _template(self)
+        values = read(self.env)
         texts = _value_texts(values)
-        # An echo or output that is the env's own object has its text.
+        # An echo that is the env's own object has its text.
         inputs = self.request_inputs
         for key, at in echoes:
             value = inputs[key]
             texts.append(texts[at] if at is not None and value is values[at]
                          else scalar_json(_echo_value(value)))
-        for key, at in outputs:
-            value = self.outputs[key].magnitude
-            texts.append(texts[at] if at is not None and value is values[at]
-                         else scalar_json(value))
+        cycles = self.diagnostics["iterative_cycles"]
         if cycles:
             texts += (scalar_json(cycles[0]["iterations"]),
                       scalar_json(cycles[0]["residual"]))
         texts.append(_overrides(self.request_overrides))
         return template, texts
+
+
+class PartialTrace(EvaluationTrace):
+    """The trace of a walk stopped by a fault: the steps bound before it,
+    and no outputs. The reference writer writes it."""
+    __slots__ = ()
+
+    @property
+    def outputs(self) -> dict:
+        return {}
+
+    def _written(self) -> None:
+        return None
 
 
 def strict_json(body) -> str:
@@ -450,8 +460,8 @@ def _leaves(body, slot):
 
 # The name of a value of a trace is (source, key), with source one of these:
 # its flat list holds the env values the template reads, each key once,
-# then the input echoes, the outputs, the cycle's and the overrides block.
-_ENV, _INPUTS, _OUTPUTS, _CYCLE, _OVERRIDES = range(5)
+# then the input echoes, the cycle's and the overrides block.
+_ENV, _INPUTS, _CYCLE, _OVERRIDES = range(4)
 
 
 class _PlantingEnv(dict):
@@ -468,9 +478,10 @@ class _PlantingEnv(dict):
 def _template(trace: EvaluationTrace) -> tuple:
     """The writer of the trace's variant, memoized on its card: the
     template, the reference writer's text of a complete trace whose every
-    value is a marker; the getter of the env values it reads; and each
-    echo's and output's key with the place of its env value among those
-    (None for a key it does not read)."""
+    value is a marker (its outputs read the planting env, so they share the
+    env's holes); the getter of the env values it reads; and each echo's
+    key with the place of its env value among those (None for a key it
+    does not read)."""
     card, variant = trace.card, trace.variant
     writer = card.trace_templates.get(variant.id)
     if writer is None:
@@ -480,7 +491,6 @@ def _template(trace: EvaluationTrace) -> tuple:
             planted = EvaluationTrace(
                 card, variant, _PlantingEnv(card.units, plant),
                 {k: plant((_INPUTS, k), STRING) for k in card.input_keys}, {},
-                {k: Quantity(plant((_OUTPUTS, k)), card.units[k]) for k in card.output_keys},
                 {"iterative_cycles": cycles})
             body = planted.to_dict()
             body["request"]["overrides"] = plant((_OVERRIDES, None), BLOCK)
@@ -490,8 +500,7 @@ def _template(trace: EvaluationTrace) -> tuple:
         at = {key: i for i, key in enumerate(read)}
         writer = card.trace_templates[variant.id] = (
             template, _gather(read),
-            [(key, at.get(key)) for source, key in template.names if source == _INPUTS],
-            [(key, at.get(key)) for source, key in template.names if source == _OUTPUTS])
+            [(key, at.get(key)) for source, key in template.names if source == _INPUTS])
     return writer
 
 
@@ -580,18 +589,9 @@ def _run(card: MethodCard, variant: VariantSpec, env: dict, direct: tuple,
     try:
         return _walk(direct, variant.iterative, env)
     except GeocardError as exc:
-        exc.partial_trace = EvaluationTrace(card, variant, env, *echo(), {},
-                                            {"iterative_cycles": []})
+        exc.partial_trace = PartialTrace(card, variant, env, *echo(),
+                                         {"iterative_cycles": []})
         raise
-
-
-def _trace(card: MethodCard, variant: VariantSpec, env: dict, echo: tuple,
-           cycles: list[dict]) -> EvaluationTrace:
-    """The complete trace of a walked ``env``."""
-    return EvaluationTrace(card, variant, env, *echo,
-                           {key: Quantity(env[key], card.units[key])
-                            for key in card.output_keys},
-                           {"iterative_cycles": cycles})
 
 
 def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTrace:
@@ -615,8 +615,8 @@ def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTra
         for key, value in overrides.items():
             env[key] = to_magnitude(value, card.units[key].name, key)
     echo = (dict(request.inputs), dict(overrides))
-    return _trace(card, variant, env, echo,
-                  _run(card, variant, env, variant.direct, lambda: echo))
+    cycles = _run(card, variant, env, variant.direct, lambda: echo)
+    return EvaluationTrace(card, variant, env, *echo, {"iterative_cycles": cycles})
 
 
 def stage_walk(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue],
@@ -664,5 +664,6 @@ def stage_walk(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue
         return given, _run(card, variant, given, rest, lambda: ({**fixed, **values}, {}))
 
     def trace(values, walked):
-        return _trace(card, variant, walked[0], ({**fixed, **values}, {}), walked[1])
+        return EvaluationTrace(card, variant, walked[0], {**fixed, **values}, {},
+                               {"iterative_cycles": walked[1]})
     return walk, trace

@@ -20,8 +20,8 @@ import json
 class GeocardError(Exception):
     """Base class for all errors raised by this package.
 
-    The engine may attach ``partial_trace`` (an EvaluationTrace of the
-    steps completed before the fault) and ``failed_step`` (target,
+    The engine may attach ``partial_trace`` (a PartialTrace: the steps
+    completed before the fault, and no outputs) and ``failed_step`` (target,
     expression, resolved inputs) so the failing step stays auditable.
     """
 

@@ -61,8 +61,7 @@ def render_report(trace: EvaluationTrace) -> str:
         lines.append("")
 
     lines += ["## Outputs", ""]
-    for key in sorted(trace.outputs):
-        q = trace.outputs[key]
+    for key, q in sorted(trace.outputs.items()):
         unit_text = "" if q.unit.name == "dimensionless" else f" {q.unit.name}"
         lines.append(f"- **{key}** = {format_sig(q.magnitude)}{unit_text}")
 

@@ -13,10 +13,12 @@ from geocard.cards import MethodCard, load_card
 from geocard.catalog import load_catalog
 from json.encoder import encode_basestring_ascii
 
-from geocard.engine import (EvaluationRequest, EvaluationTrace, evaluate_card,
-                            reply_text, scalar_json, strict_json)
+from geocard.ec7 import check_footing_uls_ec7, load_scenario
+from geocard.engine import (EvaluationRequest, EvaluationTrace, PartialTrace,
+                            evaluate_card, reply_text, scalar_json, strict_json)
 from geocard.errors import GeocardError, NonFiniteValue
 from geocard.units import Quantity, default_registry
+from test_ec7 import overflowing_scenario
 from test_engine import BENCH_CYCLIC, CYCLIC_CARD, DIVERGENT_CARD
 from test_golden_traces import _requests
 
@@ -91,7 +93,6 @@ class TestDifferential:
     def test_drawn_values(self, name, data):
         """The evaluated trace with every value, echo and override drawn."""
         base = BASE[name]
-        card = base.card
         env = {k: data.draw(NUMBERS) for k in base.env}
         cycles = [{**cycle, "iterations": data.draw(st.integers(1, 200)),
                    "residual": data.draw(NUMBERS)}
@@ -100,7 +101,6 @@ class TestDifferential:
             base, env=env,
             request_inputs={k: data.draw(ECHOES) for k in base.request_inputs},
             request_overrides=data.draw(st.dictionaries(TEXT, ECHOES, max_size=3)),
-            outputs={k: Quantity(env[k], card.units[k]) for k in card.output_keys},
             diagnostics={"iterative_cycles": cycles})
         assert templated(trace) == reference(trace)
 
@@ -124,17 +124,16 @@ def _twin(draw, value):
 
 
 class TestIdentityReuse:
-    """The writer writes an echo or output that is the env's own value
-    object from the env's text. Equal but distinct values are written from
-    their own: a writer that matched on equality would write 2.0 for 2, or
-    0.0 for -0.0."""
+    """The writer writes an echo that is the env's own value object from
+    the env's text, as it writes every output, which is read from the env.
+    Equal but distinct values are written from their own: a writer that
+    matched on equality would write 2.0 for 2, or 0.0 for -0.0."""
 
     @pytest.mark.parametrize("name", list(BASE))
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_echoes_and_outputs_of_env_objects(self, name, data):
         base = BASE[name]
-        card = base.card
         values = st.one_of(st.sampled_from([0.0, -0.0, 2.0, -7.0, 1e16]), FLOATS)
         env = {k: _distinct(data.draw(values)) for k in base.env}
         if data.draw(st.booleans()):  # not every value a float
@@ -142,9 +141,7 @@ class TestIdentityReuse:
                 st.one_of(st.integers(-10, 10), st.none()))
         trace = replaced(
             base, env=env,
-            request_inputs={k: _twin(data.draw, env[k]) for k in base.request_inputs},
-            outputs={k: Quantity(_twin(data.draw, env[k]), card.units[k])
-                     for k in card.output_keys})
+            request_inputs={k: _twin(data.draw, env[k]) for k in base.request_inputs})
         assert templated(trace) == reference(trace)
 
 
@@ -256,6 +253,10 @@ NO_OUTPUT_OVERFLOW = _no_output(CYCLIC_CARD, [{"target": "y", "sympy": "a*a"},
                                               {"target": "x", "sympy": "y"}])
 
 
+def _evaluation(card, variant, inputs):
+    return lambda: evaluate_card(card, EvaluationRequest(card.id, variant, inputs))
+
+
 class TestNumber:
     @pytest.mark.parametrize("value", [0, -1, 2**63, 10**100, True, False, None])
     def test_int_and_bool_as_json_writes_them(self, value):
@@ -280,19 +281,25 @@ class TestFaults:
         with pytest.raises(NonFiniteValue):
             trace.to_json()
 
-    @pytest.mark.parametrize("card, variant, inputs", [
-        (CATALOG.get_method("BEARING_CAPACITY_TERZAGHI"), "general_shear_failure_strip",
-         {"c_prime": "0 kPa", "phi_prime": "30 deg", "gamma": "1e300 kN/m^3",
-          "B": "1e300 m", "q": "18 kPa"}),
-        (load_card(DIVERGENT_CARD), "base", {}),
-        (NO_OUTPUT_DIVERGENT, "base", {}),
-        (NO_OUTPUT_OVERFLOW, "base", {"a": 1e300}),
+    @pytest.mark.parametrize("run", [
+        _evaluation(CATALOG.get_method("BEARING_CAPACITY_TERZAGHI"),
+                    "general_shear_failure_strip",
+                    {"c_prime": "0 kPa", "phi_prime": "30 deg", "gamma": "1e300 kN/m^3",
+                     "B": "1e300 m", "q": "18 kPa"}),
+        _evaluation(load_card(DIVERGENT_CARD), "base", {}),
+        _evaluation(NO_OUTPUT_DIVERGENT, "base", {}),
+        _evaluation(NO_OUTPUT_OVERFLOW, "base", {"a": 1e300}),
+        # N_q overflows in the staged run of the steps that read no width,
+        # so the check's walk runs the whole plan.
+        lambda: check_footing_uls_ec7(
+            load_scenario(overflowing_scenario({"phi_prime_k": "89.99 deg"})), "DA3", 2.0),
     ], ids=["overflowing-step", "diverging-cycle", "diverging-cycle-no-output",
-            "overflowing-step-no-output"])
-    def test_partial_trace_is_written_by_the_reference(self, card, variant, inputs):
+            "overflowing-step-no-output", "overflowing-staged-step"])
+    def test_partial_trace_is_written_by_the_reference(self, run):
         with pytest.raises(GeocardError) as fault:
-            evaluate_card(card, EvaluationRequest(card.id, variant, inputs))
+            run()
         partial = fault.value.partial_trace
+        assert type(partial) is PartialTrace and partial.outputs == {}
         assert partial._written() is None
         assert partial.to_json() == reference(partial)
         assert reply_text(partial).literal == encode_basestring_ascii(reference(partial))
