@@ -32,9 +32,9 @@ from pathlib import Path
 
 from .cards import ABSENT, instance_of, load_record, read_record
 from .catalog import Catalog, default_catalog
-from .engine import EvaluationTrace, nested_written, stage_walk, template_json
-from .errors import (InvalidGeometry, NoBracket, NonConvergence,
-                     NonFiniteValue, SchemaError, UnknownDesignApproach)
+from .engine import EvaluationTrace, stage_walk, template_json
+from .errors import (InvalidGeometry, NoBracket, NonFiniteValue, SchemaError,
+                     UnknownDesignApproach)
 from .units import DATA_DIR, to_magnitude
 
 GAMMA_WATER = 9.81  # kN/m^3
@@ -199,7 +199,7 @@ class UlsCheckResult:
 
     def to_json(self) -> str:
         """``strict_json(self.to_dict())``, written from the template of
-        the body that nests the trace's."""
+        the whole body, trace included, when the trace is a complete one."""
         return template_json(self)
 
     def _body(self, trace) -> dict:
@@ -219,8 +219,12 @@ class UlsCheckResult:
             "trace": trace,
         }
 
+    def _shape(self) -> tuple:
+        """What fixes the body's shape besides the trace's variant."""
+        return tuple(self.design_parameters)
+
     def _written(self):
-        return nested_written(self, self.trace, tuple(self.design_parameters))
+        return self.trace._written(self)
 
 
 def _uls_checker(scenario: FootingScenario, design_approach: str,
@@ -346,23 +350,27 @@ class WidthDesignResult:
     iterations: int
 
     def to_dict(self) -> dict:
-        return self._body(self.check.to_dict())
+        return self._body(self.check.trace.to_dict())
 
     def to_json(self) -> str:
         """``strict_json(self.to_dict())``, written from the template of
-        the body that nests the check's."""
+        the whole body, check and trace included, when the trace is a
+        complete one."""
         return template_json(self)
 
-    def _body(self, check) -> dict:
+    def _body(self, trace) -> dict:
         return {
             "design_approach": self.design_approach,
             "B_req": self.B_req,
             "iterations": self.iterations,
-            "check": check,
+            "check": self.check._body(trace),
         }
 
+    def _shape(self) -> tuple:
+        return (WidthDesignResult, self.check._shape())
+
     def _written(self):
-        return nested_written(self, self.check, WidthDesignResult)
+        return self.check.trace._written(self)
 
 
 def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
@@ -372,12 +380,13 @@ def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
     """Bisection on utilization(B) - 1 for the required footing width.
 
     Returns the passing end of the bracket, once its utilization lies in
-    (1 - tolerance, 1], together with the check there. A trial width
-    computes the utilization only; the check, with its trace, is built
-    once, at the width returned, from that trial. A trial that fails
-    raises what the check at its width raises, partial trace included. The
-    bracket starts at [0.1 m, 20 m] and expands automatically (up to fixed
-    limits) when utilization does not cross 1 inside it.
+    (1 - tolerance, 1] or no float lies between the ends, together with
+    the check there. A trial width computes the utilization only; the
+    check, with its trace, is built once, at the width returned, from that
+    trial. A trial that fails raises what the check at its width raises,
+    partial trace included. The bracket starts at [0.1 m, 20 m] and expands
+    automatically (up to fixed limits) when utilization does not cross 1
+    inside it.
     """
     if not 0.0 < tolerance < 1.0:  # also a NaN or a huge int
         raise SchemaError("$.tolerance", "must lie strictly between 0 and 1")
@@ -388,7 +397,7 @@ def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
     hi = max(20.0, lo)
     (u_lo, _), (u_hi, at_hi) = trial(lo), trial(hi)
     expansions = 0
-    while u_lo <= 1.0 and lo > min_b and expansions < 12:
+    while u_lo <= 1.0 and lo > min_b:
         lo = max(lo / 2.0, min_b)
         u_lo, _ = trial(lo)
         expansions += 1
@@ -401,10 +410,9 @@ def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
 
     iterations = 0
     while u_hi <= 1.0 - tolerance:
-        if iterations == 200:
-            raise NonConvergence("width bisection", iterations,
-                                 "utilization gap", 1.0 - u_hi)
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         u_mid, at_mid = trial(mid)
         if u_mid > 1.0:
             lo = mid

@@ -38,11 +38,12 @@ iterations and residual, and the overrides block. An output is read from
 the env, so it fills the holes of its env value. An echo that is the env's
 own value object takes the env's text; an equal value does not, as 2 and
 2.0, or -0.0 and 0.0, are written apart. A partial trace is written by the
-reference. A body that nests another, an EC7 check (the trace) or design
-(the check), has its template cut by ``nested_written`` from its own
-``_body``: the nested template at its depth, every other scalar a marker.
-Its list is the nested one, then the texts of those scalars, read from the
-same ``_body`` in document order, so each field is named once.
+reference. A reply whose body holds the trace, an EC7 check or design, is
+written from one template of its whole body, cut the same way from
+``outer._body(planted trace body)`` with every other scalar a marker, and
+memoized on the card by the variant and ``outer._shape()``. Its list is the
+trace's, then the texts of those scalars, read from the same ``_body`` in
+document order, so each field is named once.
 
 A template keeps each static piece escaped for a JSON string literal as
 well. ``reply_text`` returns the text of a reply as a ``JsonText``, a
@@ -168,9 +169,10 @@ class EvaluationTrace(Record):
         template when the trace is a complete one."""
         return template_json(self)
 
-    def _written(self) -> tuple[Template, list] | None:
-        """The variant's template and the flat list of its value texts."""
-        template, read, echoes = _template(self)
+    def _written(self, outer=None) -> tuple[Template, list] | None:
+        """The template of the trace's variant, or of ``outer``'s body
+        around the trace, and the flat list of its value texts."""
+        template, read, echoes = _template(self, outer)
         values = read(self.env)
         texts = _value_texts(values)
         # An echo that is the env's own object has its text.
@@ -184,6 +186,8 @@ class EvaluationTrace(Record):
             texts += (scalar_json(cycles[0]["iterations"]),
                       scalar_json(cycles[0]["residual"]))
         texts.append(_overrides(self.request_overrides))
+        if outer is not None:
+            texts += map(scalar_json, _leaves(outer._body(_SLOT), _SLOT))
         return template, texts
 
 
@@ -196,7 +200,7 @@ class PartialTrace(EvaluationTrace):
     def outputs(self) -> dict:
         return {}
 
-    def _written(self) -> None:
+    def _written(self, outer=None) -> None:
         return None
 
 
@@ -281,18 +285,14 @@ class Template:
     each two the index of a value in one flat list of value texts, which
     ``fill`` gathers.
 
-    ``cut`` gets the pieces from the reference writer. ``make_body(plant,
-    nest)`` builds the body with each value a marker from ``plant(name,
-    kind)`` and the place of each nested template a marker from
-    ``nest(template)``; ``strict_json`` writes it, and the text is split at
-    the quoted markers. The flat list holds one text per distinct name, in
-    the sorted order of the names (``names``), so the holes that plant one
-    name share its text. A nested template's pieces are indented to its
-    depth once, there, and its holes are planted under their indices: a
-    body that nests one names its own values by the ints that follow,
-    from ``len(names)`` on. Body text may hold anything, a marker included, so
-    the split must find each planted marker exactly once; otherwise the
-    markers are drawn again.
+    ``cut`` gets the pieces from the reference writer in one pass.
+    ``make_body(plant)`` builds the whole body with each value a marker
+    from ``plant(name, kind)``; ``strict_json`` writes it, and the text is
+    split at the quoted markers. The flat list holds one text per distinct
+    name, in the sorted order of the names (``names``), so the holes that
+    plant one name share its text. Body text may hold anything, a marker
+    included, so the split must find each planted marker exactly once;
+    otherwise the markers are drawn again.
 
     Each static piece is kept twice: as it is, and escaped for a JSON
     string literal. ``literal`` writes the literal of a filled text from
@@ -315,7 +315,6 @@ class Template:
         self.escaped[::2] = map(_escape, pieces)
         self.escaped[0] = '"' + self.escaped[0]
         self.escaped[-1] += '"'
-        self.outer = {}  # the templates that nest this one, by their key
 
     @classmethod
     def cut(cls, make_body: Callable) -> Template:
@@ -326,37 +325,21 @@ class Template:
 
     @classmethod
     def _cut(cls, make_body: Callable, tag: str) -> Template | None:
-        planted = []  # by number: (name, kind), or a nested template
+        planted = []  # by number: (name, kind)
 
         def plant(name, kind=NUMBER):
             planted.append((name, kind))
             return f"{tag}{len(planted) - 1}"
 
-        def nest(template):
-            planted.append(template)
-            return f"{tag}{len(planted) - 1}"
-
         opening = re.escape(encode_basestring_ascii(tag)[:-1])  # '"' and the tag
-        parts = re.split(f'{opening}(\\d+)"', strict_json(make_body(plant, nest)))
+        parts = re.split(f'{opening}(\\d+)"', strict_json(make_body(plant)))
         found = [int(n) for n in parts[1::2]]
         if sorted(found) != list(range(len(planted))):
             return None
-        pieces, holes = [parts[0]], []  # holes: (name, kind)
-        for n, after in zip(found, parts[2::2]):
-            hole = planted[n]
-            if isinstance(hole, Template):
-                newline = "\n" + _indent(pieces[-1])
-                inner = [piece.replace("\n", newline) for piece in hole.pieces]
-                pieces[-1] += inner[0]
-                pieces += inner[1:]
-                pieces[-1] += after
-                holes += zip(hole.holes, hole.kinds)
-            else:
-                holes.append(hole)
-                pieces.append(after)
+        holes = [planted[n] for n in found]
         names = sorted({name for name, _ in holes})
         index = {name: i for i, name in enumerate(names)}
-        return cls(pieces, [(index[name], kind) for name, kind in holes], names)
+        return cls(parts[::2], [(index[name], kind) for name, kind in holes], names)
 
     def fill(self, texts: list[str]) -> list[str]:
         """The JSON text of each hole's value, gathered from the flat list."""
@@ -411,42 +394,18 @@ def reply_text(obj) -> JsonText:
     return JsonText(template.text(fills), template.literal(fills))
 
 
-def nested_written(obj, inner, key) -> tuple[Template, list] | None:
-    """``obj._written()`` of a body, ``obj._body(nested)``, that nests the
-    body of ``inner``; None when ``inner`` has no template.
-
-    The template is cut once per ``key``, which must fix the body's shape
-    (the keys of each object, in order), and kept on the ``outer`` of
-    ``inner``'s template: ``obj._body`` with that template in the nested
-    slot and every other scalar a marker (STRING for a str, NUMBER
-    otherwise), named by its place after ``inner``'s texts. The texts are
-    ``inner``'s, then the JSON text of each of those scalars, in document
-    order."""
-    written = inner._written()
-    if written is None:
-        return None
-    nested, texts = written
-    template = nested.outer.get(key)
-    if template is None:
-        def make_body(plant, nest):
-            slot, number = nest(nested), count(len(nested.names))
-            return _planted(obj._body(slot), slot, lambda value: plant(
-                next(number), STRING if type(value) is str else NUMBER))
-        template = nested.outer[key] = Template.cut(make_body)
-    texts += map(scalar_json, _leaves(obj._body(_SLOT), _SLOT))
-    return template, texts
-
-
-_SLOT = object()  # the nested body's place, when a body's values are read
+_SLOT = object()  # the trace body's place, when an outer body's values are read
 
 
 def _planted(body, slot, plant):
     """``body`` with each scalar but ``slot`` replaced by ``plant(it)``."""
+    if body is slot:
+        return body
     if isinstance(body, dict):
         return {k: _planted(v, slot, plant) for k, v in body.items()}
     if isinstance(body, list):
         return [_planted(v, slot, plant) for v in body]
-    return body if body is slot else plant(body)
+    return plant(body)
 
 
 def _leaves(body, slot):
@@ -460,8 +419,9 @@ def _leaves(body, slot):
 
 # The name of a value of a trace is (source, key), with source one of these:
 # its flat list holds the env values the template reads, each key once,
-# then the input echoes, the cycle's and the overrides block.
-_ENV, _INPUTS, _CYCLE, _OVERRIDES = range(4)
+# then the input echoes, the cycle's, the overrides block and the other
+# scalars of an outer body, by their place in it.
+_ENV, _INPUTS, _CYCLE, _OVERRIDES, _BODY = range(5)
 
 
 class _PlantingEnv(dict):
@@ -475,17 +435,20 @@ class _PlantingEnv(dict):
         return self.plant((_ENV, key))
 
 
-def _template(trace: EvaluationTrace) -> tuple:
-    """The writer of the trace's variant, memoized on its card: the
-    template, the reference writer's text of a complete trace whose every
-    value is a marker (its outputs read the planting env, so they share the
-    env's holes); the getter of the env values it reads; and each echo's
-    key with the place of its env value among those (None for a key it
-    does not read)."""
+def _template(trace: EvaluationTrace, outer=None) -> tuple:
+    """The writer of the trace's variant, or of ``outer``'s body around
+    it, memoized on its card by the variant id, or by that and
+    ``outer._shape()``: the template, the reference writer's text of a
+    complete trace whose every value is a marker (its outputs read the
+    planting env, so they share the env's holes), inside ``outer._body``
+    with every other scalar a marker (STRING for a str, NUMBER otherwise);
+    the getter of the env values it reads; and each echo's key with the
+    place of its env value among those (None for a key it does not read)."""
     card, variant = trace.card, trace.variant
-    writer = card.trace_templates.get(variant.id)
+    memo = variant.id if outer is None else (variant.id, outer._shape())
+    writer = card.trace_templates.get(memo)
     if writer is None:
-        def make_body(plant, nest):
+        def make_body(plant):
             cycles = [_cycle(variant.iterative, plant((_CYCLE, "iterations")),
                              plant((_CYCLE, "residual")))] if variant.iterative else []
             planted = EvaluationTrace(
@@ -494,11 +457,15 @@ def _template(trace: EvaluationTrace) -> tuple:
                 {"iterative_cycles": cycles})
             body = planted.to_dict()
             body["request"]["overrides"] = plant((_OVERRIDES, None), BLOCK)
-            return body
+            if outer is None:
+                return body
+            number = count()
+            return _planted(outer._body(body), body, lambda value: plant(
+                (_BODY, next(number)), STRING if type(value) is str else NUMBER))
         template = Template.cut(make_body)
         read = [key for source, key in template.names if source == _ENV]
         at = {key: i for i, key in enumerate(read)}
-        writer = card.trace_templates[variant.id] = (
+        writer = card.trace_templates[memo] = (
             template, _gather(read),
             [(key, at.get(key)) for source, key in template.names if source == _INPUTS])
     return writer

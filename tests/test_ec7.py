@@ -5,7 +5,6 @@ import collections
 import dataclasses
 import json
 import math
-import re
 from pathlib import Path
 
 import pytest
@@ -39,7 +38,6 @@ from geocard.errors import (
     MathDomain,
     MissingInput,
     NoBracket,
-    NonConvergence,
     NonFiniteValue,
     SchemaError,
     UnexpectedInput,
@@ -339,8 +337,18 @@ class TestWidthDesign:
         import dataclasses
         unloaded = dataclasses.replace(SCENARIO, G_k_col=0.0, Q_k=0.0,
                                        gamma_sw=0.0)
-        with pytest.raises(NoBracket):
+        with pytest.raises(NoBracket) as err:
             design_footing_width_ec7(unloaded, "DA1-C1")
+        assert str(err.value) == ("utilization does not cross 1.0 for widths in "
+                                  "[0.0001 m, 20 m]")
+
+    def test_lower_bracket_stops_at_the_floor(self):
+        """A design needing about 0.14 mm: the tenth halving from 0.1 m is
+        held at the 1e-4 m floor, where the bisection starts."""
+        light = dataclasses.replace(SCENARIO, G_k_col=1e-4, Q_k=0.0, gamma_sw=0.0)
+        assert check_footing_uls_ec7(light, "DA1-C1", 1e-4).utilization > 1.0
+        result = design_footing_width_ec7(light, "DA1-C1")
+        assert (result.B_req, result.iterations) == (0.00013926436342298986, 28)
 
     @pytest.mark.parametrize("phi", [1e-17, 1e-300, 1e-9, 5e-324])
     def test_tiny_friction_angle_designs_as_zero(self, phi):
@@ -369,12 +377,20 @@ class TestWidthDesignPassesOwnCheck:
             design_footing_width_ec7(SCENARIO, "DA2", tolerance=tolerance)
         assert str(err.value) == "$.tolerance: must lie strictly between 0 and 1"
 
-    def test_unreachable_tolerance_raises_non_convergence(self):
-        # 1 - 1e-300 rounds to 1.0, which no passing width exceeds.
-        with pytest.raises(NonConvergence) as err:
-            design_footing_width_ec7(SCENARIO, "DA2", tolerance=1e-300)
-        assert re.fullmatch(r"width bisection did not converge after 200 "
-                            r"iterations \(utilization gap \S+\)", str(err.value))
+    def test_unreachable_tolerance_returns_the_last_passing_float(self):
+        # 1 - 1e-300 rounds to 1.0, which no passing width exceeds: the
+        # search stops once no float lies between the ends of its bracket.
+        result = design_footing_width_ec7(SCENARIO, "DA2", tolerance=1e-300)
+        assert result.check.passed and result.check.utilization <= 1.0
+        below = check_footing_uls_ec7(SCENARIO, "DA2", math.nextafter(result.B_req, 0))
+        assert below.utilization > 1.0
+
+    def test_pass_allows_a_utilization_within_1e_12_of_one(self):
+        B_req = design_footing_width_ec7(SCENARIO, "DA1-C1", tolerance=1e-300).B_req
+        below = check_footing_uls_ec7(SCENARIO, "DA1-C1", math.nextafter(B_req, 0))
+        assert (below.utilization, below.passed) == (1.0000000000000002, True)
+        short = check_footing_uls_ec7(SCENARIO, "DA1-C1", B_req * (1 - 1e-12))
+        assert (short.utilization, short.passed) == (1.0000000000018683, False)
 
 
 # Finite scenario values whose design action or resistance overflows.
@@ -648,7 +664,7 @@ def _bisection(scenario, design_approach, tolerance, check):
     hi = max(20.0, lo)
     at_lo, at_hi = check(lo), check(hi)
     expansions = 0
-    while at_lo.utilization <= 1.0 and lo > min_b and expansions < 12:
+    while at_lo.utilization <= 1.0 and lo > min_b:
         lo = max(lo / 2.0, min_b)
         at_lo = check(lo)
         expansions += 1
@@ -661,10 +677,9 @@ def _bisection(scenario, design_approach, tolerance, check):
 
     iterations = 0
     while at_hi.utilization <= 1.0 - tolerance:
-        if iterations == 200:
-            raise NonConvergence("width bisection", iterations,
-                                 "utilization gap", 1.0 - at_hi.utilization)
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         at_mid = check(mid)
         if at_mid.utilization > 1.0:
             lo = mid
@@ -737,7 +752,7 @@ class TestWidthSearchMatchesTracedSearch:
 
 
 def _same_json(result) -> dict:
-    """``to_json()``, written from the nested templates, equals the
+    """``to_json()``, written from its body's template, equals the
     reference writer's text, and so does the reply text, whose literal is
     that text's JSON string literal. Returns the decoded body."""
     text = result.to_json()
@@ -791,6 +806,7 @@ class TestWidthSearchMatchesCheckedSearch:
     @example(SCENARIO, "DA1-C1", "undrained", 1e-2)  # no c_u_k
     @example(SCENARIO, "DA1-C2", "drained", 1e-6)
     @example(_NO_C_U, "DA3", "drained", 1e-2)
+    @example(SCENARIO, "DA2", "drained", 1e-300)  # no float between the ends
     def test_same_design_or_same_error(self, scenario, da, drainage, tolerance):
         expected = _search_outcome(lambda: _bisection(
             scenario, da, tolerance, lambda width: check_footing_uls_ec7(
@@ -868,13 +884,12 @@ class TestResultJson:
 
     def test_templates_are_kept_per_variant_and_key_set(self):
         first = check_footing_uls_ec7(SCENARIO, "DA2", 2.0)
-        trace_template = first.trace._written()[0]
         check_template = first._written()[0]
         again = check_footing_uls_ec7(SCENARIO, "DA3", 3.0)
         assert again._written()[0] is check_template
-        design = design_footing_width_ec7(SCENARIO, "DA2")
-        assert design._written()[0] is check_template.outer[WidthDesignResult]
-        assert trace_template.outer[tuple(first.design_parameters)] is check_template
+        design_template = design_footing_width_ec7(SCENARIO, "DA2")._written()[0]
+        assert design_footing_width_ec7(SCENARIO, "DA3")._written()[0] is design_template
+        assert design_template is not check_template
         reordered = dataclasses.replace(first, design_parameters=dict(
             reversed(first.design_parameters.items())))
         assert reordered._written()[0] is not check_template
