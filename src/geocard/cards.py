@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from fractions import Fraction
 
 from . import expression as ex
 from .errors import DuplicateKey, SchemaError, UndeclaredSymbol, UnresolvedVariable
@@ -450,6 +449,7 @@ def _dim(node: ex.ExprNode, dims: dict, report) -> Dimension | None:
                    f"in {ex.to_text(node)}")
             return None
         # Dimension.__pow__ rounds to a fraction; the literal must be one.
+        from fractions import Fraction  # off the catalog's import path
         if float(Fraction(exponent.value).limit_denominator(1000)) != exponent.value:
             report(f"exponent {ex.to_text(exponent)} is not a fraction with "
                    f"denominator at most 1000 in {ex.to_text(node)}")

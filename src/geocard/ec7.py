@@ -254,7 +254,9 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
     below the base (buoyant with the water table at or above the base,
     total once it lies B' or more below, linear between), and the design
     action V_d = gamma_G (G_k,col + gamma_sw B D_f L) + gamma_Q Q_k on the
-    full width.
+    full width. What a trial reads of the scenario and the partial factors
+    (e, L, gamma_sw, G_k,col, gamma_R, gamma_G and gamma_Q Q_k) is read
+    once, here.
     """
     pf = get_ec7_preset_partials(design_approach)
     if not math.isfinite(first_B):  # a NaN passes the comparisons below
@@ -291,8 +293,12 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
         "c_u_d": 0.0 if scenario.c_u_k is None else design["c_u_d"],
         "q": q_d, "L": scenario.L}, ("gamma", "B"))
 
+    e, L, gamma_sw = scenario.e, scenario.L, scenario.gamma_sw
+    G_k_col, gamma_R, gamma_G = scenario.G_k_col, pf.gamma_R, pf.gamma_G
+    Q_d = pf.gamma_Q * scenario.Q_k
+
     def trial(B: float) -> tuple[float, tuple]:
-        B_eff = B - 2.0 * scenario.e
+        B_eff = B - 2.0 * e
         if below <= 0:
             gamma_eff = buoyant
         elif below >= B_eff:
@@ -301,12 +307,12 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
             gamma_eff = buoyant + (below / B_eff) * (gamma_d - buoyant)
         values = {"gamma": gamma_eff, "B": B_eff}
         walked = walk(values)
-        R_d = walked[0]["q_ult"] * B_eff * scenario.L / pf.gamma_R
-        W = scenario.gamma_sw * B * D_f * scenario.L
-        V_d = pf.gamma_G * (scenario.G_k_col + W) + pf.gamma_Q * scenario.Q_k
-        for label, value in (("V_d", V_d), ("R_d", R_d)):
-            if not math.isfinite(value):  # float arithmetic overflows silently
-                raise NonFiniteValue(label)
+        R_d = walked[0]["q_ult"] * B_eff * L / gamma_R
+        V_d = gamma_G * (G_k_col + gamma_sw * B * D_f * L) + Q_d
+        if not math.isfinite(V_d):  # float arithmetic overflows silently
+            raise NonFiniteValue("V_d")
+        if not math.isfinite(R_d):
+            raise NonFiniteValue("R_d")
         utilization = V_d / R_d if R_d > 0 else math.inf
         return utilization, (B, B_eff, V_d, R_d, utilization, values, walked)
 

@@ -8,10 +8,11 @@ last alternative rejects any character no token takes. Evaluation never
 touches ``eval()``, ``exec()``, ``compile()`` or any other host-language
 execution path: ``compile_expr`` turns the parsed tree into nested Python
 closures that apply ``math`` primitives. Each inner node costs one
-closure call; a symbol is read with an ``itemgetter``, and an operator or
-call holds a number or constant operand as a value. A subtree that reads no
-symbol and evaluates without raising (``pi/4``) is folded to its value;
-one that raises (``1/0``) is kept, to raise when it is evaluated.
+closure call, picked at load from the kinds of its operands: it reads a
+symbol inline as ``env[name]``, holds a number or constant as a value, and
+calls the closure of any other operand. A subtree that reads no symbol
+and evaluates without raising (``pi/4``) is folded to its value; one that
+raises (``1/0``) is kept, to raise when it is evaluated.
 ``cards.load_card`` builds the closures once per equation, so an
 evaluation walks no tree.
 
@@ -442,22 +443,26 @@ def compile_expr(node: ExprNode) -> Callable[[Mapping[str, float]], float]:
 
     Each closure evaluates its operands left to right and raises the
     errors ``evaluate`` documents; a MathDomain message is built from the
-    captured node only when it is raised. The closures trust ``env`` to
-    bind every symbol of the tree, which ``cards.load_card`` proves of each
-    step it plans: a missing symbol surfaces as the KeyError of its read.
+    captured node only when it is raised. An arithmetic operator, a
+    comparison, a negation or a one-argument call has its closure picked
+    here by its operands' kinds, so it tests none when it runs. The
+    closures trust ``env`` to bind every symbol of the tree, which
+    ``cards.load_card`` proves of each step it plans: a missing symbol
+    surfaces as the KeyError of its read.
     """
     return _compile(node)[0]
 
 
 def _compile(node: ExprNode) -> tuple:
-    """``(closure, value)`` of ``node``, built bottom-up in one pass. The
-    value is None unless the subtree reads no symbol and evaluated here
-    without raising; it is then what the closure returns, and an operator
-    or call holds it in place of calling the closure. A subtree that raises
-    is left to raise when it is evaluated. A symbol's closure is an
-    ``itemgetter``, which runs no Python frame."""
+    """``(closure, literal, name)`` of ``node``, built bottom-up in one
+    pass: the forms an operator or call picks its closure by. A symbol has
+    its ``name``, read inline as ``env[name]``; alone, its closure is an
+    ``itemgetter``, which runs no Python frame. A subtree that reads no
+    symbol and evaluated here without raising has its ``literal``, held as
+    a constant; one that raises is left to raise when it is evaluated.
+    Anything else is a sub-closure, called."""
     if isinstance(node, Symbol):
-        return operator.itemgetter(node.name), None
+        return operator.itemgetter(node.name), None, node.name
     if isinstance(node, Binary):
         left, right = _compile(node.left), _compile(node.right)
         return _fold(_compile_binary(node, left, right), left, right)
@@ -469,12 +474,13 @@ def _compile(node: ExprNode) -> tuple:
         args = [_compile(arg) for arg in node.args]
         return _fold(_compile_call(node.func, args), *args)
     if isinstance(node, Unary):
-        operand = _compile(node.operand)
-        fn = operand[0]
+        fn, _, name = operand = _compile(node.operand)
+        if name is not None:
+            return (lambda env: -env[name]), None, None
         return _fold(lambda env: -fn(env), operand)
     if isinstance(node, Piecewise):
         parts = [_compile(part) for part in sum(node.branches, ())]
-        closures = [fn for fn, _ in parts]
+        closures = [part[0] for part in parts]
         branches = tuple(zip(closures[::2], closures[1::2]))
 
         def piecewise(env):
@@ -485,43 +491,105 @@ def _compile(node: ExprNode) -> tuple:
         return _fold(piecewise, *parts)
     if isinstance(node, Comparison):
         left, right = _compile(node.left), _compile(node.right)
-        compare, (f, a), (g, b) = _COMPARE[node.op], left, right
-        return _fold(lambda env: compare(f(env) if a is None else a,
-                                         g(env) if b is None else b), left, right)
+        (ka, a), (kb, b) = _operand(left), _operand(right)
+        return _fold(_COMPARISON[ka, kb](_COMPARE[node.op], a, b), left, right)
     raise TypeError(f"not an ExprNode: {node!r}")
 
 
 def _fold(fn, *operands) -> tuple:
-    """``(fn, None)``, or the literal of fn's value when every operand is
-    a literal and fn evaluates without raising."""
-    for _, value in operands:
-        if value is None:
-            return fn, None
+    """``(fn, None, None)``, or the literal of fn's value when every
+    operand is a literal and fn evaluates without raising."""
+    for operand in operands:
+        if operand[1] is None:
+            return fn, None, None
     try:
         return _literal(fn({}))
     except Exception:  # a host error too is raised at evaluation, not here
-        return fn, None
+        return fn, None, None
 
 
 def _literal(value) -> tuple:
-    return (lambda env: value), value
+    return (lambda env: value), value, None
+
+
+def _operand(part: tuple) -> tuple:
+    """A compiled part as ``("s", name)``, ``("c", literal)`` or
+    ``("f", closure)``: the key of its kind in the tables below."""
+    fn, value, name = part
+    if name is not None:
+        return "s", name
+    return ("f", fn) if value is None else ("c", value)
 
 
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
             "<=": operator.le, "=": operator.eq}
 
-# The closures of ``+ - *`` on two closures, a closure and a literal, and
-# a literal and a closure. Two literals are folded.
-_ARITHMETIC = {
-    "+": (lambda f, g: lambda env: f(env) + g(env),
-          lambda f, c: lambda env: f(env) + c,
-          lambda c, g: lambda env: c + g(env)),
-    "-": (lambda f, g: lambda env: f(env) - g(env),
-          lambda f, c: lambda env: f(env) - c,
-          lambda c, g: lambda env: c - g(env)),
-    "*": (lambda f, g: lambda env: f(env) * g(env),
-          lambda f, c: lambda env: f(env) * c,
-          lambda c, g: lambda env: c * g(env)),
+# The closures of ``+ - *``, one table per operator, keyed by the kinds of
+# the left and right operands (see ``_operand``): a symbol is read as
+# ``env[name]``, a literal is a constant, a sub-closure is called. The
+# closure of two literals is only evaluated once, to fold them at load.
+_ARITHMETIC_BY_KINDS = {
+    "+": {("s", "s"): lambda a, b: lambda env: env[a] + env[b],
+          ("s", "c"): lambda a, b: lambda env: env[a] + b,
+          ("s", "f"): lambda a, b: lambda env: env[a] + b(env),
+          ("c", "s"): lambda a, b: lambda env: a + env[b],
+          ("c", "c"): lambda a, b: lambda env: a + b,
+          ("c", "f"): lambda a, b: lambda env: a + b(env),
+          ("f", "s"): lambda a, b: lambda env: a(env) + env[b],
+          ("f", "c"): lambda a, b: lambda env: a(env) + b,
+          ("f", "f"): lambda a, b: lambda env: a(env) + b(env)},
+    "-": {("s", "s"): lambda a, b: lambda env: env[a] - env[b],
+          ("s", "c"): lambda a, b: lambda env: env[a] - b,
+          ("s", "f"): lambda a, b: lambda env: env[a] - b(env),
+          ("c", "s"): lambda a, b: lambda env: a - env[b],
+          ("c", "c"): lambda a, b: lambda env: a - b,
+          ("c", "f"): lambda a, b: lambda env: a - b(env),
+          ("f", "s"): lambda a, b: lambda env: a(env) - env[b],
+          ("f", "c"): lambda a, b: lambda env: a(env) - b,
+          ("f", "f"): lambda a, b: lambda env: a(env) - b(env)},
+    "*": {("s", "s"): lambda a, b: lambda env: env[a] * env[b],
+          ("s", "c"): lambda a, b: lambda env: env[a] * b,
+          ("s", "f"): lambda a, b: lambda env: env[a] * b(env),
+          ("c", "s"): lambda a, b: lambda env: a * env[b],
+          ("c", "c"): lambda a, b: lambda env: a * b,
+          ("c", "f"): lambda a, b: lambda env: a * b(env),
+          ("f", "s"): lambda a, b: lambda env: a(env) * env[b],
+          ("f", "c"): lambda a, b: lambda env: a(env) * b,
+          ("f", "f"): lambda a, b: lambda env: a(env) * b(env)},
+    # A nonzero literal divisor needs no zero test.
+    "/": {("s", "c"): lambda a, b: lambda env: env[a] / b,
+          ("c", "c"): lambda a, b: lambda env: a / b,
+          ("f", "c"): lambda a, b: lambda env: a(env) / b},
+}
+
+# A comparison's closures, keyed as above; ``compare`` is its operator.
+_COMPARISON = {
+    ("s", "s"): lambda compare, a, b: lambda env: compare(env[a], env[b]),
+    ("s", "c"): lambda compare, a, b: lambda env: compare(env[a], b),
+    ("s", "f"): lambda compare, a, b: lambda env: compare(env[a], b(env)),
+    ("c", "s"): lambda compare, a, b: lambda env: compare(a, env[b]),
+    ("c", "c"): lambda compare, a, b: lambda env: compare(a, b),
+    ("c", "f"): lambda compare, a, b: lambda env: compare(a, b(env)),
+    ("f", "s"): lambda compare, a, b: lambda env: compare(a(env), env[b]),
+    ("f", "c"): lambda compare, a, b: lambda env: compare(a(env), b),
+    ("f", "f"): lambda compare, a, b: lambda env: compare(a(env), b(env)),
+}
+
+# The closures of ``/`` whose divisor is read, keyed as above: the
+# dividend is read, then the divisor, and ``zero()`` raises if it is zero.
+_DIVIDE_BY_KINDS = {
+    ("s", "s"): lambda a, b, zero: lambda env: env[a] / (
+        y if (y := env[b]) != 0.0 else zero()),
+    ("s", "f"): lambda a, b, zero: lambda env: env[a] / (
+        y if (y := b(env)) != 0.0 else zero()),
+    ("c", "s"): lambda a, b, zero: lambda env: a / (
+        y if (y := env[b]) != 0.0 else zero()),
+    ("c", "f"): lambda a, b, zero: lambda env: a / (
+        y if (y := b(env)) != 0.0 else zero()),
+    ("f", "s"): lambda a, b, zero: lambda env: a(env) / (
+        y if (y := env[b]) != 0.0 else zero()),
+    ("f", "f"): lambda a, b, zero: lambda env: a(env) / (
+        y if (y := b(env)) != 0.0 else zero()),
 }
 
 
@@ -530,22 +598,22 @@ def _compile_binary(node: Binary, left: tuple, right: tuple):
     param default and number literal is. Float ``+ - * /`` never raise: they
     round to an infinity, which the engine rejects as a non-finite step. So
     ``/`` only checks for a zero divisor, and only ``**`` catches errors."""
-    (f, a), (g, b) = left, right
+    (ka, a), (kb, b) = _operand(left), _operand(right)
     op = node.op
-    if op in _ARITHMETIC:
-        closures, closure_literal, literal_closure = _ARITHMETIC[op]
-        if a is None and b is not None:
-            return closure_literal(f, b)
-        if a is not None and b is None:
-            return literal_closure(a, g)
-        return closures(f, g)
+    if op in ("+", "-", "*") or (op == "/" and kb == "c" and b != 0.0):
+        return _ARITHMETIC_BY_KINDS[op][ka, kb](a, b)
     if op == "/":
-        def binary(env):
-            x, y = f(env) if a is None else a, g(env) if b is None else b
-            if y == 0.0:
-                raise MathDomain(f"division by zero in {to_text(node)}")
-            return x / y
-        return binary
+        def zero():
+            raise MathDomain(f"division by zero in {to_text(node)}")
+        if kb != "c":
+            return _DIVIDE_BY_KINDS[ka, kb](a, b, zero)
+        dividend = left[0]
+
+        def divide(env):  # a zero literal divisor, once the dividend is read
+            dividend(env)
+            zero()
+        return divide
+    (f, a, _), (g, b, _) = left, right
 
     def binary(env):
         x, y = f(env) if a is None else a, g(env) if b is None else b
@@ -563,10 +631,20 @@ def _compile_binary(node: Binary, left: tuple, right: tuple):
 
 
 def _compile_call(func: str, args: list):
-    """The closure of a call on ``args``, each ``(closure, value)``."""
+    """The closure of a call on ``args``, each ``(closure, literal, name)``;
+    a one-argument call reads a symbol argument inline."""
     fn = _FUNCTIONS[func]
     if len(args) == 1:
-        arg = args[0][0]
+        arg, _, name = args[0]
+        if name is not None:
+            def call(env):
+                try:
+                    return fn(env[name])  # a KeyError is no ValueError
+                except ValueError as exc:
+                    raise MathDomain(f"{func}: {exc}") from None
+                except OverflowError:
+                    raise MathDomain(f"overflow in {func}") from None
+            return call
 
         def call(env):
             value = arg(env)
@@ -579,7 +657,7 @@ def _compile_call(func: str, args: list):
         return call
 
     def call(env):
-        values = [arg(env) if value is None else value for arg, value in args]
+        values = [arg(env) if value is None else value for arg, value, _ in args]
         try:
             return fn(*values)
         except ValueError as exc:

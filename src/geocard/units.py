@@ -21,7 +21,6 @@ import json
 import math
 import re
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -35,10 +34,12 @@ DATA_DIR = Path(__file__).parent / "data"  # bundled units, cards, scenarios, sk
 
 
 class Dimension(FrozenRecord):
-    """Signed rational exponents over the base dimensions."""
+    """Signed rational exponents over the base dimensions: each an int, or
+    a ``Fraction`` when it is not integral. An integral ``Fraction``
+    equals, hashes and prints as its int."""
 
     __slots__ = BASES
-    _defaults = dict.fromkeys(BASES, Fraction(0))
+    _defaults = dict.fromkeys(BASES, 0)
 
     def __mul__(self, other: "Dimension") -> "Dimension":
         return Dimension(
@@ -57,6 +58,9 @@ class Dimension(FrozenRecord):
         )
 
     def __pow__(self, exponent) -> "Dimension":
+        if self.is_dimensionless():
+            return self
+        from fractions import Fraction  # off the catalog's import path
         p = Fraction(exponent).limit_denominator(1000)
         return Dimension(self.length * p, self.mass * p, self.time * p, self.angle * p)
 
@@ -143,13 +147,11 @@ class UnitRegistry:
         table = json.loads(text)
         units = []
         # One Dimension object per dimension, so that convert's check of
-        # two registry units is decided by identity, not by four Fractions.
+        # two registry units is decided by identity, not by four exponents.
         dimensions: dict[Dimension, Dimension] = {}
         for entry in table["units"]:
             exps = entry.get("dimension", {})
-            dim = Dimension(**{
-                base: Fraction(exps.get(base, 0)) for base in BASES
-            })
+            dim = Dimension(**{base: _exponent(exps.get(base, 0)) for base in BASES})
             dim = dimensions.setdefault(dim, dim)
             units.append(Unit(entry["name"], dim, float(entry["scale"])))
         return cls(units, table.get("aliases", {}))
@@ -157,6 +159,14 @@ class UnitRegistry:
     @classmethod
     def bundled(cls) -> "UnitRegistry":
         return cls.from_json((DATA_DIR / "units.json").read_text("utf-8"))
+
+
+def _exponent(value):
+    """A unit table's exponent: an int as it is, anything else a Fraction."""
+    if type(value) is int:
+        return value
+    from fractions import Fraction
+    return Fraction(value)
 
 
 _NUMBER_RE = re.compile(r"^\s*([+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)\s*(.*)$")

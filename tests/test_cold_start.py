@@ -1,8 +1,8 @@
 """What a fresh interpreter imports: a catalog load needs neither the EC7
-workflow, the engine, the skills, the MCP server nor ``dataclasses``, an
-MCP session that calls no EC7 tool loads neither the workflow nor
-``dataclasses``, and the package's lazy exports still resolve to the
-objects they name.
+workflow, the engine, the skills, the MCP server, ``dataclasses`` nor
+``fractions``, an MCP session that calls no EC7 tool loads neither the
+workflow, ``dataclasses`` nor ``fractions``, and the package's lazy
+exports still resolve to the objects they name.
 
 Each check runs in its own ``python -S`` process, so the modules this test
 process has already imported do not count; nothing here is timed."""
@@ -35,6 +35,7 @@ EXPORTS = {
 }
 
 NOT_ON_THE_CATALOG_PATH = ["dataclasses", "inspect", "ast", "typing",
+                           "fractions", "decimal",
                            "geocard.engine", "geocard.ec7", "geocard.skills",
                            "geocard.server"]
 
@@ -75,7 +76,7 @@ def test_server_session_without_ec7_tools_loads_neither_ec7_nor_dataclasses():
                "    reply = server.handle_message({'jsonrpc': '2.0', 'id': 1, "
                "'method': method, 'params': params})\n"
                "    assert 'result' in reply and not reply['result'].get('isError'), reply\n"
-               + loaded(["dataclasses", "geocard.ec7"])) == []
+               + loaded(["dataclasses", "geocard.ec7", "fractions", "decimal"])) == []
 
 
 @pytest.mark.parametrize("module", sorted(EXPORTS))

@@ -477,10 +477,53 @@ _LITERAL_LEAVES = st.one_of(
 _SYMBOL_LEAVES = st.sampled_from([ex.Symbol(n) for n in ("x", "y", "unbound")])
 
 
+def _each_pair_of_operand_kinds(test):
+    """``test`` with one more example for each operator, the comparison
+    among them, and each pair of operand kinds: a symbol, a literal, and a
+    sub-closure on either side. A closure is picked at load by that pair."""
+    operands = ("x", "2", "(y + 1)")
+    for op in ("+", "-", "*", "/", ">"):
+        for left in operands:
+            for right in operands:
+                text = f"{left} {op} {right}"
+                if op == ">":
+                    text = f"Piecewise((1, {text}), (0, True))"
+                test = example(ex.parse(text), {"x": 3.0, "y": 0.5, "z": 1.0})(test)
+    return test
+
+
+def _xyz(x=1.5, y=2.0, z=-0.5):
+    return {"x": x, "y": y, "z": z}
+
+
 class TestEvaluatorMatchesWalker:
     @settings(max_examples=300, deadline=None)
     @given(_TREES, st.fixed_dictionaries(
         {"x": _ENV_FLOATS, "y": _ENV_FLOATS, "z": _ENV_FLOATS}))
+    @_each_pair_of_operand_kinds
+    @example(ex.parse("x*y"), _xyz())
+    @example(ex.parse("x - 2"), _xyz())
+    @example(ex.parse("2 - x"), _xyz())
+    @example(ex.parse("x*(y + 1)"), _xyz())
+    @example(ex.parse("(y + 1)*x"), _xyz())
+    @example(ex.parse("x/y"), _xyz(y=0.0))
+    @example(ex.parse("x/y"), _xyz(y=-0.0))
+    @example(ex.parse("x/y"), _xyz(y=math.nan))
+    @example(ex.parse("x/(y - 2)"), _xyz())
+    @example(ex.parse("x/2"), _xyz())
+    @example(ex.parse("2/x"), _xyz(x=-0.0))
+    @example(ex.parse("x/0"), _xyz())
+    @example(ex.parse("x/-0.0"), _xyz())
+    @example(ex.parse("0/x"), _xyz(x=0.0))
+    @example(ex.parse("unbound/0"), _xyz())
+    @example(ex.parse("unbound/y"), _xyz(y=0.0))
+    @example(ex.parse("-x"), _xyz(x=0.0))
+    @example(ex.parse("-unbound"), _xyz())
+    @example(ex.parse("sin(x)"), _xyz())
+    @example(ex.parse("log(x)"), _xyz(x=-1.0))
+    @example(ex.parse("Piecewise((x, x > 1e-8), (0, True))"), _xyz(x=1e-9))
+    @example(ex.parse("unbound*(x/0)"), _xyz())
+    @example(ex.parse("(x/0)*unbound"), _xyz())
     def test_same_bits_or_same_error(self, node, env):
         assert _outcome(lambda: ex.evaluate(node, env)) == \
             _outcome(lambda: _walk(node, env))

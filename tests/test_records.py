@@ -18,8 +18,7 @@ from geocard.units import Dimension, Quantity, Unit
 
 LENGTH = Dimension(Fraction(1))
 M_REPR = ("Unit(name='m', dimension=Dimension(length=Fraction(1, 1), "
-          "mass=Fraction(0, 1), time=Fraction(0, 1), angle=Fraction(0, 1)), "
-          "scale=1.0)")
+          "mass=0, time=0, angle=0), scale=1.0)")
 
 
 def metre():
@@ -48,7 +47,7 @@ def trace(**changes):
 RECORDS = {
     "Dimension": (lambda: Dimension(Fraction(1), Fraction(2, 3)),
                   "Dimension(length=Fraction(1, 1), mass=Fraction(2, 3), "
-                  "time=Fraction(0, 1), angle=Fraction(0, 1))", True),
+                  "time=0, angle=0)", True),
     "Unit": (metre, M_REPR, True),
     "Quantity": (lambda: Quantity(2.5, metre()),
                  f"Quantity(magnitude=2.5, unit={M_REPR})", True),
