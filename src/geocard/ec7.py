@@ -41,8 +41,6 @@ GAMMA_WATER = 9.81  # kN/m^3
 
 EC7_CARD_ID = "BEARING_CAPACITY_EUROCODE7"
 
-DESIGN_APPROACHES = ("DA1-C1", "DA1-C2", "DA2", "DA3")
-
 SURCHARGE_MODELS = ("effective_overburden", "none")
 
 
@@ -69,16 +67,23 @@ _WIRE_FACTORS = ("gamma_G", "gamma_Q", "gamma_phi", "gamma_c", "gamma_gamma",
                  "gamma_R")
 
 
-# EN 1997-1 Annex A, combined per Design Approach:
-#   A1: gamma_G 1.35, gamma_Q 1.5      A2: gamma_G 1.0, gamma_Q 1.3
-#   M1: all material factors 1.0       M2: gamma_phi = gamma_c = 1.25, gamma_cu = 1.4
-#   R1: 1.0   R2: 1.4   R3: 1.0
-_PRESETS = {
-    "DA1-C1": PartialFactorSet("DA1-C1", 1.35, 1.5, 1.0, 1.0, 1.0, 1.0, 1.0, "A1+M1+R1"),
-    "DA1-C2": PartialFactorSet("DA1-C2", 1.0, 1.3, 1.25, 1.25, 1.4, 1.0, 1.0, "A2+M2+R1"),
-    "DA2": PartialFactorSet("DA2", 1.35, 1.5, 1.0, 1.0, 1.0, 1.0, 1.4, "A1+M1+R2"),
-    "DA3": PartialFactorSet("DA3", 1.35, 1.5, 1.25, 1.25, 1.4, 1.0, 1.0, "A1+M2+R3"),
+# The sets of partial factors of EN 1997-1 Annex A: on actions (Table A.3),
+# on soil parameters (Table A.4) and on bearing resistance (Table A.5).
+_ANNEX_A_SETS = {
+    "A1": {"gamma_G": 1.35, "gamma_Q": 1.5},
+    "A2": {"gamma_G": 1.0, "gamma_Q": 1.3},
+    "M1": {"gamma_phi": 1.0, "gamma_c": 1.0, "gamma_cu": 1.0, "gamma_gamma": 1.0},
+    "M2": {"gamma_phi": 1.25, "gamma_c": 1.25, "gamma_cu": 1.4, "gamma_gamma": 1.0},
+    "R1": {"gamma_R": 1.0}, "R2": {"gamma_R": 1.4}, "R3": {"gamma_R": 1.0},
 }
+_PRESETS = {  # each Design Approach combines one set of each table
+    da: PartialFactorSet(da, **_ANNEX_A_SETS[a], **_ANNEX_A_SETS[m],
+                         **_ANNEX_A_SETS[r], sets=f"{a}+{m}+{r}")
+    for da, a, m, r in (("DA1-C1", "A1", "M1", "R1"), ("DA1-C2", "A2", "M2", "R1"),
+                        ("DA2", "A1", "M1", "R2"), ("DA3", "A1", "M2", "R3"))
+}
+
+DESIGN_APPROACHES = tuple(_PRESETS)
 
 
 def get_ec7_preset_partials(design_approach: str) -> PartialFactorSet:

@@ -301,14 +301,13 @@ class Template:
     """
 
     def __init__(self, pieces: list[str], holes: list[tuple], names: list):
-        self.pieces = pieces  # the static text, one more than the holes
-        self.holes = [index for index, _ in holes]
-        self.kinds = [kind for _, kind in holes]
+        """Each hole is ``(index in the flat list, kind)``, between two pieces."""
+        kinds = [kind for _, kind in holes]
         self.names = names  # the name of each text in the flat list
-        self.gather = _gather(self.holes)
-        self.quoted = [i for i, kind in enumerate(self.kinds) if kind != NUMBER]
+        self.gather = _gather([index for index, _ in holes])
+        self.quoted = [i for i, kind in enumerate(kinds) if kind != NUMBER]
         self.blocks = [(i, "\n" + _indent(pieces[i]))
-                       for i, kind in enumerate(self.kinds) if kind == BLOCK]
+                       for i, kind in enumerate(kinds) if kind == BLOCK]
         self.layout = [None] * (2 * len(pieces) - 1)  # a None at each hole
         self.layout[::2] = pieces
         self.escaped = [None] * len(self.layout)

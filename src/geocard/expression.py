@@ -7,12 +7,13 @@ hostile card can at worst fail to parse. The tokenizer is one regex, whose
 last alternative rejects any character no token takes. Evaluation never
 touches ``eval()``, ``exec()``, ``compile()`` or any other host-language
 execution path: ``compile_expr`` turns the parsed tree into nested Python
-closures that apply ``math`` primitives. Each inner node costs one
-closure call, picked at load from the kinds of its operands: it reads a
-symbol inline as ``env[name]``, holds a number or constant as a value, and
-calls the closure of any other operand. A subtree that reads no symbol
-and evaluates without raising (``pi/4``) is folded to its value; one that
-raises (``1/0``) is kept, to raise when it is evaluated.
+closures that apply ``math`` primitives. Each node compiles to one part:
+a symbol, a literal or a sub-closure. Each inner node costs one closure
+call, picked at load from its operands' kinds: it reads a symbol inline as
+``env[name]``, holds a literal as a value, and calls the closure of any
+other operand. A subtree that reads no symbol and evaluates without
+raising (``pi/4``) is folded to its value by running its closure once;
+one that raises (``1/0``) is kept, to raise when it is evaluated.
 ``cards.load_card`` builds the closures once per equation, so an
 evaluation walks no tree.
 
@@ -445,24 +446,25 @@ def compile_expr(node: ExprNode) -> Callable[[Mapping[str, float]], float]:
     errors ``evaluate`` documents; a MathDomain message is built from the
     captured node only when it is raised. An arithmetic operator, a
     comparison, a negation or a one-argument call has its closure picked
-    here by its operands' kinds, so it tests none when it runs. The
+    here by its operands' kinds, so it tests none when it runs; each node
+    compiles to one part (see ``_compile``), and a node whose operands are
+    all literals is folded by running its closure once. The
     closures trust ``env`` to bind every symbol of the tree, which
     ``cards.load_card`` proves of each step it plans: a missing symbol
     surfaces as the KeyError of its read.
     """
-    return _compile(node)[0]
+    return _compile(node)[2]
 
 
 def _compile(node: ExprNode) -> tuple:
-    """``(closure, literal, name)`` of ``node``, built bottom-up in one
-    pass: the forms an operator or call picks its closure by. A symbol has
-    its ``name``, read inline as ``env[name]``; alone, its closure is an
-    ``itemgetter``, which runs no Python frame. A subtree that reads no
-    symbol and evaluated here without raising has its ``literal``, held as
-    a constant; one that raises is left to raise when it is evaluated.
-    Anything else is a sub-closure, called."""
+    """``(kind, operand, closure)`` of ``node``, the one form of a compiled
+    part, built bottom-up in one pass: ``("s", name, itemgetter)`` for a
+    symbol, read inline as ``env[name]`` (alone, the ``itemgetter`` runs no
+    Python frame); ``("c", literal, constant closure)`` for a subtree that
+    reads no symbol and evaluated here without raising (one that raises is
+    left to raise when it is evaluated); else ``("f", closure, closure)``."""
     if isinstance(node, Symbol):
-        return operator.itemgetter(node.name), None, node.name
+        return "s", node.name, operator.itemgetter(node.name)
     if isinstance(node, Binary):
         left, right = _compile(node.left), _compile(node.right)
         return _fold(_compile_binary(node, left, right), left, right)
@@ -474,13 +476,12 @@ def _compile(node: ExprNode) -> tuple:
         args = [_compile(arg) for arg in node.args]
         return _fold(_compile_call(node.func, args), *args)
     if isinstance(node, Unary):
-        fn, _, name = operand = _compile(node.operand)
-        if name is not None:
-            return (lambda env: -env[name]), None, None
-        return _fold(lambda env: -fn(env), operand)
+        kind, name, fn = operand = _compile(node.operand)
+        negate = (lambda env: -env[name]) if kind == "s" else (lambda env: -fn(env))
+        return _fold(negate, operand)
     if isinstance(node, Piecewise):
         parts = [_compile(part) for part in sum(node.branches, ())]
-        closures = [part[0] for part in parts]
+        closures = [part[2] for part in parts]
         branches = tuple(zip(closures[::2], closures[1::2]))
 
         def piecewise(env):
@@ -491,49 +492,49 @@ def _compile(node: ExprNode) -> tuple:
         return _fold(piecewise, *parts)
     if isinstance(node, Comparison):
         left, right = _compile(node.left), _compile(node.right)
-        (ka, a), (kb, b) = _operand(left), _operand(right)
-        return _fold(_COMPARISON[ka, kb](_COMPARE[node.op], a, b), left, right)
+        kinds, a, b = _pair(left, right)
+        return _fold(_COMPARISON[kinds](_COMPARE[node.op], a, b), left, right)
     raise TypeError(f"not an ExprNode: {node!r}")
 
 
-def _fold(fn, *operands) -> tuple:
-    """``(fn, None, None)``, or the literal of fn's value when every
-    operand is a literal and fn evaluates without raising."""
-    for operand in operands:
-        if operand[1] is None:
-            return fn, None, None
-    try:
-        return _literal(fn({}))
-    except Exception:  # a host error too is raised at evaluation, not here
-        return fn, None, None
+def _fold(fn, *parts) -> tuple:
+    """``("f", fn, fn)``, or the literal of fn's value when every part is
+    a literal and fn evaluates without raising: the one place where
+    literals are combined, by the closure an evaluation would run."""
+    if all(part[0] == "c" for part in parts):
+        try:
+            return _literal(fn({}))
+        except Exception:  # a host error too is raised at evaluation, not here
+            pass
+    return "f", fn, fn
 
 
 def _literal(value) -> tuple:
-    return (lambda env: value), value, None
+    return "c", value, lambda env: value
 
 
-def _operand(part: tuple) -> tuple:
-    """A compiled part as ``("s", name)``, ``("c", literal)`` or
-    ``("f", closure)``: the key of its kind in the tables below."""
-    fn, value, name = part
-    if name is not None:
-        return "s", name
-    return ("f", fn) if value is None else ("c", value)
+def _pair(left: tuple, right: tuple, read_right: bool = False) -> tuple:
+    """The key ``(left kind, right kind)`` and the two operands of a table
+    below. A literal right operand is read as a sub-closure, by its
+    constant closure, when the left one is a literal too or ``read_right``
+    is set: no table holds a closure of two literals."""
+    (ka, a, _), (kb, b, g) = left, right
+    if kb == "c" and (ka == "c" or read_right):
+        kb, b = "f", g
+    return (ka, kb), a, b
 
 
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
             "<=": operator.le, "=": operator.eq}
 
 # The closures of ``+ - *``, one table per operator, keyed by the kinds of
-# the left and right operands (see ``_operand``): a symbol is read as
-# ``env[name]``, a literal is a constant, a sub-closure is called. The
-# closure of two literals is only evaluated once, to fold them at load.
+# the left and right operands (see ``_pair``): a symbol is read as
+# ``env[name]``, a literal is a constant, a sub-closure is called.
 _ARITHMETIC_BY_KINDS = {
     "+": {("s", "s"): lambda a, b: lambda env: env[a] + env[b],
           ("s", "c"): lambda a, b: lambda env: env[a] + b,
           ("s", "f"): lambda a, b: lambda env: env[a] + b(env),
           ("c", "s"): lambda a, b: lambda env: a + env[b],
-          ("c", "c"): lambda a, b: lambda env: a + b,
           ("c", "f"): lambda a, b: lambda env: a + b(env),
           ("f", "s"): lambda a, b: lambda env: a(env) + env[b],
           ("f", "c"): lambda a, b: lambda env: a(env) + b,
@@ -542,7 +543,6 @@ _ARITHMETIC_BY_KINDS = {
           ("s", "c"): lambda a, b: lambda env: env[a] - b,
           ("s", "f"): lambda a, b: lambda env: env[a] - b(env),
           ("c", "s"): lambda a, b: lambda env: a - env[b],
-          ("c", "c"): lambda a, b: lambda env: a - b,
           ("c", "f"): lambda a, b: lambda env: a - b(env),
           ("f", "s"): lambda a, b: lambda env: a(env) - env[b],
           ("f", "c"): lambda a, b: lambda env: a(env) - b,
@@ -551,14 +551,12 @@ _ARITHMETIC_BY_KINDS = {
           ("s", "c"): lambda a, b: lambda env: env[a] * b,
           ("s", "f"): lambda a, b: lambda env: env[a] * b(env),
           ("c", "s"): lambda a, b: lambda env: a * env[b],
-          ("c", "c"): lambda a, b: lambda env: a * b,
           ("c", "f"): lambda a, b: lambda env: a * b(env),
           ("f", "s"): lambda a, b: lambda env: a(env) * env[b],
           ("f", "c"): lambda a, b: lambda env: a(env) * b,
           ("f", "f"): lambda a, b: lambda env: a(env) * b(env)},
     # A nonzero literal divisor needs no zero test.
     "/": {("s", "c"): lambda a, b: lambda env: env[a] / b,
-          ("c", "c"): lambda a, b: lambda env: a / b,
           ("f", "c"): lambda a, b: lambda env: a(env) / b},
 }
 
@@ -568,7 +566,6 @@ _COMPARISON = {
     ("s", "c"): lambda compare, a, b: lambda env: compare(env[a], b),
     ("s", "f"): lambda compare, a, b: lambda env: compare(env[a], b(env)),
     ("c", "s"): lambda compare, a, b: lambda env: compare(a, env[b]),
-    ("c", "c"): lambda compare, a, b: lambda env: compare(a, b),
     ("c", "f"): lambda compare, a, b: lambda env: compare(a, b(env)),
     ("f", "s"): lambda compare, a, b: lambda env: compare(a(env), env[b]),
     ("f", "c"): lambda compare, a, b: lambda env: compare(a(env), b),
@@ -577,6 +574,7 @@ _COMPARISON = {
 
 # The closures of ``/`` whose divisor is read, keyed as above: the
 # dividend is read, then the divisor, and ``zero()`` raises if it is zero.
+# A zero literal divisor is read too, so ``x/0`` raises here.
 _DIVIDE_BY_KINDS = {
     ("s", "s"): lambda a, b, zero: lambda env: env[a] / (
         y if (y := env[b]) != 0.0 else zero()),
@@ -597,23 +595,19 @@ def _compile_binary(node: Binary, left: tuple, right: tuple):
     """The closure of one binary operation on floats, as every env value,
     param default and number literal is. Float ``+ - * /`` never raise: they
     round to an infinity, which the engine rejects as a non-finite step. So
-    ``/`` only checks for a zero divisor, and only ``**`` catches errors."""
-    (ka, a), (kb, b) = _operand(left), _operand(right)
+    ``/`` only checks for a zero divisor, and only ``**`` catches errors.
+    A zero literal divisor is read like any divisor (see ``_pair``)."""
     op = node.op
-    if op in ("+", "-", "*") or (op == "/" and kb == "c" and b != 0.0):
-        return _ARITHMETIC_BY_KINDS[op][ka, kb](a, b)
-    if op == "/":
+    if op != "**":
+        kinds, a, b = _pair(left, right, op == "/" and right[:2] == ("c", 0.0))
+        if op != "/" or kinds[1] == "c":
+            return _ARITHMETIC_BY_KINDS[op][kinds](a, b)
+
         def zero():
             raise MathDomain(f"division by zero in {to_text(node)}")
-        if kb != "c":
-            return _DIVIDE_BY_KINDS[ka, kb](a, b, zero)
-        dividend = left[0]
-
-        def divide(env):  # a zero literal divisor, once the dividend is read
-            dividend(env)
-            zero()
-        return divide
-    (f, a, _), (g, b, _) = left, right
+        return _DIVIDE_BY_KINDS[kinds](a, b, zero)
+    (ka, a, f), (kb, b, g) = left, right  # a literal is held as a value
+    a, b = a if ka == "c" else None, b if kb == "c" else None
 
     def binary(env):
         x, y = f(env) if a is None else a, g(env) if b is None else b
@@ -631,12 +625,14 @@ def _compile_binary(node: Binary, left: tuple, right: tuple):
 
 
 def _compile_call(func: str, args: list):
-    """The closure of a call on ``args``, each ``(closure, literal, name)``;
-    a one-argument call reads a symbol argument inline."""
+    """The closure of a call on the compiled parts ``args``; a
+    one-argument call reads a symbol argument inline. ``math.atan2``,
+    ``min`` and ``max`` raise nothing on floats, so a call of more than
+    one argument catches nothing."""
     fn = _FUNCTIONS[func]
     if len(args) == 1:
-        arg, _, name = args[0]
-        if name is not None:
+        kind, name, arg = args[0]
+        if kind == "s":
             def call(env):
                 try:
                     return fn(env[name])  # a KeyError is no ValueError
@@ -655,13 +651,8 @@ def _compile_call(func: str, args: list):
             except OverflowError:
                 raise MathDomain(f"overflow in {func}") from None
         return call
+    held = [(arg, value if kind == "c" else None) for kind, value, arg in args]
 
     def call(env):
-        values = [arg(env) if value is None else value for arg, value, _ in args]
-        try:
-            return fn(*values)
-        except ValueError as exc:
-            raise MathDomain(f"{func}: {exc}") from None
-        except OverflowError:
-            raise MathDomain(f"overflow in {func}") from None
+        return fn(*[arg(env) if value is None else value for arg, value in held])
     return call

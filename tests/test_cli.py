@@ -345,9 +345,13 @@ class TestEc7Commands:
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
 
-    def test_missing_scenario_file_is_usage_error(self, capsys):
-        assert main(["ec7", "design", "--scenario", "/no/file.json",
-                     "--da", "all"]) == 2
+    @pytest.mark.parametrize("command", [["check", "--B", "1.5"], ["design"]])
+    def test_missing_scenario_file_is_usage_error(self, command, capsys):
+        assert main(["ec7", command[0], "--scenario", "/no/file.json",
+                     "--da", "all", *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: no such scenario file: /no/file.json\n"
 
     def test_non_utf8_scenario_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "f.json"

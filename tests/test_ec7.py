@@ -71,6 +71,21 @@ class TestPresetPartials:
         assert (da3.gamma_G, da3.gamma_Q, da3.gamma_phi, da3.gamma_R) == \
             (1.35, 1.5, 1.25, 1.0)
 
+    # EN 1997-1 Annex A: Tables A.3 (actions), A.4 (soil) and A.5 (resistance).
+    @pytest.mark.parametrize("da, factors, sets", [
+        ("DA1-C1", (1.35, 1.5, 1.0, 1.0, 1.0, 1.0, 1.0), "A1+M1+R1"),
+        ("DA1-C2", (1.0, 1.3, 1.25, 1.25, 1.4, 1.0, 1.0), "A2+M2+R1"),
+        ("DA2", (1.35, 1.5, 1.0, 1.0, 1.0, 1.0, 1.4), "A1+M1+R2"),
+        ("DA3", (1.35, 1.5, 1.25, 1.25, 1.4, 1.0, 1.0), "A1+M2+R3"),
+    ])
+    def test_every_factor_and_the_sets(self, da, factors, sets):
+        pf = get_ec7_preset_partials(da)
+        names = ("gamma_G", "gamma_Q", "gamma_phi", "gamma_c", "gamma_cu",
+                 "gamma_gamma", "gamma_R")
+        assert [getattr(pf, name).hex() for name in names] == \
+            [factor.hex() for factor in factors]
+        assert (pf.design_approach, pf.sets) == (da, sets)
+
     def test_unknown_design_approach(self):
         with pytest.raises(UnknownDesignApproach):
             get_ec7_preset_partials("DA9")

@@ -544,6 +544,13 @@ class TestEvaluatorMatchesWalker:
     @example(ex.parse("-(0.0)*x"), {"x": 1.0, "y": 1.0})
     @example(ex.parse("-(0.0)*x"), {"x": -0.0, "y": 1.0})
     @example(ex.parse("pi/4"), {"x": 1.0, "y": 1.0})
+    @example(ex.parse("2 + 3"), {"x": 1.0, "y": 1.0})
+    @example(ex.parse("2 - 3"), {"x": 1.0, "y": 1.0})
+    @example(ex.parse("2*3"), {"x": 1.0, "y": 1.0})
+    @example(ex.parse("1/4"), {"x": 1.0, "y": 1.0})
+    @example(ex.parse("Piecewise((x, 2 > 1), (0, True))"), {"x": 1.0, "y": 1.0})
+    @example(ex.parse("2/0"), {"x": 1.0, "y": 1.0})
+    @example(ex.parse("(x + 1)/0"), {"x": 1.0, "y": 1.0})
     def test_folded_trees_same_bits_or_same_error(self, node, env):
         assert _outcome(lambda: ex.evaluate(node, env)) == \
             _outcome(lambda: _walk(node, env))

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from conftest import HUGE_INT
 from geocard.ec7 import (DESIGN_APPROACHES, check_footing_uls_ec7,
@@ -952,3 +953,162 @@ class TestWrittenLines:
         reference = json.dumps(McpServer().handle_message(message),
                                separators=(",", ":")) + "\n"
         assert stdout.getvalue() == reference * 2
+
+
+# ------------------------------------------------ a model of one session ----
+
+# Values a client may send for each input key: tagged strings and bare
+# numbers, and last a tag of another dimension, which an evaluation rejects.
+_INPUT_VALUES = {
+    "phi_prime": ["30 deg", "0.5 rad", "28.5 deg", 0.5, "2 m"],
+    "phi_prime_d": ["25 deg", "0.4 rad", 0.4, "1 kPa"],
+    "c_prime": ["0 kPa", "5 kPa", "0.01 MPa", 5, "5 deg"],
+    "c_prime_d": ["4 kPa", "0 kPa", 0, "4 m"],
+    "c_u_d": ["50 kPa", "0.05 MPa", 0, "50 m"],
+    "gamma": ["18 kN/m^3", "19.5 kN/m^3", 19.5, "18 deg"],
+    "B": ["2 m", "1500 mm", "3 m", 2, "2 kPa"],
+    "L": ["3 m", "4000 mm", 3, "3 kN"],
+    "D_f": ["1 m", "0.5 m", 0.5, "1 deg"],
+    "q": ["18 kPa", "0 kPa", "999 kPa", 0, "18 m"],
+}
+_PAD_SCENARIO = json.loads((DATA_DIR / "scenario_eccentric_pad.json").read_text())
+_VARIANTS = [(card, variant) for card, variants in [
+    ("BEARING_CAPACITY_TERZAGHI", ["general_shear_failure_strip",
+                                   "general_shear_failure_square"]),
+    ("BEARING_CAPACITY_MEYERHOF", ["general_shear_vertical"]),
+    ("BEARING_CAPACITY_VESIC", ["general"]),
+    ("BEARING_CAPACITY_EUROCODE7", ["drained", "undrained"]),
+] for variant in variants]
+
+
+def _inputs(keys):
+    """A dict of some of ``keys``, each with a value of its own list; one
+    value in sixteen has the wrong dimension."""
+    return st.fixed_dictionaries({}, optional={key: st.sampled_from(
+        _INPUT_VALUES[key][:-1] * 15 + _INPUT_VALUES[key][-1:]) for key in sorted(keys)})
+
+
+_DEFAULTS = _inputs(_INPUT_VALUES)
+
+
+def _wire(reply) -> str:
+    """The line ``serve`` writes for ``reply``, checked to be strict JSON
+    whose tool text is strict JSON too, and no internal error."""
+    stdout = io.StringIO()
+    McpServer._write(stdout, reply)
+    line = stdout.getvalue()
+    decoded = json.loads(line, parse_constant=_reject_constant)
+    json.dumps(decoded, allow_nan=False)
+    if "error" in decoded:
+        assert decoded["error"]["code"] != -32603, decoded
+    else:
+        json.loads(decoded["result"]["content"][0]["text"],
+                   parse_constant=_reject_constant)
+    return line
+
+
+class SessionModel(RuleBasedStateMachine):
+    """One McpServer driven through ``handle_message``, against a model of
+    its session: a plain dict of defaults, merged into each evaluation as
+    ``_merged_inputs`` merges them."""
+
+    def __init__(self):
+        super().__init__()
+        self.server = McpServer()
+        self.defaults = {}
+        self.ids = iter(range(1, 10 ** 6))
+
+    def send(self, message) -> str | None:
+        reply = self.server.handle_message(message)
+        return None if reply is None else _wire(reply)
+
+    def call(self, name, arguments) -> dict:
+        line = self.send(rpc("tools/call", {"name": name, "arguments": arguments},
+                             next(self.ids)))
+        return json.loads(line)
+
+    def set_defaults(self, defaults, rejected: bool):
+        reply = self.call("geo_session_set_defaults", {"defaults": defaults})
+        assert reply["result"]["isError"] is rejected, reply
+        if not rejected:
+            self.defaults.update(defaults)
+            assert json.loads(reply["result"]["content"][0]["text"]) == {
+                "session_id": "default",
+                "defaults": dict(sorted(self.defaults.items()))}
+
+    @rule(defaults=_DEFAULTS)
+    def set_valid_defaults(self, defaults):
+        self.set_defaults(defaults, rejected=False)
+
+    @rule(defaults=_DEFAULTS, key=st.sampled_from(sorted(_INPUT_VALUES)),
+          bad=st.sampled_from([math.nan, -math.inf, "1e400 kPa",
+                               {"value": 18, "unit": "kPa"}, [18], True]))
+    def set_rejected_defaults(self, defaults, key, bad):
+        self.set_defaults({**defaults, key: bad}, rejected=True)
+
+    @rule(defaults=_DEFAULTS, key=st.sampled_from(sorted(_INPUT_VALUES)),
+          text=st.sampled_from(["kPa", "abc m", "", "nan kPa"]))
+    def set_defaults_with_no_number(self, defaults, key, text):
+        """Stored: the evaluation that reads it judges it."""
+        self.set_defaults({**defaults, key: text}, rejected=False)
+
+    @rule(card_variant=st.sampled_from(_VARIANTS), data=st.data(),
+          tool=st.sampled_from(["geo_evaluate", "geo_evaluate_with_units"]))
+    def evaluate(self, card_variant, data, tool):
+        """Some inputs given, and the rest, if any, from the defaults."""
+        card, variant = card_variant
+        input_keys = self.server.catalog.get_method(card).input_keys
+        given = data.draw(_inputs(input_keys))
+        msg_id = next(self.ids)
+        arguments = {"card": card, "variant": variant, "inputs": given}
+        line = self.send(rpc("tools/call", {"name": tool, "arguments": arguments},
+                             msg_id))
+        merged = dict(given)
+        for key, value in self.defaults.items():
+            if key in input_keys:
+                merged.setdefault(key, value)
+        fresh = McpServer().handle_message(rpc("tools/call", {
+            "name": tool, "arguments": {**arguments, "inputs": merged}}, msg_id))
+        assert line == _wire(fresh)
+
+    @rule(da=st.sampled_from(DESIGN_APPROACHES),
+          width=st.sampled_from([1.5, "2 m", "-1 m"]),
+          drainage=st.sampled_from(["drained", "undrained"]))
+    def check_ec7(self, da, width, drainage):
+        reply = self.call("geo_check_footing_uls_ec7", {
+            "scenario": _PAD_SCENARIO, "design_approach": da, "B": width,
+            "drainage": drainage})
+        assert reply["result"]["isError"] is (width == "-1 m"), reply
+
+    @rule(scenario=st.sampled_from([JRC_SCENARIO, _PAD_SCENARIO]),
+          da=st.sampled_from(DESIGN_APPROACHES))
+    def design_ec7(self, scenario, da):
+        reply = self.call("geo_design_footing_width_ec7", {
+            "scenario": scenario, "design_approach": da})
+        assert reply["result"]["isError"] is False, reply
+
+    @rule(name=st.sampled_from(["geo_session_set_defaults", "geo_evaluate"]),
+          defaults=_DEFAULTS)
+    def notification(self, name, defaults):
+        """No reply, and no effect on the defaults."""
+        message = rpc("tools/call", {"name": name, "arguments": {
+            "defaults": defaults}})
+        del message["id"]
+        assert self.send(message) is None
+
+    @rule(message=st.sampled_from([
+        [rpc("ping")], [], rpc("ping", msg_id=None),
+        rpc("tools/call", {"name": "geo_session_set_defaults",
+                           "arguments": {"defaults": {"q": "1 kPa"}}}, msg_id=None),
+        rpc("resources/list"), rpc("tools/call", {"name": "geo_nope"})]))
+    def garbage(self, message):
+        assert "error" in json.loads(self.send(message))
+
+    @invariant()
+    def defaults_are_the_model(self):
+        assert list(self.server.defaults.items()) == list(self.defaults.items())
+
+
+TestSessionModel = SessionModel.TestCase
+TestSessionModel.settings = settings(max_examples=40, stateful_step_count=12,
+                                     deadline=None)

@@ -25,6 +25,21 @@ from test_golden_traces import _requests
 REGISTRY = default_registry()
 CATALOG = load_catalog()
 
+# One output and no input: its trace template reads one env value.
+CONSTANT_CARD = json.dumps({
+    "id": "TEST_CONSTANT",
+    "title": "A constant",
+    "category": "Testing",
+    "description": "y = 2.",
+    "variables": [
+        {"key": "y", "name": "y", "role": "output", "unit": "dimensionless"},
+    ],
+    "variants": [
+        {"id": "base", "title": "Base", "equations": [{"target": "y", "sympy": "2"}]},
+    ],
+    "sources": [{"title": "Internal test fixture."}],
+})
+
 
 def replaced(trace, **changes) -> EvaluationTrace:
     """A new trace with the fields of ``trace``, ``changes`` applied."""
@@ -48,7 +63,8 @@ def templated(trace) -> str:
 
 
 def _base_traces() -> dict:
-    """One evaluated trace per bundled variant and per cyclic card."""
+    """One evaluated trace per bundled variant, per cyclic card and of
+    the constant card."""
     traces = {}
     for card_id, variant, sets in _requests(REGISTRY.resolve("mm")):
         inputs, overrides = sets[-1]
@@ -61,6 +77,9 @@ def _base_traces() -> dict:
     traces["BENCH_COUPLED_PRESSURE/coupled"] = evaluate_card(
         BENCH_CYCLIC, EvaluationRequest(BENCH_CYCLIC.id, "coupled",
                                         {"p": "100 kPa", "a": 20.0}))
+    constant = load_card(CONSTANT_CARD)
+    traces["TEST_CONSTANT/base"] = evaluate_card(
+        constant, EvaluationRequest(constant.id, "base", {}))
     return traces
 
 

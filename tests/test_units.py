@@ -1,6 +1,7 @@
 """Unit registry, dimension algebra, and conversion tests."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -37,6 +38,8 @@ class TestRegistry:
     def test_unknown_unit(self):
         with pytest.raises(UnknownUnit):
             REG.resolve("furlongs")
+        with pytest.raises(UnknownUnit):  # an alias of no unit
+            UnitRegistry([], {"x": "nope"})
 
     def test_compound_unit_strings_rejected(self):
         with pytest.raises(UnknownUnit):
@@ -45,8 +48,12 @@ class TestRegistry:
     def test_loadable_from_json_table(self):
         custom = UnitRegistry.from_json(
             '{"units": [{"name": "dimensionless", "dimension": {}, "scale": 1.0},'
-            '{"name": "cm", "dimension": {"length": 1}, "scale": 0.01}]}')
+            '{"name": "cm", "dimension": {"length": 1}, "scale": 0.01},'
+            '{"name": "root_m", "dimension": {"length": 0.5}, "scale": 1.0}]}')
         assert custom.resolve("cm").scale == 0.01
+        root = custom.resolve("root_m").dimension
+        assert root.length == Fraction(1, 2) and type(root.length) is Fraction
+        assert str(root) == "length^1/2"
 
     def test_units_of_one_dimension_share_one_dimension_object(self):
         """convert's dimension check is then an identity check."""
