@@ -6,11 +6,12 @@ assembly including foundation self-weight, the ULS bearing check against
 the Annex D card, and the bisection search for the required width. A
 trial width of the search computes the utilization only, and the check,
 with the card's complete trace, is built once, at the width the search
-returns, from that trial's walk. The card's steps that read neither the
+returns, from that trial's env. The card's steps that read neither the
 width nor the unit weight below the base (the bearing capacity factors)
 are bound once per check or search, when the card is staged, and each
-trial walks only the rest (``engine.stage_walk``). The check and the
-search read the Annex D card from the catalog they are given, or from the
+trial calls the rest's closures itself, leaving a fault to the staged
+walk, which raises it (``engine.stage_walk``). The check and the search
+read the Annex D card from the catalog they are given, or from the
 process-wide ``catalog.default_catalog()`` when given none, so the catalog
 is loaded and audited at most once per process.
 
@@ -33,8 +34,8 @@ from pathlib import Path
 from .cards import ABSENT, instance_of, load_record, read_record
 from .catalog import Catalog, default_catalog
 from .engine import EvaluationTrace, stage_walk, template_json
-from .errors import (InvalidGeometry, NoBracket, NonFiniteValue, SchemaError,
-                     UnknownDesignApproach)
+from .errors import (GeocardError, InvalidGeometry, NoBracket, NonFiniteValue,
+                     SchemaError, UnknownDesignApproach)
 from .units import DATA_DIR, to_magnitude
 
 GAMMA_WATER = 9.81  # kN/m^3
@@ -247,8 +248,10 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
     ``gamma`` and ``B`` free (``engine.stage_walk``), which binds the
     bearing capacity factors once. No later width needs a check: the search
     halves no lower than its least width and doubles a finite one at most
-    24 times. A trial builds no trace; it raises what its walk raises, or a
-    non-finite ``V_d`` or ``R_d``.
+    24 times. A trial builds no trace. It runs the staged steps itself, and
+    calls the staged walk on the same values at a fault, a free value that
+    is not a finite float or a fixed-point block; so it raises what that
+    walk raises, or a non-finite ``V_d`` or ``R_d``.
 
     The design values do not depend on the width, so they are computed once
     here, into the dict the result shows as ``design_parameters``:
@@ -293,7 +296,7 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
         "gamma_d": gamma_d,
         "q_d": q_d,
     }
-    walk, trace = stage_walk(card, drainage, {
+    walk, trace, steps = stage_walk(card, drainage, {
         "phi_prime_d": design["phi_prime_d"], "c_prime_d": design["c_prime_d"],
         "c_u_d": 0.0 if scenario.c_u_k is None else design["c_u_d"],
         "q": q_d, "L": scenario.L}, ("gamma", "B"))
@@ -301,6 +304,8 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
     e, L, gamma_sw = scenario.e, scenario.L, scenario.gamma_sw
     G_k_col, gamma_R, gamma_G = scenario.G_k_col, pf.gamma_R, pf.gamma_G
     Q_d = pf.gamma_Q * scenario.Q_k
+    staged, straight = steps or (None, None)
+    isfinite = math.isfinite
 
     def trial(B: float) -> tuple[float, tuple]:
         B_eff = B - 2.0 * e
@@ -310,19 +315,33 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
             gamma_eff = gamma_d
         else:
             gamma_eff = buoyant + (below / B_eff) * (gamma_d - buoyant)
-        values = {"gamma": gamma_eff, "B": B_eff}
-        walked = walk(values)
-        R_d = walked[0]["q_ult"] * B_eff * L / gamma_R
+        env, cycles = None, ()
+        if (straight is not None and type(gamma_eff) is float and type(B_eff) is float
+                and isfinite(gamma_eff) and isfinite(B_eff)):
+            env = staged.copy()  # faster than a dict display
+            env["gamma"] = gamma_eff
+            env["B"] = B_eff
+            try:
+                for target, step in straight:
+                    value = env[target] = step(env)
+                    if not isfinite(value):
+                        env = None
+                        break
+            except GeocardError:
+                env = None
+        if env is None:  # the walk raises the fault, or solves a fixed-point block
+            env, cycles = walk({"gamma": gamma_eff, "B": B_eff})
+        R_d = env["q_ult"] * B_eff * L / gamma_R
         V_d = gamma_G * (G_k_col + gamma_sw * B * D_f * L) + Q_d
-        if not math.isfinite(V_d):  # float arithmetic overflows silently
+        if not isfinite(V_d):  # float arithmetic overflows silently
             raise NonFiniteValue("V_d")
-        if not math.isfinite(R_d):
+        if not isfinite(R_d):
             raise NonFiniteValue("R_d")
         utilization = V_d / R_d if R_d > 0 else math.inf
-        return utilization, (B, B_eff, V_d, R_d, utilization, values, walked)
+        return utilization, (B, B_eff, V_d, R_d, utilization, gamma_eff, env, cycles)
 
     def result(state: tuple) -> UlsCheckResult:
-        B, B_eff, V_d, R_d, utilization, values, walked = state
+        B, B_eff, V_d, R_d, utilization, gamma_eff, env, cycles = state
         return UlsCheckResult(
             design_approach=design_approach,
             B=B,
@@ -331,9 +350,9 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
             R_d=R_d,
             utilization=utilization,
             passed=utilization <= 1.0 + 1e-12,
-            design_parameters={**design, "gamma_eff": values["gamma"]},
+            design_parameters={**design, "gamma_eff": gamma_eff},
             partial_factors=pf,
-            trace=trace(values, walked),
+            trace=trace({"gamma": gamma_eff, "B": B_eff}, env, cycles),
             drainage=drainage,
         )
     return trial, result

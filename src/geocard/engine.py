@@ -24,7 +24,9 @@ leading run of the direct plan that reads no free input once. Each walk
 normalizes the free inputs and walks only the rest from a copy of that
 env, with the same ``_walk``: what it returns and raises is what
 ``evaluate_card`` does. It builds a trace only for a fault; the trace of
-a walk is built apart, so a caller builds only those it keeps.
+a walk is built apart, so a caller builds only those it keeps. A caller
+may also run the rest's closures itself, with no frame between it and
+them, and call the walk at a fault, which raises it (the EC7 trial does).
 
 ``EvaluationTrace.to_dict`` and ``strict_json`` are the reference writer of a
 trace. ``to_json`` writes a complete trace from its variant's ``Template``:
@@ -586,13 +588,19 @@ def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTra
 
 
 def stage_walk(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue],
-               free: Iterable[str]) -> tuple[Callable, Callable]:
+               free: Iterable[str]) -> tuple[Callable, Callable, tuple | None]:
     """``evaluate_card`` of one variant as a function of the inputs named
-    ``free``, ``fixed`` holding every other input: ``(walk, trace)``.
+    ``free``, ``fixed`` holding every other input: ``(walk, trace, steps)``.
     ``walk(values)``, ``values`` holding exactly the free inputs, raises
     what ``evaluate_card`` raises for ``{**fixed, **values}`` and otherwise
     returns the walked env and its cycle diagnostics; only a fault builds a
-    trace, the partial one. ``trace(values, walked)`` is ``evaluate_card``'s.
+    trace, the partial one. ``trace(values, env, cycles)`` is
+    ``evaluate_card``'s.
+
+    ``steps``, None for a variant with a fixed-point block, is the staged
+    env and each walked step's ``(target, closure)``: run in turn on a copy
+    of the env with finite float free values bound, they bind what a walk
+    binds until one raises or gives a non-finite value.
 
     Staging raises an unknown variant, an input both fixed and free, keys
     that are not the card's inputs and a fixed input that does not
@@ -629,7 +637,9 @@ def stage_walk(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue
             given[key] = to_magnitude(value, units[key], key)
         return given, _run(card, variant, given, rest, lambda: ({**fixed, **values}, {}))
 
-    def trace(values, walked):
-        return EvaluationTrace(card, variant, walked[0], {**fixed, **values}, {},
-                               {"iterative_cycles": walked[1]})
-    return walk, trace
+    def trace(values, env, cycles):
+        return EvaluationTrace(card, variant, env, {**fixed, **values}, {},
+                               {"iterative_cycles": list(cycles)})
+    steps = None if variant.iterative else (
+        staged, tuple((eq.target, eq.compiled) for eq in rest))
+    return walk, trace, steps

@@ -737,9 +737,20 @@ _SCENARIOS = st.builds(
 )
 
 
+def _jrc_a3(**changes) -> FootingScenario:
+    """The bundled scenario with some of its fields' texts replaced."""
+    return load_scenario(overflowing_scenario(changes))
+
+
+# q_ult overflows at the bracket's upper end, 20 m: a fault in a step that
+# a trial evaluates after the staged ones.
+_HEAVY_SOIL = _jrc_a3(gamma_k="1e306 kN/m^3")
+
+
 class TestWidthSearchMatchesTracedSearch:
     @settings(max_examples=60, deadline=None)
     @given(_SCENARIOS)
+    @example(_HEAVY_SOIL)
     def test_same_reply_or_same_error(self, scenario):
         for da in DESIGN_APPROACHES:
             for drainage in ("drained", "undrained"):
@@ -751,6 +762,7 @@ class TestWidthSearchMatchesTracedSearch:
 
     @settings(max_examples=40, deadline=None)
     @given(_SCENARIOS, st.floats(-1.0, 40.0))
+    @example(_HEAVY_SOIL, 20.0)
     def test_check_matches_reference_check(self, scenario, width):
         for da in DESIGN_APPROACHES:
             for drainage in ("drained", "undrained"):
@@ -794,11 +806,6 @@ _REAL_CHECK = check_footing_uls_ec7(SCENARIO, "DA2", 2.0)
 _REAL_DESIGN = design_footing_width_ec7(SCENARIO, "DA3")
 
 
-def _jrc_a3(**changes) -> FootingScenario:
-    """The bundled scenario with some of its fields' texts replaced."""
-    return load_scenario(overflowing_scenario(changes))
-
-
 def _search_outcome(search):
     """The design's bytes and halvings, or the error as a client reads it."""
     try:
@@ -822,6 +829,7 @@ class TestWidthSearchMatchesCheckedSearch:
     @example(SCENARIO, "DA1-C2", "drained", 1e-6)
     @example(_NO_C_U, "DA3", "drained", 1e-2)
     @example(SCENARIO, "DA2", "drained", 1e-300)  # no float between the ends
+    @example(_HEAVY_SOIL, "DA2", "drained", 1e-3)  # q_ult overflows
     def test_same_design_or_same_error(self, scenario, da, drainage, tolerance):
         expected = _search_outcome(lambda: _bisection(
             scenario, da, tolerance, lambda width: check_footing_uls_ec7(
@@ -841,6 +849,31 @@ class TestWidthSearchMatchesCheckedSearch:
             _jrc_a3(**changes), da, drainage=drainage))
         assert got[0] is kind and got[1].startswith(message)
         assert ("partial_trace" in got[2]) == (kind is MathDomain)
+
+
+    def test_fault_after_the_staged_steps(self):
+        """A trial's fault in a step after the bearing capacity factors is
+        raised with the failed step and the partial trace of the steps
+        before it, those factors included."""
+        with pytest.raises(NonFiniteValue) as err:
+            design_footing_width_ec7(_HEAVY_SOIL, "DA2")
+        assert str(err.value) == "'q_ult' is not a finite number"
+        inputs = {"B": 20.0, "N_c": 61.35176569979716, "N_gamma": 74.89912273566651,
+                  "N_q": 48.93325270205936, "c_prime_d": 0.0, "gamma": 1e306,
+                  "q": 0.0, "s_c": 1.5873884268436504, "s_gamma": 0.719626168224299,
+                  "s_q": 1.57538455637912}
+        assert err.value.failed_step == {
+            "target": "q_ult",
+            "expression": "c_prime_d*N_c*s_c + q*N_q*s_q + 0.5*gamma*B*N_gamma*s_gamma",
+            "inputs": inputs}
+        partial = err.value.partial_trace
+        assert [(step["target"], step["value"]) for step in partial.steps] == [
+            (key, inputs[key]) for key in ("N_q", "N_c", "N_gamma", "s_q", "s_gamma", "s_c")]
+        assert partial.outputs == {}
+        assert partial.request_inputs == {
+            "phi_prime_d": 0.6632251157578453, "c_prime_d": 0.0, "c_u_d": 0.0, "q": 0.0,
+            "L": 21.4, "gamma": 1e306, "B": 20.0}
+        assert partial.to_json() == strict_json(partial.to_dict())
 
 
 class TestResultJson:

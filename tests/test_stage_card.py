@@ -3,8 +3,11 @@ fixed and free and raises what ``evaluate_card`` raises before it
 normalizes a free input, and a walk then returns and raises exactly what
 ``evaluate_card`` does for the fixed inputs with the free ones added, for
 every bundled variant and the benchmark's cyclic card, whatever inputs are
-free, faults included. The steps bound when the card is staged, and those
-each walk runs, are read by spying on ``_walk``."""
+free, faults included; and so does running the steps ``stage_walk``
+returns as an EC7 trial runs them, falling back on the walk. The steps
+bound when the card is staged, and those each walk runs, are read by
+spying on ``_walk``; those of an EC7 trial, which runs its steps itself,
+by wrapping each step's closure."""
 
 import collections
 import dataclasses
@@ -22,6 +25,7 @@ from geocard.ec7 import (check_footing_uls_ec7, design_footing_width_ec7,
                          load_bundled_scenario)
 from geocard.engine import EvaluationRequest, evaluate_card, stage_walk
 from geocard.errors import GeocardError, UnexpectedInput
+from geocard.record import set_field
 from geocard.units import Quantity, default_registry
 from test_golden_traces import _requests
 
@@ -41,9 +45,33 @@ def plain(card, variant, inputs):
 
 
 def staged(card, variant, fixed, free):
-    """The staged variant as one call: ``trace(values, walk(values))``."""
-    walk, trace = stage_walk(card, variant, fixed, free)
-    return lambda values: trace(values, walk(values))
+    """The staged variant as one call: ``trace(values, *walk(values))``."""
+    walk, trace, _ = stage_walk(card, variant, fixed, free)
+    return lambda values: trace(values, *walk(values))
+
+
+def straight(card, variant, fixed, free):
+    """The staged variant as an EC7 trial runs it: its steps one by one on
+    a copy of the staged env, when every free value is a finite float and
+    no step faults; otherwise ``walk``."""
+    walk, trace, steps = stage_walk(card, variant, fixed, free)
+
+    def call(values):
+        if steps is not None and all(type(v) is float and math.isfinite(v)
+                                     for v in values.values()):
+            env = {**steps[0], **values}
+            for target, step in steps[1]:
+                try:
+                    value = step(env)
+                except GeocardError:
+                    break
+                if not math.isfinite(value):
+                    break
+                env[target] = value
+            else:
+                return trace(values, env, ())
+        return trace(values, *walk(values))
+    return call
 
 
 def valid_inputs(card, variant) -> dict:
@@ -76,7 +104,8 @@ def value(card, key):
     unit = card.units[key].name
     return st.one_of(
         st.floats(-5.0, 60.0),
-        st.sampled_from([0.0, -1.0, math.pi / 2, 1e300, 5e-324]),
+        st.sampled_from([0.0, -1.0, math.pi / 2, 1e300, 5e-324, math.nan, math.inf,
+                         -math.inf]),
         st.floats(0.1, 50.0).map(lambda x: f"{x!r} {unit}"),
         st.floats(0.1, 50.0).map(lambda x: Quantity(x, card.units[key])),
         st.sampled_from(["1 kN", "twelve", True]),
@@ -97,9 +126,10 @@ class TestDifferential:
         if fixed and data.draw(st.integers(0, 9)) == 0:  # an input neither fixed nor free
             del fixed[data.draw(st.sampled_from(sorted(fixed)))]
         try:
-            call, at_staging = staged(card, variant, fixed, free), None
+            calls, at_staging = [stage(card, variant, fixed, free)
+                                 for stage in (staged, straight)], None
         except GeocardError as exc:
-            call, at_staging = None, fault(exc)
+            calls, at_staging = [], fault(exc)
         if free & fixed.keys():  # no walk may read a fixed value it replaces
             assert at_staging == fault(UnexpectedInput(free & fixed.keys()))
             return
@@ -107,8 +137,10 @@ class TestDifferential:
             values = {k: data.draw(st.one_of(st.just(valid.get(k, 1.0)), value(card, k)))
                       for k in free}
             expected = outcome(plain(card, variant, {**fixed, **values}))
-            got = at_staging if call is None else outcome(lambda: call(values))
-            assert got == expected
+            if at_staging is not None:
+                assert at_staging == expected
+            for call in calls:
+                assert outcome(lambda: call(values)) == expected
 
     @pytest.mark.parametrize("order", [("gamma", "B"), ("B", "gamma")])
     def test_first_bad_free_value_in_call_order_raises(self, order):
@@ -209,22 +241,41 @@ class TestWhatIsBound:
 
 class TestWhatTheWidthSearchWalks:
     """The EC7 check stages the Annex D card once: the bearing capacity
-    factors are walked once per check or design, and each trial walks only
-    the steps that read the width or the unit weight below the base."""
+    factors are evaluated once per check or design, and each trial evaluates
+    only the steps that read the width or the unit weight below the base.
+    A trial runs those steps itself, so the spy wraps each step's closure
+    in a catalog of its own."""
 
     FACTORS = ["N_q", "N_c", "N_gamma"]
     TRIAL = ["s_q", "s_gamma", "s_c", "q_ult"]
 
-    def test_design_walks_the_factors_once(self, walks):
-        result = design_footing_width_ec7(load_bundled_scenario(), "DA1-C2",
-                                          catalog=CATALOG)
-        assert walks[0] == self.FACTORS
-        assert walks[1:] == [self.TRIAL] * len(walks[1:])
-        assert len(walks) - 1 >= result.iterations + 2  # the bracket's ends, then each halving
+    @pytest.fixture
+    def evaluated(self):
+        """A fresh catalog whose EC7 steps log their targets, and the log."""
+        catalog, calls = load_catalog(), []
 
-    def test_single_check_walks_the_bound_run_then_the_rest(self, walks):
-        check_footing_uls_ec7(load_bundled_scenario(), "DA1-C2", 1.5, catalog=CATALOG)
-        assert walks == [self.FACTORS, self.TRIAL]
+        def spy(target, compiled):
+            def step(env):
+                calls.append(target)
+                return compiled(env)
+            return step
+        for variant in catalog.get_method(EC7.id).variants:
+            for eq in variant.direct:
+                set_field(eq, "compiled", spy(eq.target, eq.compiled))
+        return catalog, calls
+
+    def test_design_walks_the_factors_once(self, evaluated):
+        catalog, calls = evaluated
+        result = design_footing_width_ec7(load_bundled_scenario(), "DA1-C2",
+                                          catalog=catalog)
+        trials = (len(calls) - len(self.FACTORS)) // len(self.TRIAL)
+        assert calls == self.FACTORS + self.TRIAL * trials
+        assert trials >= result.iterations + 2  # the bracket's ends, then each halving
+
+    def test_single_check_walks_the_bound_run_then_the_rest(self, evaluated):
+        catalog, calls = evaluated
+        check_footing_uls_ec7(load_bundled_scenario(), "DA1-C2", 1.5, catalog=catalog)
+        assert calls == self.FACTORS + self.TRIAL
 
 
 class TestWhatTheWidthSearchBuilds:
