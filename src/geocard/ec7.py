@@ -329,7 +329,7 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
                         break
             except GeocardError:
                 env = None
-        if env is None:  # the walk raises the fault, or solves a fixed-point block
+        if env is None:  # the walk raises the fault, or covers what the loop does not
             env, cycles = walk({"gamma": gamma_eff, "B": B_eff})
         R_d = env["q_ult"] * B_eff * L / gamma_R
         V_d = gamma_G * (G_k_col + gamma_sw * B * D_f * L) + Q_d
