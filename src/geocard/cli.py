@@ -118,13 +118,13 @@ def cmd_validate(args) -> int:
     for raw in args.paths or [DATA_DIR / "catalog"]:
         path = Path(raw)
         if path.is_dir():
-            paths.extend(sorted(path.glob("*.json")))
-        elif path.is_file():
-            paths.append(path)
+            found, problem = sorted(path.glob("*.json")), "no *.json card file in directory"
         else:
-            print(f"usage error: no such file or directory: {raw}",
-                  file=sys.stderr)
+            found, problem = [path] if path.is_file() else [], "no such file or directory"
+        if not found:
+            print(f"usage error: {problem}: {raw}", file=sys.stderr)
             return 2
+        paths.extend(found)
 
     catalog = Catalog()
     failures = 0

@@ -8,9 +8,10 @@ trial width of the search computes the utilization only, and the check,
 with the card's complete trace, is built once, at the width the search
 returns, from that trial's env. The card's steps that read neither the
 width nor the unit weight below the base (the bearing capacity factors)
-are bound once per check or search, when the card is staged, and each
-trial calls the rest's closures itself, leaving a fault to the staged
-walk, which raises it (``engine.stage_walk``). The check and the search
+are bound once per check or search, when the card is staged
+(``engine.stage``), and each trial calls the rest's closures itself. Where
+they do not serve, at a fault say, the trial evaluates the card with
+``evaluate_card``, which raises every fault. The check and the search
 read the Annex D card from the catalog they are given, or from the
 process-wide ``catalog.default_catalog()`` when given none, so the catalog
 is loaded and audited at most once per process.
@@ -33,7 +34,7 @@ from pathlib import Path
 
 from .cards import ABSENT, instance_of, load_record, read_record
 from .catalog import Catalog, default_catalog
-from .engine import EvaluationTrace, stage_walk, template_json
+from .engine import EvaluationRequest, EvaluationTrace, evaluate_card, stage, template_json
 from .errors import (GeocardError, InvalidGeometry, NoBracket, NonFiniteValue,
                      SchemaError, UnknownDesignApproach)
 from .units import DATA_DIR, to_magnitude
@@ -241,17 +242,18 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
     card's trace.
 
     ``first_B`` is the first width the caller tries. Before it returns, the
-    checker raises what a full ``evaluate_card`` at that width raises, in
-    its order: the Design Approach, the width (non-finite as NonFiniteValue
-    naming ``B``, then ``B <= 0``, then ``B - 2e <= 0``), the card, the
-    drainage, ``c_u_k``, then the staging of the card's variant with
-    ``gamma`` and ``B`` free (``engine.stage_walk``), which binds the
-    bearing capacity factors once. No later width needs a check: the search
-    halves no lower than its least width and doubles a finite one at most
-    24 times. A trial builds no trace. It runs the staged steps itself, and
-    calls the staged walk on the same values at a fault, a free value that
-    is not a finite float or a fixed-point block; so it raises what that
-    walk raises, or a non-finite ``V_d`` or ``R_d``.
+    checker raises, in order: the Design Approach, the width (non-finite as
+    NonFiniteValue naming ``B``, then ``B <= 0``, then ``B - 2e <= 0``),
+    the card, the drainage and ``c_u_k``. No later width needs a check: the
+    search halves no lower than its least width and doubles a finite one at
+    most 24 times. It then stages the card's variant with ``gamma`` and
+    ``B`` free (``engine.stage``), which binds the bearing capacity factors
+    once. A trial builds no trace. It runs the staged steps itself, and
+    calls ``evaluate_card`` on the same inputs at a fault, a free value
+    that is not a finite float, or when the variant was not staged; so it
+    raises what ``evaluate_card`` raises, partial trace included, or a
+    non-finite ``V_d`` or ``R_d``. The trace ``evaluate_card`` returns is
+    the one ``result`` keeps.
 
     The design values do not depend on the width, so they are computed once
     here, into the dict the result shows as ``design_parameters``:
@@ -296,15 +298,15 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
         "gamma_d": gamma_d,
         "q_d": q_d,
     }
-    walk, trace, steps = stage_walk(card, drainage, {
-        "phi_prime_d": design["phi_prime_d"], "c_prime_d": design["c_prime_d"],
-        "c_u_d": 0.0 if scenario.c_u_k is None else design["c_u_d"],
-        "q": q_d, "L": scenario.L}, ("gamma", "B"))
+    fixed = {"phi_prime_d": design["phi_prime_d"], "c_prime_d": design["c_prime_d"],
+             "c_u_d": 0.0 if scenario.c_u_k is None else design["c_u_d"],
+             "q": q_d, "L": scenario.L}
+    variant, staged, straight = stage(card, drainage, fixed, ("gamma", "B")) or (
+        None, None, None)
 
     e, L, gamma_sw = scenario.e, scenario.L, scenario.gamma_sw
     G_k_col, gamma_R, gamma_G = scenario.G_k_col, pf.gamma_R, pf.gamma_G
     Q_d = pf.gamma_Q * scenario.Q_k
-    staged, straight = steps or (None, None)
     isfinite = math.isfinite
 
     def trial(B: float) -> tuple[float, tuple]:
@@ -315,7 +317,7 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
             gamma_eff = gamma_d
         else:
             gamma_eff = buoyant + (below / B_eff) * (gamma_d - buoyant)
-        env, cycles = None, ()
+        env, trace = None, None
         if (straight is not None and type(gamma_eff) is float and type(B_eff) is float
                 and isfinite(gamma_eff) and isfinite(B_eff)):
             env = staged.copy()  # faster than a dict display
@@ -329,8 +331,10 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
                         break
             except GeocardError:
                 env = None
-        if env is None:  # the walk raises the fault, or covers what the loop does not
-            env, cycles = walk({"gamma": gamma_eff, "B": B_eff})
+        if env is None:  # the reference raises the fault, or covers what the loop does not
+            trace = evaluate_card(card, EvaluationRequest(
+                card.id, drainage, {**fixed, "gamma": gamma_eff, "B": B_eff}))
+            env = trace.env
         R_d = env["q_ult"] * B_eff * L / gamma_R
         V_d = gamma_G * (G_k_col + gamma_sw * B * D_f * L) + Q_d
         if not isfinite(V_d):  # float arithmetic overflows silently
@@ -338,10 +342,14 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
         if not isfinite(R_d):
             raise NonFiniteValue("R_d")
         utilization = V_d / R_d if R_d > 0 else math.inf
-        return utilization, (B, B_eff, V_d, R_d, utilization, gamma_eff, env, cycles)
+        return utilization, (B, B_eff, V_d, R_d, utilization, gamma_eff, env, trace)
 
     def result(state: tuple) -> UlsCheckResult:
-        B, B_eff, V_d, R_d, utilization, gamma_eff, env, cycles = state
+        B, B_eff, V_d, R_d, utilization, gamma_eff, env, trace = state
+        if trace is None:
+            trace = EvaluationTrace(card, variant, env,
+                                    {**fixed, "gamma": gamma_eff, "B": B_eff}, {},
+                                    {"iterative_cycles": []})
         return UlsCheckResult(
             design_approach=design_approach,
             B=B,
@@ -352,7 +360,7 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
             passed=utilization <= 1.0 + 1e-12,
             design_parameters={**design, "gamma_eff": gamma_eff},
             partial_factors=pf,
-            trace=trace({"gamma": gamma_eff, "B": B_eff}, env, cycles),
+            trace=trace,
             drainage=drainage,
         )
     return trial, result

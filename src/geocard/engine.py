@@ -16,17 +16,13 @@ dicts that are their wire form (index, target, expression, inputs
 the card's unit. A fault carries a ``PartialTrace``: the steps bound
 before it, and no outputs.
 
-``stage_walk`` is ``evaluate_card`` as a function of some named free
-inputs, for a caller that evaluates one variant at many values of them (a
-width search). Staging raises the errors of the variant and of the fixed
-inputs, as ``evaluate_card`` does before it walks, and binds the longest
-leading run of the direct plan that reads no free input once. Each walk
-normalizes the free inputs and walks only the rest from a copy of that
-env, with the same ``_walk``: what it returns and raises is what
-``evaluate_card`` does. It builds a trace only for a fault; the trace of
-a walk is built apart, so a caller builds only those it keeps. A caller
-may also run the rest's closures itself, with no frame between it and
-them, and call the walk at a fault, which raises it (the EC7 trial does).
+``stage`` specializes a variant's plan to some fixed inputs, for a
+caller that evaluates it at many values of the free ones (a width search):
+it binds the longest leading run of the direct plan that reads no free
+input once, and returns the closures of the rest. It raises nothing; where
+it cannot stage, it returns None. The caller runs the closures itself and
+calls ``evaluate_card`` wherever they do not serve, so every fault, its
+order and its partial trace come from ``evaluate_card`` alone.
 
 ``EvaluationTrace.to_dict`` and ``strict_json`` are the reference writer of a
 trace. ``to_json`` writes a complete trace from its variant's ``Template``:
@@ -476,18 +472,15 @@ def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue]) -> dict[st
     """Convert every supplied value to the card's declared unit magnitude.
 
     Accepts Quantity objects, unit-tagged strings ("38 deg"), and bare
-    numbers; bare numbers are trusted as already card-normalized.
+    numbers; bare numbers are trusted as already card-normalized. Keys
+    other than the card's inputs raise MissingInput or UnexpectedInput.
     """
-    _check_keys(card, raw.keys())
-    return {key: to_magnitude(value, card.units[key].name, key)
-            for key, value in raw.items()}
-
-
-def _check_keys(card: MethodCard, keys) -> None:
-    """MissingInput or UnexpectedInput unless ``keys`` are the card's inputs."""
+    keys = raw.keys()
     if keys != card.input_keys:
         missing = card.input_keys - keys
         raise MissingInput(missing) if missing else UnexpectedInput(keys - card.input_keys)
+    return {key: to_magnitude(value, card.units[key].name, key)
+            for key, value in raw.items()}
 
 
 def _walk(direct: tuple, block: tuple, env: dict) -> list[dict]:
@@ -548,20 +541,6 @@ def _cycle(block: tuple, iterations, residual) -> dict:
             "residual": residual}
 
 
-def _run(card: MethodCard, variant: VariantSpec, env: dict, direct: tuple,
-         echo: Callable[[], tuple]) -> list[dict]:
-    """Walk ``direct``, the rest of the variant's direct plan, and its
-    fixed-point block in ``env``; the cycle diagnostics, or a fault carrying
-    the partial trace of the steps bound before it, whose request echo is
-    ``echo()``."""
-    try:
-        return _walk(direct, variant.iterative, env)
-    except GeocardError as exc:
-        exc.partial_trace = PartialTrace(card, variant, env, *echo(),
-                                         {"iterative_cycles": []})
-        raise
-
-
 def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTrace:
     """Evaluate one variant of a card and return the complete audit trace.
 
@@ -583,63 +562,40 @@ def evaluate_card(card: MethodCard, request: EvaluationRequest) -> EvaluationTra
         for key, value in overrides.items():
             env[key] = to_magnitude(value, card.units[key].name, key)
     echo = (dict(request.inputs), dict(overrides))
-    cycles = _run(card, variant, env, variant.direct, lambda: echo)
+    try:
+        cycles = _walk(variant.direct, variant.iterative, env)
+    except GeocardError as exc:
+        exc.partial_trace = PartialTrace(card, variant, env, *echo,
+                                         {"iterative_cycles": []})
+        raise
     return EvaluationTrace(card, variant, env, *echo, {"iterative_cycles": cycles})
 
 
-def stage_walk(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue],
-               free: Iterable[str]) -> tuple[Callable, Callable, tuple | None]:
-    """``evaluate_card`` of one variant as a function of the inputs named
-    ``free``, ``fixed`` holding every other input: ``(walk, trace, steps)``.
-    ``walk(values)``, ``values`` holding exactly the free inputs, raises
-    what ``evaluate_card`` raises for ``{**fixed, **values}`` and otherwise
-    returns the walked env and its cycle diagnostics; only a fault builds a
-    trace, the partial one. ``trace(values, env, cycles)`` is
-    ``evaluate_card``'s.
-
-    ``steps``, None for a variant with a fixed-point block, is the staged
-    env and each walked step's ``(target, closure)``: run in turn on a copy
-    of the env with finite float free values bound, they bind what a walk
-    binds until one raises or gives a non-finite value.
-
-    Staging raises an unknown variant, an input both fixed and free, keys
-    that are not the card's inputs and a fixed input that does not
-    normalize, then binds the fixed inputs, the param defaults and the
-    longest leading run of the direct plan that reads no free key. Each
-    walk copies that env, normalizes the free values in order and walks
-    the rest: a fault's partial trace holds exactly the steps before it.
-    A fault in the bound run binds nothing: every walk walks the whole plan.
+def stage(card: MethodCard, variant_id: str, fixed: Mapping[str, InputValue],
+          free: Iterable[str]) -> tuple[VariantSpec, dict, tuple] | None:
+    """A variant's plan specialized to the inputs ``fixed``, for a caller
+    that evaluates it at many values of the inputs named ``free``:
+    ``(variant, env, steps)``. ``env`` binds the fixed inputs, the param
+    defaults and the longest leading run of the direct plan that reads no
+    free key; ``steps`` is the ``(target, closure)`` of each later direct
+    step. Run in turn on a copy of ``env`` with finite float free values
+    bound, they bind what ``evaluate_card`` binds until one raises or gives
+    a non-finite value. None, with nothing raised, for an unknown variant
+    or one with a fixed-point block, keys that are not the card's inputs,
+    a fixed input that does not normalize, or a fault in the bound run.
     """
-    free, fixed = frozenset(free), dict(fixed)
+    free = frozenset(free)
     variant = card.variant(variant_id)
-    if variant is None:
-        raise UnknownVariant(card.id, variant_id)
-    if not free.isdisjoint(fixed):
-        raise UnexpectedInput(free & fixed.keys())
-    _check_keys(card, fixed.keys() | free)
-    env = {key: to_magnitude(value, card.units[key].name, key)
-           for key, value in fixed.items()}
-    env.update(card.param_defaults)
+    if variant is None or variant.iterative or fixed.keys() | free != card.input_keys:
+        return None
     direct, bound = variant.direct, 0
     while bound < len(direct) and free.isdisjoint(direct[bound].symbols):
         bound += 1
-    staged = dict(env)
     try:
-        _walk(direct[:bound], (), staged)
+        env = {key: to_magnitude(value, card.units[key].name, key)
+               for key, value in fixed.items()}
+        env.update(card.param_defaults)
+        _walk(direct[:bound], (), env)
     except GeocardError:
-        staged, bound = env, 0
-    rest = direct[bound:]
-    units = {key: card.units[key].name for key in free}
-
-    def walk(values):
-        given = staged.copy()
-        for key, value in values.items():
-            given[key] = to_magnitude(value, units[key], key)
-        return given, _run(card, variant, given, rest, lambda: ({**fixed, **values}, {}))
-
-    def trace(values, env, cycles):
-        return EvaluationTrace(card, variant, env, {**fixed, **values}, {},
-                               {"iterative_cycles": list(cycles)})
-    steps = None if variant.iterative else (
-        staged, tuple((eq.target, eq.compiled) for eq in rest))
-    return walk, trace, steps
+        return None
+    return variant, env, tuple((eq.target, eq.compiled) for eq in direct[bound:])

@@ -99,6 +99,13 @@ class TestValidate:
     def test_nonexistent_path_is_usage_error(self, capsys):
         assert main(["validate", "/no/such/path.json"]) == 2
 
+    def test_directory_without_cards_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("not a card")
+        assert main(["validate", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: no *.json card file in directory: {tmp_path}\n"
+
     def test_unproduced_intermediate_fails_validation(self, tmp_path, capsys):
         card = json.loads(
             (Path(__file__).parents[1] /

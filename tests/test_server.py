@@ -19,7 +19,7 @@ from geocard import engine
 from geocard.engine import EvaluationRequest, evaluate_card
 from geocard.errors import GeocardError
 from geocard.server import _REQUEST_DECODER, McpServer, TOOLS, serve
-from test_ec7 import OVERFLOWING
+from test_ec7 import OVERFLOWING, _reference_check
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -543,6 +543,27 @@ class TestOverflowingScenario:
         assert tool_error(response) == {
             "error": "non_finite_value",
             "message": "'V_d' is not a finite number"}
+
+
+    @pytest.mark.parametrize("da", DESIGN_APPROACHES)
+    @pytest.mark.parametrize("tool, width", [
+        ("geo_design_footing_width_ec7", {}), ("geo_check_footing_uls_ec7", {"B": 0.1})],
+        ids=["design", "check"])
+    def test_fault_in_the_staged_run_is_evaluate_cards(self, server, da, tool, width):
+        """N_q overflows before any step that reads the width, so the card
+        stages nothing, and the design faults at its first trial width,
+        0.1 m: the reply is ``evaluate_card``'s fault there."""
+        scenario = {**JRC_SCENARIO, "phi_prime_k": "89.9999999 deg"}
+        text, is_error = reply(server, tool, {
+            "scenario": scenario, "design_approach": da, **width})
+        payload = json.loads(text)
+        assert is_error and payload["error"] == "math_domain"
+        assert payload["message"].startswith("overflow in exp")
+        assert payload["step"]["target"] == "N_q"
+        assert payload["partial_trace"]["steps"] == []
+        assert (text, is_error) == reference_reply(lambda: _reference_check(
+            load_scenario(json.dumps(scenario)), da, 0.1,
+            catalog=server.catalog).to_dict())
 
 
 def reference_reply(dict_form) -> tuple:

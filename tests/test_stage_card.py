@@ -1,13 +1,13 @@
-"""``stage_walk`` against ``evaluate_card``: staging refuses an input both
-fixed and free and raises what ``evaluate_card`` raises before it
-normalizes a free input, and a walk then returns and raises exactly what
-``evaluate_card`` does for the fixed inputs with the free ones added, for
-every bundled variant and the benchmark's cyclic card, whatever inputs are
-free, faults included; and so does running the steps ``stage_walk``
-returns as an EC7 trial runs them, falling back on the walk. The steps
-bound when the card is staged, and those each walk runs, are read by
-spying on ``_walk``; those of an EC7 trial, which runs its steps itself,
-by wrapping each step's closure."""
+"""``stage`` and the EC7 trial against ``evaluate_card``: a trial runs the
+steps ``stage`` returns on a copy of its env when every free value is a
+finite float, and falls back on ``evaluate_card`` otherwise, at a step
+that raises or gives a non-finite value, and where ``stage`` returns None.
+Its outcome is exactly ``evaluate_card``'s for the fixed inputs with the
+free ones added, for every bundled variant and the benchmark's cyclic
+card, whatever inputs are free, faults included; and ``stage`` raises
+nothing. The steps bound when the card is staged are read by spying on
+``_walk``; those of an EC7 trial, which runs its steps itself, by wrapping
+each step's closure."""
 
 import collections
 import dataclasses
@@ -23,10 +23,10 @@ from geocard.cards import load_card
 from geocard.catalog import load_catalog
 from geocard.ec7 import (check_footing_uls_ec7, design_footing_width_ec7,
                          load_bundled_scenario)
-from geocard.engine import EvaluationRequest, evaluate_card, stage_walk
-from geocard.errors import GeocardError, UnexpectedInput
+from geocard.engine import EvaluationRequest, EvaluationTrace, evaluate_card, stage
+from geocard.errors import GeocardError
 from geocard.record import set_field
-from geocard.units import Quantity, default_registry
+from geocard.units import Quantity, default_registry, to_magnitude
 from test_golden_traces import _requests
 
 CATALOG = load_catalog()
@@ -44,23 +44,17 @@ def plain(card, variant, inputs):
     return lambda: evaluate_card(card, EvaluationRequest(card.id, variant, inputs))
 
 
-def staged(card, variant, fixed, free):
-    """The staged variant as one call: ``trace(values, *walk(values))``."""
-    walk, trace, _ = stage_walk(card, variant, fixed, free)
-    return lambda values: trace(values, *walk(values))
-
-
-def straight(card, variant, fixed, free):
-    """The staged variant as an EC7 trial runs it: its steps one by one on
-    a copy of the staged env, when every free value is a finite float and
-    no step faults; otherwise ``walk``."""
-    walk, trace, steps = stage_walk(card, variant, fixed, free)
-
+def trial(card, variant, fixed, staged):
+    """The variant as an EC7 trial runs it from ``staged``, what ``stage``
+    returned: the steps one by one on a copy of the staged env, when every
+    free value is a finite float and no step faults; otherwise
+    ``evaluate_card``."""
     def call(values):
-        if steps is not None and all(type(v) is float and math.isfinite(v)
-                                     for v in values.values()):
-            env = {**steps[0], **values}
-            for target, step in steps[1]:
+        if staged is not None and all(type(v) is float and math.isfinite(v)
+                                      for v in values.values()):
+            spec, env, steps = staged
+            env = {**env, **values}
+            for target, step in steps:
                 try:
                     value = step(env)
                 except GeocardError:
@@ -69,8 +63,9 @@ def straight(card, variant, fixed, free):
                     break
                 env[target] = value
             else:
-                return trace(values, env, ())
-        return trace(values, *walk(values))
+                return EvaluationTrace(card, spec, env, {**fixed, **values}, {},
+                                       {"iterative_cycles": []})
+        return plain(card, variant, {**fixed, **values})()
     return call
 
 
@@ -115,7 +110,7 @@ def value(card, key):
 class TestDifferential:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_staged_calls_match_evaluate_card(self, data):
+    def test_trial_matches_evaluate_card(self, data):
         card, variant, valid = data.draw(st.sampled_from(VARIANTS))
         keys = sorted(card.input_keys)
         free = data.draw(st.sets(st.sampled_from([*keys, "k_extra"])))
@@ -125,37 +120,12 @@ class TestDifferential:
                  else valid[k] for k in keys if overlap or k not in free}
         if fixed and data.draw(st.integers(0, 9)) == 0:  # an input neither fixed nor free
             del fixed[data.draw(st.sampled_from(sorted(fixed)))]
-        try:
-            calls, at_staging = [stage(card, variant, fixed, free)
-                                 for stage in (staged, straight)], None
-        except GeocardError as exc:
-            calls, at_staging = [], fault(exc)
-        if free & fixed.keys():  # no walk may read a fixed value it replaces
-            assert at_staging == fault(UnexpectedInput(free & fixed.keys()))
-            return
+        call = trial(card, variant, fixed, stage(card, variant, fixed, free))
         for _ in range(data.draw(st.integers(1, 4))):
             values = {k: data.draw(st.one_of(st.just(valid.get(k, 1.0)), value(card, k)))
                       for k in free}
             expected = outcome(plain(card, variant, {**fixed, **values}))
-            if at_staging is not None:
-                assert at_staging == expected
-            for call in calls:
-                assert outcome(lambda: call(values)) == expected
-
-    @pytest.mark.parametrize("order", [("gamma", "B"), ("B", "gamma")])
-    def test_first_bad_free_value_in_call_order_raises(self, order):
-        """Two free values that do not normalize: the error is the first's
-        in the call's order, as in ``evaluate_card``, whatever order the
-        staged card keeps its free keys in."""
-        fixed = {k: v for k, v in valid_inputs(EC7, "drained").items()
-                 if k not in order}
-        call = staged(EC7, "drained", fixed, order)
-        values = dict.fromkeys(order, "1 kPa")
-        expected = outcome(plain(EC7, "drained", {**fixed, **values}))
-        assert outcome(lambda: call(values)) == expected
-        assert expected[0] == "fault"
-        assert expected[2].endswith(
-            f"-> {EC7.units[order[0]].name}) for input {order[0]!r}")
+            assert outcome(lambda: call(values)) == expected
 
 
 @pytest.fixture
@@ -172,7 +142,7 @@ def walks(monkeypatch):
 
 
 class TestWhatIsBound:
-    """The direct steps bound at staging and walked by each call."""
+    """The direct steps bound at staging, and those a trial runs itself."""
 
     @pytest.mark.parametrize("variant, free, bound, rest", [
         ("drained", ["gamma", "B"], ["N_q", "N_c", "N_gamma"],
@@ -185,45 +155,56 @@ class TestWhatIsBound:
     def test_leading_run_is_bound_when_staged(self, walks, variant, free, bound,
                                               rest):
         valid = valid_inputs(EC7, variant)
-        call = staged(EC7, variant,
-                      {k: v for k, v in valid.items() if k not in free}, free)
+        fixed = {k: v for k, v in valid.items() if k not in free}
+        values = {k: to_magnitude(valid[k], EC7.units[k].name, k) for k in free}
+        expected = outcome(plain(EC7, variant, {**fixed, **values}))
+        walks.clear()
+        staged = stage(EC7, variant, fixed, free)
         assert walks == [bound]
-        values = {k: valid[k] for k in free}
+        assert [target for target, _ in staged[2]] == rest
+        call = trial(EC7, variant, fixed, staged)
         for _ in range(3):
-            call(values)
-        assert walks == [bound, rest, rest, rest]
+            assert outcome(lambda: call(values)) == expected
+        assert walks == [bound]  # each trial runs the rest's closures itself
 
-    @pytest.mark.parametrize("variant, change, free", [
-        ("nope", {}, ["B"]),
-        ("drained", {"phi_prime_d": "1 kPa"}, ["B"]),
-        ("drained", {}, ["B", "k_extra"]),
-        ("drained", {"L": None}, ["B"]),
+    @pytest.mark.parametrize("card, variant, change, free", [
+        (EC7, "nope", {}, ["B"]),
+        (EC7, "drained", {"phi_prime_d": "1 kPa"}, ["B"]),
+        (EC7, "drained", {}, ["B", "k_extra"]),
+        (EC7, "drained", {"L": None}, ["B"]),
+        (BENCH_CYCLIC, "coupled", {}, ["p"]),
     ], ids=["unknown-variant", "fixed-input-does-not-normalize",
-            "free-key-no-input", "input-neither-fixed-nor-free"])
-    def test_staging_raises_what_evaluate_card_raises(self, walks, variant,
-                                                      change, free):
-        fixed = {k: v for k, v in {**valid_inputs(EC7, "drained"), **change}.items()
+            "free-key-no-input", "input-neither-fixed-nor-free", "fixed-point-block"])
+    def test_nothing_staged_is_left_to_evaluate_card(self, walks, card, variant,
+                                                     change, free):
+        """``stage`` raises nothing and binds nothing; every trial is an
+        ``evaluate_card``, which raises the fault, or walks the cycle."""
+        valid = valid_inputs(card, "drained" if card is EC7 else variant)
+        fixed = {k: v for k, v in {**valid, **change}.items()
                  if k not in free and v is not None}
-        with pytest.raises(GeocardError) as staging:
-            stage_walk(EC7, variant, fixed, free)
+        staged = stage(card, variant, fixed, free)
+        assert staged is None and walks == []
+        call = trial(card, variant, fixed, staged)
         for width in (1.0, 2.0):
-            expected = outcome(plain(EC7, variant, {**fixed, **dict.fromkeys(free, width)}))
-            assert fault(staging.value) == expected
-        assert walks == []
+            values = dict.fromkeys(free, width)
+            expected = outcome(plain(card, variant, {**fixed, **values}))
+            assert expected[0] == ("trace" if card is BENCH_CYCLIC else "fault")
+            assert outcome(lambda: call(values)) == expected
 
-    @pytest.mark.parametrize("fixed_b", ["2 m", "1 kPa"], ids=["valid", "bad"])
-    def test_input_both_fixed_and_free_raises_at_staging(self, walks, fixed_b):
-        """A fixed value that a walk's free value would replace is refused,
-        before the fixed values are normalized."""
-        fixed = {**valid_inputs(EC7, "drained"), "B": fixed_b}
-        with pytest.raises(UnexpectedInput) as staging:
-            stage_walk(EC7, "drained", fixed, ["gamma", "B"])
-        assert str(staging.value) == "unexpected input key(s): B, gamma"
-        assert walks == []
+    def test_input_both_fixed_and_free_takes_the_free_value(self, walks):
+        """A fixed value that a free value replaces is staged, and never
+        read: the bound run stops before the first step that reads it."""
+        fixed = {**valid_inputs(EC7, "drained"), "B": "2 m"}
+        staged = stage(EC7, "drained", fixed, ["gamma", "B"])
+        assert walks == [["N_q", "N_c", "N_gamma"]]
+        values = {"gamma": 18.5, "B": 3.0}
+        assert outcome(lambda: trial(EC7, "drained", fixed, staged)(values)) == \
+            outcome(plain(EC7, "drained", {**fixed, **values}))
 
     def test_fault_in_the_leading_run_walks_the_whole_plan(self, walks):
-        """The fault binds nothing: each walk walks the plan from its first
-        step and raises the fault with its own partial trace."""
+        """The fault binds nothing and stages nothing: each trial evaluates
+        the plan from its first step and raises the fault with its own
+        partial trace."""
         fixed = {k: v for k, v in valid_inputs(EC7, "drained").items() if k != "B"}
         fixed["phi_prime_d"] = math.pi / 2
         widths = (1.0, 2.0, 3.0)
@@ -231,10 +212,11 @@ class TestWhatIsBound:
                     for width in widths]
         assert all(faulted[0] == "fault" for faulted in expected)
         walks.clear()
-        call = staged(EC7, "drained", fixed, ["B"])
+        staged = stage(EC7, "drained", fixed, ["B"])
+        assert staged is None
+        call = trial(EC7, "drained", fixed, staged)
         assert [outcome(lambda: call({"B": width})) for width in widths] == expected
         # No walk starts past the first step: none runs from a bound env.
-        assert all(walked[:1] == ["N_q"] for walked in walks)
         assert walks == [["N_q", "N_c", "N_gamma"]] + [
             [eq.target for eq in EC7.variant("drained").direct]] * 3
 
@@ -291,8 +273,9 @@ class TestWhatTheWidthSearchBuilds:
                 counts[kind] += 1
                 return make(*args, **kwargs)
             return build
-        monkeypatch.setattr(geocard.engine, "EvaluationTrace",
-                            counting("trace", geocard.engine.EvaluationTrace))
+        trace = counting("trace", geocard.engine.EvaluationTrace)
+        monkeypatch.setattr(geocard.engine, "EvaluationTrace", trace)
+        monkeypatch.setattr(geocard.ec7, "EvaluationTrace", trace)
         monkeypatch.setattr(geocard.ec7, "UlsCheckResult",
                             counting("check", geocard.ec7.UlsCheckResult))
         return counts
