@@ -410,6 +410,12 @@ class TestGoldenTranscript:
         expected = (DATA_DIR / "golden_session_expected.jsonl").read_bytes()
         assert self._replay("golden_session").encode("utf-8") == expected
 
+    def test_argument_complaints_replay_byte_identically(self):
+        """Every argument complaint's text: a non-object, the first missing
+        required key in schema order, then each argument in request order."""
+        expected = (DATA_DIR / "golden_arguments_expected.jsonl").read_bytes()
+        assert self._replay("golden_arguments").encode("utf-8") == expected
+
     def test_replay_is_stable_across_runs(self):
         assert self._replay() == self._replay()
 
