@@ -102,9 +102,10 @@ class MethodCard(FrozenRecord):
 # ------------------------------------------------------------- field tables ----
 #
 # A table maps each field of a record to (kind, required), in the order
-# to_dict writes them. A kind reads a present field's JSON value, null
-# included, into what the record holds; ABSENT means the value counts as
-# absent. A dict kind is the table of a list of records.
+# to_dict writes them. A kind, ``kind(value, path, name)``, reads the JSON
+# value of a present field, null included, into what the record holds, and
+# formats its path ``{path}.{name}`` only to raise; ABSENT means the value
+# counts as absent. A dict kind is the table of a list of records.
 
 ABSENT = object()
 
@@ -120,18 +121,18 @@ def read_record(obj, fields: dict, path: str) -> dict:
             raise SchemaError(f"{path}.{key}", "unknown field")
     values = {}
     for name, (kind, required) in fields.items():
-        at = f"{path}.{name}"
         if name not in obj:
             value = ABSENT
         elif isinstance(kind, dict):
+            at = f"{path}.{name}"
             value = tuple(read_record(entry, kind, f"{at}[{i}]")
-                          for i, entry in enumerate(_LIST(obj[name], at)))
+                          for i, entry in enumerate(_LIST(obj[name], path, name)))
         else:
-            value = kind(obj[name], at)
+            value = kind(obj[name], path, name)
         if value is not ABSENT:
             values[name] = value
         elif required:
-            raise SchemaError(at, "missing required field")
+            raise SchemaError(f"{path}.{name}", "missing required field")
     return values
 
 
@@ -161,45 +162,46 @@ def _write(record, fields: dict) -> dict:
 
 def instance_of(cls):
     """The kind of a field whose value must be a ``cls``."""
-    def read(value, path):
+    def read(value, path, name):
         if not isinstance(value, cls):
-            raise SchemaError(path, f"expected {cls.__name__}, "
+            raise SchemaError(f"{path}.{name}", f"expected {cls.__name__}, "
                               f"got {type(value).__name__}")
         return value
     return read
 
 
-def _text(value, path):
+def _text(value, path, name):
     """An optional string; null is absent."""
     if value is None:
         return ABSENT
     if not isinstance(value, str):
-        raise SchemaError(path, "expected string")
+        raise SchemaError(f"{path}.{name}", "expected string")
     return value
 
 
-def _number(value, path):
+def _number(value, path, name):
     """A finite number; null is absent."""
     if value is None:
         return ABSENT
     if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise SchemaError(path, f"expected a number, got {type(value).__name__}")
+        raise SchemaError(f"{path}.{name}",
+                          f"expected a number, got {type(value).__name__}")
     if not abs(value) <= sys.float_info.max:  # NaN, infinity or a huge int
-        raise SchemaError(path, "expected a finite number")
+        raise SchemaError(f"{path}.{name}", "expected a finite number")
     return float(value)
 
 
-def _strings(value, path):
+def _strings(value, path, name):
     if not isinstance(value, list) or any(not isinstance(s, str) for s in value):
-        raise SchemaError(path, "expected a list of strings")
+        raise SchemaError(f"{path}.{name}", "expected a list of strings")
     return tuple(value)
 
 
-def _condition(value, path):
+def _condition(value, path, name):
     """The retired equation-level condition: only null is accepted."""
     if value is not None:
-        raise SchemaError(path, "equation conditions are not supported; write one "
-                          "Piecewise((a, c1), (b, c2), (fallback, True)) "
+        raise SchemaError(f"{path}.{name}", "equation conditions are not supported; "
+                          "write one Piecewise((a, c1), (b, c2), (fallback, True)) "
                           "equation for the target")
     return ABSENT
 

@@ -142,9 +142,9 @@ class FootingScenario:
 
 def _quantity(unit_name: str):
     """The kind of a scenario quantity in the card unit ``unit_name``, named
-    by its field (``path`` is ``$.<field>``); null is absent."""
-    return lambda value, path: (
-        ABSENT if value is None else to_magnitude(value, unit_name, path[2:]))
+    by its field; null is absent."""
+    return lambda value, path, name: (
+        ABSENT if value is None else to_magnitude(value, unit_name, name))
 
 
 SCENARIO_FIELDS = {
@@ -156,9 +156,9 @@ SCENARIO_FIELDS = {
     "G_k_col": (_quantity("kN"), True), "Q_k": (_quantity("kN"), True),
     "gamma_sw": (_quantity("kN/m^3"), True),
     "e": (_quantity("m"), False), "c_u_k": (_quantity("kPa"), False),
-    "surcharge_model": (lambda value, path: value, False),  # checked on creation
+    "surcharge_model": (lambda value, path, name: value, False),  # checked on creation
     "name": (instance_of(str), False), "jrc_verified": (instance_of(bool), False),
-    "notes": (lambda value, path: ABSENT, False),  # for the reader only
+    "notes": (lambda value, path, name: ABSENT, False),  # for the reader only
 }
 
 
@@ -225,6 +225,15 @@ class UlsCheckResult:
             "partial_factors": self.partial_factors.wire_dict(),
             "trace": trace,
         }
+
+    def _scalars(self) -> list:
+        """The scalars of ``_body`` but the trace, in document order."""
+        design = self.design_parameters
+        return [self.design_approach, self.drainage, self.B, self.B_effective,
+                self.V_d, self.R_d,
+                None if self.utilization == math.inf else self.utilization,
+                self.passed, *[design[k] for k in sorted(design)],
+                *self.partial_factors.wire_dict().values()]
 
     def _shape(self) -> tuple:
         """What fixes the body's shape besides the trace's variant."""
@@ -403,6 +412,10 @@ class WidthDesignResult:
             "iterations": self.iterations,
             "check": self.check._body(trace),
         }
+
+    def _scalars(self) -> list:
+        return [self.design_approach, self.B_req, self.iterations,
+                *self.check._scalars()]
 
     def _shape(self) -> tuple:
         return (WidthDesignResult, self.check._shape())

@@ -40,8 +40,9 @@ reference. A reply whose body holds the trace, an EC7 check or design, is
 written from one template of its whole body, cut the same way from
 ``outer._body(planted trace body)`` with every other scalar a marker, and
 memoized on the card by the variant and ``outer._shape()``. Its list is the
-trace's, then the texts of those scalars, read from the same ``_body`` in
-document order, so each field is named once.
+trace's, then the texts of those scalars, which ``outer._scalars()`` gives
+in document order; ``tests/test_ec7.py``'s ``_same_json`` and
+``test_drawn_field_values`` keep ``_scalars()`` in step with ``_body``.
 
 A template keeps each static piece escaped for a JSON string literal as
 well. ``reply_text`` returns the text of a reply as a ``JsonText``, a
@@ -185,7 +186,7 @@ class EvaluationTrace(Record):
                       scalar_json(cycles[0]["residual"]))
         texts.append(_overrides(self.request_overrides))
         if outer is not None:
-            texts += map(scalar_json, _leaves(outer._body(_SLOT), _SLOT))
+            texts += map(scalar_json, outer._scalars())
         return template, texts
 
 
@@ -391,9 +392,6 @@ def reply_text(obj) -> JsonText:
     return JsonText(template.text(fills), template.literal(fills))
 
 
-_SLOT = object()  # the trace body's place, when an outer body's values are read
-
-
 def _planted(body, slot, plant):
     """``body`` with each scalar but ``slot`` replaced by ``plant(it)``."""
     if body is slot:
@@ -403,15 +401,6 @@ def _planted(body, slot, plant):
     if isinstance(body, list):
         return [_planted(v, slot, plant) for v in body]
     return plant(body)
-
-
-def _leaves(body, slot):
-    """The scalars of ``body`` but ``slot``, in document order."""
-    for value in body.values() if isinstance(body, dict) else body:
-        if isinstance(value, (dict, list)):
-            yield from _leaves(value, slot)
-        elif value is not slot:
-            yield value
 
 
 # The name of a value of a trace is (source, key), with source one of these:

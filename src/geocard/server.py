@@ -6,7 +6,8 @@ arrival order; every calculation tool is pure over the immutable catalog
 and skill library, so identical transcripts replay byte-for-byte. The only
 mutable state is the in-memory session default map, which fills missing
 scalar inputs and never overrides an explicit argument or selects a
-card/variant/skill.
+card/variant/skill. Each tool's argument check is built from its
+``inputSchema`` once, at import.
 
 Every line is ``json.dumps(reply, separators=(",", ":"), allow_nan=False)``
 of the dict ``handle_message`` returns. The line of a tool result is
@@ -51,14 +52,15 @@ INSTRUCTIONS = (
     "geo_evaluate_with_units so the engine performs unit conversion."
 )
 
-_ID_JSON = json.JSONEncoder(allow_nan=False).encode  # a request id, as json.dumps writes it
-
 # JSON-RPC error codes
 PARSE_ERROR = -32700
 INVALID_REQUEST = -32600
 METHOD_NOT_FOUND = -32601
 INVALID_PARAMS = -32602
 INTERNAL_ERROR = -32603
+
+# A request id's JSON text as json.dumps writes it (serve decodes no NaN).
+_ID_TEXT = {int: int.__repr__, str: encode_basestring_ascii, float: float.__repr__}
 
 
 def _finite_float(text: str) -> float:
@@ -206,32 +208,40 @@ TOOLS: list[dict] = [
         "inputSchema": _schema({}, []),
     },
 ]
-_TOOLS_BY_NAME = {tool["name"]: tool for tool in TOOLS}
 
-_TYPE_CHECKS = {
-    "string": lambda v: isinstance(v, str),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "boolean": lambda v: isinstance(v, bool),
-    "object": lambda v: isinstance(v, dict),
-}
+_TYPE_CLASSES = {"string": (str,), "number": (int, float), "integer": (int,),
+                 "boolean": (bool,), "object": (dict,)}
 
 
-def validate_arguments(schema: dict, arguments: dict) -> str | None:
-    """Return a complaint string when arguments violate the schema."""
-    if not isinstance(arguments, dict):
-        return "arguments must be an object"
-    for key in schema["required"]:
-        if key not in arguments:
-            return f"missing required argument {key!r}"
-    for key, value in arguments.items():
-        if key not in schema["properties"]:
-            return f"unexpected argument {key!r}"
-        declared = schema["properties"][key].get("type")
-        types = declared if isinstance(declared, list) else [declared]
-        if not any(_TYPE_CHECKS[t](value) for t in types):
-            return f"argument {key!r} must be of type {' or '.join(types)}"
-    return None
+def _checker(schema: dict):
+    """The argument check of a tool's ``schema``, built once: a complaint
+    when the arguments are not an object, lack a required key (the first
+    in schema order), or hold an undeclared key or a value of another type
+    (the first in request order); else None."""
+    required, tests = schema["required"], {}
+    for key, spec in schema["properties"].items():
+        types = spec["type"] if isinstance(spec["type"], list) else [spec["type"]]
+        tests[key] = (tuple(c for t in types for c in _TYPE_CLASSES[t]),
+                      f"argument {key!r} must be of type {' or '.join(types)}")
+
+    def check(arguments) -> str | None:
+        if not isinstance(arguments, dict):
+            return "arguments must be an object"
+        for key in required:
+            if key not in arguments:
+                return f"missing required argument {key!r}"
+        for key, value in arguments.items():
+            test = tests.get(key)
+            if test is None:
+                return f"unexpected argument {key!r}"
+            # a bool is only a "boolean", though bool subclasses int
+            if not isinstance(value, test[0]) or type(value) is bool and bool not in test[0]:
+                return test[1]
+        return None
+    return check
+
+
+_CHECKERS = {tool["name"]: _checker(tool["inputSchema"]) for tool in TOOLS}
 
 
 class McpServer:
@@ -291,7 +301,7 @@ class McpServer:
         if result is not None and "content" in result:  # only _call_tool's
             text = result["content"][0]["text"]
             line = "".join((
-                '{"jsonrpc":"2.0","id":', _ID_JSON(obj["id"]),
+                '{"jsonrpc":"2.0","id":', _ID_TEXT[type(obj["id"])](obj["id"]),
                 ',"result":{"content":[{"type":"text","text":',
                 text.literal if isinstance(text, JsonText) else encode_basestring_ascii(text),
                 '}],"isError":true}}' if result["isError"] else '}],"isError":false}}',
@@ -342,13 +352,13 @@ class McpServer:
         if not isinstance(params, dict) or not isinstance(params.get("name"), str):
             return self._error(msg_id, INVALID_PARAMS, "params.name must be a string")
         name = params["name"]
-        descriptor = _TOOLS_BY_NAME.get(name)
-        if descriptor is None:
+        check = _CHECKERS.get(name)
+        if check is None:
             return self._error(msg_id, INVALID_PARAMS, f"unknown tool: {name}")
         arguments = params.get("arguments")
         if arguments is None:  # absent or null; any other non-object is rejected
             arguments = {}
-        complaint = validate_arguments(descriptor["inputSchema"], arguments)
+        complaint = check(arguments)
         if complaint is not None:
             return self._error(msg_id, INVALID_PARAMS, complaint)
         try:

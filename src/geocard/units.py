@@ -11,7 +11,8 @@ a JSON table (a bundled default ships with the package) and is immutable
 after construction, so all operations here are pure and thread-safe.
 
 ``quantity_text`` is the one reader of a request's quantity strings: it
-keeps its last 64 successful reads. A reader's error says what is wrong;
+keeps its last 64 successful reads, and converts as ``convert`` does
+without building a ``Quantity``. A reader's error says what is wrong;
 ``to_magnitude``, the entry of every input value, names the input.
 """
 
@@ -251,10 +252,14 @@ def quantity_text(text: str, unit_name: str) -> tuple[float, str]:
     raised, never kept, and names no input.
     """
     magnitude, tag = split_quantity_text(text)
-    if tag:
+    if tag:  # convert's check and arithmetic, with no Quantity built
         registry = default_registry()
-        magnitude = convert(Quantity(magnitude, registry.resolve(tag)),
-                            registry.resolve(unit_name)).magnitude
+        unit, target = registry.resolve(tag), registry.resolve(unit_name)
+        if unit.dimension != target.dimension:
+            raise DimensionMismatch(unit.dimension, target.dimension,
+                                    f"{unit.name} -> {target.name}")
+        if unit != target:
+            magnitude = magnitude * unit.scale / target.scale
     return magnitude, tag
 
 

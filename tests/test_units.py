@@ -1,13 +1,18 @@
 """Unit registry, dimension algebra, and conversion tests."""
 
+import itertools
+import json
 import math
+import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from geocard.errors import DimensionMismatch, MalformedQuantity, NonFiniteValue, UnknownUnit
+from geocard.errors import (DimensionMismatch, GeocardError, MalformedQuantity,
+                            NonFiniteValue, UnknownUnit)
 from geocard.units import (
+    DATA_DIR,
     Dimension,
     Quantity,
     UnitRegistry,
@@ -16,6 +21,7 @@ from geocard.units import (
     format_quantity,
     parse_quantity,
     quantity_text,
+    split_quantity_text,
     to_magnitude,
 )
 
@@ -277,3 +283,57 @@ class TestQuantityTextMemo:
         with pytest.raises(UnknownUnit) as err:
             parse_quantity("2 furlong")
         assert str(err.value) == "unknown unit: 'furlong'"
+
+
+_TABLE = json.loads((DATA_DIR / "units.json").read_text("utf-8"))
+_UNIT_NAMES = [entry["name"] for entry in _TABLE["units"]]
+# Every tag of the bundled registry, its aliases included, a bare number
+# and unknown names; every card unit, and an unknown one.
+_TAGS = _UNIT_NAMES + sorted(_TABLE["aliases"]) + ["", "furlong", "kN*m"]
+_CARD_UNITS = _UNIT_NAMES + ["furlong"]
+
+
+def _read_through_convert(text: str, unit_name: str) -> tuple[float, str]:
+    """The reference read of a quantity string: the tagged magnitude built
+    as a Quantity in its unit and passed through ``convert``."""
+    magnitude, tag = split_quantity_text(text)
+    if tag:
+        registry = default_registry()
+        magnitude = convert(Quantity(magnitude, registry.resolve(tag)),
+                            registry.resolve(unit_name)).magnitude
+    return magnitude, tag
+
+
+def _outcome(read, text: str, unit_name: str) -> tuple:
+    """The bits of the magnitude and the tag, or the error's class and text."""
+    try:
+        magnitude, tag = read(text, unit_name)
+    except GeocardError as exc:
+        return type(exc), str(exc)
+    return struct.pack("<d", magnitude), tag
+
+
+class TestQuantityTextConverts:
+    """``quantity_text`` converts with the two units' scales and builds no
+    Quantity; each read equals ``convert``'s bit for bit, and each error
+    is ``convert``'s, class and message."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=3))
+    @example([-0.0, 5e-324, 1.7976931348623157e308, 30.0])
+    def test_every_tag_and_card_unit_reads_as_convert(self, magnitudes):
+        read = quantity_text.__wrapped__  # past the memo, so each read runs
+        for magnitude, tag, unit_name in itertools.product(magnitudes, _TAGS, _CARD_UNITS):
+            text = f"{magnitude!r} {tag}"
+            assert _outcome(read, text, unit_name) == _outcome(
+                _read_through_convert, text, unit_name), (text, unit_name)
+
+    def test_errors_are_converts(self):
+        assert _outcome(quantity_text.__wrapped__, "2 m", "kPa") == (
+            DimensionMismatch,
+            "incompatible dimensions: length vs length^-1·mass·time^-2 (m -> kPa)")
+        assert _outcome(quantity_text.__wrapped__, "2 furlong", "m") == (
+            UnknownUnit, "unknown unit: 'furlong'")
+        assert _outcome(quantity_text.__wrapped__, "2 m", "furlong") == (
+            UnknownUnit, "unknown unit: 'furlong'")
