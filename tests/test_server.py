@@ -200,95 +200,6 @@ class TestSchemaGate:
         assert "error" in response and response["error"]["code"] == -32602
 
 
-_TYPE_CHECKS = {
-    "string": lambda v: isinstance(v, str),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "boolean": lambda v: isinstance(v, bool),
-    "object": lambda v: isinstance(v, dict),
-}
-
-
-def validate_arguments(schema: dict, arguments) -> str | None:
-    """The reference argument check, which walks ``schema`` on each call:
-    a complaint string when ``arguments`` violate it, else None."""
-    if not isinstance(arguments, dict):
-        return "arguments must be an object"
-    for key in schema["required"]:
-        if key not in arguments:
-            return f"missing required argument {key!r}"
-    for key, value in arguments.items():
-        if key not in schema["properties"]:
-            return f"unexpected argument {key!r}"
-        declared = schema["properties"][key].get("type")
-        types = declared if isinstance(declared, list) else [declared]
-        if not any(_TYPE_CHECKS[t](value) for t in types):
-            return f"argument {key!r} must be of type {' or '.join(types)}"
-    return None
-
-
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
-    | st.sampled_from([0, 1, 3.0, -0.0, 1e300, HUGE_INT]) | st.text(max_size=4),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=3), children, max_size=3),
-    max_leaves=6)
-_OF_TYPE = {  # a value of each declared type
-    "string": st.text(max_size=4),
-    "number": st.integers() | st.floats(allow_nan=False, allow_infinity=False),
-    "integer": st.integers(),
-    "boolean": st.booleans(),
-    "object": st.dictionaries(st.text(max_size=3), _JSON_VALUES, max_size=2),
-}
-
-
-_TOOL = {tool["name"]: tool for tool in TOOLS}
-
-
-@st.composite
-def _tool_arguments(draw):
-    """A tool and its arguments: mostly an object of declared and other
-    keys in drawn order, each value of a declared type or of any JSON
-    kind; otherwise a value of any JSON kind."""
-    tool = draw(st.sampled_from(TOOLS))
-    declared = tool["inputSchema"]["properties"]
-    keys = st.text(max_size=4)
-    if declared:
-        keys = st.sampled_from(sorted(declared)) | keys
-
-    def value(key):
-        declared_type = declared[key]["type"] if key in declared else []
-        types = declared_type if isinstance(declared_type, list) else [declared_type]
-        return st.one_of(*[_OF_TYPE[t] for t in types], _JSON_VALUES)
-
-    pairs = draw(st.lists(keys.flatmap(lambda k: st.tuples(st.just(k), value(k))),
-                          max_size=6))
-    arguments = dict(pairs) if draw(st.integers(0, 5)) else draw(_JSON_VALUES)
-    return tool, arguments
-
-
-class TestArgumentChecks:
-    """Each tool's check, built at import from its ``inputSchema``, returns
-    what the reference check returns, complaint text included."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(_tool_arguments())
-    @example((_TOOL["geo_recommend_skills"], {"limit": True, "query": "q"}))
-    @example((_TOOL["geo_recommend_skills"], {"query": "q", "limit": 3.0, "x": 1}))
-    @example((_TOOL["geo_check_footing_uls_ec7"],
-              {"scenario": {}, "design_approach": "DA2", "B": [2]}))
-    @example((_TOOL["geo_design_footing_width_ec7"],
-              {"scenario": {}, "design_approach": "DA2", "tolerance": True}))
-    @example((_TOOL["geo_list_methods"], []))
-    def test_check_returns_the_reference_complaint(self, drawn):
-        tool, arguments = drawn
-        expected = validate_arguments(tool["inputSchema"], arguments)
-        assert _CHECKERS[tool["name"]](arguments) == expected
-
-    def test_every_tool_has_its_check(self):
-        assert set(_CHECKERS) == {tool["name"] for tool in TOOLS}
-
-
 class TestTools:
     def test_list_methods(self, server):
         body = tool_body(call(server, "geo_list_methods", {}))
@@ -996,6 +907,77 @@ class TestServerFuzz:
         else:
             json.loads(response["result"]["content"][0]["text"],
                        parse_constant=_reject_constant)
+
+
+_TYPE_CHECKS = {
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "boolean": lambda v: isinstance(v, bool),
+    "object": lambda v: isinstance(v, dict),
+}
+
+
+def validate_arguments(schema: dict, arguments) -> str | None:
+    """The reference argument check, which walks ``schema`` on each call:
+    a complaint string when ``arguments`` violate it, else None."""
+    if not isinstance(arguments, dict):
+        return "arguments must be an object"
+    for key in schema["required"]:
+        if key not in arguments:
+            return f"missing required argument {key!r}"
+    for key, value in arguments.items():
+        if key not in schema["properties"]:
+            return f"unexpected argument {key!r}"
+        declared = schema["properties"][key].get("type")
+        types = declared if isinstance(declared, list) else [declared]
+        if not any(_TYPE_CHECKS[t](value) for t in types):
+            return f"argument {key!r} must be of type {' or '.join(types)}"
+    return None
+
+
+_TOOL = {tool["name"]: tool for tool in TOOLS}
+
+
+@st.composite
+def _tool_arguments(draw):
+    """A tool and its arguments: mostly an object of declared and other
+    keys in drawn order, each value of a declared type or of any JSON
+    kind; otherwise a value of any JSON kind."""
+    tool = draw(st.sampled_from(TOOLS))
+    declared = tool["inputSchema"]["properties"]
+    keys = st.text(max_size=4)
+    if declared:
+        keys = st.sampled_from(sorted(declared)) | keys
+
+    def value(key):
+        declared_type = declared[key]["type"] if key in declared else []
+        types = declared_type if isinstance(declared_type, list) else [declared_type]
+        return st.one_of(*[_BY_TYPE[t] for t in types], _JSON)
+
+    pairs = draw(st.lists(keys.flatmap(lambda k: st.tuples(st.just(k), value(k))),
+                          max_size=6))
+    arguments = dict(pairs) if draw(st.integers(0, 5)) else draw(_JSON)
+    return tool, arguments
+
+
+class TestArgumentChecks:
+    """Each tool's check, built at import from its ``inputSchema``, returns
+    what the reference check returns, complaint text included."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_tool_arguments())
+    @example((_TOOL["geo_recommend_skills"], {"limit": True, "query": "q"}))
+    @example((_TOOL["geo_recommend_skills"], {"query": "q", "limit": 3.0, "x": 1}))
+    @example((_TOOL["geo_check_footing_uls_ec7"],
+              {"scenario": {}, "design_approach": "DA2", "B": [2]}))
+    @example((_TOOL["geo_design_footing_width_ec7"],
+              {"scenario": {}, "design_approach": "DA2", "tolerance": True}))
+    @example((_TOOL["geo_list_methods"], []))
+    def test_check_returns_the_reference_complaint(self, drawn):
+        tool, arguments = drawn
+        expected = validate_arguments(tool["inputSchema"], arguments)
+        assert _CHECKERS[tool["name"]](arguments) == expected
 
 
 _IDS = st.one_of(st.integers() | _HUGE_INT, st.floats(), st.text(max_size=6),
