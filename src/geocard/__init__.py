@@ -6,15 +6,13 @@ expression engine with dimensional analysis and an auditable trace. On
 top sit Eurocode 7 partial-factor design workflows, Agent Skill packages,
 a CLI, and an MCP (JSON-RPC over stdio) tool server.
 
-Every MCP session and CLI call is a fresh interpreter, so the import is
-kept to what a catalog load needs: ``units``, ``errors``, ``expression``,
-``cards`` and ``catalog``, whose records are plain ``__slots__`` classes
-on the base in ``record`` rather than dataclasses. The names exported
-from ``engine``, ``ec7`` and ``skills`` are imported on first use
-(PEP 562) and then kept here. ``import geocard; geocard.load_catalog()``
-takes about 33 ms (perfbench's set-up sample: median of 20 runs on its
-reference clock, no bytecode cache), against 72 ms when every module and
-dataclass was built at import. It does not import ``fractions``.
+Every MCP session and CLI call is a fresh interpreter, so importing the
+package imports no submodule: each exported name is imported from its
+module on first use (PEP 562) and then kept here. ``geocard serve``
+answers the MCP handshake with only ``cli``, ``errors`` and ``server``.
+``geocard.load_catalog()`` loads ``units``, ``errors``, ``expression``,
+``cards`` and ``catalog``, whose records are plain ``__slots__`` classes on
+the base in ``record`` rather than dataclasses, and not ``fractions``.
 
 Typical use:
 
@@ -31,41 +29,21 @@ Typical use:
 
 __version__ = "0.1.0"
 
-from .cards import (  # noqa: F401
-    DimensionFinding,
-    EquationSpec,
-    MethodCard,
-    VariableSpec,
-    VariantSpec,
-    load_card,
-    validate_dimensions,
-)
-from .catalog import Catalog, default_catalog, load_catalog  # noqa: F401
-from .errors import GeocardError  # noqa: F401
-from .units import (  # noqa: F401
-    Dimension,
-    Quantity,
-    Unit,
-    UnitRegistry,
-    convert,
-    default_registry,
-    format_quantity,
-    parse_quantity,
-)
-
-# Exported names whose modules a catalog load does not need: name -> module.
-_LAZY = {
-    **dict.fromkeys((
-        "FootingScenario", "PartialFactorSet", "UlsCheckResult",
-        "check_footing_uls_ec7", "design_footing_width_ec7",
-        "get_ec7_preset_partials", "load_bundled_scenario", "load_scenario",
-    ), "ec7"),
-    **dict.fromkeys((
-        "EvaluationRequest", "EvaluationTrace", "evaluate_card",
-        "normalize_inputs",
-    ), "engine"),
-    **dict.fromkeys(("Skill", "SkillLibrary", "load_skills"), "skills"),
+# Every exported name, by the module that defines it and __getattr__ imports.
+_EXPORTS = {
+    "cards": ("DimensionFinding", "EquationSpec", "MethodCard", "VariableSpec",
+              "VariantSpec", "load_card", "validate_dimensions"),
+    "catalog": ("Catalog", "default_catalog", "load_catalog"),
+    "ec7": ("FootingScenario", "PartialFactorSet", "UlsCheckResult", "check_footing_uls_ec7",
+            "design_footing_width_ec7", "get_ec7_preset_partials", "load_bundled_scenario",
+            "load_scenario"),
+    "engine": ("EvaluationRequest", "EvaluationTrace", "evaluate_card", "normalize_inputs"),
+    "errors": ("GeocardError",),
+    "skills": ("Skill", "SkillLibrary", "load_skills"),
+    "units": ("Dimension", "Quantity", "Unit", "UnitRegistry", "convert", "default_registry",
+              "format_quantity", "parse_quantity"),
 }
+_LAZY = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def __getattr__(name: str):

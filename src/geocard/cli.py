@@ -13,19 +13,14 @@ as a backslash escape.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-from pathlib import Path
 
 from . import __version__
-from .catalog import Catalog, default_catalog
-from .engine import EvaluationRequest, evaluate_card
 from .errors import GeocardError
-from .units import DATA_DIR
 
-# ec7, report and server are imported by the commands that use them, so
-# that validate and eval load neither the EC7 workflow, the skills nor
-# the MCP server.
+# Each command imports the modules it uses, so that validate and eval load
+# neither the EC7 workflow, the skills nor the MCP server, and serve
+# answers the MCP handshake before any card, unit or engine module loads.
 
 
 def main(argv=None) -> int:
@@ -114,6 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------- validate ----
 
 def cmd_validate(args) -> int:
+    from pathlib import Path
+
+    from .catalog import Catalog
+    from .units import DATA_DIR
+
     paths = []
     for raw in args.paths or [DATA_DIR / "catalog"]:
         path = Path(raw)
@@ -165,6 +165,9 @@ def _parse_kv(pairs: list[str], label: str) -> "dict | None":
 
 
 def cmd_eval(args) -> int:
+    from .catalog import default_catalog
+    from .engine import EvaluationRequest, evaluate_card
+
     inputs = _parse_kv(args.inputs, "--in")
     overrides = _parse_kv(args.overrides, "--override")
     if inputs is None or overrides is None:
@@ -184,6 +187,8 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------- ec7 ----
 
 def _load_scenario_file(path_text: str):
+    from pathlib import Path
+
     from .ec7 import load_scenario
 
     path = Path(path_text)
@@ -205,6 +210,8 @@ def _print_json(results) -> int:
 
 
 def cmd_ec7_check(args) -> int:
+    import math
+
     from .ec7 import DESIGN_APPROACHES, check_footing_uls_ec7
     from .report import format_sig
 

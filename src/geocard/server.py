@@ -9,6 +9,11 @@ scalar inputs and never overrides an explicit argument or selects a
 card/variant/skill. Each tool's argument check is built from its
 ``inputSchema`` once, at import.
 
+This module is the protocol alone, so the handshake (``initialize``,
+``tools/list``) loads no card, unit, engine or skill module. A server
+imports the handlers, ``tools``, at its first ``tools/call`` that passes
+its check, and builds its catalog and skills when a tool first reads them.
+
 Every line is ``json.dumps(reply, separators=(",", ":"), allow_nan=False)``
 of the dict ``handle_message`` returns. The line of a tool result is
 assembled instead: the envelope's fixed text, the id's JSON, the JSON
@@ -22,19 +27,13 @@ other text is escaped as ``json.dumps`` would.
 from __future__ import annotations
 
 import json
-import math
 import sys
+from functools import cached_property
 from io import TextIOBase
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .cards import MethodCard
-from .catalog import Catalog, default_catalog
-from .engine import EvaluationRequest, JsonText, evaluate_card, reply_text, strict_json
-from .errors import (DimensionMismatch, GeocardError, MalformedQuantity, MissingUnit,
-                     NonFiniteValue, UnknownUnit)
-from .skills import load_skills
-from .units import for_input, quantity_text, split_quantity_text, to_magnitude
+from .errors import GeocardError, NonFiniteValue
 
 PROTOCOL_VERSION = "2024-11-05"
 SERVER_NAME = "geocard"
@@ -65,7 +64,7 @@ _ID_TEXT = {int: int.__repr__, str: encode_basestring_ascii, float: float.__repr
 
 def _finite_float(text: str) -> float:
     value = float(text)
-    if not math.isfinite(value):  # 1e999 decodes to infinity
+    if abs(value) == float("inf"):  # 1e999 decodes to infinity
         raise ValueError(f"non-finite number: {text}")
     return value
 
@@ -247,26 +246,22 @@ _CHECKERS = {tool["name"]: _checker(tool["inputSchema"]) for tool in TOOLS}
 class McpServer:
     """Dispatches MCP requests over newline-delimited JSON-RPC."""
 
-    def __init__(self, catalog: Catalog | None = None):
-        self.catalog = catalog if catalog is not None else default_catalog()
-        self.skills = load_skills()
+    def __init__(self, catalog=None):
+        if catalog is not None:
+            self.catalog = catalog
         self.defaults: dict = {}  # session defaults: input key -> value
-        # (tool, resolved argument, ...) -> the reply text of a tool whose
-        # reply never changes for its arguments, written with its JSON
-        # string literal on first use.
-        self._texts: dict = {}
+        self._texts: dict = {}  # tools._text's memo of unchanging reply texts
+        self._tools = None  # geocard.tools, from the first tools/call
 
-    def _text(self, key: tuple, build, *args) -> JsonText:
-        """The memoized reply text under ``key``: ``build(*args)`` written
-        by strict_json, and escaped, on first use. Each key is made of arguments that
-        already resolved to a card, a category, a skill or a Design
-        Approach, so a client cannot grow the memo; an error reply raises
-        before it gets here."""
-        text = self._texts.get(key)
-        if text is None:
-            text = strict_json(build(*args))
-            text = self._texts[key] = JsonText(text, encode_basestring_ascii(text))
-        return text
+    @cached_property
+    def catalog(self):  # unless one was passed: built when a tool first reads it
+        from .catalog import default_catalog
+        return default_catalog()
+
+    @cached_property
+    def skills(self):  # built when a tool first reads it
+        from .skills import load_skills
+        return load_skills()
 
     # ---------------------------------------------------------- transport ----
 
@@ -300,10 +295,11 @@ class McpServer:
         result = obj.get("result")
         if result is not None and "content" in result:  # only _call_tool's
             text = result["content"][0]["text"]
+            literal = getattr(text, "literal", None)  # a JsonText's
             line = "".join((
                 '{"jsonrpc":"2.0","id":', _ID_TEXT[type(obj["id"])](obj["id"]),
                 ',"result":{"content":[{"type":"text","text":',
-                text.literal if isinstance(text, JsonText) else encode_basestring_ascii(text),
+                literal if literal is not None else encode_basestring_ascii(text),
                 '}],"isError":true}}' if result["isError"] else '}],"isError":false}}',
                 "\n"))
         else:
@@ -361,17 +357,21 @@ class McpServer:
         complaint = check(arguments)
         if complaint is not None:
             return self._error(msg_id, INVALID_PARAMS, complaint)
+        tools = self._tools
+        if tools is None:
+            from . import tools
+            self._tools = tools
         try:
-            body, is_error = getattr(self, name)(arguments), False
+            body, is_error = getattr(tools, name)(self, arguments), False
         except GeocardError as exc:
             body, is_error = exc.payload(), True
         except Exception as exc:  # defensive: never crash the transport
             return self._error(msg_id, INTERNAL_ERROR,
                                f"{type(exc).__name__}: {exc}")
         try:  # a handler may return its reply text ready-made
-            text = body if isinstance(body, str) else strict_json(body)
+            text = body if isinstance(body, str) else tools.strict_json(body)
         except NonFiniteValue as exc:
-            text, is_error = strict_json(exc.payload()), True
+            text, is_error = tools.strict_json(exc.payload()), True
         return self._result(msg_id, {
             "content": [{"type": "text", "text": text}],
             "isError": is_error,
@@ -385,150 +385,6 @@ class McpServer:
     def _error(msg_id, code: int, message: str) -> dict:
         return {"jsonrpc": "2.0", "id": msg_id,
                 "error": {"code": code, "message": message}}
-
-    # ------------------------------------------------------------ handlers ----
-    # One method per tool, named after it; _call_tool looks it up by name.
-
-    def geo_list_methods(self, args) -> str | dict:
-        category = args.get("category")
-        if category is not None and category not in {
-                card.category for card in self.catalog.cards.values()}:
-            return {"methods": []}
-        return self._text(("geo_list_methods", category),
-                          lambda: {"methods": self.catalog.list_methods(category)})
-
-    def geo_get_method(self, args) -> str:
-        card = self.catalog.get_method(args["id"])
-        return self._text(("geo_get_method", card.id), card.to_dict)
-
-    def _merged_inputs(self, card: MethodCard, given: dict) -> dict:
-        """Session defaults fill missing input keys; arguments always win."""
-        merged = dict(given)
-        for key, value in self.defaults.items():
-            if key in card.input_keys:
-                merged.setdefault(key, value)
-        return merged
-
-    def geo_evaluate(self, args, require_units: bool = False) -> str:
-        card = self.catalog.get_method(args["card"])
-        request = EvaluationRequest(
-            card_id=args["card"],
-            variant_id=args["variant"],
-            inputs=self._merged_inputs(card, args["inputs"]),
-            overrides=args.get("overrides") or {},
-        )
-        if require_units:
-            untagged = [
-                key for key, value in {**request.inputs, **request.overrides}.items()
-                if key in card.units and card.units[key].name != "dimensionless"
-                and not _has_unit_tag(value, card.units[key].name, key)]
-            if untagged:
-                raise MissingUnit(untagged)
-        return reply_text(evaluate_card(card, request))
-
-    def geo_evaluate_with_units(self, args) -> str:
-        return self.geo_evaluate(args, require_units=True)
-
-    def geo_list_skills(self, args) -> dict:
-        return {"skills": self.skills.list_skills()}
-
-    def geo_recommend_skills(self, args) -> dict:
-        limit = args.get("limit", 5)
-        matches = self.skills.recommend_skills(args["query"], limit)
-        return {"matches": [m.to_dict() for m in matches]}
-
-    def geo_get_skill(self, args) -> str:
-        include = args.get("include_references", False)
-        skill = self.skills.get_skill(args["name"], include)
-        return self._text(("geo_get_skill", skill.name, include), skill.to_dict)
-
-    # The EC7 tools import the workflow when called, so a session that
-    # never calls one does not load it (nor dataclasses) at start.
-
-    def geo_get_ec7_preset_partials(self, args) -> str:
-        from .ec7 import get_ec7_preset_partials
-
-        pf = get_ec7_preset_partials(args["design_approach"])
-        return self._text(("geo_get_ec7_preset_partials", pf.design_approach),
-                          _partials_reply, pf)
-
-    def geo_check_footing_uls_ec7(self, args) -> str:
-        from .ec7 import check_footing_uls_ec7, read_scenario
-
-        scenario = read_scenario(args["scenario"])
-        width = to_magnitude(args["B"], "m", "B")
-        result = check_footing_uls_ec7(
-            scenario, args["design_approach"], width,
-            catalog=self.catalog, drainage=args.get("drainage", "drained"))
-        return reply_text(result)
-
-    def geo_design_footing_width_ec7(self, args) -> str:
-        from .ec7 import design_footing_width_ec7, read_scenario
-
-        scenario = read_scenario(args["scenario"])
-        result = design_footing_width_ec7(
-            scenario, args["design_approach"],
-            tolerance=args.get("tolerance", 1e-3),
-            catalog=self.catalog, drainage=args.get("drainage", "drained"))
-        return reply_text(result)
-
-    def geo_session_set_defaults(self, args) -> dict:
-        """Check every value before storing any, so a rejected call stores nothing."""
-        given = args["defaults"]
-        for key, value in given.items():
-            if isinstance(value, str):
-                try:
-                    value = split_quantity_text(value)[0]
-                except MalformedQuantity:
-                    continue  # no magnitude to check; the engine judges it on use
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise GeocardError(
-                    f"default for {key!r} must be a number or unit-tagged string")
-            to_magnitude(value, "dimensionless", key)  # NonFiniteValue
-        self.defaults.update(given)
-        return {
-            "session_id": "default",
-            "defaults": {k: self.defaults[k] for k in sorted(self.defaults)},
-        }
-
-    def geo_health(self, args) -> dict:
-        diagnostics = list(self.catalog.diagnostics) + list(self.skills.diagnostics)
-        warnings = list(self.catalog.warnings) + list(self.skills.warnings)
-        healthy = (self.catalog.ok and self.skills.ok
-                   and len(self.catalog.cards) >= 1 and len(self.skills.skills) >= 1)
-        return {
-            "status": "ok" if healthy else "degraded",
-            "cards": len(self.catalog.cards),
-            "skills": len(self.skills.skills),
-            "version": __version__,
-            "diagnostics": diagnostics,
-            "warnings": warnings,
-        }
-
-
-def _has_unit_tag(value, unit_name: str, key: str) -> bool:
-    """Whether a value is a quantity string with a unit tag, read as the
-    evaluation reads it, so once. A tag of an unknown unit or of another
-    dimension counts, so that a MissingUnit of another input comes first;
-    the evaluation raises its error. A string with no number raises
-    MalformedQuantity here, naming ``key``."""
-    if not isinstance(value, str):
-        return False
-    try:
-        return bool(quantity_text(value, unit_name)[1])
-    except (UnknownUnit, DimensionMismatch):
-        return True
-    except MalformedQuantity as exc:
-        raise for_input(exc, key)
-
-
-def _partials_reply(pf) -> dict:
-    return {
-        "design_approach": pf.design_approach,
-        "partials": pf.wire_dict(),
-        "description": f"Standard EN 1997-1 partial factors for "
-                       f"{pf.design_approach}",
-    }
 
 
 def serve(stdin: TextIOBase | None = None,

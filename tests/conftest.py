@@ -1,5 +1,6 @@
-"""Shared pytest wiring: the acceptance suite's per-criterion summary and
-the card files that exercise the catalog's load diagnostics."""
+"""Shared pytest wiring: the acceptance suite's per-criterion summary,
+the card files that exercise the catalog's load diagnostics, and a fresh
+server's health reply."""
 
 import json
 from pathlib import Path
@@ -27,6 +28,16 @@ BAD_CARD_FILES = ("superscript.json", "nested_parens.json", "not_utf8.json",
 
 # An integer literal past Python's 4300-digit int conversion limit.
 HUGE_INT = "1" + "0" * 4999
+
+
+def fresh_health() -> dict:
+    """The geo_health reply of a fresh McpServer, decoded: the call goes
+    through handle_message, as a client's does."""
+    from geocard.server import McpServer
+
+    reply = McpServer().handle_message({"jsonrpc": "2.0", "id": 1, "method": "tools/call",
+                                        "params": {"name": "geo_health"}})
+    return json.loads(reply["result"]["content"][0]["text"])
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import oracles
-from conftest import BAD_CARD_FILES
+from conftest import BAD_CARD_FILES, fresh_health
 from geocard.catalog import load_catalog
 from geocard.engine import EvaluationRequest, evaluate_card
 from geocard.errors import UnknownMethod
@@ -109,7 +109,6 @@ class TestIndex:
 
     def test_duplicate_user_ids_degrade_health(self, tmp_path, monkeypatch):
         import geocard.catalog
-        from geocard.server import McpServer
 
         card = CATALOG.get_method("BEARING_CAPACITY_TERZAGHI").to_dict()
         card["id"] = "MY_CARD"
@@ -117,7 +116,7 @@ class TestIndex:
         (tmp_path / "b.json").write_text(json.dumps(card))
         monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(tmp_path))
         monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
-        health = McpServer().geo_health({})
+        health = fresh_health()
         assert health["status"] == "degraded"
         assert health["diagnostics"] == [
             f"{tmp_path / 'b.json'}: duplicate card id MY_CARD"]
@@ -125,13 +124,12 @@ class TestIndex:
     def test_env_var_naming_a_file_degrades_health(self, tmp_path,
                                                    monkeypatch):
         import geocard.catalog
-        from geocard.server import McpServer
 
         not_a_dir = tmp_path / "card.json"
         not_a_dir.write_text("{}")
         monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(not_a_dir))
         monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
-        health = McpServer().geo_health({})
+        health = fresh_health()
         assert health["status"] == "degraded"
         assert health["cards"] == len(BUNDLED_IDS)
         assert health["diagnostics"] == [f"{not_a_dir}: not a directory"]

@@ -1,6 +1,7 @@
-"""What a fresh interpreter imports: a catalog load needs neither the EC7
-workflow, the engine, the skills, the MCP server, ``dataclasses`` nor
-``fractions``, an MCP session that calls no EC7 tool loads neither the
+"""What a fresh interpreter imports: the package imports no submodule,
+the MCP handshake loads nothing a tool needs, a catalog load needs neither
+the EC7 workflow, the engine, the skills, the MCP server, ``dataclasses``
+nor ``fractions``, an MCP session that calls no EC7 tool loads neither the
 workflow, ``dataclasses`` nor ``fractions``, and the package's lazy
 exports still resolve to the objects they name.
 
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).parents[1] / "src")
+DATA = Path(__file__).parent / "data"
 
 # Every name the package exported when it imported all its modules at once,
 # by the module that defines it.
@@ -40,6 +42,12 @@ NOT_ON_THE_CATALOG_PATH = ["dataclasses", "inspect", "ast", "typing",
                            "geocard.server"]
 
 
+NOT_ON_THE_HANDSHAKE_PATH = [
+    *(f"geocard.{m}" for m in ("cards", "expression", "units", "record", "catalog",
+                               "engine", "skills", "tools", "ec7")),
+    "pathlib"]
+
+
 def run(code: str):
     """The JSON value that ``code`` prints, run under ``python -S``."""
     env = {**os.environ, "PYTHONPATH": SRC}
@@ -50,6 +58,28 @@ def run(code: str):
 
 def loaded(names) -> str:
     return f"print(json.dumps([m for m in {names!r} if m in sys.modules]))"
+
+
+def test_package_import_loads_no_submodule():
+    assert run("import json, sys, geocard; "
+               "print(json.dumps([m for m in sys.modules if m.startswith('geocard.')]))") == []
+
+
+def test_handshake_replies_before_loading_what_a_tool_needs():
+    """``geocard serve`` answers initialize, notifications/initialized and
+    tools/list as the golden transcript pins, having imported (as
+    ``-X importtime`` lists) no module that only a tool call needs."""
+    handshake = (DATA / "golden_transcript_requests.jsonl").read_bytes().splitlines(True)[:3]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "geocard.cli", "serve"],
+                          input=b"".join(handshake), env=env, check=True, timeout=60,
+                          capture_output=True)
+    expected = (DATA / "golden_transcript_expected.jsonl").read_bytes().splitlines(True)[:2]
+    assert done.stdout == b"".join(expected)
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in done.stderr.decode().splitlines() if line.startswith("import time:")}
+    assert "geocard.server" in imported
+    assert [m for m in NOT_ON_THE_HANDSHAKE_PATH if m in imported] == []
 
 
 def test_catalog_load_imports_only_what_it_needs():

@@ -15,7 +15,7 @@ from conftest import HUGE_INT
 from geocard.ec7 import (DESIGN_APPROACHES, check_footing_uls_ec7,
                          design_footing_width_ec7, get_ec7_preset_partials,
                          load_scenario)
-from geocard import engine
+from geocard import engine, tools
 from geocard.engine import EvaluationRequest, evaluate_card
 from geocard.errors import GeocardError
 from geocard.server import _CHECKERS, _REQUEST_DECODER, McpServer, TOOLS, serve
@@ -112,12 +112,14 @@ class TestProtocol:
             assert tool["description"]
             assert tool["inputSchema"]["type"] == "object"
 
-    def test_every_tool_has_a_handler(self, server):
-        """Each tool is served by the method named after it, and each such
-        method is a listed tool."""
-        handlers = {name for name in dir(server)
-                    if name.startswith("geo_") and callable(getattr(server, name))}
+    def test_every_tool_has_a_handler(self):
+        """Each tool is served by the function of ``tools`` named after it,
+        each such function is a listed tool, and the server itself has no
+        handler."""
+        handlers = {name for name in dir(tools)
+                    if name.startswith("geo_") and callable(getattr(tools, name))}
         assert handlers == {tool["name"] for tool in TOOLS}
+        assert not [name for name in dir(McpServer) if name.startswith("geo_")]
 
     def test_unknown_method_is_32601(self, server):
         response = server.handle_message(rpc("resources/list"))
@@ -1051,6 +1053,81 @@ class TestWrittenLines:
         reference = json.dumps(McpServer().handle_message(message),
                                separators=(",", ":")) + "\n"
         assert stdout.getvalue() == reference * 2
+
+
+# One valid call of each tool.
+_FIRST_CALLS = {
+    "geo_list_methods": {},
+    "geo_get_method": {"id": "BEARING_CAPACITY_VESIC"},
+    "geo_evaluate": {**TERZAGHI_ARGS, "inputs": {
+        "c_prime": 0, "phi_prime": 0.5, "gamma": 18, "B": 2, "q": 18}},
+    "geo_evaluate_with_units": TERZAGHI_ARGS,
+    "geo_list_skills": {},
+    "geo_recommend_skills": {"query": "bearing capacity of a strip footing"},
+    "geo_get_skill": {"name": "shallow-foundation-bearing-capacity",
+                      "include_references": True},
+    "geo_get_ec7_preset_partials": {"design_approach": "DA1-C2"},
+    "geo_check_footing_uls_ec7": {"scenario": JRC_SCENARIO, "design_approach": "DA2",
+                                  "B": 1.5},
+    "geo_design_footing_width_ec7": {"scenario": JRC_SCENARIO, "design_approach": "DA3"},
+    "geo_session_set_defaults": {"defaults": {"q": "18 kPa"}},
+    "geo_health": {},
+}
+
+
+def _serve_lines(*messages, server=None) -> list[str]:
+    """The lines ``serve`` writes for ``messages``, on a fresh server unless
+    one is given."""
+    stdout = io.StringIO()
+    (server or McpServer()).serve(
+        io.StringIO("".join(json.dumps(m) + "\n" for m in messages)), stdout)
+    return stdout.getvalue().splitlines(keepends=True)
+
+
+class TestFirstToolCall:
+    """A server loads its tools, catalog and skills at its first tool call,
+    and that call's line is the one a server that already answered a call
+    writes."""
+
+    def test_every_tool_has_a_first_call(self):
+        assert set(_FIRST_CALLS) == {tool["name"] for tool in TOOLS}
+
+    @pytest.mark.parametrize("name", EXPECTED_TOOLS)
+    def test_first_call_writes_the_line_of_a_later_one(self, name):
+        initialize = rpc("initialize", {}, msg_id=0)
+        request = rpc("tools/call", {"name": name, "arguments": _FIRST_CALLS[name]},
+                      msg_id=2)
+        first = _serve_lines(initialize, request)
+        later = _serve_lines(initialize, rpc("tools/call", {"name": "geo_health"}, msg_id=1),
+                             request)
+        assert first[-1] == later[-1]
+        assert first[-1].endswith('"isError":false}}\n')
+
+    def test_user_catalog_is_read_at_the_first_call(self, tmp_path, monkeypatch):
+        """A shadowing card and a duplicate in GEOCARD_CATALOG_DIR give the
+        same health whether health is a server's first call or follows
+        another, and a server made before the variable was set reads it."""
+        import geocard.catalog
+
+        card = json.loads((Path(__file__).parents[1] / "src/geocard/data/catalog"
+                           / "bearing_capacity_vesic.json").read_text("utf-8"))
+        (tmp_path / "a.json").write_text(json.dumps(dict(card, title="First")))
+        (tmp_path / "b.json").write_text(json.dumps(dict(card, title="Second")))
+        made_before = McpServer()
+        monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(tmp_path))
+        health = rpc("tools/call", {"name": "geo_health"}, msg_id=2)
+        lines = []
+        for server, calls in [(made_before, []), (None, []),
+                              (None, [rpc("tools/call", {"name": "geo_get_method", "arguments": {
+                                  "id": "BEARING_CAPACITY_VESIC"}})])]:
+            monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
+            lines.append(_serve_lines(*calls, health, server=server)[-1])
+        assert lines[0] == lines[1] == lines[2]
+        body = json.loads(json.loads(lines[0])["result"]["content"][0]["text"])
+        assert body["warnings"] == [
+            f"{tmp_path / 'a.json'}: BEARING_CAPACITY_VESIC shadows a bundled card"]
+        assert body["diagnostics"] == [
+            f"{tmp_path / 'b.json'}: duplicate card id BEARING_CAPACITY_VESIC"]
 
 
 # ------------------------------------------------ a model of one session ----

@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fresh_health
 from geocard.errors import UnknownSkill
 from geocard.skills import Skill, SkillLibrary, load_skills, parse_skill_text
 
@@ -72,20 +73,16 @@ class TestListSkills:
 
     def test_env_var_naming_a_file_degrades_health(self, tmp_path,
                                                    monkeypatch):
-        from geocard.server import McpServer
-
         not_a_dir = tmp_path / "SKILL.md"
         not_a_dir.write_text("---\n---\n")
         monkeypatch.setenv("GEOCARD_SKILLS_DIR", str(not_a_dir))
-        health = McpServer().geo_health({})
+        health = fresh_health()
         assert health["status"] == "degraded"
         assert health["skills"] == len(LIBRARY.skills)
         assert health["diagnostics"] == [f"{not_a_dir}: not a directory"]
 
     def test_unreadable_reference_is_one_diagnostic(self, tmp_path,
                                                     monkeypatch):
-        from geocard.server import McpServer
-
         skill_dir = tmp_path / "broken-reference"
         notes = skill_dir / "references" / "notes.md"
         notes.mkdir(parents=True)  # a directory where a file belongs
@@ -95,7 +92,7 @@ class TestListSkills:
         with pytest.raises(OSError) as cause:
             notes.read_text("utf-8")
         monkeypatch.setenv("GEOCARD_SKILLS_DIR", str(tmp_path))
-        health = McpServer().geo_health({})
+        health = fresh_health()
         assert health["status"] == "degraded"
         assert health["skills"] == len(LIBRARY.skills)
         assert health["diagnostics"] == [f"{skill_dir}: {cause.value}"]
