@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .cards import ABSENT, instance_of, load_record, read_record
 from .catalog import Catalog, default_catalog
-from .engine import EvaluationRequest, EvaluationTrace, evaluate_card, stage, template_json
+from .engine import EvaluationRequest, EvaluationTrace, evaluate_card, stage, to_reply
 from .errors import (GeocardError, InvalidGeometry, NoBracket, NonFiniteValue,
                      SchemaError, UnknownDesignApproach)
 from .units import DATA_DIR, to_magnitude
@@ -207,7 +207,7 @@ class UlsCheckResult:
     def to_json(self) -> str:
         """``strict_json(self.to_dict())``, written from the template of
         the whole body, trace included, when the trace is a complete one."""
-        return template_json(self)
+        return to_reply(self).text
 
     def _body(self, trace) -> dict:
         return {
@@ -403,7 +403,7 @@ class WidthDesignResult:
         """``strict_json(self.to_dict())``, written from the template of
         the whole body, check and trace included, when the trace is a
         complete one."""
-        return template_json(self)
+        return to_reply(self).text
 
     def _body(self, trace) -> dict:
         return {

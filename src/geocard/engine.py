@@ -45,11 +45,11 @@ in document order; ``tests/test_ec7.py``'s ``_same_json`` and
 ``test_drawn_field_values`` keep ``_scalars()`` in step with ``_body``.
 
 A template keeps each static piece escaped for a JSON string literal as
-well. ``reply_text`` returns the text of a reply as a ``JsonText``, a
-``str`` that carries that literal, for the line the MCP server sends,
-written from the escaped pieces: only the string values (the request
-echo, say) and the overrides are escaped per reply. ``to_json`` builds no
-literal.
+well. ``to_reply`` returns a ``Reply``, the template and its fills, which
+writes, only when read, its JSON ``text`` or, from the escaped pieces,
+that text's JSON string ``literal``, the form the MCP server's line
+carries: only the string values (the request echo, say) and the overrides
+are escaped per reply. ``to_json`` is its text.
 """
 
 from __future__ import annotations
@@ -166,7 +166,7 @@ class EvaluationTrace(Record):
     def to_json(self) -> str:
         """``strict_json(self.to_dict())``, written from the variant's
         template when the trace is a complete one."""
-        return template_json(self)
+        return to_reply(self).text
 
     def _written(self, outer=None) -> tuple[Template, list] | None:
         """The template of the trace's variant, or of ``outer``'s body
@@ -360,36 +360,40 @@ class Template:
         return "".join(parts)
 
 
-class JsonText(str):
-    """A reply's JSON text, and its JSON string literal for the line that
-    carries the text as a string."""
+class Reply:
+    """A tool's reply, written when read in the form its reader takes:
+    ``text``, its JSON text, or ``literal``, that text's JSON string
+    literal. Each is written from ``template`` and ``fills``, or else from
+    the text the reply holds, whose literal is kept once it is escaped."""
 
-    def __new__(cls, text: str, literal: str):
-        self = super().__new__(cls, text)
-        self.literal = literal
-        return self
+    __slots__ = ("template", "fills", "_text", "_literal")
+
+    def __init__(self, text: str | None, template: Template | None = None,
+                 fills: list | None = None):
+        self.template, self.fills, self._text, self._literal = template, fills, text, None
+
+    @property
+    def text(self) -> str:
+        return self._text if self.template is None else self.template.text(self.fills)
+
+    @property
+    def literal(self) -> str:
+        if self.template is not None:
+            return self.template.literal(self.fills)
+        if self._literal is None:
+            self._literal = encode_basestring_ascii(self._text)
+        return self._literal
 
 
-def template_json(obj) -> str:
-    """``strict_json(obj.to_dict())``, written from the template that
-    ``obj._written()`` returns with the texts of its values, if any."""
+def to_reply(obj) -> Reply:
+    """The reply of a trace or an EC7 result: the template and fills of
+    ``obj._written()``, if any, else the reference writer's text. A value
+    that is not finite raises NonFiniteValue here, not when it is read."""
     written = obj._written()
     if written is None:
-        return strict_json(obj.to_dict())
+        return Reply(strict_json(obj.to_dict()))
     template, texts = written
-    return template.text(template.fill(texts))
-
-
-def reply_text(obj) -> JsonText:
-    """``template_json(obj)`` with its literal, written from the template's
-    escaped pieces and the fills when there is a template."""
-    written = obj._written()
-    if written is None:
-        text = strict_json(obj.to_dict())
-        return JsonText(text, encode_basestring_ascii(text))
-    template, texts = written
-    fills = template.fill(texts)
-    return JsonText(template.text(fills), template.literal(fills))
+    return Reply(None, template, template.fill(texts))
 
 
 def _planted(body, slot, plant):

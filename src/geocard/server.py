@@ -15,13 +15,13 @@ imports the handlers, ``tools``, at its first ``tools/call`` that passes
 its check, and builds its catalog and skills when a tool first reads them.
 
 Every line is ``json.dumps(reply, separators=(",", ":"), allow_nan=False)``
-of the dict ``handle_message`` returns. The line of a tool result is
-assembled instead: the envelope's fixed text, the id's JSON, the JSON
-string literal of the reply text, and ``isError``. A ``JsonText`` carries
-its literal from when it was built: an evaluation, an EC7 check or design
-(``engine.reply_text``, from the template's escaped pieces) and a memoized
-text (escaped once, on first use), so no reply text is escaped twice. Any
-other text is escaped as ``json.dumps`` would.
+of the dict ``handle_message`` returns. ``serve`` shares its dispatch, but
+a tool result reaches it as the tool's ``engine.Reply``, not as a dict:
+its line is assembled from the envelope's fixed text, the id's JSON, the
+reply's ``literal`` and ``isError``, and its text is never built.
+``handle_message`` puts the reply's ``text`` in its dict and builds no
+literal. An evaluation or an EC7 check or design writes either form from
+its template's pieces, and a memoized reply escapes its text once.
 """
 
 from __future__ import annotations
@@ -250,7 +250,7 @@ class McpServer:
         if catalog is not None:
             self.catalog = catalog
         self.defaults: dict = {}  # session defaults: input key -> value
-        self._texts: dict = {}  # tools._text's memo of unchanging reply texts
+        self._texts: dict = {}  # tools._text's memo of unchanging replies
         self._tools = None  # geocard.tools, from the first tools/call
 
     @cached_property
@@ -277,33 +277,25 @@ class McpServer:
             try:
                 message = _REQUEST_DECODER.decode(line)
             except (ValueError, RecursionError):  # also too deep, or an int over 4300 digits
-                self._write(stdout, {
-                    "jsonrpc": "2.0", "id": None,
-                    "error": {"code": PARSE_ERROR, "message": "parse error"},
-                })
-                continue
-            response = self.handle_message(message)
+                response = self._error(None, PARSE_ERROR, "parse error")
+            else:
+                response = self._dispatch(message)
             if response is not None:
                 self._write(stdout, response)
 
     @staticmethod
-    def _write(stdout: TextIOBase, obj: dict) -> None:
-        """One line: ``json.dumps(obj, separators=(",", ":"),
-        allow_nan=False)``. The line of a tool result is assembled around
-        the JSON string literal of its text instead, so that a text
-        written from a template or memoized is not escaped again."""
-        result = obj.get("result")
-        if result is not None and "content" in result:  # only _call_tool's
-            text = result["content"][0]["text"]
-            literal = getattr(text, "literal", None)  # a JsonText's
+    def _write(stdout: TextIOBase, response) -> None:
+        """One line: ``json.dumps(response, separators=(",", ":"),
+        allow_nan=False)``, or for a tool result ``(id, reply, is_error)``
+        the same line assembled around ``reply.literal``."""
+        if type(response) is tuple:
+            msg_id, reply, is_error = response
             line = "".join((
-                '{"jsonrpc":"2.0","id":', _ID_TEXT[type(obj["id"])](obj["id"]),
-                ',"result":{"content":[{"type":"text","text":',
-                literal if literal is not None else encode_basestring_ascii(text),
-                '}],"isError":true}}' if result["isError"] else '}],"isError":false}}',
-                "\n"))
+                '{"jsonrpc":"2.0","id":', _ID_TEXT[type(msg_id)](msg_id),
+                ',"result":{"content":[{"type":"text","text":', reply.literal,
+                '}],"isError":true}}\n' if is_error else '}],"isError":false}}\n'))
         else:
-            line = json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n"
+            line = json.dumps(response, separators=(",", ":"), allow_nan=False) + "\n"
         stdout.write(line)
         stdout.flush()
 
@@ -317,6 +309,16 @@ class McpServer:
         is not a string: each gets a -32600 reply, with the id echoed only
         when it is valid. A batch (a JSON array) is one invalid request:
         MCP 2024-11-05 has no batches."""
+        response = self._dispatch(message)
+        if type(response) is not tuple:
+            return response
+        msg_id, reply, is_error = response
+        return self._result(msg_id, {"content": [{"type": "text", "text": reply.text}],
+                                     "isError": is_error})
+
+    def _dispatch(self, message) -> dict | tuple | None:
+        """``handle_message``'s reply, but a tool result as ``(id, reply,
+        is_error)``, which each reader renders in its own form."""
         if not isinstance(message, dict):  # a batch or a bare value
             return self._error(None, INVALID_REQUEST, "invalid request")
         if "id" not in message:
@@ -344,7 +346,7 @@ class McpServer:
             return self._call_tool(msg_id, params)
         return self._error(msg_id, METHOD_NOT_FOUND, f"method not found: {method}")
 
-    def _call_tool(self, msg_id, params) -> dict:
+    def _call_tool(self, msg_id, params) -> tuple | dict:
         if not isinstance(params, dict) or not isinstance(params.get("name"), str):
             return self._error(msg_id, INVALID_PARAMS, "params.name must be a string")
         name = params["name"]
@@ -362,20 +364,18 @@ class McpServer:
             from . import tools
             self._tools = tools
         try:
-            body, is_error = getattr(tools, name)(self, arguments), False
+            reply, is_error = getattr(tools, name)(self, arguments), False
         except GeocardError as exc:
-            body, is_error = exc.payload(), True
+            reply, is_error = exc.payload(), True
         except Exception as exc:  # defensive: never crash the transport
             return self._error(msg_id, INTERNAL_ERROR,
                                f"{type(exc).__name__}: {exc}")
-        try:  # a handler may return its reply text ready-made
-            text = body if isinstance(body, str) else tools.strict_json(body)
+        try:  # a tool returns its Reply, or a dict for strict_json
+            if type(reply) is dict:
+                reply = tools.Reply(tools.strict_json(reply))
         except NonFiniteValue as exc:
-            text, is_error = tools.strict_json(exc.payload()), True
-        return self._result(msg_id, {
-            "content": [{"type": "text", "text": text}],
-            "isError": is_error,
-        })
+            reply, is_error = tools.Reply(tools.strict_json(exc.payload())), True
+        return msg_id, reply, is_error
 
     @staticmethod
     def _result(msg_id, result) -> dict:

@@ -2,34 +2,32 @@
 after it. ``McpServer`` imports this module at its first ``tools/call``,
 so its handshake loads no card, skill, unit or engine module. A function
 gets arguments that passed the tool's schema check, reads the server's
-catalog, skills and session defaults, and returns its reply text or a dict
-for ``strict_json``; a ``GeocardError`` is the tool's error reply.
+catalog, skills and session defaults, and returns its ``Reply`` or a dict
+for ``strict_json``; a ``GeocardError`` is the tool's error reply. The
+server writes the reply in the form its reader takes.
 """
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii
-
 from . import __version__, engine
-from .engine import EvaluationRequest, JsonText, reply_text, strict_json
+from .engine import EvaluationRequest, Reply, strict_json, to_reply
 from .errors import DimensionMismatch, GeocardError, MalformedQuantity, MissingUnit, UnknownUnit
 from .units import for_input, quantity_text, split_quantity_text, to_magnitude
 
 
-def _text(server, key: tuple, build, *args) -> JsonText:
-    """The memoized reply text under ``key``: ``build(*args)`` written by
-    strict_json, and escaped, on first use. Each key is made of arguments
+def _text(server, key: tuple, build, *args) -> Reply:
+    """The memoized reply under ``key``: ``build(*args)`` written by
+    strict_json on first use, and escaped when first served. Each key is made of arguments
     that already resolved to a card, a category, a skill or a Design
     Approach, so a client cannot grow the memo; an error reply raises
     before it gets here."""
-    text = server._texts.get(key)
-    if text is None:
-        text = strict_json(build(*args))
-        text = server._texts[key] = JsonText(text, encode_basestring_ascii(text))
-    return text
+    reply = server._texts.get(key)
+    if reply is None:
+        reply = server._texts[key] = Reply(strict_json(build(*args)))
+    return reply
 
 
-def geo_list_methods(server, args) -> str | dict:
+def geo_list_methods(server, args) -> Reply | dict:
     category = args.get("category")
     if category is not None and category not in {
             card.category for card in server.catalog.cards.values()}:
@@ -38,7 +36,7 @@ def geo_list_methods(server, args) -> str | dict:
                  lambda: {"methods": server.catalog.list_methods(category)})
 
 
-def geo_get_method(server, args) -> str:
+def geo_get_method(server, args) -> Reply:
     card = server.catalog.get_method(args["id"])
     return _text(server, ("geo_get_method", card.id), card.to_dict)
 
@@ -52,7 +50,7 @@ def _merged_inputs(server, card, given: dict) -> dict:
     return merged
 
 
-def geo_evaluate(server, args, require_units: bool = False) -> str:
+def geo_evaluate(server, args, require_units: bool = False) -> Reply:
     card = server.catalog.get_method(args["card"])
     request = EvaluationRequest(
         card_id=args["card"],
@@ -68,10 +66,10 @@ def geo_evaluate(server, args, require_units: bool = False) -> str:
         if untagged:
             raise MissingUnit(untagged)
     # looked up on engine when called, so a wrapper put there (a tracer's) sees it
-    return reply_text(engine.evaluate_card(card, request))
+    return to_reply(engine.evaluate_card(card, request))
 
 
-def geo_evaluate_with_units(server, args) -> str:
+def geo_evaluate_with_units(server, args) -> Reply:
     return geo_evaluate(server, args, require_units=True)
 
 
@@ -85,7 +83,7 @@ def geo_recommend_skills(server, args) -> dict:
     return {"matches": [m.to_dict() for m in matches]}
 
 
-def geo_get_skill(server, args) -> str:
+def geo_get_skill(server, args) -> Reply:
     include = args.get("include_references", False)
     skill = server.skills.get_skill(args["name"], include)
     return _text(server, ("geo_get_skill", skill.name, include), skill.to_dict)
@@ -94,7 +92,7 @@ def geo_get_skill(server, args) -> str:
 # The EC7 tools import the workflow when called, so a session that never
 # calls one does not load it (nor dataclasses).
 
-def geo_get_ec7_preset_partials(server, args) -> str:
+def geo_get_ec7_preset_partials(server, args) -> Reply:
     from .ec7 import get_ec7_preset_partials
 
     pf = get_ec7_preset_partials(args["design_approach"])
@@ -102,7 +100,7 @@ def geo_get_ec7_preset_partials(server, args) -> str:
                  _partials_reply, pf)
 
 
-def geo_check_footing_uls_ec7(server, args) -> str:
+def geo_check_footing_uls_ec7(server, args) -> Reply:
     from .ec7 import check_footing_uls_ec7, read_scenario
 
     scenario = read_scenario(args["scenario"])
@@ -110,10 +108,10 @@ def geo_check_footing_uls_ec7(server, args) -> str:
     result = check_footing_uls_ec7(
         scenario, args["design_approach"], width,
         catalog=server.catalog, drainage=args.get("drainage", "drained"))
-    return reply_text(result)
+    return to_reply(result)
 
 
-def geo_design_footing_width_ec7(server, args) -> str:
+def geo_design_footing_width_ec7(server, args) -> Reply:
     from .ec7 import design_footing_width_ec7, read_scenario
 
     scenario = read_scenario(args["scenario"])
@@ -121,7 +119,7 @@ def geo_design_footing_width_ec7(server, args) -> str:
         scenario, args["design_approach"],
         tolerance=args.get("tolerance", 1e-3),
         catalog=server.catalog, drainage=args.get("drainage", "drained"))
-    return reply_text(result)
+    return to_reply(result)
 
 
 def geo_session_set_defaults(server, args) -> dict:

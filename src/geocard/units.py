@@ -11,9 +11,9 @@ a JSON table (a bundled default ships with the package) and is immutable
 after construction, so all operations here are pure and thread-safe.
 
 ``quantity_text`` is the one reader of a request's quantity strings: it
-keeps its last 64 successful reads, and converts as ``convert`` does
-without building a ``Quantity``. A reader's error says what is wrong;
-``to_magnitude``, the entry of every input value, names the input.
+keeps its last 64 successful reads, and converts as ``convert`` does, by
+scales resolved once per (tag, unit). A reader's error says what is
+wrong; ``to_magnitude``, the entry of every input value, names the input.
 """
 
 from __future__ import annotations
@@ -253,14 +253,22 @@ def quantity_text(text: str, unit_name: str) -> tuple[float, str]:
     """
     magnitude, tag = split_quantity_text(text)
     if tag:  # convert's check and arithmetic, with no Quantity built
-        registry = default_registry()
-        unit, target = registry.resolve(tag), registry.resolve(unit_name)
-        if unit.dimension != target.dimension:
-            raise DimensionMismatch(unit.dimension, target.dimension,
-                                    f"{unit.name} -> {target.name}")
-        if unit != target:
-            magnitude = magnitude * unit.scale / target.scale
+        scales = _SCALES.get((tag, unit_name))
+        if scales is None:  # resolved once per pair; an error is never kept
+            registry = default_registry()
+            unit, target = registry.resolve(tag), registry.resolve(unit_name)
+            if unit.dimension != target.dimension:
+                raise DimensionMismatch(unit.dimension, target.dimension,
+                                        f"{unit.name} -> {target.name}")
+            scales = _SCALES[tag, unit_name] = (
+                () if unit == target else (unit.scale, target.scale))
+        if scales:  # () when the tag names the unit itself
+            magnitude = magnitude * scales[0] / scales[1]
     return magnitude, tag
+
+
+# quantity_text's (tag, unit name) -> scales; only pairs that resolve, so bounded.
+_SCALES: dict[tuple[str, str], tuple] = {}
 
 
 def format_quantity(q: Quantity) -> str:

@@ -31,7 +31,7 @@ from geocard.ec7 import (
 from geocard.catalog import default_catalog
 from json.encoder import encode_basestring_ascii
 
-from geocard.engine import EvaluationRequest, evaluate_card, reply_text, strict_json
+from geocard.engine import EvaluationRequest, evaluate_card, strict_json, to_reply
 from geocard.errors import (
     GeocardError,
     InvalidGeometry,
@@ -780,12 +780,12 @@ class TestWidthSearchMatchesTracedSearch:
 
 def _same_json(result) -> dict:
     """``to_json()``, written from its body's template, equals the
-    reference writer's text, and so does the reply text, whose literal is
-    that text's JSON string literal. Returns the decoded body."""
+    reference writer's text, and so does the reply's text, whose literal
+    is that text's JSON string literal. Returns the decoded body."""
     text = result.to_json()
     assert text == strict_json(result.to_dict())
-    reply = reply_text(result)
-    assert reply == text and reply.literal == encode_basestring_ascii(text)
+    reply = to_reply(result)
+    assert reply.text == text and reply.literal == encode_basestring_ascii(text)
     return json.loads(text)
 
 
@@ -922,7 +922,8 @@ class TestResultJson:
             assert result._written() is not None
             text = result.to_json()
             assert text == strict_json(result.to_dict())
-            assert reply_text(result).literal == encode_basestring_ascii(text)
+            reply = to_reply(result)
+            assert reply.text == text and reply.literal == encode_basestring_ascii(text)
         body = json.loads(design.to_json())
         assert body["check"]["utilization"] == (None if utilization == math.inf
                                                 else utilization)

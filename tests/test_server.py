@@ -418,6 +418,18 @@ class TestGoldenTranscript:
         expected = (DATA_DIR / "golden_arguments_expected.jsonl").read_bytes()
         assert self._replay("golden_arguments").encode("utf-8") == expected
 
+    def test_session_in_process_writes_the_golden_lines(self):
+        """One server fed the session's lines through ``handle_message``:
+        the reply text in each dict, not the literal ``serve`` writes, gives
+        the same line, by ``json.dumps``."""
+        server, lines = McpServer(), []
+        for line in (DATA_DIR / "golden_session_requests.jsonl").read_text("utf-8").splitlines():
+            reply = server.handle_message(_REQUEST_DECODER.decode(line))
+            if reply is not None:
+                lines.append(json.dumps(reply, separators=(",", ":")) + "\n")
+        expected = (DATA_DIR / "golden_session_expected.jsonl").read_text("utf-8")
+        assert lines == expected.splitlines(keepends=True)
+
     def test_replay_is_stable_across_runs(self):
         assert self._replay() == self._replay()
 
@@ -1011,8 +1023,9 @@ def _messages(draw):
 
 
 class TestWrittenLines:
-    """``serve`` assembles the line of a tool result around the literal of
-    its text; every line must still be ``json.dumps`` of the reply."""
+    """``serve`` assembles the line of a tool result around its reply's
+    literal, and ``handle_message`` puts the reply's text in a dict; every
+    line must still be ``json.dumps`` of that dict."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.lists(_messages(), min_size=1, max_size=5))
@@ -1048,8 +1061,10 @@ class TestWrittenLines:
                                      "arguments": {"id": "BEARING_CAPACITY_VESIC"}})
         line = json.dumps(message)
         server.serve(io.StringIO(f"{line}\n{line}\n"), stdout)
-        [text] = server._texts.values()  # one text, written once and reused
-        assert text.literal == encode_basestring_ascii(text)
+        [reply] = server._texts.values()  # one reply, written once and reused
+        assert reply._literal is not None  # escaped while serving, and kept
+        assert reply.literal is reply.literal
+        assert reply.literal == encode_basestring_ascii(reply.text)
         reference = json.dumps(McpServer().handle_message(message),
                                separators=(",", ":")) + "\n"
         assert stdout.getvalue() == reference * 2
@@ -1166,11 +1181,12 @@ def _inputs(keys):
 _DEFAULTS = _inputs(_INPUT_VALUES)
 
 
-def _wire(reply) -> str:
-    """The line ``serve`` writes for ``reply``, checked to be strict JSON
-    whose tool text is strict JSON too, and no internal error."""
+def _wire(response) -> str:
+    """The line ``serve`` writes for a dispatched ``response``, checked to
+    be strict JSON whose tool text is strict JSON too, and no internal
+    error."""
     stdout = io.StringIO()
-    McpServer._write(stdout, reply)
+    McpServer._write(stdout, response)
     line = stdout.getvalue()
     decoded = json.loads(line, parse_constant=_reject_constant)
     json.dumps(decoded, allow_nan=False)
@@ -1183,9 +1199,9 @@ def _wire(reply) -> str:
 
 
 class SessionModel(RuleBasedStateMachine):
-    """One McpServer driven through ``handle_message``, against a model of
-    its session: a plain dict of defaults, merged into each evaluation as
-    ``_merged_inputs`` merges them."""
+    """One McpServer driven through the dispatch and line writer ``serve``
+    uses, against a model of its session: a plain dict of defaults, merged
+    into each evaluation as ``_merged_inputs`` merges them."""
 
     def __init__(self):
         super().__init__()
@@ -1194,8 +1210,8 @@ class SessionModel(RuleBasedStateMachine):
         self.ids = iter(range(1, 10 ** 6))
 
     def send(self, message) -> str | None:
-        reply = self.server.handle_message(message)
-        return None if reply is None else _wire(reply)
+        response = self.server._dispatch(message)
+        return None if response is None else _wire(response)
 
     def call(self, name, arguments) -> dict:
         line = self.send(rpc("tools/call", {"name": name, "arguments": arguments},
@@ -1242,9 +1258,11 @@ class SessionModel(RuleBasedStateMachine):
         for key, value in self.defaults.items():
             if key in input_keys:
                 merged.setdefault(key, value)
-        fresh = McpServer().handle_message(rpc("tools/call", {
-            "name": tool, "arguments": {**arguments, "inputs": merged}}, msg_id))
-        assert line == _wire(fresh)
+        fresh = rpc("tools/call", {
+            "name": tool, "arguments": {**arguments, "inputs": merged}}, msg_id)
+        assert line == _wire(McpServer()._dispatch(fresh))
+        assert line == json.dumps(McpServer().handle_message(fresh),
+                                  separators=(",", ":"), allow_nan=False) + "\n"
 
     @rule(da=st.sampled_from(DESIGN_APPROACHES),
           width=st.sampled_from([1.5, "2 m", "-1 m"]),

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 
 from geocard.ec7 import check_footing_uls_ec7, load_scenario
 from geocard.engine import (EvaluationRequest, EvaluationTrace, PartialTrace,
-                            evaluate_card, reply_text, scalar_json, strict_json)
+                            evaluate_card, scalar_json, strict_json, to_reply)
 from geocard.errors import GeocardError, NonFiniteValue
 from geocard.units import Quantity, default_registry
 from test_ec7 import overflowing_scenario
@@ -53,11 +53,12 @@ def reference(trace) -> str:
 
 def templated(trace) -> str:
     """to_json(), checked to come from the variant's template, and to
-    equal the reply text, whose literal, written from the template's
+    equal the reply's text, whose literal, written from the template's
     escaped pieces, must be the text's own JSON string literal."""
     assert trace._written() is not None
-    text, reply = trace.to_json(), reply_text(trace)
-    assert reply == text and type(reply.literal) is str
+    text, reply = trace.to_json(), to_reply(trace)
+    assert reply.template is not None
+    assert reply.text == text and type(reply.literal) is str
     assert reply.literal == encode_basestring_ascii(text)
     return text
 
@@ -321,4 +322,6 @@ class TestFaults:
         assert type(partial) is PartialTrace and partial.outputs == {}
         assert partial._written() is None
         assert partial.to_json() == reference(partial)
-        assert reply_text(partial).literal == encode_basestring_ascii(reference(partial))
+        reply = to_reply(partial)
+        assert reply.text == reference(partial)
+        assert reply.literal == encode_basestring_ascii(reference(partial))

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from geocard.errors import (DimensionMismatch, GeocardError, MalformedQuantity,
                             NonFiniteValue, UnknownUnit)
+import geocard.units
 from geocard.units import (
     DATA_DIR,
     Dimension,
@@ -328,6 +329,32 @@ class TestQuantityTextConverts:
             text = f"{magnitude!r} {tag}"
             assert _outcome(read, text, unit_name) == _outcome(
                 _read_through_convert, text, unit_name), (text, unit_name)
+
+    def test_scales_are_kept_once_per_pair_that_resolves(self, monkeypatch):
+        """After every tag and card unit is read, the scales are kept for
+        each pair of one dimension alone: at most (registry names +
+        aliases) × card units entries."""
+        monkeypatch.setattr(geocard.units, "_SCALES", {})
+        for tag, unit_name in itertools.product(_TAGS, _CARD_UNITS):
+            _outcome(quantity_text.__wrapped__, f"2.5 {tag}", unit_name)
+        names = _UNIT_NAMES + sorted(_TABLE["aliases"])
+        assert set(geocard.units._SCALES) == {
+            (tag, unit_name) for tag in names for unit_name in _UNIT_NAMES
+            if REG.resolve(tag).dimension == REG.resolve(unit_name).dimension}
+        assert len(geocard.units._SCALES) <= len(names) * len(_UNIT_NAMES)
+
+    @pytest.mark.parametrize("tag, unit_name, error, message", [
+        ("furlong", "m", UnknownUnit, "unknown unit: 'furlong'"),
+        ("m", "furlong", UnknownUnit, "unknown unit: 'furlong'"),
+        ("m", "kPa", DimensionMismatch,
+         "incompatible dimensions: length vs length^-1·mass·time^-2 (m -> kPa)")])
+    def test_an_error_is_raised_again_and_never_kept(self, monkeypatch, tag, unit_name,
+                                                     error, message):
+        monkeypatch.setattr(geocard.units, "_SCALES", {})
+        for _ in range(2):
+            assert _outcome(quantity_text.__wrapped__, f"2 {tag}", unit_name) == (
+                error, message)
+            assert geocard.units._SCALES == {}
 
     def test_errors_are_converts(self):
         assert _outcome(quantity_text.__wrapped__, "2 m", "kPa") == (
