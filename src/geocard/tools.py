@@ -17,10 +17,10 @@ from .units import for_input, quantity_text, split_quantity_text, to_magnitude
 
 def _text(server, key: tuple, build, *args) -> Reply:
     """The memoized reply under ``key``: ``build(*args)`` written by
-    strict_json on first use, and escaped when first served. Each key is made of arguments
-    that already resolved to a card, a category, a skill or a Design
-    Approach, so a client cannot grow the memo; an error reply raises
-    before it gets here."""
+    strict_json on first use, and escaped when first served. Each key is
+    made of arguments that already resolved to a card, a category, a skill
+    or a Design Approach, so a client cannot grow the memo; an error reply
+    raises before it gets here."""
     reply = server._texts.get(key)
     if reply is None:
         reply = server._texts[key] = Reply(strict_json(build(*args)))
