@@ -12,7 +12,6 @@ as a backslash escape.
 
 from __future__ import annotations
 
-import argparse
 import sys
 
 from . import __version__
@@ -20,7 +19,8 @@ from .errors import GeocardError
 
 # Each command imports the modules it uses, so that validate and eval load
 # neither the EC7 workflow, the skills nor the MCP server, and serve
-# answers the MCP handshake before any card, unit or engine module loads.
+# answers the MCP handshake before any card, unit or engine module loads;
+# a bare ``serve`` builds no parser, so it loads neither argparse nor gettext.
 
 
 def main(argv=None) -> int:
@@ -30,12 +30,15 @@ def main(argv=None) -> int:
     reconfigure = getattr(sys.stdout, "reconfigure", None)
     if reconfigure is not None:
         reconfigure(errors="backslashreplace")
-    parser = build_parser()
-    args = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
-    if args.command is None:
-        parser.print_help()
-        return 2
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        if argv == ["serve"]:  # the MCP client's command line: no parser to build
+            return cmd_serve(None)
+        parser = build_parser()
+        args = parser.parse_args(_join_numbers(argv))
+        if args.command is None:
+            parser.print_help()
+            return 2
         return args.func(args)
     except GeocardError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -58,6 +61,8 @@ def _join_numbers(argv: list[str]) -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="geocard",
         description="Declarative geotechnical method cards: validate, "

@@ -24,6 +24,9 @@ it cannot stage, it returns None. The caller runs the closures itself and
 calls ``evaluate_card`` wherever they do not serve, so every fault, its
 order and its partial trace come from ``evaluate_card`` alone.
 
+``strict_json`` is geocard's one JSON writer: every body it writes reads as
+``json.dumps(body, indent=2, allow_nan=False)``, the tests' reference, and
+it builds no closure, so a reply leaves no cyclic garbage for the collector.
 ``EvaluationTrace.to_dict`` and ``strict_json`` are the reference writer of a
 trace. ``to_json`` writes a complete trace from its variant's ``Template``:
 the reference writer's text for a trace whose every value is a marker,
@@ -54,7 +57,6 @@ are escaped per reply. ``to_json`` is its text.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections.abc import Callable, Iterable, Mapping
@@ -179,14 +181,14 @@ class EvaluationTrace(Record):
         for key, at in echoes:
             value = inputs[key]
             texts.append(texts[at] if at is not None and value is values[at]
-                         else scalar_json(_echo_value(value)))
+                         else strict_json(_echo_value(value)))
         cycles = self.diagnostics["iterative_cycles"]
         if cycles:
-            texts += (scalar_json(cycles[0]["iterations"]),
-                      scalar_json(cycles[0]["residual"]))
+            texts += (strict_json(cycles[0]["iterations"]),
+                      strict_json(cycles[0]["residual"]))
         texts.append(_overrides(self.request_overrides))
         if outer is not None:
-            texts += map(scalar_json, outer._scalars())
+            texts += map(strict_json, outer._scalars())
         return template, texts
 
 
@@ -203,13 +205,38 @@ class PartialTrace(EvaluationTrace):
         return None
 
 
-def strict_json(body) -> str:
-    """Indented strict JSON of a trace or reply; a NaN or infinity is a
-    domain error."""
-    try:
-        return json.dumps(body, indent=2, allow_nan=False)
-    except ValueError:  # a NaN or infinity computed from finite inputs
-        raise NonFiniteValue("result") from None
+def strict_json(value, newline="\n") -> str:
+    """Indented strict JSON of a trace, reply or scalar, ``newline`` before
+    each item one level down: a string by its escape, a float or an int by
+    its repr, None and a bool as JSON's words, a dict (keys are str: any
+    other is a TypeError), list or tuple item by item, a subclass of one of
+    these as its base. A NaN or infinity is a domain error; a value JSON
+    cannot write is a TypeError."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float:
+        if math.isfinite(value):
+            return float.__repr__(value)
+        raise NonFiniteValue("result")
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    inner = newline + "  "
+    if kind is dict:
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + strict_json(item, inner)
+            for key, item in value.items()]) + newline + "}" if value else "{}"
+    if kind is list or kind is tuple:
+        return "[" + inner + ("," + inner).join([
+            strict_json(item, inner) for item in value]) + newline + "]" if value else "[]"
+    for base in (str, int, float, list, tuple, dict):
+        if isinstance(value, base):  # a subclass, written as json writes its base
+            return strict_json(base(value), newline)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _echo_value(value: InputValue):
@@ -217,25 +244,6 @@ def _echo_value(value: InputValue):
 
 
 # ---------------------------------------------------------------- templates ----
-
-def scalar_json(value) -> str:
-    """``value`` as strict_json writes it: a float or an int by its repr,
-    a string by its escape, None and a bool as JSON's words, anything else
-    by strict_json itself."""
-    if type(value) is float:
-        if not math.isfinite(value):
-            raise NonFiniteValue("result")
-        return float.__repr__(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    return strict_json(value)
-
 
 def _overrides(overrides: Mapping[str, InputValue]) -> str:
     if not overrides:
@@ -262,15 +270,15 @@ def _gather(items: list) -> Callable:
 
 
 def _value_texts(values: tuple) -> list[str]:
-    """``scalar_json`` of each value: ``float.__repr__`` when every value
+    """``strict_json`` of each value: ``float.__repr__`` when every value
     is a finite float."""
     try:
         texts = list(map(float.__repr__, values))
     except TypeError:  # a value that is not a float
-        return list(map(scalar_json, values))
+        return list(map(strict_json, values))
     # An infinity or a NaN makes the sum one; so may an overflow, and then
-    # scalar_json finds each value finite.
-    return texts if math.isfinite(sum(values)) else list(map(scalar_json, values))
+    # strict_json finds each value finite.
+    return texts if math.isfinite(sum(values)) else list(map(strict_json, values))
 
 
 # The kind of a hole's value. A number reads the same inside a JSON string

@@ -527,6 +527,20 @@ class TestUsage:
             main(["--version"])
         assert exc.value.code == 0
 
+    def test_serve_with_any_argument_goes_through_the_parser(self, capsys):
+        """Only a bare ``serve`` skips the parser: ``serve --help`` prints
+        the command's help, and ``serve extra`` is a usage error."""
+        with pytest.raises(SystemExit) as helped:
+            main(["serve", "--help"])
+        assert helped.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: geocard serve [-h]\n")
+        with pytest.raises(SystemExit) as refused:
+            main(["serve", "extra"])
+        assert refused.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "geocard: error: unrecognized arguments: extra\n")
+
     @pytest.mark.parametrize("flag, pair", [
         ("--in", "phi_prime"), ("--in", "=30 deg"),
         ("--override", "k_factor"), ("--override", " =2"),

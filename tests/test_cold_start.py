@@ -45,7 +45,7 @@ NOT_ON_THE_CATALOG_PATH = ["dataclasses", "inspect", "ast", "typing",
 NOT_ON_THE_HANDSHAKE_PATH = [
     *(f"geocard.{m}" for m in ("cards", "expression", "units", "record", "catalog",
                                "engine", "skills", "tools", "ec7")),
-    "pathlib"]
+    "pathlib", "argparse", "gettext"]
 
 
 def run(code: str):

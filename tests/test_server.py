@@ -1,6 +1,9 @@
 """MCP server tests: protocol conformance, schema gating, tool behavior,
 and the byte-exact golden transcript replay."""
 
+import collections
+import enum
+import gc
 import io
 import json
 import math
@@ -17,7 +20,7 @@ from geocard.ec7 import (DESIGN_APPROACHES, check_footing_uls_ec7,
                          load_scenario)
 from geocard import engine, tools
 from geocard.engine import EvaluationRequest, evaluate_card
-from geocard.errors import GeocardError
+from geocard.errors import GeocardError, NonFiniteValue
 from geocard.server import _CHECKERS, _REQUEST_DECODER, McpServer, TOOLS, serve
 from test_ec7 import OVERFLOWING, _reference_check
 
@@ -851,12 +854,21 @@ _QUANTITY_TEXT = st.sampled_from([
     "30 deg", "0.5 rad", "18 kN/m^3", "2 m", "0 kPa", "-1 m", "1e400 kPa",
     "1e308 MPa", "nan m", "inf kPa", "abc m", "3 furlongs", "2", "", " kPa"])
 _HUGE_INT = st.integers(min_value=10**308, max_value=10**400)
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | _HUGE_INT | st.floats()
-    | st.text(max_size=8) | _QUANTITY_TEXT,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-    max_leaves=6)
+
+
+def _json(floats, tuples=False):
+    """JSON values whose floats are drawn from ``floats``, nested in lists
+    and dicts, and in tuples too if ``tuples``."""
+    def containers(inner):
+        lists = st.lists(inner, max_size=3)
+        return ((lists | lists.map(tuple)) if tuples else lists) | st.dictionaries(
+            st.text(max_size=6), inner, max_size=3)
+    return st.recursive(
+        st.none() | st.booleans() | st.integers() | _HUGE_INT | floats
+        | st.text(max_size=8) | _QUANTITY_TEXT, containers, max_leaves=6)
+
+
+_JSON = _json(st.floats())
 _BY_TYPE = {
     "string": st.text(max_size=8) | _QUANTITY_TEXT,
     "number": st.integers() | _HUGE_INT | st.floats(),
@@ -921,6 +933,69 @@ class TestServerFuzz:
         else:
             json.loads(response["result"]["content"][0]["text"],
                        parse_constant=_reject_constant)
+
+
+class TestStrictJson:
+    """``engine.strict_json`` is geocard's JSON writer, and ``json.dumps``
+    with ``indent=2, allow_nan=False`` its reference, over drawn bodies."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json(st.floats(allow_nan=False, allow_infinity=False), tuples=True))
+    @example(-0.0)
+    @example(5e-324)
+    @example(1e308)
+    @example(10**400)
+    @example({"\u00fc\x00\n\u2028": ["\x1f\"\\\ud800", "\u00e9\U0001f600", -0.0]})
+    @example({"": {}, "a": [], "b": ()})
+    @example([[{}], ({"c": [()]}, [[]]), {"d": {"e": {"f": [1, 2.5, None, True, False]}}}])
+    def test_writes_what_json_dumps_writes(self, body):
+        assert engine.strict_json(body) == json.dumps(body, indent=2, allow_nan=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json(st.floats(), tuples=True))
+    @example([1.0, {"a": ("b", math.nan)}])
+    @example({"a": {"b": [-math.inf]}})
+    def test_non_finite_raises_where_json_dumps_raises(self, body):
+        try:
+            expected = json.dumps(body, indent=2, allow_nan=False)
+        except ValueError:
+            with pytest.raises(NonFiniteValue):
+                engine.strict_json(body)
+        else:
+            assert engine.strict_json(body) == expected
+
+    def test_subclasses_are_written_as_their_bases(self):
+        Pair = collections.namedtuple("Pair", "a b")
+        body = collections.OrderedDict(
+            [("flag", enum.IntEnum("Flag", "ON")(1)), ("width", type("Width", (float,), {})(2.5)),
+             ("unit", type("Tag", (str,), {})("m\u00b3")), ("pair", Pair([], -0.0))])
+        assert engine.strict_json(body) == json.dumps(body, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("body", [
+        object(), {1, 2}, b"x", {"a": [1, object()]}, [complex(1, 2)],
+        {1: "a key json would write, and geocard never builds"}])
+    def test_what_it_cannot_write_is_a_type_error(self, body):
+        with pytest.raises(TypeError):
+            engine.strict_json(body)
+
+
+class TestNoCyclicGarbage:
+    def test_a_warm_session_leaves_nothing_for_the_collector(self):
+        """The golden session, served twice on one server to warm every
+        memo, leaves no cyclic object on its third pass."""
+        lines = (DATA_DIR / "golden_session_requests.jsonl").read_text()
+        server = McpServer()
+        for _ in range(2):
+            server.serve(io.StringIO(lines), io.StringIO())
+        stdout = io.StringIO()
+        gc.collect()
+        gc.disable()
+        try:
+            server.serve(io.StringIO(lines), stdout)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert stdout.getvalue() == (DATA_DIR / "golden_session_expected.jsonl").read_text()
 
 
 _TYPE_CHECKS = {

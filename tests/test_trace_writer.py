@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 
 from geocard.ec7 import check_footing_uls_ec7, load_scenario
 from geocard.engine import (EvaluationRequest, EvaluationTrace, PartialTrace,
-                            evaluate_card, scalar_json, strict_json, to_reply)
+                            evaluate_card, strict_json, to_reply)
 from geocard.errors import GeocardError, NonFiniteValue
 from geocard.units import Quantity, default_registry
 from test_ec7 import overflowing_scenario
@@ -280,7 +280,7 @@ def _evaluation(card, variant, inputs):
 class TestNumber:
     @pytest.mark.parametrize("value", [0, -1, 2**63, 10**100, True, False, None])
     def test_int_and_bool_as_json_writes_them(self, value):
-        assert scalar_json(value) == json.dumps(value)
+        assert strict_json(value) == json.dumps(value)
 
 
 class TestFaults:
