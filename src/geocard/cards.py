@@ -1,7 +1,7 @@
 """Method card data model, JSON loading, and load-time validation.
 
 Each record has one field table (``CARD_FIELDS``, ``VARIABLE_FIELDS``,
-``VARIANT_FIELDS``, ``EQUATION_FIELDS``, ``SOURCE_FIELDS``): ``load_record``
+``VARIANT_FIELDS``, ``EQUATION_FIELDS``, ``SOURCE_FIELDS``): ``read_record``
 reads it, refusing an unknown key, and ``MethodCard.to_dict`` writes it.
 
 A card that loads without error is safe to hand to the engine: every
@@ -136,15 +136,15 @@ def read_record(obj, fields: dict, path: str) -> dict:
     return values
 
 
-def load_record(json_text: str, fields: dict, what: str) -> dict:
-    """The JSON object in ``json_text``, a ``what``, read against ``fields``."""
+def decode_record(json_text: str, what: str) -> dict:
+    """The JSON object in ``json_text``, a ``what``, for ``read_record``."""
     try:
         raw = json.loads(json_text)
     except (ValueError, RecursionError) as exc:  # too deep, or an int over 4300 digits
         raise SchemaError("$", f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaError("$", f"{what} must be a JSON object")
-    return read_record(raw, fields, "$")
+    return raw
 
 
 def _write(record, fields: dict) -> dict:
@@ -234,7 +234,7 @@ CARD_FIELDS = {"id": (_STR, True), "title": (_STR, True),
 
 def load_card(json_text: str) -> MethodCard:
     """Deserialize and fully validate one method card."""
-    raw = load_record(json_text, CARD_FIELDS, "card")
+    raw = read_record(decode_record(json_text, "card"), CARD_FIELDS, "$")
     card_id = raw["id"]
     if not _ID_RE.fullmatch(card_id):
         raise SchemaError("$.id", f"{card_id!r} is not UPPER_SNAKE")

@@ -17,10 +17,12 @@ import sys
 from . import __version__
 from .errors import GeocardError
 
-# Each command imports the modules it uses, so that validate and eval load
-# neither the EC7 workflow, the skills nor the MCP server, and serve
-# answers the MCP handshake before any card, unit or engine module loads;
-# a bare ``serve`` builds no parser, so it loads neither argparse nor gettext.
+# Each command imports the modules it uses. eval and ec7 call the MCP
+# tools' handlers on a fresh McpServer, so eval loads neither the EC7
+# workflow nor the skills, and validate loads neither those nor the MCP
+# server. serve answers the MCP handshake before any card, unit or engine
+# module loads; a bare ``serve`` builds no parser, so it loads neither
+# argparse nor gettext.
 
 
 def main(argv=None) -> int:
@@ -170,17 +172,15 @@ def _parse_kv(pairs: list[str], label: str) -> "dict | None":
 
 
 def cmd_eval(args) -> int:
-    from .catalog import default_catalog
-    from .engine import EvaluationRequest, evaluate_card
+    from .server import McpServer
+    from .tools import geo_evaluate
 
     inputs = _parse_kv(args.inputs, "--in")
     overrides = _parse_kv(args.overrides, "--override")
     if inputs is None or overrides is None:
         return 2
-    card = default_catalog().get_method(args.card)
-    request = EvaluationRequest(card_id=args.card, variant_id=args.variant,
-                                inputs=inputs, overrides=overrides)
-    trace = evaluate_card(card, request)
+    trace = geo_evaluate(McpServer(), {"card": args.card, "variant": args.variant,
+                                       "inputs": inputs, "overrides": overrides})
     if args.format == "json":
         print(trace.to_json())
     else:
@@ -191,44 +191,47 @@ def cmd_eval(args) -> int:
 
 # ---------------------------------------------------------------------- ec7 ----
 
-def _load_scenario_file(path_text: str):
+def _run_ec7(args, tool, arguments: dict, print_summary) -> int:
+    """Call the MCP tool function ``tool`` with ``arguments``, the scenario
+    file and the drainage once per Design Approach that ``--da`` names, and
+    print the results: as a JSON list of each one's to_json, or by
+    ``print_summary(args, results)``."""
     from pathlib import Path
 
-    from .ec7 import load_scenario
+    from .cards import decode_record
+    from .ec7 import DESIGN_APPROACHES
+    from .server import McpServer
 
-    path = Path(path_text)
+    path = Path(args.scenario)
     if not path.is_file():
-        print(f"usage error: no such scenario file: {path_text}", file=sys.stderr)
-        return None
+        print(f"usage error: no such scenario file: {args.scenario}", file=sys.stderr)
+        return 2
     try:
         text = path.read_text("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise GeocardError(f"cannot read scenario file {path_text}: {exc}") from None
-    return load_scenario(text)
-
-
-def _print_json(results) -> int:
-    """Print the results as strict_json of their to_dict() list, each
-    written by its to_json; a NaN or infinity is a domain error."""
-    print("[\n  " + ",\n  ".join(r.to_json().replace("\n", "\n  ") for r in results) + "\n]")
+        raise GeocardError(f"cannot read scenario file {args.scenario}: {exc}") from None
+    arguments.update(scenario=decode_record(text, "scenario"), drainage=args.drainage)
+    server = McpServer()
+    results = [tool(server, {**arguments, "design_approach": da})
+               for da in (DESIGN_APPROACHES if args.da == "all" else [args.da])]
+    if args.format == "json":
+        print("[\n  " + ",\n  ".join(r.to_json().replace("\n", "\n  ") for r in results) + "\n]")
+    else:
+        print_summary(args, results)
     return 0
 
 
 def cmd_ec7_check(args) -> int:
+    from .tools import geo_check_footing_uls_ec7
+
+    return _run_ec7(args, geo_check_footing_uls_ec7, {"B": args.B}, _print_checks)
+
+
+def _print_checks(args, results) -> None:
     import math
 
-    from .ec7 import DESIGN_APPROACHES, check_footing_uls_ec7
     from .report import format_sig
 
-    scenario = _load_scenario_file(args.scenario)
-    if scenario is None:
-        return 2
-    results = [
-        check_footing_uls_ec7(scenario, da, args.B, drainage=args.drainage)
-        for da in (DESIGN_APPROACHES if args.da == "all" else [args.da])
-    ]
-    if args.format == "json":
-        return _print_json(results)
     print(f"ULS bearing check at B = {format_sig(args.B)} m "
           f"({args.drainage})")
     print(f"{'DA':8s} {'V_d (kN)':>12s} {'R_d (kN)':>12s} "
@@ -239,22 +242,16 @@ def cmd_ec7_check(args) -> int:
         verdict = "PASS" if r.passed else "FAIL"
         print(f"{r.design_approach:8s} {r.V_d:12.2f} {r.R_d:12.2f} "
               f"{util:>12s}  {verdict}")
-    return 0
 
 
 def cmd_ec7_design(args) -> int:
-    from .ec7 import DESIGN_APPROACHES, design_footing_width_ec7
+    from .tools import geo_design_footing_width_ec7
 
-    scenario = _load_scenario_file(args.scenario)
-    if scenario is None:
-        return 2
-    results = [
-        design_footing_width_ec7(scenario, da, tolerance=args.tolerance,
-                                 drainage=args.drainage)
-        for da in (DESIGN_APPROACHES if args.da == "all" else [args.da])
-    ]
-    if args.format == "json":
-        return _print_json(results)
+    return _run_ec7(args, geo_design_footing_width_ec7,
+                    {"tolerance": args.tolerance}, _print_designs)
+
+
+def _print_designs(args, results) -> None:
     print(f"Required footing width ({args.drainage})")
     print(f"{'DA':8s} {'B_req (m)':>10s} {'V_d (kN)':>12s} {'R_d (kN)':>12s} "
           f"{'utilization':>12s}")
@@ -265,7 +262,6 @@ def cmd_ec7_design(args) -> int:
         governing = max(results, key=lambda r: r.B_req)
         print(f"governing: {governing.design_approach} "
               f"(B = {governing.B_req:.3f} m)")
-    return 0
 
 
 # -------------------------------------------------------------------- serve ----

@@ -32,7 +32,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cards import ABSENT, instance_of, load_record, read_record
+from .cards import ABSENT, decode_record, instance_of, read_record
 from .catalog import Catalog, default_catalog
 from .engine import EvaluationRequest, EvaluationTrace, evaluate_card, stage, to_reply
 from .errors import (GeocardError, InvalidGeometry, NoBracket, NonFiniteValue,
@@ -168,12 +168,12 @@ def load_scenario(json_text: str) -> FootingScenario:
     A key that names no field is a SchemaError, so a misspelled optional
     field cannot fall back to its default unseen.
     """
-    return FootingScenario(**load_record(json_text, SCENARIO_FIELDS, "scenario"))
+    return read_scenario(decode_record(json_text, "scenario"))
 
 
 def read_scenario(obj: dict) -> FootingScenario:
-    """A scenario from its decoded JSON object, read as ``load_scenario``
-    reads the object in its text, with the same errors."""
+    """A scenario from its decoded JSON object; ``load_scenario`` reads
+    the object in a text through it, so both raise the same errors."""
     return FootingScenario(**read_record(obj, SCENARIO_FIELDS, "$"))
 
 

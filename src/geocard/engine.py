@@ -394,9 +394,12 @@ class Reply:
 
 
 def to_reply(obj) -> Reply:
-    """The reply of a trace or an EC7 result: the template and fills of
-    ``obj._written()``, if any, else the reference writer's text. A value
-    that is not finite raises NonFiniteValue here, not when it is read."""
+    """The reply of a tool's value: a ``Reply`` as it is, a dict by
+    strict_json, a trace or an EC7 result by the template and fills of
+    ``obj._written()``, if any, else by the reference writer. A value that
+    is not finite raises NonFiniteValue here, not when it is read."""
+    if isinstance(obj, (Reply, dict)):  # a memoized reply, or a tool's dict
+        return obj if type(obj) is Reply else Reply(strict_json(obj))
     written = obj._written()
     if written is None:
         return Reply(strict_json(obj.to_dict()))

@@ -14,11 +14,14 @@ This module is the protocol alone, so the handshake (``initialize``,
 imports the handlers, ``tools``, at its first ``tools/call`` that passes
 its check, and builds its catalog and skills when a tool first reads them.
 
+A tool returns its value, and ``engine.to_reply`` writes it as an
+``engine.Reply`` inside the call's one guard, so a value it cannot write
+fails as a fault of the tool would; it writes an error payload too.
 Every line is ``json.dumps(reply, separators=(",", ":"), allow_nan=False)``
 of the dict ``handle_message`` returns. ``serve`` shares its dispatch, but
-a tool result reaches it as the tool's ``engine.Reply``, not as a dict:
-its line is assembled from the envelope's fixed text, the id's JSON, the
-reply's ``literal`` and ``isError``, and its text is never built.
+a tool result reaches it as that ``Reply``, not as a dict: its line is
+assembled from the envelope's fixed text, the id's JSON, the reply's
+``literal`` and ``isError``, and its text is never built.
 ``handle_message`` puts the reply's ``text`` in its dict and builds no
 literal. An evaluation or an EC7 check or design writes either form from
 its template's pieces, and a memoized reply escapes its text once.
@@ -33,7 +36,7 @@ from io import TextIOBase
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .errors import GeocardError, NonFiniteValue
+from .errors import GeocardError
 
 PROTOCOL_VERSION = "2024-11-05"
 SERVER_NAME = "geocard"
@@ -364,17 +367,12 @@ class McpServer:
             from . import tools
             self._tools = tools
         try:
-            reply, is_error = getattr(tools, name)(self, arguments), False
+            reply, is_error = tools.to_reply(getattr(tools, name)(self, arguments)), False
         except GeocardError as exc:
-            reply, is_error = exc.payload(), True
+            reply, is_error = tools.to_reply(exc.payload()), True
         except Exception as exc:  # defensive: never crash the transport
             return self._error(msg_id, INTERNAL_ERROR,
                                f"{type(exc).__name__}: {exc}")
-        try:  # a tool returns its Reply, or a dict for strict_json
-            if type(reply) is dict:
-                reply = tools.Reply(tools.strict_json(reply))
-        except NonFiniteValue as exc:
-            reply, is_error = tools.Reply(tools.strict_json(exc.payload())), True
         return msg_id, reply, is_error
 
     @staticmethod

@@ -1,29 +1,31 @@
 """The MCP tools: one function of ``(server, arguments)`` per tool, named
 after it. ``McpServer`` imports this module at its first ``tools/call``,
-so its handshake loads no card, skill, unit or engine module. A function
-gets arguments that passed the tool's schema check, reads the server's
-catalog, skills and session defaults, and returns its ``Reply`` or a dict
-for ``strict_json``; a ``GeocardError`` is the tool's error reply. The
-server writes the reply in the form its reader takes.
+so its handshake loads no card, skill, unit or engine module, and each
+CLI command calls the same function. A function gets arguments that
+passed the tool's schema check, reads the server's catalog, skills and
+session defaults, and returns its value: a trace, an EC7 result, a dict,
+or a memoized ``Reply``; a ``GeocardError`` is the tool's error reply.
+``engine.to_reply`` writes the value; the server serves it in the form
+its reader takes.
 """
 
 from __future__ import annotations
 
 from . import __version__, engine
-from .engine import EvaluationRequest, Reply, strict_json, to_reply
+from .engine import EvaluationRequest, EvaluationTrace, Reply, to_reply
 from .errors import DimensionMismatch, GeocardError, MalformedQuantity, MissingUnit, UnknownUnit
 from .units import for_input, quantity_text, split_quantity_text, to_magnitude
 
 
 def _text(server, key: tuple, build, *args) -> Reply:
     """The memoized reply under ``key``: ``build(*args)`` written by
-    strict_json on first use, and escaped when first served. Each key is
+    to_reply on first use, and escaped when first served. Each key is
     made of arguments that already resolved to a card, a category, a skill
     or a Design Approach, so a client cannot grow the memo; an error reply
     raises before it gets here."""
     reply = server._texts.get(key)
     if reply is None:
-        reply = server._texts[key] = Reply(strict_json(build(*args)))
+        reply = server._texts[key] = to_reply(build(*args))
     return reply
 
 
@@ -50,7 +52,7 @@ def _merged_inputs(server, card, given: dict) -> dict:
     return merged
 
 
-def geo_evaluate(server, args, require_units: bool = False) -> Reply:
+def geo_evaluate(server, args, require_units: bool = False) -> EvaluationTrace:
     card = server.catalog.get_method(args["card"])
     request = EvaluationRequest(
         card_id=args["card"],
@@ -66,10 +68,10 @@ def geo_evaluate(server, args, require_units: bool = False) -> Reply:
         if untagged:
             raise MissingUnit(untagged)
     # looked up on engine when called, so a wrapper put there (a tracer's) sees it
-    return to_reply(engine.evaluate_card(card, request))
+    return engine.evaluate_card(card, request)
 
 
-def geo_evaluate_with_units(server, args) -> Reply:
+def geo_evaluate_with_units(server, args) -> EvaluationTrace:
     return geo_evaluate(server, args, require_units=True)
 
 
@@ -100,26 +102,24 @@ def geo_get_ec7_preset_partials(server, args) -> Reply:
                  _partials_reply, pf)
 
 
-def geo_check_footing_uls_ec7(server, args) -> Reply:
+def geo_check_footing_uls_ec7(server, args):
     from .ec7 import check_footing_uls_ec7, read_scenario
 
     scenario = read_scenario(args["scenario"])
     width = to_magnitude(args["B"], "m", "B")
-    result = check_footing_uls_ec7(
+    return check_footing_uls_ec7(
         scenario, args["design_approach"], width,
         catalog=server.catalog, drainage=args.get("drainage", "drained"))
-    return to_reply(result)
 
 
-def geo_design_footing_width_ec7(server, args) -> Reply:
+def geo_design_footing_width_ec7(server, args):
     from .ec7 import design_footing_width_ec7, read_scenario
 
     scenario = read_scenario(args["scenario"])
-    result = design_footing_width_ec7(
+    return design_footing_width_ec7(
         scenario, args["design_approach"],
         tolerance=args.get("tolerance", 1e-3),
         catalog=server.catalog, drainage=args.get("drainage", "drained"))
-    return to_reply(result)
 
 
 def geo_session_set_defaults(server, args) -> dict:

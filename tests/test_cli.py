@@ -323,9 +323,12 @@ class TestEc7Commands:
         assert captured.err == f"error: $.{key}: unknown field\n"
 
     @pytest.mark.parametrize("width", ["nan", "inf", "-inf"])
-    def test_non_finite_width_names_the_width(self, width, capsys):
+    @pytest.mark.parametrize("da", ["DA2", "DA9"])
+    def test_non_finite_width_names_the_width(self, da, width, capsys):
+        """The width is checked before the Design Approach, as the MCP
+        tool checks it."""
         pad = str(Path(__file__).parents[1] / PAD)
-        assert main(["ec7", "check", "--scenario", pad, "--da", "DA2",
+        assert main(["ec7", "check", "--scenario", pad, "--da", da,
                      f"--B={width}"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -460,6 +463,121 @@ class TestEc7JsonMatchesTheReference:
         results = [design_footing_width_ec7(scenario, d, tolerance=0.01)
                    for d in (DESIGN_APPROACHES if da == "all" else [da])]
         assert capsys.readouterr().out == self.reference(results)
+
+
+def _evaluate(card, variant, inputs, overrides=None):
+    return {"card": card, "variant": variant, "inputs": inputs,
+            "overrides": overrides or {}}
+
+
+def _kv(flag, pairs):
+    return [arg for key, value in pairs.items() for arg in (flag, f"{key}={value}")]
+
+
+_TERZAGHI_INPUTS = {"c_prime": "0 kPa", "phi_prime": "30 deg", "gamma": "18 kN/m^3",
+                    "B": "2 m", "q": "18 kPa"}
+_TERZAGHI_ARGV = ["eval", "BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip",
+                  *_kv("--in", _TERZAGHI_INPUTS)]
+_VESIC_INPUTS = {"phi_prime": "30 deg", "c_prime": "5 kPa", "gamma": "18 kN/m^3",
+                 "B": "2 m", "L": "3 m", "D_f": "1 m", "q": "18 kPa"}
+_EC7_PHI0_INPUTS = {"phi_prime_d": "0 rad", "c_prime_d": "50 kPa", "c_u_d": "0 kPa",
+                    "gamma": "18 kN/m^3", "B": "2 m", "L": "2 m", "q": "0 kPa"}
+
+
+def _ec7(command, scenario, da, arguments, *options):
+    """A CI row of ``geocard ec7``: its argv, and the tool's arguments
+    for each Design Approach it calls, in order."""
+    path = Path(__file__).parents[1] / scenario
+    argv = ["ec7", command, "--scenario", str(path), "--da", da, *options]
+    das = DESIGN_APPROACHES if da == "all" else [da]
+    scenario_object = json.loads(path.read_text("utf-8"))
+    return argv, [{"scenario": scenario_object, "design_approach": d, **arguments}
+                  for d in das]
+
+
+# The CLI's golden and pinned-stderr command lines of CI (the ones with a
+# tool reply), each with its tool and that tool's arguments per call.
+_CLI_ROWS = {
+    "terzaghi": ("geo_evaluate", [*_TERZAGHI_ARGV, "--format", "json"],
+                 [_evaluate("BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip",
+                            _TERZAGHI_INPUTS)]),
+    "vesic-override": ("geo_evaluate", [
+        "eval", "BEARING_CAPACITY_VESIC", "general", *_kv("--in", _VESIC_INPUTS),
+        "--override", "beta=5 deg", "--format", "json"],
+        [_evaluate("BEARING_CAPACITY_VESIC", "general", _VESIC_INPUTS, {"beta": "5 deg"})]),
+    "ec7-phi0": ("geo_evaluate", [
+        "eval", "BEARING_CAPACITY_EUROCODE7", "drained", *_kv("--in", _EC7_PHI0_INPUTS),
+        "--format", "json"],
+        [_evaluate("BEARING_CAPACITY_EUROCODE7", "drained", _EC7_PHI0_INPUTS)]),
+    "coupled": ("geo_evaluate", [
+        "eval", "BENCH_COUPLED_PRESSURE", "coupled", "--in", "p=100 kPa",
+        "--in", "a=20 kPa", "--format", "json"],
+        [_evaluate("BENCH_COUPLED_PRESSURE", "coupled", {"p": "100 kPa", "a": "20 kPa"})]),
+    "furlong": ("geo_evaluate",
+                [arg.replace("B=2 m", "B=2 furlong") for arg in _TERZAGHI_ARGV],
+                [_evaluate("BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip",
+                           dict(_TERZAGHI_INPUTS, B="2 furlong"))]),
+    "design": ("geo_design_footing_width_ec7", *_ec7(
+        "design", JRC_A3, "all", {"tolerance": 1e-3, "drainage": "drained"},
+        "--format", "json")),
+    "design-tight": ("geo_design_footing_width_ec7", *_ec7(
+        "design", JRC_A3, "all", {"tolerance": 1e-9, "drainage": "drained"},
+        "--tolerance", "1e-9", "--format", "json")),
+    "design-pad-drained": ("geo_design_footing_width_ec7", *_ec7(
+        "design", PAD, "all", {"tolerance": 1e-3, "drainage": "drained"},
+        "--drainage", "drained", "--format", "json")),
+    "design-pad-undrained": ("geo_design_footing_width_ec7", *_ec7(
+        "design", PAD, "all", {"tolerance": 1e-3, "drainage": "undrained"},
+        "--drainage", "undrained", "--format", "json")),
+    "check": ("geo_check_footing_uls_ec7", *_ec7(
+        "check", JRC_A3, "all", {"B": 2.0, "drainage": "drained"},
+        "--B", "2.0", "--format", "json")),
+    "check-pad-undrained-da2": ("geo_check_footing_uls_ec7", *_ec7(
+        "check", PAD, "DA2", {"B": 2.5, "drainage": "undrained"},
+        "--B", "2.5", "--drainage", "undrained", "--format", "json")),
+    "check-nan": ("geo_check_footing_uls_ec7", *_ec7(
+        "check", PAD, "DA2", {"B": math.nan, "drainage": "drained"}, "--B", "nan")),
+    "check-negative": ("geo_check_footing_uls_ec7", *_ec7(
+        "check", PAD, "DA2", {"B": -1e-3, "drainage": "drained"}, "--B", "-1e-3")),
+    "check-da9-nan": ("geo_check_footing_uls_ec7", *_ec7(
+        "check", PAD, "DA9", {"B": math.nan, "drainage": "drained"}, "--B", "nan")),
+}
+
+
+class TestCliRunsTheTool:
+    """Each command line prints the text of the MCP tool it runs, through
+    ``handle_message``, with a newline: one text for eval, the list of one
+    per Design Approach for ec7. A tool error exits 1 with its message on
+    stderr and nothing on stdout."""
+
+    @pytest.mark.parametrize("row", sorted(_CLI_ROWS))
+    def test_stdout_is_the_tool_text(self, row, capsys, monkeypatch):
+        import geocard.catalog
+        from geocard.server import McpServer
+
+        name, argv, calls = _CLI_ROWS[row]
+        if row == "coupled":  # its card is in perfbench/, as in CI's command line
+            monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(Path(__file__).parents[1] / "perfbench"))
+            monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
+        server, texts, error = McpServer(), [], None
+        for arguments in calls:
+            result = server.handle_message({
+                "jsonrpc": "2.0", "id": 1, "method": "tools/call",
+                "params": {"name": name, "arguments": arguments}})["result"]
+            text = result["content"][0]["text"]
+            if result["isError"]:
+                error = json.loads(text)["message"]
+                break
+            texts.append(text)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if error is not None:
+            assert (code, out, err) == (1, "", f"error: {error}\n")
+        elif argv[0] == "eval":
+            assert (code, out, err) == (0, texts[0] + "\n", "")
+        else:
+            listed = ",\n  ".join(text.replace("\n", "\n  ") for text in texts)
+            assert (code, out, err) == (0, f"[\n  {listed}\n]\n", "")
 
 
 class TestServeSubprocess:

@@ -2,8 +2,10 @@
 the MCP handshake loads nothing a tool needs, a catalog load needs neither
 the EC7 workflow, the engine, the skills, the MCP server, ``dataclasses``
 nor ``fractions``, an MCP session that calls no EC7 tool loads neither the
-workflow, ``dataclasses`` nor ``fractions``, and the package's lazy
-exports still resolve to the objects they name.
+workflow, ``dataclasses`` nor ``fractions``, ``geocard eval`` loads neither
+the workflow, the skills nor ``dataclasses``, ``geocard ec7 check`` loads
+no skills, and the package's lazy exports still resolve to the objects
+they name.
 
 Each check runs in its own ``python -S`` process, so the modules this test
 process has already imported do not count; nothing here is timed."""
@@ -93,6 +95,27 @@ def test_validate_loads_neither_ec7_skills_nor_server():
                "with contextlib.redirect_stdout(io.StringIO()):\n"
                "    assert main(['validate']) == 0\n"
                + loaded(modules)) == []
+
+
+def test_eval_loads_neither_ec7_skills_nor_dataclasses():
+    """eval runs the geo_evaluate tool on an McpServer, whose skills and
+    EC7 workflow it never reads."""
+    argv = ["eval", "BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip",
+            "--in", "c_prime=0 kPa", "--in", "phi_prime=30 deg",
+            "--in", "gamma=18 kN/m^3", "--in", "B=2 m", "--in", "q=18 kPa"]
+    assert run("import io, json, sys, contextlib; from geocard.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               f"    assert main({argv!r}) == 0\n"
+               + loaded(["geocard.skills", "geocard.ec7", "dataclasses"])) == []
+
+
+def test_ec7_check_loads_no_skills():
+    scenario = str(DATA / "scenario_eccentric_pad.json")
+    argv = ["ec7", "check", "--scenario", scenario, "--da", "all", "--B", "2.5"]
+    assert run("import io, json, sys, contextlib; from geocard.cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               f"    assert main({argv!r}) == 0\n"
+               + loaded(["geocard.skills", "geocard.ec7"])) == ["geocard.ec7"]
 
 
 def test_server_session_without_ec7_tools_loads_neither_ec7_nor_dataclasses():

@@ -1042,3 +1042,47 @@ class TestWidthSearchErrors:
         got = _design_reply(lambda: design_footing_width_ec7(SCENARIO, da, catalog=catalog))
         assert got == _design_reply(lambda: _traced_search(SCENARIO, da, catalog=catalog))
         assert json.loads(got)["B_req"] == design_footing_width_ec7(SCENARIO, da).B_req
+
+
+def _unit_cycle(raw):
+    """Each variant also solves k = 0*k + 1, a fixed-point block that
+    converges at once, so ``stage`` declines the variant."""
+    raw["variables"].append({"key": "k", "name": "unit_cycle",
+                             "role": "intermediate", "unit": "dimensionless"})
+    for variant in raw["variants"]:
+        variant["equations"].append({"target": "k", "sympy": "0*k + 1"})
+
+
+class TestTrialFallback:
+    """A variant that cannot be staged sends every trial of the width
+    search through ``evaluate_card``, whose env gives the same numbers as
+    the staged loop on the bundled card."""
+
+    @pytest.mark.parametrize("da", DESIGN_APPROACHES)
+    @pytest.mark.parametrize("scenario, drainage", [("jrc_a3", "drained"),
+                                                    ("eccentric_pad", "undrained")])
+    def test_matches_the_staged_search(self, scenario, drainage, da, monkeypatch):
+        import geocard.ec7
+
+        chosen = SCENARIO if scenario == "jrc_a3" else load_scenario(
+            (Path(__file__).parent / "data/scenario_eccentric_pad.json").read_text("utf-8"))
+        calls = []
+
+        def counting_evaluate(card, request):
+            calls.append(request)
+            return evaluate_card(card, request)
+
+        monkeypatch.setattr(geocard.ec7, "evaluate_card", counting_evaluate)
+        staged = design_footing_width_ec7(chosen, da, drainage=drainage)
+        assert calls == []
+        got = design_footing_width_ec7(chosen, da, drainage=drainage,
+                                       catalog=_doctored_catalog(_unit_cycle))
+        assert len(calls) >= got.iterations + 2  # both bracket ends, every halving
+        assert got.check.trace.diagnostics["iterative_cycles"][0]["variables"] == ["k"]
+
+        def numbers(design):
+            check = design.check
+            return [repr(x) for x in (design.B_req, design.iterations,
+                                      check.V_d, check.R_d, check.utilization)]
+
+        assert numbers(got) == numbers(staged)

@@ -1220,6 +1220,28 @@ class TestFirstToolCall:
             f"{tmp_path / 'b.json'}: duplicate card id BEARING_CAPACITY_VESIC"]
 
 
+class TestUnwritableToolValue:
+    """``to_reply`` writes a tool's value inside the call's guard: a NaN is
+    the tool's non_finite_value error, a value JSON cannot write is an
+    internal error, and serving goes on after either."""
+
+    @pytest.mark.parametrize("value, expected", [
+        ({"x": math.nan}, {"result": {"content": [{"type": "text", "text": engine.strict_json(
+            {"error": "non_finite_value", "message": "'result' is not a finite number"})}],
+            "isError": True}}),
+        ({"x": object()}, {"error": {"code": -32603, "message":
+                                     "TypeError: Object of type object is not JSON serializable"}}),
+    ], ids=["nan", "object"])
+    def test_reply_and_next_line(self, value, expected, monkeypatch):
+        monkeypatch.setattr(tools, "geo_health", lambda server, args: value)
+        health = rpc("tools/call", {"name": "geo_health"})
+        expected = {"jsonrpc": "2.0", "id": 1, **expected}
+        assert McpServer().handle_message(health) == expected
+        lines = _serve_lines(health, rpc("ping", msg_id=2))
+        assert [json.loads(line) for line in lines] == [
+            expected, {"jsonrpc": "2.0", "id": 2, "result": {}}]
+
+
 # ------------------------------------------------ a model of one session ----
 
 # Values a client may send for each input key: tagged strings and bare
