@@ -17,14 +17,13 @@ its check, and builds its catalog and skills when a tool first reads them.
 A tool returns its value, and ``engine.to_reply`` writes it as an
 ``engine.Reply`` inside the call's one guard, so a value it cannot write
 fails as a fault of the tool would; it writes an error payload too.
-Every line is ``json.dumps(reply, separators=(",", ":"), allow_nan=False)``
-of the dict ``handle_message`` returns. ``serve`` shares its dispatch, but
-a tool result reaches it as that ``Reply``, not as a dict: its line is
-assembled from the envelope's fixed text, the id's JSON, the reply's
-``literal`` and ``isError``, and its text is never built.
-``handle_message`` puts the reply's ``text`` in its dict and builds no
-literal. An evaluation or an EC7 check or design writes either form from
-its template's pieces, and a memoized reply escapes its text once.
+Each response has one writer, ``_dispatch``, and one form: the line
+``serve`` writes. A tool result's line is assembled from the envelope's
+fixed text, the id's JSON, the reply's ``literal`` and ``isError``; every
+other line is ``json.dumps(envelope, separators=(",", ":"),
+allow_nan=False)``. ``handle_message`` decodes that line with
+``json.loads``, so what it returns is what a client reads. No code in
+``src/`` calls it; the tests and perfbench's in-process client do.
 """
 
 from __future__ import annotations
@@ -61,8 +60,10 @@ METHOD_NOT_FOUND = -32601
 INVALID_PARAMS = -32602
 INTERNAL_ERROR = -32603
 
-# A request id's JSON text as json.dumps writes it (serve decodes no NaN).
+# A request id's JSON text as json.dumps writes it, by the id's type, and
+# the texts of floats no JSON line can carry.
 _ID_TEXT = {int: int.__repr__, str: encode_basestring_ascii, float: float.__repr__}
+_NON_FINITE = frozenset({"nan", "inf", "-inf"})
 
 
 def _finite_float(text: str) -> float:
@@ -77,7 +78,7 @@ def _reject_constant(name: str):
 
 
 # Request lines are strict JSON: NaN, Infinity and a number that overflows
-# to infinity are parse errors, so no reply echoes what _write would refuse.
+# to infinity are parse errors, so every id decoded has a JSON text.
 _REQUEST_DECODER = json.JSONDecoder(parse_float=_finite_float,
                                     parse_constant=_reject_constant)
 
@@ -280,54 +281,41 @@ class McpServer:
             try:
                 message = _REQUEST_DECODER.decode(line)
             except (ValueError, RecursionError):  # also too deep, or an int over 4300 digits
-                response = self._error(None, PARSE_ERROR, "parse error")
+                reply = self._error(None, PARSE_ERROR, "parse error")
             else:
-                response = self._dispatch(message)
-            if response is not None:
-                self._write(stdout, response)
-
-    @staticmethod
-    def _write(stdout: TextIOBase, response) -> None:
-        """One line: ``json.dumps(response, separators=(",", ":"),
-        allow_nan=False)``, or for a tool result ``(id, reply, is_error)``
-        the same line assembled around ``reply.literal``."""
-        if type(response) is tuple:
-            msg_id, reply, is_error = response
-            line = "".join((
-                '{"jsonrpc":"2.0","id":', _ID_TEXT[type(msg_id)](msg_id),
-                ',"result":{"content":[{"type":"text","text":', reply.literal,
-                '}],"isError":true}}\n' if is_error else '}],"isError":false}}\n'))
-        else:
-            line = json.dumps(response, separators=(",", ":"), allow_nan=False) + "\n"
-        stdout.write(line)
-        stdout.flush()
+                reply = self._dispatch(message)
+            if reply is not None:
+                stdout.write(reply)
+                stdout.flush()
 
     # ----------------------------------------------------------- dispatch ----
 
     def handle_message(self, message) -> dict | None:
-        """Handle one decoded message; None for a notification (no ``id``).
+        """The decoded line ``serve`` writes for one decoded message; None
+        for a notification (no ``id``). No code in ``src/`` calls this; the
+        tests and perfbench's in-process client do.
 
         A request whose id is null or not a string or a number (JSON-RPC
         2.0; MCP forbids a null id) is invalid, and so is one whose method
         is not a string: each gets a -32600 reply, with the id echoed only
-        when it is valid. A batch (a JSON array) is one invalid request:
-        MCP 2024-11-05 has no batches."""
-        response = self._dispatch(message)
-        if type(response) is not tuple:
-            return response
-        msg_id, reply, is_error = response
-        return self._result(msg_id, {"content": [{"type": "text", "text": reply.text}],
-                                     "isError": is_error})
+        when it is valid. An id no line can carry (a NaN or infinite float,
+        or an int past the 4300-digit limit) is invalid too. A batch (a
+        JSON array) is one invalid request: MCP 2024-11-05 has no batches."""
+        line = self._dispatch(message)
+        return None if line is None else json.loads(line)
 
-    def _dispatch(self, message) -> dict | tuple | None:
-        """``handle_message``'s reply, but a tool result as ``(id, reply,
-        is_error)``, which each reader renders in its own form."""
+    def _dispatch(self, message) -> str | None:
+        """The line ``serve`` writes for a decoded message, or None."""
         if not isinstance(message, dict):  # a batch or a bare value
             return self._error(None, INVALID_REQUEST, "invalid request")
         if "id" not in message:
             return None
         msg_id, method = message["id"], message.get("method")
-        if type(msg_id) not in (str, int, float):  # null, a bool, an object or an array
+        try:  # the id's JSON text; not for null, a bool, an object or an array
+            id_text = _ID_TEXT[type(msg_id)](msg_id)
+        except (KeyError, ValueError):  # ValueError: an int past 4300 digits
+            id_text = None
+        if id_text is None or id_text in _NON_FINITE:
             msg_id = None
         if (msg_id is None or message.get("jsonrpc") != "2.0"
                 or not isinstance(method, str)):
@@ -346,10 +334,10 @@ class McpServer:
         if method == "tools/list":
             return self._result(msg_id, {"tools": TOOLS})
         if method == "tools/call":
-            return self._call_tool(msg_id, params)
+            return self._call_tool(msg_id, id_text, params)
         return self._error(msg_id, METHOD_NOT_FOUND, f"method not found: {method}")
 
-    def _call_tool(self, msg_id, params) -> tuple | dict:
+    def _call_tool(self, msg_id, id_text: str, params) -> str:
         if not isinstance(params, dict) or not isinstance(params.get("name"), str):
             return self._error(msg_id, INVALID_PARAMS, "params.name must be a string")
         name = params["name"]
@@ -373,16 +361,21 @@ class McpServer:
         except Exception as exc:  # defensive: never crash the transport
             return self._error(msg_id, INTERNAL_ERROR,
                                f"{type(exc).__name__}: {exc}")
-        return msg_id, reply, is_error
+        return "".join((
+            '{"jsonrpc":"2.0","id":', id_text,
+            ',"result":{"content":[{"type":"text","text":', reply.literal,
+            '}],"isError":true}}\n' if is_error else '}],"isError":false}}\n'))
 
     @staticmethod
-    def _result(msg_id, result) -> dict:
-        return {"jsonrpc": "2.0", "id": msg_id, "result": result}
+    def _result(msg_id, result) -> str:
+        return json.dumps({"jsonrpc": "2.0", "id": msg_id, "result": result},
+                          separators=(",", ":"), allow_nan=False) + "\n"
 
     @staticmethod
-    def _error(msg_id, code: int, message: str) -> dict:
-        return {"jsonrpc": "2.0", "id": msg_id,
-                "error": {"code": code, "message": message}}
+    def _error(msg_id, code: int, message: str) -> str:
+        return json.dumps({"jsonrpc": "2.0", "id": msg_id,
+                           "error": {"code": code, "message": message}},
+                          separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def serve(stdin: TextIOBase | None = None,

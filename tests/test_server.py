@@ -18,10 +18,11 @@ from conftest import HUGE_INT
 from geocard.ec7 import (DESIGN_APPROACHES, check_footing_uls_ec7,
                          design_footing_width_ec7, get_ec7_preset_partials,
                          load_scenario)
-from geocard import engine, tools
+from geocard import __version__, engine, tools
 from geocard.engine import EvaluationRequest, evaluate_card
 from geocard.errors import GeocardError, NonFiniteValue
-from geocard.server import _CHECKERS, _REQUEST_DECODER, McpServer, TOOLS, serve
+from geocard.server import (_CHECKERS, _REQUEST_DECODER, INSTRUCTIONS, McpServer, TOOLS,
+                            serve)
 from test_ec7 import OVERFLOWING, _reference_check
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -422,9 +423,9 @@ class TestGoldenTranscript:
         assert self._replay("golden_arguments").encode("utf-8") == expected
 
     def test_session_in_process_writes_the_golden_lines(self):
-        """One server fed the session's lines through ``handle_message``:
-        the reply text in each dict, not the literal ``serve`` writes, gives
-        the same line, by ``json.dumps``."""
+        """One server fed the session's lines through ``handle_message``,
+        which decodes the line ``serve`` writes: ``json.dumps`` of each
+        reply gives that line back."""
         server, lines = McpServer(), []
         for line in (DATA_DIR / "golden_session_requests.jsonl").read_text("utf-8").splitlines():
             reply = server.handle_message(_REQUEST_DECODER.decode(line))
@@ -1097,10 +1098,78 @@ def _messages(draw):
     return message
 
 
+def _reference_reply(twin, message) -> dict | None:
+    """The reply to a decoded ``message``, built by hand from JSON-RPC 2.0
+    and MCP: each argument complaint from ``validate_arguments``, and a
+    tool result's text as ``strict_json`` of the tool function's value on
+    ``twin`` (its memoized text, or its ``to_dict`` for a trace or an EC7
+    result), or of its error's payload. ``twin`` must have been sent the
+    same calls as the server it stands in for."""
+    def error(msg_id, code, text):
+        return {"jsonrpc": "2.0", "id": msg_id, "error": {"code": code, "message": text}}
+
+    if not isinstance(message, dict):
+        return error(None, -32600, "invalid request")
+    if "id" not in message:
+        return None
+    msg_id, method = message["id"], message.get("method")
+    if (type(msg_id) not in (str, int, float)
+            or type(msg_id) is float and not math.isfinite(msg_id)):
+        msg_id = None
+    if msg_id is None or message.get("jsonrpc") != "2.0" or not isinstance(method, str):
+        return error(msg_id, -32600, "invalid request")
+    params = message.get("params") or {}
+    results = {"ping": {}, "tools/list": {"tools": TOOLS}, "initialize": {
+        "protocolVersion": "2024-11-05", "capabilities": {"tools": {}},
+        "serverInfo": {"name": "geocard", "version": __version__},
+        "instructions": INSTRUCTIONS}}
+    if method in results:
+        return {"jsonrpc": "2.0", "id": msg_id, "result": results[method]}
+    if method != "tools/call":
+        return error(msg_id, -32601, f"method not found: {method}")
+    if not isinstance(params, dict) or not isinstance(params.get("name"), str):
+        return error(msg_id, -32602, "params.name must be a string")
+    name, arguments = params["name"], params.get("arguments")
+    if name not in _TOOL:
+        return error(msg_id, -32602, f"unknown tool: {name}")
+    arguments = {} if arguments is None else arguments
+    complaint = validate_arguments(_TOOL[name]["inputSchema"], arguments)
+    if complaint is not None:
+        return error(msg_id, -32602, complaint)
+    try:
+        value = getattr(tools, name)(twin, arguments)
+        text = value.text if isinstance(value, engine.Reply) else engine.strict_json(
+            value if isinstance(value, dict) else value.to_dict())
+        is_error = False
+    except GeocardError as exc:
+        text, is_error = engine.strict_json(exc.payload()), True
+    except Exception as exc:
+        return error(msg_id, -32603, f"{type(exc).__name__}: {exc}")
+    return {"jsonrpc": "2.0", "id": msg_id,
+            "result": {"content": [{"type": "text", "text": text}], "isError": is_error}}
+
+
+def _reference_lines(lines: list[str]) -> str:
+    """What ``serve`` should write for ``lines``: each reply of
+    ``_reference_reply``, on one twin, as a compact strict JSON line."""
+    twin, written = McpServer(), []
+    for line in lines:
+        try:
+            message = json.loads(line, parse_constant=_reject_constant)
+        except ValueError:
+            reply = {"jsonrpc": "2.0", "id": None,
+                     "error": {"code": -32700, "message": "parse error"}}
+        else:
+            reply = _reference_reply(twin, message)
+        if reply is not None:
+            written.append(json.dumps(reply, separators=(",", ":"), allow_nan=False) + "\n")
+    return "".join(written)
+
+
 class TestWrittenLines:
-    """``serve`` assembles the line of a tool result around its reply's
-    literal, and ``handle_message`` puts the reply's text in a dict; every
-    line must still be ``json.dumps`` of that dict."""
+    """``serve`` writes each reply once, a tool result's line assembled
+    around its reply's literal; every line must be the reference reply,
+    built in this test, and ``handle_message`` returns that line decoded."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.lists(_messages(), min_size=1, max_size=5))
@@ -1114,21 +1183,38 @@ class TestWrittenLines:
               rpc("tools/call", {"name": "geo_get_skill", "arguments": {
                   "name": "shallow-foundation-bearing-capacity",
                   "include_references": True}}, msg_id=float("nan"))])
-    def test_line_is_json_dumps_of_the_reply(self, messages):
+    @example([rpc("tools/call", {"name": "geo_session_set_defaults", "arguments": {
+                  "defaults": {"q": "18 kPa"}}}),
+              rpc("tools/call", {"name": "geo_evaluate", "arguments": {
+                  **TERZAGHI_ARGS, "inputs": {"phi_prime": "30 deg", "c_prime": 0,
+                                              "gamma": "18 kN/m^3", "B": "2 m"}}}, msg_id=2),
+              rpc("tools/call", {"name": "geo_evaluate", "arguments": {
+                  **TERZAGHI_ARGS, "inputs": {"phi_prime": "30 deg"}}}, msg_id=3),
+              rpc("tools/call", {"name": "geo_get_method", "arguments": {"id": "NOPE"}})])
+    def test_line_is_the_reference_reply(self, messages):
         lines = [json.dumps(message) for message in messages]  # NaN kept: a parse error
-        expected, reference = [], McpServer()
-        for line in lines:
-            try:
-                reply = reference.handle_message(_REQUEST_DECODER.decode(line))
-            except ValueError:
-                reply = {"jsonrpc": "2.0", "id": None,
-                         "error": {"code": -32700, "message": "parse error"}}
-            if reply is not None:
-                expected.append(json.dumps(reply, separators=(",", ":"),
-                                           allow_nan=False) + "\n")
         stdout = io.StringIO()
         McpServer().serve(io.StringIO("\n".join(lines) + "\n"), stdout)
-        assert stdout.getvalue() == "".join(expected)
+        assert stdout.getvalue() == _reference_lines(lines)
+        server, written = McpServer(), iter(stdout.getvalue().splitlines())
+        for line in lines:
+            try:
+                message = _REQUEST_DECODER.decode(line)
+            except ValueError:
+                next(written)  # the parse error's line
+                continue
+            reply = server.handle_message(message)
+            if reply is not None:
+                assert reply == json.loads(next(written))
+        assert next(written, None) is None
+
+    @pytest.mark.parametrize("msg_id", [math.nan, math.inf, -math.inf, 10**5000],
+                             ids=["nan", "inf", "-inf", "int-of-5001-digits"])
+    @pytest.mark.parametrize("method", ["ping", "tools/call"])
+    def test_id_no_line_can_carry_is_invalid(self, msg_id, method):
+        """Not one of serve's: its decoder yields no such id."""
+        assert McpServer().handle_message(rpc(method, {"name": "geo_health"}, msg_id)) == {
+            "jsonrpc": "2.0", "id": None, "error": {"code": -32600, "message": "invalid request"}}
 
     def test_memoized_literal_is_kept_and_reused(self):
         server, stdout = McpServer(), io.StringIO()
@@ -1140,9 +1226,7 @@ class TestWrittenLines:
         assert reply._literal is not None  # escaped while serving, and kept
         assert reply.literal is reply.literal
         assert reply.literal == encode_basestring_ascii(reply.text)
-        reference = json.dumps(McpServer().handle_message(message),
-                               separators=(",", ":")) + "\n"
-        assert stdout.getvalue() == reference * 2
+        assert stdout.getvalue() == _reference_lines([line, line])
 
 
 # One valid call of each tool.
@@ -1278,13 +1362,11 @@ def _inputs(keys):
 _DEFAULTS = _inputs(_INPUT_VALUES)
 
 
-def _wire(response) -> str:
-    """The line ``serve`` writes for a dispatched ``response``, checked to
-    be strict JSON whose tool text is strict JSON too, and no internal
-    error."""
-    stdout = io.StringIO()
-    McpServer._write(stdout, response)
-    line = stdout.getvalue()
+def _wire(line: str) -> str:
+    """The line ``serve`` writes, as ``_dispatch`` returns it, checked to be
+    one strict JSON line whose tool text is strict JSON too, and no
+    internal error."""
+    assert line.endswith("\n") and line.count("\n") == 1, line
     decoded = json.loads(line, parse_constant=_reject_constant)
     json.dumps(decoded, allow_nan=False)
     if "error" in decoded:
@@ -1296,8 +1378,8 @@ def _wire(response) -> str:
 
 
 class SessionModel(RuleBasedStateMachine):
-    """One McpServer driven through the dispatch and line writer ``serve``
-    uses, against a model of its session: a plain dict of defaults, merged
+    """One McpServer driven through the dispatch ``serve`` uses, which
+    returns the line it writes, against a model of its session: a plain dict of defaults, merged
     into each evaluation as ``_merged_inputs`` merges them."""
 
     def __init__(self):
@@ -1307,8 +1389,8 @@ class SessionModel(RuleBasedStateMachine):
         self.ids = iter(range(1, 10 ** 6))
 
     def send(self, message) -> str | None:
-        response = self.server._dispatch(message)
-        return None if response is None else _wire(response)
+        line = self.server._dispatch(message)
+        return None if line is None else _wire(line)
 
     def call(self, name, arguments) -> dict:
         line = self.send(rpc("tools/call", {"name": name, "arguments": arguments},
