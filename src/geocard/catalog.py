@@ -86,6 +86,12 @@ class Catalog(Record):
         return card
 
 
+def card_files(directory: Path) -> list[Path]:
+    """The ``*.json`` entries of ``directory``, sorted, but hidden ones (an
+    editor's ``.#card.json``, say), which are not cards."""
+    return sorted(p for p in directory.glob("*.json") if not p.name.startswith("."))
+
+
 def load_catalog(extra_dir: "str | os.PathLike | None" = None) -> Catalog:
     """Build the catalog from the bundled tree plus an optional user dir.
 
@@ -93,7 +99,7 @@ def load_catalog(extra_dir: "str | os.PathLike | None" = None) -> Catalog:
     shadow bundled ids, and only those.
     """
     catalog = Catalog()
-    for path in sorted((DATA_DIR / "catalog").glob("*.json")):
+    for path in card_files(DATA_DIR / "catalog"):
         catalog._ingest(path, f"bundled:{path.name}")
     bundled_ids = set(catalog.cards)
     if extra_dir is None:
@@ -103,7 +109,7 @@ def load_catalog(extra_dir: "str | os.PathLike | None" = None) -> Catalog:
         if not user_root.is_dir():
             catalog.diagnostics.append(f"{user_root}: not a directory")
         else:
-            for path in sorted(user_root.glob("*.json")):
+            for path in card_files(user_root):
                 catalog._ingest(path, str(path), bundled_ids)
     return catalog
 

@@ -7,11 +7,13 @@
 
 Exit codes: 0 success, 1 domain error, 2 usage error. Human output goes to
 stdout, diagnostics to stderr; a character stdout cannot encode is written
-as a backslash escape.
+as a backslash escape. A closed stdout (``geocard ... | head -1``, or an
+MCP client that has gone) ends the command with exit 1 and no traceback.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 
 from . import __version__
@@ -33,6 +35,18 @@ def main(argv=None) -> int:
     if reconfigure is not None:
         reconfigure(errors="backslashreplace")
     argv = sys.argv[1:] if argv is None else argv
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone. As the Python documentation's note on SIGPIPE
+        # does, point stdout at devnull, so the flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _run(argv: list[str]) -> int:
     try:
         if argv == ["serve"]:  # the MCP client's command line: no parser to build
             return cmd_serve(None)
@@ -118,14 +132,14 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_validate(args) -> int:
     from pathlib import Path
 
-    from .catalog import Catalog
+    from .catalog import Catalog, card_files
     from .units import DATA_DIR
 
     paths = []
     for raw in args.paths or [DATA_DIR / "catalog"]:
         path = Path(raw)
         if path.is_dir():
-            found, problem = sorted(path.glob("*.json")), "no *.json card file in directory"
+            found, problem = card_files(path), "no *.json card file in directory"
         else:
             found, problem = [path] if path.is_file() else [], "no such file or directory"
         if not found:

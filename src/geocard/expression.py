@@ -338,14 +338,17 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "**": 4}
 
 
 def to_text(node: ExprNode) -> str:
-    """Render a parseable text form; parse(to_text(n)) is structurally n."""
+    """Render a parseable text form: parse(to_text(n)) is structurally n for
+    a tree the parser builds. A negative literal, which it never builds,
+    prints as a negation does, so it reads back as one of the same value."""
     return _print(node, 0)
 
 
 def _print(node: ExprNode, min_prec: int) -> str:
     if isinstance(node, Number):
         text = repr(node.value)
-        return text[:-2] if text.endswith(".0") else text
+        text = text[:-2] if text.endswith(".0") else text
+        return f"({text})" if min_prec > 3 and text[0] == "-" else text
     if isinstance(node, Constant):
         return node.name
     if isinstance(node, Symbol):

@@ -214,10 +214,8 @@ def load_skills(extra_dir: "str | os.PathLike | None" = None) -> SkillLibrary:
     shadow bundled names. Rescanning is explicit: call this again.
     """
     library = SkillLibrary()
-    for entry in sorted((DATA_DIR / "skills").iterdir()):
-        if entry.is_dir():
-            library._ingest_dir(entry, f"bundled:{entry.name}",
-                                shadow_allowed=False)
+    for entry in _skill_dirs(DATA_DIR / "skills"):
+        library._ingest_dir(entry, f"bundled:{entry.name}", shadow_allowed=False)
     if extra_dir is None:
         extra_dir = os.environ.get(SKILLS_ENV_VAR)
     if extra_dir:
@@ -225,7 +223,13 @@ def load_skills(extra_dir: "str | os.PathLike | None" = None) -> SkillLibrary:
         if not user_root.is_dir():
             library.diagnostics.append(f"{user_root}: not a directory")
         else:
-            for entry in sorted(user_root.iterdir()):
-                if entry.is_dir():
-                    library._ingest_dir(entry, str(entry), shadow_allowed=True)
+            for entry in _skill_dirs(user_root):
+                library._ingest_dir(entry, str(entry), shadow_allowed=True)
     return library
+
+
+def _skill_dirs(root: Path) -> list[Path]:
+    """The subdirectories of ``root``, sorted, but hidden ones (a ``.git``,
+    say), which are not skills."""
+    return [entry for entry in sorted(root.iterdir())
+            if entry.is_dir() and not entry.name.startswith(".")]

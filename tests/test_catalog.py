@@ -134,6 +134,17 @@ class TestIndex:
         assert health["cards"] == len(BUNDLED_IDS)
         assert health["diagnostics"] == [f"{not_a_dir}: not a directory"]
 
+    def test_hidden_entries_are_not_cards(self, tmp_path):
+        """An editor's lock or backup file beside a user card is no card."""
+        card = CATALOG.get_method("BEARING_CAPACITY_TERZAGHI").to_dict()
+        card["id"] = "MY_CARD"
+        (tmp_path / "card.json").write_text(json.dumps(card))
+        (tmp_path / ".#card.json").write_text("user@host.1234:1700000000")
+        (tmp_path / ".card.json").write_text(json.dumps(dict(card, id="HIDDEN")))
+        merged = load_catalog(extra_dir=tmp_path)
+        assert (merged.diagnostics, merged.warnings) == ([], [])
+        assert set(merged.cards) == set(BUNDLED_IDS) | {"MY_CARD"}
+
     def test_broken_user_card_is_diagnosed_not_fatal(self, tmp_path):
         (tmp_path / "broken.json").write_text('{"id": "X"}')
         merged = load_catalog(extra_dir=tmp_path)

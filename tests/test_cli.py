@@ -1,5 +1,8 @@
 """CLI behavior: exit codes, output formats, stream discipline."""
 
+import contextlib
+import fcntl
+import io
 import json
 import math
 import os
@@ -8,8 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import BAD_CARD_FILES, HUGE_INT
+from geocard.catalog import default_catalog
 from geocard.cli import main
 from geocard.ec7 import (DESIGN_APPROACHES, bundled_scenario_path,
                          check_footing_uls_ec7, design_footing_width_ec7,
@@ -95,6 +100,16 @@ class TestValidate:
         (tmp_path / "vesic.json").write_text(good.read_text())
         assert main(["validate", str(tmp_path)]) == 0
         assert "BEARING_CAPACITY_VESIC" in capsys.readouterr().out
+
+    def test_validate_directory_skips_hidden_entries(self, tmp_path, capsys):
+        good = (Path(__file__).parents[1] /
+                "src/geocard/data/catalog/bearing_capacity_vesic.json")
+        (tmp_path / "vesic.json").write_text(good.read_text())
+        (tmp_path / ".#vesic.json").write_text("user@host.1234:1700000000")
+        assert main(["validate", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "ok   vesic.json: BEARING_CAPACITY_VESIC\n"
+        (tmp_path / "vesic.json").unlink()
+        assert main(["validate", str(tmp_path)]) == 2
 
     def test_nonexistent_path_is_usage_error(self, capsys):
         assert main(["validate", "/no/such/path.json"]) == 2
@@ -197,6 +212,18 @@ class TestEval:
     ])
     def test_output_matches_golden_file(self, fmt, golden, capsys):
         assert main(TERZAGHI_EVAL + ["--format", fmt]) == 0
+        expected = (Path(__file__).parent / "data" / golden).read_text("utf-8")
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("row, golden", [
+        ("vesic-override", "golden_cli_vesic_override.json"),
+        ("coupled", "golden_cli_coupled.json")])
+    def test_json_matches_golden_file(self, row, golden, capsys, monkeypatch):
+        """Two of CI's console-script steps: a param override, and a card of
+        perfbench/ with a fixed-point cycle."""
+        if row == "coupled":
+            _use_perfbench_cards(monkeypatch)
+        assert main(_CLI_ROWS[row][1]) == 0
         expected = (Path(__file__).parent / "data" / golden).read_text("utf-8")
         assert capsys.readouterr().out == expected
 
@@ -495,6 +522,62 @@ def _ec7(command, scenario, da, arguments, *options):
                   for d in das]
 
 
+# Values an eval command line may give each input: valid ones, and others
+# of another dimension, unit or sign, or with no finite number.
+_VALID_INPUTS = {
+    "phi_prime": ["30 deg", "0.4 rad", "28.5 deg"], "phi_prime_d": ["25 deg", "0.4 rad"],
+    "c_prime": ["0 kPa", "5 kPa", "0.01 MPa"], "c_prime_d": ["4 kPa", "0 kPa"],
+    "c_u_d": ["50 kPa", "0.05 MPa"], "gamma": ["18 kN/m^3", "19.5 kN/m^3"],
+    "B": ["2 m", "1500 mm"], "L": ["3 m", "4000 mm"], "D_f": ["1 m", "0.5 m"],
+    "q": ["18 kPa", "0 kPa"]}
+_BAD_INPUTS = ["2 kPa", "-2 m", "2 furlong", "nan kPa", "1e400 kPa", "abc", ""]
+_EVAL_TARGETS = [
+    ("BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip"),
+    ("BEARING_CAPACITY_TERZAGHI", "general_shear_failure_square"),
+    ("BEARING_CAPACITY_MEYERHOF", "general_shear_vertical"),
+    ("BEARING_CAPACITY_VESIC", "general"),
+    ("BEARING_CAPACITY_EUROCODE7", "drained"),
+    ("BEARING_CAPACITY_EUROCODE7", "undrained"),
+    ("BEARING_CAPACITY_TERZAGHI", "nope"), ("NOPE", "general")]
+
+
+@st.composite
+def _eval_requests(draw):
+    """An eval command line, and its tool and arguments: one value for
+    each of the card's inputs, one in ten of them invalid; sometimes one
+    input left out, or one the card lacks; and some overrides."""
+    card, variant = draw(st.sampled_from(_EVAL_TARGETS))
+    keys = sorted(default_catalog().cards[card].input_keys if card != "NOPE" else ["B"])
+    inputs = draw(st.fixed_dictionaries({key: st.integers(0, 9).flatmap(
+        lambda n, key=key: st.sampled_from(_VALID_INPUTS[key] if n else _BAD_INPUTS))
+        for key in keys}))
+    if draw(st.integers(0, 3)) == 0:
+        del inputs[draw(st.sampled_from(keys))]
+    if draw(st.integers(0, 7)) == 0:
+        inputs["nope"] = "1 m"
+    overrides = draw(st.dictionaries(st.sampled_from(["beta", "nope"]),
+                                     st.sampled_from(["5 deg", "0 deg", "5 kPa"]),
+                                     max_size=2))
+    argv = ["eval", card, variant, *_kv("--in", inputs), *_kv("--override", overrides),
+            "--format", "json"]
+    return "geo_evaluate", argv, [_evaluate(card, variant, inputs, overrides)]
+
+
+@st.composite
+def _ec7_check_requests(draw):
+    """An ec7 check command line, and its tool and arguments per call: a
+    width that may be too small, not positive or not finite, and a Design
+    Approach or drainage the scenario may lack."""
+    scenario = draw(st.sampled_from([JRC_A3, PAD]))
+    da = draw(st.sampled_from([*DESIGN_APPROACHES, "all", "DA9"]))
+    width = draw(st.sampled_from(["2.0", "1.5", "3", "25"] * 2
+                                 + ["0.3", "0", "-1e-3", "nan", "1e400"]))
+    drainage = draw(st.sampled_from(["drained", "undrained"]))
+    return ("geo_check_footing_uls_ec7", *_ec7(
+        "check", scenario, da, {"B": float(width), "drainage": drainage},
+        "--B", width, "--drainage", drainage, "--format", "json"))
+
+
 # The CLI's golden and pinned-stderr command lines of CI (the ones with a
 # tool reply), each with its tool and that tool's arguments per call.
 _CLI_ROWS = {
@@ -544,6 +627,46 @@ _CLI_ROWS = {
 }
 
 
+def _use_perfbench_cards(monkeypatch):
+    """Read perfbench/'s cards into the catalog too, as CI's command line
+    of the coupled card does."""
+    import geocard.catalog
+
+    monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(Path(__file__).parents[1] / "perfbench"))
+    monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
+
+
+def _run_main(argv) -> tuple:
+    """``main(argv)`` in process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _tool_outcome(name, calls) -> tuple:
+    """What a command line that calls tool ``name`` once per arguments of
+    ``calls`` must give, from the text of each reply through
+    ``handle_message``: exit 0 and the one text for eval, or the list of
+    them for ec7; or, at the first reply with ``isError``, exit 1 and its
+    payload's message on stderr, with nothing on stdout."""
+    from geocard.server import McpServer
+
+    server, texts = McpServer(), []
+    for arguments in calls:
+        result = server.handle_message({
+            "jsonrpc": "2.0", "id": 1, "method": "tools/call",
+            "params": {"name": name, "arguments": arguments}})["result"]
+        text = result["content"][0]["text"]
+        if result["isError"]:
+            return 1, "", f"error: {json.loads(text)['message']}\n"
+        texts.append(text)
+    if name == "geo_evaluate":
+        return 0, texts[0] + "\n", ""
+    listed = ",\n  ".join(text.replace("\n", "\n  ") for text in texts)
+    return 0, f"[\n  {listed}\n]\n", ""
+
+
 class TestCliRunsTheTool:
     """Each command line prints the text of the MCP tool it runs, through
     ``handle_message``, with a newline: one text for eval, the list of one
@@ -551,33 +674,21 @@ class TestCliRunsTheTool:
     stderr and nothing on stdout."""
 
     @pytest.mark.parametrize("row", sorted(_CLI_ROWS))
-    def test_stdout_is_the_tool_text(self, row, capsys, monkeypatch):
-        import geocard.catalog
-        from geocard.server import McpServer
-
+    def test_stdout_is_the_tool_text(self, row, monkeypatch):
         name, argv, calls = _CLI_ROWS[row]
         if row == "coupled":  # its card is in perfbench/, as in CI's command line
-            monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(Path(__file__).parents[1] / "perfbench"))
-            monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
-        server, texts, error = McpServer(), [], None
-        for arguments in calls:
-            result = server.handle_message({
-                "jsonrpc": "2.0", "id": 1, "method": "tools/call",
-                "params": {"name": name, "arguments": arguments}})["result"]
-            text = result["content"][0]["text"]
-            if result["isError"]:
-                error = json.loads(text)["message"]
-                break
-            texts.append(text)
-        code = main(argv)
-        out, err = capsys.readouterr()
-        if error is not None:
-            assert (code, out, err) == (1, "", f"error: {error}\n")
-        elif argv[0] == "eval":
-            assert (code, out, err) == (0, texts[0] + "\n", "")
-        else:
-            listed = ",\n  ".join(text.replace("\n", "\n  ") for text in texts)
-            assert (code, out, err) == (0, f"[\n  {listed}\n]\n", "")
+            _use_perfbench_cards(monkeypatch)
+        assert _run_main(argv) == _tool_outcome(name, calls)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_eval_requests() | _ec7_check_requests())
+    def test_drawn_request_is_the_tool_reply(self, request):
+        """Valid and invalid eval and ec7 check requests: unknown cards
+        and variants, missing inputs and inputs of another dimension,
+        unknown units and overrides, non-finite and negative widths, and
+        Design Approaches and drainages a scenario lacks."""
+        name, argv, calls = request
+        assert _run_main(argv) == _tool_outcome(name, calls)
 
 
 class TestServeSubprocess:
@@ -606,6 +717,45 @@ class TestServeSubprocess:
 
     def test_empty_stdin_exits_zero(self):
         assert self._run("").returncode == 0
+
+
+class TestClosedStdout:
+    """A reader that goes away after the first line ends the command with
+    exit 1 and no traceback: ``geocard ... | head -1``, or an MCP client
+    that closes its end of the pipe."""
+
+    def test_ec7_design_piped_into_head(self):
+        """The pipe holds one page, less than the 23 kB the design writes,
+        so the command is still writing when the reader closes it."""
+        read_end, write_end = os.pipe()
+        if hasattr(fcntl, "F_SETPIPE_SZ"):
+            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "geocard.cli", "ec7", "design", "--scenario", JRC_A3,
+             "--da", "all", "--format", "json"],
+            cwd=Path(__file__).parents[1], stdout=write_end, stderr=subprocess.PIPE)
+        os.close(write_end)
+        with open(read_end, "rb") as stdout:
+            assert stdout.readline() == b"[\n"
+        stderr = proc.communicate(timeout=60)[1]
+        assert stderr == b""  # no traceback, and no other complaint
+        assert proc.returncode == 1
+
+    def test_serve_whose_client_has_gone(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "geocard.cli", "serve"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        ping = b'{"jsonrpc":"2.0","id":1,"method":"ping"}\n'
+        proc.stdin.write(ping)
+        proc.stdin.flush()
+        assert proc.stdout.readline() == b'{"jsonrpc":"2.0","id":1,"result":{}}\n'
+        proc.stdout.close()
+        proc.stdin.write(ping * 2)
+        proc.stdin.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert stderr == b""  # no traceback, and no other complaint
+        assert proc.wait(timeout=60) == 1
 
 
 class TestAsciiStdout:

@@ -439,7 +439,9 @@ _UNARY_FUNCTIONS = ("sin", "cos", "tan", "cot", "asin", "acos", "atan",
                     "exp", "log", "sqrt", "Abs")
 
 
-def _extend(children):
+def _extend(children, min_args=1):
+    """Trees over ``children``; a Min or Max takes at least ``min_args``
+    (the evaluator takes one, the parser two)."""
     condition = st.one_of(
         st.just(ex.BoolLiteral(True)),
         st.builds(ex.Comparison, st.sampled_from([">", ">=", "<", "<=", "="]),
@@ -454,22 +456,19 @@ def _extend(children):
         st.builds(lambda a, b: ex.Call("atan2", (a, b)), children, children),
         st.builds(lambda f, args: ex.Call(f, tuple(args)),
                   st.sampled_from(["Min", "Max"]),
-                  st.lists(children, min_size=1, max_size=3)),
+                  st.lists(children, min_size=min_args, max_size=3)),
         st.builds(lambda branches: ex.Piecewise(tuple(branches)),
                   st.lists(st.tuples(children, condition), min_size=1,
                            max_size=3)),
     )
 
 
-_TREES = st.recursive(
-    st.one_of(
-        st.builds(ex.Number, _EDGE_FLOATS),
-        st.sampled_from([ex.Constant("pi"), ex.Constant("e")]),
-        st.sampled_from([ex.Symbol(n) for n in ("x", "y", "z", "unbound")]),
-    ),
-    _extend,
-    max_leaves=12,
+_TREES_LEAVES = st.one_of(
+    st.builds(ex.Number, _EDGE_FLOATS),
+    st.sampled_from([ex.Constant("pi"), ex.Constant("e")]),
+    st.sampled_from([ex.Symbol(n) for n in ("x", "y", "z", "unbound")]),
 )
+_TREES = st.recursive(_TREES_LEAVES, _extend, max_leaves=12)
 _LITERAL_LEAVES = st.one_of(
     st.builds(ex.Number, _EDGE_FLOATS),
     st.sampled_from([ex.Constant("pi"), ex.Constant("e")]),
@@ -579,6 +578,37 @@ class TestEvaluatorMatchesWalker:
         with pytest.raises(NoBranchTaken) as err:
             ex.evaluate(ex.parse("Piecewise((1, x > 0))"), {"x": -1.0})
         assert str(err.value) == "no Piecewise condition evaluated to true"
+
+
+def _bits_or_error_class(fn):
+    try:
+        value = fn()
+    except Exception as exc:
+        return type(exc)
+    return struct.pack("<d", value)
+
+
+class TestPrintedTreesComputeTheSame:
+    """``to_text`` prints every tree, negative and signed-zero literals
+    included, as text whose compiled tree gives the same bits or the same
+    error class; and a tree the parser built prints back to itself."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(_TREES_LEAVES, lambda c: _extend(c, min_args=2), max_leaves=12),
+           st.fixed_dictionaries({"x": _ENV_FLOATS, "y": _ENV_FLOATS, "z": _ENV_FLOATS}))
+    @example(ex.Binary("**", ex.Number(-2.0), ex.Number(2.0)), _xyz())
+    @example(ex.Binary("**", ex.Number(-0.0), ex.Number(2.0)), _xyz())
+    @example(ex.Unary("-", ex.Binary("**", ex.Number(-8.0), ex.Number(0.5))), _xyz())
+    @example(ex.Binary("**", ex.Symbol("x"), ex.Number(-2.0)), _xyz())
+    @example(ex.Binary("-", ex.Number(-0.0), ex.Unary("-", ex.Number(-0.0))), _xyz())
+    def test_same_bits_or_same_error_class(self, node, env):
+        reparsed = ex.parse(ex.to_text(node))
+        assert _bits_or_error_class(lambda: ex.compile_expr(reparsed)(env)) == \
+            _bits_or_error_class(lambda: ex.compile_expr(node)(env))
+        assert ex.parse(ex.to_text(reparsed)) == reparsed
+
+    def test_negative_base_is_parenthesized(self):
+        assert ex.to_text(ex.Binary("**", ex.Number(-2.0), ex.Number(2.0))) == "(-2)**2"
 
 
 # ------------------------------------------------- tokenizer equivalence ----

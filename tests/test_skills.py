@@ -37,6 +37,15 @@ class TestListSkills:
         assert lib.diagnostics == []
 
 
+    def test_hidden_entries_are_not_skills(self, tmp_path, monkeypatch):
+        """A skill directory kept under git stays healthy."""
+        (tmp_path / ".git" / "objects").mkdir(parents=True)
+        (tmp_path / ".cache").mkdir()
+        monkeypatch.setenv("GEOCARD_SKILLS_DIR", str(tmp_path))
+        health = fresh_health()
+        assert (health["status"], health["diagnostics"]) == ("ok", [])
+        assert health["skills"] == len(LIBRARY.skills)
+
     def test_env_var_skill_dir(self, tmp_path, monkeypatch):
         d = tmp_path / "custom-skill"
         d.mkdir()
