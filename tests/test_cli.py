@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import BAD_CARD_FILES, HUGE_INT
+import geocard.catalog
 from geocard.catalog import default_catalog
 from geocard.cli import main
 from geocard.ec7 import (DESIGN_APPROACHES, bundled_scenario_path,
@@ -22,6 +24,7 @@ from geocard.ec7 import (DESIGN_APPROACHES, bundled_scenario_path,
 from geocard.engine import strict_json
 from geocard.report import format_sig
 from test_ec7 import OVERFLOWING, overflowing_scenario
+from test_goldens import BY_NAME, ROOT
 
 SCENARIO = bundled_scenario_path()
 JRC_A3 = "src/geocard/data/scenarios/jrc_a3.json"
@@ -86,13 +89,6 @@ class TestValidate:
             assert sum(line.startswith(f"FAIL {name}: ") for line in lines) == 1
         assert f"{len(BAD_CARD_FILES)} of {len(BAD_CARD_FILES)}" in captured.err
         assert "Traceback" not in captured.err
-
-    def test_bad_cards_match_golden_file(self, capsys):
-        """One card per tokenizer error and per dimension-audit finding."""
-        data = Path(__file__).parent / "data"
-        assert main(["validate", str(data / "bad_cards")]) == 1
-        expected = (data / "golden_validate_bad_cards.txt").read_text("utf-8")
-        assert capsys.readouterr().out == expected
 
     def test_validate_directory(self, tmp_path, capsys):
         good = (Path(__file__).parents[1] /
@@ -206,38 +202,6 @@ class TestEval:
         assert body["outputs"]["q_ult"]["value"] == pytest.approx(
             734.4649528166381, rel=1e-12)
 
-    @pytest.mark.parametrize("fmt, golden", [
-        ("report", "golden_cli_terzaghi_report.md"),
-        ("json", "golden_cli_terzaghi.json"),
-    ])
-    def test_output_matches_golden_file(self, fmt, golden, capsys):
-        assert main(TERZAGHI_EVAL + ["--format", fmt]) == 0
-        expected = (Path(__file__).parent / "data" / golden).read_text("utf-8")
-        assert capsys.readouterr().out == expected
-
-    @pytest.mark.parametrize("row, golden", [
-        ("vesic-override", "golden_cli_vesic_override.json"),
-        ("coupled", "golden_cli_coupled.json")])
-    def test_json_matches_golden_file(self, row, golden, capsys, monkeypatch):
-        """Two of CI's console-script steps: a param override, and a card of
-        perfbench/ with a fixed-point cycle."""
-        if row == "coupled":
-            _use_perfbench_cards(monkeypatch)
-        assert main(_CLI_ROWS[row][1]) == 0
-        expected = (Path(__file__).parent / "data" / golden).read_text("utf-8")
-        assert capsys.readouterr().out == expected
-
-    def test_ec7_drained_at_phi_zero_matches_golden_file(self, capsys):
-        """q_ult = c'(pi + 2)(1 + (B/L)/(pi + 2)) = 50 (pi + 3) kPa."""
-        assert main(["eval", "BEARING_CAPACITY_EUROCODE7", "drained",
-                     "--in", "phi_prime_d=0 rad", "--in", "c_prime_d=50 kPa",
-                     "--in", "c_u_d=0 kPa", "--in", "gamma=18 kN/m^3",
-                     "--in", "B=2 m", "--in", "L=2 m", "--in", "q=0 kPa",
-                     "--format", "json"]) == 0
-        expected = (Path(__file__).parent / "data" /
-                    "golden_cli_ec7_phi0.json").read_text("utf-8")
-        assert capsys.readouterr().out == expected
-
     def test_report_values_match_trace(self, capsys):
         """Every printed step value equals the trace value at 4 sig figs."""
         main(TERZAGHI_EVAL + ["--format", "json"])
@@ -294,30 +258,6 @@ class TestEc7Commands:
         body = json.loads(capsys.readouterr().out)
         assert body[0]["design_approach"] == "DA2"
         assert "trace" in body[0]
-
-    @pytest.mark.parametrize("command, golden", [
-        (["design", "--scenario", JRC_A3, "--da", "all"], "golden_cli_ec7_design.json"),
-        (["check", "--scenario", JRC_A3, "--da", "all", "--B", "2.0"],
-         "golden_cli_ec7_check.json"),
-        (["design", "--scenario", PAD, "--da", "all"], "golden_cli_ec7_design_drained.json"),
-        (["design", "--scenario", PAD, "--da", "all", "--drainage", "undrained"],
-         "golden_cli_ec7_design_undrained.json"),
-        (["check", "--scenario", PAD, "--da", "DA2", "--B", "2.5", "--drainage",
-          "undrained"], "golden_cli_ec7_check_undrained_da2.json"),
-        (["design", "--scenario", JRC_A3, "--da", "all", "--tolerance", "1e-9"],
-         "golden_cli_ec7_design_tight.json")],
-        ids=["design", "check", "design-pad-drained", "design-pad-undrained",
-             "check-pad-undrained-da2", "design-tight"])
-    def test_json_matches_golden_file(self, command, golden):
-        """The console-script steps of CI: each reply, byte for byte. One is
-        a one-element list of an undrained check; the last is a deep
-        bisection, 33 or 34 halvings per Design Approach."""
-        root = Path(__file__).parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-m", "geocard.cli", "ec7", *command, "--format", "json"],
-            cwd=root, capture_output=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == (root / "tests/data" / golden).read_bytes()
 
     def test_pad_golden_pins_what_jrc_a3_does_not(self):
         """The pad's designs are undrained as well as drained, under an
@@ -503,23 +443,17 @@ def _kv(flag, pairs):
 
 _TERZAGHI_INPUTS = {"c_prime": "0 kPa", "phi_prime": "30 deg", "gamma": "18 kN/m^3",
                     "B": "2 m", "q": "18 kPa"}
-_TERZAGHI_ARGV = ["eval", "BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip",
-                  *_kv("--in", _TERZAGHI_INPUTS)]
 _VESIC_INPUTS = {"phi_prime": "30 deg", "c_prime": "5 kPa", "gamma": "18 kN/m^3",
                  "B": "2 m", "L": "3 m", "D_f": "1 m", "q": "18 kPa"}
 _EC7_PHI0_INPUTS = {"phi_prime_d": "0 rad", "c_prime_d": "50 kPa", "c_u_d": "0 kPa",
                     "gamma": "18 kN/m^3", "B": "2 m", "L": "2 m", "q": "0 kPa"}
 
 
-def _ec7(command, scenario, da, arguments, *options):
-    """A CI row of ``geocard ec7``: its argv, and the tool's arguments
-    for each Design Approach it calls, in order."""
-    path = Path(__file__).parents[1] / scenario
-    argv = ["ec7", command, "--scenario", str(path), "--da", da, *options]
-    das = DESIGN_APPROACHES if da == "all" else [da]
-    scenario_object = json.loads(path.read_text("utf-8"))
-    return argv, [{"scenario": scenario_object, "design_approach": d, **arguments}
-                  for d in das]
+def _ec7(scenario, da, arguments):
+    """The tool's arguments per Design Approach an ``ec7`` command line calls."""
+    scenario_object = json.loads((ROOT / scenario).read_text("utf-8"))
+    return [{"scenario": scenario_object, "design_approach": d, **arguments}
+            for d in (DESIGN_APPROACHES if da == "all" else [da])]
 
 
 # Values an eval command line may give each input: valid ones, and others
@@ -573,67 +507,44 @@ def _ec7_check_requests(draw):
     width = draw(st.sampled_from(["2.0", "1.5", "3", "25"] * 2
                                  + ["0.3", "0", "-1e-3", "nan", "1e400"]))
     drainage = draw(st.sampled_from(["drained", "undrained"]))
-    return ("geo_check_footing_uls_ec7", *_ec7(
-        "check", scenario, da, {"B": float(width), "drainage": drainage},
-        "--B", width, "--drainage", drainage, "--format", "json"))
+    argv = ["ec7", "check", "--scenario", str(ROOT / scenario), "--da", da, "--B", width,
+            "--drainage", drainage, "--format", "json"]
+    return ("geo_check_footing_uls_ec7", argv,
+            _ec7(scenario, da, {"B": float(width), "drainage": drainage}))
 
 
-# The CLI's golden and pinned-stderr command lines of CI (the ones with a
-# tool reply), each with its tool and that tool's arguments per call.
+# Golden table rows that run an MCP tool: the tool, and its arguments per call.
 _CLI_ROWS = {
-    "terzaghi": ("geo_evaluate", [*_TERZAGHI_ARGV, "--format", "json"],
-                 [_evaluate("BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip",
-                            _TERZAGHI_INPUTS)]),
-    "vesic-override": ("geo_evaluate", [
-        "eval", "BEARING_CAPACITY_VESIC", "general", *_kv("--in", _VESIC_INPUTS),
-        "--override", "beta=5 deg", "--format", "json"],
-        [_evaluate("BEARING_CAPACITY_VESIC", "general", _VESIC_INPUTS, {"beta": "5 deg"})]),
-    "ec7-phi0": ("geo_evaluate", [
-        "eval", "BEARING_CAPACITY_EUROCODE7", "drained", *_kv("--in", _EC7_PHI0_INPUTS),
-        "--format", "json"],
-        [_evaluate("BEARING_CAPACITY_EUROCODE7", "drained", _EC7_PHI0_INPUTS)]),
-    "coupled": ("geo_evaluate", [
-        "eval", "BENCH_COUPLED_PRESSURE", "coupled", "--in", "p=100 kPa",
-        "--in", "a=20 kPa", "--format", "json"],
-        [_evaluate("BENCH_COUPLED_PRESSURE", "coupled", {"p": "100 kPa", "a": "20 kPa"})]),
-    "furlong": ("geo_evaluate",
-                [arg.replace("B=2 m", "B=2 furlong") for arg in _TERZAGHI_ARGV],
-                [_evaluate("BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip",
-                           dict(_TERZAGHI_INPUTS, B="2 furlong"))]),
-    "design": ("geo_design_footing_width_ec7", *_ec7(
-        "design", JRC_A3, "all", {"tolerance": 1e-3, "drainage": "drained"},
-        "--format", "json")),
-    "design-tight": ("geo_design_footing_width_ec7", *_ec7(
-        "design", JRC_A3, "all", {"tolerance": 1e-9, "drainage": "drained"},
-        "--tolerance", "1e-9", "--format", "json")),
-    "design-pad-drained": ("geo_design_footing_width_ec7", *_ec7(
-        "design", PAD, "all", {"tolerance": 1e-3, "drainage": "drained"},
-        "--drainage", "drained", "--format", "json")),
-    "design-pad-undrained": ("geo_design_footing_width_ec7", *_ec7(
-        "design", PAD, "all", {"tolerance": 1e-3, "drainage": "undrained"},
-        "--drainage", "undrained", "--format", "json")),
-    "check": ("geo_check_footing_uls_ec7", *_ec7(
-        "check", JRC_A3, "all", {"B": 2.0, "drainage": "drained"},
-        "--B", "2.0", "--format", "json")),
-    "check-pad-undrained-da2": ("geo_check_footing_uls_ec7", *_ec7(
-        "check", PAD, "DA2", {"B": 2.5, "drainage": "undrained"},
-        "--B", "2.5", "--drainage", "undrained", "--format", "json")),
-    "check-nan": ("geo_check_footing_uls_ec7", *_ec7(
-        "check", PAD, "DA2", {"B": math.nan, "drainage": "drained"}, "--B", "nan")),
-    "check-negative": ("geo_check_footing_uls_ec7", *_ec7(
-        "check", PAD, "DA2", {"B": -1e-3, "drainage": "drained"}, "--B", "-1e-3")),
-    "check-da9-nan": ("geo_check_footing_uls_ec7", *_ec7(
-        "check", PAD, "DA9", {"B": math.nan, "drainage": "drained"}, "--B", "nan")),
+    "golden_cli_terzaghi.json": ("geo_evaluate", [_evaluate(
+        "BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip", _TERZAGHI_INPUTS)]),
+    "golden_cli_vesic_override.json": ("geo_evaluate", [_evaluate(
+        "BEARING_CAPACITY_VESIC", "general", _VESIC_INPUTS, {"beta": "5 deg"})]),
+    "golden_cli_ec7_phi0.json": ("geo_evaluate", [_evaluate(
+        "BEARING_CAPACITY_EUROCODE7", "drained", _EC7_PHI0_INPUTS)]),
+    "golden_cli_coupled.json": ("geo_evaluate", [_evaluate(
+        "BENCH_COUPLED_PRESSURE", "coupled", {"p": "100 kPa", "a": "20 kPa"})]),
+    "eval-furlong": ("geo_evaluate", [_evaluate(
+        "BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip",
+        dict(_TERZAGHI_INPUTS, B="2 furlong"))]),
+    "golden_cli_ec7_design.json": ("geo_design_footing_width_ec7", _ec7(
+        JRC_A3, "all", {"tolerance": 1e-3, "drainage": "drained"})),
+    "golden_cli_ec7_design_tight.json": ("geo_design_footing_width_ec7", _ec7(
+        JRC_A3, "all", {"tolerance": 1e-9, "drainage": "drained"})),
+    "golden_cli_ec7_design_drained.json": ("geo_design_footing_width_ec7", _ec7(
+        PAD, "all", {"tolerance": 1e-3, "drainage": "drained"})),
+    "golden_cli_ec7_design_undrained.json": ("geo_design_footing_width_ec7", _ec7(
+        PAD, "all", {"tolerance": 1e-3, "drainage": "undrained"})),
+    "golden_cli_ec7_check.json": ("geo_check_footing_uls_ec7", _ec7(
+        JRC_A3, "all", {"B": 2.0, "drainage": "drained"})),
+    "golden_cli_ec7_check_undrained_da2.json": ("geo_check_footing_uls_ec7", _ec7(
+        PAD, "DA2", {"B": 2.5, "drainage": "undrained"})),
+    "check-nan": ("geo_check_footing_uls_ec7", _ec7(
+        PAD, "DA2", {"B": math.nan, "drainage": "drained"})),
+    "check-negative": ("geo_check_footing_uls_ec7", _ec7(
+        PAD, "DA2", {"B": -1e-3, "drainage": "drained"})),
+    "check-da9-nan": ("geo_check_footing_uls_ec7", _ec7(
+        PAD, "DA9", {"B": math.nan, "drainage": "drained"})),
 }
-
-
-def _use_perfbench_cards(monkeypatch):
-    """Read perfbench/'s cards into the catalog too, as CI's command line
-    of the coupled card does."""
-    import geocard.catalog
-
-    monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(Path(__file__).parents[1] / "perfbench"))
-    monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
 
 
 def _run_main(argv) -> tuple:
@@ -675,10 +586,13 @@ class TestCliRunsTheTool:
 
     @pytest.mark.parametrize("row", sorted(_CLI_ROWS))
     def test_stdout_is_the_tool_text(self, row, monkeypatch):
-        name, argv, calls = _CLI_ROWS[row]
-        if row == "coupled":  # its card is in perfbench/, as in CI's command line
-            _use_perfbench_cards(monkeypatch)
-        assert _run_main(argv) == _tool_outcome(name, calls)
+        """The row's command line, in process, from its directory and environment."""
+        monkeypatch.chdir(ROOT)
+        for key, value in BY_NAME[row].env.items():
+            monkeypatch.setenv(key, value)
+        monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
+        name, calls = _CLI_ROWS[row]
+        assert _run_main(shlex.split(BY_NAME[row].argv)) == _tool_outcome(name, calls)
 
     @settings(max_examples=200, deadline=None)
     @given(_eval_requests() | _ec7_check_requests())

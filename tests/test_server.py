@@ -1,5 +1,5 @@
 """MCP server tests: protocol conformance, schema gating, tool behavior,
-and the byte-exact golden transcript replay."""
+and the golden transcripts in process; test_goldens.py replays them."""
 
 import collections
 import enum
@@ -397,30 +397,16 @@ class TestCustomCatalogDrivesEc7:
 
 
 class TestGoldenTranscript:
-    """The checked-in sessions must replay byte-for-byte. The session
-    transcript reaches every tool: references, session defaults, drained,
-    undrained, eccentric and null-utilization checks, two designs, a failed
-    walk, an unknown tool, invalid params and ids of every kind."""
+    """The checked-in sessions, in process. The session transcript reaches
+    every tool: references, session defaults, drained, undrained, eccentric
+    and null-utilization checks, two designs, a failed walk, an unknown
+    tool, invalid params and ids of every kind."""
 
-    def _replay(self, name="golden_transcript") -> str:
-        requests = (DATA_DIR / f"{name}_requests.jsonl").read_text("utf-8")
+    def _replay(self) -> str:
+        requests = (DATA_DIR / "golden_transcript_requests.jsonl").read_text("utf-8")
         stdout = io.StringIO()
         serve(io.StringIO(requests), stdout)
         return stdout.getvalue()
-
-    def test_replays_byte_identically(self):
-        expected = (DATA_DIR / "golden_transcript_expected.jsonl").read_bytes()
-        assert self._replay().encode("utf-8") == expected
-
-    def test_session_replays_byte_identically(self):
-        expected = (DATA_DIR / "golden_session_expected.jsonl").read_bytes()
-        assert self._replay("golden_session").encode("utf-8") == expected
-
-    def test_argument_complaints_replay_byte_identically(self):
-        """Every argument complaint's text: a non-object, the first missing
-        required key in schema order, then each argument in request order."""
-        expected = (DATA_DIR / "golden_arguments_expected.jsonl").read_bytes()
-        assert self._replay("golden_arguments").encode("utf-8") == expected
 
     def test_session_in_process_writes_the_golden_lines(self):
         """One server fed the session's lines through ``handle_message``,
@@ -783,13 +769,6 @@ class TestBoundaryLeaks:
                 assert tool_error(reply)["error"] == "malformed_quantity", depth
                 codes.add("malformed_quantity")
         assert "malformed_quantity" in codes
-
-    def test_hostile_transcript_replays_byte_identically(self):
-        requests = (DATA_DIR / "hostile_transcript_requests.jsonl").read_text()
-        stdout = io.StringIO()
-        McpServer().serve(io.StringIO(requests), stdout)
-        expected = (DATA_DIR / "hostile_transcript_expected.jsonl").read_bytes()
-        assert stdout.getvalue().encode("utf-8") == expected
 
     def test_huge_integer_tolerance_is_tool_error(self, server):
         response = strict_json(call(server, "geo_design_footing_width_ec7", {
