@@ -2,8 +2,10 @@
 #
 # The engine converts inputs to the card's units, orders the equations by
 # dependency, and records every assignment. The same trace renders as
-# canonical JSON (for regression diffing) or a Markdown report (for
-# humans), and both carry the card's literature sources.
+# canonical JSON (for regression diffing) or, from that JSON, a Markdown
+# report (for humans), and both carry the card's literature sources.
+
+import json
 
 from geocard import EvaluationRequest, evaluate_card, load_catalog
 from geocard.report import render_report
@@ -45,4 +47,4 @@ print("unit-invariant:",
       again.outputs["q_ult"].magnitude == trace.outputs["q_ult"].magnitude)
 
 print("\n--- Markdown report -------------------------------------------")
-print(render_report(trace))
+print(render_report(json.loads(trace.to_json()), card))

@@ -13,18 +13,19 @@ MCP client that has gone) ends the command with exit 1 and no traceback.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 
 from . import __version__
 from .errors import GeocardError
 
-# Each command imports the modules it uses. eval and ec7 call the MCP
-# tools' handlers on a fresh McpServer, so eval loads neither the EC7
-# workflow nor the skills, and validate loads neither those nor the MCP
-# server. serve answers the MCP handshake before any card, unit or engine
-# module loads; a bare ``serve`` builds no parser, so it loads neither
-# argparse nor gettext.
+# Each command imports the modules it uses. eval and ec7 send each call as
+# a checked ``tools/call`` to a fresh McpServer and print or render its
+# reply, so eval loads neither the EC7 workflow nor the skills, and
+# validate loads neither those nor the MCP server. serve answers the MCP
+# handshake before any card, unit or engine module loads; a bare ``serve``
+# builds no parser, so it loads neither argparse nor gettext.
 
 
 def main(argv=None) -> int:
@@ -185,31 +186,44 @@ def _parse_kv(pairs: list[str], label: str) -> "dict | None":
     return out
 
 
+def _call(server, tool: str, arguments: dict) -> str:
+    """The text of ``server``'s reply to a ``tools/call`` of ``tool``; an
+    error reply, the tool's or the protocol's, raises GeocardError."""
+    reply = server.handle_message({"jsonrpc": "2.0", "id": 1, "method": "tools/call",
+                                   "params": {"name": tool, "arguments": arguments}})
+    if "error" in reply:
+        raise GeocardError(reply["error"]["message"])
+    text = reply["result"]["content"][0]["text"]
+    if reply["result"]["isError"]:
+        raise GeocardError(json.loads(text)["message"])
+    return text
+
+
 def cmd_eval(args) -> int:
     from .server import McpServer
-    from .tools import geo_evaluate
 
     inputs = _parse_kv(args.inputs, "--in")
     overrides = _parse_kv(args.overrides, "--override")
     if inputs is None or overrides is None:
         return 2
-    trace = geo_evaluate(McpServer(), {"card": args.card, "variant": args.variant,
-                                       "inputs": inputs, "overrides": overrides})
+    server = McpServer()
+    text = _call(server, "geo_evaluate", {"card": args.card, "variant": args.variant,
+                                          "inputs": inputs, "overrides": overrides})
     if args.format == "json":
-        print(trace.to_json())
+        print(text)
     else:
         from .report import render_report
-        print(render_report(trace))
+        print(render_report(json.loads(text), server.catalog.get_method(args.card)))
     return 0
 
 
 # ---------------------------------------------------------------------- ec7 ----
 
-def _run_ec7(args, tool, arguments: dict, print_summary) -> int:
-    """Call the MCP tool function ``tool`` with ``arguments``, the scenario
-    file and the drainage once per Design Approach that ``--da`` names, and
-    print the results: as a JSON list of each one's to_json, or by
-    ``print_summary(args, results)``."""
+def _run_ec7(args, tool: str, arguments: dict, print_summary) -> int:
+    """Call the MCP tool ``tool`` with ``arguments``, the scenario file and
+    the drainage once per Design Approach that ``--da`` names, and print
+    the replies: as a JSON list of their texts, or by
+    ``print_summary(args, bodies)``."""
     from pathlib import Path
 
     from .cards import decode_record
@@ -226,56 +240,51 @@ def _run_ec7(args, tool, arguments: dict, print_summary) -> int:
         raise GeocardError(f"cannot read scenario file {args.scenario}: {exc}") from None
     arguments.update(scenario=decode_record(text, "scenario"), drainage=args.drainage)
     server = McpServer()
-    results = [tool(server, {**arguments, "design_approach": da})
-               for da in (DESIGN_APPROACHES if args.da == "all" else [args.da])]
+    texts = [_call(server, tool, {**arguments, "design_approach": da})
+             for da in (DESIGN_APPROACHES if args.da == "all" else [args.da])]
     if args.format == "json":
-        print("[\n  " + ",\n  ".join(r.to_json().replace("\n", "\n  ") for r in results) + "\n]")
+        print("[\n  " + ",\n  ".join(t.replace("\n", "\n  ") for t in texts) + "\n]")
     else:
-        print_summary(args, results)
+        print_summary(args, [json.loads(t) for t in texts])
     return 0
 
 
 def cmd_ec7_check(args) -> int:
-    from .tools import geo_check_footing_uls_ec7
-
-    return _run_ec7(args, geo_check_footing_uls_ec7, {"B": args.B}, _print_checks)
+    return _run_ec7(args, "geo_check_footing_uls_ec7", {"B": args.B}, _print_checks)
 
 
-def _print_checks(args, results) -> None:
-    import math
-
+def _print_checks(args, bodies) -> None:
     from .report import format_sig
 
     print(f"ULS bearing check at B = {format_sig(args.B)} m "
           f"({args.drainage})")
     print(f"{'DA':8s} {'V_d (kN)':>12s} {'R_d (kN)':>12s} "
           f"{'utilization':>12s}  result")
-    for r in results:
-        util = ("inf" if math.isinf(r.utilization)
-                else f"{r.utilization:.3f}")
-        verdict = "PASS" if r.passed else "FAIL"
-        print(f"{r.design_approach:8s} {r.V_d:12.2f} {r.R_d:12.2f} "
+    for r in bodies:
+        util = ("inf" if r["utilization"] is None  # null: infinite
+                else f"{r['utilization']:.3f}")
+        verdict = "PASS" if r["pass"] else "FAIL"
+        print(f"{r['design_approach']:8s} {r['V_d']:12.2f} {r['R_d']:12.2f} "
               f"{util:>12s}  {verdict}")
 
 
 def cmd_ec7_design(args) -> int:
-    from .tools import geo_design_footing_width_ec7
-
-    return _run_ec7(args, geo_design_footing_width_ec7,
+    return _run_ec7(args, "geo_design_footing_width_ec7",
                     {"tolerance": args.tolerance}, _print_designs)
 
 
-def _print_designs(args, results) -> None:
+def _print_designs(args, bodies) -> None:
     print(f"Required footing width ({args.drainage})")
     print(f"{'DA':8s} {'B_req (m)':>10s} {'V_d (kN)':>12s} {'R_d (kN)':>12s} "
           f"{'utilization':>12s}")
-    for r in results:
-        print(f"{r.design_approach:8s} {r.B_req:10.3f} {r.check.V_d:12.2f} "
-              f"{r.check.R_d:12.2f} {r.check.utilization:12.3f}")
+    for r in bodies:
+        check = r["check"]
+        print(f"{r['design_approach']:8s} {r['B_req']:10.3f} {check['V_d']:12.2f} "
+              f"{check['R_d']:12.2f} {check['utilization']:12.3f}")
     if args.da == "all":
-        governing = max(results, key=lambda r: r.B_req)
-        print(f"governing: {governing.design_approach} "
-              f"(B = {governing.B_req:.3f} m)")
+        governing = max(bodies, key=lambda r: r["B_req"])
+        print(f"governing: {governing['design_approach']} "
+              f"(B = {governing['B_req']:.3f} m)")
 
 
 # -------------------------------------------------------------------- serve ----

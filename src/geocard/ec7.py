@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .cards import ABSENT, decode_record, instance_of, read_record
 from .catalog import Catalog, default_catalog
-from .engine import EvaluationRequest, EvaluationTrace, evaluate_card, stage, to_reply
+from .engine import EvaluationRequest, EvaluationTrace, evaluate_card, stage
 from .errors import (GeocardError, InvalidGeometry, NoBracket, NonFiniteValue,
                      SchemaError, UnknownDesignApproach)
 from .units import DATA_DIR, to_magnitude
@@ -203,11 +203,6 @@ class UlsCheckResult:
 
     def to_dict(self) -> dict:
         return self._body(self.trace.to_dict())
-
-    def to_json(self) -> str:
-        """``strict_json(self.to_dict())``, written from the template of
-        the whole body, trace included, when the trace is a complete one."""
-        return to_reply(self).text
 
     def _body(self, trace) -> dict:
         return {
@@ -398,12 +393,6 @@ class WidthDesignResult:
 
     def to_dict(self) -> dict:
         return self._body(self.check.trace.to_dict())
-
-    def to_json(self) -> str:
-        """``strict_json(self.to_dict())``, written from the template of
-        the whole body, check and trace included, when the trace is a
-        complete one."""
-        return to_reply(self).text
 
     def _body(self, trace) -> dict:
         return {

@@ -1,14 +1,13 @@
-"""Markdown calculation reports rendered from evaluation traces.
+"""Markdown calculation reports rendered from a trace's wire form.
 
 Reports show 4 significant figures; the JSON trace remains the lossless
-record. Every number printed here comes from the trace, each step read
-from its wire dict, and the source list is copied verbatim from the card
-so the reference list is generated, not hand-maintained.
+record. A report reads the decoded JSON of a trace, as an MCP client does:
+every number, the request echo and the source list come from it, so the
+reference list is generated, not hand-maintained; only the titles,
+assumptions and applicability come from the card.
 """
 
 from __future__ import annotations
-
-from .engine import EvaluationTrace
 
 
 def format_sig(value: float) -> str:
@@ -23,27 +22,28 @@ def format_sig(value: float) -> str:
     return text
 
 
-def render_report(trace: EvaluationTrace) -> str:
-    """Render a trace as a Markdown calculation report of its card."""
-    card, variant = trace.card, trace.variant
+def render_report(trace: dict, card) -> str:
+    """Render a trace's wire dict as a Markdown calculation report of ``card``."""
+    request = trace["request"]
+    variant = card.variant(request["variant"])
     lines = [
         f"# {card.title}",
         "",
-        f"Method card: `{card.id}`, variant `{variant.id}` ({variant.title})",
+        f"Method card: `{request['card']}`, variant `{request['variant']}` ({variant.title})",
         "",
         "## Inputs",
         "",
     ]
-    for key in sorted(trace.request_inputs):
-        lines.append(f"- `{key}` = {trace.request_inputs[key]}")
-    if trace.request_overrides:
+    for key, value in request["inputs"].items():  # already in sorted key order
+        lines.append(f"- `{key}` = {value}")
+    if request["overrides"]:
         lines.append("")
         lines.append("Parameter overrides:")
-        for key in sorted(trace.request_overrides):
-            lines.append(f"- `{key}` = {trace.request_overrides[key]}")
+        for key, value in request["overrides"].items():
+            lines.append(f"- `{key}` = {value}")
 
     lines += ["", "## Calculation Steps", ""]
-    for step in trace.steps:
+    for step in trace["steps"]:
         target, unit = step["target"], step["unit"]
         unit_text = "" if unit == "dimensionless" else f" {unit}"
         lines.append(f"### Step {step['index'] + 1}: `{target}`")
@@ -61,13 +61,13 @@ def render_report(trace: EvaluationTrace) -> str:
         lines.append("")
 
     lines += ["## Outputs", ""]
-    for key, q in sorted(trace.outputs.items()):
-        unit_text = "" if q.unit.name == "dimensionless" else f" {q.unit.name}"
-        lines.append(f"- **{key}** = {format_sig(q.magnitude)}{unit_text}")
+    for key, output in trace["outputs"].items():
+        unit_text = "" if output["unit"] == "dimensionless" else f" {output['unit']}"
+        lines.append(f"- **{key}** = {format_sig(output['value'])}{unit_text}")
 
-    if trace.diagnostics.get("iterative_cycles"):
+    if trace["diagnostics"].get("iterative_cycles"):
         lines += ["", "## Solver Diagnostics", ""]
-        for cycle in trace.diagnostics["iterative_cycles"]:
+        for cycle in trace["diagnostics"]["iterative_cycles"]:
             lines.append(
                 f"- fixed-point cycle over {{{', '.join(cycle['variables'])}}}: "
                 f"{cycle['iterations']} iterations, residual "
@@ -81,10 +81,10 @@ def render_report(trace: EvaluationTrace) -> str:
         lines += [f"- {a}" for a in card.applicability]
 
     lines += ["", "## Sources", ""]
-    for i, source in enumerate(card.sources, start=1):
-        entry = f"{i}. {source.title}"
-        if source.url:
-            entry += f" <{source.url}>"
+    for i, source in enumerate(trace["sources"], start=1):
+        entry = f"{i}. {source['title']}"
+        if source["url"]:
+            entry += f" <{source['url']}>"
         lines.append(entry)
     lines.append("")
     return "\n".join(lines)

@@ -22,8 +22,8 @@ Each response has one writer, ``_dispatch``, and one form: the line
 fixed text, the id's JSON, the reply's ``literal`` and ``isError``; every
 other line is ``json.dumps(envelope, separators=(",", ":"),
 allow_nan=False)``. ``handle_message`` decodes that line with
-``json.loads``, so what it returns is what a client reads. No code in
-``src/`` calls it; the tests and perfbench's in-process client do.
+``json.loads``, so what it returns is what a client reads; the CLI's
+``eval`` and ``ec7``, the tests and perfbench's in-process client call it.
 """
 
 from __future__ import annotations
@@ -292,8 +292,8 @@ class McpServer:
 
     def handle_message(self, message) -> dict | None:
         """The decoded line ``serve`` writes for one decoded message; None
-        for a notification (no ``id``). No code in ``src/`` calls this; the
-        tests and perfbench's in-process client do.
+        for a notification (no ``id``). The CLI's ``eval`` and ``ec7`` send
+        their calls here, as do the tests and perfbench's in-process client.
 
         A request whose id is null or not a string or a number (JSON-RPC
         2.0; MCP forbids a null id) is invalid, and so is one whose method

@@ -1,12 +1,12 @@
 """The MCP tools: one function of ``(server, arguments)`` per tool, named
 after it. ``McpServer`` imports this module at its first ``tools/call``,
-so its handshake loads no card, skill, unit or engine module, and each
-CLI command calls the same function. A function gets arguments that
-passed the tool's schema check, reads the server's catalog, skills and
-session defaults, and returns its value: a trace, an EC7 result, a dict,
-or a memoized ``Reply``; a ``GeocardError`` is the tool's error reply.
-``engine.to_reply`` writes the value; the server serves it in the form
-its reader takes.
+so its handshake loads no card, skill, unit or engine module, and the
+CLI reaches a function only through such a call. A function gets
+arguments that passed the tool's schema check, reads the server's
+catalog, skills and session defaults, and returns its value: a trace, an
+EC7 result, a dict, or a memoized ``Reply``; a ``GeocardError`` is the
+tool's error reply. ``engine.to_reply`` writes the value; the server
+serves it in the form its reader takes.
 """
 
 from __future__ import annotations

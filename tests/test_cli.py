@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import BAD_CARD_FILES, HUGE_INT
 import geocard.catalog
+from geocard import tools
 from geocard.catalog import default_catalog
 from geocard.cli import main
 from geocard.ec7 import (DESIGN_APPROACHES, bundled_scenario_path,
@@ -396,7 +397,7 @@ class TestEc7Commands:
 
 
 class TestEc7JsonMatchesTheReference:
-    """``--format json`` indents each result's to_json into the list; the
+    """``--format json`` indents each reply's text into the list; the
     text must be strict_json of the results' to_dict() list."""
 
     @staticmethod
@@ -603,6 +604,26 @@ class TestCliRunsTheTool:
         Design Approaches and drainages a scenario lacks."""
         name, argv, calls = request
         assert _run_main(argv) == _tool_outcome(name, calls)
+
+
+class TestUnwritableToolValue:
+    """A tool value the reply writer cannot write fails as the server
+    answers it (``test_server.py::TestUnwritableToolValue``): exit 1, the
+    server's message on stderr, nothing on stdout and no traceback."""
+
+    @pytest.mark.parametrize("value, err", [
+        ({"x": object()}, "error: TypeError: Object of type object is not JSON serializable\n"),
+        ({"x": math.nan}, "error: 'result' is not a finite number\n"),
+    ], ids=["object", "nan"])
+    @pytest.mark.parametrize("argv", [
+        TERZAGHI_EVAL + ["--format", "json"], TERZAGHI_EVAL + ["--format", "report"],
+        ["ec7", "check", "--scenario", SCENARIO, "--da", "DA2", "--B", "2",
+         "--format", "summary"],
+    ], ids=["eval-json", "eval-report", "ec7-check-summary"])
+    def test_error_line_and_no_output(self, argv, value, err, monkeypatch):
+        for name in ("geo_evaluate", "geo_check_footing_uls_ec7"):
+            monkeypatch.setattr(tools, name, lambda server, args: value)
+        assert _run_main(argv) == (1, "", err)
 
 
 class TestServeSubprocess:

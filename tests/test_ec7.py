@@ -779,10 +779,10 @@ class TestWidthSearchMatchesTracedSearch:
 
 
 def _same_json(result) -> dict:
-    """``to_json()``, written from its body's template, equals the
-    reference writer's text, and so does the reply's text, whose literal
-    is that text's JSON string literal. Returns the decoded body."""
-    text = result.to_json()
+    """The reply's text, written from its body's template, equals the
+    reference writer's text, and its literal is that text's JSON string
+    literal. Returns the decoded body."""
+    text = to_reply(result).text
     assert text == strict_json(result.to_dict())
     reply = to_reply(result)
     assert reply.text == text and reply.literal == encode_basestring_ascii(text)
@@ -812,7 +812,7 @@ def _search_outcome(search):
         result = search()
     except GeocardError as exc:
         return type(exc), str(exc), exc.payload()
-    return result.to_json(), result.iterations
+    return to_reply(result).text, result.iterations
 
 
 class TestWidthSearchMatchesCheckedSearch:
@@ -920,11 +920,11 @@ class TestResultJson:
                                      B_req=B_req, check=check)
         for result in (check, design):
             assert result._written() is not None
-            text = result.to_json()
+            text = to_reply(result).text
             assert text == strict_json(result.to_dict())
             reply = to_reply(result)
             assert reply.text == text and reply.literal == encode_basestring_ascii(text)
-        body = json.loads(design.to_json())
+        body = json.loads(to_reply(design).text)
         assert body["check"]["utilization"] == (None if utilization == math.inf
                                                 else utilization)
         assert body["check"]["design_parameters"]["c_u_d"] == c_u_d

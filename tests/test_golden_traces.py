@@ -4,8 +4,9 @@
 per line: ``to_json()`` of every bundled variant under two input sets
 (one with a parameter override), the iterative trace of the cyclic card,
 the error payloads of a math-domain fault and of an overflowing step, the
-Markdown report of each of those traces, and ``to_dict()`` of the four
-``jrc_a3`` width designs. Each test regenerates one case and compares.
+Markdown report of each of those traces, rendered from its decoded JSON as
+``geocard eval`` renders it, and ``to_dict()`` of the four ``jrc_a3``
+width designs. Each test regenerates one case and compares.
 
 After a deliberate change to the trace format, rewrite the file with
 
@@ -91,12 +92,12 @@ def golden_cases() -> dict:
                 card_id, variant, inputs, overrides))
             name = f"{card_id}/{variant}/{number}"
             cases[f"trace/{name}"] = trace.to_json()
-            cases[f"report/{name}"] = render_report(trace)
+            cases[f"report/{name}"] = render_report(json.loads(trace.to_json()), card)
 
     cyclic = load_card(CYCLIC_CARD)
     trace = evaluate_card(cyclic, EvaluationRequest(cyclic.id, "base", {"a": 1.0}))
     cases["trace/TEST_CYCLE/base"] = trace.to_json()
-    cases["report/TEST_CYCLE/base"] = render_report(trace)
+    cases["report/TEST_CYCLE/base"] = render_report(json.loads(trace.to_json()), cyclic)
 
     domain = json.loads(CYCLIC_CARD)
     domain["id"] = "TEST_FAULT"
