@@ -52,7 +52,8 @@ well. ``to_reply`` returns a ``Reply``, the template and its fills, which
 writes, only when read, its JSON ``text`` or, from the escaped pieces,
 that text's JSON string ``literal``, the form the MCP server's line
 carries: only the string values (the request echo, say) and the overrides
-are escaped per reply. ``to_json`` is its text.
+are escaped per reply. ``to_json`` writes that text from the template and
+its fills itself, with no ``Reply``.
 """
 
 from __future__ import annotations
@@ -168,7 +169,11 @@ class EvaluationTrace(Record):
     def to_json(self) -> str:
         """``strict_json(self.to_dict())``, written from the variant's
         template when the trace is a complete one."""
-        return to_reply(self).text
+        written = self._written()
+        if written is None:
+            return strict_json(self.to_dict())
+        template, texts = written
+        return template.text(template.fill(texts))
 
     def _written(self, outer=None) -> tuple[Template, list] | None:
         """The template of the trace's variant, or of ``outer``'s body
@@ -181,6 +186,7 @@ class EvaluationTrace(Record):
         for key, at in echoes:
             value = inputs[key]
             texts.append(texts[at] if at is not None and value is values[at]
+                         else encode_basestring_ascii(value) if type(value) is str
                          else strict_json(_echo_value(value)))
         cycles = self.diagnostics["iterative_cycles"]
         if cycles:
@@ -479,12 +485,11 @@ def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue]) -> dict[st
     numbers; bare numbers are trusted as already card-normalized. Keys
     other than the card's inputs raise MissingInput or UnexpectedInput.
     """
-    keys = raw.keys()
+    keys, units = raw.keys(), card.units
     if keys != card.input_keys:
         missing = card.input_keys - keys
         raise MissingInput(missing) if missing else UnexpectedInput(keys - card.input_keys)
-    return {key: to_magnitude(value, card.units[key].name, key)
-            for key, value in raw.items()}
+    return {key: to_magnitude(value, units[key].name, key) for key, value in raw.items()}
 
 
 def _walk(direct: tuple, block: tuple, env: dict) -> list[dict]:
@@ -492,10 +497,11 @@ def _walk(direct: tuple, block: tuple, env: dict) -> list[dict]:
     order, then the fixed-point ``block``. Returns the cycle diagnostics. A
     fault is raised with its ``failed_step``: the target, expression and
     the inputs bound when the step failed."""
+    isfinite, absolute = math.isfinite, abs
     try:
         for eq in direct:
             value = eq.compiled(env)
-            if not math.isfinite(value):  # float arithmetic overflows silently
+            if not isfinite(value):  # float arithmetic overflows silently
                 raise NonFiniteValue(eq.target)
             env[eq.target] = value
         if not block:
@@ -506,16 +512,16 @@ def _walk(direct: tuple, block: tuple, env: dict) -> list[dict]:
             residual = 0.0
             for eq in block:
                 old, new = env[eq.target], eq.compiled(env)
-                if not math.isfinite(new):
+                if not isfinite(new):
                     raise NonConvergence(_search(block), iterations, "residual", math.inf)
                 # max(abs(old), abs(new)) and max(residual, change) without
                 # the calls: max keeps its first argument unless the second
                 # is larger
-                denom = abs(old)
-                if abs(new) > denom:
-                    denom = abs(new)
+                denom = absolute(old)
+                if absolute(new) > denom:
+                    denom = absolute(new)
                 if denom != 0.0:
-                    change = abs(new - old) / denom
+                    change = absolute(new - old) / denom
                     if change > residual:
                         residual = change
                 env[eq.target] = new

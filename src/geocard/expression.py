@@ -403,24 +403,24 @@ def _cot(x: float) -> float:
     return math.cos(x) / s
 
 
-def _log(x: float) -> float:
-    if x <= 0.0:
-        raise MathDomain(f"log of non-positive value {x!r}")
-    return math.log(x)
-
-
-def _sqrt(x: float) -> float:
-    if x < 0.0:
-        raise MathDomain(f"sqrt of negative value {x!r}")
-    return math.sqrt(x)
-
-
 _FUNCTIONS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan, "cot": _cot,
     "asin": math.asin, "acos": math.acos, "atan": math.atan,
-    "atan2": math.atan2, "exp": math.exp, "log": _log, "sqrt": _sqrt,
+    "atan2": math.atan2, "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
     "Abs": abs, "Min": min, "Max": max,
 }
+
+# The messages of sqrt's and log's ValueError, by their argument.
+_DOMAIN_MESSAGES = {"sqrt": "sqrt of negative value {!r}",
+                    "log": "log of non-positive value {!r}"}
+
+
+def _domain(func: str, value: float, exc: Exception) -> MathDomain:
+    """The MathDomain of a one-argument call that raised ``exc`` at ``value``."""
+    if isinstance(exc, OverflowError):
+        return MathDomain(f"overflow in {func}")
+    message = _DOMAIN_MESSAGES.get(func)
+    return MathDomain(message.format(value) if message else f"{func}: {exc}")
 
 
 def evaluate(node: ExprNode, env: Mapping[str, float]) -> float:
@@ -429,7 +429,10 @@ def evaluate(node: ExprNode, env: Mapping[str, float]) -> float:
     Piecewise takes the first branch whose condition holds. Domain faults
     (division by zero, log of non-positive, inverse trig out of range,
     overflow in ``**`` or a function call) raise MathDomain rather than
-    leaking host exceptions. ``+``, ``-``, ``*`` and ``/`` follow IEEE-754
+    leaking host exceptions (sqrt's and log's messages from a table). A
+    NaN that a subexpression computes raises MathDomain as an operand of a
+    comparison, Min or Max, or of a ``**`` that would give 1; ``env`` holds
+    none. ``+``, ``-``, ``*`` and ``/`` follow IEEE-754
     and overflow to an infinity without raising, so the result may be
     non-finite; the engine rejects such a step with NonFiniteValue.
     A symbol missing from ``env`` raises UnboundSymbol. A caller that
@@ -477,6 +480,8 @@ def _compile(node: ExprNode) -> tuple:
         return _literal(CONSTANTS[node.name])
     if isinstance(node, Call):
         args = [_compile(arg) for arg in node.args]
+        if node.func in ("Min", "Max"):
+            args = [_checked(arg, node) for arg in args]
         return _fold(_compile_call(node.func, args), *args)
     if isinstance(node, Unary):
         kind, name, fn = operand = _compile(node.operand)
@@ -494,22 +499,40 @@ def _compile(node: ExprNode) -> tuple:
             raise NoBranchTaken()
         return _fold(piecewise, *parts)
     if isinstance(node, Comparison):
-        left, right = _compile(node.left), _compile(node.right)
+        left, right = [_checked(_compile(side), node) for side in (node.left, node.right)]
         kinds, a, b = _pair(left, right)
+        if kinds not in _COMPARISON:  # each operand read through its closure
+            kinds, a, b = ("f", "f"), left[2], right[2]
         return _fold(_COMPARISON[kinds](_COMPARE[node.op], a, b), left, right)
     raise TypeError(f"not an ExprNode: {node!r}")
 
 
 def _fold(fn, *parts) -> tuple:
     """``("f", fn, fn)``, or the literal of fn's value when every part is
-    a literal and fn evaluates without raising: the one place where
-    literals are combined, by the closure an evaluation would run."""
+    a literal and fn evaluates without raising to a value other than NaN:
+    the one place where literals are combined, by the closure an
+    evaluation would run."""
     if all(part[0] == "c" for part in parts):
         try:
-            return _literal(fn({}))
+            if (value := fn({})) == value:
+                return _literal(value)
         except Exception:  # a host error too is raised at evaluation, not here
             pass
     return "f", fn, fn
+
+
+def _checked(part: tuple, node: ExprNode) -> tuple:
+    """``part``, an operand of ``node`` (a comparison, Min or Max), raising
+    MathDomain on a NaN if it is a sub-closure: no literal is NaN."""
+    if part[0] != "f":
+        return part
+    fn = part[2]
+
+    def checked(env):
+        if (value := fn(env)) != value:
+            raise MathDomain(f"NaN operand in {to_text(node)}")
+        return value
+    return "f", checked, checked
 
 
 def _literal(value) -> tuple:
@@ -563,15 +586,12 @@ _ARITHMETIC_BY_KINDS = {
           ("f", "c"): lambda a, b: lambda env: a(env) / b},
 }
 
-# A comparison's closures, keyed as above; ``compare`` is its operator.
+# A comparison's closures, keyed as above; ``compare`` is its operator. A
+# symbol against a symbol or a literal, the bundled cards' conditions, reads
+# them inline; any other pair reads both operands through their closures.
 _COMPARISON = {
     ("s", "s"): lambda compare, a, b: lambda env: compare(env[a], env[b]),
     ("s", "c"): lambda compare, a, b: lambda env: compare(env[a], b),
-    ("s", "f"): lambda compare, a, b: lambda env: compare(env[a], b(env)),
-    ("c", "s"): lambda compare, a, b: lambda env: compare(a, env[b]),
-    ("c", "f"): lambda compare, a, b: lambda env: compare(a, b(env)),
-    ("f", "s"): lambda compare, a, b: lambda env: compare(a(env), env[b]),
-    ("f", "c"): lambda compare, a, b: lambda env: compare(a(env), b),
     ("f", "f"): lambda compare, a, b: lambda env: compare(a(env), b(env)),
 }
 
@@ -623,6 +643,8 @@ def _compile_binary(node: Binary, left: tuple, right: tuple):
             raise MathDomain(f"overflow in {to_text(node)}") from None
         if isinstance(result, complex):
             raise MathDomain(f"complex result in {to_text(node)}")
+        if result == 1.0 and (x != x or y != y):  # nan**0 or 1**nan
+            raise MathDomain(f"NaN operand in {to_text(node)}")
         return result
     return binary
 
@@ -639,20 +661,16 @@ def _compile_call(func: str, args: list):
             def call(env):
                 try:
                     return fn(env[name])  # a KeyError is no ValueError
-                except ValueError as exc:
-                    raise MathDomain(f"{func}: {exc}") from None
-                except OverflowError:
-                    raise MathDomain(f"overflow in {func}") from None
+                except (ValueError, OverflowError) as exc:
+                    raise _domain(func, env[name], exc) from None
             return call
 
         def call(env):
             value = arg(env)
             try:
                 return fn(value)
-            except ValueError as exc:
-                raise MathDomain(f"{func}: {exc}") from None
-            except OverflowError:
-                raise MathDomain(f"overflow in {func}") from None
+            except (ValueError, OverflowError) as exc:
+                raise _domain(func, value, exc) from None
         return call
     held = [(arg, value if kind == "c" else None) for kind, value, arg in args]
 

@@ -25,6 +25,7 @@ from geocard.ec7 import (DESIGN_APPROACHES, bundled_scenario_path,
 from geocard.engine import strict_json
 from geocard.report import format_sig
 from test_ec7 import OVERFLOWING, overflowing_scenario
+from test_engine import dimensionless_card
 from test_goldens import BY_NAME, ROOT
 
 SCENARIO = bundled_scenario_path()
@@ -624,6 +625,26 @@ class TestUnwritableToolValue:
         for name in ("geo_evaluate", "geo_check_footing_uls_ec7"):
             monkeypatch.setattr(tools, name, lambda server, args: value)
         assert _run_main(argv) == (1, "", err)
+
+
+class TestNanOperand:
+    """A user card whose steps form a NaN inside an expression passes
+    validation, and its evaluation fails with one error line, not
+    ``y = 0`` and ``z = 2``."""
+
+    def test_probe_card_exits_1_with_an_error_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "nan_probe.json"
+        path.write_text(dimensionless_card("NAN_PROBE", ["y", "z"], [], ["x"], [
+            {"target": "y", "sympy": "Max(0, x*x*x - x*x*x)"},
+            {"target": "z", "sympy": "Piecewise((1, x*x*x - x*x*x > 0), (2, True))"},
+        ]), encoding="utf-8")
+        monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(tmp_path))
+        monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
+        assert _run_main(["validate", str(path)])[0] == 0
+        for fmt in ("report", "json"):
+            assert _run_main(["eval", "NAN_PROBE", "base", "--in", "x=1e200",
+                              "--format", fmt]) == (
+                1, "", "error: NaN operand in Max(0, x*x*x - x*x*x)\n")
 
 
 class TestServeSubprocess:

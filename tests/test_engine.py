@@ -355,6 +355,32 @@ class TestFaults:
                 TERZAGHI_STRIP_INPUTS, overrides={"B": 3.0})
 
 
+class TestNanOperand:
+    """A NaN formed inside a step (x*x*x overflows, and inf - inf is NaN)
+    fails that step: it never vanishes into a value."""
+
+    @pytest.mark.parametrize("expression, error, message", [
+        ("Max(0, x*x*x - x*x*x)", MathDomain, "NaN operand in Max(0, x*x*x - x*x*x)"),
+        ("Min(x*x*x - x*x*x, 5)", MathDomain, "NaN operand in Min(x*x*x - x*x*x, 5)"),
+        ("Min(5, x*x*x - x*x*x)", MathDomain, "NaN operand in Min(5, x*x*x - x*x*x)"),
+        ("Piecewise((1, x*x*x - x*x*x > 0), (2, True))", MathDomain,
+         "NaN operand in x*x*x - x*x*x > 0"),
+        ("(x*x*x - x*x*x)**0", MathDomain, "NaN operand in (x*x*x - x*x*x)**0"),
+        ("1**(x*x*x - x*x*x)", MathDomain, "NaN operand in 1**(x*x*x - x*x*x)"),
+        ("(x*x*x - x*x*x)**2", NonFiniteValue, "'y' is not a finite number"),
+    ])
+    def test_fails_its_step(self, expression, error, message):
+        card = load_card(dimensionless_card(
+            "TEST_NAN", ["y"], ["w"], ["x"],
+            [{"target": "w", "sympy": "2*x"}, {"target": "y", "sympy": expression}]))
+        with pytest.raises(error) as err:
+            run(card, "base", {"x": 1e200})
+        assert str(err.value) == message
+        assert err.value.failed_step == {"target": "y", "expression": expression,
+                                         "inputs": {"x": 1e200}}
+        assert [s["target"] for s in err.value.partial_trace.steps] == ["w"]
+
+
 class TestParamOverrides:
     def test_vesic_inclination_override(self):
         vesic = CATALOG.get_method("BEARING_CAPACITY_VESIC")

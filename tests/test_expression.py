@@ -324,8 +324,10 @@ def _build(tree):
 # ------------------------------------------------- evaluator equivalence ----
 #
 # ``_walk`` is the recursive tree walker the evaluator was first written as,
-# kept here unchanged as the oracle: ``ex.evaluate`` must give the same float
-# bits, or raise the same exception type with the same message, on every tree.
+# kept here as the oracle: ``ex.evaluate`` must give the same float bits, or
+# raise the same exception type with the same message, on every tree. Its
+# one change since is the NaN rule (``_operand`` and the ``**`` check): a NaN
+# that a subtree computes, not a leaf, raises where it would vanish.
 
 def _oracle_cot(x):
     s = math.sin(x)
@@ -352,6 +354,15 @@ _ORACLE_FUNCTIONS = {
     "atan2": math.atan2, "exp": math.exp, "log": _oracle_log,
     "sqrt": _oracle_sqrt, "Abs": abs, "Min": min, "Max": max,
 }
+
+
+def _operand(node, parent, env):
+    """An operand of ``parent``, a comparison, Min or Max, that is NaN
+    raises unless it is a leaf: the evaluator trusts env to hold no NaN."""
+    value = _walk(node, env)
+    if value != value and not isinstance(node, (ex.Number, ex.Constant, ex.Symbol)):
+        raise MathDomain(f"NaN operand in {ex.to_text(parent)}")
+    return value
 
 
 def _walk(node, env):
@@ -388,9 +399,12 @@ def _walk(node, env):
                 f"zero raised to negative power in {ex.to_text(node)}") from None
         if isinstance(result, complex):
             raise MathDomain(f"complex result in {ex.to_text(node)}")
+        if result == 1.0 and (left != left or right != right):
+            raise MathDomain(f"NaN operand in {ex.to_text(node)}")
         return result
     if isinstance(node, ex.Call):
-        args = [_walk(a, env) for a in node.args]
+        args = [_operand(a, node, env) if node.func in ("Min", "Max") else _walk(a, env)
+                for a in node.args]
         fn = _ORACLE_FUNCTIONS[node.func]
         try:
             return fn(*args)
@@ -404,8 +418,8 @@ def _walk(node, env):
                 return _walk(value, env)
         raise NoBranchTaken()
     if isinstance(node, ex.Comparison):
-        left = _walk(node.left, env)
-        right = _walk(node.right, env)
+        left = _operand(node.left, node, env)
+        right = _operand(node.right, node, env)
         return {
             ">": left > right, ">=": left >= right,
             "<": left < right, "<=": left <= right,
@@ -426,6 +440,13 @@ def _outcome(fn):
     return ("value", struct.pack("<d", value))
 
 
+def _nan_outcome(fn):
+    """``_outcome``, with every NaN result the same."""
+    outcome = _outcome(fn)
+    return ("value", "nan") if outcome[0] == "value" and math.isnan(
+        struct.unpack("<d", outcome[1])[0]) else outcome
+
+
 # Values that reach the domain edges: zero of both signs, one, halves,
 # negatives (complex powers), magnitudes that overflow, and the specials.
 _EDGE_FLOATS = st.one_of(
@@ -434,6 +455,8 @@ _EDGE_FLOATS = st.one_of(
     st.floats(min_value=-1e3, max_value=1e3),
 )
 _ENV_FLOATS = st.one_of(_EDGE_FLOATS, st.floats())  # NaN and infinities too
+# Mostly specials, so that subtrees often compute a NaN (inf - inf, 0*inf).
+_SPECIAL_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 2.0])
 
 _UNARY_FUNCTIONS = ("sin", "cos", "tan", "cot", "asin", "acos", "atan",
                     "exp", "log", "sqrt", "Abs")
@@ -527,6 +550,34 @@ class TestEvaluatorMatchesWalker:
         assert _outcome(lambda: ex.evaluate(node, env)) == \
             _outcome(lambda: _walk(node, env))
 
+    # A NaN that a subtree computes raises as an operand of a comparison,
+    # Min or Max, or of a ** that would give 1; a NaN leaf (only a test's
+    # env holds one) is read as it is, and elsewhere a NaN propagates. A
+    # NaN result compares as NaN: the sign of NaN*NaN follows operand
+    # order in C, which CPython's specialized and generic float paths
+    # need not share, so it may differ between two runs of one tree.
+    @settings(max_examples=300, deadline=None)
+    @given(_TREES, st.fixed_dictionaries(
+        {"x": _SPECIAL_FLOATS, "y": _SPECIAL_FLOATS, "z": _SPECIAL_FLOATS}))
+    @example(ex.parse("Max(0, x*y)"), _xyz(x=math.inf, y=0.0))
+    @example(ex.parse("Max(x*y, 0)"), _xyz(x=math.inf, y=0.0))
+    @example(ex.parse("Min(x - x, 5)"), _xyz(x=math.inf))
+    @example(ex.parse("Min(5, x - x)"), _xyz(x=math.inf))
+    @example(ex.parse("Min(5, x)"), _xyz(x=math.nan))
+    @example(ex.parse("Piecewise((1, x - x > 0), (2, True))"), _xyz(x=math.inf))
+    @example(ex.parse("Piecewise((1, 0 < x - x), (2, True))"), _xyz(x=math.inf))
+    @example(ex.parse("Piecewise((1, x > y), (2, True))"), _xyz(x=math.nan))
+    @example(ex.parse("(x - x)**0"), _xyz(x=math.inf))
+    @example(ex.parse("1**(x - x)"), _xyz(x=math.inf))
+    @example(ex.parse("(x - x)**y"), _xyz(x=math.inf, y=0.0))
+    @example(ex.parse("(x - x)**2"), _xyz(x=math.inf))
+    @example(ex.parse("x**0"), _xyz(x=math.nan))
+    @example(ex.parse("Max(0, 1e308*10 - 1e308*10)"), _xyz())
+    @example(ex.parse("Piecewise((1, 1e308*10 - 1e308*10 > x), (2, True))"), _xyz())
+    def test_nan_operands_same_bits_or_same_error(self, node, env):
+        assert _nan_outcome(lambda: ex.evaluate(node, env)) == \
+            _nan_outcome(lambda: _walk(node, env))
+
     # Mostly literals, so that most subtrees are folded at load: one leaf in
     # five is a symbol. A subtree that raises must still raise when it is
     # evaluated, after what is left of it and before what is right of it.
@@ -570,6 +621,33 @@ class TestEvaluatorMatchesWalker:
         with pytest.raises(MathDomain) as err:
             ex.evaluate(ex.parse(text), env)
         assert str(err.value) == message
+
+    # sqrt and log at each edge of their domain: the message, or the value
+    # when there is no error, as the evaluator gave them when its own
+    # guards wrote these messages; now they come from its table.
+    @pytest.mark.parametrize("func, x, expected", [
+        ("sqrt", -1.0, "sqrt of negative value -1.0"),
+        ("sqrt", -0.0, -0.0),
+        ("sqrt", -5e-324, "sqrt of negative value -5e-324"),
+        ("sqrt", -math.inf, "sqrt of negative value -inf"),
+        ("sqrt", math.nan, math.nan),
+        ("log", -1.0, "log of non-positive value -1.0"),
+        ("log", -0.0, "log of non-positive value -0.0"),
+        ("log", -5e-324, "log of non-positive value -5e-324"),
+        ("log", -math.inf, "log of non-positive value -inf"),
+        ("log", 0.0, "log of non-positive value 0.0"),
+        ("log", math.nan, math.nan),
+    ])
+    @pytest.mark.parametrize("form", ["{}(x)", "{}(1*x)"], ids=["symbol", "closure"])
+    def test_sqrt_and_log_edges(self, func, x, expected, form):
+        node = ex.parse(form.format(func))
+        if isinstance(expected, str):
+            with pytest.raises(MathDomain) as err:
+                ex.evaluate(node, {"x": x})
+            assert str(err.value) == expected
+        else:
+            got = ex.evaluate(node, {"x": x})
+            assert struct.pack("<d", got) == struct.pack("<d", expected)
 
     def test_unbound_and_no_branch_messages(self):
         with pytest.raises(UnboundSymbol) as err:

@@ -7,7 +7,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from geocard.cards import MethodCard, load_card
 from geocard.catalog import load_catalog
@@ -101,6 +101,40 @@ ECHOES = st.one_of(TEXT, NUMBERS,
                    st.builds(Quantity, FLOATS, st.sampled_from(UNITS)))
 
 
+class Text(str):
+    """A str subclass, as a client's own string type may be."""
+
+
+@st.composite
+def _requests_of_base(draw) -> tuple:
+    """A trace of ``BASE`` and a request for its variant: each input near
+    its base value, and each drawn param override, as a bare number (an
+    int where the value is whole), unit-tagged text, a str subclass of
+    that text, or a Quantity, in the card's unit."""
+    name = draw(st.sampled_from(sorted(BASE)))
+    base = BASE[name]
+    units = base.card.units
+
+    def sent(key, magnitude):
+        value = magnitude * draw(st.sampled_from([1.0, 0.5, 2.0]) | st.floats(0.9, 1.1))
+        form = draw(st.sampled_from(["number", "text", "subclass", "quantity"]))
+        if form == "number":
+            return int(value) if value.is_integer() and draw(st.booleans()) else value
+        if form == "quantity":
+            return Quantity(value, units[key])
+        text = f"{value!r} {units[key].name}"
+        return Text(text) if form == "subclass" else text
+
+    inputs = {k: sent(k, base.env[k]) for k in sorted(base.request_inputs)}
+    params = base.card.param_defaults
+    keys = draw(st.sets(st.sampled_from(sorted(params)))) if params else ()
+    overrides = {k: sent(k, params[k] + draw(st.floats(0.0, 0.1))) for k in sorted(keys)}
+    return name, inputs, overrides
+
+
+TERZAGHI_STRIP = "BEARING_CAPACITY_TERZAGHI/general_shear_failure_strip"
+
+
 class TestDifferential:
     @pytest.mark.parametrize("name", list(BASE))
     def test_evaluated_trace(self, name):
@@ -123,6 +157,22 @@ class TestDifferential:
             request_overrides=data.draw(st.dictionaries(TEXT, ECHOES, max_size=3)),
             diagnostics={"iterative_cycles": cycles})
         assert templated(trace) == reference(trace)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_requests_of_base())
+    @example((TERZAGHI_STRIP, {"c_prime": "0 kPa", "phi_prime": "30 deg",
+                               "gamma": Text("18 kN/m^3"), "B": "2 m", "q": "18 kPa"}, {}))
+    @example((TERZAGHI_STRIP, {"c_prime": "0 kPa", "phi_prime": "30 deg",
+                               "gamma": "18 kN/m\u00b3", "B": "2 m", "q": "18 kPa"}, {}))
+    def test_evaluated_request(self, drawn):
+        """An evaluation of every bundled variant and of the cyclic cards,
+        from tagged, bare and Quantity inputs and overrides, writes its
+        complete trace from the template as the reference writes it."""
+        name, inputs, overrides = drawn
+        card, variant = BASE[name].card, BASE[name].variant
+        trace = evaluate_card(card, EvaluationRequest(card.id, variant.id, inputs, overrides))
+        assert trace._written() is not None
+        assert trace.to_json() == strict_json(trace.to_dict()) == reference(trace)
 
 
 def _distinct(value: float) -> float:
