@@ -48,12 +48,11 @@ in document order; ``tests/test_ec7.py``'s ``_same_json`` and
 ``test_drawn_field_values`` keep ``_scalars()`` in step with ``_body``.
 
 A template keeps each static piece escaped for a JSON string literal as
-well. ``to_reply`` returns a ``Reply``, the template and its fills, which
-writes, only when read, its JSON ``text`` or, from the escaped pieces,
-that text's JSON string ``literal``, the form the MCP server's line
-carries: only the string values (the request echo, say) and the overrides
-are escaped per reply. ``to_json`` writes that text from the template and
-its fills itself, with no ``Reply``.
+well. ``to_reply`` writes a tool's value as the JSON string literal of its
+text, the one form the MCP server's line carries, from the escaped pieces
+and the fills: only the string values (the request echo, say) and the
+overrides are escaped per reply. ``to_json`` writes the text itself from
+the same template and fills.
 """
 
 from __future__ import annotations
@@ -374,43 +373,19 @@ class Template:
         return "".join(parts)
 
 
-class Reply:
-    """A tool's reply, written when read in the form its reader takes:
-    ``text``, its JSON text, or ``literal``, that text's JSON string
-    literal. Each is written from ``template`` and ``fills``, or else from
-    the text the reply holds, whose literal is kept once it is escaped."""
-
-    __slots__ = ("template", "fills", "_text", "_literal")
-
-    def __init__(self, text: str | None, template: Template | None = None,
-                 fills: list | None = None):
-        self.template, self.fills, self._text, self._literal = template, fills, text, None
-
-    @property
-    def text(self) -> str:
-        return self._text if self.template is None else self.template.text(self.fills)
-
-    @property
-    def literal(self) -> str:
-        if self.template is not None:
-            return self.template.literal(self.fills)
-        if self._literal is None:
-            self._literal = encode_basestring_ascii(self._text)
-        return self._literal
-
-
-def to_reply(obj) -> Reply:
-    """The reply of a tool's value: a ``Reply`` as it is, a dict by
-    strict_json, a trace or an EC7 result by the template and fills of
-    ``obj._written()``, if any, else by the reference writer. A value that
-    is not finite raises NonFiniteValue here, not when it is read."""
-    if isinstance(obj, (Reply, dict)):  # a memoized reply, or a tool's dict
-        return obj if type(obj) is Reply else Reply(strict_json(obj))
+def to_reply(obj) -> str:
+    """The JSON string literal of a tool's reply text: a ``str``, a
+    memoized reply, as it is; a dict by strict_json; a trace or an EC7
+    result by the template and fills of ``obj._written()``, if any, else by
+    the reference writer. A value that is not finite raises
+    NonFiniteValue."""
+    if isinstance(obj, (str, dict)):  # a memoized reply, or a tool's dict
+        return obj if type(obj) is str else encode_basestring_ascii(strict_json(obj))
     written = obj._written()
     if written is None:
-        return Reply(strict_json(obj.to_dict()))
+        return encode_basestring_ascii(strict_json(obj.to_dict()))
     template, texts = written
-    return Reply(None, template, template.fill(texts))
+    return template.literal(template.fill(texts))
 
 
 def _planted(body, slot, plant):

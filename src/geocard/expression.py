@@ -9,11 +9,12 @@ touches ``eval()``, ``exec()``, ``compile()`` or any other host-language
 execution path: ``compile_expr`` turns the parsed tree into nested Python
 closures that apply ``math`` primitives. Each node compiles to one part:
 a symbol, a literal or a sub-closure. Each inner node costs one closure
-call, picked at load from its operands' kinds: it reads a symbol inline as
-``env[name]``, holds a literal as a value, and calls the closure of any
-other operand. A subtree that reads no symbol and evaluates without
-raising (``pi/4``) is folded to its value by running its closure once;
-one that raises (``1/0``) is kept, to raise when it is evaluated.
+call, picked at load from its operands' kinds: for a pair of kinds that a
+bundled card compiles, it reads a symbol inline as ``env[name]`` and holds
+a literal as a value; it calls the closure of any other operand. A
+subtree that reads no symbol and evaluates without raising (``pi/4``) is
+folded to its value by running its closure once; one that raises
+(``1/0``) is kept, to raise when it is evaluated.
 ``cards.load_card`` builds the closures once per equation, so an
 evaluation walks no tree.
 
@@ -451,10 +452,10 @@ def compile_expr(node: ExprNode) -> Callable[[Mapping[str, float]], float]:
     Each closure evaluates its operands left to right and raises the
     errors ``evaluate`` documents; a MathDomain message is built from the
     captured node only when it is raised. An arithmetic operator, a
-    comparison, a negation or a one-argument call has its closure picked
-    here by its operands' kinds, so it tests none when it runs; each node
-    compiles to one part (see ``_compile``), and a node whose operands are
-    all literals is folded by running its closure once. The
+    comparison or a one-argument call has its closure picked here by its
+    operands' kinds, so it tests none when it runs; each node compiles to
+    one part (see ``_compile``), and a node whose operands are all
+    literals is folded by running its closure once. The
     closures trust ``env`` to bind every symbol of the tree, which
     ``cards.load_card`` proves of each step it plans: a missing symbol
     surfaces as the KeyError of its read.
@@ -484,9 +485,9 @@ def _compile(node: ExprNode) -> tuple:
             args = [_checked(arg, node) for arg in args]
         return _fold(_compile_call(node.func, args), *args)
     if isinstance(node, Unary):
-        kind, name, fn = operand = _compile(node.operand)
-        negate = (lambda env: -env[name]) if kind == "s" else (lambda env: -fn(env))
-        return _fold(negate, operand)
+        operand = _compile(node.operand)
+        fn = operand[2]
+        return _fold(lambda env: -fn(env), operand)
     if isinstance(node, Piecewise):
         parts = [_compile(part) for part in sum(node.branches, ())]
         closures = [part[2] for part in parts]
@@ -500,10 +501,7 @@ def _compile(node: ExprNode) -> tuple:
         return _fold(piecewise, *parts)
     if isinstance(node, Comparison):
         left, right = [_checked(_compile(side), node) for side in (node.left, node.right)]
-        kinds, a, b = _pair(left, right)
-        if kinds not in _COMPARISON:  # each operand read through its closure
-            kinds, a, b = ("f", "f"), left[2], right[2]
-        return _fold(_COMPARISON[kinds](_COMPARE[node.op], a, b), left, right)
+        return _fold(_by_kinds(_COMPARISON, left, right, _COMPARE[node.op]), left, right)
     raise TypeError(f"not an ExprNode: {node!r}")
 
 
@@ -539,75 +537,59 @@ def _literal(value) -> tuple:
     return "c", value, lambda env: value
 
 
-def _pair(left: tuple, right: tuple, read_right: bool = False) -> tuple:
-    """The key ``(left kind, right kind)`` and the two operands of a table
-    below. A literal right operand is read as a sub-closure, by its
-    constant closure, when the left one is a literal too or ``read_right``
-    is set: no table holds a closure of two literals."""
-    (ka, a, _), (kb, b, g) = left, right
-    if kb == "c" and (ka == "c" or read_right):
-        kb, b = "f", g
-    return (ka, kb), a, b
+def _by_kinds(table: dict, left: tuple, right: tuple, *extra):
+    """The closure that ``table`` keeps for the kinds of ``left`` and
+    ``right``, made on their operands and ``extra``; for a pair it lacks,
+    its ``("f", "f")`` closure, made on their closures."""
+    make = table.get((left[0], right[0]))
+    if make is None:  # each operand read through its closure
+        return table["f", "f"](left[2], right[2], *extra)
+    return make(left[1], right[1], *extra)
 
 
 _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt,
             "<=": operator.le, "=": operator.eq}
 
 # The closures of ``+ - *``, one table per operator, keyed by the kinds of
-# the left and right operands (see ``_pair``): a symbol is read as
-# ``env[name]``, a literal is a constant, a sub-closure is called.
+# the left and right operands: a symbol is read as ``env[name]``, a literal
+# is a constant, a sub-closure is called. A pair has its own closure only
+# where a bundled card compiles it (``tests/test_expression.py`` checks
+# that each one is); any other pair, two literals included, is read by
+# ``("f", "f")`` (see ``_by_kinds``).
 _ARITHMETIC_BY_KINDS = {
-    "+": {("s", "s"): lambda a, b: lambda env: env[a] + env[b],
-          ("s", "c"): lambda a, b: lambda env: env[a] + b,
+    "+": {("s", "c"): lambda a, b: lambda env: env[a] + b,
           ("s", "f"): lambda a, b: lambda env: env[a] + b(env),
-          ("c", "s"): lambda a, b: lambda env: a + env[b],
           ("c", "f"): lambda a, b: lambda env: a + b(env),
           ("f", "s"): lambda a, b: lambda env: a(env) + env[b],
-          ("f", "c"): lambda a, b: lambda env: a(env) + b,
           ("f", "f"): lambda a, b: lambda env: a(env) + b(env)},
-    "-": {("s", "s"): lambda a, b: lambda env: env[a] - env[b],
-          ("s", "c"): lambda a, b: lambda env: env[a] - b,
-          ("s", "f"): lambda a, b: lambda env: env[a] - b(env),
-          ("c", "s"): lambda a, b: lambda env: a - env[b],
+    "-": {("s", "c"): lambda a, b: lambda env: env[a] - b,
           ("c", "f"): lambda a, b: lambda env: a - b(env),
-          ("f", "s"): lambda a, b: lambda env: a(env) - env[b],
           ("f", "c"): lambda a, b: lambda env: a(env) - b,
           ("f", "f"): lambda a, b: lambda env: a(env) - b(env)},
     "*": {("s", "s"): lambda a, b: lambda env: env[a] * env[b],
-          ("s", "c"): lambda a, b: lambda env: env[a] * b,
-          ("s", "f"): lambda a, b: lambda env: env[a] * b(env),
           ("c", "s"): lambda a, b: lambda env: a * env[b],
           ("c", "f"): lambda a, b: lambda env: a * b(env),
           ("f", "s"): lambda a, b: lambda env: a(env) * env[b],
-          ("f", "c"): lambda a, b: lambda env: a(env) * b,
           ("f", "f"): lambda a, b: lambda env: a(env) * b(env)},
-    # A nonzero literal divisor needs no zero test.
-    "/": {("s", "c"): lambda a, b: lambda env: env[a] / b,
-          ("f", "c"): lambda a, b: lambda env: a(env) / b},
 }
 
 # A comparison's closures, keyed as above; ``compare`` is its operator. A
 # symbol against a symbol or a literal, the bundled cards' conditions, reads
 # them inline; any other pair reads both operands through their closures.
 _COMPARISON = {
-    ("s", "s"): lambda compare, a, b: lambda env: compare(env[a], env[b]),
-    ("s", "c"): lambda compare, a, b: lambda env: compare(env[a], b),
-    ("f", "f"): lambda compare, a, b: lambda env: compare(a(env), b(env)),
+    ("s", "s"): lambda a, b, compare: lambda env: compare(env[a], env[b]),
+    ("s", "c"): lambda a, b, compare: lambda env: compare(env[a], b),
+    ("f", "f"): lambda a, b, compare: lambda env: compare(a(env), b(env)),
 }
 
-# The closures of ``/`` whose divisor is read, keyed as above: the
-# dividend is read, then the divisor, and ``zero()`` raises if it is zero.
-# A zero literal divisor is read too, so ``x/0`` raises here.
+# The closures of ``/``, keyed and kept as above. A nonzero literal divisor
+# needs no zero test; any other divisor is read after the dividend, and
+# ``zero()`` raises if it is zero. A zero literal divisor is read as a
+# sub-closure, so ``x/0`` raises too.
 _DIVIDE_BY_KINDS = {
+    ("s", "c"): lambda a, b, zero: lambda env: env[a] / b,
+    ("f", "c"): lambda a, b, zero: lambda env: a(env) / b,
     ("s", "s"): lambda a, b, zero: lambda env: env[a] / (
-        y if (y := env[b]) != 0.0 else zero()),
-    ("s", "f"): lambda a, b, zero: lambda env: env[a] / (
-        y if (y := b(env)) != 0.0 else zero()),
-    ("c", "s"): lambda a, b, zero: lambda env: a / (
-        y if (y := env[b]) != 0.0 else zero()),
-    ("c", "f"): lambda a, b, zero: lambda env: a / (
-        y if (y := b(env)) != 0.0 else zero()),
-    ("f", "s"): lambda a, b, zero: lambda env: a(env) / (
         y if (y := env[b]) != 0.0 else zero()),
     ("f", "f"): lambda a, b, zero: lambda env: a(env) / (
         y if (y := b(env)) != 0.0 else zero()),
@@ -618,17 +600,16 @@ def _compile_binary(node: Binary, left: tuple, right: tuple):
     """The closure of one binary operation on floats, as every env value,
     param default and number literal is. Float ``+ - * /`` never raise: they
     round to an infinity, which the engine rejects as a non-finite step. So
-    ``/`` only checks for a zero divisor, and only ``**`` catches errors.
-    A zero literal divisor is read like any divisor (see ``_pair``)."""
+    ``/`` only checks for a zero divisor, and only ``**`` catches errors."""
     op = node.op
-    if op != "**":
-        kinds, a, b = _pair(left, right, op == "/" and right[:2] == ("c", 0.0))
-        if op != "/" or kinds[1] == "c":
-            return _ARITHMETIC_BY_KINDS[op][kinds](a, b)
-
+    if op == "/":
         def zero():
             raise MathDomain(f"division by zero in {to_text(node)}")
-        return _DIVIDE_BY_KINDS[kinds](a, b, zero)
+        if right[:2] == ("c", 0.0):  # a zero literal, read to raise
+            right = "f", right[2], right[2]
+        return _by_kinds(_DIVIDE_BY_KINDS, left, right, zero)
+    if op != "**":
+        return _by_kinds(_ARITHMETIC_BY_KINDS[op], left, right)
     (ka, a, f), (kb, b, g) = left, right  # a literal is held as a value
     a, b = a if ka == "c" else None, b if kb == "c" else None
 

@@ -14,12 +14,12 @@ This module is the protocol alone, so the handshake (``initialize``,
 imports the handlers, ``tools``, at its first ``tools/call`` that passes
 its check, and builds its catalog and skills when a tool first reads them.
 
-A tool returns its value, and ``engine.to_reply`` writes it as an
-``engine.Reply`` inside the call's one guard, so a value it cannot write
-fails as a fault of the tool would; it writes an error payload too.
-Each response has one writer, ``_dispatch``, and one form: the line
-``serve`` writes. A tool result's line is assembled from the envelope's
-fixed text, the id's JSON, the reply's ``literal`` and ``isError``; every
+A tool returns its value, and ``engine.to_reply`` writes it as the JSON
+string literal of its text inside the call's one guard, so a value it
+cannot write fails as a fault of the tool would; it writes an error
+payload too. Each response has one writer, ``_dispatch``, and one form:
+the line ``serve`` writes. A tool result's line is assembled from the
+envelope's fixed text, the id's JSON, that literal and ``isError``; every
 other line is ``json.dumps(envelope, separators=(",", ":"),
 allow_nan=False)``. ``handle_message`` decodes that line with
 ``json.loads``, so what it returns is what a client reads; the CLI's
@@ -363,7 +363,7 @@ class McpServer:
                                f"{type(exc).__name__}: {exc}")
         return "".join((
             '{"jsonrpc":"2.0","id":', id_text,
-            ',"result":{"content":[{"type":"text","text":', reply.literal,
+            ',"result":{"content":[{"type":"text","text":', reply,
             '}],"isError":true}}\n' if is_error else '}],"isError":false}}\n'))
 
     @staticmethod

@@ -4,22 +4,22 @@ so its handshake loads no card, skill, unit or engine module, and the
 CLI reaches a function only through such a call. A function gets
 arguments that passed the tool's schema check, reads the server's
 catalog, skills and session defaults, and returns its value: a trace, an
-EC7 result, a dict, or a memoized ``Reply``; a ``GeocardError`` is the
-tool's error reply. ``engine.to_reply`` writes the value; the server
-serves it in the form its reader takes.
+EC7 result, a dict, or a memoized reply; a ``GeocardError`` is the tool's
+error reply. ``engine.to_reply`` writes the value as the JSON string
+literal of its text, which the server puts in its line.
 """
 
 from __future__ import annotations
 
 from . import __version__, engine
-from .engine import EvaluationRequest, EvaluationTrace, Reply, to_reply
+from .engine import EvaluationRequest, EvaluationTrace, to_reply
 from .errors import DimensionMismatch, GeocardError, MalformedQuantity, MissingUnit, UnknownUnit
 from .units import for_input, quantity_text, split_quantity_text, to_magnitude
 
 
-def _text(server, key: tuple, build, *args) -> Reply:
+def _text(server, key: tuple, build, *args) -> str:
     """The memoized reply under ``key``: ``build(*args)`` written by
-    to_reply on first use, and escaped when first served. Each key is
+    to_reply on first use, a JSON string literal. Each key is
     made of arguments that already resolved to a card, a category, a skill
     or a Design Approach, so a client cannot grow the memo; an error reply
     raises before it gets here."""
@@ -29,7 +29,7 @@ def _text(server, key: tuple, build, *args) -> Reply:
     return reply
 
 
-def geo_list_methods(server, args) -> Reply | dict:
+def geo_list_methods(server, args) -> str | dict:
     category = args.get("category")
     if category is not None and category not in {
             card.category for card in server.catalog.cards.values()}:
@@ -38,7 +38,7 @@ def geo_list_methods(server, args) -> Reply | dict:
                  lambda: {"methods": server.catalog.list_methods(category)})
 
 
-def geo_get_method(server, args) -> Reply:
+def geo_get_method(server, args) -> str:
     card = server.catalog.get_method(args["id"])
     return _text(server, ("geo_get_method", card.id), card.to_dict)
 
@@ -85,7 +85,7 @@ def geo_recommend_skills(server, args) -> dict:
     return {"matches": [m.to_dict() for m in matches]}
 
 
-def geo_get_skill(server, args) -> Reply:
+def geo_get_skill(server, args) -> str:
     include = args.get("include_references", False)
     skill = server.skills.get_skill(args["name"], include)
     return _text(server, ("geo_get_skill", skill.name, include), skill.to_dict)
@@ -94,7 +94,7 @@ def geo_get_skill(server, args) -> Reply:
 # The EC7 tools import the workflow when called, so a session that never
 # calls one does not load it (nor dataclasses).
 
-def geo_get_ec7_preset_partials(server, args) -> Reply:
+def geo_get_ec7_preset_partials(server, args) -> str:
     from .ec7 import get_ec7_preset_partials
 
     pf = get_ec7_preset_partials(args["design_approach"])

@@ -271,6 +271,31 @@ class TestFreeSymbols:
         assert ex.free_symbols(node) == {"x", "y"}
 
 
+class TestEveryClosureIsCompiled:
+    def test_each_kept_pair_is_compiled_by_a_shipped_card(self, monkeypatch):
+        """Each closure a table keeps for one pair of operand kinds, all
+        but the ``("f", "f")`` that reads any other pair, is compiled by a
+        bundled card or by the benchmark's cyclic card: the tables hold
+        only what that traffic compiles."""
+        from geocard.cards import load_card
+        from geocard.catalog import card_files
+        from geocard.units import DATA_DIR
+
+        looked_up, by_kinds = set(), ex._by_kinds
+
+        def recording(table, left, right, *extra):
+            looked_up.add((id(table), left[0], right[0]))
+            return by_kinds(table, left, right, *extra)
+        monkeypatch.setattr(ex, "_by_kinds", recording)
+        root = Path(__file__).parents[1]
+        for path in (*card_files(DATA_DIR / "catalog"), root / "perfbench/cyclic_card.json"):
+            load_card(path.read_text("utf-8"))
+        tables = {**ex._ARITHMETIC_BY_KINDS, "/": ex._DIVIDE_BY_KINDS,
+                  "comparison": ex._COMPARISON}
+        assert [(name, kinds) for name, table in tables.items() for kinds in table
+                if kinds != ("f", "f") and (id(table), *kinds) not in looked_up] == []
+
+
 CARD_EXPRESSIONS = [
     NQ_TEXT,
     NC_TEXT,
@@ -430,21 +455,23 @@ def _walk(node, env):
     raise TypeError(f"not an ExprNode: {node!r}")
 
 
+def _bits(value: float):
+    """A float's bits, with every NaN the same: the sign of NaN*NaN follows
+    operand order in C, which CPython's specialized and generic float
+    multiply need not share, so it may differ between two runs of one tree.
+    No NaN reaches a trace: the env is finite, and a computed NaN raises or
+    fails its step."""
+    return "nan" if value != value else struct.pack("<d", value)
+
+
 def _outcome(fn):
-    """A float result as its bits, or the exception as (type, message)."""
+    """A float result as its ``_bits``, or the exception as (type, message)."""
     try:
         value = fn()
     except Exception as exc:  # host exceptions must match too
         return ("raised", type(exc), str(exc))
     assert type(value) is float
-    return ("value", struct.pack("<d", value))
-
-
-def _nan_outcome(fn):
-    """``_outcome``, with every NaN result the same."""
-    outcome = _outcome(fn)
-    return ("value", "nan") if outcome[0] == "value" and math.isnan(
-        struct.unpack("<d", outcome[1])[0]) else outcome
+    return ("value", _bits(value))
 
 
 # Values that reach the domain edges: zero of both signs, one, halves,
@@ -550,12 +577,17 @@ class TestEvaluatorMatchesWalker:
         assert _outcome(lambda: ex.evaluate(node, env)) == \
             _outcome(lambda: _walk(node, env))
 
+    def test_nan_times_nan_is_one_outcome_on_every_call(self):
+        """NaN*NaN of opposite signs, 30 times in one process: CPython's
+        float multiply gives its NaN either sign once it is specialized."""
+        node, env = ex.parse("x*y"), _xyz(x=math.nan, y=-math.nan)
+        for _ in range(30):
+            assert _outcome(lambda: ex.evaluate(node, env)) == \
+                _outcome(lambda: _walk(node, env))
+
     # A NaN that a subtree computes raises as an operand of a comparison,
     # Min or Max, or of a ** that would give 1; a NaN leaf (only a test's
-    # env holds one) is read as it is, and elsewhere a NaN propagates. A
-    # NaN result compares as NaN: the sign of NaN*NaN follows operand
-    # order in C, which CPython's specialized and generic float paths
-    # need not share, so it may differ between two runs of one tree.
+    # env holds one) is read as it is, and elsewhere a NaN propagates.
     @settings(max_examples=300, deadline=None)
     @given(_TREES, st.fixed_dictionaries(
         {"x": _SPECIAL_FLOATS, "y": _SPECIAL_FLOATS, "z": _SPECIAL_FLOATS}))
@@ -575,8 +607,8 @@ class TestEvaluatorMatchesWalker:
     @example(ex.parse("Max(0, 1e308*10 - 1e308*10)"), _xyz())
     @example(ex.parse("Piecewise((1, 1e308*10 - 1e308*10 > x), (2, True))"), _xyz())
     def test_nan_operands_same_bits_or_same_error(self, node, env):
-        assert _nan_outcome(lambda: ex.evaluate(node, env)) == \
-            _nan_outcome(lambda: _walk(node, env))
+        assert _outcome(lambda: ex.evaluate(node, env)) == \
+            _outcome(lambda: _walk(node, env))
 
     # Mostly literals, so that most subtrees are folded at load: one leaf in
     # five is a symbol. A subtree that raises must still raise when it is
@@ -663,7 +695,7 @@ def _bits_or_error_class(fn):
         value = fn()
     except Exception as exc:
         return type(exc)
-    return struct.pack("<d", value)
+    return _bits(value)
 
 
 class TestPrintedTreesComputeTheSame:

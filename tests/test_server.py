@@ -1117,7 +1117,7 @@ def _reference_reply(twin, message) -> dict | None:
         return error(msg_id, -32602, complaint)
     try:
         value = getattr(tools, name)(twin, arguments)
-        text = value.text if isinstance(value, engine.Reply) else engine.strict_json(
+        text = json.loads(value) if isinstance(value, str) else engine.strict_json(
             value if isinstance(value, dict) else value.to_dict())
         is_error = False
     except GeocardError as exc:
@@ -1202,9 +1202,9 @@ class TestWrittenLines:
         line = json.dumps(message)
         server.serve(io.StringIO(f"{line}\n{line}\n"), stdout)
         [reply] = server._texts.values()  # one reply, written once and reused
-        assert reply._literal is not None  # escaped while serving, and kept
-        assert reply.literal is reply.literal
-        assert reply.literal == encode_basestring_ascii(reply.text)
+        assert type(reply) is str  # kept as the literal the line carries
+        assert reply == encode_basestring_ascii(engine.strict_json(
+            server.catalog.get_method("BEARING_CAPACITY_VESIC").to_dict()))
         assert stdout.getvalue() == _reference_lines([line, line])
 
 
