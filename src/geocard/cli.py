@@ -207,8 +207,8 @@ def cmd_eval(args) -> int:
     if inputs is None or overrides is None:
         return 2
     server = McpServer()
-    text = _call(server, "geo_evaluate", {"card": args.card, "variant": args.variant,
-                                          "inputs": inputs, "overrides": overrides})
+    text = _call(server, "geo_evaluate_with_units", dict(
+        card=args.card, variant=args.variant, inputs=inputs, overrides=overrides))
     if args.format == "json":
         print(text)
     else:

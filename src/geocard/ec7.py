@@ -187,6 +187,10 @@ def bundled_scenario_path(name: str = "jrc_a3") -> str:
 
 # ------------------------------------------------------------- ULS check ----
 
+def _same(value):  # the reference writer's ``put``: a body scalar as it is
+    return value
+
+
 @dataclass(frozen=True)
 class UlsCheckResult:
     design_approach: str
@@ -204,31 +208,24 @@ class UlsCheckResult:
     def to_dict(self) -> dict:
         return self._body(self.trace.to_dict())
 
-    def _body(self, trace) -> dict:
+    def _body(self, trace, put=_same) -> dict:
+        """The reply body around ``trace``, each other scalar ``put(it)`` in
+        document order: the one statement of what the body holds."""
+        design, pf = self.design_parameters, self.partial_factors
         return {
-            "design_approach": self.design_approach,
-            "drainage": self.drainage,
-            "B": self.B,
-            "B_effective": self.B_effective,
-            "V_d": self.V_d,
-            "R_d": self.R_d,
+            "design_approach": put(self.design_approach),
+            "drainage": put(self.drainage),
+            "B": put(self.B),
+            "B_effective": put(self.B_effective),
+            "V_d": put(self.V_d),
+            "R_d": put(self.R_d),
             # finite, or infinite where R_d <= 0
-            "utilization": None if self.utilization == math.inf else self.utilization,
-            "pass": self.passed,
-            "design_parameters": {k: self.design_parameters[k]
-                                  for k in sorted(self.design_parameters)},
-            "partial_factors": self.partial_factors.wire_dict(),
+            "utilization": put(None if self.utilization == math.inf else self.utilization),
+            "pass": put(self.passed),
+            "design_parameters": {k: put(design[k]) for k in sorted(design)},
+            "partial_factors": {k: put(getattr(pf, k)) for k in _WIRE_FACTORS},
             "trace": trace,
         }
-
-    def _scalars(self) -> list:
-        """The scalars of ``_body`` but the trace, in document order."""
-        design = self.design_parameters
-        return [self.design_approach, self.drainage, self.B, self.B_effective,
-                self.V_d, self.R_d,
-                None if self.utilization == math.inf else self.utilization,
-                self.passed, *[design[k] for k in sorted(design)],
-                *self.partial_factors.wire_dict().values()]
 
     def _shape(self) -> tuple:
         """What fixes the body's shape besides the trace's variant."""
@@ -394,17 +391,14 @@ class WidthDesignResult:
     def to_dict(self) -> dict:
         return self._body(self.check.trace.to_dict())
 
-    def _body(self, trace) -> dict:
+    def _body(self, trace, put=_same) -> dict:
+        """The reply body around ``trace``, as ``UlsCheckResult._body``."""
         return {
-            "design_approach": self.design_approach,
-            "B_req": self.B_req,
-            "iterations": self.iterations,
-            "check": self.check._body(trace),
+            "design_approach": put(self.design_approach),
+            "B_req": put(self.B_req),
+            "iterations": put(self.iterations),
+            "check": self.check._body(trace, put),
         }
-
-    def _scalars(self) -> list:
-        return [self.design_approach, self.B_req, self.iterations,
-                *self.check._scalars()]
 
     def _shape(self) -> tuple:
         return (WidthDesignResult, self.check._shape())

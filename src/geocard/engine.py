@@ -40,12 +40,11 @@ the env, so it fills the holes of its env value. An echo that is the env's
 own value object takes the env's text; an equal value does not, as 2 and
 2.0, or -0.0 and 0.0, are written apart. A partial trace is written by the
 reference. A reply whose body holds the trace, an EC7 check or design, is
-written from one template of its whole body, cut the same way from
-``outer._body(planted trace body)`` with every other scalar a marker, and
-memoized on the card by the variant and ``outer._shape()``. Its list is the
-trace's, then the texts of those scalars, which ``outer._scalars()`` gives
-in document order; ``tests/test_ec7.py``'s ``_same_json`` and
-``test_drawn_field_values`` keep ``_scalars()`` in step with ``_body``.
+written from one template of its whole body, memoized on the card by the
+variant and ``outer._shape()``. ``outer._body(trace, put)`` states that body
+once, each scalar but the trace passed through ``put`` in document order:
+the cut puts a marker for each, and a call appends each to its list, after
+the trace's texts.
 
 A template keeps each static piece escaped for a JSON string literal as
 well. ``to_reply`` writes a tool's value as the JSON string literal of its
@@ -193,7 +192,9 @@ class EvaluationTrace(Record):
                       strict_json(cycles[0]["residual"]))
         texts.append(_overrides(self.request_overrides))
         if outer is not None:
-            texts += map(strict_json, outer._scalars())
+            scalars = []
+            outer._body(None, scalars.append)
+            texts += map(strict_json, scalars)
         return template, texts
 
 
@@ -388,17 +389,6 @@ def to_reply(obj) -> str:
     return template.literal(template.fill(texts))
 
 
-def _planted(body, slot, plant):
-    """``body`` with each scalar but ``slot`` replaced by ``plant(it)``."""
-    if body is slot:
-        return body
-    if isinstance(body, dict):
-        return {k: _planted(v, slot, plant) for k, v in body.items()}
-    if isinstance(body, list):
-        return [_planted(v, slot, plant) for v in body]
-    return plant(body)
-
-
 # The name of a value of a trace is (source, key), with source one of these:
 # its flat list holds the env values the template reads, each key once,
 # then the input echoes, the cycle's, the overrides block and the other
@@ -442,7 +432,7 @@ def _template(trace: EvaluationTrace, outer=None) -> tuple:
             if outer is None:
                 return body
             number = count()
-            return _planted(outer._body(body), body, lambda value: plant(
+            return outer._body(body, lambda value: plant(
                 (_BODY, next(number)), STRING if type(value) is str else NUMBER))
         template = Template.cut(make_body)
         read = [key for source, key in template.names if source == _ENV]

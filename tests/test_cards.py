@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import HUGE_INT
 from geocard import expression as ex
-from geocard.cards import (CARD_FIELDS, DimensionFinding, load_card,
-                           validate_dimensions)
+from geocard.cards import (CARD_FIELDS, DimensionFinding, EquationSpec, MethodCard,
+                           VariantSpec, load_card, validate_dimensions)
 from geocard.catalog import load_catalog
 from geocard.ec7 import bundled_scenario_path, load_scenario
 from geocard.engine import EvaluationRequest, evaluate_card
@@ -482,6 +482,17 @@ class TestValidateDimensions:
         assert catalog.diagnostics == []
         for card in catalog.cards.values():
             assert validate_dimensions(card) == []
+
+    def test_a_hand_built_equation_with_no_tree_is_a_type_error(self):
+        """A card built from the exported records, not by load_card, whose
+        equation holds no parsed tree: the audit refuses it rather than
+        find nothing."""
+        card = load(minimal_card())
+        fields = {name: getattr(card, name) for name in MethodCard.__slots__
+                  if name != "trace_templates"}
+        fields["variants"] = (VariantSpec("base", "Base", (EquationSpec("y", "2*x"),)),)
+        with pytest.raises(TypeError, match="not an ExprNode: None"):
+            validate_dimensions(MethodCard(**fields))
 
     def test_pressure_target_from_length_expression(self):
         bad = minimal_card()

@@ -459,14 +459,16 @@ def _ec7(scenario, da, arguments):
 
 
 # Values an eval command line may give each input: valid ones, and others
-# of another dimension, unit or sign, or with no finite number.
+# of another dimension, unit or sign, with no finite number, or with no unit
+# tag (every input below has a dimension, so a bare number is refused).
 _VALID_INPUTS = {
     "phi_prime": ["30 deg", "0.4 rad", "28.5 deg"], "phi_prime_d": ["25 deg", "0.4 rad"],
     "c_prime": ["0 kPa", "5 kPa", "0.01 MPa"], "c_prime_d": ["4 kPa", "0 kPa"],
     "c_u_d": ["50 kPa", "0.05 MPa"], "gamma": ["18 kN/m^3", "19.5 kN/m^3"],
     "B": ["2 m", "1500 mm"], "L": ["3 m", "4000 mm"], "D_f": ["1 m", "0.5 m"],
     "q": ["18 kPa", "0 kPa"]}
-_BAD_INPUTS = ["2 kPa", "-2 m", "2 furlong", "nan kPa", "1e400 kPa", "abc", ""]
+_BAD_INPUTS = ["2 kPa", "-2 m", "2 furlong", "nan kPa", "1e400 kPa", "abc", "", "2",
+               "0.5"]
 _EVAL_TARGETS = [
     ("BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip"),
     ("BEARING_CAPACITY_TERZAGHI", "general_shear_failure_square"),
@@ -492,11 +494,11 @@ def _eval_requests(draw):
     if draw(st.integers(0, 7)) == 0:
         inputs["nope"] = "1 m"
     overrides = draw(st.dictionaries(st.sampled_from(["beta", "nope"]),
-                                     st.sampled_from(["5 deg", "0 deg", "5 kPa"]),
+                                     st.sampled_from(["5 deg", "0 deg", "5 kPa", "5"]),
                                      max_size=2))
     argv = ["eval", card, variant, *_kv("--in", inputs), *_kv("--override", overrides),
             "--format", "json"]
-    return "geo_evaluate", argv, [_evaluate(card, variant, inputs, overrides)]
+    return "geo_evaluate_with_units", argv, [_evaluate(card, variant, inputs, overrides)]
 
 
 @st.composite
@@ -517,17 +519,20 @@ def _ec7_check_requests(draw):
 
 # Golden table rows that run an MCP tool: the tool, and its arguments per call.
 _CLI_ROWS = {
-    "golden_cli_terzaghi.json": ("geo_evaluate", [_evaluate(
+    "golden_cli_terzaghi.json": ("geo_evaluate_with_units", [_evaluate(
         "BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip", _TERZAGHI_INPUTS)]),
-    "golden_cli_vesic_override.json": ("geo_evaluate", [_evaluate(
+    "golden_cli_vesic_override.json": ("geo_evaluate_with_units", [_evaluate(
         "BEARING_CAPACITY_VESIC", "general", _VESIC_INPUTS, {"beta": "5 deg"})]),
-    "golden_cli_ec7_phi0.json": ("geo_evaluate", [_evaluate(
+    "golden_cli_ec7_phi0.json": ("geo_evaluate_with_units", [_evaluate(
         "BEARING_CAPACITY_EUROCODE7", "drained", _EC7_PHI0_INPUTS)]),
-    "golden_cli_coupled.json": ("geo_evaluate", [_evaluate(
+    "golden_cli_coupled.json": ("geo_evaluate_with_units", [_evaluate(
         "BENCH_COUPLED_PRESSURE", "coupled", {"p": "100 kPa", "a": "20 kPa"})]),
-    "eval-furlong": ("geo_evaluate", [_evaluate(
+    "eval-furlong": ("geo_evaluate_with_units", [_evaluate(
         "BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip",
         dict(_TERZAGHI_INPUTS, B="2 furlong"))]),
+    "eval-bare-number": ("geo_evaluate_with_units", [_evaluate(
+        "BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip",
+        dict(_TERZAGHI_INPUTS, phi_prime="30"))]),
     "golden_cli_ec7_design.json": ("geo_design_footing_width_ec7", _ec7(
         JRC_A3, "all", {"tolerance": 1e-3, "drainage": "drained"})),
     "golden_cli_ec7_design_tight.json": ("geo_design_footing_width_ec7", _ec7(
@@ -574,7 +579,7 @@ def _tool_outcome(name, calls) -> tuple:
         if result["isError"]:
             return 1, "", f"error: {json.loads(text)['message']}\n"
         texts.append(text)
-    if name == "geo_evaluate":
+    if name == "geo_evaluate_with_units":
         return 0, texts[0] + "\n", ""
     listed = ",\n  ".join(text.replace("\n", "\n  ") for text in texts)
     return 0, f"[\n  {listed}\n]\n", ""
@@ -606,6 +611,22 @@ class TestCliRunsTheTool:
         name, argv, calls = request
         assert _run_main(argv) == _tool_outcome(name, calls)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(_EVAL_TARGETS[:6]), st.data())
+    def test_drawn_bare_number_needs_a_unit(self, target, data):
+        """Valid inputs but for one or more bare numbers, each for an
+        input with a dimension: exit 1 naming every such input, sorted,
+        with nothing on stdout."""
+        card, variant = target
+        keys = sorted(default_catalog().cards[card].input_keys)
+        inputs = {key: data.draw(st.sampled_from(_VALID_INPUTS[key])) for key in keys}
+        bare = data.draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+        for key in bare:
+            inputs[key] = data.draw(st.sampled_from(["0", "2", "30", "-1.5", "1e3"]))
+        argv = ["eval", card, variant, *_kv("--in", inputs), "--format", "json"]
+        assert _run_main(argv) == (
+            1, "", f"error: value(s) need a unit tag: {', '.join(sorted(bare))}\n")
+
 
 class TestUnwritableToolValue:
     """A tool value the reply writer cannot write fails as the server
@@ -622,7 +643,7 @@ class TestUnwritableToolValue:
          "--format", "summary"],
     ], ids=["eval-json", "eval-report", "ec7-check-summary"])
     def test_error_line_and_no_output(self, argv, value, err, monkeypatch):
-        for name in ("geo_evaluate", "geo_check_footing_uls_ec7"):
+        for name in ("geo_evaluate_with_units", "geo_check_footing_uls_ec7"):
             monkeypatch.setattr(tools, name, lambda server, args: value)
         assert _run_main(argv) == (1, "", err)
 

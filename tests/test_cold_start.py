@@ -142,6 +142,14 @@ def test_each_export_is_its_modules_object(module):
     assert run(code) == []
 
 
+def test_dir_lists_every_export_before_its_lookup():
+    """``dir(geocard)`` names every lazy export, and looks none up."""
+    names = sorted(n for ns in EXPORTS.values() for n in ns)
+    assert run("import json, sys, geocard; listed = dir(geocard); "
+               f"print(json.dumps([[n for n in {names!r} if n not in listed], "
+               "[m for m in sys.modules if m.startswith('geocard.')]]))") == [[], []]
+
+
 def test_an_export_is_kept_after_its_first_lookup():
     assert run("import json, geocard; first = geocard.evaluate_card; "
                "print(json.dumps([vars(geocard).get('evaluate_card') is first, "

@@ -926,6 +926,28 @@ class TestResultJson:
         assert (body["design_approach"], body["check"]["drainage"]) == (design_approach,
                                                                         drainage)
 
+    @pytest.mark.parametrize("result", [_REAL_CHECK, _REAL_DESIGN], ids=["check", "design"])
+    def test_every_body_scalar_goes_through_put(self, result):
+        """``_body`` passes every scalar but the trace through ``put``, in
+        document order: a scalar written without it would be cut into the
+        template as a constant."""
+        def leaves(node, slot):
+            if node is slot:
+                return []
+            if isinstance(node, dict):
+                return [leaf for item in node.values() for leaf in leaves(item, slot)]
+            return [node]
+
+        trace, mark = object(), object()
+        marked = leaves(result._body(trace, put=lambda value: mark), trace)
+        assert marked and all(leaf is mark for leaf in marked)
+        reference = result.to_dict()
+        scalars = leaves(reference, reference.get("check", reference)["trace"])
+        assert len(marked) == len(scalars)
+        put = []
+        result._body(trace, put.append)
+        assert put == scalars
+
     def test_templates_are_kept_per_variant_and_key_set(self):
         first = check_footing_uls_ec7(SCENARIO, "DA2", 2.0)
         check_template = first._written()[0]

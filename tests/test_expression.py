@@ -271,6 +271,14 @@ class TestFreeSymbols:
         assert ex.free_symbols(node) == {"x", "y"}
 
 
+@pytest.mark.parametrize("write", [ex.to_text, ex.compile_expr], ids=["to_text", "compile"])
+def test_a_value_that_is_no_tree_is_a_type_error(write):
+    """The printer and the compiler refuse what is not an ExprNode rather
+    than return nothing for it."""
+    with pytest.raises(TypeError, match="not an ExprNode: 'x'"):
+        write("x")
+
+
 class TestEveryClosureIsCompiled:
     def test_each_kept_pair_is_compiled_by_a_shipped_card(self, monkeypatch):
         """Each closure a table keeps for one pair of operand kinds, all

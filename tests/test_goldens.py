@@ -53,8 +53,12 @@ ROWS = [
         "--in 'gamma=18 kN/m^3' --in 'B=2 m' --in 'L=2 m' --in 'q=0 kPa' --format json"),
     Row("eval-furlong", TERZAGHI.replace("B=2 m", "B=2 furlong"), golden=False, code=1,
         stderr="error: unknown unit: 'furlong' for input 'B'\n"),
+    Row("eval-bare-number", TERZAGHI.replace("phi_prime=30 deg", "phi_prime=30"),
+        golden=False, code=1, stderr="error: value(s) need a unit tag: phi_prime\n"),
     Row("golden_cli_ec7_design.json", f"ec7 design {JRC_A3} --da all --format json"),
     Row("golden_cli_ec7_check.json", f"ec7 check {JRC_A3} --da all --B 2.0 --format json"),
+    Row("golden_cli_ec7_design_summary.txt", f"ec7 design {JRC_A3} --da all"),
+    Row("golden_cli_ec7_check_summary.txt", f"ec7 check {JRC_A3} --da all --B 2"),
     Row("golden_cli_ec7_design_tight.json",
         f"ec7 design {JRC_A3} --da all --tolerance 1e-9 --format json"),
     Row("design-tolerance-5e-17",

@@ -125,6 +125,16 @@ class TestParseQuantity:
         assert str(err.value) == f"cannot parse quantity from {written} for input 'B'"
 
 
+def test_a_unit_prints_as_its_name():
+    assert [str(REG.resolve(name)) for name in ("kN/m^3", "deg")] == ["kN/m^3", "deg"]
+
+
+@pytest.mark.parametrize("value", [5, 2.0, None, b"2 m"])
+def test_split_of_a_value_that_is_no_text_is_malformed(value):
+    with pytest.raises(MalformedQuantity):
+        split_quantity_text(value)
+
+
 class TestConvert:
     def test_degrees_to_radians(self):
         q = convert(parse_quantity("30 deg"), REG.resolve("radians"))
