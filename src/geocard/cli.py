@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--format", choices=("json", "summary"), default="summary")
     p_check = ec7_sub.add_parser("check", parents=[shared],
                                  help="ULS check at a given width")
-    p_check.add_argument("--B", required=True, type=float, help="width in metres")
+    p_check.add_argument("--B", required=True, help='width, unit-tagged: --B "2 m"')
     p_check.set_defaults(func=cmd_ec7_check)
     p_design = ec7_sub.add_parser("design", parents=[shared],
                                   help="search the required width")
@@ -250,13 +250,19 @@ def _run_ec7(args, tool: str, arguments: dict, print_summary) -> int:
 
 
 def cmd_ec7_check(args) -> int:
+    from .errors import MissingUnit
+    from .tools import _has_unit_tag
+
+    # The width needs its unit, as each input of eval's tool does.
+    if not _has_unit_tag(args.B, "m", "B"):
+        raise MissingUnit(["B"])
     return _run_ec7(args, "geo_check_footing_uls_ec7", {"B": args.B}, _print_checks)
 
 
 def _print_checks(args, bodies) -> None:
     from .report import format_sig
 
-    print(f"ULS bearing check at B = {format_sig(args.B)} m "
+    print(f"ULS bearing check at B = {format_sig(bodies[0]['B'])} m "
           f"({args.drainage})")
     print(f"{'DA':8s} {'V_d (kN)':>12s} {'R_d (kN)':>12s} "
           f"{'utilization':>12s}  result")

@@ -29,8 +29,8 @@ order and its partial trace come from ``evaluate_card`` alone.
 it builds no closure, so a reply leaves no cyclic garbage for the collector.
 ``EvaluationTrace.to_dict`` and ``strict_json`` are the reference writer of a
 trace. ``to_json`` writes a complete trace from its variant's ``Template``:
-the reference writer's text for a trace whose every value is a marker,
-split at the markers, so that a call only writes the numbers and the
+the reference writer's text for a trace whose every value is a hole,
+split at the holes, so that a call only writes the numbers and the
 request echo. Each hole is an index, fixed when the template is cut, into
 one flat list of value texts, and a call builds that list and gathers it:
 the env values the template reads, each key once (by ``float.__repr__``
@@ -43,7 +43,7 @@ reference. A reply whose body holds the trace, an EC7 check or design, is
 written from one template of its whole body, memoized on the card by the
 variant and ``outer._shape()``. ``outer._body(trace, put)`` states that body
 once, each scalar but the trace passed through ``put`` in document order:
-the cut puts a marker for each, and a call appends each to its list, after
+the cut puts a hole for each, and a call appends each to its list, after
 the trace's texts.
 
 A template keeps each static piece escaped for a JSON string literal as
@@ -57,7 +57,6 @@ the same template and fills.
 from __future__ import annotations
 
 import math
-import re
 from collections.abc import Callable, Iterable, Mapping
 from itertools import count
 from operator import itemgetter
@@ -239,6 +238,8 @@ def strict_json(value, newline="\n") -> str:
     if kind is list or kind is tuple:
         return "[" + inner + ("," + inner).join([
             strict_json(item, inner) for item in value]) + newline + "]" if value else "[]"
+    if kind is _Hole:
+        return value
     for base in (str, int, float, list, tuple, dict):
         if isinstance(value, base):  # a subclass, written as json writes its base
             return strict_json(base(value), newline)
@@ -293,19 +294,23 @@ def _value_texts(values: tuple) -> list[str]:
 NUMBER, STRING, BLOCK = range(3)
 
 
+class _Hole(str):
+    """A planted value, which ``strict_json`` writes raw: a NUL, its number
+    and a NUL. No other JSON text holds a raw NUL: strings are escaped."""
+    __slots__ = ()
+
+
 class Template:
     """The text of a JSON body cut at its holes: static pieces, and between
     each two the index of a value in one flat list of value texts, which
     ``fill`` gathers.
 
     ``cut`` gets the pieces from the reference writer in one pass.
-    ``make_body(plant)`` builds the whole body with each value a marker
-    from ``plant(name, kind)``; ``strict_json`` writes it, and the text is
-    split at the quoted markers. The flat list holds one text per distinct
-    name, in the sorted order of the names (``names``), so the holes that
-    plant one name share its text. Body text may hold anything, a marker
-    included, so the split must find each planted marker exactly once;
-    otherwise the markers are drawn again.
+    ``make_body(plant)`` builds the whole body with each value a hole from
+    ``plant(name, kind)``; ``strict_json`` writes it, and the text is split
+    at the holes. The flat list holds one text per distinct name, in the
+    sorted order of the names (``names``), so the holes that plant one name
+    share its text.
 
     Each static piece is kept twice: as it is, and escaped for a JSON
     string literal. ``literal`` writes the literal of a filled text from
@@ -330,24 +335,17 @@ class Template:
 
     @classmethod
     def cut(cls, make_body: Callable) -> Template:
-        attempt = 0
-        while (template := cls._cut(make_body, f"\x00{attempt}\x00")) is None:
-            attempt += 1
-        return template
-
-    @classmethod
-    def _cut(cls, make_body: Callable, tag: str) -> Template | None:
         planted = []  # by number: (name, kind)
 
         def plant(name, kind=NUMBER):
             planted.append((name, kind))
-            return f"{tag}{len(planted) - 1}"
+            return _Hole(f"\x00{len(planted) - 1}\x00")
 
-        opening = re.escape(encode_basestring_ascii(tag)[:-1])  # '"' and the tag
-        parts = re.split(f'{opening}(\\d+)"', strict_json(make_body(plant)))
+        parts = strict_json(make_body(plant)).split("\x00")
         found = [int(n) for n in parts[1::2]]
         if sorted(found) != list(range(len(planted))):
-            return None
+            raise ValueError(f"the body wrote holes {found}, not each of "
+                             f"the {len(planted)} planted once")
         holes = [planted[n] for n in found]
         names = sorted({name for name, _ in holes})
         index = {name: i for i, name in enumerate(names)}
@@ -397,7 +395,7 @@ _ENV, _INPUTS, _CYCLE, _OVERRIDES, _BODY = range(5)
 
 
 class _PlantingEnv(dict):
-    """An env that answers every read with a new marker."""
+    """An env that answers every read with a new hole."""
 
     def __init__(self, keys, plant):
         super().__init__(dict.fromkeys(keys))
@@ -411,9 +409,9 @@ def _template(trace: EvaluationTrace, outer=None) -> tuple:
     """The writer of the trace's variant, or of ``outer``'s body around
     it, memoized on its card by the variant id, or by that and
     ``outer._shape()``: the template, the reference writer's text of a
-    complete trace whose every value is a marker (its outputs read the
+    complete trace whose every value is a hole (its outputs read the
     planting env, so they share the env's holes), inside ``outer._body``
-    with every other scalar a marker (STRING for a str, NUMBER otherwise);
+    with every other scalar a hole (STRING for a str, NUMBER otherwise);
     the getter of the env values it reads; and each echo's key with the
     place of its env value among those (None for a key it does not read)."""
     card, variant = trace.card, trace.variant

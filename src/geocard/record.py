@@ -13,8 +13,8 @@ named in ``_hidden`` are left out of equality, hash and repr; those in
 ``_unprinted`` only out of the repr.
 
 A record keeps its own ``__init__`` only where the generic one would cost
-time per operation (``Quantity``, ``EvaluationRequest``, ``EvaluationTrace``)
-or cannot express it: fresh containers (``Catalog``, ``SkillLibrary``, and
+time per operation (``EvaluationRequest``, ``EvaluationTrace``) or cannot
+express it: fresh containers (``Catalog``, ``SkillLibrary``, and
 ``MethodCard``'s template memo) or ``Unit``'s scale check.
 
 Building a dataclass compiles generated source for each class, and
@@ -25,8 +25,6 @@ what a fresh ``import geocard`` cost with them.
 from __future__ import annotations
 
 from operator import attrgetter
-
-set_field = object.__setattr__  # how a frozen record's own __init__ sets a field
 
 
 class Record:

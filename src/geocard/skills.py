@@ -127,8 +127,7 @@ def _weighted_tokens(skill: Skill) -> tuple:
 
 
 class SkillLibrary(Record):
-    __slots__ = ("skills", "diagnostics", "warnings", "tokens")
-    _hidden = ("tokens",)
+    __slots__ = ("skills", "diagnostics", "warnings")
 
     # Its own __init__: each library needs fresh containers.
     def __init__(self, skills: dict | None = None, diagnostics: list | None = None,
@@ -136,8 +135,6 @@ class SkillLibrary(Record):
         self.skills = {} if skills is None else skills  # name -> Skill
         self.diagnostics = [] if diagnostics is None else diagnostics  # load failures
         self.warnings = [] if warnings is None else warnings  # e.g. shadowed names
-        # name -> _weighted_tokens of the skill, tokenized as it is added
-        self.tokens = {name: _weighted_tokens(skill) for name, skill in self.skills.items()}
 
     @property
     def ok(self) -> bool:
@@ -177,7 +174,7 @@ class SkillLibrary(Record):
         for name in sorted(self.skills):
             hits = 0
             matched: set[str] = set()
-            for weight, tokens in self.tokens[name]:
+            for weight, tokens in _weighted_tokens(self.skills[name]):
                 overlap = query_tokens & tokens
                 hits += weight * len(overlap)
                 matched |= overlap
@@ -204,7 +201,6 @@ class SkillLibrary(Record):
         if skill.name in self.skills and shadow_allowed:
             self.warnings.append(f"{origin}: {skill.name} shadows a bundled skill")
         self.skills[skill.name] = skill
-        self.tokens[skill.name] = _weighted_tokens(skill)
 
 
 def load_skills(extra_dir: "str | os.PathLike | None" = None) -> SkillLibrary:

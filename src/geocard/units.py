@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .errors import (DimensionMismatch, GeocardError, MalformedQuantity,
                      NonFiniteValue, UnknownUnit)
-from .record import FrozenRecord, set_field
+from .record import FrozenRecord
 
 BASES = ("length", "mass", "time", "angle")
 
@@ -103,11 +103,6 @@ class Quantity(FrozenRecord):
     """A magnitude tagged with a unit; the numeric currency between modules."""
 
     __slots__ = ("magnitude", "unit")
-
-    # Its own __init__: one is built per output and per unit-tagged input.
-    def __init__(self, magnitude: float, unit: Unit):
-        set_field(self, "magnitude", magnitude)
-        set_field(self, "unit", unit)
 
     def __str__(self) -> str:
         return format_quantity(self)

@@ -250,13 +250,13 @@ class TestEc7Commands:
 
     def test_check_at_width(self, capsys):
         assert main(["ec7", "check", "--scenario", SCENARIO,
-                     "--da", "DA1-C2", "--B", "1.497"]) == 0
+                     "--da", "DA1-C2", "--B", "1.497 m"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
 
     def test_check_json_format(self, capsys):
         assert main(["ec7", "check", "--scenario", SCENARIO,
-                     "--da", "DA2", "--B", "1.3", "--format", "json"]) == 0
+                     "--da", "DA2", "--B", "1.3 m", "--format", "json"]) == 0
         body = json.loads(capsys.readouterr().out)
         assert body[0]["design_approach"] == "DA2"
         assert "trace" in body[0]
@@ -277,7 +277,7 @@ class TestEc7Commands:
             assert 0 < below_base < design["check"]["B_effective"]
             assert design["check"]["drainage"] == "drained"
 
-    @pytest.mark.parametrize("command", [["check", "--B", "1.5"], ["design"]])
+    @pytest.mark.parametrize("command", [["check", "--B", "1.5 m"], ["design"]])
     @pytest.mark.parametrize("key", ["ecc", "B"])
     def test_unknown_scenario_field_is_domain_error(self, command, key,
                                                     tmp_path, capsys):
@@ -291,7 +291,7 @@ class TestEc7Commands:
         assert captured.out == ""
         assert captured.err == f"error: $.{key}: unknown field\n"
 
-    @pytest.mark.parametrize("width", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("width", ["1e999 m", "-1e999 m", "1e400 mm"])
     @pytest.mark.parametrize("da", ["DA2", "DA9"])
     def test_non_finite_width_names_the_width(self, da, width, capsys):
         """The width is checked before the Design Approach, as the MCP
@@ -304,9 +304,9 @@ class TestEc7Commands:
         assert captured.err == "error: 'B' is not a finite number\n"
 
     @pytest.mark.parametrize("command, error", [
-        (["check", "--B", "-1e-3"], "width must be positive, got -0.001"),
-        (["check", "--B", "-inf"], "'B' is not a finite number"),
-        (["check", "--B", "-0.5"], "width must be positive, got -0.5"),
+        (["check", "--B", "-1e-3 m"], "width must be positive, got -0.001"),
+        (["check", "--B", "-1e999 m"], "'B' is not a finite number"),
+        (["check", "--B", "-0.5 m"], "width must be positive, got -0.5"),
         (["design", "--tolerance", "-1e-3"],
          "$.tolerance: must lie strictly between 0 and 1"),
         (["design", "--tol", "-1e-3"],
@@ -324,7 +324,7 @@ class TestEc7Commands:
         assert captured.out == ""
         assert captured.err == f"error: {error}\n"
 
-    @pytest.mark.parametrize("command", [["check", "--B", "1.5"], ["design"]])
+    @pytest.mark.parametrize("command", [["check", "--B", "1.5 m"], ["design"]])
     def test_missing_scenario_file_is_usage_error(self, command, capsys):
         assert main(["ec7", command[0], "--scenario", "/no/file.json",
                      "--da", "all", *command[1:]]) == 2
@@ -336,7 +336,7 @@ class TestEc7Commands:
         path = tmp_path / "f.json"
         path.write_bytes(b'{"L": "\xff"}')
         assert main(["ec7", "check", "--scenario", str(path), "--da", "DA2",
-                     "--B", "1.5"]) == 1
+                     "--B", "1.5 m"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read scenario file {path}")
@@ -348,7 +348,7 @@ class TestEc7Commands:
         path.write_text(Path(SCENARIO).read_text().replace(
             '"Q_k": "967.10 kN"', f'"Q_k": {HUGE_INT}'))
         assert main(["ec7", "check", "--scenario", str(path), "--da", "DA2",
-                     "--B", "1.5"]) == 1
+                     "--B", "1.5 m"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: $: invalid JSON: ")
@@ -376,7 +376,7 @@ class TestEc7Commands:
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(scenario))
         assert main(["ec7", "check", "--scenario", str(path), "--da", da,
-                     "--B", "1.5", "--format", "json"]) == 1
+                     "--B", "1.5 m", "--format", "json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -391,7 +391,7 @@ class TestEc7Commands:
         path = tmp_path / "overflow.json"
         path.write_text(overflowing_scenario(changes))
         assert main(["ec7", "check", "--scenario", str(path), "--da", da,
-                     "--B", "1.5", "--format", fmt]) == 1
+                     "--B", "1.5 m", "--format", fmt]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {key!r} is not a finite number\n"
@@ -416,7 +416,7 @@ class TestEc7JsonMatchesTheReference:
         path.write_text(json.dumps(scenario))
         for scenario_file in (SCENARIO, str(path)):
             assert main(["ec7", "check", "--scenario", scenario_file, "--da", "all",
-                         "--B", B, "--format", "json"]) == 0
+                         "--B", f"{B} m", "--format", "json"]) == 0
             loaded = load_scenario(Path(scenario_file).read_text())
             results = [check_footing_uls_ec7(loaded, da, float(B))
                        for da in DESIGN_APPROACHES]
@@ -508,13 +508,14 @@ def _ec7_check_requests(draw):
     Approach or drainage the scenario may lack."""
     scenario = draw(st.sampled_from([JRC_A3, PAD]))
     da = draw(st.sampled_from([*DESIGN_APPROACHES, "all", "DA9"]))
-    width = draw(st.sampled_from(["2.0", "1.5", "3", "25"] * 2
-                                 + ["0.3", "0", "-1e-3", "nan", "1e400"]))
+    width = draw(st.sampled_from(["2.0 m", "1.5 m", "3 m", "2500 mm"] * 2
+                                 + ["0.3 m", "0 m", "-1e-3 m", "nan m", "1e400 m",
+                                    "2 kPa", "2 furlong", "abc", ""]))
     drainage = draw(st.sampled_from(["drained", "undrained"]))
     argv = ["ec7", "check", "--scenario", str(ROOT / scenario), "--da", da, "--B", width,
             "--drainage", drainage, "--format", "json"]
     return ("geo_check_footing_uls_ec7", argv,
-            _ec7(scenario, da, {"B": float(width), "drainage": drainage}))
+            _ec7(scenario, da, {"B": width, "drainage": drainage}))
 
 
 # Golden table rows that run an MCP tool: the tool, and its arguments per call.
@@ -542,15 +543,15 @@ _CLI_ROWS = {
     "golden_cli_ec7_design_undrained.json": ("geo_design_footing_width_ec7", _ec7(
         PAD, "all", {"tolerance": 1e-3, "drainage": "undrained"})),
     "golden_cli_ec7_check.json": ("geo_check_footing_uls_ec7", _ec7(
-        JRC_A3, "all", {"B": 2.0, "drainage": "drained"})),
+        JRC_A3, "all", {"B": "2.0 m", "drainage": "drained"})),
     "golden_cli_ec7_check_undrained_da2.json": ("geo_check_footing_uls_ec7", _ec7(
-        PAD, "DA2", {"B": 2.5, "drainage": "undrained"})),
-    "check-nan": ("geo_check_footing_uls_ec7", _ec7(
-        PAD, "DA2", {"B": math.nan, "drainage": "drained"})),
+        PAD, "DA2", {"B": "2.5 m", "drainage": "undrained"})),
+    "check-inf": ("geo_check_footing_uls_ec7", _ec7(
+        PAD, "DA2", {"B": "1e999 m", "drainage": "drained"})),
     "check-negative": ("geo_check_footing_uls_ec7", _ec7(
-        PAD, "DA2", {"B": -1e-3, "drainage": "drained"})),
-    "check-da9-nan": ("geo_check_footing_uls_ec7", _ec7(
-        PAD, "DA9", {"B": math.nan, "drainage": "drained"})),
+        PAD, "DA2", {"B": "-1e-3 m", "drainage": "drained"})),
+    "check-da9-inf": ("geo_check_footing_uls_ec7", _ec7(
+        PAD, "DA9", {"B": "1e999 m", "drainage": "drained"})),
 }
 
 
@@ -627,6 +628,17 @@ class TestCliRunsTheTool:
         assert _run_main(argv) == (
             1, "", f"error: value(s) need a unit tag: {', '.join(sorted(bare))}\n")
 
+    @pytest.mark.parametrize("scenario, da, width", [
+        (JRC_A3, "all", "2"), (JRC_A3, "DA2", "1.5"), (PAD, "DA9", "2.0"),
+        (PAD, "DA2", "-1e-3"), (PAD, "DA2", "1e999"), (PAD, "all", "0")])
+    def test_bare_width_needs_a_unit(self, scenario, da, width):
+        """A width without its unit exits 1 naming B, with nothing on
+        stdout, as a bare eval input does; the tool itself would take it
+        in metres."""
+        argv = ["ec7", "check", "--scenario", str(ROOT / scenario), "--da", da,
+                "--B", width, "--format", "json"]
+        assert _run_main(argv) == (1, "", "error: value(s) need a unit tag: B\n")
+
 
 class TestUnwritableToolValue:
     """A tool value the reply writer cannot write fails as the server
@@ -639,7 +651,7 @@ class TestUnwritableToolValue:
     ], ids=["object", "nan"])
     @pytest.mark.parametrize("argv", [
         TERZAGHI_EVAL + ["--format", "json"], TERZAGHI_EVAL + ["--format", "report"],
-        ["ec7", "check", "--scenario", SCENARIO, "--da", "DA2", "--B", "2",
+        ["ec7", "check", "--scenario", SCENARIO, "--da", "DA2", "--B", "2 m",
          "--format", "summary"],
     ], ids=["eval-json", "eval-report", "ec7-check-summary"])
     def test_error_line_and_no_output(self, argv, value, err, monkeypatch):

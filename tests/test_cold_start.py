@@ -111,7 +111,7 @@ def test_eval_loads_neither_ec7_skills_nor_dataclasses():
 
 def test_ec7_check_loads_no_skills():
     scenario = str(DATA / "scenario_eccentric_pad.json")
-    argv = ["ec7", "check", "--scenario", scenario, "--da", "all", "--B", "2.5"]
+    argv = ["ec7", "check", "--scenario", scenario, "--da", "all", "--B", "2.5 m"]
     assert run("import io, json, sys, contextlib; from geocard.cli import main\n"
                "with contextlib.redirect_stdout(io.StringIO()):\n"
                f"    assert main({argv!r}) == 0\n"

@@ -56,9 +56,9 @@ ROWS = [
     Row("eval-bare-number", TERZAGHI.replace("phi_prime=30 deg", "phi_prime=30"),
         golden=False, code=1, stderr="error: value(s) need a unit tag: phi_prime\n"),
     Row("golden_cli_ec7_design.json", f"ec7 design {JRC_A3} --da all --format json"),
-    Row("golden_cli_ec7_check.json", f"ec7 check {JRC_A3} --da all --B 2.0 --format json"),
+    Row("golden_cli_ec7_check.json", f"ec7 check {JRC_A3} --da all --B '2.0 m' --format json"),
     Row("golden_cli_ec7_design_summary.txt", f"ec7 design {JRC_A3} --da all"),
-    Row("golden_cli_ec7_check_summary.txt", f"ec7 check {JRC_A3} --da all --B 2"),
+    Row("golden_cli_ec7_check_summary.txt", f"ec7 check {JRC_A3} --da all --B '2 m'"),
     Row("golden_cli_ec7_design_tight.json",
         f"ec7 design {JRC_A3} --da all --tolerance 1e-9 --format json"),
     Row("design-tolerance-5e-17",
@@ -67,10 +67,10 @@ ROWS = [
           f"ec7 design {PAD} --da all --drainage {drainage} --format json")
       for drainage in ("drained", "undrained")),
     Row("golden_cli_ec7_check_undrained_da2.json",
-        f"ec7 check {PAD} --da DA2 --B 2.5 --drainage undrained --format json"),
-    Row("check-nan", f"ec7 check {PAD} --da DA2 --B nan", False, 1, NOT_FINITE),
-    Row("check-da9-nan", f"ec7 check {PAD} --da DA9 --B nan", False, 1, NOT_FINITE),
-    Row("check-negative", f"ec7 check {PAD} --da DA2 --B -1e-3", False, 1,
+        f"ec7 check {PAD} --da DA2 --B '2.5 m' --drainage undrained --format json"),
+    Row("check-inf", f"ec7 check {PAD} --da DA2 --B '1e999 m'", False, 1, NOT_FINITE),
+    Row("check-da9-inf", f"ec7 check {PAD} --da DA9 --B '1e999 m'", False, 1, NOT_FINITE),
+    Row("check-negative", f"ec7 check {PAD} --da DA2 --B '-1e-3 m'", False, 1,
         "error: width must be positive, got -0.001\n"),
     Row("golden_validate_bad_cards.txt", "validate tests/data/bad_cards", True, 1, BAD_CARDS),
     Row("validate-ascii", "validate tests/data/bad_cards", False, 1, BAD_CARDS,

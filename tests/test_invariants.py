@@ -1,23 +1,32 @@
-"""Physical invariants of the bundled bearing-capacity variants.
+"""Physical invariants of the bundled bearing-capacity variants and of the
+EC7 width design.
 
 Metamorphic relations between two evaluations, which need no oracle value
 (ROADMAP item 20): for each bundled variant, raising phi', c', c_u, gamma,
 q, B or D_f does not lower ``q_ult``. Each draw is a footing in the box
 below; each relation raises one input, phi' by 0.5 degrees and any other
-by 2 % (from zero, by 2 % of the top of its box). ``EXCEPTIONS`` lists
-every pair of a card and an input where the relation does not hold, with
-where and why; a pair an exception covers is not checked, and no other
-is skipped. The relations guard the physics while the code that computes
-it changes.
+by 2 % (from zero, by 2 % of the top of its box). For each Design
+Approach and drainage, an adverse change to a drawn scenario (G_k or Q_k
+up; phi'_k, c'_k, c_u,k or gamma_k down; the water table up; e up; each
+by the same steps) does not lower the required width, and a design
+passes its own check. ``EXCEPTIONS`` lists every pair of a card (or the
+design) and an input where the relation does not hold, with where and
+why; a pair an exception covers is not checked, and no other is skipped.
+The relations guard the physics while the code that computes it changes.
 """
 
 import math
+from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from geocard.catalog import load_catalog
+from geocard.ec7 import (DESIGN_APPROACHES, FootingScenario, check_footing_uls_ec7,
+                         design_footing_width_ec7, load_bundled_scenario)
 from geocard.engine import EvaluationRequest, evaluate_card
+from geocard.errors import NoBracket
 
 CATALOG = load_catalog()
 
@@ -47,7 +56,22 @@ def _straddles_df_equal_b(before, after) -> bool:
     return before["Df"] <= before["B"] < after["Df"]
 
 
-# (card, raised input) -> (the pairs it covers, its reason).
+def _outside_annex_d(before, after) -> bool:
+    return before.outside or after.outside
+
+
+# The design's fault: ROADMAP item 2's EC7 probe (jrc_a3 with gamma_k =
+# 5 kN/m^3 and the water table at the surface designs B_req = 71.57 m for
+# L = 21.4 m).
+ITEM_2_PROBE = (
+    "outside Annex D's domain, gamma_eff <= 0 or B' > L (where s_gamma = "
+    "1 - 0.3 B'/L falls towards and below zero), the gamma term no longer "
+    "grows with gamma_eff, phi' or B, and the search can miss or pass over "
+    "the crossing (ROADMAP item 2's EC7 probe)")
+
+DESIGN = "design_footing_width_ec7"
+
+# (card or the design, changed input) -> (the pairs it covers, its reason).
 EXCEPTIONS = {
     ("BEARING_CAPACITY_MEYERHOF", "B"): (
         lambda before, after: True,
@@ -60,6 +84,8 @@ EXCEPTIONS = {
         _straddles_df_equal_b,
         "Hansen's depth term is D_f/B up to D_f = B and atan(D_f/B) beyond, "
         "a published step down from 1 to pi/4 (ROADMAP item 3)"),
+    **{(DESIGN, key): (_outside_annex_d, ITEM_2_PROBE)
+       for key in ("phi_prime_k", "gamma_k", "groundwater_depth", "e")},
 }
 
 
@@ -120,10 +146,124 @@ WITNESSES = {
 }
 
 
-@pytest.mark.parametrize("card_id, key", list(EXCEPTIONS))
+@pytest.mark.parametrize("card_id, key", [pair for pair in EXCEPTIONS if pair[0] != DESIGN])
 def test_each_exception_is_needed(card_id, key):
     variant = next(v for c, v in VARIANTS if c == card_id)
     footing = WITNESSES[card_id, key]
     after_footing = raised(footing, key)
     assert EXCEPTIONS[card_id, key][0](footing, after_footing)
     assert q_ult(card_id, variant, after_footing) < q_ult(card_id, variant, footing)
+
+
+# ------------------------------------------------------------ EC7 design ----
+
+# The box of the scenario draws, in card units (m, radians, kPa, kN/m^3,
+# kN). gamma_k reaches below the unit weight of water, so a buoyant
+# gamma_eff <= 0 is drawn, and L reaches below the widths designed.
+SCENARIO_BOX = {
+    "L": (1.0, 30.0), "D_f": (0.2, 3.0), "phi_prime_k": (0.0, math.radians(45.0)),
+    "c_prime_k": (0.0, 50.0), "c_u_k": (5.0, 150.0), "gamma_k": (5.0, 22.0),
+    "groundwater_depth": (0.0, 10.0), "G_k_col": (50.0, 5000.0), "Q_k": (0.0, 3000.0),
+    "gamma_sw": (0.0, 25.0), "e": (0.0, 0.5)}
+# The adverse changes: these raised, the others lowered (to zero at most).
+WORSENED_UP = ("G_k_col", "Q_k", "e")
+WORSENED = WORSENED_UP + ("phi_prime_k", "c_prime_k", "c_u_k", "gamma_k",
+                          "groundwater_depth")
+JRC_A3 = load_bundled_scenario()
+
+
+@st.composite
+def scenarios(draw) -> FootingScenario:
+    x = {key: draw(st.floats(low, high)) for key, (low, high) in SCENARIO_BOX.items()}
+    if draw(st.booleans()):
+        x["c_prime_k"] = 0.0
+    return FootingScenario(**x, surcharge_model=draw(
+        st.sampled_from(["effective_overburden", "none"])))
+
+
+def worsened(scenario: FootingScenario, key: str) -> FootingScenario:
+    value = getattr(scenario, key)
+    if key == "phi_prime_k":
+        step = math.radians(0.5)
+    else:
+        step = 0.02 * (value or SCENARIO_BOX[key][1])
+    return replace(scenario, **{
+        key: value + step if key in WORSENED_UP else max(value - step, 0.0)})
+
+
+class Design(NamedTuple):
+    B_req: float  # inf where the search finds no width
+    outside: bool  # whether the search reached outside Annex D's domain
+
+
+def design(scenario: FootingScenario, da: str, drainage: str) -> Design:
+    """The design at a tolerance far below any change's effect. A drained
+    design reaches outside Annex D where gamma_eff <= 0 or B' > L at its
+    width, or where it finds none: its bracket then doubled far past L.
+    An undrained check reads neither gamma nor s_gamma."""
+    try:
+        result = design_footing_width_ec7(scenario, da, tolerance=1e-9, drainage=drainage)
+    except NoBracket:
+        return Design(math.inf, drainage == "drained")
+    env = result.check.trace.env  # gamma is gamma_eff, and B is B'
+    return Design(result.B_req, drainage == "drained"
+                  and (env["gamma"] <= 0 or env["B"] > scenario.L))
+
+
+ITEM_2_SCENARIO = replace(JRC_A3, gamma_k=5.0, groundwater_depth=0.0)
+DESIGN_CASES = [(da, drainage) for da in DESIGN_APPROACHES
+                for drainage in ("drained", "undrained")]
+
+
+@pytest.mark.parametrize("da, drainage", DESIGN_CASES)
+@settings(max_examples=60, deadline=None)
+@given(scenarios())
+@example(replace(ITEM_2_SCENARIO, c_u_k=50.0))
+@example(replace(JRC_A3, c_u_k=50.0))
+def test_b_req_does_not_fall_under_an_adverse_change(da, drainage, scenario):
+    before = design(scenario, da, drainage)
+    for key in WORSENED:
+        after = design(worsened(scenario, key), da, drainage)
+        covered, _ = EXCEPTIONS.get((DESIGN, key), (lambda *_: False, None))
+        if covered(before, after):
+            continue
+        assert after.B_req >= before.B_req, (key, scenario, before, after)
+
+
+@pytest.mark.parametrize("da, drainage", DESIGN_CASES)
+@settings(max_examples=60, deadline=None)
+@given(scenarios())
+@example(replace(ITEM_2_SCENARIO, c_u_k=50.0))
+def test_a_design_passes_its_own_check(da, drainage, scenario):
+    try:
+        B_req = design_footing_width_ec7(scenario, da, drainage=drainage).B_req
+    except NoBracket:
+        return
+    assert check_footing_uls_ec7(scenario, da, B_req, drainage=drainage).passed
+
+
+# A scenario and Design Approach at which each design exception's relation
+# fails, drained: gamma_eff <= 0 for gamma_k and the water table, B' > L
+# for phi' and e.
+DESIGN_WITNESSES = {
+    (DESIGN, "gamma_k"): (ITEM_2_SCENARIO, "DA1-C1"),
+    (DESIGN, "groundwater_depth"): (replace(ITEM_2_SCENARIO, groundwater_depth=3.0),
+                                    "DA1-C1"),
+    (DESIGN, "phi_prime_k"): (FootingScenario(
+        L=1.0, D_f=2.2, phi_prime_k=math.radians(3.0), c_prime_k=5.7, gamma_k=19.4,
+        groundwater_depth=7.5, G_k_col=2700.0, Q_k=900.0, gamma_sw=19.8, e=0.15,
+        surcharge_model="none"), "DA1-C1"),
+    (DESIGN, "e"): (FootingScenario(
+        L=5.8, D_f=1.7, phi_prime_k=math.radians(44.3), c_prime_k=0.0, gamma_k=18.8,
+        groundwater_depth=5.7, G_k_col=4050.0, Q_k=700.0, gamma_sw=22.5, e=0.39,
+        surcharge_model="none"), "DA2"),
+}
+
+
+@pytest.mark.parametrize("exception", list(DESIGN_WITNESSES))
+def test_each_design_exception_is_needed(exception):
+    scenario, da = DESIGN_WITNESSES[exception]
+    before = design(scenario, da, "drained")
+    after = design(worsened(scenario, exception[1]), da, "drained")
+    assert EXCEPTIONS[exception][0](before, after)
+    assert after.B_req < before.B_req

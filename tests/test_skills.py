@@ -182,8 +182,8 @@ class TestRecommendSkills:
 
 
 def _scored_as_before(library, query, limit):
-    """The ranking as it was computed before skills were tokenized at
-    load: every field tokenized again on every call."""
+    """The ranking written out on its own, the reference of
+    ``recommend_skills``: every field tokenized on every call."""
     tokens = re.compile(r"[a-z0-9]+")
     query_tokens = set(tokens.findall(query.lower()))
     ranked = []

@@ -25,7 +25,6 @@ from geocard.ec7 import (check_footing_uls_ec7, design_footing_width_ec7,
                          load_bundled_scenario)
 from geocard.engine import EvaluationRequest, EvaluationTrace, evaluate_card, stage
 from geocard.errors import GeocardError
-from geocard.record import set_field
 from geocard.units import Quantity, default_registry, to_magnitude
 from test_golden_traces import _requests
 
@@ -243,7 +242,7 @@ class TestWhatTheWidthSearchWalks:
             return step
         for variant in catalog.get_method(EC7.id).variants:
             for eq in variant.direct:
-                set_field(eq, "compiled", spy(eq.target, eq.compiled))
+                object.__setattr__(eq, "compiled", spy(eq.target, eq.compiled))
         return catalog, calls
 
     def test_design_walks_the_factors_once(self, evaluated):

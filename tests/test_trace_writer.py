@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 
 from geocard.ec7 import check_footing_uls_ec7, load_scenario
 from geocard.engine import (EvaluationRequest, EvaluationTrace, PartialTrace,
-                            evaluate_card, strict_json, to_reply)
+                            Template, evaluate_card, strict_json, to_reply)
 from geocard.errors import GeocardError, NonFiniteValue
 from geocard.units import Quantity, default_registry
 from test_ec7 import overflowing_scenario
@@ -272,6 +272,16 @@ class TestGeneratedCards:
         trace = evaluate_card(loaded, EvaluationRequest(loaded.id, text, {"a": 2.0}))
         assert templated(trace) == reference(trace)
         assert json.loads(trace.to_json())["sources"][0]["title"] == text
+
+
+class TestCut:
+    @pytest.mark.parametrize("make_body", [
+        lambda plant: [plant("a")] * 2,
+        lambda plant: [plant("a"), plant("b")][1:],
+    ], ids=["written-twice", "not-written"])
+    def test_each_planted_hole_is_written_once(self, make_body):
+        with pytest.raises(ValueError, match="planted once"):
+            Template.cut(make_body)
 
 
 class TestTemplateIsTheCards:
