@@ -250,12 +250,6 @@ def _run_ec7(args, tool: str, arguments: dict, print_summary) -> int:
 
 
 def cmd_ec7_check(args) -> int:
-    from .errors import MissingUnit
-    from .tools import _has_unit_tag
-
-    # The width needs its unit, as each input of eval's tool does.
-    if not _has_unit_tag(args.B, "m", "B"):
-        raise MissingUnit(["B"])
     return _run_ec7(args, "geo_check_footing_uls_ec7", {"B": args.B}, _print_checks)
 
 

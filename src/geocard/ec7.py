@@ -35,8 +35,8 @@ from pathlib import Path
 from .cards import ABSENT, decode_record, instance_of, read_record
 from .catalog import Catalog, default_catalog
 from .engine import EvaluationRequest, EvaluationTrace, evaluate_card, stage
-from .errors import (GeocardError, InvalidGeometry, NoBracket, NonFiniteValue,
-                     SchemaError, UnknownDesignApproach)
+from .errors import (GeocardError, InvalidGeometry, MissingUnit, NoBracket,
+                     NonFiniteValue, SchemaError, UnknownDesignApproach)
 from .units import DATA_DIR, to_magnitude
 
 GAMMA_WATER = 9.81  # kN/m^3
@@ -142,9 +142,14 @@ class FootingScenario:
 
 def _quantity(unit_name: str):
     """The kind of a scenario quantity in the card unit ``unit_name``, named
-    by its field; null is absent."""
-    return lambda value, path, name: (
-        ABSENT if value is None else to_magnitude(value, unit_name, name))
+    by its field: text naming its unit, so a number is MissingUnit; null is absent."""
+    def read(value, path, name):
+        if isinstance(value, str):  # the common case, with one check
+            return to_magnitude(value, unit_name, name)
+        if type(value) in (int, float):
+            raise MissingUnit([name])
+        return ABSENT if value is None else to_magnitude(value, unit_name, name)
+    return read
 
 
 SCENARIO_FIELDS = {

@@ -444,9 +444,9 @@ def _template(trace: EvaluationTrace, outer=None) -> tuple:
 def normalize_inputs(card: MethodCard, raw: Mapping[str, InputValue]) -> dict[str, float]:
     """Convert every supplied value to the card's declared unit magnitude.
 
-    Accepts Quantity objects, unit-tagged strings ("38 deg"), and bare
-    numbers; bare numbers are trusted as already card-normalized. Keys
-    other than the card's inputs raise MissingInput or UnexpectedInput.
+    Accepts Quantity objects, numbers, which are in card units, and text
+    that names its unit ("38 deg") unless the unit is ``dimensionless``.
+    Keys other than the card's inputs raise MissingInput or UnexpectedInput.
     """
     keys, units = raw.keys(), card.units
     if keys != card.input_keys:

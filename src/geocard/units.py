@@ -14,6 +14,7 @@ after construction, so all operations here are pure and thread-safe.
 keeps its last 64 successful reads, and converts as ``convert`` does, by
 scales resolved once per (tag, unit). A reader's error says what is
 wrong; ``to_magnitude``, the entry of every input value, names the input.
+There a number is in card units; text names any unit but ``dimensionless``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .errors import (DimensionMismatch, GeocardError, MalformedQuantity,
-                     NonFiniteValue, UnknownUnit)
+                     MissingUnit, NonFiniteValue, UnknownUnit)
 from .record import FrozenRecord
 
 BASES = ("length", "mass", "time", "angle")
@@ -142,13 +143,9 @@ class UnitRegistry:
     def from_json(cls, text: str) -> "UnitRegistry":
         table = json.loads(text)
         units = []
-        # One Dimension object per dimension, so that convert's check of
-        # two registry units is decided by identity, not by four exponents.
-        dimensions: dict[Dimension, Dimension] = {}
         for entry in table["units"]:
             exps = entry.get("dimension", {})
             dim = Dimension(**{base: _exponent(exps.get(base, 0)) for base in BASES})
-            dim = dimensions.setdefault(dim, dim)
             units.append(Unit(entry["name"], dim, float(entry["scale"])))
         return cls(units, table.get("aliases", {}))
 
@@ -206,9 +203,9 @@ def for_input(exc: GeocardError, key: str) -> GeocardError:
 def to_magnitude(value, unit_name: str, key: str) -> float:
     """Finite magnitude of a wire value in the unit ``unit_name``.
 
-    Accepts a Quantity, a unit-tagged string (read by ``quantity_text``),
-    or a bare number (also in string form), which is trusted as already in
-    that unit. Anything else is MalformedQuantity, and a DimensionMismatch
+    Accepts a Quantity, a number in that unit, or text (read by
+    ``quantity_text``) that names its unit unless the unit is ``dimensionless``.
+    Anything else is MalformedQuantity, and a MissingUnit, a DimensionMismatch
     or an UnknownUnit is raised as it is read; each is named by ``key``.
     This is the one finiteness check of an input: a NaN, an infinity or an
     overflow, in a string or a number, is NonFiniteValue naming ``key``.
@@ -217,7 +214,9 @@ def to_magnitude(value, unit_name: str, key: str) -> float:
         return value
     try:
         if isinstance(value, str):
-            magnitude = quantity_text(value, unit_name)[0]
+            magnitude, tag = quantity_text(value, unit_name)
+            if not tag and unit_name != "dimensionless":
+                raise MissingUnit([key])
         else:
             if isinstance(value, Quantity):
                 value = convert(value, default_registry().resolve(unit_name)).magnitude

@@ -633,8 +633,7 @@ class TestCliRunsTheTool:
         (PAD, "DA2", "-1e-3"), (PAD, "DA2", "1e999"), (PAD, "all", "0")])
     def test_bare_width_needs_a_unit(self, scenario, da, width):
         """A width without its unit exits 1 naming B, with nothing on
-        stdout, as a bare eval input does; the tool itself would take it
-        in metres."""
+        stdout, as a bare eval input does: the tool refuses it."""
         argv = ["ec7", "check", "--scenario", str(ROOT / scenario), "--da", da,
                 "--B", width, "--format", "json"]
         assert _run_main(argv) == (1, "", "error: value(s) need a unit tag: B\n")

@@ -37,6 +37,7 @@ from geocard.errors import (
     InvalidGeometry,
     MathDomain,
     MissingInput,
+    MissingUnit,
     NoBracket,
     NonFiniteValue,
     SchemaError,
@@ -436,14 +437,21 @@ class TestOverflowingCheck:
 
 
 class TestScenarioNonFinite:
-    @pytest.mark.parametrize("value", ['NaN', 'Infinity', '"1e400 kN"', '1e400'])
-    def test_rejected(self, value):
+    @pytest.mark.parametrize("value, error, message", [
+        ('NaN', MissingUnit, "value(s) need a unit tag: Q_k"),
+        ('Infinity', MissingUnit, "value(s) need a unit tag: Q_k"),
+        ('"1e400 kN"', NonFiniteValue, "'Q_k' is not a finite number"),
+        ('1e400', MissingUnit, "value(s) need a unit tag: Q_k"),
+    ], ids=['NaN', 'Infinity', '"1e400 kN"', '1e400'])
+    def test_rejected(self, value, error, message):
+        """A JSON number names no unit, finite or not; tagged text that
+        overflows is not finite."""
         text = (Path(bundled_scenario_path()).read_text()
                 .replace('"Q_k": "967.10 kN"', f'"Q_k": {value}'))
         assert '"Q_k": "967.10 kN"' not in text
-        with pytest.raises(NonFiniteValue) as err:
+        with pytest.raises(error) as err:
             load_scenario(text)
-        assert str(err.value) == "'Q_k' is not a finite number"
+        assert str(err.value) == message
 
     def test_over_long_integer_is_schema_error(self):
         text = (Path(bundled_scenario_path()).read_text()

@@ -21,6 +21,7 @@ from geocard.errors import (
     GeocardError,
     MathDomain,
     MissingInput,
+    MissingUnit,
     NoBranchTaken,
     NonConvergence,
     NonFiniteValue,
@@ -618,19 +619,23 @@ class TestPlan:
 
 
 class TestNonFiniteInputs:
-    @pytest.mark.parametrize("value", [
-        math.nan, math.inf, -math.inf, "1e400 kPa", "1e400",
-        pytest.param(10 ** 400, id="huge-int"),
-        # an int magnitude too large for a float, met on conversion to kPa
-        pytest.param(Quantity(10 ** 400, default_registry().resolve("Pa")),
-                     id="huge-int-quantity"),
-        "1e306 MPa",  # finite text, overflows on conversion to kPa
+    @pytest.mark.parametrize("value, error, message", [
+        pytest.param(value, NonFiniteValue, "'q' is not a finite number", id=name)
+        for name, value in [
+            ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+            ("1e400 kPa", "1e400 kPa"), ("huge-int", 10 ** 400),
+            # an int magnitude too large for a float, met on conversion to kPa
+            ("huge-int-quantity", Quantity(10 ** 400, default_registry().resolve("Pa"))),
+            ("1e306 MPa", "1e306 MPa"),  # finite text, overflows on conversion to kPa
+        ]] + [
+        # text that names no unit is refused before its magnitude is judged
+        pytest.param("1e400", MissingUnit, "value(s) need a unit tag: q", id="1e400"),
     ])
-    def test_rejected(self, value):
+    def test_rejected(self, value, error, message):
         inputs = dict(TERZAGHI_STRIP_INPUTS, q=value)
-        with pytest.raises(NonFiniteValue) as err:
+        with pytest.raises(error) as err:
             run(TERZAGHI, "general_shear_failure_strip", inputs)
-        assert str(err.value) == "'q' is not a finite number"
+        assert str(err.value) == message
 
     def test_rejected_in_overrides(self):
         vesic = CATALOG.get_method("BEARING_CAPACITY_VESIC")

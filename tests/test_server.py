@@ -516,11 +516,16 @@ class TestNonFiniteAtTheBoundary:
             "scenario": JRC_SCENARIO, "design_approach": "DA2", "B": width}))
         assert tool_error(response)["error"] == "non_finite_value"
 
-    def test_scenario_field(self, server):
-        scenario = dict(JRC_SCENARIO, G_k_col=math.nan)
+    @pytest.mark.parametrize("value, error", [
+        (math.nan, "missing_unit"), ("1e400 kN", "non_finite_value")],
+        ids=["nan", "1e400 kN"])
+    def test_scenario_field(self, server, value, error):
+        """A number names no unit, so a NaN is refused as one; tagged text
+        that overflows is not finite."""
+        scenario = dict(JRC_SCENARIO, G_k_col=value)
         response = strict_json(call(server, "geo_design_footing_width_ec7", {
             "scenario": scenario, "design_approach": "DA2"}))
-        assert tool_error(response)["error"] == "non_finite_value"
+        assert tool_error(response)["error"] == error
 
     def test_design_tolerance(self, server):
         response = strict_json(call(server, "geo_design_footing_width_ec7", {
