@@ -73,9 +73,9 @@ class MethodCard(FrozenRecord):
     would otherwise rediscover: the registry ``Unit`` of each variable
     (``units``), the input keys, the param defaults (key -> float) and the
     output keys in declared order; and ``trace_templates``, the engine's
-    writer (a template and what fills it) of each variant's trace, and of
-    each EC7 check or design body around it, built on its first
-    ``to_json``."""
+    writer (a template and what fills it) of each variant's trace per set
+    of override keys, and of each EC7 check or design body around it,
+    built on its first ``to_json``."""
 
     __slots__ = ("id", "title", "category", "description", "variables",
                  "variants", "assumptions", "applicability", "sources",

@@ -34,24 +34,26 @@ split at the holes, so that a call only writes the numbers and the
 request echo. Each hole is an index, fixed when the template is cut, into
 one flat list of value texts, and a call builds that list and gathers it:
 the env values the template reads, each key once (by ``float.__repr__``
-when every one is a finite float), then the input echoes, the cycle's
-iterations and residual, and the overrides block. An output is read from
-the env, so it fills the holes of its env value. An echo that is the env's
-own value object takes the env's text; an equal value does not, as 2 and
-2.0, or -0.0 and 0.0, are written apart. A partial trace is written by the
-reference. A reply whose body holds the trace, an EC7 check or design, is
-written from one template of its whole body, memoized on the card by the
-variant and ``outer._shape()``. ``outer._body(trace, put)`` states that body
-once, each scalar but the trace passed through ``put`` in document order:
-the cut puts a hole for each, and a call appends each to its list, after
-the trace's texts.
+when every one is a finite float), then the input and override echoes,
+and the cycle's iterations and residual. Each input and each override is
+its own hole, so a template is memoized on the card by the variant and the
+trace's override keys, sorted: at most 2^P templates per variant, for P
+params. An output is read from the env, so it fills the holes of its env
+value. An echo that is the env's own value object takes the env's text; an
+equal value does not, as 2 and 2.0, or -0.0 and 0.0, are written apart. A
+partial trace is written by the reference. A reply whose body holds the
+trace, an EC7 check or design, is written from one template of its whole
+body, memoized by those and ``outer._shape()``. ``outer._body(trace, put)``
+states that body once, each scalar but the trace passed through ``put`` in
+document order: the cut puts a hole for each, and a call appends each to
+its list, after the trace's texts.
 
 A template keeps each static piece escaped for a JSON string literal as
 well. ``to_reply`` writes a tool's value as the JSON string literal of its
 text, the one form the MCP server's line carries, from the escaped pieces
-and the fills: only the string values (the request echo, say) and the
-overrides are escaped per reply. ``to_json`` writes the text itself from
-the same template and fills.
+and the fills: only the string values (the request echo, say) are escaped
+per reply. ``to_json`` writes the text itself from the same template and
+fills.
 """
 
 from __future__ import annotations
@@ -170,18 +172,20 @@ class EvaluationTrace(Record):
         if written is None:
             return strict_json(self.to_dict())
         template, texts = written
-        return template.text(template.fill(texts))
+        return template.text(template.gather(texts))
 
     def _written(self, outer=None) -> tuple[Template, list] | None:
-        """The template of the trace's variant, or of ``outer``'s body
-        around the trace, and the flat list of its value texts."""
+        """The template of the trace's variant and override keys, or of
+        ``outer``'s body around the trace, and the flat list of its value
+        texts."""
         template, read, echoes = _template(self, outer)
         values = read(self.env)
         texts = _value_texts(values)
-        # An echo that is the env's own object has its text.
-        inputs = self.request_inputs
-        for key, at in echoes:
-            value = inputs[key]
+        # Each input and override echo; one that is the env's own object
+        # has its text.
+        request = (self.request_inputs, self.request_overrides)
+        for side, key, at in echoes:
+            value = request[side][key]
             texts.append(texts[at] if at is not None and value is values[at]
                          else encode_basestring_ascii(value) if type(value) is str
                          else strict_json(_echo_value(value)))
@@ -189,7 +193,6 @@ class EvaluationTrace(Record):
         if cycles:
             texts += (strict_json(cycles[0]["iterations"]),
                       strict_json(cycles[0]["residual"]))
-        texts.append(_overrides(self.request_overrides))
         if outer is not None:
             scalars = []
             outer._body(None, scalars.append)
@@ -252,21 +255,9 @@ def _echo_value(value: InputValue):
 
 # ---------------------------------------------------------------- templates ----
 
-def _overrides(overrides: Mapping[str, InputValue]) -> str:
-    if not overrides:
-        return "{}"
-    return strict_json({k: _echo_value(overrides[k]) for k in sorted(overrides)})
-
-
 def _escape(text: str) -> str:
     """``text`` as it reads inside a JSON string literal."""
     return encode_basestring_ascii(text)[1:-1]
-
-
-def _indent(piece: str) -> str:
-    """The indentation of the last line of ``piece``."""
-    line = piece[piece.rfind("\n") + 1:]
-    return line[:len(line) - len(line.lstrip(" "))]
 
 
 def _gather(items: list) -> Callable:
@@ -289,9 +280,8 @@ def _value_texts(values: tuple) -> list[str]:
 
 
 # The kind of a hole's value. A number reads the same inside a JSON string
-# literal; a string and a block (an object's indented text) are escaped
-# there, and a block is indented to the depth of its hole.
-NUMBER, STRING, BLOCK = range(3)
+# literal; a string is escaped there.
+NUMBER, STRING = range(2)
 
 
 class _Hole(str):
@@ -303,7 +293,7 @@ class _Hole(str):
 class Template:
     """The text of a JSON body cut at its holes: static pieces, and between
     each two the index of a value in one flat list of value texts, which
-    ``fill`` gathers.
+    ``gather`` reads.
 
     ``cut`` gets the pieces from the reference writer in one pass.
     ``make_body(plant)`` builds the whole body with each value a hole from
@@ -314,18 +304,15 @@ class Template:
 
     Each static piece is kept twice: as it is, and escaped for a JSON
     string literal. ``literal`` writes the literal of a filled text from
-    the escaped pieces and escapes only its string and block values, so no
-    text is escaped twice.
+    the escaped pieces and escapes only its string values, so no text is
+    escaped twice.
     """
 
     def __init__(self, pieces: list[str], holes: list[tuple], names: list):
         """Each hole is ``(index in the flat list, kind)``, between two pieces."""
-        kinds = [kind for _, kind in holes]
         self.names = names  # the name of each text in the flat list
         self.gather = _gather([index for index, _ in holes])
-        self.quoted = [i for i, kind in enumerate(kinds) if kind != NUMBER]
-        self.blocks = [(i, "\n" + _indent(pieces[i]))
-                       for i, kind in enumerate(kinds) if kind == BLOCK]
+        self.quoted = [i for i, (_, kind) in enumerate(holes) if kind == STRING]
         self.layout = [None] * (2 * len(pieces) - 1)  # a None at each hole
         self.layout[::2] = pieces
         self.escaped = [None] * len(self.layout)
@@ -351,19 +338,12 @@ class Template:
         index = {name: i for i, name in enumerate(names)}
         return cls(parts[::2], [(index[name], kind) for name, kind in holes], names)
 
-    def fill(self, texts: list[str]) -> list[str]:
-        """The JSON text of each hole's value, gathered from the flat list."""
-        fills = list(self.gather(texts))
-        for i, newline in self.blocks:
-            fills[i] = fills[i].replace("\n", newline)
-        return fills
-
-    def text(self, fills: list[str]) -> str:
+    def text(self, fills: tuple[str, ...]) -> str:
         parts = self.layout[:]
         parts[1::2] = fills
         return "".join(parts)
 
-    def literal(self, fills: list[str]) -> str:
+    def literal(self, fills: tuple[str, ...]) -> str:
         """The JSON string literal of ``text(fills)``."""
         parts = self.escaped[:]
         parts[1::2] = fills
@@ -384,14 +364,15 @@ def to_reply(obj) -> str:
     if written is None:
         return encode_basestring_ascii(strict_json(obj.to_dict()))
     template, texts = written
-    return template.literal(template.fill(texts))
+    return template.literal(template.gather(texts))
 
 
 # The name of a value of a trace is (source, key), with source one of these:
 # its flat list holds the env values the template reads, each key once,
-# then the input echoes, the cycle's, the overrides block and the other
-# scalars of an outer body, by their place in it.
-_ENV, _INPUTS, _CYCLE, _OVERRIDES, _BODY = range(5)
+# then the input and override echoes, the cycle's and the other scalars of
+# an outer body, by their place in it. The list follows the sorted names,
+# so this is the order ``_written`` appends them in.
+_ENV, _INPUTS, _OVERRIDES, _CYCLE, _BODY = range(5)
 
 
 class _PlantingEnv(dict):
@@ -406,16 +387,19 @@ class _PlantingEnv(dict):
 
 
 def _template(trace: EvaluationTrace, outer=None) -> tuple:
-    """The writer of the trace's variant, or of ``outer``'s body around
-    it, memoized on its card by the variant id, or by that and
-    ``outer._shape()``: the template, the reference writer's text of a
-    complete trace whose every value is a hole (its outputs read the
-    planting env, so they share the env's holes), inside ``outer._body``
-    with every other scalar a hole (STRING for a str, NUMBER otherwise);
-    the getter of the env values it reads; and each echo's key with the
-    place of its env value among those (None for a key it does not read)."""
+    """The writer of the trace's variant and sorted override keys, or of
+    ``outer``'s body around it, memoized on its card by the variant id and
+    the keys, or by those and ``outer._shape()``: the template, the
+    reference writer's text of a complete trace whose every value is a hole
+    (its outputs read the planting env, so they share the env's holes; each
+    input and override echo is a STRING hole), inside ``outer._body`` with
+    every other scalar a hole (STRING for a str, NUMBER otherwise); the
+    getter of the env values it reads; and each echo's side (0 for an
+    input, 1 for an override), key and the place of its env value among
+    those (None for a key it does not read)."""
     card, variant = trace.card, trace.variant
-    memo = variant.id if outer is None else (variant.id, outer._shape())
+    keys = tuple(sorted(trace.request_overrides)) if trace.request_overrides else ()
+    memo = (variant.id, keys) if outer is None else (variant.id, keys, outer._shape())
     writer = card.trace_templates.get(memo)
     if writer is None:
         def make_body(plant):
@@ -423,10 +407,10 @@ def _template(trace: EvaluationTrace, outer=None) -> tuple:
                              plant((_CYCLE, "residual")))] if variant.iterative else []
             planted = EvaluationTrace(
                 card, variant, _PlantingEnv(card.units, plant),
-                {k: plant((_INPUTS, k), STRING) for k in card.input_keys}, {},
+                {k: plant((_INPUTS, k), STRING) for k in card.input_keys},
+                {k: plant((_OVERRIDES, k), STRING) for k in keys},
                 {"iterative_cycles": cycles})
             body = planted.to_dict()
-            body["request"]["overrides"] = plant((_OVERRIDES, None), BLOCK)
             if outer is None:
                 return body
             number = count()
@@ -437,7 +421,8 @@ def _template(trace: EvaluationTrace, outer=None) -> tuple:
         at = {key: i for i, key in enumerate(read)}
         writer = card.trace_templates[memo] = (
             template, _gather(read),
-            [(key, at.get(key)) for source, key in template.names if source == _INPUTS])
+            [(source - _INPUTS, key, at.get(key)) for source, key in template.names
+             if source in (_INPUTS, _OVERRIDES)])
     return writer
 
 

@@ -123,18 +123,29 @@ def geo_design_footing_width_ec7(server, args):
 
 
 def geo_session_set_defaults(server, args) -> dict:
-    """Check every value before storing any, so a rejected call stores nothing."""
+    """Check every value before storing any, so a rejected call stores
+    nothing. Untagged numeric text is MissingUnit for a key that every card
+    taking it as an input gives a unit; other keys, and text with no
+    number, are judged on use. Only untagged text reads the catalog."""
     given = args["defaults"]
+    untagged = []
     for key, value in given.items():
         if isinstance(value, str):
             try:
-                value = split_quantity_text(value)[0]
+                value, tag = split_quantity_text(value)
             except MalformedQuantity:
                 continue  # no magnitude to check; the engine judges it on use
+            if not tag:
+                untagged.append(key)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise GeocardError(
                 f"default for {key!r} must be a number or unit-tagged string")
         to_magnitude(value, "dimensionless", key)  # NonFiniteValue
+    units = {key: {card.units[key].name for card in server.catalog.cards.values()
+                   if key in card.input_keys} for key in untagged}
+    untagged = [key for key, names in units.items() if names and "dimensionless" not in names]
+    if untagged:
+        raise MissingUnit(untagged)
     server.defaults.update(given)
     return {
         "session_id": "default",

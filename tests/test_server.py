@@ -5,6 +5,7 @@ import collections
 import enum
 import gc
 import io
+import itertools
 import json
 import math
 from json.encoder import encode_basestring_ascii
@@ -367,6 +368,7 @@ class TestSessionDefaultsRejectAll:
         ({"q": "1e400 kPa"}, "non_finite_value"),
         ({"q": 10 ** 400}, "non_finite_value"),
         ({"q": "18 kPa", "gamma": True}, "error"),
+        ({"q": "18 kPa", "gamma": "18"}, "missing_unit"),
     ])
     def test_nothing_stored(self, defaults, code):
         server = McpServer()
@@ -632,6 +634,27 @@ class TestRepliesMatchTheReference:
         assert reply(fresh, name, arguments) == reference_reply(
             lambda: evaluate_card(card, EvaluationRequest(
                 card.id, "general", inputs, overrides)).to_dict())
+
+    def test_one_template_per_set_of_override_keys(self):
+        """Each override is its own hole, so a variant's templates are one
+        per set of override keys, in whatever order a client sends them:
+        at most 2^P for P params, 4 for Vesic's beta and right_angle."""
+        from geocard.catalog import load_catalog
+        fresh = McpServer(catalog=load_catalog())
+        card = fresh.catalog.get_method("BEARING_CAPACITY_VESIC")
+        inputs = {"phi_prime": "30 deg", "c_prime": "10 kPa", "gamma": "18 kN/m^3",
+                  "B": "2 m", "L": "4 m", "D_f": "1 m", "q": "18 kPa"}
+        values = {"beta": 0.1, "right_angle": "90 deg"}
+        for size in range(len(values) + 1):
+            for keys in itertools.permutations(values, size):
+                overrides = {k: values[k] for k in keys}
+                arguments = {"card": card.id, "variant": "general", "inputs": inputs,
+                             "overrides": overrides}
+                assert reply(fresh, "geo_evaluate", arguments) == reference_reply(
+                    lambda: evaluate_card(card, EvaluationRequest(
+                        card.id, "general", inputs, overrides)).to_dict())
+        templates = [memo for memo in card.trace_templates if memo[0] == "general"]
+        assert 0 < len(templates) <= 2 ** len(card.param_defaults) == 4
 
     def test_nan_reply(self, fresh):
         args = json.loads(json.dumps(TERZAGHI_ARGS))
@@ -1396,7 +1419,8 @@ class SessionModel(RuleBasedStateMachine):
 
     @rule(defaults=_DEFAULTS, key=st.sampled_from(sorted(_INPUT_VALUES)),
           bad=st.sampled_from([math.nan, -math.inf, "1e400 kPa",
-                               {"value": 18, "unit": "kPa"}, [18], True]))
+                               {"value": 18, "unit": "kPa"}, [18], True,
+                               "18", "1e3"]))
     def set_rejected_defaults(self, defaults, key, bad):
         self.set_defaults({**defaults, key: bad}, rejected=True)
 

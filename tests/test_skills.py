@@ -206,7 +206,7 @@ _WORDS = st.sampled_from(["bearing", "capacity", "footing", "strip", "Eurocode",
 _PHRASES = st.lists(_WORDS | st.text(max_size=6), min_size=1, max_size=6).map(" ".join)
 
 
-class TestRankingTokenizedAtLoad:
+class TestRankingEqualsFormerScoring:
     @settings(max_examples=150, deadline=None)
     @given(st.dictionaries(st.from_regex(r"[a-z]{1,6}(-[a-z0-9]{1,4})?", fullmatch=True),
                            st.tuples(_PHRASES, _PHRASES), max_size=4),

@@ -192,10 +192,11 @@ def _twin(draw, value):
 
 
 class TestIdentityReuse:
-    """The writer writes an echo that is the env's own value object from
-    the env's text, as it writes every output, which is read from the env.
-    Equal but distinct values are written from their own: a writer that
-    matched on equality would write 2.0 for 2, or 0.0 for -0.0."""
+    """The writer writes an echo, of an input or of an override, that is
+    the env's own value object from the env's text, as it writes every
+    output, which is read from the env. Equal but distinct values are
+    written from their own: a writer that matched on equality would write
+    2.0 for 2, or 0.0 for -0.0."""
 
     @pytest.mark.parametrize("name", list(BASE))
     @settings(max_examples=40, deadline=None)
@@ -207,9 +208,12 @@ class TestIdentityReuse:
         if data.draw(st.booleans()):  # not every value a float
             env[data.draw(st.sampled_from(sorted(env)))] = data.draw(
                 st.one_of(st.integers(-10, 10), st.none()))
+        params = sorted(base.card.param_defaults)
+        keys = data.draw(st.sets(st.sampled_from(params))) if params else ()
         trace = replaced(
             base, env=env,
-            request_inputs={k: _twin(data.draw, env[k]) for k in base.request_inputs})
+            request_inputs={k: _twin(data.draw, env[k]) for k in base.request_inputs},
+            request_overrides={k: _twin(data.draw, env[k]) for k in keys})
         assert templated(trace) == reference(trace)
 
 
