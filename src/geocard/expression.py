@@ -24,8 +24,7 @@ tighter than unary minus):
     condition := "True" | expr cmp expr          cmp: > >= < <= = ==
     expr      := term (("+" | "-") term)*
     term      := factor (("*" | "/") factor)*
-    factor    := "-" factor | power
-    power     := atom ["**" factor]
+    factor    := "-" factor | atom ["**" factor]
     atom      := NUMBER | "pi" | "e" | NAME | NAME "(" args ")" | "(" expr ")"
 
 Comparisons exist only in condition positions: Piecewise branch conditions,
@@ -164,19 +163,16 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        # the end token stands for "no token left", at the position after the text
+        self.tokens = _tokenize(text) + [("end", None, len(text))]
         self.pos = 0
         self.nesting = 0  # parse_factor calls now open
 
     # -- token helpers ------------------------------------------------------
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def _next(self):
-        tok = self._peek()
-        if tok is None:
-            raise ParseError(len(self.text), "unexpected end of input")
+        tok = self.tokens[self.pos]
+        if tok[0] == "end":
+            raise ParseError(tok[2], "unexpected end of input")
         self.pos += 1
         return tok
 
@@ -186,23 +182,24 @@ class _Parser:
             raise ParseError(tok[2], f"expected {op!r}, found {tok[1]!r}")
 
     def _at_op(self, *ops) -> bool:
-        tok = self._peek()
-        return tok is not None and tok[0] == "op" and tok[1] in ops
+        tok = self.tokens[self.pos]
+        return tok[0] == "op" and tok[1] in ops
 
     # -- grammar ------------------------------------------------------------
     def parse_expr(self) -> ExprNode:
-        node = self.parse_term()
-        while self._at_op("+", "-"):
-            op = self._next()[1]
-            node = Binary(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> ExprNode:
-        node = self.parse_factor()
-        while self._at_op("*", "/"):
-            op = self._next()[1]
-            node = Binary(op, node, self.parse_factor())
-        return node
+        """A sum of terms, each a product of factors, both folded to the
+        left in one loop: ``term`` is the product being read, and ``node``
+        the sum before it, which takes ``term`` under ``op``."""
+        node = op = None
+        term = self.parse_factor()
+        while self._at_op("+", "-", "*", "/"):
+            next_op = self._next()[1]
+            if next_op in ("*", "/"):
+                term = Binary(next_op, term, self.parse_factor())
+                continue
+            node = term if op is None else Binary(op, node, term)
+            op, term = next_op, self.parse_factor()
+        return term if op is None else Binary(op, node, term)
 
     def parse_factor(self) -> ExprNode:
         """Every recursion of the parser passes through here."""
@@ -214,19 +211,14 @@ class _Parser:
             self._next()
             node = Unary("-", self.parse_factor())
         elif self._at_op("+"):
-            tok = self._next()
-            raise ParseError(tok[2], "unary '+' is not supported")
+            raise ParseError(self._next()[2], "unary '+' is not supported")
         else:
-            node = self.parse_power()
+            node = self.parse_atom()
+            if self._at_op("**"):
+                self._next()
+                node = Binary("**", node, self.parse_factor())
         self.nesting -= 1
         return node
-
-    def parse_power(self) -> ExprNode:
-        base = self.parse_atom()
-        if self._at_op("**"):
-            self._next()
-            return Binary("**", base, self.parse_factor())
-        return base
 
     def parse_atom(self) -> ExprNode:
         tok = self._next()
@@ -279,8 +271,8 @@ class _Parser:
         return (value, condition)
 
     def parse_condition_inner(self) -> ExprNode:
-        tok = self._peek()
-        if tok is not None and tok[0] == "name" and tok[1] == "True":
+        tok = self.tokens[self.pos]
+        if tok[0] == "name" and tok[1] == "True":
             self._next()
             return BoolLiteral(True)
         left = self.parse_expr()
@@ -291,16 +283,13 @@ class _Parser:
         return Comparison(tok[1], left, right)
 
     def _finish(self, node: ExprNode) -> ExprNode:
-        tok = self._peek()
-        if tok is not None:
+        tok = self.tokens[self.pos]
+        if tok[0] != "end":
             raise ParseError(tok[2], f"unexpected trailing token {tok[1]!r}")
-        level, depth = [node], 0  # breadth-first: a long sum is a deep tree
-        while level:
-            depth += 1
+        for depth, _ in enumerate(_levels(node), 1):
             if depth > MAX_NESTING:
                 raise ParseError(
                     0, f"expression nested deeper than {MAX_NESTING} levels")
-            level = [child for n in level for child in _children(n)]
         return node
 
 
@@ -331,6 +320,15 @@ def _children(node: ExprNode) -> tuple:
     if isinstance(node, Piecewise):
         return sum(node.branches, ())
     return ()
+
+
+def _levels(node: ExprNode):
+    """The nodes of the tree, one list per level, breadth-first: a long sum
+    is a deep tree, and no walk over it recurses."""
+    level = [node]
+    while level:
+        yield level
+        level = [child for n in level for child in _children(n)]
 
 
 # ----------------------------------------------------------------- printer ----
@@ -383,16 +381,8 @@ def _print(node: ExprNode, min_prec: int) -> str:
 
 def free_symbols(node: ExprNode) -> set[str]:
     """All Symbol names in the tree, including Piecewise conditions."""
-    out: set[str] = set()
-    _collect(node, out)
-    return out
-
-
-def _collect(node: ExprNode, out: set) -> None:
-    if isinstance(node, Symbol):
-        out.add(node.name)
-    for child in _children(node):
-        _collect(child, out)
+    return {n.name for level in _levels(node) for n in level
+            if isinstance(n, Symbol)}
 
 
 # --------------------------------------------------------------- evaluator ----

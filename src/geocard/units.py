@@ -111,12 +111,18 @@ class Quantity(FrozenRecord):
 
 def convert(q: Quantity, target: Unit) -> Quantity:
     """Re-express ``q`` in ``target`` units, preserving the physical value."""
-    if q.unit.dimension != target.dimension:
-        raise DimensionMismatch(q.unit.dimension, target.dimension,
-                                f"{q.unit.name} -> {target.name}")
-    if q.unit == target:
-        return q
-    return Quantity(q.magnitude * q.unit.scale / target.scale, target)
+    scales = _scales(q.unit, target)
+    return Quantity(q.magnitude * scales[0] / scales[1], target) if scales else q
+
+
+def _scales(unit: Unit, target: Unit) -> tuple:
+    """``(unit.scale, target.scale)``, by which a magnitude in ``unit`` is
+    multiplied and then divided to read in ``target``; ``()`` when the two
+    are one unit. Across dimensions it raises DimensionMismatch."""
+    if unit.dimension != target.dimension:
+        raise DimensionMismatch(unit.dimension, target.dimension,
+                                f"{unit.name} -> {target.name}")
+    return () if unit == target else (unit.scale, target.scale)
 
 
 class UnitRegistry:
@@ -250,12 +256,8 @@ def quantity_text(text: str, unit_name: str) -> tuple[float, str]:
         scales = _SCALES.get((tag, unit_name))
         if scales is None:  # resolved once per pair; an error is never kept
             registry = default_registry()
-            unit, target = registry.resolve(tag), registry.resolve(unit_name)
-            if unit.dimension != target.dimension:
-                raise DimensionMismatch(unit.dimension, target.dimension,
-                                        f"{unit.name} -> {target.name}")
-            scales = _SCALES[tag, unit_name] = (
-                () if unit == target else (unit.scale, target.scale))
+            scales = _SCALES[tag, unit_name] = _scales(
+                registry.resolve(tag), registry.resolve(unit_name))
         if scales:  # () when the tag names the unit itself
             magnitude = magnitude * scales[0] / scales[1]
     return magnitude, tag

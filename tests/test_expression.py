@@ -78,12 +78,36 @@ class TestParse:
         assert node == ex.Number(1.7976931348623157e308)
         assert ex.parse(ex.to_text(node)) == node
 
-    @pytest.mark.parametrize("bad", ["", "   ", "1 +", "(a", "a b",
-                                     "Piecewise()", "sin()", "f g(",
-                                     "atan2(x)", "Min(x)", "Max(2*x)", "+x"])
-    def test_malformed(self, bad):
-        with pytest.raises((ParseError, DisallowedFunction, DisallowedSyntax)):
+    @pytest.mark.parametrize("bad, position, message", [
+        ("", 0, "empty expression"),
+        ("   ", 0, "empty expression"),
+        ("1 +", 3, "unexpected end of input"),
+        ("(a", 2, "unexpected end of input"),
+        ("a b", 2, "unexpected trailing token 'b'"),
+        ("Piecewise()", 10, "expected '(', found ')'"),
+        ("sin()", 4, "unexpected token ')'"),
+        ("f g(", 2, "unexpected trailing token 'g'"),
+        ("atan2(x)", 0, "atan2 takes 2 argument(s), got 1"),
+        ("Min(x)", 0, "Min takes 2+ argument(s), got 1"),
+        ("Max(2*x)", 0, "Max takes 2+ argument(s), got 1"),
+        ("+x", 0, "unary '+' is not supported"),
+        # end of input after each construct that can stop early
+        ("(", 1, "unexpected end of input"),
+        ("sin(", 4, "unexpected end of input"),
+        ("Min(a,", 6, "unexpected end of input"),
+        ("-", 1, "unexpected end of input"),
+        ("a **", 4, "unexpected end of input"),
+        ("a *", 3, "unexpected end of input"),
+        ("Piecewise((a, b >", 17, "unexpected end of input"),
+        ("Piecewise((a, True)", 19, "unexpected end of input"),
+        ("Piecewise((a, True),", 20, "unexpected end of input"),
+        ("a)", 1, "unexpected trailing token ')'"),
+    ])
+    def test_malformed(self, bad, position, message):
+        with pytest.raises(ParseError) as err:
             ex.parse(bad)
+        assert type(err.value) is ParseError
+        assert str(err.value) == f"parse error at position {position}: {message}"
 
 
 class TestSandbox:
@@ -268,6 +292,13 @@ class TestFreeSymbols:
 
     def test_condition_symbols_counted(self):
         node = ex.parse("Piecewise((x, y > 0), (1, True))")
+        assert ex.free_symbols(node) == {"x", "y"}
+
+    def test_tree_deeper_than_the_recursion_limit(self):
+        """The walk is breadth-first, so a hand-built tree of any depth is read."""
+        node = ex.Symbol("x")
+        for _ in range(5000):
+            node = ex.Binary("+", ex.Unary("-", node), ex.Symbol("y"))
         assert ex.free_symbols(node) == {"x", "y"}
 
 
