@@ -81,12 +81,9 @@ class MethodCard(FrozenRecord):
                  "variants", "assumptions", "applicability", "sources",
                  "units", "input_keys", "param_defaults", "output_keys",
                  "trace_templates")
+    _defaults = {"trace_templates": dict}  # each card gets its own memo
     _hidden = ("units", "input_keys", "param_defaults", "output_keys",
                "trace_templates")
-
-    # Its own __init__: each card gets a fresh template memo.
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs, trace_templates={})
 
     def variant(self, variant_id: str):
         for var in self.variants:

@@ -9,13 +9,15 @@ diagnostics instead of crashes so one bad card cannot take down the
 catalog.
 
 ``load_catalog`` builds a fresh catalog on every call. ``default_catalog``
-is the process-wide one: built on first use, then shared by the CLI, the
-MCP server and the EC7 workflow whenever they are given no catalog.
+is the process-wide one, built on first use and kept by ``functools.cache``
+(``cache_clear()`` drops it): the CLI, the MCP server and the EC7 workflow
+share it whenever they are given no catalog.
 """
 
 from __future__ import annotations
 
 import os
+from functools import cache
 from pathlib import Path
 
 from .cards import MethodCard, load_card, validate_dimensions
@@ -27,14 +29,9 @@ CATALOG_ENV_VAR = "GEOCARD_CATALOG_DIR"
 
 
 class Catalog(Record):
+    # id -> MethodCard, load failures, and warnings such as shadowed ids
     __slots__ = ("cards", "diagnostics", "warnings")
-
-    # Its own __init__: each catalog needs fresh containers.
-    def __init__(self, cards: dict | None = None, diagnostics: list | None = None,
-                 warnings: list | None = None):
-        self.cards = {} if cards is None else cards  # id -> MethodCard
-        self.diagnostics = [] if diagnostics is None else diagnostics  # load failures
-        self.warnings = [] if warnings is None else warnings  # e.g. shadowed ids
+    _defaults = {"cards": dict, "diagnostics": list, "warnings": list}
 
     @property
     def ok(self) -> bool:
@@ -114,16 +111,11 @@ def load_catalog(extra_dir: "str | os.PathLike | None" = None) -> Catalog:
     return catalog
 
 
-_DEFAULT: "Catalog | None" = None
-
-
+@cache
 def default_catalog() -> Catalog:
     """The catalog of load_catalog(), built once per process on first use.
 
     $GEOCARD_CATALOG_DIR is read at that first call; later changes to it
-    do not reach this catalog.
+    do not reach this catalog until ``default_catalog.cache_clear()``.
     """
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = load_catalog()
-    return _DEFAULT
+    return load_catalog()

@@ -356,7 +356,7 @@ def _print(node: ExprNode, min_prec: int) -> str:
         return "True"
     if isinstance(node, Unary):
         inner = "-" + _print(node.operand, 4)
-        return f"({inner})" if min_prec > 3 else inner
+        return f"({inner})" if min_prec > 4 else inner  # only as a ** base
     if isinstance(node, Binary):
         prec = _PREC[node.op]
         if node.op == "**":

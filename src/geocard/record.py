@@ -2,20 +2,22 @@
 ``dataclasses``.
 
 A record lists its fields in ``__slots__``, in order, and the values of the
-fields a caller may leave out in ``_defaults``. The base's ``__init__``
-binds positional, then keyword arguments to the fields, fills the rest from
-``_defaults``, and raises ``TypeError`` for a missing, unknown, repeated or
-surplus argument; a call that passes every field by position skips the
-binding. The base also supplies what ``@dataclass`` would: ``==`` field by
-field, true only between records of one type, and a repr in the dataclass
-format. A ``FrozenRecord`` is also hashable and refuses assignment. Fields
-named in ``_hidden`` are left out of equality, hash and repr; those in
-``_unprinted`` only out of the repr.
+fields a caller may leave out in ``_defaults``; a type there (``dict``,
+``list``) is called for each record, so each gets its own container. The
+base's ``__init__`` binds positional, then keyword arguments to the fields,
+fills the rest from ``_defaults``, and raises ``TypeError`` for a missing,
+unknown, repeated or surplus argument; a call that passes every field by
+position skips the binding. The base also supplies what ``@dataclass``
+would: ``==`` field by field, true only between records of one type, and a
+repr in the dataclass format. A ``FrozenRecord`` is also hashable and
+refuses assignment. Fields named in ``_hidden`` are left out of equality,
+hash and repr; those in ``_unprinted`` only out of the repr.
 
 A record keeps its own ``__init__`` only where the generic one would cost
-time per operation (``EvaluationRequest``, ``EvaluationTrace``) or cannot
-express it: fresh containers (``Catalog``, ``SkillLibrary``, and
-``MethodCard``'s template memo) or ``Unit``'s scale check.
+time per operation or cannot express it: ``EvaluationRequest`` and
+``EvaluationTrace``, built once or more per evaluation, skip the binding
+(a request's ``overrides=None`` reads as ``{}``), and ``Unit`` checks its
+scale.
 
 Building a dataclass compiles generated source for each class, and
 ``dataclasses`` imports ``inspect`` and ``ast``: together about half of
@@ -29,7 +31,7 @@ from operator import attrgetter
 
 class Record:
     __slots__ = ()
-    _defaults = {}    # field -> value of a field a caller may leave out
+    _defaults = {}    # field -> value (or type, called) of a field a caller may omit
     _hidden = ()      # left out of ==, hash and repr
     _unprinted = ()   # left out of repr only
 
@@ -68,7 +70,10 @@ class Record:
                 raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
             if key in given:
                 raise TypeError(f"{name}() got multiple values for argument {key!r}")
-        given = {**cls._defaults, **given, **kwargs}
+        given.update(kwargs)
+        for field, default in cls._defaults.items():
+            if field not in given:
+                given[field] = default() if isinstance(default, type) else default
         missing = [field for field in fields if field not in given]
         if missing:
             raise TypeError(f"{name}() missing argument(s): {', '.join(missing)}")

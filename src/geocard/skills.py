@@ -127,14 +127,9 @@ def _weighted_tokens(skill: Skill) -> tuple:
 
 
 class SkillLibrary(Record):
+    # name -> Skill, load failures, and warnings such as shadowed names
     __slots__ = ("skills", "diagnostics", "warnings")
-
-    # Its own __init__: each library needs fresh containers.
-    def __init__(self, skills: dict | None = None, diagnostics: list | None = None,
-                 warnings: list | None = None):
-        self.skills = {} if skills is None else skills  # name -> Skill
-        self.diagnostics = [] if diagnostics is None else diagnostics  # load failures
-        self.warnings = [] if warnings is None else warnings  # e.g. shadowed names
+    _defaults = {"skills": dict, "diagnostics": list, "warnings": list}
 
     @property
     def ok(self) -> bool:

@@ -9,6 +9,8 @@ The registry is a flat table of named units, each with a dimension and a
 scale factor to the coherent SI value of that dimension. It is loaded from
 a JSON table (a bundled default ships with the package) and is immutable
 after construction, so all operations here are pure and thread-safe.
+``default_registry`` is the bundled one, built once per process by
+``functools.cache``; ``default_registry.cache_clear()`` resets it.
 
 ``quantity_text`` is the one reader of a request's quantity strings: it
 keeps its last 64 successful reads, and converts as ``convert`` does, by
@@ -23,7 +25,7 @@ import json
 import math
 import re
 from collections.abc import Iterable, Mapping
-from functools import lru_cache
+from functools import cache, lru_cache
 from pathlib import Path
 
 from .errors import (DimensionMismatch, GeocardError, MalformedQuantity,
@@ -274,12 +276,7 @@ def format_quantity(q: Quantity) -> str:
     return f"{q.magnitude!r} {q.unit.name}"
 
 
-_DEFAULT: "UnitRegistry | None" = None
-
-
+@cache
 def default_registry() -> UnitRegistry:
-    """The bundled registry, loaded once per process."""
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = UnitRegistry.bundled()
-    return _DEFAULT
+    """The bundled registry, loaded once per process on first use."""
+    return UnitRegistry.bundled()

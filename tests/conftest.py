@@ -1,6 +1,6 @@
 """Shared pytest wiring: the acceptance suite's per-criterion summary,
-the card files that exercise the catalog's load diagnostics, and a fresh
-server's health reply."""
+the card files that exercise the catalog's load diagnostics, a default
+catalog built afresh, and a fresh server's health reply."""
 
 import json
 from pathlib import Path
@@ -38,6 +38,18 @@ def fresh_health() -> dict:
     reply = McpServer().handle_message({"jsonrpc": "2.0", "id": 1, "method": "tools/call",
                                         "params": {"name": "geo_health"}})
     return json.loads(reply["result"]["content"][0]["text"])
+
+
+@pytest.fixture
+def fresh_default_catalog():
+    """``default_catalog()`` built again on its next call, and dropped at
+    teardown, so no later test sees a catalog built from this test's
+    GEOCARD_CATALOG_DIR or patched loader."""
+    from geocard.catalog import default_catalog
+
+    default_catalog.cache_clear()
+    yield default_catalog
+    default_catalog.cache_clear()
 
 
 @pytest.fixture

@@ -107,28 +107,24 @@ class TestIndex:
         assert merged.diagnostics == [
             f"{tmp_path / 'b.json'}: duplicate card id BEARING_CAPACITY_VESIC"]
 
+    @pytest.mark.usefixtures("fresh_default_catalog")
     def test_duplicate_user_ids_degrade_health(self, tmp_path, monkeypatch):
-        import geocard.catalog
-
         card = CATALOG.get_method("BEARING_CAPACITY_TERZAGHI").to_dict()
         card["id"] = "MY_CARD"
         (tmp_path / "a.json").write_text(json.dumps(card))
         (tmp_path / "b.json").write_text(json.dumps(card))
         monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(tmp_path))
-        monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
         health = fresh_health()
         assert health["status"] == "degraded"
         assert health["diagnostics"] == [
             f"{tmp_path / 'b.json'}: duplicate card id MY_CARD"]
 
+    @pytest.mark.usefixtures("fresh_default_catalog")
     def test_env_var_naming_a_file_degrades_health(self, tmp_path,
                                                    monkeypatch):
-        import geocard.catalog
-
         not_a_dir = tmp_path / "card.json"
         not_a_dir.write_text("{}")
         monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(not_a_dir))
-        monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
         health = fresh_health()
         assert health["status"] == "degraded"
         assert health["cards"] == len(BUNDLED_IDS)
@@ -174,13 +170,12 @@ class TestBadCardFiles:
             assert len([d for d in merged.diagnostics if name in d]) == 1, name
         assert len(merged.diagnostics) == len(BAD_CARD_FILES)
 
+    @pytest.mark.usefixtures("fresh_default_catalog")
     def test_server_starts_on_a_bad_catalog_dir(self, bad_card_dir,
                                                  monkeypatch):
-        import geocard.catalog
         from geocard.server import McpServer
 
         monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(bad_card_dir))
-        monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
         server = McpServer()
         assert sorted(server.catalog.cards) == BUNDLED_IDS
         assert len(server.catalog.diagnostics) == len(BAD_CARD_FILES)
@@ -189,7 +184,7 @@ class TestBadCardFiles:
 class TestDefaultCatalog:
     def test_import_does_not_build_it(self):
         code = ("import geocard, geocard.catalog as c, geocard.cli, geocard.server; "
-                "assert c._DEFAULT is None; "
+                "assert c.default_catalog.cache_info().currsize == 0; "
                 "assert c.default_catalog() is c.default_catalog()")
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 

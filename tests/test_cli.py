@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import BAD_CARD_FILES, HUGE_INT
-import geocard.catalog
 from geocard import tools
 from geocard.catalog import default_catalog
 from geocard.cli import main
@@ -593,12 +592,12 @@ class TestCliRunsTheTool:
     stderr and nothing on stdout."""
 
     @pytest.mark.parametrize("row", sorted(_CLI_ROWS))
+    @pytest.mark.usefixtures("fresh_default_catalog")
     def test_stdout_is_the_tool_text(self, row, monkeypatch):
         """The row's command line, in process, from its directory and environment."""
         monkeypatch.chdir(ROOT)
         for key, value in BY_NAME[row].env.items():
             monkeypatch.setenv(key, value)
-        monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
         name, calls = _CLI_ROWS[row]
         assert _run_main(shlex.split(BY_NAME[row].argv)) == _tool_outcome(name, calls)
 
@@ -664,6 +663,7 @@ class TestNanOperand:
     validation, and its evaluation fails with one error line, not
     ``y = 0`` and ``z = 2``."""
 
+    @pytest.mark.usefixtures("fresh_default_catalog")
     def test_probe_card_exits_1_with_an_error_line(self, tmp_path, monkeypatch):
         path = tmp_path / "nan_probe.json"
         path.write_text(dimensionless_card("NAN_PROBE", ["y", "z"], [], ["x"], [
@@ -671,7 +671,6 @@ class TestNanOperand:
             {"target": "z", "sympy": "Piecewise((1, x*x*x - x*x*x > 0), (2, True))"},
         ]), encoding="utf-8")
         monkeypatch.setenv("GEOCARD_CATALOG_DIR", str(tmp_path))
-        monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
         assert _run_main(["validate", str(path)])[0] == 0
         for fmt in ("report", "json"):
             assert _run_main(["eval", "NAN_PROBE", "base", "--in", "x=1e200",

@@ -570,6 +570,7 @@ class TestScenarioFile:
 
 
 class TestDefaultCatalog:
+    @pytest.mark.usefixtures("fresh_default_catalog")
     def test_catalog_loaded_once_for_calls_without_one(self, monkeypatch):
         import geocard.catalog
 
@@ -580,7 +581,6 @@ class TestDefaultCatalog:
             calls.append(args)
             return load(*args, **kwargs)
 
-        monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
         monkeypatch.setattr(geocard.catalog, "load_catalog", counting_load)
         design_footing_width_ec7(SCENARIO, "DA1-C1")
         design_footing_width_ec7(SCENARIO, "DA2")

@@ -373,6 +373,19 @@ class TestPrintParseRoundTrip:
         node = _build(tree)
         assert ex.parse(ex.to_text(node)) == node
 
+    @pytest.mark.parametrize("count", [33, 63])
+    def test_repeated_minus_round_trips(self, count):
+        """A negation prints bare inside a negation, so a chain the parser
+        accepts reads back at the same nesting."""
+        node = ex.parse("-" * count + "x")
+        assert ex.to_text(node) == "-" * count + "x"
+        assert ex.parse(ex.to_text(node)) == node
+
+    @pytest.mark.parametrize("text", ["(-x)**2", "-x**2", "2**-x", "a*-b",
+                                      "a - -b", "-(a + b)"])
+    def test_negation_prints_as_written(self, text):
+        assert ex.to_text(ex.parse(text)) == text
+
 
 def _build(tree):
     if isinstance(tree, float):

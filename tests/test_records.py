@@ -9,12 +9,12 @@ import pytest
 
 from geocard import expression as ex
 from geocard.cards import (DimensionFinding, EquationSpec, MethodCard, Source,
-                           VariableSpec, VariantSpec)
+                           VariableSpec, VariantSpec, load_card)
 from geocard.catalog import Catalog
 from geocard.engine import EvaluationRequest, EvaluationTrace
 from geocard.record import Record
 from geocard.skills import Reference, Skill, SkillLibrary, SkillMatch
-from geocard.units import Dimension, Quantity, Unit
+from geocard.units import DATA_DIR, Dimension, Quantity, Unit
 
 LENGTH = Dimension(Fraction(1))
 M_REPR = ("Unit(name='m', dimension=Dimension(length=Fraction(1, 1), "
@@ -211,19 +211,37 @@ class TestDefaults:
         assert Source("S").url is None
         assert Skill("n", "d", "1", "c", "b").references == ()
 
-    def test_fresh_containers(self):
-        for make in (Catalog, SkillLibrary):
-            a, b = make(), make()
-            assert a.diagnostics == [] and a.diagnostics is not b.diagnostics
-            assert a.warnings == [] and a.warnings is not b.warnings
-        assert Catalog().cards is not Catalog().cards
-        assert SkillLibrary().skills is not SkillLibrary().skills
+    @pytest.mark.parametrize("cls", [Catalog, SkillLibrary])
+    def test_fresh_containers(self, cls):
+        """Each omitted type default is a new container, whether the rest
+        is passed by position or by keyword; a given container is kept."""
+        first, _, last = cls.__slots__
+        mine, also_mine = {}, []
+        for record, given in ((cls(), {}),
+                              (cls(mine), {first: mine}),
+                              (cls(**{last: also_mine}), {last: also_mine}),
+                              (cls(mine, **{last: also_mine}),
+                               {first: mine, last: also_mine})):
+            other = cls()
+            for field in cls.__slots__:
+                value = getattr(record, field)
+                if field in given:
+                    assert value is given[field]
+                else:
+                    assert not value and value is not getattr(other, field)
+
+    def test_each_request_gets_its_own_overrides(self):
         r1, r2 = EvaluationRequest("C", "v", {}), EvaluationRequest("C", "v", {})
         assert r1.overrides == {} and r1.overrides is not r2.overrides
 
     def test_each_card_gets_its_own_template_memo(self):
         a, b = card(), card()
         assert a.trace_templates == {} and a.trace_templates is not b.trace_templates
+        text = (DATA_DIR / "catalog" / "bearing_capacity_terzaghi.json").read_text("utf-8")
+        loaded = load_card(text), load_card(text)
+        assert loaded[0].trace_templates is not loaded[1].trace_templates
+        memo = {}
+        assert card(trace_templates=memo).trace_templates is memo
 
     def test_unit_scale_must_be_positive(self):
         with pytest.raises(ValueError, match="positive scale"):
@@ -261,8 +279,6 @@ RECORD_CLASSES = [cls for cls in _record_classes()
 def test_binding_by_keyword_equals_binding_by_position(cls):
     assert set(cls._defaults) <= set(cls.__slots__)
     sample = RECORDS[cls.__name__][0]()
-    if "__init__" in cls.__dict__:  # a record that keeps its own constructor
-        return
     values = [getattr(sample, field) for field in cls.__slots__]
     for record in (cls(*values), cls(**dict(zip(cls.__slots__, values)))):
         assert all(getattr(record, field) is value

@@ -1284,12 +1284,11 @@ class TestFirstToolCall:
         assert first[-1] == later[-1]
         assert first[-1].endswith('"isError":false}}\n')
 
-    def test_user_catalog_is_read_at_the_first_call(self, tmp_path, monkeypatch):
+    def test_user_catalog_is_read_at_the_first_call(self, tmp_path, monkeypatch,
+                                                    fresh_default_catalog):
         """A shadowing card and a duplicate in GEOCARD_CATALOG_DIR give the
         same health whether health is a server's first call or follows
         another, and a server made before the variable was set reads it."""
-        import geocard.catalog
-
         card = json.loads((Path(__file__).parents[1] / "src/geocard/data/catalog"
                            / "bearing_capacity_vesic.json").read_text("utf-8"))
         (tmp_path / "a.json").write_text(json.dumps(dict(card, title="First")))
@@ -1301,7 +1300,7 @@ class TestFirstToolCall:
         for server, calls in [(made_before, []), (None, []),
                               (None, [rpc("tools/call", {"name": "geo_get_method", "arguments": {
                                   "id": "BEARING_CAPACITY_VESIC"}})])]:
-            monkeypatch.setattr(geocard.catalog, "_DEFAULT", None)
+            fresh_default_catalog.cache_clear()
             lines.append(_serve_lines(*calls, health, server=server)[-1])
         assert lines[0] == lines[1] == lines[2]
         body = json.loads(json.loads(lines[0])["result"]["content"][0]["text"])
