@@ -63,14 +63,13 @@ def _run(argv: list[str]) -> int:
 
 
 def _join_numbers(argv: list[str]) -> list[str]:
-    """``argv`` with ``--B`` and ``--tolerance`` or an abbreviation of it
-    joined to the argument after them (``--tol -1e-3`` as ``--tol=-1e-3``):
-    which values that start with "-" argparse reads as negative numbers
-    rather than options ("-1e-3", "-inf") differs between Python versions."""
+    """``argv`` with ``--B`` joined to the argument after it (``--B -1e-3``
+    as ``--B=-1e-3``): which values that start with "-" argparse reads as
+    negative numbers rather than options ("-1e-3", "-inf") differs between
+    Python versions."""
     joined = []
     for arg in argv:
-        if joined and (joined[-1] == "--B" or len(joined[-1]) > 2
-                       and "--tolerance".startswith(joined[-1])):
+        if joined and joined[-1] == "--B":
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
@@ -119,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_ec7_check)
     p_design = ec7_sub.add_parser("design", parents=[shared],
                                   help="search the required width")
-    p_design.add_argument("--tolerance", type=float, default=1e-3)
+    p_design.add_argument("--resolution", help='width grid step: --resolution "1 mm"')
     p_design.set_defaults(func=cmd_ec7_design)
     p_ec7.set_defaults(func=lambda args: (p_ec7.print_help(), 2)[1])
 
@@ -269,22 +268,22 @@ def _print_checks(args, bodies) -> None:
 
 
 def cmd_ec7_design(args) -> int:
-    return _run_ec7(args, "geo_design_footing_width_ec7",
-                    {"tolerance": args.tolerance}, _print_designs)
+    given = {} if args.resolution is None else {"resolution": args.resolution}
+    return _run_ec7(args, "geo_design_footing_width_ec7", given, _print_designs)
 
 
 def _print_designs(args, bodies) -> None:
     print(f"Required footing width ({args.drainage})")
     print(f"{'DA':8s} {'B_req (m)':>10s} {'V_d (kN)':>12s} {'R_d (kN)':>12s} "
-          f"{'utilization':>12s}")
+          f"{'utilization':>12s} {'B_below (m)':>12s}")
     for r in bodies:
         check = r["check"]
-        print(f"{r['design_approach']:8s} {r['B_req']:10.3f} {check['V_d']:12.2f} "
-              f"{check['R_d']:12.2f} {check['utilization']:12.3f}")
+        print(f"{r['design_approach']:8s} {r['B_req']!r:>10} {check['V_d']:12.2f} "
+              f"{check['R_d']:12.2f} {check['utilization']:12.3f} {r['B_below']!r:>12}")
     if args.da == "all":
         governing = max(bodies, key=lambda r: r["B_req"])
         print(f"governing: {governing['design_approach']} "
-              f"(B = {governing['B_req']:.3f} m)")
+              f"(B = {governing['B_req']!r} m)")
 
 
 # -------------------------------------------------------------------- serve ----

@@ -3,7 +3,7 @@
 Covers the four EN 1997-1 Design Approach presets (Annex A partial
 factors), characteristic-to-design parameter reduction, design action
 assembly including foundation self-weight, the ULS bearing check against
-the Annex D card, and the bisection search for the required width. A
+the Annex D card, and the search for the required width on a grid. A
 trial width of the search computes the utilization only, and the check,
 with the card's complete trace, is built once, at the width the search
 returns, from that trial's env. The card's steps that read neither the
@@ -44,6 +44,9 @@ GAMMA_WATER = 9.81  # kN/m^3
 EC7_CARD_ID = "BEARING_CAPACITY_EUROCODE7"
 
 SURCHARGE_MODELS = ("effective_overburden", "none")
+
+PASS_LIMIT = 1.0 + 1e-12  # the greatest utilization at which a check passes
+RESOLUTION = 1e-4  # m: the default step of the width design's grid, 0.1 mm
 
 
 @dataclass(frozen=True)
@@ -247,12 +250,12 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
     at width ``B`` and its state, and ``result(state)`` the check with the
     card's trace.
 
-    ``first_B`` is the first width the caller tries. Before it returns, the
-    checker raises, in order: the Design Approach, the width (non-finite as
-    NonFiniteValue naming ``B``, then ``B <= 0``, then ``B - 2e <= 0``),
-    the card, the drainage and ``c_u_k``. No later width needs a check: the
-    search halves no lower than its least width and doubles a finite one at
-    most 24 times. It then stages the card's variant with ``gamma`` and
+    ``first_B`` is the first width the caller tries, the widest. Before it
+    returns, the checker raises, in order: the Design Approach, the width
+    (non-finite as NonFiniteValue naming ``B``, then ``B <= 0``, then
+    ``B - 2e <= 0``), the card, the drainage and ``c_u_k``. No other width
+    needs a check: the search tries none below its floor, the least width
+    with B - 2e > 0. It then stages the card's variant with ``gamma`` and
     ``B`` free (``engine.stage``), which binds the bearing capacity factors
     once. A trial builds no trace. It runs the staged steps itself, and
     calls ``evaluate_card`` on the same inputs at a fault, a free value
@@ -363,7 +366,7 @@ def _uls_checker(scenario: FootingScenario, design_approach: str,
             V_d=V_d,
             R_d=R_d,
             utilization=utilization,
-            passed=utilization <= 1.0 + 1e-12,
+            passed=utilization <= PASS_LIMIT,
             design_parameters={**design, "gamma_eff": gamma_eff},
             partial_factors=pf,
             trace=trace,
@@ -388,20 +391,29 @@ def check_footing_uls_ec7(scenario: FootingScenario, design_approach: str,
 
 @dataclass(frozen=True)
 class WidthDesignResult:
+    """The required width ``B_req``, the check there, and the certificate
+    that it is the least on the grid: the check fails at the width one step
+    below, ``B_below``, at ``utilization_below`` (> 1)."""
+
     design_approach: str
     B_req: float
+    B_below: float
+    utilization_below: float
+    trials: int
     check: UlsCheckResult
-    iterations: int
 
     def to_dict(self) -> dict:
         return self._body(self.check.trace.to_dict())
 
     def _body(self, trace, put=_same) -> dict:
         """The reply body around ``trace``, as ``UlsCheckResult._body``."""
+        below = self.utilization_below
         return {
             "design_approach": put(self.design_approach),
             "B_req": put(self.B_req),
-            "iterations": put(self.iterations),
+            "B_below": put(self.B_below),
+            "utilization_below": put(None if below == math.inf else below),
+            "trials": put(self.trials),
             "check": self.check._body(trace, put),
         }
 
@@ -413,50 +425,63 @@ class WidthDesignResult:
 
 
 def design_footing_width_ec7(scenario: FootingScenario, design_approach: str,
-                             tolerance: float = 1e-3,
+                             resolution: float = RESOLUTION,
                              catalog: Catalog | None = None,
                              drainage: str = "drained") -> WidthDesignResult:
-    """Bisection on utilization(B) - 1 for the required footing width.
+    """``B_req``, the least width k/n m, n = 1 m / ``resolution``, with
+    B' = B - 2e > 0 and B <= L (Annex D's B' is the smaller side) at which
+    the ULS check passes; the check, with its trace, is built there alone.
+    When the widest width fails, or the floor passes, NoBracket names
+    [floor, L]. A trial that fails raises what the check at its width
+    raises, partial trace included."""
+    n = round(1.0 / resolution) if 1e-6 <= resolution <= 1.0 else 0  # also a NaN
+    if not (n and math.isclose(n * resolution, 1.0)):
+        raise SchemaError("$.resolution", "must divide 1 m into whole steps, from 1e-06 m to 1 m")
+    L, e = scenario.L, scenario.e
+    k_lo, k_hi = 2.0 * e * n, L * n
+    if max(k_lo, k_hi) < math.inf:  # else the checker refuses the width
+        k_lo, k_hi = math.floor(k_lo) + 1, round(k_hi)
+        k_lo += k_lo / n - 2.0 * e <= 0  # the floor, the least width with B' > 0
+        k_hi -= k_hi / n > L  # the widest width up to L
+    trial, result = _uls_checker(scenario, design_approach, catalog, drainage,
+                                 max(k_lo, k_hi) / n)
+    found = k_lo < k_hi and _least_passing(trial, n, k_lo, k_hi)
+    if not found:
+        raise NoBracket(k_lo / n, L)
+    k_lo, at_lo, k_hi, at_hi, trials = found
+    return WidthDesignResult(design_approach=design_approach, B_req=k_hi / n,
+                             B_below=k_lo / n, utilization_below=at_lo[4],
+                             trials=trials, check=result(at_hi))
 
-    Returns the passing end of the bracket, once its utilization lies in
-    (1 - tolerance, 1] or no float lies between the ends, together with
-    the check there. A trial width computes the utilization only; the
-    check, with its trace, is built once, at the width returned, from that
-    trial. A trial that fails raises what the check at its width raises,
-    partial trace included. The bracket starts at [0.1 m, 20 m] and expands
-    automatically (up to fixed limits) when utilization does not cross 1
-    inside it.
-    """
-    if not 0.0 < tolerance < 1.0:  # also a NaN or a huge int
-        raise SchemaError("$.tolerance", "must lie strictly between 0 and 1")
-    min_b = max(2.0 * scenario.e + 1e-6, 1e-4)
-    lo = max(0.1, min_b)
-    trial, result = _uls_checker(scenario, design_approach, catalog, drainage, lo)
 
-    hi = max(20.0, lo)
-    (u_lo, _), (u_hi, at_hi) = trial(lo), trial(hi)
-    expansions = 0
-    while u_lo <= 1.0 and lo > min_b:
-        lo = max(lo / 2.0, min_b)
-        u_lo, _ = trial(lo)
-        expansions += 1
-    while u_hi >= 1.0 and expansions < 24:
-        hi *= 2.0
-        u_hi, at_hi = trial(hi)
-        expansions += 1
-    if u_lo <= 1.0 or u_hi >= 1.0:
-        raise NoBracket(lo, hi)
+def _least_passing(trial: Callable[[float], tuple], n: int, k_lo: int, k_hi: int):
+    """``(k_lo, at_lo, k_hi, at_hi, trials)``: adjacent grid indices of a
+    failing and a passing width, their ``trial(k/n)`` states and the trials
+    made; None when ``k_hi``, tried first, fails or ``k_lo`` passes. It is
+    the Illinois method (Dowell and Jarratt, BIT 1971) on g = 1 - R_d/V_d,
+    each interpolate rounded up into the bracket, or bisection where the
+    interpolate is not finite."""
+    def gap(state):  # g, from V_d and R_d; NaN where V_d = 0
+        return 1.0 - state[3] / state[2] if state[2] > 0 else math.nan
 
-    iterations = 0
-    while u_hi <= 1.0 - tolerance:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        u_mid, at_mid = trial(mid)
-        if u_mid > 1.0:
-            lo = mid
+    u_hi, at_hi = trial(k_hi / n)
+    if u_hi > PASS_LIMIT:
+        return None
+    u_lo, at_lo = trial(k_lo / n)
+    if u_lo <= PASS_LIMIT:
+        return None
+    g_lo, g_hi, trials = gap(at_lo), gap(at_hi), 2
+    kept = 0  # the end the last trial kept: -1 the lower, 1 the upper
+    while k_hi - k_lo > 1:
+        x = (k_hi - k_lo) * g_lo / (g_lo - g_hi) if g_lo > g_hi else math.nan
+        k = k_lo + math.ceil(x) if math.isfinite(x) else (k_lo + k_hi) // 2
+        k = min(max(k, k_lo + 1), k_hi - 1)
+        u, at = trial(k / n)
+        trials += 1
+        if u <= PASS_LIMIT:  # Illinois: halve g at an end kept twice running
+            g_lo /= 2.0 if kept < 0 else 1.0
+            k_hi, at_hi, g_hi, kept = k, at, gap(at), -1
         else:
-            hi, u_hi, at_hi = mid, u_mid, at_mid
-        iterations += 1
-    return WidthDesignResult(design_approach=design_approach, B_req=hi,
-                             check=result(at_hi), iterations=iterations)
+            g_hi /= 2.0 if kept > 0 else 1.0
+            k_lo, at_lo, g_lo, kept = k, at, gap(at), 1
+    return k_lo, at_lo, k_hi, at_hi, trials

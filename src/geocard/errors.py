@@ -206,7 +206,7 @@ class InvalidGeometry(GeocardError):
 
 class NoBracket(GeocardError):
     code = "no_bracket"
-    # lowest and highest width tried, in m
+    # the width search's floor and L, in m
     message = "utilization does not cross 1.0 for widths in [{:g} m, {:g} m]"
 
 

@@ -122,9 +122,10 @@ TOOLS: list[dict] = [
     },
     {
         "name": "geo_evaluate",
-        "description": "Evaluate a card variant with numeric inputs already "
-                       "normalized to the card's declared units. Returns the "
-                       "full evaluation trace.",
+        "description": "Evaluate a card variant. A JSON number is taken in "
+                       "the card's declared unit for its key; text must carry "
+                       "a unit tag (e.g. \"30 deg\"). Returns the full "
+                       "evaluation trace.",
         "inputSchema": _EVALUATE_SCHEMA,
     },
     {
@@ -175,21 +176,30 @@ TOOLS: list[dict] = [
             {
                 "scenario": {"type": "object"},
                 "design_approach": {"type": "string"},
-                "B": {"type": ["number", "string"]},
+                "B": {"type": ["number", "string"],
+                      "description": "Footing width: a JSON number in m, or "
+                                     "text with a unit tag (e.g. \"2 m\")."},
                 "drainage": {"type": "string"},
             },
             ["scenario", "design_approach", "B"]),
     },
     {
         "name": "geo_design_footing_width_ec7",
-        "description": "Search (bisection) for the footing width where the "
-                       "Eurocode 7 utilization reaches 1.0 for a Design "
-                       "Approach; returns the width and the converged check.",
+        "description": "Required footing width for a Design Approach: B_req "
+                       "is the least width on a grid of step resolution "
+                       "(default 0.1 mm), up to L, at which the Eurocode 7 "
+                       "ULS check passes. Returns B_req with the check there, "
+                       "and B_below, one step narrower, with its utilization "
+                       "(> 1): two geo_check_footing_uls_ec7 calls confirm both.",
         "inputSchema": _schema(
             {
                 "scenario": {"type": "object"},
                 "design_approach": {"type": "string"},
-                "tolerance": {"type": "number"},
+                "resolution": {"type": ["number", "string"],
+                               "description": "Grid step: 1 m over a whole "
+                                              "number; a JSON number in m, or "
+                                              "text with a unit tag (e.g. "
+                                              "\"1 mm\")."},
                 "drainage": {"type": "string"},
             },
             ["scenario", "design_approach"]),

@@ -113,12 +113,12 @@ def geo_check_footing_uls_ec7(server, args):
 
 
 def geo_design_footing_width_ec7(server, args):
-    from .ec7 import design_footing_width_ec7, read_scenario
+    from .ec7 import RESOLUTION, design_footing_width_ec7, read_scenario
 
     scenario = read_scenario(args["scenario"])
+    resolution = to_magnitude(args.get("resolution", RESOLUTION), "m", "resolution")
     return design_footing_width_ec7(
-        scenario, args["design_approach"],
-        tolerance=args.get("tolerance", 1e-3),
+        scenario, args["design_approach"], resolution,
         catalog=server.catalog, drainage=args.get("drainage", "drained"))
 
 

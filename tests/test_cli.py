@@ -23,7 +23,7 @@ from geocard.ec7 import (DESIGN_APPROACHES, bundled_scenario_path,
                          load_scenario)
 from geocard.engine import strict_json
 from geocard.report import format_sig
-from test_ec7 import OVERFLOWING, overflowing_scenario
+from test_ec7 import BAD_RESOLUTION, OVERFLOWING, overflowing_scenario
 from test_engine import dimensionless_card
 from test_goldens import BY_NAME, ROOT
 
@@ -306,12 +306,10 @@ class TestEc7Commands:
         (["check", "--B", "-1e-3 m"], "width must be positive, got -0.001"),
         (["check", "--B", "-1e999 m"], "'B' is not a finite number"),
         (["check", "--B", "-0.5 m"], "width must be positive, got -0.5"),
-        (["design", "--tolerance", "-1e-3"],
-         "$.tolerance: must lie strictly between 0 and 1"),
-        (["design", "--tol", "-1e-3"],
-         "$.tolerance: must lie strictly between 0 and 1"),
+        (["design", "--resolution", "-1e-3 m"], BAD_RESOLUTION),
+        (["design", "--res", "-1 mm"], BAD_RESOLUTION),
     ], ids=["width-exponent", "width-minus-inf", "width-decimal",
-            "tolerance-exponent", "tolerance-abbreviated"])
+            "resolution-exponent", "resolution-abbreviated"])
     def test_negative_value_after_its_option_is_a_domain_error(self, command,
                                                                error, capsys):
         """A value that starts with "-" reaches the domain check, whether
@@ -426,9 +424,9 @@ class TestEc7JsonMatchesTheReference:
     @pytest.mark.parametrize("da", ["DA3", "all"])
     def test_design(self, da, capsys):
         assert main(["ec7", "design", "--scenario", SCENARIO, "--da", da,
-                     "--tolerance", "0.01", "--format", "json"]) == 0
+                     "--resolution", "10 mm", "--format", "json"]) == 0
         scenario = load_scenario(Path(SCENARIO).read_text())
-        results = [design_footing_width_ec7(scenario, d, tolerance=0.01)
+        results = [design_footing_width_ec7(scenario, d, resolution=0.01)
                    for d in (DESIGN_APPROACHES if da == "all" else [da])]
         assert capsys.readouterr().out == self.reference(results)
 
@@ -534,13 +532,17 @@ _CLI_ROWS = {
         "BEARING_CAPACITY_TERZAGHI", "general_shear_failure_strip",
         dict(_TERZAGHI_INPUTS, phi_prime="30"))]),
     "golden_cli_ec7_design.json": ("geo_design_footing_width_ec7", _ec7(
-        JRC_A3, "all", {"tolerance": 1e-3, "drainage": "drained"})),
+        JRC_A3, "all", {"drainage": "drained"})),
     "golden_cli_ec7_design_tight.json": ("geo_design_footing_width_ec7", _ec7(
-        JRC_A3, "all", {"tolerance": 1e-9, "drainage": "drained"})),
+        JRC_A3, "all", {"resolution": "0.001 mm", "drainage": "drained"})),
+    "design-resolution-1-m": ("geo_design_footing_width_ec7", _ec7(
+        JRC_A3, "DA2", {"resolution": "1 m", "drainage": "drained"})),
+    "design-resolution-0.3-m": ("geo_design_footing_width_ec7", _ec7(
+        JRC_A3, "DA2", {"resolution": "0.3 m", "drainage": "drained"})),
     "golden_cli_ec7_design_drained.json": ("geo_design_footing_width_ec7", _ec7(
-        PAD, "all", {"tolerance": 1e-3, "drainage": "drained"})),
+        PAD, "all", {"drainage": "drained"})),
     "golden_cli_ec7_design_undrained.json": ("geo_design_footing_width_ec7", _ec7(
-        PAD, "all", {"tolerance": 1e-3, "drainage": "undrained"})),
+        PAD, "all", {"drainage": "undrained"})),
     "golden_cli_ec7_check.json": ("geo_check_footing_uls_ec7", _ec7(
         JRC_A3, "all", {"B": "2.0 m", "drainage": "drained"})),
     "golden_cli_ec7_check_undrained_da2.json": ("geo_check_footing_uls_ec7", _ec7(

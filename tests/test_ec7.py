@@ -16,6 +16,8 @@ from geocard.cards import load_card
 from geocard.catalog import Catalog
 from geocard.ec7 import (
     DESIGN_APPROACHES,
+    PASS_LIMIT,
+    RESOLUTION,
     EC7_CARD_ID,
     SURCHARGE_MODELS,
     FootingScenario,
@@ -27,6 +29,8 @@ from geocard.ec7 import (
     bundled_scenario_path,
     load_bundled_scenario,
     load_scenario,
+    _least_passing,
+    _uls_checker,
 )
 from geocard.catalog import default_catalog
 from json.encoder import encode_basestring_ascii
@@ -47,6 +51,9 @@ from geocard.errors import (
 )
 
 SCENARIO = load_bundled_scenario()
+PAD = load_scenario((Path(__file__).parent / "data/scenario_eccentric_pad.json")
+                    .read_text("utf-8"))
+BAD_RESOLUTION = "$.resolution: must divide 1 m into whole steps, from 1e-06 m to 1 m"
 
 
 class TestPresetPartials:
@@ -274,10 +281,10 @@ class TestUlsCheck:
             check_footing_uls_ec7(SCENARIO, "DA2", 1.5, drainage="bogus")
 
     @pytest.mark.parametrize("call, error, message", [
-        (lambda: design_footing_width_ec7(SCENARIO, "DA9", tolerance=0.0),
-         SchemaError, "$.tolerance: must lie strictly between 0 and 1"),
-        (lambda: design_footing_width_ec7(
-            dataclasses.replace(SCENARIO, e=1e10), "DA2", drainage="undrained"),
+        (lambda: design_footing_width_ec7(SCENARIO, "DA9", resolution=0.0),
+         SchemaError, BAD_RESOLUTION),
+        (lambda: design_footing_width_ec7(  # the floor's 0.1 mm is lost in rounding
+            dataclasses.replace(SCENARIO, e=1e15), "DA2", drainage="undrained"),
          InvalidGeometry, "effective width B - 2e = 0 m is not positive"),
         (lambda: design_footing_width_ec7(
             dataclasses.replace(SCENARIO, e=1e308), "DA2", drainage="bogus"),
@@ -288,11 +295,19 @@ class TestUlsCheck:
         (lambda: check_footing_uls_ec7(
             dataclasses.replace(SCENARIO, e=1.0), "DA2", 1.5, drainage="undrained"),
          InvalidGeometry, "effective width B - 2e = -0.5 m is not positive"),
-    ], ids=["tolerance", "effective-width", "non-finite-width", "card",
-            "check-width-before-c_u_k"])
+        (lambda: design_footing_width_ec7(
+            dataclasses.replace(SCENARIO, L=1e305), "DA9"),
+         UnknownDesignApproach, "unknown design approach: 'DA9'"),
+        (lambda: design_footing_width_ec7(
+            dataclasses.replace(SCENARIO, L=1e305), "DA2", drainage="bogus"),
+         NonFiniteValue, "'B' is not a finite number"),
+    ], ids=["resolution", "effective-width", "non-finite-width", "card",
+            "check-width-before-c_u_k", "design-approach-before-width",
+            "top-overflows-the-grid"])
     def test_design_error_order_for_several_bad_arguments(self, call, error, message):
-        """The design checks its tolerance, then its first width (with the
-        check's order), before the card, the drainage and ``c_u_k``."""
+        """The design checks its resolution, then its widest width (with the
+        check's order), before the card, the drainage and ``c_u_k``. An end
+        of the grid that overflows to infinity is a non-finite width."""
         with pytest.raises(error) as raised:
             call()
         assert str(raised.value) == message
@@ -323,10 +338,10 @@ class TestUlsCheck:
 
 
 class TestWidthDesign:
-    def test_converges_within_tolerance(self):
+    def test_utilization_at_b_req_is_within_1e_3_of_one(self):
         result = design_footing_width_ec7(SCENARIO, "DA1-C2")
         assert abs(result.check.utilization - 1.0) < 1e-3
-        assert result.check.passed or result.check.utilization < 1.0 + 1e-3
+        assert result.check.passed
 
     def test_design_approach_ordering(self):
         """DA2 most economical, DA3 most conservative (published conclusion)."""
@@ -340,7 +355,7 @@ class TestWidthDesign:
         assert max(b_c1, b_c2) == b_c2
 
     def test_utilization_monotone_over_bracket(self):
-        """Sampled utilization is strictly decreasing, so bisection is safe."""
+        """Sampled utilization is strictly decreasing: one crossing."""
         previous = math.inf
         for i in range(50):
             width = 0.4 + i * (4.0 - 0.4) / 49
@@ -356,15 +371,32 @@ class TestWidthDesign:
         with pytest.raises(NoBracket) as err:
             design_footing_width_ec7(unloaded, "DA1-C1")
         assert str(err.value) == ("utilization does not cross 1.0 for widths in "
-                                  "[0.0001 m, 20 m]")
+                                  "[0.0001 m, 21.4 m]")
 
-    def test_lower_bracket_stops_at_the_floor(self):
-        """A design needing about 0.14 mm: the tenth halving from 0.1 m is
-        held at the 1e-4 m floor, where the bisection starts."""
+    @pytest.mark.parametrize("changes, floor", [({}, "0.0001 m"), ({"e": 0.15}, "0.3001 m")])
+    def test_no_width_up_to_l_passes(self, changes, floor):
+        """The search stops at L, where the bracket once widened to 3.4e8 m."""
+        short = dataclasses.replace(SCENARIO, L=1.5, **changes)
+        assert not check_footing_uls_ec7(short, "DA2", 1.5).passed
+        with pytest.raises(NoBracket) as err:
+            design_footing_width_ec7(short, "DA2")
+        assert str(err.value) == ("utilization does not cross 1.0 for widths in "
+                                  f"[{floor}, 1.5 m]")
+
+    def test_no_width_with_a_positive_b_prime_up_to_l(self):
+        """With 2e >= L no grid width up to L has B' > 0."""
+        with pytest.raises(NoBracket) as err:
+            design_footing_width_ec7(dataclasses.replace(SCENARIO, L=1.0, e=0.5), "DA2")
+        assert str(err.value) == ("utilization does not cross 1.0 for widths in "
+                                  "[1.0001 m, 1 m]")
+
+    def test_lower_bracket_is_the_floor(self):
+        """A design needing about 0.14 mm: the floor, one step, fails and
+        the next step passes."""
         light = dataclasses.replace(SCENARIO, G_k_col=1e-4, Q_k=0.0, gamma_sw=0.0)
         assert check_footing_uls_ec7(light, "DA1-C1", 1e-4).utilization > 1.0
         result = design_footing_width_ec7(light, "DA1-C1")
-        assert (result.B_req, result.iterations) == (0.00013926436342298986, 28)
+        assert (result.B_req, result.B_below, result.trials) == (0.0002, 0.0001, 3)
 
     @pytest.mark.parametrize("phi", [1e-17, 1e-300, 1e-9, 5e-324])
     def test_tiny_friction_angle_designs_as_zero(self, phi):
@@ -374,38 +406,37 @@ class TestWidthDesign:
         at_zero = design_footing_width_ec7(cohesive, "DA1-C1")
         tiny = design_footing_width_ec7(
             dataclasses.replace(cohesive, phi_prime_k=phi), "DA1-C1")
-        assert at_zero.B_req == pytest.approx(1.3000244, abs=1e-7)
-        assert (tiny.B_req, tiny.iterations) == (at_zero.B_req, at_zero.iterations)
+        assert at_zero.B_req == 1.2994
+        assert (tiny.B_req, tiny.trials) == (at_zero.B_req, at_zero.trials)
 
 
 class TestWidthDesignPassesOwnCheck:
-    @pytest.mark.parametrize("da", ["DA1-C1", "DA1-C2", "DA2", "DA3"])
-    def test_required_width_passes_within_tolerance(self, da):
-        result = design_footing_width_ec7(SCENARIO, da, tolerance=1e-3)
-        assert result.check.passed
-        assert 1.0 - 1e-3 < result.check.utilization <= 1.0
-        assert result.check.B == result.B_req
+    @pytest.mark.parametrize("resolution, B_req, B_below", [
+        (1e-3, 1.211, 1.21), (1e-4, 1.2101, 1.21), (1e-6, 1.210041, 1.21004),
+        (1.0, 2.0, 1.0), (1 / 3, 1.3333333333333333, 1.0)])
+    def test_b_req_is_the_least_passing_width_on_the_grid(self, resolution, B_req, B_below):
+        """Each grid width prints as its decimal, so 1.211 and not
+        1.2110000000000001; 1 m / resolution only needs to be whole."""
+        result = design_footing_width_ec7(SCENARIO, "DA2", resolution=resolution)
+        assert (result.B_req, result.B_below) == (B_req, B_below)
+        assert result.check.passed and result.check.B == result.B_req
+        below = check_footing_uls_ec7(SCENARIO, "DA2", result.B_below)
+        assert not below.passed and below.utilization == result.utilization_below
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1e-3, math.nan, math.inf,
-                                           1.0, 5.0])
-    def test_bad_tolerance_rejected(self, tolerance):
+    @pytest.mark.parametrize("resolution", [0.0, -1e-3, math.nan, math.inf, -math.inf,
+                                            5e-324, 9.9e-7, 1.5, 5.0, 0.3, 3e-4])
+    def test_bad_resolution_rejected(self, resolution):
         with pytest.raises(SchemaError) as err:
-            design_footing_width_ec7(SCENARIO, "DA2", tolerance=tolerance)
-        assert str(err.value) == "$.tolerance: must lie strictly between 0 and 1"
+            design_footing_width_ec7(SCENARIO, "DA2", resolution=resolution)
+        assert str(err.value) == BAD_RESOLUTION
 
-    def test_unreachable_tolerance_returns_the_last_passing_float(self):
-        # 1 - 1e-300 rounds to 1.0, which no passing width exceeds: the
-        # search stops once no float lies between the ends of its bracket.
-        result = design_footing_width_ec7(SCENARIO, "DA2", tolerance=1e-300)
-        assert result.check.passed and result.check.utilization <= 1.0
-        below = check_footing_uls_ec7(SCENARIO, "DA2", math.nextafter(result.B_req, 0))
-        assert below.utilization > 1.0
+    # The least float width at which DA1-C1 passes, by bisection on floats.
+    EDGE = 1.0095262610723903
 
     def test_pass_allows_a_utilization_within_1e_12_of_one(self):
-        B_req = design_footing_width_ec7(SCENARIO, "DA1-C1", tolerance=1e-300).B_req
-        below = check_footing_uls_ec7(SCENARIO, "DA1-C1", math.nextafter(B_req, 0))
+        below = check_footing_uls_ec7(SCENARIO, "DA1-C1", math.nextafter(self.EDGE, 0))
         assert (below.utilization, below.passed) == (1.0000000000000002, True)
-        short = check_footing_uls_ec7(SCENARIO, "DA1-C1", B_req * (1 - 1e-12))
+        short = check_footing_uls_ec7(SCENARIO, "DA1-C1", self.EDGE * (1 - 1e-12))
         assert (short.utilization, short.passed) == (1.0000000000018683, False)
 
 
@@ -669,48 +700,41 @@ def _reference_check(scenario, design_approach, B, catalog=None,
         partial_factors=pf, trace=trace, drainage=drainage)
 
 
-def _traced_search(scenario, design_approach, tolerance=1e-3, catalog=None,
+def _traced_search(scenario, design_approach, resolution=RESOLUTION, catalog=None,
                    drainage="drained"):
-    """The width search as first written: every trial is a reference check."""
-    return _bisection(scenario, design_approach, tolerance, lambda width: _reference_check(
+    """The width search with every trial a reference check."""
+    return _bisection(scenario, design_approach, resolution, lambda width: _reference_check(
         scenario, design_approach, width, catalog=catalog, drainage=drainage))
 
 
-def _bisection(scenario, design_approach, tolerance, check):
-    """The bracket-and-bisect loop of the width search, with every trial
-    width a full ``check(width)``."""
-    if not 0.0 < tolerance < 1.0:
-        raise SchemaError("$.tolerance", "must lie strictly between 0 and 1")
-    min_b = max(2.0 * scenario.e + 1e-6, 1e-4)
-
-    lo = max(0.1, min_b)
-    hi = max(20.0, lo)
-    at_lo, at_hi = check(lo), check(hi)
-    expansions = 0
-    while at_lo.utilization <= 1.0 and lo > min_b:
-        lo = max(lo / 2.0, min_b)
-        at_lo = check(lo)
-        expansions += 1
-    while at_hi.utilization >= 1.0 and expansions < 24:
-        hi *= 2.0
-        at_hi = check(hi)
-        expansions += 1
-    if at_lo.utilization <= 1.0 or at_hi.utilization >= 1.0:
-        raise NoBracket(lo, hi)
-
-    iterations = 0
-    while at_hi.utilization <= 1.0 - tolerance:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        at_mid = check(mid)
-        if at_mid.utilization > 1.0:
-            lo = mid
-        else:
+def _bisection(scenario, design_approach, resolution, check):
+    """An independent width search: plain bisection over the grid index k,
+    between the floor (the least k with k/n - 2e > 0) and the greatest k
+    with k/n <= L, with every trial width a full ``check(width)``."""
+    n = round(1 / resolution)
+    lo = int(2 * scenario.e * n)
+    while lo / n - 2 * scenario.e <= 0:
+        lo += 1
+    hi = int(scenario.L * n) + 1
+    while hi / n > scenario.L:
+        hi -= 1
+    at_hi = check(hi / n)
+    if not at_hi.passed:
+        raise NoBracket(lo / n, scenario.L)
+    at_lo = check(lo / n)
+    if at_lo.passed:
+        raise NoBracket(lo / n, scenario.L)
+    trials = 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        at_mid = check(mid / n)
+        if at_mid.passed:
             hi, at_hi = mid, at_mid
-        iterations += 1
-    return WidthDesignResult(design_approach=design_approach, B_req=hi,
-                             check=at_hi, iterations=iterations)
+        else:
+            lo, at_lo = mid, at_mid
+        trials += 1
+    return WidthDesignResult(design_approach=design_approach, B_req=hi / n, B_below=lo / n,
+                             utilization_below=at_lo.utilization, trials=trials, check=at_hi)
 
 
 def _error_record(exc):
@@ -726,6 +750,31 @@ def _design_reply(search):
         return strict_json(search().to_dict())
     except GeocardError as exc:
         return _error_record(exc)
+
+
+def _without_trials(search):
+    """The strict JSON of a design with its trial count set to 0, which two
+    searches that find the same width share, or the error's record."""
+    return _design_reply(lambda: dataclasses.replace(search(), trials=0))
+
+
+def _certified(search, reference, check, resolution=RESOLUTION):
+    """The design ``search`` makes, checked by its certificate: ``check``
+    passes at B_req and fails one grid step below, at B_below, and gives
+    the reply's numbers at both. Where the search raises, the independent
+    search ``reference`` raises the same error, and the result is None."""
+    try:
+        result = search()
+    except GeocardError as exc:
+        assert _design_reply(reference) == _error_record(exc)
+        return None
+    n = round(1 / resolution)
+    assert result.B_below == (round(result.B_req * n) - 1) / n
+    at_req, at_below = check(result.B_req), check(result.B_below)
+    assert at_req.passed and not at_below.passed
+    assert strict_json(result.to_dict()) == strict_json(dataclasses.replace(
+        result, utilization_below=at_below.utilization, check=at_req).to_dict())
+    return result
 
 
 _SCENARIOS = st.builds(
@@ -750,23 +799,28 @@ def _jrc_a3(**changes) -> FootingScenario:
     return load_scenario(overflowing_scenario(changes))
 
 
-# q_ult overflows at the bracket's upper end, 20 m: a fault in a step that
-# a trial evaluates after the staged ones.
+# q_ult overflows at the bracket's upper end, L = 21.4 m: a fault in a
+# step that a trial evaluates after the staged ones.
 _HEAVY_SOIL = _jrc_a3(gamma_k="1e306 kN/m^3")
+
+# The 12 bundled designs: jrc_a3 drained, and the eccentric pad drained and
+# undrained, under each Design Approach.
+BUNDLED_DESIGNS = [(SCENARIO, da, "drained") for da in DESIGN_APPROACHES] + [
+    (PAD, da, drainage) for da in DESIGN_APPROACHES for drainage in ("drained", "undrained")]
+BUNDLED_IDS = [f"{scenario.name}-{da}-{drainage}" for scenario, da, drainage in BUNDLED_DESIGNS]
 
 
 class TestWidthSearchMatchesTracedSearch:
     @settings(max_examples=60, deadline=None)
     @given(_SCENARIOS)
     @example(_HEAVY_SOIL)
-    def test_same_reply_or_same_error(self, scenario):
+    def test_certified_by_reference_checks_or_same_error(self, scenario):
         for da in DESIGN_APPROACHES:
             for drainage in ("drained", "undrained"):
-                got = _design_reply(lambda: design_footing_width_ec7(
-                    scenario, da, drainage=drainage))
-                expected = _design_reply(lambda: _traced_search(
-                    scenario, da, drainage=drainage))
-                assert got == expected, (da, drainage)
+                _certified(lambda: design_footing_width_ec7(scenario, da, drainage=drainage),
+                           lambda: _traced_search(scenario, da, drainage=drainage),
+                           lambda width: _reference_check(scenario, da, width,
+                                                          drainage=drainage))
 
     @settings(max_examples=40, deadline=None)
     @given(_SCENARIOS, st.floats(-1.0, 40.0))
@@ -780,10 +834,11 @@ class TestWidthSearchMatchesTracedSearch:
                     scenario, da, width, drainage=drainage))
                 assert got == expected, (da, drainage)
 
-    @pytest.mark.parametrize("da", DESIGN_APPROACHES)
-    def test_bundled_scenario(self, da):
-        assert _design_reply(lambda: design_footing_width_ec7(SCENARIO, da)) == \
-            _design_reply(lambda: _traced_search(SCENARIO, da))
+    @pytest.mark.parametrize("scenario, da, drainage", BUNDLED_DESIGNS, ids=BUNDLED_IDS)
+    def test_bundled_designs(self, scenario, da, drainage):
+        assert _without_trials(lambda: design_footing_width_ec7(
+            scenario, da, drainage=drainage)) == _without_trials(lambda: _traced_search(
+                scenario, da, drainage=drainage))
 
 
 def _same_json(result) -> dict:
@@ -812,35 +867,53 @@ _REAL_DESIGN = design_footing_width_ec7(SCENARIO, "DA3")
 
 
 def _search_outcome(search):
-    """The design's bytes and halvings, or the error as a client reads it."""
+    """The design's bytes and trials, or the error as a client reads it."""
     try:
         result = search()
     except GeocardError as exc:
         return type(exc), str(exc), exc.payload()
-    return to_reply(result), result.iterations
+    return to_reply(result), result.trials
+
+
+def _checked_bisection(scenario, da, drainage, resolution=RESOLUTION):
+    """The bisection reference made of public checks."""
+    return _bisection(scenario, da, resolution, lambda width: check_footing_uls_ec7(
+        scenario, da, width, drainage=drainage))
 
 
 class TestWidthSearchMatchesCheckedSearch:
-    """The width search against the bracket and bisection made of public
-    checks, one ``check_footing_uls_ec7`` per trial width."""
+    """The width search against the certificate and the bisection made of
+    public checks, one ``check_footing_uls_ec7`` per trial width."""
 
     @settings(max_examples=80, deadline=None)
     @given(_SCENARIOS, st.sampled_from(DESIGN_APPROACHES),
-           st.sampled_from(("drained", "undrained")), st.sampled_from((1e-2, 1e-3, 1e-6)))
+           st.sampled_from(("drained", "undrained")),
+           st.sampled_from((1e-2, 1e-3, 1e-4, 1e-6)))
     @example(_jrc_a3(L="1.5 m"), "DA2", "drained", 1e-3)  # NoBracket
     @example(_jrc_a3(G_k_col="1.5e308 kN"), "DA2", "drained", 1e-3)  # V_d overflows
     @example(_jrc_a3(phi_prime_k="89.99 deg"), "DA3", "drained", 1e-6)  # N_q overflows
     @example(SCENARIO, "DA1-C1", "undrained", 1e-2)  # no c_u_k
     @example(SCENARIO, "DA1-C2", "drained", 1e-6)
     @example(_NO_C_U, "DA3", "drained", 1e-2)
-    @example(SCENARIO, "DA2", "drained", 1e-300)  # no float between the ends
+    @example(_SUBMERGED_LIGHT, "DA1-C1", "drained", 1e-4)  # R_d < 0 at the floor
     @example(_HEAVY_SOIL, "DA2", "drained", 1e-3)  # q_ult overflows
-    def test_same_design_or_same_error(self, scenario, da, drainage, tolerance):
-        expected = _search_outcome(lambda: _bisection(
-            scenario, da, tolerance, lambda width: check_footing_uls_ec7(
-                scenario, da, width, drainage=drainage)))
-        assert _search_outcome(lambda: design_footing_width_ec7(
-            scenario, da, tolerance, drainage=drainage)) == expected
+    def test_certified_or_same_error(self, scenario, da, drainage, resolution):
+        _certified(lambda: design_footing_width_ec7(scenario, da, resolution,
+                                                    drainage=drainage),
+                   lambda: _checked_bisection(scenario, da, drainage, resolution),
+                   lambda width: check_footing_uls_ec7(scenario, da, width,
+                                                       drainage=drainage),
+                   resolution)
+
+    @pytest.mark.parametrize("resolution", [1e-3, 1e-4])
+    @pytest.mark.parametrize("scenario, da, drainage", BUNDLED_DESIGNS, ids=BUNDLED_IDS)
+    def test_bundled_designs_find_the_bisection_width(self, scenario, da, drainage,
+                                                      resolution):
+        got = design_footing_width_ec7(scenario, da, resolution, drainage=drainage)
+        expected = _checked_bisection(scenario, da, drainage, resolution)
+        assert (got.B_req, got.B_below) == (expected.B_req, expected.B_below)
+        assert _without_trials(lambda: got) == _without_trials(lambda: expected)
+        assert got.trials < expected.trials
 
     @pytest.mark.parametrize("changes, da, drainage, kind, message", [
         ({"L": "1.5 m"}, "DA2", "drained", NoBracket, "utilization does not cross 1.0"),
@@ -863,10 +936,10 @@ class TestWidthSearchMatchesCheckedSearch:
         with pytest.raises(NonFiniteValue) as err:
             design_footing_width_ec7(_HEAVY_SOIL, "DA2")
         assert str(err.value) == "'q_ult' is not a finite number"
-        inputs = {"B": 20.0, "N_c": 61.35176569979716, "N_gamma": 74.89912273566651,
+        inputs = {"B": 21.4, "N_c": 61.35176569979716, "N_gamma": 74.89912273566651,
                   "N_q": 48.93325270205936, "c_prime_d": 0.0, "gamma": 1e306,
-                  "q": 0.0, "s_c": 1.5873884268436504, "s_gamma": 0.719626168224299,
-                  "s_q": 1.57538455637912}
+                  "q": 0.0, "s_c": 1.6285056167227057, "s_gamma": 0.7,
+                  "s_q": 1.6156614753256582}
         assert err.value.failed_step == {
             "target": "q_ult",
             "expression": "c_prime_d*N_c*s_c + q*N_q*s_q + 0.5*gamma*B*N_gamma*s_gamma",
@@ -877,7 +950,7 @@ class TestWidthSearchMatchesCheckedSearch:
         assert partial.outputs == {}
         assert partial.request_inputs == {
             "phi_prime_d": 0.6632251157578453, "c_prime_d": 0.0, "c_u_d": 0.0, "q": 0.0,
-            "L": 21.4, "gamma": 1e306, "B": 20.0}
+            "L": 21.4, "gamma": 1e306, "B": 21.4}
         assert partial.to_json() == strict_json(partial.to_dict())
 
 
@@ -922,14 +995,15 @@ class TestResultJson:
             utilization=utilization, passed=passed,
             design_parameters={**_REAL_CHECK.design_parameters, "c_u_d": c_u_d})
         design = dataclasses.replace(_REAL_DESIGN, design_approach=design_approach,
-                                     B_req=B_req, check=check)
+                                     B_req=B_req, utilization_below=utilization,
+                                     check=check)
         for result in (check, design):
             assert result._written() is not None
             text = strict_json(result.to_dict())
             assert to_reply(result) == encode_basestring_ascii(text)
         body = json.loads(json.loads(to_reply(design)))
-        assert body["check"]["utilization"] == (None if utilization == math.inf
-                                                else utilization)
+        assert body["check"]["utilization"] == body["utilization_below"] == (
+            None if utilization == math.inf else utilization)
         assert body["check"]["design_parameters"]["c_u_d"] == c_u_d
         assert (body["design_approach"], body["check"]["drainage"]) == (design_approach,
                                                                         drainage)
@@ -978,10 +1052,11 @@ def _doctored_catalog(edit) -> Catalog:
     return Catalog(cards={EC7_CARD_ID: load_card(json.dumps(raw))})
 
 
-# No real value for 1.2 < B' < 1.5 m: the fourth trial width, 1.34375 m,
-# fails midway through the plan, after every bracket check has passed.
-_FAULT_WINDOW = " + 0*sqrt((B - 1.2)*(B - 1.5))"
-_FAULT_WIDTH = 1.34375
+# No real value for 0.3 < B' < 2 m, which holds every B_req of the bundled
+# scenario with c_u_k = 150 kPa, drained and undrained, but neither end of
+# the bracket: the first trial width inside it fails midway through the
+# plan, after both ends' checks have passed.
+_FAULT_WINDOW = " + 0*sqrt((B - 0.3)*(B - 2))"
 
 
 def _fault_in_window(raw):
@@ -1027,24 +1102,23 @@ class TestWidthSearchErrors:
     def test_mid_search_fault_matches_traced_check(self, da, drainage, target):
         catalog = _doctored_catalog(_fault_in_window)
         scenario = dataclasses.replace(SCENARIO, c_u_k=150.0)
-        expected = _raised(lambda: _reference_check(
-            scenario, da, _FAULT_WIDTH, catalog=catalog, drainage=drainage),
-            MathDomain)
         got = _raised(lambda: design_footing_width_ec7(
             scenario, da, catalog=catalog, drainage=drainage), MathDomain)
-        assert got == expected
         _, message, failed_step, partial_trace = got
+        width = failed_step["inputs"]["B"]  # B' = B, as e = 0
+        assert got == _raised(lambda: _reference_check(
+            scenario, da, width, catalog=catalog, drainage=drainage), MathDomain)
         assert message.startswith("sqrt of negative value")
         assert failed_step["target"] == target
-        assert failed_step["inputs"]["B"] == _FAULT_WIDTH
+        assert 0.3 < width < 2.0 and round(width * 1e4) == width * 1e4
         assert json.loads(partial_trace)["steps"]
 
     @pytest.mark.parametrize("edit, kind", [(_extra_input, MissingInput),
                                             (_dropped_input, UnexpectedInput)])
     def test_changed_input_keys_match_traced_check(self, edit, kind):
         catalog = _doctored_catalog(edit)
-        expected = _raised(lambda: _reference_check(
-            SCENARIO, "DA1-C1", 0.1, catalog=catalog), kind)
+        expected = _raised(lambda: _reference_check(  # the first trial, at L
+            SCENARIO, "DA1-C1", SCENARIO.L, catalog=catalog), kind)
         got = _raised(lambda: design_footing_width_ec7(
             SCENARIO, "DA1-C1", catalog=catalog), kind)
         assert got == expected
@@ -1052,8 +1126,8 @@ class TestWidthSearchErrors:
     @pytest.mark.parametrize("da", DESIGN_APPROACHES)
     def test_fault_in_width_independent_step_matches_traced_search(self, da):
         catalog = _doctored_catalog(_fault_in_phi_window)
-        got = _design_reply(lambda: design_footing_width_ec7(SCENARIO, da, catalog=catalog))
-        assert got == _design_reply(lambda: _traced_search(SCENARIO, da, catalog=catalog))
+        got = _without_trials(lambda: design_footing_width_ec7(SCENARIO, da, catalog=catalog))
+        assert got == _without_trials(lambda: _traced_search(SCENARIO, da, catalog=catalog))
         if da in ("DA1-C2", "DA3"):
             kind, message, failed_step, partial_trace = got
             assert kind is MathDomain and failed_step["target"] == "N_q"
@@ -1064,8 +1138,8 @@ class TestWidthSearchErrors:
     @pytest.mark.parametrize("da", DESIGN_APPROACHES)
     def test_first_step_reading_width_matches_traced_search(self, da):
         catalog = _doctored_catalog(_first_step_reads_width)
-        got = _design_reply(lambda: design_footing_width_ec7(SCENARIO, da, catalog=catalog))
-        assert got == _design_reply(lambda: _traced_search(SCENARIO, da, catalog=catalog))
+        got = _without_trials(lambda: design_footing_width_ec7(SCENARIO, da, catalog=catalog))
+        assert got == _without_trials(lambda: _traced_search(SCENARIO, da, catalog=catalog))
         assert json.loads(got)["B_req"] == design_footing_width_ec7(SCENARIO, da).B_req
 
 
@@ -1102,12 +1176,51 @@ class TestTrialFallback:
         assert calls == []
         got = design_footing_width_ec7(chosen, da, drainage=drainage,
                                        catalog=_doctored_catalog(_unit_cycle))
-        assert len(calls) >= got.iterations + 2  # both bracket ends, every halving
+        assert len(calls) == got.trials  # both bracket ends, every step between
         assert got.check.trace.diagnostics["iterative_cycles"][0]["variables"] == ["k"]
 
         def numbers(design):
             check = design.check
-            return [repr(x) for x in (design.B_req, design.iterations,
-                                      check.V_d, check.R_d, check.utilization)]
+            return [repr(x) for x in (design.B_req, design.B_below, design.utilization_below,
+                                      design.trials, check.V_d, check.R_d,
+                                      check.utilization)]
 
         assert numbers(got) == numbers(staged)
+
+
+def _grid(scenario, design_approach, drainage, resolution=RESOLUTION):
+    """The bundled design, the staged trial of its check, n, and the grid
+    indices of its floor, B_below, B_req and the widest width up to L."""
+    result = design_footing_width_ec7(scenario, design_approach, resolution,
+                                      drainage=drainage)
+    trial, _ = _uls_checker(scenario, design_approach, None, drainage, scenario.L)
+    n = round(1 / resolution)
+    floor = int(2 * scenario.e * n) + 1
+    return (result, trial, n, floor, round(result.B_below * n), round(result.B_req * n),
+            int(scenario.L * n))
+
+
+class TestLeastWidth:
+    """B_req is the least passing width on the grid (ROADMAP item 20's last
+    relation), and the search finds it from any bracket that holds it."""
+
+    @pytest.mark.parametrize("scenario, da, drainage", BUNDLED_DESIGNS, ids=BUNDLED_IDS)
+    def test_every_grid_width_from_the_floor_to_b_below_fails(self, scenario, da, drainage):
+        result, trial, n, floor, below, k, _ = _grid(scenario, da, drainage)
+        assert floor < below == k - 1
+        assert check_footing_uls_ec7(scenario, da, floor / n, drainage=drainage).B_effective > 0
+        assert all(trial(i / n)[0] > PASS_LIMIT for i in range(floor, k))
+        assert trial(result.B_req)[0] <= PASS_LIMIT
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(range(len(BUNDLED_DESIGNS))), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0))
+    def test_any_start_bracket_that_holds_k_gives_k(self, index, lower, upper):
+        """A bracket [lo, hi], lo failing below k and hi passing at or
+        above it, drawn between the floor and L."""
+        result, trial, n, floor, below, k, top = _grid(*BUNDLED_DESIGNS[index])
+        lo = floor + math.floor(lower * (below - floor))
+        hi = k + math.floor(upper * (top - k))
+        found = _least_passing(trial, n, lo, hi)
+        assert (found[0], found[2]) == (below, k)
+        assert found[3][0] == result.B_req and found[1][0] == result.B_below

@@ -63,8 +63,8 @@ CASES = [
      "unknown design approach: 'DA4'"),
     (er.InvalidGeometry, ("width must be positive, got -1",),
      "invalid_geometry", "width must be positive, got -1"),
-    (er.NoBracket, (0.1, 50.0), "no_bracket",
-     "utilization does not cross 1.0 for widths in [0.1 m, 50 m]"),
+    (er.NoBracket, (0.0001, 21.4), "no_bracket",
+     "utilization does not cross 1.0 for widths in [0.0001 m, 21.4 m]"),
     (er.InvalidQuery, ("query must be non-empty",), "invalid_query",
      "query must be non-empty"),
     (er.UnknownSkill, ("piles",), "unknown_skill", "unknown skill: 'piles'"),

@@ -10,6 +10,7 @@ for byte to the file under ``tests/data`` that names the row. Standard library o
 """
 
 import difflib
+import json
 import os
 import shlex
 import subprocess
@@ -60,9 +61,12 @@ ROWS = [
     Row("golden_cli_ec7_design_summary.txt", f"ec7 design {JRC_A3} --da all"),
     Row("golden_cli_ec7_check_summary.txt", f"ec7 check {JRC_A3} --da all --B '2 m'"),
     Row("golden_cli_ec7_design_tight.json",
-        f"ec7 design {JRC_A3} --da all --tolerance 1e-9 --format json"),
-    Row("design-tolerance-5e-17",
-        f"ec7 design {JRC_A3} --da DA2 --tolerance 5e-17 --format json", golden=False),
+        f"ec7 design {JRC_A3} --da all --resolution '0.001 mm' --format json"),
+    Row("design-resolution-1-m",
+        f"ec7 design {JRC_A3} --da DA2 --resolution '1 m' --format json", golden=False),
+    Row("design-resolution-0.3-m", f"ec7 design {JRC_A3} --da DA2 --resolution '0.3 m'",
+        False, 1, "error: $.resolution: must divide 1 m into whole steps, "
+        "from 1e-06 m to 1 m\n"),
     *(Row(f"golden_cli_ec7_design_{drainage}.json",
           f"ec7 design {PAD} --da all --drainage {drainage} --format json")
       for drainage in ("drained", "undrained")),
@@ -132,6 +136,77 @@ def test_every_file_a_row_names_exists():
 
 def test_no_row_expects_a_traceback():
     assert [row.name for row in ROWS if "Traceback" in row.stderr] == []
+
+
+def _option(argv: list, name: str, default=None):
+    return argv[argv.index(name) + 1] if name in argv else default
+
+
+def golden_designs() -> list:
+    """``(file, scenario object, drainage, reply body)`` of every EC7 design
+    reply a golden file holds: the CLI rows' JSON, the serve rows' replies
+    to their requests, and the width designs of golden_traces.jsonl."""
+    found = []
+    for row in ROWS:
+        argv = shlex.split(row.argv)
+        if row.golden and argv[:2] == ["ec7", "design"] and _option(argv, "--format") == "json":
+            scenario = json.loads((ROOT / _option(argv, "--scenario")).read_text("utf-8"))
+            drainage = _option(argv, "--drainage", "drained")
+            found += [(row.name, scenario, drainage, body)
+                      for body in json.loads((DATA / row.name).read_text("utf-8"))]
+        elif row.stdin:
+            calls = {}
+            for line in (DATA / row.stdin).read_text("utf-8").splitlines():
+                try:
+                    request = json.loads(line)
+                    params = request["params"]
+                    if params["name"] == "geo_design_footing_width_ec7":
+                        calls[request["id"]] = params["arguments"]
+                except (ValueError, TypeError, KeyError):
+                    continue  # not a design call
+            for line in (DATA / row.name).read_text("utf-8").splitlines():
+                reply = json.loads(line)
+                result = reply.get("result", {})
+                if reply.get("id") in calls and not result.get("isError", True):
+                    arguments = calls[reply["id"]]
+                    found.append((row.name, arguments["scenario"],
+                                  arguments.get("drainage", "drained"),
+                                  json.loads(result["content"][0]["text"])))
+    jrc = json.loads((ROOT / "src/geocard/data/scenarios/jrc_a3.json").read_text("utf-8"))
+    for line in (DATA / "golden_traces.jsonl").read_text("utf-8").splitlines():
+        entry = json.loads(line)
+        if entry["case"].startswith("design/jrc_a3/"):
+            found.append(("golden_traces.jsonl", jrc, "drained", json.loads(entry["text"])))
+    return found
+
+
+def test_every_golden_design_is_certified_by_two_checks():
+    """The check tool passes at B_req, with the reply's own check, and
+    fails one grid step below, at B_below, with its utilization."""
+    from geocard.server import McpServer
+
+    server = McpServer()
+
+    def check(scenario, design, drainage, width) -> dict:
+        reply = server.handle_message({
+            "jsonrpc": "2.0", "id": 1, "method": "tools/call",
+            "params": {"name": "geo_check_footing_uls_ec7", "arguments": {
+                "scenario": scenario, "design_approach": design["design_approach"],
+                "B": width, "drainage": drainage}}})
+        return json.loads(reply["result"]["content"][0]["text"])
+
+    designs = golden_designs()
+    assert sorted({name for name, *_ in designs}) == [
+        "golden_cli_ec7_design.json", "golden_cli_ec7_design_drained.json",
+        "golden_cli_ec7_design_tight.json", "golden_cli_ec7_design_undrained.json",
+        "golden_session_expected.jsonl", "golden_traces.jsonl"]
+    assert len(designs) == 4 * 5 + 2
+    for name, scenario, drainage, design in designs:
+        at_req = check(scenario, design, drainage, design["B_req"])
+        at_below = check(scenario, design, drainage, design["B_below"])
+        assert at_req == design["check"] and at_req["pass"] is True, name
+        assert at_below["pass"] is False, name
+        assert at_below["utilization"] == design["utilization_below"] > 1, name
 
 
 def main(write: bool) -> int:

@@ -9,7 +9,7 @@ by 2 % (from zero, by 2 % of the top of its box). For each Design
 Approach and drainage, an adverse change to a drawn scenario (G_k or Q_k
 up; phi'_k, c'_k, c_u,k or gamma_k down; the water table up; e up; each
 by the same steps) does not lower the required width, and a design
-passes its own check. ``EXCEPTIONS`` lists every pair of a card (or the
+passes its own check, as does every wider width up to L. ``EXCEPTIONS`` lists every pair of a card (or the
 design) and an input where the relation does not hold, with where and
 why; a pair an exception covers is not checked, and no other is skipped.
 The relations guard the physics while the code that computes it changes.
@@ -61,13 +61,12 @@ def _outside_annex_d(before, after) -> bool:
 
 
 # The design's fault: ROADMAP item 2's EC7 probe (jrc_a3 with gamma_k =
-# 5 kN/m^3 and the water table at the surface designs B_req = 71.57 m for
-# L = 21.4 m).
+# 5 kN/m^3 and the water table at the surface has no passing width up to L).
+# The search stops at L, so B' > L no longer breaks a relation.
 ITEM_2_PROBE = (
-    "outside Annex D's domain, gamma_eff <= 0 or B' > L (where s_gamma = "
-    "1 - 0.3 B'/L falls towards and below zero), the gamma term no longer "
-    "grows with gamma_eff, phi' or B, and the search can miss or pass over "
-    "the crossing (ROADMAP item 2's EC7 probe)")
+    "outside Annex D's domain, gamma_eff <= 0, the gamma term is negative and "
+    "grows in size with phi' and B, so a lower phi' can need a narrower "
+    "width (ROADMAP item 2's EC7 probe)")
 
 DESIGN = "design_footing_width_ec7"
 
@@ -84,8 +83,7 @@ EXCEPTIONS = {
         _straddles_df_equal_b,
         "Hansen's depth term is D_f/B up to D_f = B and atan(D_f/B) beyond, "
         "a published step down from 1 to pi/4 (ROADMAP item 3)"),
-    **{(DESIGN, key): (_outside_annex_d, ITEM_2_PROBE)
-       for key in ("phi_prime_k", "gamma_k", "groundwater_depth", "e")},
+    (DESIGN, "phi_prime_k"): (_outside_annex_d, ITEM_2_PROBE),
 }
 
 
@@ -197,17 +195,16 @@ class Design(NamedTuple):
 
 
 def design(scenario: FootingScenario, da: str, drainage: str) -> Design:
-    """The design at a tolerance far below any change's effect. A drained
-    design reaches outside Annex D where gamma_eff <= 0 or B' > L at its
-    width, or where it finds none: its bracket then doubled far past L.
-    An undrained check reads neither gamma nor s_gamma."""
+    """The design on the 0.1 mm grid, far finer than any change's effect.
+    A drained design reaches outside Annex D where gamma_eff <= 0 at its
+    width; B' > L is outside the search. An undrained check reads neither
+    gamma nor s_gamma."""
     try:
-        result = design_footing_width_ec7(scenario, da, tolerance=1e-9, drainage=drainage)
+        result = design_footing_width_ec7(scenario, da, drainage=drainage)
     except NoBracket:
-        return Design(math.inf, drainage == "drained")
-    env = result.check.trace.env  # gamma is gamma_eff, and B is B'
-    return Design(result.B_req, drainage == "drained"
-                  and (env["gamma"] <= 0 or env["B"] > scenario.L))
+        return Design(math.inf, False)
+    env = result.check.trace.env  # gamma is gamma_eff
+    return Design(result.B_req, drainage == "drained" and env["gamma"] <= 0)
 
 
 ITEM_2_SCENARIO = replace(JRC_A3, gamma_k=5.0, groundwater_depth=0.0)
@@ -232,31 +229,26 @@ def test_b_req_does_not_fall_under_an_adverse_change(da, drainage, scenario):
 
 @pytest.mark.parametrize("da, drainage", DESIGN_CASES)
 @settings(max_examples=60, deadline=None)
-@given(scenarios())
-@example(replace(ITEM_2_SCENARIO, c_u_k=50.0))
-def test_a_design_passes_its_own_check(da, drainage, scenario):
+@given(scenarios(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+@example(replace(ITEM_2_SCENARIO, c_u_k=50.0), [1.0])
+@example(replace(JRC_A3, c_u_k=50.0), [0.0, 1e-9, 0.5, 1.0])
+def test_a_design_passes_its_own_check(da, drainage, scenario, fractions):
+    """So does every width drawn in [B_req, L]: the utilization crosses 1
+    once, which the search relies on."""
     try:
         B_req = design_footing_width_ec7(scenario, da, drainage=drainage).B_req
     except NoBracket:
         return
-    assert check_footing_uls_ec7(scenario, da, B_req, drainage=drainage).passed
+    for width in [B_req + f * (scenario.L - B_req) for f in fractions]:
+        assert check_footing_uls_ec7(scenario, da, width, drainage=drainage).passed, width
 
 
 # A scenario and Design Approach at which each design exception's relation
-# fails, drained: gamma_eff <= 0 for gamma_k and the water table, B' > L
-# for phi' and e.
+# fails, drained: gamma_eff <= 0.
 DESIGN_WITNESSES = {
-    (DESIGN, "gamma_k"): (ITEM_2_SCENARIO, "DA1-C1"),
-    (DESIGN, "groundwater_depth"): (replace(ITEM_2_SCENARIO, groundwater_depth=3.0),
-                                    "DA1-C1"),
     (DESIGN, "phi_prime_k"): (FootingScenario(
-        L=1.0, D_f=2.2, phi_prime_k=math.radians(3.0), c_prime_k=5.7, gamma_k=19.4,
-        groundwater_depth=7.5, G_k_col=2700.0, Q_k=900.0, gamma_sw=19.8, e=0.15,
-        surcharge_model="none"), "DA1-C1"),
-    (DESIGN, "e"): (FootingScenario(
-        L=5.8, D_f=1.7, phi_prime_k=math.radians(44.3), c_prime_k=0.0, gamma_k=18.8,
-        groundwater_depth=5.7, G_k_col=4050.0, Q_k=700.0, gamma_sw=22.5, e=0.39,
-        surcharge_model="none"), "DA2"),
+        L=7.3, D_f=2.1, phi_prime_k=0.534, c_prime_k=8.8, gamma_k=5.66,
+        groundwater_depth=0.79, G_k_col=2936.0, Q_k=1936.0, gamma_sw=7.0, e=0.35), "DA1-C1"),
 }
 
 

@@ -529,11 +529,17 @@ class TestNonFiniteAtTheBoundary:
             "scenario": scenario, "design_approach": "DA2"}))
         assert tool_error(response)["error"] == error
 
-    def test_design_tolerance(self, server):
+    @pytest.mark.parametrize("value, error", [
+        (math.nan, "non_finite_value"), ("1e400 mm", "non_finite_value"),
+        ("0.3 m", "schema_error"), (0.0, "schema_error"), ("0.1", "missing_unit"),
+        ("1 kPa", "dimension_mismatch")])
+    def test_design_resolution(self, server, value, error):
+        """The resolution is read as the check reads B: a number in m, or
+        text with a unit tag; then 1 m over it must be a whole number."""
         response = strict_json(call(server, "geo_design_footing_width_ec7", {
             "scenario": JRC_SCENARIO, "design_approach": "DA2",
-            "tolerance": math.nan}))
-        assert tool_error(response)["error"] == "schema_error"
+            "resolution": value}))
+        assert tool_error(response)["error"] == error
 
     def test_overflowing_result_is_tool_error(self, server):
         # Finite inputs whose product overflows to infinity in the trace.
@@ -564,12 +570,12 @@ class TestOverflowingScenario:
 
     @pytest.mark.parametrize("da", DESIGN_APPROACHES)
     @pytest.mark.parametrize("tool, width", [
-        ("geo_design_footing_width_ec7", {}), ("geo_check_footing_uls_ec7", {"B": 0.1})],
+        ("geo_design_footing_width_ec7", {}), ("geo_check_footing_uls_ec7", {"B": 21.4})],
         ids=["design", "check"])
     def test_fault_in_the_staged_run_is_evaluate_cards(self, server, da, tool, width):
         """N_q overflows before any step that reads the width, so the card
         stages nothing, and the design faults at its first trial width,
-        0.1 m: the reply is ``evaluate_card``'s fault there."""
+        L = 21.4 m: the reply is ``evaluate_card``'s fault there."""
         scenario = {**JRC_SCENARIO, "phi_prime_k": "89.9999999 deg"}
         text, is_error = reply(server, tool, {
             "scenario": scenario, "design_approach": da, **width})
@@ -579,7 +585,7 @@ class TestOverflowingScenario:
         assert payload["step"]["target"] == "N_q"
         assert payload["partial_trace"]["steps"] == []
         assert (text, is_error) == reference_reply(lambda: _reference_check(
-            load_scenario(json.dumps(scenario)), da, 0.1,
+            load_scenario(json.dumps(scenario)), da, 21.4,
             catalog=server.catalog).to_dict())
 
 
@@ -686,13 +692,15 @@ class TestRepliesMatchTheReference:
                                           1.5, catalog=fresh.catalog).to_dict())
 
     @settings(max_examples=8, deadline=None)
-    @given(da=st.sampled_from(DESIGN_APPROACHES), tolerance=st.floats(1e-4, 1e-2))
-    def test_ec7_design(self, fresh, da, tolerance):
+    @given(da=st.sampled_from(DESIGN_APPROACHES), resolution=st.sampled_from(
+        [(1e-3, 1e-3), ("0.5 mm", 5e-4), ("0.1 mm", 1e-4), (1e-6, 1e-6), (0.3, 0.3)]))
+    def test_ec7_design(self, fresh, da, resolution):
+        sent, metres = resolution
         arguments = {"scenario": JRC_SCENARIO, "design_approach": da,
-                     "tolerance": tolerance}
+                     "resolution": sent}
         assert reply(fresh, "geo_design_footing_width_ec7", arguments) == reference_reply(
             lambda: design_footing_width_ec7(
-                load_scenario(json.dumps(JRC_SCENARIO)), da, tolerance=tolerance,
+                load_scenario(json.dumps(JRC_SCENARIO)), da, resolution=metres,
                 catalog=fresh.catalog).to_dict())
 
     def test_get_method(self, fresh):
@@ -798,11 +806,11 @@ class TestBoundaryLeaks:
                 codes.add("malformed_quantity")
         assert "malformed_quantity" in codes
 
-    def test_huge_integer_tolerance_is_tool_error(self, server):
+    def test_huge_integer_resolution_is_tool_error(self, server):
         response = strict_json(call(server, "geo_design_footing_width_ec7", {
             "scenario": JRC_SCENARIO, "design_approach": "DA2",
-            "tolerance": 10**400}))
-        assert tool_error(response)["error"] == "schema_error"
+            "resolution": 10**400}))
+        assert tool_error(response)["error"] == "non_finite_value"
 
     def test_null_required_scenario_field_is_tool_error(self, server):
         response = strict_json(call(server, "geo_check_footing_uls_ec7", {
@@ -907,7 +915,8 @@ _BY_PROPERTY = {
     "drainage": st.sampled_from(["drained", "undrained", "wet"]),
     "scenario": _SCENARIO,
     "B": st.floats(min_value=0.05, max_value=30) | _QUANTITY_TEXT,
-    "tolerance": st.floats(min_value=1e-6, max_value=0.1),
+    "resolution": st.floats(min_value=1e-6, max_value=0.1)
+    | st.sampled_from([1e-3, "1 mm", "0.1 mm", "0.3 m", "1 kPa", "2"]),
 }
 
 
@@ -1069,7 +1078,7 @@ class TestArgumentChecks:
     @example((_TOOL["geo_check_footing_uls_ec7"],
               {"scenario": {}, "design_approach": "DA2", "B": [2]}))
     @example((_TOOL["geo_design_footing_width_ec7"],
-              {"scenario": {}, "design_approach": "DA2", "tolerance": True}))
+              {"scenario": {}, "design_approach": "DA2", "resolution": True}))
     @example((_TOOL["geo_list_methods"], []))
     def test_check_returns_the_reference_complaint(self, drawn):
         tool, arguments = drawn
