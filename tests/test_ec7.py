@@ -707,17 +707,30 @@ def _traced_search(scenario, design_approach, resolution=RESOLUTION, catalog=Non
         scenario, design_approach, width, catalog=catalog, drainage=drainage))
 
 
-def _bisection(scenario, design_approach, resolution, check):
-    """An independent width search: plain bisection over the grid index k,
-    between the floor (the least k with k/n - 2e > 0) and the greatest k
-    with k/n <= L, with every trial width a full ``check(width)``."""
-    n = round(1 / resolution)
+def _grid_ends(scenario, n):
+    """The grid indices of the floor, the least k with k/n - 2e > 0, and of
+    the greatest k with k/n <= L."""
     lo = int(2 * scenario.e * n)
     while lo / n - 2 * scenario.e <= 0:
         lo += 1
     hi = int(scenario.L * n) + 1
     while hi / n > scenario.L:
         hi -= 1
+    return lo, hi
+
+
+def _bisection_budget(lo, hi):
+    """The most trials the width search may make from the bracket [lo, hi]:
+    twice the halvings grid bisection needs, and the two ends."""
+    return 2 + 2 * (hi - lo - 1).bit_length()
+
+
+def _bisection(scenario, design_approach, resolution, check):
+    """An independent width search: plain bisection over the grid index k,
+    between the floor (the least k with k/n - 2e > 0) and the greatest k
+    with k/n <= L, with every trial width a full ``check(width)``."""
+    n = round(1 / resolution)
+    lo, hi = _grid_ends(scenario, n)
     at_hi = check(hi / n)
     if not at_hi.passed:
         raise NoBracket(lo / n, scenario.L)
@@ -808,6 +821,10 @@ _HEAVY_SOIL = _jrc_a3(gamma_k="1e306 kN/m^3")
 BUNDLED_DESIGNS = [(SCENARIO, da, "drained") for da in DESIGN_APPROACHES] + [
     (PAD, da, drainage) for da in DESIGN_APPROACHES for drainage in ("drained", "undrained")]
 BUNDLED_IDS = [f"{scenario.name}-{da}-{drainage}" for scenario, da, drainage in BUNDLED_DESIGNS]
+# The trials each of them takes, at 0.1 mm and at 1 um, so that a slower
+# search fails here and not only in the benchmark.
+BUNDLED_TRIALS = {1e-4: [7, 7, 7, 7, 6, 6, 6, 6, 7, 6, 6, 6],
+                  1e-6: [8, 8, 8, 8, 7, 7, 7, 7, 7, 7, 7, 7]}
 
 
 class TestWidthSearchMatchesTracedSearch:
@@ -881,14 +898,18 @@ def _checked_bisection(scenario, da, drainage, resolution=RESOLUTION):
         scenario, da, width, drainage=drainage))
 
 
+# A drawn design: scenario, Design Approach, drainage and resolution.
+_DESIGNS = (_SCENARIOS, st.sampled_from(DESIGN_APPROACHES),
+            st.sampled_from(("drained", "undrained")),
+            st.sampled_from((1e-2, 1e-3, 1e-4, 1e-6)))
+
+
 class TestWidthSearchMatchesCheckedSearch:
     """The width search against the certificate and the bisection made of
     public checks, one ``check_footing_uls_ec7`` per trial width."""
 
     @settings(max_examples=80, deadline=None)
-    @given(_SCENARIOS, st.sampled_from(DESIGN_APPROACHES),
-           st.sampled_from(("drained", "undrained")),
-           st.sampled_from((1e-2, 1e-3, 1e-4, 1e-6)))
+    @given(*_DESIGNS)
     @example(_jrc_a3(L="1.5 m"), "DA2", "drained", 1e-3)  # NoBracket
     @example(_jrc_a3(G_k_col="1.5e308 kN"), "DA2", "drained", 1e-3)  # V_d overflows
     @example(_jrc_a3(phi_prime_k="89.99 deg"), "DA3", "drained", 1e-6)  # N_q overflows
@@ -914,6 +935,20 @@ class TestWidthSearchMatchesCheckedSearch:
         assert (got.B_req, got.B_below) == (expected.B_req, expected.B_below)
         assert _without_trials(lambda: got) == _without_trials(lambda: expected)
         assert got.trials < expected.trials
+
+    @pytest.mark.parametrize("resolution", sorted(BUNDLED_TRIALS))
+    def test_bundled_designs_take_the_pinned_trials(self, resolution):
+        assert [design_footing_width_ec7(scenario, da, resolution, drainage=drainage).trials
+                for scenario, da, drainage in BUNDLED_DESIGNS] == BUNDLED_TRIALS[resolution]
+
+    @settings(max_examples=80, deadline=None)
+    @given(*_DESIGNS)
+    def test_trials_within_the_bisection_budget(self, scenario, da, drainage, resolution):
+        try:
+            got = design_footing_width_ec7(scenario, da, resolution, drainage=drainage)
+        except GeocardError:
+            return
+        assert got.trials <= _bisection_budget(*_grid_ends(scenario, round(1 / resolution)))
 
     @pytest.mark.parametrize("changes, da, drainage, kind, message", [
         ({"L": "1.5 m"}, "DA2", "drained", NoBracket, "utilization does not cross 1.0"),
@@ -1110,7 +1145,7 @@ class TestWidthSearchErrors:
             scenario, da, width, catalog=catalog, drainage=drainage), MathDomain)
         assert message.startswith("sqrt of negative value")
         assert failed_step["target"] == target
-        assert 0.3 < width < 2.0 and round(width * 1e4) == width * 1e4
+        assert 0.3 < width < 2.0 and round(width * 1e4) / 1e4 == width  # k/n
         assert json.loads(partial_trace)["steps"]
 
     @pytest.mark.parametrize("edit, kind", [(_extra_input, MissingInput),
@@ -1211,6 +1246,19 @@ class TestLeastWidth:
         assert check_footing_uls_ec7(scenario, da, floor / n, drainage=drainage).B_effective > 0
         assert all(trial(i / n)[0] > PASS_LIMIT for i in range(floor, k))
         assert trial(result.B_req)[0] <= PASS_LIMIT
+
+    def test_a_crawling_secant_keeps_the_bisection_budget(self):
+        """u = 1 + 1e-11 below k = 123 457 and 1e-3 from there up: every
+        interpolated root lies within a grid step of the failing end, so an
+        unguarded step gains one step. The search still ends within twice
+        the trials grid bisection needs."""
+        def trial(B):
+            u = 1.0 + 1e-11 if B < 123457 else 1e-3
+            return u, (B, B, u, 1.0, u)  # B, B', V_d, R_d, utilization
+
+        found = _least_passing(trial, 1, 1, 200000)
+        assert (found[0], found[2]) == (123456, 123457)
+        assert found[4] <= _bisection_budget(1, 200000) == 38
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(range(len(BUNDLED_DESIGNS))), st.floats(0.0, 1.0),

@@ -7,11 +7,17 @@ for byte to the file under ``tests/data`` that names the row. Standard library o
     python tests/test_goldens.py            # every row; a unified diff per failing row
     python tests/test_goldens.py --write    # first rewrite each golden from its row
     PYTHONPATH=src python3 tests/test_golden_traces.py  # golden_traces.jsonl, no row
+    python tests/test_goldens.py mapback PARENT [PROJECTION...]
+
+``mapback`` applies each named projection of ``PROJECTIONS`` to every golden
+output, as it is in the working tree and as ``git show PARENT:`` gives it,
+and diffs the two: a deliberate golden change must map back to its parent.
 """
 
 import difflib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -209,6 +215,38 @@ def test_every_golden_design_is_certified_by_two_checks():
         assert at_below["utilization"] == design["utilization_below"] > 1, name
 
 
+# Each projection maps a golden's bytes to what a change leaves alone.
+PROJECTIONS = {
+    # every "trials": N, plain or inside a JSON string, as 0
+    "trials": lambda data: re.sub(rb'(\\?"trials\\?": )\d+', rb"\g<1>0", data),
+}
+
+
+def mapback(parent: str, names: list) -> int:
+    """Diff each golden output, projected, against its ``parent`` revision's."""
+    goldens = [row.name for row in ROWS if row.golden] + ["golden_traces.jsonl"]
+    failed = 0
+    for name in goldens:
+        old = subprocess.run(["git", "show", f"{parent}:tests/data/{name}"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+        new = (DATA / name).read_bytes()
+        for projection in names:
+            old, new = PROJECTIONS[projection](old), PROJECTIONS[projection](new)
+        text = "" if old == new else "".join(difflib.unified_diff(
+            *(data.decode("utf-8").splitlines(keepends=True) for data in (old, new)),
+            f"{parent}:{name}", name))
+        failed += bool(text)
+        print(f"FAIL {name}\n{text}" if text else f"ok   {name}")
+    print(f"{len(goldens) - failed} of {len(goldens)} goldens map back to {parent}")
+    return 1 if failed else 0
+
+
+def test_trials_projection_zeroes_plain_and_escaped_counts():
+    data = b'{"trials": 11, "text": "{\\n  \\"trials\\": 9,\\n  \\"B\\": 2}"}'
+    assert PROJECTIONS["trials"](data) == (
+        b'{"trials": 0, "text": "{\\n  \\"trials\\": 0,\\n  \\"B\\": 2}"}')
+
+
 def main(write: bool) -> int:
     failed = 0
     for row in ROWS:
@@ -224,6 +262,10 @@ def main(write: bool) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] not in ([], ["--write"]):
-        sys.exit("usage: python tests/test_goldens.py [--write]")
-    sys.exit(main(write=sys.argv[1:] == ["--write"]))
+    args = sys.argv[1:]
+    if args[:1] == ["mapback"] and len(args) > 1 and set(args[2:]) <= PROJECTIONS.keys():
+        sys.exit(mapback(args[1], args[2:]))
+    if args not in ([], ["--write"]):
+        sys.exit("usage: python tests/test_goldens.py [--write | mapback PARENT "
+                 f"[PROJECTION...]], PROJECTION one of {', '.join(PROJECTIONS)}")
+    sys.exit(main(write=args == ["--write"]))
